@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -109,8 +110,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("rank_tol", "ppt_tol", "seesaw_tol"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"tolerance {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"tolerance {name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -273,6 +274,8 @@ def _parse_noise(raw: Any) -> dict[str, Any]:
         if not isinstance(coeffs, dict) or not coeffs:
             raise ConfigError("local noise coefficients must be a nonempty object")
         parsed = {_parse_label_key(k): float(v) for k, v in coeffs.items()}
+        if not all(math.isfinite(v) for v in parsed.values()):
+            raise ConfigError("local noise coefficients must be finite")
         total = sum(parsed.values())
         if total <= 0:
             raise ConfigError("local noise coefficients must have positive total weight")
@@ -285,8 +288,8 @@ def _parse_direction(raw: Any) -> Any:
         return "uniform"
     if isinstance(raw, dict) and raw:
         parsed = {_parse_label_key(k): float(v) for k, v in raw.items()}
-        if any(v < 0 for v in parsed.values()):
-            raise ConfigError("direction coefficients must be nonnegative")
+        if not all(0 <= v < math.inf for v in parsed.values()):
+            raise ConfigError("direction coefficients must be nonnegative and finite")
         if abs(sum(parsed.values()) - 1.0) > 1e-12:
             raise ConfigError("direction coefficients must sum to 1")
         return parsed
@@ -627,7 +630,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, PositivityError, AssertionError) as exc:
+    except (ConvergenceError, PositivityError) as exc:
         print(f"numerical guard tripped: {exc}", file=sys.stderr)
         return 2
     except CertificationError as exc:

@@ -1,11 +1,12 @@
 """Dense complex linear algebra kernel.
 
-Everything downstream works on small (dim <= 64) dense complex matrices, so
-the module favors exactness and determinism over asymptotic speed:
+Everything downstream works on small (dim <= 64) dense complex matrices:
 
-- ``hermitian_eig`` is a cyclic Jacobi solver for complex Hermitian matrices.
-  Jacobi gives orthonormal eigenvectors for free, converges quadratically at
-  these sizes, and is bit-reproducible for identical input.
+- ``hermitian_eig`` validates Hermiticity and hands the matrix, or a stack of
+  matrices, to LAPACK through ``np.linalg.eigh``.  The output is
+  deterministic for identical input on one install, so report payloads are
+  byte-stable there; another BLAS/LAPACK build may move floats by a few ulps
+  and pick different eigenvector phases.
 - ``partial_transpose`` is a pure index permutation (reshape + axis swap),
   never a similarity transform, so traces and involution hold exactly.
 """
@@ -17,36 +18,36 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 HERMITIAN_RTOL = 1e-12      # admissible |H - H^dag| relative to 1 + maxabs(H)
-JACOBI_CONV_RTOL = 1e-14    # off-diagonal Frobenius norm target, relative to 1 + ||H||_F
-JACOBI_MAX_SWEEPS = 100
 DEFAULT_TOL = 1e-9          # rank / kernel threshold for unit-trace operators
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver failed to reach the off-diagonal target within the sweep cap."""
+    """An iterative numerical routine failed to converge or lost monotonicity."""
 
 
 class EigDecomposition(NamedTuple):
     """Full Hermitian eigendecomposition, eigenvalues ascending."""
 
-    eigenvalues: np.ndarray   # real, shape (n,)
-    eigenvectors: np.ndarray  # complex, shape (n, n), orthonormal columns
+    eigenvalues: np.ndarray   # real, shape (..., n)
+    eigenvectors: np.ndarray  # complex, shape (..., n, n), orthonormal columns
 
 
 def as_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Validate Hermiticity within tolerance and return the symmetrized copy.
 
-    Raises ValueError if the matrix is not square or deviates from its
-    conjugate transpose by more than ``HERMITIAN_RTOL * (1 + maxabs)``.
+    Takes one matrix or a stack of shape ``(..., n, n)``.  Raises ValueError
+    if the matrices are not square or one of them deviates from its conjugate
+    transpose by more than ``HERMITIAN_RTOL * (1 + maxabs)``.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = 1.0 + (np.max(np.abs(m)) if m.size else 0.0)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > HERMITIAN_RTOL * scale:
-        raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {dev:.3e}")
-    return (m + m.conj().T) / 2.0
+    adj = m.conj().swapaxes(-1, -2)
+    scale = 1.0 + np.max(np.abs(m), axis=(-2, -1), initial=0.0)
+    dev = np.max(np.abs(m - adj), axis=(-2, -1), initial=0.0)
+    if np.any(dev > HERMITIAN_RTOL * scale):
+        raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {np.max(dev):.3e}")
+    return (m + adj) / 2.0
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -64,106 +65,21 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _off_norm(a: np.ndarray) -> float:
-    d = np.abs(a) ** 2
-    np.fill_diagonal(d, 0.0)
-    return float(np.sqrt(d.sum()))
-
-
 def hermitian_eig(matrix: np.ndarray) -> EigDecomposition:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix, or a stack of them, with LAPACK (``eigh``).
 
-    Each rotation is a 2x2 unitary annihilating one off-diagonal pair: the
-    pair's phase is absorbed first, then a real Givens rotation zeroes it.
-    Sweeps run in fixed (p, q) order, so the output is deterministic for
-    identical input.  Eigenvectors inside a degenerate cluster are
-    re-orthonormalized by Gram-Schmidt in stable index order.
+    Accepts shape ``(n, n)`` or ``(..., n, n)``; eigenvalues come back
+    ascending along the last axis, eigenvectors as the columns of the last
+    two axes.  Identical input on one install gives identical output.
 
-    Raises ConvergenceError if the off-diagonal norm has not dropped below
-    ``JACOBI_CONV_RTOL * (1 + ||H||_F)`` after ``JACOBI_MAX_SWEEPS`` sweeps.
+    Raises ConvergenceError if LAPACK reports that it did not converge.
     """
     h = as_hermitian(matrix)
-    n = h.shape[0]
-    if n == 1:
-        return EigDecomposition(np.array([h[0, 0].real]), np.eye(1, dtype=complex))
-
-    a = h.copy()
-    v = np.eye(n, dtype=complex)
-    fro = float(np.sqrt((np.abs(a) ** 2).sum()))
-    target = JACOBI_CONV_RTOL * (1.0 + fro)
-    skip = target / (n * n)
-
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_norm(a) < target:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= skip:
-                    continue
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                sgn = 1.0 if tau >= 0.0 else -1.0
-                t = sgn / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # 2x2 block of the rotation: [[c, s], [u10, u11]]
-                u10 = -s * np.conj(phase)
-                u11 = c * np.conj(phase)
-
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp + u10 * colq
-                a[:, q] = s * colp + u11 * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp + np.conj(u10) * rowq
-                a[q, :] = s * rowp + np.conj(u11) * rowq
-                # the annihilated pair is exact by construction
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp + u10 * vq
-                v[:, q] = s * vp + u11 * vq
-    else:
-        converged = _off_norm(a) < target
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi sweeps exhausted ({JACOBI_MAX_SWEEPS}); "
-            f"off-diagonal norm {_off_norm(a):.3e} above target {target:.3e}"
-        )
-
-    vals = np.diag(a).real.copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-    _regramschmidt_degenerate(vals, vecs, 1.0 + float(np.max(np.abs(h))))
+    try:
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
     return EigDecomposition(vals, vecs)
-
-
-def _regramschmidt_degenerate(vals: np.ndarray, vecs: np.ndarray, scale: float) -> None:
-    """Gram-Schmidt eigenvector columns within each degenerate cluster, in place."""
-    n = len(vals)
-    tol = 1e-9 * scale
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and vals[stop] - vals[stop - 1] <= tol:
-            stop += 1
-        if stop - start > 1:
-            for j in range(start, stop):
-                col = vecs[:, j]
-                for i in range(start, j):
-                    col = col - vecs[:, i] * np.vdot(vecs[:, i], col)
-                vecs[:, j] = col / np.sqrt(np.vdot(col, col).real)
-        start = stop
 
 
 def partial_transpose(

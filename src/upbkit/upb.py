@@ -142,42 +142,52 @@ def upb_state(u: UPB) -> DensityMatrix:
     return DensityMatrix(rho, u.parts, validate=False)
 
 
-def _site_operator(p_tensor: np.ndarray, locs: list[np.ndarray], site: int) -> np.ndarray:
-    """Contract every party except ``site``; the result is Hermitian d_site x d_site."""
-    n = len(locs)
-    operands: list = [p_tensor, list(range(2 * n))]
-    for j in range(n):
-        if j == site:
-            continue
-        operands += [np.conj(locs[j]), [j], locs[j], [n + j]]
-    operands.append([site, n + site])
-    m = np.einsum(*operands)
-    return (m + m.conj().T) / 2.0
-
-
-def _seesaw_single(
+def _seesaw(
     p_tensor: np.ndarray,
     dims: Sequence[int],
-    rng: np.random.Generator,
-    improvement_tol: float = SEESAW_IMPROVEMENT_TOL,
-) -> tuple[float, list[np.ndarray]]:
-    """One restart: alternate extremal local updates until improvement stalls."""
+    seed: int | Sequence[int],
+    restarts: int,
+    improvement_tol: float,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run every restart in lockstep until its sweep improves by less than ``improvement_tol``.
+
+    Restart r starts from ``default_rng([*seed, r])``.  Party k's local vectors
+    form one ``(restarts, d_k)`` array, and each local update is one einsum and
+    one stacked eigensolve over the active restarts.  Returns the final
+    objective of every restart and the per-party local vector arrays.
+    """
     n = len(dims)
-    locs = []
-    for d in dims:
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        locs.append(v / np.linalg.norm(v))
-    objective = -np.inf
-    for _ in range(SEESAW_MAX_SWEEPS):
-        sweep_start = objective
+    base = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
+    locs = [np.empty((restarts, d), dtype=complex) for d in dims]
+    for r in range(restarts):
+        rng = np.random.default_rng(base + [r])
+        for k, d in enumerate(dims):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            locs[k][r] = v / np.linalg.norm(v)
+    objective = np.full(restarts, -np.inf)
+    active = np.arange(restarts)
+    batch = 2 * n  # einsum label of the restart axis
+    for sweep in range(SEESAW_MAX_SWEEPS):
+        sweep_start = objective[active]
         for k in range(n):
-            site = _site_operator(p_tensor, locs, k)
-            vals, vecs = linalg.hermitian_eig(site)
-            locs[k] = vecs[:, -1]
+            operands: list = [p_tensor, list(range(2 * n))]
+            for j in range(n):
+                if j != k:
+                    operands += [np.conj(locs[j][active]), [batch, j], locs[j][active], [batch, n + j]]
+            operands.append([batch, k, n + k])
+            vals, vecs = linalg.hermitian_eig(np.einsum(*operands))
             # each local update is an exact maximization, so the objective is monotone
-            assert vals[-1] >= objective - improvement_tol, "seesaw objective decreased"
-            objective = float(vals[-1])
-        if objective - sweep_start < improvement_tol:
+            drop = objective[active] - vals[:, -1]
+            if np.any(drop > improvement_tol):
+                i = int(np.argmax(drop))
+                raise linalg.ConvergenceError(
+                    f"seesaw objective decreased at restart {active[i]}, sweep {sweep}, "
+                    f"party {k}: drop {drop[i]:.3e} exceeds {improvement_tol:.3e}"
+                )
+            locs[k][active] = vecs[:, :, -1]
+            objective[active] = vals[:, -1]
+        active = active[objective[active] - sweep_start >= improvement_tol]
+        if not active.size:
             break
     return objective, locs
 
@@ -203,20 +213,11 @@ def seesaw_max_product_overlap(
     dims = parts.local_dims
     if p.shape[0] != parts.dim:
         raise ValueError("projector dimension does not match the party structure")
-    p_tensor = p.reshape(dims + dims)
-    base = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
-    best_overlap = -np.inf
-    best_locs: list[np.ndarray] | None = None
-    for r in range(restarts):
-        rng = np.random.default_rng(base + [r])
-        overlap, locs = _seesaw_single(p_tensor, dims, rng, improvement_tol)
-        if overlap > best_overlap:
-            best_overlap = overlap
-            best_locs = locs
-    assert best_locs is not None
-    best = ProductVector(tuple(v / np.linalg.norm(v) for v in best_locs))
+    objective, locs = _seesaw(p.reshape(dims + dims), dims, seed, restarts, improvement_tol)
+    r = int(np.argmax(objective))
+    best = ProductVector(tuple(v[r] / np.linalg.norm(v[r]) for v in locs))
     return UnextendibilityCertificate(
-        max_overlap=float(min(max(best_overlap, 0.0), 1.0)),
+        max_overlap=float(min(max(objective[r], 0.0), 1.0)),
         restarts=restarts,
         best_product_vector=best,
     )
@@ -274,21 +275,18 @@ def subspace_product_hunt(
     for b in ortho:
         proj += np.outer(b, b.conj())
 
-    p_tensor = ((proj + proj.conj().T) / 2).reshape(parts.local_dims + parts.local_dims)
-    base = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
+    dims = parts.local_dims
+    p_tensor = ((proj + proj.conj().T) / 2).reshape(dims + dims)
+    objective, locs = _seesaw(p_tensor, dims, seed, restarts, improvement_tol)
     hits: list[tuple[np.ndarray, ProductVector, float]] = []
-    for r in range(restarts):
-        rng = np.random.default_rng(base + [r])
-        overlap, locs = _seesaw_single(p_tensor, parts.local_dims, rng, improvement_tol)
-        if overlap < 1.0 - UNEXTENDIBILITY_GAP:
-            continue
-        pv = ProductVector(tuple(v / np.linalg.norm(v) for v in locs))
+    for r in np.flatnonzero(objective >= 1.0 - UNEXTENDIBILITY_GAP):
+        pv = ProductVector(tuple(v[r] / np.linalg.norm(v[r]) for v in locs))
         full = expand(pv)
         for known, _, _ in hits:
             if abs(np.vdot(known, full)) ** 2 > 1.0 - DISTINCT_FIDELITY_TOL:
                 break
         else:
-            hits.append((full, pv, float(overlap)))
+            hits.append((full, pv, float(objective[r])))
 
     if hits:
         stacked = np.column_stack([h[0] for h in hits])

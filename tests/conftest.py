@@ -1,6 +1,10 @@
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
+from upbkit import linalg
 from upbkit import (
     ShiftsParams,
     build_upb_witness,
@@ -13,10 +17,36 @@ from upbkit import (
 CERT_SEED = 20240801
 CERT_RESTARTS = 256
 
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2
+
+
+def lower_top_eigenvalue(monkeypatch, at_call: int, restart: int) -> None:
+    """Make the ``at_call``-th stacked eigensolve report a far lower top eigenvalue for one restart."""
+    real_eig = linalg.hermitian_eig
+    calls = []
+
+    def eig(matrix):
+        vals, vecs = real_eig(matrix)
+        calls.append(None)
+        if len(calls) == at_call:
+            vals = vals.copy()
+            vals[restart, -1] -= 10.0
+        return linalg.EigDecomposition(vals, vecs)
+
+    monkeypatch.setattr(linalg, "hermitian_eig", eig)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """CLI tests run ``python -m upbkit`` in a child process; let it import this checkout."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,8 @@ from upbkit import cli
 from upbkit.cli import ConfigError, parse_config, run_command
 from upbkit.reporting import SchemaError, dumps_canonical, format_float, validate_report
 
+from conftest import lower_top_eigenvalue
+
 PI4 = [math.pi / 4, math.pi / 4, math.pi / 4]
 
 
@@ -91,6 +93,10 @@ class TestConfigParsing:
         }
         with pytest.raises(ConfigError, match="noise kind"):
             parse_config(raw)
+        for bad in (math.nan, math.inf):
+            raw["noise"] = {"kind": "local", "coefficients": {"0,phi1,1": bad}}
+            with pytest.raises(ConfigError, match="finite"):
+                parse_config(raw)
 
     def test_direction_must_sum_to_one(self):
         raw = {
@@ -101,6 +107,10 @@ class TestConfigParsing:
         }
         with pytest.raises(ConfigError, match="sum to 1"):
             parse_config(raw)
+        for bad in (math.nan, math.inf):
+            raw["direction"] = {"0,0,0": bad}
+            with pytest.raises(ConfigError, match="finite"):
+                parse_config(raw)
 
     def test_bad_cut_rejected(self):
         raw = {
@@ -120,6 +130,9 @@ class TestConfigParsing:
         assert config.tolerances.ppt_tol == 1e-9
         with pytest.raises(ConfigError, match="unknown tolerance"):
             parse_config(make_config(tolerances={"rank_tolerance": 1e-8}))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                parse_config(make_config(tolerances={"ppt_tol": bad, "rank_tol": bad}))
 
 
 ALL_COMMAND_CONFIGS = {
@@ -363,7 +376,7 @@ class TestEndToEnd:
         assert report["config"]["tolerances"]["ppt_tol"] == 1e-6
         assert report["config"]["tolerances"]["seesaw_tol"] == 1e-12
 
-    def test_numerical_guard_exit_code(self, tmp_path, monkeypatch):
+    def test_numerical_guard_exit_code(self, tmp_path, monkeypatch, capsys):
         def explode(config):
             raise ConvergenceError("sweeps exhausted")
 
@@ -371,3 +384,18 @@ class TestEndToEnd:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(make_config()))
         assert cli.main(["--config", str(cfg)]) == 2
+
+        # a seesaw whose objective drops is a numerical guard trip that names its restart
+        lower_top_eigenvalue(monkeypatch, at_call=4, restart=1)
+        cfg.write_text(json.dumps(ALL_COMMAND_CONFIGS["certify"]))
+        assert cli.main(["--config", str(cfg)]) == 2
+        assert "restart 1" in capsys.readouterr().err
+
+        # a bare AssertionError is a programming error and keeps its traceback
+        def buggy(config):
+            raise AssertionError("invariant broken")
+
+        monkeypatch.setitem(cli._RUNNERS, "build", buggy)
+        cfg.write_text(json.dumps(make_config()))
+        with pytest.raises(AssertionError, match="invariant broken"):
+            cli.main(["--config", str(cfg)])

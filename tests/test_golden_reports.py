@@ -1,0 +1,63 @@
+"""Every sample config in scripts/configs reproduces its committed report payload.
+
+Integers, strings, booleans and nulls must match exactly and lists must keep
+their lengths; floats must agree to ``FLOAT_TOL``.  The local vectors of a
+product vector are eigenvectors, whose phase is the eigensolver's choice, so
+each one is compared up to a global phase.
+"""
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+from upbkit.cli import parse_config, run_command
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+CONFIGS = sorted((SCRIPTS / "configs").glob("*.json"))
+FLOAT_TOL = 1e-12
+PRODUCT_VECTOR_FIELDS = ("best_product_vector", "members")
+
+
+def local_vectors(value) -> np.ndarray:
+    """Rows of local vectors from nested [re, im] pairs (one product vector or a list)."""
+    pairs = np.asarray(value, dtype=float)
+    vecs = pairs[..., 0] + 1j * pairs[..., 1]
+    return vecs.reshape(-1, vecs.shape[-1])
+
+
+def assert_close(old, new, path="payload"):
+    assert type(old) is type(new), f"{path}: {type(old).__name__} != {type(new).__name__}"
+    if isinstance(old, dict):
+        assert list(old) == list(new), f"{path}: keys differ"
+        for key in old:
+            sub = f"{path}.{key}"
+            if key in PRODUCT_VECTOR_FIELDS:
+                a, b = local_vectors(old[key]), local_vectors(new[key])
+                assert a.shape == b.shape, f"{sub}: shape {a.shape} != {b.shape}"
+                fidelity = np.abs(np.sum(a.conj() * b, axis=1))
+                assert np.all(fidelity >= 1.0 - FLOAT_TOL), f"{sub}: |<old|new>| = {fidelity}"
+            else:
+                assert_close(old[key], new[key], sub)
+    elif isinstance(old, list):
+        assert len(old) == len(new), f"{path}: length {len(old)} != {len(new)}"
+        for i, (a, b) in enumerate(zip(old, new)):
+            assert_close(a, b, f"{path}[{i}]")
+    elif isinstance(old, float):
+        assert old == new or abs(old - new) <= FLOAT_TOL, f"{path}: {old!r} != {new!r}"
+    else:
+        assert old == new, f"{path}: {old!r} != {new!r}"
+
+
+def test_every_sample_config_has_a_report():
+    assert CONFIGS
+    for config in CONFIGS:
+        assert (SCRIPTS / "out" / f"{config.stem}.report.json").is_file(), config.name
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_payload_matches_committed_report(config):
+    committed = json.loads((SCRIPTS / "out" / f"{config.stem}.report.json").read_text())
+    report = run_command(parse_config(json.loads(config.read_text())))
+    assert_close(committed["payload"], json.loads(report.render())["payload"])

@@ -102,6 +102,25 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="Hermitian"):
             la.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_matches_single_solves(self):
+        rng = np.random.default_rng(4)
+        stack = np.stack([random_hermitian(rng, 3) for _ in range(5)])
+        vals, vecs = la.hermitian_eig(stack)
+        assert vals.shape == (5, 3) and vecs.shape == (5, 3, 3)
+        for h, v in zip(stack, vals):
+            assert np.max(np.abs(v - la.hermitian_eig(h).eigenvalues)) < 1e-13
+        stack[2, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="Hermitian"):
+            la.hermitian_eig(stack)
+
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+        def fail(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(la.ConvergenceError, match="did not converge"):
+            la.hermitian_eig(np.eye(2))
+
 
 class TestPartialTranspose:
     def test_diagonal_fixed_point(self):

@@ -16,7 +16,11 @@ from upbkit import (
     subspace_product_hunt,
     upb_state,
 )
+from upbkit.linalg import ConvergenceError
 from upbkit.states import product_projector, random_product_vector
+from upbkit.upb import SEESAW_IMPROVEMENT_TOL, _seesaw
+
+from conftest import lower_top_eigenvalue
 
 # Regression constant: best product overlap with the complement of the
 # pi/4 family, recorded from 256-restart runs (stable to ~1e-14 across seeds).
@@ -158,6 +162,22 @@ class TestSeesaw:
         assert first.max_overlap == second.max_overlap
         for x, y in zip(first.best_product_vector.locals, second.best_product_vector.locals):
             assert np.array_equal(x, y)
+
+    def test_batched_and_serial_restarts_agree(self, pi4_upb):
+        # counter seeds: restart r does the same work whatever the batch around it
+        dims = pi4_upb.parts.local_dims
+        p_tensor = pi4_upb.complement_projector().reshape(dims + dims)
+        small, _ = _seesaw(p_tensor, dims, [5, 1], 4, SEESAW_IMPROVEMENT_TOL)
+        large, _ = _seesaw(p_tensor, dims, [5, 1], 16, SEESAW_IMPROVEMENT_TOL)
+        assert np.max(np.abs(small - large[:4])) <= 1e-12
+
+    def test_objective_drop_raises(self, pi4_upb, monkeypatch):
+        # three parties: call 4 is the first local update of sweep 1
+        lower_top_eigenvalue(monkeypatch, at_call=4, restart=2)
+        with pytest.raises(ConvergenceError, match="restart 2, sweep 1"):
+            seesaw_max_product_overlap(
+                pi4_upb.complement_projector(), pi4_upb.parts, restarts=4, seed=0
+            )
 
 
 class TestCertification:
