@@ -5,7 +5,6 @@ from .linalg import (
     EigDecomposition,
     hermitian_eig,
     kernel,
-    kron,
     numerical_rank,
     partial_transpose,
     subspace_distance,
@@ -17,7 +16,6 @@ from .states import (
     PartyStructure,
     ProductVector,
     basis_labels,
-    basis_projector,
     bipartitions,
     decompose_in_projector_basis,
     expand,
@@ -26,6 +24,7 @@ from .states import (
     min_pt_eigenvalue,
     projector_basis,
     projector_basis_gram,
+    projector_combination,
     qubits,
     random_density_matrix,
     random_product_vector,

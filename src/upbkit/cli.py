@@ -71,11 +71,11 @@ from .states import (
     Bipartition,
     DensityMatrix,
     ProductVector,
-    basis_projector,
     expand,
     is_ppt_all_cuts,
     min_pt_eigenvalue,
     product_projector,
+    projector_combination,
     qubits,
     random_density_matrix,
     random_product_vector,
@@ -155,9 +155,12 @@ def _parse_angles(raw: Any, name: str) -> tuple[float, float, float]:
 
 def _parse_label_key(key: str) -> tuple[str, ...]:
     try:
-        return validate_labels(tuple(part.strip() for part in key.split(",")))
+        mu = validate_labels(tuple(part.strip() for part in key.split(",")))
     except ValueError as exc:
         raise ConfigError(f"bad label key {key!r}: {exc}") from exc
+    if len(mu) != 3:
+        raise ConfigError(f"bad label key {key!r}: expected 3 labels, got {len(mu)}")
+    return mu
 
 
 def parse_config(raw: dict[str, Any]) -> ExperimentConfig:
@@ -406,10 +409,7 @@ def _noise_samples(config: ExperimentConfig) -> list[tuple[str, DensityMatrix]]:
         return out
     if noise["kind"] == "local":
         coeffs = noise["coefficients"]
-        total = sum(coeffs.values())
-        op = np.zeros((8, 8), dtype=complex)
-        for mu, w in coeffs.items():
-            op += (w / total) * basis_projector(mu).matrix
+        op = projector_combination(coeffs) / sum(coeffs.values())
         try:
             return [("local", DensityMatrix(op, parts))]
         except ValueError as exc:

@@ -50,11 +50,6 @@ def as_hermitian(matrix: np.ndarray) -> np.ndarray:
     return (m + adj) / 2.0
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (i*dimB + k, j*dimB + l) -> A[i,j] * B[k,l]."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Left-to-right Kronecker product of a nonempty sequence."""
     if not len(factors):
@@ -148,10 +143,7 @@ def subspace_distance(first: Sequence[np.ndarray], second: Sequence[np.ndarray])
         ortho = orthonormalize(vectors)
         if not ortho:
             raise ValueError("empty span")
-        dim = ortho[0].shape[0]
-        p = np.zeros((dim, dim), dtype=complex)
-        for b in ortho:
-            p += np.outer(b, b.conj())
-        return p
+        b = np.column_stack(ortho)
+        return b @ b.conj().T
 
     return float(np.max(np.abs(projector(first) - projector(second))))

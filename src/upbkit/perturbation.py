@@ -35,8 +35,8 @@ from .states import (
     DensityMatrix,
     ProductVector,
     basis_labels,
-    basis_projector,
     expand,
+    projector_combination,
     validate_labels,
 )
 from .upb import UPB
@@ -119,14 +119,10 @@ def perturb_local(rho: DensityMatrix, spec: LocalNoiseSpec) -> DensityMatrix:
     """
     if spec.n_qubits != rho.parts.n_parties or not rho.parts.all_qubits:
         raise ValueError("noise spec does not match the state's party structure")
-    out = rho.matrix.copy()
-    for mu, eps in spec.coefficients.items():
-        if eps != 0.0:
-            out += eps * basis_projector(mu).matrix
     norm = 1.0 + spec.total
     if norm <= 0.0:
         raise PositivityError("total noise weight drives the trace nonpositive")
-    out /= norm
+    out = (rho.matrix + projector_combination(spec.coefficients)) / norm
     vals, _ = linalg.hermitian_eig(out)
     if vals[0] < -POSITIVITY_TOL:
         raise PositivityError(
@@ -177,14 +173,9 @@ def kernel_compression(noise: DensityMatrix, u: UPB, cut: Bipartition) -> Kernel
     """Compress noise^{T_cut} onto the conjugated-member basis of the cut."""
     if noise.parts != u.parts:
         raise ValueError("noise state does not match the UPB's party structure")
-    basis = [expand(v) for v in kernel_product_basis(u, cut)]
+    basis = np.column_stack([expand(v) for v in kernel_product_basis(u, cut)])
     pt = linalg.partial_transpose(noise.matrix, noise.parts.local_dims, cut.side_a)
-    m = len(basis)
-    comp = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        row = pt @ basis[i]
-        for j in range(m):
-            comp[j, i] = np.vdot(basis[j], row)
+    comp = basis.conj().T @ pt @ basis
     comp = (comp + comp.conj().T) / 2.0
     vals, _ = linalg.hermitian_eig(comp)
     return KernelCompression(matrix=comp, eigenvalues=vals)

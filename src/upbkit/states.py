@@ -8,14 +8,18 @@ indexed by per-qubit labels ``{0, 1, phi1, phi2}``:
 
 The 4^n projectors onto tensor products of these vectors form a (nonsingular
 Gram) basis of the n-qubit operator space, which is what makes "perturb in
-every independent direction" a finite computation.
+every independent direction" a finite computation.  ``projector_basis(n)``
+holds them as one cached, read-only ``(4^n, 2^n, 2^n)`` array in
+``basis_labels(n)`` order, and ``projector_combination`` contracts a
+label -> coefficient map against it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import InitVar, dataclass
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +39,7 @@ _LOCAL_VECTORS = {
     "phi1": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
     "phi2": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
 }
+_LOCAL_PROJECTORS = np.array([np.outer(v, v.conj()) for v in _LOCAL_VECTORS.values()])
 
 
 def local_vector(label: str) -> np.ndarray:
@@ -184,15 +189,6 @@ def validate_labels(labels: Sequence[str]) -> tuple[str, ...]:
     return mu
 
 
-def basis_projector(labels: Sequence[str]) -> DensityMatrix:
-    """Rank-1 completely separable projector onto the labeled product vector."""
-    mu = validate_labels(labels)
-    if not mu:
-        raise ValueError("need at least one label")
-    vec = ProductVector(tuple(local_vector(l) for l in mu))
-    return DensityMatrix(product_projector(vec), qubits(len(mu)), validate=False)
-
-
 def basis_labels(n_qubits: int) -> list[tuple[str, ...]]:
     """The 4^n label tuples in lexicographic order over ``LABELS``."""
     if n_qubits < 1:
@@ -200,42 +196,55 @@ def basis_labels(n_qubits: int) -> list[tuple[str, ...]]:
     return list(itertools.product(LABELS, repeat=n_qubits))
 
 
-def projector_basis(n_qubits: int) -> list[DensityMatrix]:
-    """All 4^n separable basis projectors, lexicographic label order."""
+@functools.cache
+def projector_basis(n_qubits: int) -> np.ndarray:
+    """All 4^n separable basis projectors as one read-only ``(4^n, 2^n, 2^n)`` array.
+
+    Entry ``mu`` is the Kronecker product of the single-qubit projectors named
+    by ``basis_labels(n_qubits)[mu]``; the stack is built once per ``n_qubits``.
+    """
     if not 1 <= n_qubits <= PROJECTOR_BASIS_MAX_QUBITS:
         raise ValueError(f"n_qubits must be in 1..{PROJECTOR_BASIS_MAX_QUBITS}")
-    return [basis_projector(mu) for mu in basis_labels(n_qubits)]
+    stack = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n_qubits):
+        # (A, 1, d, d) kron (4, 2, 2): every stacked projector times every local one
+        d = 2 * stack.shape[-1]
+        stack = np.kron(stack[:, None], _LOCAL_PROJECTORS).reshape(-1, d, d)
+    stack.flags.writeable = False
+    return stack
+
+
+def projector_combination(coefficients: Mapping[tuple[str, ...], float]) -> np.ndarray:
+    """The operator sum_mu c[mu] * E_mu for a label -> coefficient map."""
+    widths = {len(mu) for mu in coefficients}
+    if len(widths) != 1:
+        raise ValueError(f"need labels of one width, got widths {sorted(widths)}")
+    (n,) = widths
+    stack = projector_basis(n)
+    index = {mu: i for i, mu in enumerate(basis_labels(n))}
+    weights = np.zeros(len(stack))
+    for mu, c in coefficients.items():
+        weights[index[validate_labels(mu)]] += c
+    return np.tensordot(weights, stack, axes=1)
 
 
 def projector_basis_gram(n_qubits: int) -> np.ndarray:
-    """Real Gram matrix G[uv] = tr(E_u E_v) of the separable projector basis.
-
-    Overlaps factor over parties, so entries are products of squared local
-    overlaps; still computed directly from the expanded vectors.
-    """
-    vecs = [linalg.kron_all([local_vector(l) for l in mu]) for mu in basis_labels(n_qubits)]
-    m = np.column_stack(vecs)
-    return np.abs(m.conj().T @ m) ** 2
+    """Real Gram matrix G[uv] = tr(E_u E_v) of the separable projector basis."""
+    stack = projector_basis(n_qubits)
+    return np.einsum("aij,bji->ab", stack, stack, optimize=True).real
 
 
 def decompose_in_projector_basis(rho: DensityMatrix) -> np.ndarray:
     """Unique real coefficients c with rho = sum_mu c[mu] * E_mu.
 
-    Solves the Gram system via eigendecomposition; valid because the Gram
-    matrix is nonsingular for qubit parties.
+    Solves G c = (tr(E_mu rho))_mu, which is well posed because the Gram
+    matrix G is nonsingular for qubit parties.
     """
     if not rho.parts.all_qubits:
         raise ValueError("projector basis decomposition requires qubit parties")
     n = rho.parts.n_parties
-    gram = projector_basis_gram(n)
-    rhs = np.array(
-        [np.vdot(linalg.kron_all([local_vector(l) for l in mu]),
-                 rho.matrix @ linalg.kron_all([local_vector(l) for l in mu])).real
-         for mu in basis_labels(n)]
-    )
-    vals, vecs = linalg.hermitian_eig(gram)
-    coeffs = vecs @ ((vecs.conj().T @ rhs) / vals)
-    return coeffs.real
+    rhs = np.einsum("aij,ji->a", projector_basis(n), rho.matrix).real
+    return np.linalg.solve(projector_basis_gram(n), rhs)
 
 
 class CutVerdict(NamedTuple):

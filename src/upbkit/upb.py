@@ -31,7 +31,6 @@ from .states import (
     PartyStructure,
     ProductVector,
     expand,
-    product_projector,
 )
 
 UNEXTENDIBILITY_GAP = 1e-3       # certified when max_overlap < 1 - gap
@@ -102,10 +101,8 @@ class UPB:
         return len(self.members)
 
     def member_sum_projector(self) -> np.ndarray:
-        s = np.zeros((self.parts.dim, self.parts.dim), dtype=complex)
-        for v in self.members:
-            s += product_projector(v)
-        return s
+        vecs = np.column_stack([expand(v) for v in self.members])
+        return vecs @ vecs.conj().T
 
     def complement_projector(self) -> np.ndarray:
         return np.eye(self.parts.dim) - self.member_sum_projector()
@@ -271,9 +268,8 @@ def subspace_product_hunt(
     dim = parts.dim
     if any(b.shape[0] != dim for b in ortho):
         raise ValueError("basis vectors do not match the party structure")
-    proj = np.zeros((dim, dim), dtype=complex)
-    for b in ortho:
-        proj += np.outer(b, b.conj())
+    cols = np.column_stack(ortho)
+    proj = cols @ cols.conj().T
 
     dims = parts.local_dims
     p_tensor = ((proj + proj.conj().T) / 2).reshape(dims + dims)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .perturbation import LocalNoiseSpec
-from .states import DensityMatrix, basis_projector
+from .states import DensityMatrix, projector_combination
 from .upb import UPB, UnextendibilityCertificate
 
 WITNESS_TRACE_TOL = 1e-12
@@ -98,10 +98,7 @@ def robustness_radius(w: Witness, rho: DensityMatrix, direction: LocalNoiseSpec)
     if abs(direction.total - 1.0) > DIRECTION_SUM_TOL:
         raise ValueError(f"direction coefficients sum to {direction.total!r}, expected 1")
     detected = evaluate(w, rho)
-    denom = 0.0
-    for mu, weight in direction.coefficients.items():
-        if weight != 0.0:
-            denom += weight * float(np.trace(w.matrix @ basis_projector(mu).matrix).real)
+    denom = float(np.trace(w.matrix @ projector_combination(direction.coefficients)).real)
     if denom <= RADIUS_DENOM_FLOOR:
         return math.inf
     return abs(detected) / denom

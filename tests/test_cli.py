@@ -97,6 +97,10 @@ class TestConfigParsing:
             raw["noise"] = {"kind": "local", "coefficients": {"0,phi1,1": bad}}
             with pytest.raises(ConfigError, match="finite"):
                 parse_config(raw)
+        for key in ("phi1,phi2", "0,1,0,1"):
+            raw["noise"] = {"kind": "local", "coefficients": {"0,1,0": 1.0, key: 0.0}}
+            with pytest.raises(ConfigError, match=key):
+                parse_config(raw)
 
     def test_direction_must_sum_to_one(self):
         raw = {
@@ -110,6 +114,10 @@ class TestConfigParsing:
         for bad in (math.nan, math.inf):
             raw["direction"] = {"0,0,0": bad}
             with pytest.raises(ConfigError, match="finite"):
+                parse_config(raw)
+        for key in ("phi1,phi2", "0,1,0,1"):
+            raw["direction"] = {"0,0,0": 0.5, key: 0.5}
+            with pytest.raises(ConfigError, match=key):
                 parse_config(raw)
 
     def test_bad_cut_rejected(self):

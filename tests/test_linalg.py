@@ -22,25 +22,25 @@ BELL_PT_SPECTRUM = np.array([-0.5, 0.5, 0.5, 0.5])
 
 class TestKron:
     def test_identity(self):
-        assert np.array_equal(la.kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(la.kron_all([np.eye(2), np.eye(2)]), np.eye(4))
 
     def test_projector_product(self):
         d1 = np.diag([1.0, 0.0])
-        assert np.array_equal(la.kron(d1, d1), np.diag([1.0, 0.0, 0.0, 0.0]))
+        assert np.array_equal(la.kron_all([d1, d1]), np.diag([1.0, 0.0, 0.0, 0.0]))
 
     def test_basis_permutation(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         ket00 = np.array([1, 0, 0, 0], dtype=complex)
         ket11 = np.array([0, 0, 0, 1], dtype=complex)
-        assert np.array_equal(la.kron(x, x) @ ket00, ket11)
+        assert np.array_equal(la.kron_all([x, x]) @ ket00, ket11)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_associativity(self, seed):
         rng = np.random.default_rng(seed)
         a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
-        left = la.kron(la.kron(a, b), c)
-        right = la.kron(a, la.kron(b, c))
+        left = la.kron_all([a, b, c])
+        right = la.kron_all([a, la.kron_all([b, c])])
         assert np.max(np.abs(left - right)) <= 1e-14
 
 

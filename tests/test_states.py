@@ -75,28 +75,46 @@ class TestPartyStructure:
 
 class TestProjectorBasis:
     def test_e000_is_corner_projector(self):
-        e = states.basis_projector(("0", "0", "0"))
+        e = states.projector_combination({("0", "0", "0"): 1.0})
         expected = np.zeros((8, 8))
         expected[0, 0] = 1.0
-        assert np.array_equal(e.matrix, expected)
+        assert np.array_equal(e, expected)
 
     def test_single_phi1_is_plus_projector(self):
-        e = states.basis_projector(("phi1",))
-        assert np.allclose(e.matrix, np.full((2, 2), 0.5))
+        e = states.projector_combination({("phi1",): 1.0})
+        assert np.allclose(e, np.full((2, 2), 0.5))
 
     def test_all_are_rank_one_projectors(self):
-        for e in states.projector_basis(3):
-            m = e.matrix
+        for m in states.projector_basis(3):
             assert np.max(np.abs(m @ m - m)) < 1e-14
             assert abs(np.trace(m).real - 1.0) < 1e-14
             assert np.max(np.abs(m - m.conj().T)) == 0.0
 
     def test_count_and_order(self):
         basis = states.projector_basis(2)
-        assert len(basis) == 16
+        assert basis.shape == (16, 4, 4)
         labels = states.basis_labels(2)
         assert labels[0] == ("0", "0") and labels[-1] == ("phi2", "phi2")
         assert labels == sorted(labels, key=lambda mu: tuple(states.LABELS.index(l) for l in mu))
+
+    def test_stack_is_cached_and_read_only(self):
+        basis = states.projector_basis(3)
+        assert states.projector_basis(3) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 1.0
+
+    def test_combination_follows_label_order(self):
+        # oracle: each labelled projector from its expanded product vector
+        for mu in states.basis_labels(2):
+            v = la.kron_all([states.local_vector(l) for l in mu])
+            e = states.projector_combination({mu: 1.0})
+            assert np.max(np.abs(e - np.outer(v, v.conj()))) < 1e-15
+
+    def test_combination_rejects_mixed_widths(self):
+        with pytest.raises(ValueError, match="widths"):
+            states.projector_combination({("0", "1", "0"): 1.0, ("phi1", "phi2"): 0.0})
+        with pytest.raises(ValueError, match="label"):
+            states.projector_combination({("0", "2"): 1.0})
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
@@ -117,10 +135,12 @@ class TestProjectorBasis:
         assert vals[0] > 1e-6
         # Gram matches the direct double loop over basis projectors
         basis = states.projector_basis(n)
-        direct = np.array(
-            [[np.trace(a.matrix @ b.matrix).real for b in basis] for a in basis]
-        )
+        direct = np.array([[np.trace(a @ b).real for b in basis] for a in basis])
         assert np.max(np.abs(gram - direct)) < 1e-12
+
+    def test_gram_factors_over_qubits(self):
+        gram = states.projector_basis_gram(3)
+        assert np.max(np.abs(gram - la.kron_all([states.projector_basis_gram(1)] * 3))) < 1e-15
 
     def test_decomposition_round_trip(self):
         rng = np.random.default_rng(5)
@@ -128,7 +148,7 @@ class TestProjectorBasis:
         coeffs = states.decompose_in_projector_basis(rho)
         recon = np.zeros((4, 4), dtype=complex)
         for c, e in zip(coeffs, states.projector_basis(2)):
-            recon += c * e.matrix
+            recon += c * e
         assert np.max(np.abs(recon - rho.matrix)) < 1e-10
 
 
@@ -207,7 +227,7 @@ class TestPPT:
         weights = rng.random(10)
         weights /= weights.sum()
         picks = rng.integers(0, len(basis), size=10)
-        mix = sum(w * basis[i].matrix for w, i in zip(weights, picks))
+        mix = sum(w * basis[i] for w, i in zip(weights, picks))
         rho = states.DensityMatrix(mix, states.qubits(3), validate=False)
         for verdict in states.is_ppt_all_cuts(rho).values():
             assert verdict.ppt

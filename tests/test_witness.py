@@ -79,7 +79,7 @@ class TestConstruction:
 class TestEvaluate:
     def test_nonnegative_on_every_basis_projector(self, pi4_witness):
         for e in projector_basis(3):
-            assert evaluate(pi4_witness, e) >= 0
+            assert evaluate(pi4_witness, DensityMatrix(e, qubits(3), validate=False)) >= 0
 
     def test_nonnegative_on_maximally_mixed(self, pi4_witness):
         rho = DensityMatrix(np.eye(8) / 8, qubits(3), validate=False)
@@ -109,7 +109,7 @@ class TestRobustnessRadius:
         # oracle: recompute the crossing scale from direct trace evaluations
         direction = uniform_direction(3)
         denom = sum(
-            w * evaluate(pi4_witness, e)
+            w * evaluate(pi4_witness, DensityMatrix(e, qubits(3), validate=False))
             for w, e in zip(direction.coefficients.values(), projector_basis(3))
         )
         expected = abs(evaluate(pi4_witness, pi4_state)) / denom
