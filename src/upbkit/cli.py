@@ -43,6 +43,7 @@ Exit codes: 0 success, 1 invalid config, 2 numerical guard tripped
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -561,6 +562,8 @@ _RUNNERS = {
 
 @dataclass(frozen=True)
 class Report:
+    """One command's report; ``render()`` caches its text, so the dicts must not change after."""
+
     config: dict[str, Any]
     payload: dict[str, Any]
     meta: dict[str, Any]
@@ -569,8 +572,13 @@ class Report:
         """Deterministic byte-stable rendering of the result payload alone."""
         return dumps_canonical(self.payload)
 
-    def render(self) -> str:
+    @functools.cached_property
+    def _text(self) -> str:
         return dumps_canonical({"config": self.config, "payload": self.payload, "meta": self.meta})
+
+    def render(self) -> str:
+        """The whole report as canonical JSON text, rendered once and then reused."""
+        return self._text
 
 
 def run_command(config: ExperimentConfig) -> Report:

@@ -2,8 +2,12 @@
 
 Everything downstream works on small (dim <= 64) dense complex matrices:
 
-- ``hermitian_eig`` validates Hermiticity and hands the matrix, or a stack of
-  matrices, to LAPACK through ``np.linalg.eigh``.  The output is
+- ``eigh_unchecked`` hands a matrix, or a stack of matrices, that must
+  already be Hermitian to LAPACK through ``np.linalg.eigh`` and checks
+  nothing; callers whose operand is Hermitian by construction (the seesaw's
+  local operators, symmetrized or validated matrices and their partial
+  transposes) use it directly.  ``hermitian_eig`` is the checked entry point:
+  ``as_hermitian`` followed by ``eigh_unchecked``.  The output is
   deterministic for identical input on one install, so report payloads are
   byte-stable there; another BLAS/LAPACK build may move floats by a few ulps
   and pick different eigenvector phases.
@@ -60,21 +64,31 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def hermitian_eig(matrix: np.ndarray) -> EigDecomposition:
-    """Diagonalize a Hermitian matrix, or a stack of them, with LAPACK (``eigh``).
+def eigh_unchecked(matrix: np.ndarray) -> EigDecomposition:
+    """Diagonalize a matrix, or a stack of them, with LAPACK (``eigh``); input must already be Hermitian.
 
-    Accepts shape ``(n, n)`` or ``(..., n, n)``; eigenvalues come back
-    ascending along the last axis, eigenvectors as the columns of the last
-    two axes.  Identical input on one install gives identical output.
+    Nothing is checked: LAPACK reads only the lower triangle, so a
+    non-Hermitian input gives the spectrum of a different matrix.  Accepts
+    shape ``(n, n)`` or ``(..., n, n)``; eigenvalues come back ascending
+    along the last axis, eigenvectors as the columns of the last two axes.
+    Identical input on one install gives identical output.
 
     Raises ConvergenceError if LAPACK reports that it did not converge.
     """
-    h = as_hermitian(matrix)
     try:
-        vals, vecs = np.linalg.eigh(h)
+        vals, vecs = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
     return EigDecomposition(vals, vecs)
+
+
+def hermitian_eig(matrix: np.ndarray) -> EigDecomposition:
+    """Validate Hermiticity (``as_hermitian``), then diagonalize with ``eigh_unchecked``.
+
+    Raises ValueError on a non-Hermitian input and ConvergenceError if LAPACK
+    reports that it did not converge.
+    """
+    return eigh_unchecked(as_hermitian(matrix))
 
 
 def partial_transpose(

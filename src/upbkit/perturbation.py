@@ -177,7 +177,7 @@ def kernel_compression(noise: DensityMatrix, u: UPB, cut: Bipartition) -> Kernel
     pt = linalg.partial_transpose(noise.matrix, noise.parts.local_dims, cut.side_a)
     comp = basis.conj().T @ pt @ basis
     comp = (comp + comp.conj().T) / 2.0
-    vals, _ = linalg.hermitian_eig(comp)
+    vals, _ = linalg.eigh_unchecked(comp)
     return KernelCompression(matrix=comp, eigenvalues=vals)
 
 

@@ -146,7 +146,10 @@ class ProductVector:
 
 def expand(vector: ProductVector) -> np.ndarray:
     """Full tensor-product vector in the composite space."""
-    return linalg.kron_all(vector.locals)
+    out = vector.locals[0]
+    for v in vector.locals[1:]:
+        out = np.multiply.outer(out, v).ravel()
+    return out
 
 
 def product_projector(vector: ProductVector) -> np.ndarray:
@@ -172,7 +175,7 @@ class DensityMatrix:
         if abs(np.trace(m).real - 1.0) > TRACE_TOL:
             raise ValueError(f"trace is {np.trace(m).real!r}, expected 1")
         if validate:
-            vals, _ = linalg.hermitian_eig(m)
+            vals, _ = linalg.eigh_unchecked(m)
             if vals[0] < -PSD_TOL:
                 raise ValueError(f"operator is not positive semidefinite: min eigenvalue {vals[0]:.3e}")
 
@@ -255,8 +258,9 @@ class CutVerdict(NamedTuple):
 def min_pt_eigenvalue(rho: DensityMatrix, cut: Bipartition) -> float:
     """Smallest eigenvalue of the partial transpose of rho across the cut."""
     cut.validate_for(rho.parts)
+    # an index permutation of the Hermitian rho.matrix, so Hermitian as well
     pt = linalg.partial_transpose(rho.matrix, rho.parts.local_dims, cut.side_a)
-    vals, _ = linalg.hermitian_eig(pt)
+    vals, _ = linalg.eigh_unchecked(pt)
     return float(vals[0])
 
 

@@ -20,6 +20,7 @@ from 1 by a fixed gap, is the certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -148,31 +149,44 @@ def _seesaw(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run every restart in lockstep until its sweep improves by less than ``improvement_tol``.
 
+    ``p_tensor`` is the projector as a ``dims + dims`` tensor (ket axes, then
+    bra axes) and must already be Hermitian: nothing here checks it again.
     Restart r starts from ``default_rng([*seed, r])``.  Party k's local vectors
-    form one ``(restarts, d_k)`` array, and each local update is one einsum and
-    one stacked eigensolve over the active restarts.  Returns the final
-    objective of every restart and the per-party local vector arrays.
+    form one ``(restarts, d_k)`` array.  Party k's operator is reshaped once
+    into an ``(A_k, d_k * d_k * A_k)`` matrix, ``A_k = D / d_k``, so a local
+    update is two matmuls with the product ``w`` of the other parties' vectors
+    and one stacked ``linalg.eigh_unchecked`` over the active restarts.
+    Returns the final objective of every restart and the per-party local
+    vector arrays.
     """
     n = len(dims)
     base = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
-    locs = [np.empty((restarts, d), dtype=complex) for d in dims]
-    for r in range(restarts):
-        rng = np.random.default_rng(base + [r])
-        for k, d in enumerate(dims):
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            locs[k][r] = v / np.linalg.norm(v)
+    # party j draws d_j real parts, then d_j imaginary parts, in party order
+    draws = np.array([np.random.default_rng(base + [r]).standard_normal(2 * sum(dims))
+                      for r in range(restarts)])
+    offsets = np.cumsum([0] + [2 * d for d in dims])
+    locs = []
+    for k, d in enumerate(dims):
+        v = draws[:, offsets[k]:offsets[k] + d] + 1j * draws[:, offsets[k] + d:offsets[k + 1]]
+        locs.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+    # ops[k][y, a, b, x] = <x, a| P |y, b>, with x, y the other parties' indices
+    # (party k's ket and bra axes in the middle), so that for their product
+    # vector w, ((w @ ops[k]) @ conj(w))[a, b] = <w, a| P |w, b>
+    ops = []
+    for k in range(n):
+        others = [j for j in range(n) if j != k]
+        axes = [n + j for j in others] + [k, n + k] + others
+        ops.append(p_tensor.transpose(axes).reshape(math.prod(dims) // dims[k], -1))
     objective = np.full(restarts, -np.inf)
     active = np.arange(restarts)
-    batch = 2 * n  # einsum label of the restart axis
     for sweep in range(SEESAW_MAX_SWEEPS):
         sweep_start = objective[active]
-        for k in range(n):
-            operands: list = [p_tensor, list(range(2 * n))]
-            for j in range(n):
-                if j != k:
-                    operands += [np.conj(locs[j][active]), [batch, j], locs[j][active], [batch, n + j]]
-            operands.append([batch, k, n + k])
-            vals, vecs = linalg.hermitian_eig(np.einsum(*operands))
+        for k, d in enumerate(dims):
+            w, *rest = [locs[j][active] for j in range(n) if j != k]
+            for v in rest:
+                w = (w[:, :, None] * v[:, None, :]).reshape(active.size, -1)
+            x = (w @ ops[k]).reshape(active.size, d * d, -1)
+            vals, vecs = linalg.eigh_unchecked((x @ w.conj()[:, :, None]).reshape(-1, d, d))
             # each local update is an exact maximization, so the objective is monotone
             drop = objective[active] - vals[:, -1]
             if np.any(drop > improvement_tol):

@@ -27,7 +27,7 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def lower_top_eigenvalue(monkeypatch, at_call: int, restart: int) -> None:
     """Make the ``at_call``-th stacked eigensolve report a far lower top eigenvalue for one restart."""
-    real_eig = linalg.hermitian_eig
+    real_eig = linalg.eigh_unchecked
     calls = []
 
     def eig(matrix):
@@ -38,7 +38,7 @@ def lower_top_eigenvalue(monkeypatch, at_call: int, restart: int) -> None:
             vals[restart, -1] -= 10.0
         return linalg.EigDecomposition(vals, vecs)
 
-    monkeypatch.setattr(linalg, "hermitian_eig", eig)
+    monkeypatch.setattr(linalg, "eigh_unchecked", eig)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -187,6 +187,20 @@ class TestCommands:
         assert first.payload_text() == second.payload_text()
         validate_report(json.loads(first.render()))
 
+    def test_report_is_rendered_once(self, monkeypatch):
+        calls = []
+
+        def counting(value):
+            calls.append(None)
+            return dumps_canonical(value)
+
+        monkeypatch.setattr(cli, "dumps_canonical", counting)
+        report = run_command(parse_config(make_config()))
+        assert report.render() == report.render() == dumps_canonical(
+            {"config": report.config, "payload": report.payload, "meta": report.meta}
+        )
+        assert len(calls) == 1
+
     def test_build_payload_values(self):
         report = run_command(parse_config(make_config()))
         payload = report.payload

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from upbkit import linalg as la
+from upbkit import upb
 from upbkit import (
     ProductVector,
     PartyStructure,
@@ -170,6 +171,29 @@ class TestSeesaw:
         small, _ = _seesaw(p_tensor, dims, [5, 1], 4, SEESAW_IMPROVEMENT_TOL)
         large, _ = _seesaw(p_tensor, dims, [5, 1], 16, SEESAW_IMPROVEMENT_TOL)
         assert np.max(np.abs(small - large[:4])) <= 1e-12
+
+    def test_objectives_match_returned_vectors_unequal_dims(self):
+        # parties of dims 2, 3, 2: a swapped party order or contraction axis shows here
+        dims = (2, 3, 2)
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        q, _ = np.linalg.qr(g)
+        proj = q @ q.conj().T
+        objective, locs = _seesaw(proj.reshape(dims + dims), dims, 3, 6, SEESAW_IMPROVEMENT_TOL)
+        for r in range(6):
+            phi = expand(ProductVector(tuple(v[r] for v in locs)))
+            assert abs(objective[r] - np.vdot(phi, proj @ phi).real) < 1e-12
+
+    def test_start_vectors_are_per_party_counter_draws(self, monkeypatch):
+        monkeypatch.setattr(upb, "SEESAW_MAX_SWEEPS", 0)
+        dims = (2, 3, 2)
+        p_tensor = np.eye(12).reshape(dims + dims)
+        _, locs = _seesaw(p_tensor, dims, [4, 2], 5, SEESAW_IMPROVEMENT_TOL)
+        for r in range(5):
+            rng = np.random.default_rng([4, 2, r])
+            for k, d in enumerate(dims):
+                v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                assert np.max(np.abs(locs[k][r] - v / np.linalg.norm(v))) <= 1e-15
 
     def test_objective_drop_raises(self, pi4_upb, monkeypatch):
         # three parties: call 4 is the first local update of sweep 1
