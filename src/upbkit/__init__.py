@@ -43,6 +43,7 @@ from .upb import (
 from .perturbation import (
     KernelCompression,
     LocalNoiseSpec,
+    MixingScan,
     MixNoiseSpec,
     NoiseClassification,
     NoiseEffect,
@@ -50,6 +51,7 @@ from .perturbation import (
     classify_noise,
     kernel_compression,
     kernel_product_basis,
+    mixing_scan,
     perturb_local,
     perturb_mix,
     predict_first_order,

@@ -57,14 +57,11 @@ from . import __version__, linalg
 from .linalg import ConvergenceError
 from .perturbation import (
     LocalNoiseSpec,
-    MixNoiseSpec,
     NoiseEffect,
     PositivityError,
-    classify_noise,
     entangled_pair_noise,
+    mixing_scan,
     perturb_local,
-    perturb_mix,
-    predict_first_order,
     uniform_direction,
 )
 from .reporting import complex_pair, dumps_canonical, validate_report
@@ -74,7 +71,6 @@ from .states import (
     ProductVector,
     expand,
     is_ppt_all_cuts,
-    min_pt_eigenvalue,
     product_projector,
     projector_combination,
     qubits,
@@ -154,6 +150,13 @@ def _parse_angles(raw: Any, name: str) -> tuple[float, float, float]:
     return vals
 
 
+def _parse_float(raw: Any, name: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {raw!r}") from exc
+
+
 def _parse_label_key(key: str) -> tuple[str, ...]:
     try:
         mu = validate_labels(tuple(part.strip() for part in key.split(",")))
@@ -191,7 +194,7 @@ def parse_config(raw: dict[str, Any]) -> ExperimentConfig:
     unknown = set(tol_raw) - {"rank_tol", "ppt_tol", "seesaw_tol"}
     if unknown:
         raise ConfigError(f"unknown tolerance fields: {sorted(unknown)}")
-    tolerances = Tolerances(**{k: float(v) for k, v in tol_raw.items()})
+    tolerances = Tolerances(**{k: _parse_float(v, f"tolerance {k}") for k, v in tol_raw.items()})
 
     kwargs: dict[str, Any] = {
         "command": command,
@@ -218,7 +221,7 @@ def parse_config(raw: dict[str, Any]) -> ExperimentConfig:
         grid = raw.get("epsilon_grid")
         if not isinstance(grid, (list, tuple)) or not grid:
             raise ConfigError("perturb-scan requires a nonempty epsilon_grid")
-        eps = tuple(float(x) for x in grid)
+        eps = tuple(_parse_float(x, "epsilon_grid value") for x in grid)
         if any(not 0.0 < e <= 0.1 for e in eps):
             raise ConfigError("epsilon_grid values must lie in (0, 0.1]")
         kwargs["epsilon_grid"] = eps
@@ -277,7 +280,10 @@ def _parse_noise(raw: Any) -> dict[str, Any]:
         coeffs = raw["coefficients"]
         if not isinstance(coeffs, dict) or not coeffs:
             raise ConfigError("local noise coefficients must be a nonempty object")
-        parsed = {_parse_label_key(k): float(v) for k, v in coeffs.items()}
+        parsed = {
+            _parse_label_key(k): _parse_float(v, f"local noise coefficient {k!r}")
+            for k, v in coeffs.items()
+        }
         if not all(math.isfinite(v) for v in parsed.values()):
             raise ConfigError("local noise coefficients must be finite")
         total = sum(parsed.values())
@@ -291,7 +297,9 @@ def _parse_direction(raw: Any) -> Any:
     if raw == "uniform":
         return "uniform"
     if isinstance(raw, dict) and raw:
-        parsed = {_parse_label_key(k): float(v) for k, v in raw.items()}
+        parsed = {
+            _parse_label_key(k): _parse_float(v, f"direction weight {k!r}") for k, v in raw.items()
+        }
         if not all(0 <= v < math.inf for v in parsed.values()):
             raise ConfigError("direction coefficients must be nonnegative and finite")
         if abs(sum(parsed.values()) - 1.0) > 1e-12:
@@ -420,27 +428,25 @@ def _noise_samples(config: ExperimentConfig) -> list[tuple[str, DensityMatrix]]:
 
 def cmd_perturb_scan(config: ExperimentConfig) -> dict[str, Any]:
     u = shifts_family(ShiftsParams(*config.angles))
-    rho = upb_state(u)
     cut = Bipartition(config.cut)
+    names, noises = zip(*_noise_samples(config))
+    scan = mixing_scan(u, noises, cut, config.epsilon_grid)
     counts = {effect.value: 0 for effect in NoiseEffect}
     samples = []
-    for name, rho1 in _noise_samples(config):
-        cls = classify_noise(rho1, u, cut)
+    per_sample = zip(names, scan.classifications, scan.predicted_min.tolist(), scan.exact_min.tolist())
+    for name, cls, predicted, exact in per_sample:
         counts[cls.verdict.value] += 1
-        rows = []
-        for eps in config.epsilon_grid:
-            predicted = float(predict_first_order(cls.compression, eps)[0])
-            mixed = perturb_mix(rho, MixNoiseSpec(rho1, eps))
-            exact = min_pt_eigenvalue(mixed, cut)
-            rows.append(
-                {
-                    "epsilon": eps,
-                    "predicted_min": predicted,
-                    "exact_min": exact,
-                    "abs_error": abs(predicted - exact),
-                    "decided_by": "exact" if cls.verdict is NoiseEffect.DEGENERATE else "first_order",
-                }
-            )
+        decided_by = "exact" if cls.verdict is NoiseEffect.DEGENERATE else "first_order"
+        rows = [
+            {
+                "epsilon": eps,
+                "predicted_min": p,
+                "exact_min": x,
+                "abs_error": abs(p - x),
+                "decided_by": decided_by,
+            }
+            for eps, p, x in zip(config.epsilon_grid, predicted, exact)
+        ]
         samples.append(
             {
                 "noise": name,
@@ -451,7 +457,7 @@ def cmd_perturb_scan(config: ExperimentConfig) -> dict[str, Any]:
             }
         )
     return {
-        "cut": {"side_a": list(cut.side_a), "side_b": list(cut.side_b(rho.parts))},
+        "cut": {"side_a": list(cut.side_a), "side_b": list(cut.side_b(u.parts))},
         "samples": samples,
         "verdict_counts": counts,
     }

@@ -5,14 +5,15 @@ Everything downstream works on small (dim <= 64) dense complex matrices:
 - ``eigh_unchecked`` hands a matrix, or a stack of matrices, that must
   already be Hermitian to LAPACK through ``np.linalg.eigh`` and checks
   nothing; callers whose operand is Hermitian by construction (the seesaw's
-  local operators, symmetrized or validated matrices and their partial
-  transposes) use it directly.  ``hermitian_eig`` is the checked entry point:
-  ``as_hermitian`` followed by ``eigh_unchecked``.  The output is
-  deterministic for identical input on one install, so report payloads are
-  byte-stable there; another BLAS/LAPACK build may move floats by a few ulps
-  and pick different eigenvector phases.
-- ``partial_transpose`` is a pure index permutation (reshape + axis swap),
-  never a similarity transform, so traces and involution hold exactly.
+  local operators, symmetrized or validated matrices, their partial
+  transposes and mixtures of those) use it directly.  ``hermitian_eig`` is
+  the checked entry point: ``as_hermitian`` followed by ``eigh_unchecked``.
+  The output is deterministic for identical input on one install, so report
+  payloads are byte-stable there; another BLAS/LAPACK build may move floats
+  by a few ulps and pick different eigenvector phases.
+- ``partial_transpose`` is a pure index permutation (reshape + axis swap) of
+  one matrix or of every matrix in a ``(..., D, D)`` stack, never a
+  similarity transform, so traces and involution hold exactly.
 """
 
 from __future__ import annotations
@@ -96,9 +97,11 @@ def partial_transpose(
 ) -> np.ndarray:
     """Transpose the row/column indices of the parties listed in ``transposed``.
 
-    Implemented as an index permutation on the composite multi-indices, so the
-    operation is exact: applying it twice returns the input bit for bit, and
-    the trace is untouched.
+    Takes one matrix or a stack of shape ``(..., D, D)`` and transposes every
+    matrix of the stack.  Implemented as an index permutation on the composite
+    multi-indices, so the operation is exact: applying it twice returns the
+    input bit for bit, the trace is untouched, and it commutes bit for bit
+    with entrywise arithmetic such as mixing two matrices.
     """
     m = np.asarray(matrix)
     dims = tuple(int(d) for d in local_dims)
@@ -106,16 +109,17 @@ def partial_transpose(
     total = 1
     for d in dims:
         total *= d
-    if m.shape != (total, total):
+    if m.ndim < 2 or m.shape[-2:] != (total, total):
         raise ValueError(f"matrix shape {m.shape} does not match local dims {dims}")
     cut = sorted(set(int(k) for k in transposed))
     if not cut or len(cut) >= n or cut[0] < 0 or cut[-1] >= n:
         raise ValueError(f"transposed parties {cut} must be a nonempty proper subset of 0..{n - 1}")
-    t = m.reshape(dims + dims)
-    perm = list(range(2 * n))
+    lead = m.shape[:-2]
+    off = len(lead)
+    perm = list(range(off + 2 * n))
     for k in cut:
-        perm[k], perm[n + k] = perm[n + k], perm[k]
-    return t.transpose(perm).reshape(total, total)
+        perm[off + k], perm[off + n + k] = perm[off + n + k], perm[off + k]
+    return m.reshape(lead + dims + dims).transpose(perm).reshape(m.shape)
 
 
 def kernel(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.ndarray]:

@@ -19,18 +19,26 @@ smallest lam_r therefore classifies the noise: positive keeps the state PPT
 across the cut, negative makes it NPT, and a vanishing lam_r is reported as
 degenerate (first order is silent; callers resolve those instances by exact
 diagonalization at their eps).
+
+``mixing_scan`` runs that comparison for S noise states over a grid of E
+epsilons as one stacked computation: the kernel basis is built once, the S
+compressions go through one stacked eigensolve, and the exact spectra of all
+S x E mixtures through another, with every partial transpose taken once.
+``kernel_compression`` and ``classify_noise`` run the same code on a stack
+of one.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import linalg
 from .states import (
+    TRACE_TOL,
     Bipartition,
     DensityMatrix,
     ProductVector,
@@ -39,7 +47,7 @@ from .states import (
     projector_combination,
     validate_labels,
 )
-from .upb import UPB
+from .upb import UPB, upb_state
 
 COEFFICIENT_BOUND = 1.0      # sanity bound on |eps_mu|
 EPSILON_GUARD = 0.1          # perturbative regime for mixing / predictions
@@ -169,16 +177,30 @@ class KernelCompression:
         return self.matrix.shape[0]
 
 
-def kernel_compression(noise: DensityMatrix, u: UPB, cut: Bipartition) -> KernelCompression:
-    """Compress noise^{T_cut} onto the conjugated-member basis of the cut."""
-    if noise.parts != u.parts:
+def _compress_noises(
+    noises: Sequence[DensityMatrix], u: UPB, cut: Bipartition
+) -> tuple[np.ndarray, list[KernelCompression]]:
+    """Partial transposes of the noise states as one ``(S, D, D)`` stack, and their compressions.
+
+    The kernel basis is built once for all S states; the S compressions are
+    symmetrized together and diagonalized in one stacked solve.
+    """
+    if any(noise.parts != u.parts for noise in noises):
         raise ValueError("noise state does not match the UPB's party structure")
     basis = np.column_stack([expand(v) for v in kernel_product_basis(u, cut)])
-    pt = linalg.partial_transpose(noise.matrix, noise.parts.local_dims, cut.side_a)
+    pt = linalg.partial_transpose(
+        np.array([noise.matrix for noise in noises]), u.parts.local_dims, cut.side_a
+    )
     comp = basis.conj().T @ pt @ basis
-    comp = (comp + comp.conj().T) / 2.0
+    comp = (comp + comp.conj().swapaxes(-1, -2)) / 2.0
     vals, _ = linalg.eigh_unchecked(comp)
-    return KernelCompression(matrix=comp, eigenvalues=vals)
+    return pt, [KernelCompression(matrix=c, eigenvalues=v) for c, v in zip(comp, vals)]
+
+
+def kernel_compression(noise: DensityMatrix, u: UPB, cut: Bipartition) -> KernelCompression:
+    """Compress noise^{T_cut} onto the conjugated-member basis of the cut."""
+    _, (comp,) = _compress_noises([noise], u, cut)
+    return comp
 
 
 def predict_first_order(compression: KernelCompression, epsilon: float) -> np.ndarray:
@@ -223,6 +245,17 @@ class NoiseClassification:
     compression: KernelCompression
 
 
+def _classify(comp: KernelCompression, band: float) -> NoiseClassification:
+    lam_min = float(comp.eigenvalues[0])
+    if lam_min > band:
+        verdict = NoiseEffect.PPT_PRESERVING
+    elif lam_min < -band:
+        verdict = NoiseEffect.NPT_INDUCING
+    else:
+        verdict = NoiseEffect.DEGENERATE
+    return NoiseClassification(verdict=verdict, lambda_min=lam_min, compression=comp)
+
+
 def classify_noise(
     noise: DensityMatrix, u: UPB, cut: Bipartition, band: float = DEGENERACY_BAND
 ) -> NoiseClassification:
@@ -232,12 +265,50 @@ def classify_noise(
     anything inside the band is DEGENERATE and must be resolved by exact
     diagonalization at the working epsilon.
     """
-    comp = kernel_compression(noise, u, cut)
-    lam_min = float(comp.eigenvalues[0])
-    if lam_min > band:
-        verdict = NoiseEffect.PPT_PRESERVING
-    elif lam_min < -band:
-        verdict = NoiseEffect.NPT_INDUCING
-    else:
-        verdict = NoiseEffect.DEGENERATE
-    return NoiseClassification(verdict=verdict, lambda_min=lam_min, compression=comp)
+    return _classify(kernel_compression(noise, u, cut), band)
+
+
+@dataclass(frozen=True)
+class MixingScan:
+    """Predicted against exact minimum PT eigenvalue of (rho + eps * rho1_s) / (1 + eps).
+
+    Row s of each array belongs to noise state s, column e to epsilon e.
+    """
+
+    classifications: tuple[NoiseClassification, ...]
+    predicted_min: np.ndarray   # (S, E): eps * lam_min, the smallest first-order prediction
+    exact_min: np.ndarray       # (S, E): smallest eigenvalue of the mixture's partial transpose
+
+
+def mixing_scan(
+    u: UPB,
+    noises: Sequence[DensityMatrix],
+    cut: Bipartition,
+    epsilons: Sequence[float],
+) -> MixingScan:
+    """Classify every noise state and compare the prediction with the exact spectrum on a grid.
+
+    Here rho = upb_state(u).  Every partial transpose is taken once: rho's and
+    the S noise states'.  The partial transpose is an index permutation, so
+    ``(rho^T + eps * rho1^T) / (1 + eps)`` is the partial transpose of the
+    mixture bit for bit; all S x E of them form one ``(S, E, D, D)`` stack and
+    one stacked eigensolve.  A mixture of two validated states is Hermitian
+    bit for bit, so it needs no symmetrizing; its trace is checked.
+    """
+    eps = np.asarray(epsilons, dtype=float)
+    if eps.ndim != 1 or not np.all((eps > 0.0) & (eps <= EPSILON_GUARD)):
+        raise ValueError(f"epsilon must lie in (0, {EPSILON_GUARD}]")
+    pt_noise, comps = _compress_noises(noises, u, cut)
+    classifications = tuple(_classify(comp, DEGENERACY_BAND) for comp in comps)
+    pt_state = linalg.partial_transpose(upb_state(u).matrix, u.parts.local_dims, cut.side_a)
+    mixed = (pt_state + eps[:, None, None] * pt_noise[:, None]) / (1.0 + eps)[:, None, None]
+    trace_dev = np.abs(np.trace(mixed, axis1=-2, axis2=-1).real - 1.0)
+    if np.any(trace_dev > TRACE_TOL):
+        raise ValueError(f"mixed operator trace deviates from 1 by {np.max(trace_dev):.3e}")
+    vals, _ = linalg.eigh_unchecked(mixed)
+    lam_min = np.array([c.lambda_min for c in classifications])
+    return MixingScan(
+        classifications=classifications,
+        predicted_min=lam_min[:, None] * eps,
+        exact_min=vals[..., 0],
+    )

@@ -157,9 +157,12 @@ def _seesaw(
     update is two matmuls with the product ``w`` of the other parties' vectors
     and one stacked ``linalg.eigh_unchecked`` over the active restarts.
     Returns the final objective of every restart and the per-party local
-    vector arrays.
+    vector arrays.  Raises ValueError for fewer than two parties, where there
+    is nothing to alternate over.
     """
     n = len(dims)
+    if n < 2:
+        raise ValueError(f"the seesaw needs at least two parties, got local dims {tuple(dims)}")
     base = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
     # party j draws d_j real parts, then d_j imaginary parts, in party order
     draws = np.array([np.random.default_rng(base + [r]).standard_normal(2 * sum(dims))

@@ -97,6 +97,14 @@ class TestConfigParsing:
             raw["noise"] = {"kind": "local", "coefficients": {"0,phi1,1": bad}}
             with pytest.raises(ConfigError, match="finite"):
                 parse_config(raw)
+        for bad in (None, [1], {"x": 1}):
+            raw["noise"] = {"kind": "local", "coefficients": {"0,phi1,1": bad}}
+            with pytest.raises(ConfigError, match="must be a number"):
+                parse_config(raw)
+        raw["noise"] = {"kind": "white"}
+        raw["epsilon_grid"] = [0.01, None]
+        with pytest.raises(ConfigError, match="must be a number"):
+            parse_config(raw)
         for key in ("phi1,phi2", "0,1,0,1"):
             raw["noise"] = {"kind": "local", "coefficients": {"0,1,0": 1.0, key: 0.0}}
             with pytest.raises(ConfigError, match=key):
@@ -115,6 +123,10 @@ class TestConfigParsing:
             raw["direction"] = {"0,0,0": bad}
             with pytest.raises(ConfigError, match="finite"):
                 parse_config(raw)
+        for bad in (None, [1], {"x": 1}):
+            raw["direction"] = {"0,0,0": bad}
+            with pytest.raises(ConfigError, match="must be a number"):
+                parse_config(raw)
         for key in ("phi1,phi2", "0,1,0,1"):
             raw["direction"] = {"0,0,0": 0.5, key: 0.5}
             with pytest.raises(ConfigError, match=key):
@@ -132,7 +144,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cut"):
             parse_config(raw)
 
-    def test_tolerances_override(self):
+    def test_tolerances_override(self, tmp_path, capsys):
         config = parse_config(make_config(tolerances={"rank_tol": 1e-8}))
         assert config.tolerances.rank_tol == 1e-8
         assert config.tolerances.ppt_tol == 1e-9
@@ -141,6 +153,13 @@ class TestConfigParsing:
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError, match="finite"):
                 parse_config(make_config(tolerances={"ppt_tol": bad, "rank_tol": bad}))
+        for bad in (None, [1e-8], {"x": 1e-8}):
+            with pytest.raises(ConfigError, match="must be a number"):
+                parse_config(make_config(tolerances={"rank_tol": bad}))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(make_config(tolerances={"rank_tol": None})))
+        assert cli.main(["--config", str(cfg)]) == 1
+        assert "invalid config: tolerance rank_tol must be a number" in capsys.readouterr().err
 
 
 ALL_COMMAND_CONFIGS = {

@@ -134,11 +134,22 @@ class TestPartialTranspose:
 
     def test_involution_exact(self):
         rng = np.random.default_rng(7)
-        for _ in range(100):
-            m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        for shape in [(8, 8)] * 100 + [(5, 8, 8), (2, 3, 8, 8)]:
+            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             cut = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)][rng.integers(6)]
             twice = la.partial_transpose(la.partial_transpose(m, (2, 2, 2), cut), (2, 2, 2), cut)
             assert np.array_equal(twice, m)
+
+    def test_stack_matches_per_matrix_loop(self):
+        rng = np.random.default_rng(10)
+        for dims, shape in (((2, 2, 2), (4, 8, 8)), ((2, 3), (2, 3, 6, 6))):
+            stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for cut in ((0,), (1,), (0, 2))[: len(dims)]:
+                out = la.partial_transpose(stack, dims, cut)
+                flat = stack.reshape(-1, *shape[-2:])
+                loop = np.array([la.partial_transpose(m, dims, cut) for m in flat])
+                assert out.shape == shape
+                assert np.array_equal(out.reshape(flat.shape), loop)
 
     def test_trace_preserved_exactly(self):
         rng = np.random.default_rng(8)
@@ -161,6 +172,9 @@ class TestPartialTranspose:
             la.partial_transpose(m, (2, 2, 2), (0, 1, 2))
         with pytest.raises(ValueError):
             la.partial_transpose(m, (2, 2), (0,))
+        for shape in ((3, 8, 4), (3, 4, 4), (8,)):
+            with pytest.raises(ValueError, match="does not match local dims"):
+                la.partial_transpose(np.zeros(shape), (2, 2, 2), (0,))
 
 
 class TestKernelAndRank:

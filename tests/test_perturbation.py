@@ -19,6 +19,7 @@ from upbkit import (
     kernel_compression,
     kernel_product_basis,
     min_pt_eigenvalue,
+    mixing_scan,
     perturb_local,
     perturb_mix,
     predict_first_order,
@@ -29,6 +30,7 @@ from upbkit import (
     uniform_direction,
     upb_state,
 )
+from upbkit import cli
 from upbkit.perturbation import entangled_pair_noise
 
 CUT0 = Bipartition((0,))
@@ -302,3 +304,59 @@ class TestUniformDirection:
         assert abs(d.total - 1.0) < 1e-12
         assert d.all_nonnegative
         assert len(d.coefficients) == 64
+
+
+SCAN_NOISES = [
+    {"kind": "white"},
+    {"kind": "npt_projector"},
+    {"kind": "random", "count": 3},
+    {"kind": "local", "coefficients": {"0,phi1,1": 0.4, "phi2,0,phi1": 0.3, "1,1,phi2": 0.2}},
+]
+
+
+class TestMixingScan:
+    @pytest.mark.parametrize("cut", [c.side_a for c in ALL_CUTS])
+    @pytest.mark.parametrize("noise", SCAN_NOISES, ids=lambda n: n["kind"])
+    def test_perturb_scan_equals_per_epsilon_referee(self, noise, cut):
+        # the stacked scan against one classify_noise per sample and one
+        # perturb_mix + min_pt_eigenvalue per sample and epsilon, float for float
+        config = cli.parse_config({
+            "command": "perturb-scan", "seed": 17, "angles": [0.3, 0.7, 1.1], "noise": noise,
+            "epsilon_grid": [1e-4, 1e-3, 1e-2, 1e-1], "cut": list(cut),
+        })
+        payload = cli.run_command(config).payload
+        u = shifts_family(ShiftsParams(*config.angles))
+        rho = upb_state(u)
+        bip = Bipartition(cut)
+        samples = cli._noise_samples(config)
+        assert len(payload["samples"]) == len(samples)
+        for (name, rho1), row in zip(samples, payload["samples"]):
+            cls = classify_noise(rho1, u, bip)
+            assert row["noise"] == name
+            assert row["verdict"] == cls.verdict.value
+            assert row["lambda_min"] == cls.lambda_min
+            assert row["compression_eigenvalues"] == [float(x) for x in cls.compression.eigenvalues]
+            decided_by = "exact" if cls.verdict is NoiseEffect.DEGENERATE else "first_order"
+            expected = []
+            for eps in config.epsilon_grid:
+                predicted = float(predict_first_order(cls.compression, eps)[0])
+                exact = min_pt_eigenvalue(perturb_mix(rho, MixNoiseSpec(rho1, eps)), bip)
+                expected.append({
+                    "epsilon": eps, "predicted_min": predicted, "exact_min": exact,
+                    "abs_error": abs(predicted - exact), "decided_by": decided_by,
+                })
+            assert row["per_epsilon"] == expected
+
+    def test_epsilon_guard(self, pi4_upb):
+        for grid in ([0.0], [0.01, 0.2], [-1e-3]):
+            with pytest.raises(ValueError, match="epsilon"):
+                mixing_scan(pi4_upb, [maximally_mixed()], CUT0, grid)
+
+    def test_rejects_mismatched_noise(self, pi4_upb):
+        two_qubit = DensityMatrix(np.eye(4) / 4, qubits(2), validate=False)
+        with pytest.raises(ValueError, match="party structure"):
+            mixing_scan(pi4_upb, [maximally_mixed(), two_qubit], CUT0, [0.01])
+
+    def test_rejects_bad_cut(self, pi4_upb):
+        with pytest.raises(ValueError, match="proper subset"):
+            mixing_scan(pi4_upb, [maximally_mixed()], Bipartition((0, 1, 2)), [0.01])

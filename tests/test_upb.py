@@ -156,6 +156,10 @@ class TestSeesaw:
         with pytest.raises(ValueError, match="projector"):
             seesaw_max_product_overlap(np.eye(8) * 0.5, qubits(3), restarts=1, seed=0)
 
+    def test_rejects_one_party(self):
+        with pytest.raises(ValueError, match="at least two parties"):
+            seesaw_max_product_overlap(np.eye(4), PartyStructure((4,)), restarts=1, seed=0)
+
     def test_restart_determinism(self, pi4_upb):
         proj = pi4_upb.complement_projector()
         first = seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=16, seed=11)
@@ -278,6 +282,10 @@ class TestSubspaceHunt:
         v = np.eye(8)[0]
         with pytest.raises(ValueError, match="dependent"):
             subspace_product_hunt([v, v], qubits(3), restarts=1, seed=0)
+
+    def test_rejects_one_party(self):
+        with pytest.raises(ValueError, match="at least two parties"):
+            subspace_product_hunt([np.eye(4)[0]], PartyStructure((4,)), restarts=1, seed=0)
 
 
 class TestMixtureRanks:
