@@ -43,7 +43,6 @@ Exit codes: 0 success, 1 invalid config, 2 numerical guard tripped
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -568,7 +567,7 @@ _RUNNERS = {
 
 @dataclass(frozen=True)
 class Report:
-    """One command's report; ``render()`` caches its text, so the dicts must not change after."""
+    """One command's report: the config echo, the result payload and the run metadata."""
 
     config: dict[str, Any]
     payload: dict[str, Any]
@@ -578,13 +577,9 @@ class Report:
         """Deterministic byte-stable rendering of the result payload alone."""
         return dumps_canonical(self.payload)
 
-    @functools.cached_property
-    def _text(self) -> str:
-        return dumps_canonical({"config": self.config, "payload": self.payload, "meta": self.meta})
-
     def render(self) -> str:
-        """The whole report as canonical JSON text, rendered once and then reused."""
-        return self._text
+        """The whole report as canonical JSON text."""
+        return dumps_canonical({"config": self.config, "payload": self.payload, "meta": self.meta})
 
 
 def run_command(config: ExperimentConfig) -> Report:
@@ -596,7 +591,7 @@ def run_command(config: ExperimentConfig) -> Report:
         payload=payload,
         meta={"toolkit_version": __version__, "elapsed_seconds": elapsed},
     )
-    validate_report(json.loads(report.render()))
+    validate_report({"config": report.config, "payload": report.payload, "meta": report.meta})
     return report
 
 

@@ -4,36 +4,23 @@ Reports are JSON with a fixed layout::
 
     {"config": {...}, "payload": {...}, "meta": {...}}
 
-The payload is rendered by a dedicated emitter rather than ``json.dumps`` so
-that the byte stream is fully under our control: reals are written with 17
-significant digits (round-trip exact), complex numbers appear only as
-two-element ``[re, im]`` arrays, keys keep insertion order, and the only
-non-finite spellings are ``Infinity`` / ``-Infinity`` / ``NaN`` (which
-``json.loads`` accepts back).  Re-running a command with an identical config
-therefore reproduces the payload byte for byte.
+``dumps_canonical`` renders them with ``json.dumps``, which keeps dict keys in
+insertion order, writes every real in its shortest round-trip form
+(``float.__repr__``, also for ``np.float64``) and spells the non-finite reals
+``NaN`` / ``Infinity`` / ``-Infinity``, which ``json.loads`` accepts back.
+Complex numbers appear only as two-element ``[re, im]`` arrays.  Re-running a
+command with an identical config therefore reproduces the payload byte for
+byte.
 """
 
 from __future__ import annotations
 
-import math
+import json
 from typing import Any
 
-import numpy as np
 
-
-class SchemaError(ValueError):
+class SchemaError(RuntimeError):
     """A report does not match the documented schema."""
-
-
-def format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    text = format(float(x), ".17g")
-    if not any(ch in text for ch in ".eE"):
-        text += ".0"
-    return text
 
 
 def complex_pair(z: complex) -> list[float]:
@@ -41,53 +28,9 @@ def complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _emit(value: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format_float(float(value)))
-    elif isinstance(value, str):
-        out.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(value.items())
-        for i, (key, val) in enumerate(items):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            out.append(pad + "  ")
-            _emit(key, 0, out)
-            out.append(": ")
-            _emit(val, indent + 1, out)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not len(value):
-            out.append("[]")
-            return
-        out.append("[")
-        for i, val in enumerate(value):
-            if i:
-                out.append(", ")
-            _emit(val, indent + 1, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}; convert to plain types first")
-
-
 def dumps_canonical(value: Any) -> str:
     """Render plain dict/list/scalar data as deterministic JSON text."""
-    out: list[str] = []
-    _emit(value, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(value, indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -246,7 +189,7 @@ def _check(value: Any, spec: Any, path: str) -> None:
 
 
 def validate_report(report: Any) -> None:
-    """Raise SchemaError unless the parsed report matches the documented schema."""
+    """Raise SchemaError unless the report dict matches the documented schema."""
     if not isinstance(report, dict):
         raise SchemaError("report must be an object")
     unknown = set(report) - {"config", "payload", "meta"}

@@ -9,7 +9,7 @@ import pytest
 from upbkit import ConvergenceError
 from upbkit import cli
 from upbkit.cli import ConfigError, parse_config, run_command
-from upbkit.reporting import SchemaError, dumps_canonical, format_float, validate_report
+from upbkit.reporting import SchemaError, dumps_canonical, validate_report
 
 from conftest import lower_top_eigenvalue
 
@@ -23,18 +23,24 @@ def make_config(**overrides):
 
 
 class TestFloatFormat:
-    def test_seventeen_digit_round_trip(self):
-        for x in (0.25, 1 / 3, 1e-9, math.pi, 123456.789, 5e-324):
-            assert json.loads(format_float(x)) == x
+    def test_shortest_round_trip(self):
+        for x in (0.25, 1 / 3, 1e-9, math.pi, 123456.789, 5e-324, -0.0, np.float64(1 / 3)):
+            text = dumps_canonical(x)
+            assert text == repr(float(x)) + "\n"
+            assert json.loads(text) == x
+        assert dumps_canonical(1e-9) == "1e-09\n"
+        assert math.copysign(1.0, json.loads(dumps_canonical(-0.0))) == -1.0
+        assert math.isnan(json.loads(dumps_canonical(math.nan)))
 
     def test_infinities(self):
-        assert format_float(math.inf) == "Infinity"
-        assert format_float(-math.inf) == "-Infinity"
+        assert dumps_canonical(math.inf) == "Infinity\n"
+        assert dumps_canonical(-math.inf) == "-Infinity\n"
         assert json.loads(dumps_canonical({"x": math.inf}))["x"] == math.inf
+        assert json.loads(dumps_canonical({"x": -math.inf}))["x"] == -math.inf
 
     def test_integral_floats_keep_a_point(self):
-        assert format_float(1.0) == "1.0"
-        assert json.loads(format_float(1.0)) == 1.0
+        assert dumps_canonical(1.0) == "1.0\n"
+        assert json.loads(dumps_canonical(1.0)) == 1.0
 
 
 class TestConfigParsing:
@@ -204,7 +210,9 @@ class TestCommands:
         first = run_command(config)
         second = run_command(config)
         assert first.payload_text() == second.payload_text()
-        validate_report(json.loads(first.render()))
+        parsed = json.loads(first.render())
+        assert parsed == {"config": first.config, "payload": first.payload, "meta": first.meta}
+        validate_report(parsed)
 
     def test_report_is_rendered_once(self, monkeypatch):
         calls = []
@@ -215,7 +223,8 @@ class TestCommands:
 
         monkeypatch.setattr(cli, "dumps_canonical", counting)
         report = run_command(parse_config(make_config()))
-        assert report.render() == report.render() == dumps_canonical(
+        assert not calls
+        assert report.render() == dumps_canonical(
             {"config": report.config, "payload": report.payload, "meta": report.meta}
         )
         assert len(calls) == 1
@@ -440,3 +449,17 @@ class TestEndToEnd:
         cfg.write_text(json.dumps(make_config()))
         with pytest.raises(AssertionError, match="invariant broken"):
             cli.main(["--config", str(cfg)])
+
+        # so is a payload that breaks the report schema, whether by an extra field or a
+        # numpy integer that is not a JSON int
+        def extra_field(config):
+            return {**cli.cmd_rank_mixtures(config), "extra": 1}
+
+        def numpy_rank(config):
+            return {**cli.cmd_rank_mixtures(config), "rank_first": np.int64(4)}
+
+        cfg.write_text(json.dumps(ALL_COMMAND_CONFIGS["rank-mixtures"]))
+        for runner, message in ((extra_field, "unknown fields"), (numpy_rank, "expected int")):
+            monkeypatch.setitem(cli._RUNNERS, "rank-mixtures", runner)
+            with pytest.raises(SchemaError, match=message):
+                cli.main(["--config", str(cfg)])
