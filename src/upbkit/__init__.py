@@ -42,9 +42,7 @@ from .upb import (
 )
 from .perturbation import (
     KernelCompression,
-    LocalNoiseSpec,
     MixingScan,
-    MixNoiseSpec,
     NoiseClassification,
     NoiseEffect,
     PositivityError,

@@ -55,7 +55,6 @@ import numpy as np
 from . import __version__, linalg
 from .linalg import ConvergenceError
 from .perturbation import (
-    LocalNoiseSpec,
     NoiseEffect,
     PositivityError,
     entangled_pair_noise,
@@ -532,14 +531,17 @@ def cmd_witness_radius(config: ExperimentConfig) -> dict[str, Any]:
         direction = uniform_direction(3)
         direction_echo: Any = "uniform"
     else:
-        direction = LocalNoiseSpec(config.direction)
-        direction_echo = {",".join(mu): v for mu, v in config.direction.items()}
+        direction = config.direction
+        direction_echo = {",".join(mu): v for mu, v in direction.items()}
     radius = robustness_radius(w, rho, direction)
-    denom = abs(evaluate(w, rho)) / radius if np.isfinite(radius) and radius > 0 else 0.0
+    detected = evaluate(w, rho)
+    denom = abs(detected) / radius if np.isfinite(radius) and radius > 0 else 0.0
     check = None
     if np.isfinite(radius):
-        inside = evaluate(w, perturb_local(rho, direction.scaled(0.5 * radius)))
-        outside = evaluate(w, perturb_local(rho, direction.scaled(2.0 * radius)))
+        inside, outside = (
+            evaluate(w, perturb_local(rho, {mu: scale * radius * v for mu, v in direction.items()}))
+            for scale in (0.5, 2.0)
+        )
         check = {
             "inside_scale": 0.5,
             "inside_value": inside,
@@ -549,7 +551,7 @@ def cmd_witness_radius(config: ExperimentConfig) -> dict[str, Any]:
     return {
         "direction": direction_echo,
         "radius": radius,
-        "detected_value": evaluate(w, rho),
+        "detected_value": detected,
         "denominator": denom,
         "check": check,
     }

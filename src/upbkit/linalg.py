@@ -18,6 +18,7 @@ Everything downstream works on small (dim <= 64) dense complex matrices:
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -106,9 +107,7 @@ def partial_transpose(
     m = np.asarray(matrix)
     dims = tuple(int(d) for d in local_dims)
     n = len(dims)
-    total = 1
-    for d in dims:
-        total *= d
+    total = math.prod(dims)
     if m.ndim < 2 or m.shape[-2:] != (total, total):
         raise ValueError(f"matrix shape {m.shape} does not match local dims {dims}")
     cut = sorted(set(int(k) for k in transposed))

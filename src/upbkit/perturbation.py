@@ -3,12 +3,14 @@
 Two ways of perturbing a state are implemented:
 
 - local noise: rho -> (rho + sum_mu eps_mu E_mu) / (1 + sum_mu eps_mu), with
-  E_mu the separable projector basis.  Nonnegative coefficients preserve
-  positivity and every separability property automatically; with negative
-  coefficients positivity is checked post hoc via the full spectrum (exact
-  and cheap at these dimensions).
+  E_mu the separable projector basis.  The noise, like a witness-radius
+  direction, is a plain label -> coefficient map ``{("0", "phi1", "1"): eps}``
+  that goes straight to ``states.projector_combination``.  Nonnegative
+  coefficients preserve positivity and every separability property
+  automatically; with negative coefficients positivity is checked post hoc
+  via the full spectrum (exact and cheap at these dimensions).
 - mixing noise: rho -> (rho + eps * rho1) / (1 + eps) for any state rho1 and
-  small eps.
+  eps in (0, EPSILON_GUARD].
 
 For a UPB state the kernel of the partially transposed state is spanned by
 the UPB members with the cut parties conjugated entrywise.  Compressing the
@@ -45,11 +47,10 @@ from .states import (
     basis_labels,
     expand,
     projector_combination,
-    validate_labels,
+    qubits,
 )
 from .upb import UPB, upb_state
 
-COEFFICIENT_BOUND = 1.0      # sanity bound on |eps_mu|
 EPSILON_GUARD = 0.1          # perturbative regime for mixing / predictions
 DEGENERACY_BAND = 1e-9       # |lam_min| below this is degenerate
 POSITIVITY_TOL = 1e-9
@@ -59,78 +60,32 @@ class PositivityError(RuntimeError):
     """A perturbation drove an eigenvalue below the admissible tolerance."""
 
 
-@dataclass(frozen=True)
-class LocalNoiseSpec:
-    """Real coefficient per separable basis projector."""
-
-    coefficients: Mapping[tuple[str, ...], float]
-
-    def __post_init__(self):
-        clean: dict[tuple[str, ...], float] = {}
-        width = None
-        for mu, eps in self.coefficients.items():
-            mu = validate_labels(mu)
-            if width is None:
-                width = len(mu)
-            elif len(mu) != width:
-                raise ValueError("all labels must address the same number of qubits")
-            eps = float(eps)
-            if abs(eps) > COEFFICIENT_BOUND:
-                raise ValueError(f"|eps| for {mu} exceeds the sanity bound {COEFFICIENT_BOUND}")
-            clean[mu] = eps
-        if not clean:
-            raise ValueError("need at least one coefficient")
-        object.__setattr__(self, "coefficients", clean)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(next(iter(self.coefficients)))
-
-    @property
-    def all_nonnegative(self) -> bool:
-        return all(eps >= 0.0 for eps in self.coefficients.values())
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.coefficients.values()))
-
-    def scaled(self, factor: float) -> "LocalNoiseSpec":
-        return LocalNoiseSpec({mu: factor * eps for mu, eps in self.coefficients.items()})
-
-
-def uniform_direction(n_qubits: int) -> LocalNoiseSpec:
+def uniform_direction(n_qubits: int) -> dict[tuple[str, ...], float]:
     """Equal weight on every basis projector, summing to 1."""
     labels = basis_labels(n_qubits)
     w = 1.0 / len(labels)
-    return LocalNoiseSpec({mu: w for mu in labels})
+    return {mu: w for mu in labels}
 
 
-@dataclass(frozen=True)
-class MixNoiseSpec:
-    """Convex admixture of a noise state at weight eps."""
-
-    rho1: DensityMatrix
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon <= EPSILON_GUARD:
-            raise ValueError(f"epsilon must lie in (0, {EPSILON_GUARD}]")
-
-
-def perturb_local(rho: DensityMatrix, spec: LocalNoiseSpec) -> DensityMatrix:
-    """Add the weighted separable projectors and renormalize.
+def perturb_local(
+    rho: DensityMatrix, coefficients: Mapping[tuple[str, ...], float]
+) -> DensityMatrix:
+    """Add the weighted separable projectors of a label -> coefficient map and renormalize.
 
     Each basis projector has unit trace, so the normalization constant is
     1 + sum of the coefficients.  Raises PositivityError if the result has an
     eigenvalue below -POSITIVITY_TOL (only possible with negative
     coefficients).
     """
-    if spec.n_qubits != rho.parts.n_parties or not rho.parts.all_qubits:
-        raise ValueError("noise spec does not match the state's party structure")
-    norm = 1.0 + spec.total
+    if not rho.parts.all_qubits:
+        raise ValueError("local noise needs qubit parties")
+    noise = projector_combination(coefficients)
+    if noise.shape != rho.matrix.shape:
+        raise ValueError("local noise does not match the state's party structure")
+    norm = 1.0 + float(sum(coefficients.values()))
     if norm <= 0.0:
         raise PositivityError("total noise weight drives the trace nonpositive")
-    out = (rho.matrix + projector_combination(spec.coefficients)) / norm
+    out = (rho.matrix + noise) / norm
     vals, _ = linalg.hermitian_eig(out)
     if vals[0] < -POSITIVITY_TOL:
         raise PositivityError(
@@ -139,11 +94,13 @@ def perturb_local(rho: DensityMatrix, spec: LocalNoiseSpec) -> DensityMatrix:
     return DensityMatrix(out, rho.parts, validate=False)
 
 
-def perturb_mix(rho: DensityMatrix, spec: MixNoiseSpec) -> DensityMatrix:
+def perturb_mix(rho: DensityMatrix, rho1: DensityMatrix, epsilon: float) -> DensityMatrix:
     """Convex combination (rho + eps * rho1) / (1 + eps); positivity is automatic."""
-    if spec.rho1.parts != rho.parts:
+    if not 0.0 < epsilon <= EPSILON_GUARD:
+        raise ValueError(f"epsilon must lie in (0, {EPSILON_GUARD}]")
+    if rho1.parts != rho.parts:
         raise ValueError("noise state does not match the party structure")
-    out = (rho.matrix + spec.epsilon * spec.rho1.matrix) / (1.0 + spec.epsilon)
+    out = (rho.matrix + epsilon * rho1.matrix) / (1.0 + epsilon)
     return DensityMatrix(out, rho.parts, validate=False)
 
 
@@ -171,10 +128,6 @@ class KernelCompression:
 
     matrix: np.ndarray        # m x m Hermitian
     eigenvalues: np.ndarray   # real, ascending
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _compress_noises(
@@ -218,8 +171,6 @@ def entangled_pair_noise(
     The partial transpose across any cut separating the pair has a negative
     eigenvalue, so this is the canonical NPT-inducing noise fixture.
     """
-    from .states import qubits  # local import to keep module load order simple
-
     i, j = pair
     if i == j or not (0 <= i < parts_n and 0 <= j < parts_n):
         raise ValueError(f"pair {pair} must name two distinct parties among {parts_n}")

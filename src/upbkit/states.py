@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import InitVar, dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -70,10 +71,7 @@ class PartyStructure:
 
     @property
     def dim(self) -> int:
-        total = 1
-        for d in self.local_dims:
-            total *= d
-        return total
+        return math.prod(self.local_dims)
 
     @property
     def all_qubits(self) -> bool:

@@ -59,9 +59,6 @@ class ShiftsParams:
                     "the family degenerates there and the complement acquires product vectors"
                 )
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.a, self.b, self.c)
-
 
 @dataclass(frozen=True)
 class UnextendibilityCertificate:
@@ -78,11 +75,10 @@ class UnextendibilityCertificate:
 
 @dataclass
 class UPB:
-    """Ordered orthogonal product vectors with m < D, optionally certified."""
+    """Ordered orthogonal product vectors with m < D."""
 
     parts: PartyStructure
     members: tuple[ProductVector, ...]
-    certificate: UnextendibilityCertificate | None = None
 
     def __post_init__(self):
         self.members = tuple(self.members)
@@ -243,12 +239,10 @@ def certify_unextendible(
     seed: int | Sequence[int] = 0,
     improvement_tol: float = SEESAW_IMPROVEMENT_TOL,
 ) -> UnextendibilityCertificate:
-    """Run the seesaw on the complementary projector and attach the certificate."""
-    cert = seesaw_max_product_overlap(
+    """Run the seesaw on the complementary projector and return its certificate."""
+    return seesaw_max_product_overlap(
         u.complement_projector(), u.parts, restarts, seed, improvement_tol
     )
-    u.certificate = cert
-    return cert
 
 
 @dataclass(frozen=True)

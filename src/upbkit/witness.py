@@ -11,8 +11,9 @@ has unit trace, nonnegative expectation on every product vector up to the
 certificate slack, and detects the UPB state structurally: tr(S rho) = 0
 exactly because the state lives in the complement, so tr(W rho) = -c / (m - c D) < 0.
 
-The detection radius along a normalized nonnegative local-noise direction is
-where the witness expectation crosses zero; losing detection by this witness
+The detection radius along a direction, a label -> weight map over the
+separable projector basis with nonnegative weights summing to 1, is where
+the witness expectation crosses zero; losing detection by this witness
 does not prove separability, so the value is a lower bound on how far the
 entanglement persists.
 """
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from . import linalg
-from .perturbation import LocalNoiseSpec
 from .states import DensityMatrix, projector_combination
 from .upb import UPB, UnextendibilityCertificate
 
@@ -55,16 +56,13 @@ class Witness:
             raise ValueError("a witness must detect the state it was built against")
 
 
-def build_upb_witness(u: UPB, certificate: UnextendibilityCertificate | None = None) -> Witness:
+def build_upb_witness(u: UPB, certificate: UnextendibilityCertificate) -> Witness:
     """Trace-normalized S - c*I witness from a certified UPB."""
-    cert = certificate if certificate is not None else u.certificate
-    if cert is None:
-        raise CertificationError("no unextendibility certificate attached or provided")
-    if not cert.certifies_unextendible:
+    if not certificate.certifies_unextendible:
         raise CertificationError(
-            f"certificate does not assert unextendibility (max_overlap = {cert.max_overlap!r})"
+            f"certificate does not assert unextendibility (max_overlap = {certificate.max_overlap!r})"
         )
-    c = (1.0 - cert.max_overlap) - SAFETY_MARGIN
+    c = (1.0 - certificate.max_overlap) - SAFETY_MARGIN
     if c <= 0.0:
         raise CertificationError("certified product-state floor vanished after the safety margin")
     d = u.parts.dim
@@ -86,19 +84,22 @@ def evaluate(w: Witness, rho: DensityMatrix) -> float:
     return float(np.trace(w.matrix @ rho.matrix).real)
 
 
-def robustness_radius(w: Witness, rho: DensityMatrix, direction: LocalNoiseSpec) -> float:
+def robustness_radius(
+    w: Witness, rho: DensityMatrix, direction: Mapping[tuple[str, ...], float]
+) -> float:
     """Noise scale along a normalized direction at which this witness stops detecting.
 
-    The direction must have nonnegative coefficients summing to 1.  Returns
-    ``math.inf`` when the witness expectation of the direction is numerically
-    zero (detection never lost along that ray).
+    The direction is a label -> weight map with nonnegative weights summing
+    to 1.  Returns ``math.inf`` when the witness expectation of the direction
+    is numerically zero (detection never lost along that ray).
     """
-    if not direction.all_nonnegative:
+    if not all(weight >= 0.0 for weight in direction.values()):
         raise ValueError("direction coefficients must be nonnegative")
-    if abs(direction.total - 1.0) > DIRECTION_SUM_TOL:
-        raise ValueError(f"direction coefficients sum to {direction.total!r}, expected 1")
+    total = float(sum(direction.values()))
+    if abs(total - 1.0) > DIRECTION_SUM_TOL:
+        raise ValueError(f"direction coefficients sum to {total!r}, expected 1")
     detected = evaluate(w, rho)
-    denom = float(np.trace(w.matrix @ projector_combination(direction.coefficients)).real)
+    denom = float(np.trace(w.matrix @ projector_combination(direction)).real)
     if denom <= RADIUS_DENOM_FLOOR:
         return math.inf
     return abs(detected) / denom

@@ -17,8 +17,6 @@ import pytest
 from upbkit import linalg as la
 from upbkit import (
     Bipartition,
-    LocalNoiseSpec,
-    MixNoiseSpec,
     NoiseEffect,
     ShiftsParams,
     basis_labels,
@@ -46,6 +44,8 @@ from upbkit import (
 from upbkit.cli import parse_config, run_command
 from upbkit.states import product_projector
 from upbkit.reporting import dumps_canonical, validate_report
+
+from test_witness import scaled
 
 CUT0 = Bipartition((0,))
 PI4 = [math.pi / 4] * 3
@@ -127,7 +127,7 @@ def test_05_first_order_accuracy(pi4_upb, pi4_state):
 
         def max_err(eps):
             pred = predict_first_order(comp, eps)
-            mixed = perturb_mix(pi4_state, MixNoiseSpec(rho1, eps))
+            mixed = perturb_mix(pi4_state, rho1, eps)
             pt = la.partial_transpose(mixed.matrix, (2, 2, 2), CUT0.side_a)
             exact = np.linalg.eigvalsh(pt)[:4]  # independent oracle
             return float(np.max(np.abs(pred - exact)))
@@ -151,13 +151,13 @@ def test_06_classification_soundness(pi4_upb, pi4_state):
         cls = classify_noise(rho1, pi4_upb, CUT0)
         counts[cls.verdict] += 1
         if cls.verdict is NoiseEffect.PPT_PRESERVING:
-            mixed = perturb_mix(pi4_state, MixNoiseSpec(rho1, 1e-4))
+            mixed = perturb_mix(pi4_state, rho1, 1e-4)
             assert min_pt_eigenvalue(mixed, CUT0) >= -1e-12
         elif cls.verdict is NoiseEffect.NPT_INDUCING:
-            mixed = perturb_mix(pi4_state, MixNoiseSpec(rho1, 1e-3))
+            mixed = perturb_mix(pi4_state, rho1, 1e-3)
             assert min_pt_eigenvalue(mixed, CUT0) < -1e-9
         else:
-            mixed = perturb_mix(pi4_state, MixNoiseSpec(rho1, 1e-4))
+            mixed = perturb_mix(pi4_state, rho1, 1e-4)
             # degenerate verdicts are resolved by the exact spectrum per instance
             assert math.isfinite(min_pt_eigenvalue(mixed, CUT0))
     assert counts[NoiseEffect.PPT_PRESERVING] + counts[NoiseEffect.NPT_INDUCING] > 0
@@ -172,8 +172,7 @@ def test_07_nonnegative_region_and_negative_reach(pi4_upb, pi4_state):
     rng = np.random.default_rng(7007)
     for _ in range(200):
         eps = rng.uniform(0.0, 1e-2, size=64)
-        spec = LocalNoiseSpec(dict(zip(labels, eps)))
-        out = perturb_local(pi4_state, spec)
+        out = perturb_local(pi4_state, dict(zip(labels, eps)))
         for verdict in is_ppt_all_cuts(out, tol=1e-9).values():
             assert verdict.ppt
 
@@ -184,13 +183,11 @@ def test_07_nonnegative_region_and_negative_reach(pi4_upb, pi4_state):
     coeffs = decompose_in_projector_basis(rho1)
     n_negative = int(np.sum(coeffs < 0))
     assert n_negative > 0
-    spec = LocalNoiseSpec(dict(zip(labels, 1e-3 * coeffs)))
-    assert not spec.all_nonnegative
-    out = perturb_local(pi4_state, spec)
+    out = perturb_local(pi4_state, dict(zip(labels, 1e-3 * coeffs)))
     for verdict in is_ppt_all_cuts(out, tol=1e-9).values():
         assert verdict.ppt
     print(f"ACCEPTANCE 07 PASS: 200 nonnegative local-noise draws stay PPT on all cuts; "
-          f"a spec with {n_negative} negative coefficients also passes")
+          f"a label map with {n_negative} negative coefficients also passes")
 
 
 def test_08_witness_robustness(pi4_witness, pi4_state):
@@ -200,13 +197,13 @@ def test_08_witness_robustness(pi4_witness, pi4_state):
     for _ in range(100):
         weights = rng.random(64)
         weights /= weights.sum()
-        direction = LocalNoiseSpec(dict(zip(labels, weights)))
+        direction = dict(zip(labels, weights))
         radius = robustness_radius(pi4_witness, pi4_state, direction)
         radii.append(radius)
         for frac in (0.3, 0.6, 0.9):
-            inside = perturb_local(pi4_state, direction.scaled(frac * radius))
+            inside = perturb_local(pi4_state, scaled(direction, frac * radius))
             assert evaluate(pi4_witness, inside) < 0
-        outside = perturb_local(pi4_state, direction.scaled(2.0 * radius))
+        outside = perturb_local(pi4_state, scaled(direction, 2.0 * radius))
         assert evaluate(pi4_witness, outside) >= 0
     print(f"ACCEPTANCE 08 PASS: 100 random directions: detection persists to 0.9x radius "
           f"and is lost by 2x (radii in [{min(radii):.4f}, {max(radii):.4f}])")

@@ -324,11 +324,23 @@ class TestCommands:
         assert payload["samples"][0]["distinct_count"] == 0
         assert payload["histogram"] == {"0": 1}
 
-    def test_witness_radius_payload(self):
-        payload = run_command(parse_config(dict(ALL_COMMAND_CONFIGS["witness-radius"]))).payload
-        assert payload["radius"] > 0
-        assert payload["check"]["inside_value"] < 0
-        assert payload["check"]["outside_value"] >= 0
+    def test_witness_radius_payload(self, tmp_path):
+        single_label = {
+            "command": "witness-radius",
+            "seed": 1,
+            "angles": [0.785, 0.785, 0.785],
+            # radius ~1.87, so the outside check puts weight ~3.7 on one projector
+            "direction": {"0,1,phi1": 1.0},
+            "restarts": 16,
+        }
+        cfg = tmp_path / "config.json"
+        out = tmp_path / "report.json"
+        for raw in (ALL_COMMAND_CONFIGS["witness-radius"], single_label):
+            cfg.write_text(json.dumps(raw))
+            assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())["payload"]
+            assert 0 < payload["radius"] < math.inf
+            assert payload["check"]["inside_value"] < 0 <= payload["check"]["outside_value"]
 
 
 class TestSchema:

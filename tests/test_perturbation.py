@@ -5,9 +5,8 @@ from upbkit import linalg as la
 from upbkit import (
     Bipartition,
     DensityMatrix,
-    LocalNoiseSpec,
-    MixNoiseSpec,
     NoiseEffect,
+    PartyStructure,
     PositivityError,
     ProductVector,
     UPB,
@@ -60,19 +59,19 @@ def complexified_family(params=ShiftsParams(0.4, 0.8, 1.2)):
 
 class TestPerturbLocal:
     def test_zero_coefficients_leave_state_unchanged(self, pi4_state):
-        spec = LocalNoiseSpec({mu: 0.0 for mu in basis_labels(3)})
-        out = perturb_local(pi4_state, spec)
+        coefficients = {mu: 0.0 for mu in basis_labels(3)}
+        out = perturb_local(pi4_state, coefficients)
         assert np.max(np.abs(out.matrix - pi4_state.matrix)) < 1e-15
 
     def test_uniform_local_noise_stays_ppt(self, pi4_state):
-        spec = LocalNoiseSpec({mu: 1e-3 for mu in basis_labels(3)})
-        out = perturb_local(pi4_state, spec)
+        coefficients = {mu: 1e-3 for mu in basis_labels(3)}
+        out = perturb_local(pi4_state, coefficients)
         for verdict in is_ppt_all_cuts(out).values():
             assert verdict.ppt
 
     def test_single_projector_grows_rank_by_one(self, pi4_state):
-        spec = LocalNoiseSpec({("0", "0", "0"): 1e-3})
-        out = perturb_local(pi4_state, spec)
+        coefficients = {("0", "0", "0"): 1e-3}
+        out = perturb_local(pi4_state, coefficients)
         assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
         vals, _ = la.hermitian_eig(out.matrix)
         assert vals[0] >= -1e-12
@@ -80,13 +79,32 @@ class TestPerturbLocal:
         assert la.numerical_rank(out.matrix, 1e-9) == 5
 
     def test_negative_coefficient_can_violate_positivity(self, pi4_state):
-        spec = LocalNoiseSpec({("phi1", "phi1", "phi1"): -1e-3})
+        coefficients = {("phi1", "phi1", "phi1"): -1e-3}
         with pytest.raises(PositivityError):
-            perturb_local(pi4_state, spec)
+            perturb_local(pi4_state, coefficients)
 
-    def test_coefficient_sanity_bound(self):
-        with pytest.raises(ValueError, match="sanity bound"):
-            LocalNoiseSpec({("0", "0", "0"): 1.5})
+    def test_nonpositive_total_weight_rejected(self, pi4_state):
+        with pytest.raises(PositivityError, match="trace nonpositive"):
+            perturb_local(pi4_state, {("0", "0", "0"): 0.5, ("1", "1", "1"): -1.5})
+
+    def test_weight_above_one_is_admissible(self, pi4_state):
+        # renormalizing by 1 + total keeps any nonnegative map a state
+        out = perturb_local(pi4_state, {("0", "1", "phi1"): 1.5})
+        assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
+        assert la.hermitian_eig(out.matrix)[0][0] >= -1e-12
+
+    def test_label_map_must_match_the_state(self, pi4_state):
+        with pytest.raises(ValueError, match="party structure"):
+            perturb_local(pi4_state, {("0", "1"): 1e-3})
+        with pytest.raises(ValueError, match="one width"):
+            perturb_local(pi4_state, {("0", "1"): 1e-3, ("0", "1", "0"): 1e-3})
+        with pytest.raises(ValueError, match="unknown label"):
+            perturb_local(pi4_state, {("0", "1", "2"): 1e-3})
+        with pytest.raises(ValueError, match="one width"):
+            perturb_local(pi4_state, {})
+        qutrits = DensityMatrix(np.eye(9) / 9, PartyStructure((3, 3)), validate=False)
+        with pytest.raises(ValueError, match="qubit parties"):
+            perturb_local(qutrits, {("0", "1"): 1e-3})
 
     def test_nonnegative_region_stays_ppt(self, pi4_state):
         # smaller companion of the acceptance-scale sweep
@@ -94,9 +112,8 @@ class TestPerturbLocal:
         labels = basis_labels(3)
         for _ in range(30):
             eps = rng.uniform(0.0, 1e-2, size=64)
-            spec = LocalNoiseSpec(dict(zip(labels, eps)))
-            assert spec.all_nonnegative
-            out = perturb_local(pi4_state, spec)
+            coefficients = dict(zip(labels, eps))
+            out = perturb_local(pi4_state, coefficients)
             for verdict in is_ppt_all_cuts(out).values():
                 assert verdict.ppt
 
@@ -104,24 +121,24 @@ class TestPerturbLocal:
 class TestPerturbMix:
     def test_small_epsilon_returns_close_to_state(self, pi4_state):
         rho1 = maximally_mixed()
-        out = perturb_mix(pi4_state, MixNoiseSpec(rho1, 1e-9))
+        out = perturb_mix(pi4_state, rho1, 1e-9)
         assert np.max(np.abs(out.matrix - pi4_state.matrix)) < 1e-9
 
     def test_white_noise_stays_ppt(self, pi4_state):
-        out = perturb_mix(pi4_state, MixNoiseSpec(maximally_mixed(), 0.01))
+        out = perturb_mix(pi4_state, maximally_mixed(), 0.01)
         for verdict in is_ppt_all_cuts(out).values():
             assert verdict.ppt
 
     def test_entangled_pair_noise_breaks_ppt_on_matching_cut(self, pi4_state):
         noise = entangled_pair_noise(3, (0, 1))
-        out = perturb_mix(pi4_state, MixNoiseSpec(noise, 0.01))
+        out = perturb_mix(pi4_state, noise, 0.01)
         assert min_pt_eigenvalue(out, CUT0) < 0
 
-    def test_epsilon_guard(self):
+    def test_epsilon_guard(self, pi4_state):
         with pytest.raises(ValueError, match="epsilon"):
-            MixNoiseSpec(maximally_mixed(), 0.5)
+            perturb_mix(pi4_state, maximally_mixed(), 0.5)
         with pytest.raises(ValueError, match="epsilon"):
-            MixNoiseSpec(maximally_mixed(), 0.0)
+            perturb_mix(pi4_state, maximally_mixed(), 0.0)
 
 
 class TestKernelProductBasis:
@@ -222,7 +239,7 @@ class TestFirstOrderPrediction:
             comp = kernel_compression(rho1, pi4_upb, CUT0)
             for eps in (1e-2, 5e-3, 2.5e-3):
                 pred = predict_first_order(comp, eps)
-                mixed = perturb_mix(pi4_state, MixNoiseSpec(rho1, eps))
+                mixed = perturb_mix(pi4_state, rho1, eps)
                 pt = la.partial_transpose(mixed.matrix, (2, 2, 2), CUT0.side_a)
                 exact = np.linalg.eigvalsh(pt)[:4]  # independent oracle
                 assert np.max(np.abs(pred - exact)) <= 10 * eps * eps
@@ -233,7 +250,7 @@ class TestFirstOrderPrediction:
 
         def max_err(eps):
             pred = predict_first_order(comp, eps)
-            mixed = perturb_mix(pi4_state, MixNoiseSpec(rho1, eps))
+            mixed = perturb_mix(pi4_state, rho1, eps)
             pt = la.partial_transpose(mixed.matrix, (2, 2, 2), CUT0.side_a)
             return float(np.max(np.abs(pred - np.linalg.eigvalsh(pt)[:4])))
 
@@ -254,7 +271,7 @@ class TestClassification:
         assert cls.verdict is NoiseEffect.NPT_INDUCING
         assert cls.lambda_min < -1e-3
         # exact spectrum confirms a negative eigenvalue at eps = 1e-3
-        mixed = perturb_mix(pi4_state, MixNoiseSpec(noise, 1e-3))
+        mixed = perturb_mix(pi4_state, noise, 1e-3)
         assert min_pt_eigenvalue(mixed, CUT0) < -1e-9
 
     def test_orthogonal_support_is_degenerate(self, pi4_upb, pi4_state):
@@ -268,7 +285,7 @@ class TestClassification:
             rho1 = random_density_matrix(qubits(3), rng)
             cls = classify_noise(rho1, pi4_upb, CUT0)
             if cls.verdict is NoiseEffect.PPT_PRESERVING:
-                mixed = perturb_mix(pi4_state, MixNoiseSpec(rho1, 1e-4))
+                mixed = perturb_mix(pi4_state, rho1, 1e-4)
                 assert min_pt_eigenvalue(mixed, CUT0) >= -1e-12
                 confirmed += 1
         assert confirmed > 0
@@ -289,10 +306,10 @@ class TestNegativeCoefficientReach:
         assert np.min(coeffs) < 0
 
         scale = 1e-3
-        spec = LocalNoiseSpec(dict(zip(basis_labels(3), scale * coeffs)))
-        assert not spec.all_nonnegative
-        out = perturb_local(pi4_state, spec)
-        expected = perturb_mix(pi4_state, MixNoiseSpec(rho1, scale))
+        coefficients = dict(zip(basis_labels(3), scale * coeffs))
+        assert min(coefficients.values()) < 0
+        out = perturb_local(pi4_state, coefficients)
+        expected = perturb_mix(pi4_state, rho1, scale)
         assert np.max(np.abs(out.matrix - expected.matrix)) < 1e-12
         for verdict in is_ppt_all_cuts(out).values():
             assert verdict.ppt
@@ -301,9 +318,9 @@ class TestNegativeCoefficientReach:
 class TestUniformDirection:
     def test_sums_to_one(self):
         d = uniform_direction(3)
-        assert abs(d.total - 1.0) < 1e-12
-        assert d.all_nonnegative
-        assert len(d.coefficients) == 64
+        assert abs(sum(d.values()) - 1.0) < 1e-12
+        assert min(d.values()) >= 0
+        assert len(d) == 64
 
 
 SCAN_NOISES = [
@@ -340,7 +357,7 @@ class TestMixingScan:
             expected = []
             for eps in config.epsilon_grid:
                 predicted = float(predict_first_order(cls.compression, eps)[0])
-                exact = min_pt_eigenvalue(perturb_mix(rho, MixNoiseSpec(rho1, eps)), bip)
+                exact = min_pt_eigenvalue(perturb_mix(rho, rho1, eps), bip)
                 expected.append({
                     "epsilon": eps, "predicted_min": predicted, "exact_min": exact,
                     "abs_error": abs(predicted - exact), "decided_by": decided_by,

@@ -239,12 +239,6 @@ class TestCertification:
         cert = certify_unextendible(u, restarts=64, seed=6)
         assert cert.certifies_unextendible
 
-    def test_certificate_is_attached(self):
-        u = shifts_family(ShiftsParams(0.5, 0.6, 0.7))
-        assert u.certificate is None
-        cert = certify_unextendible(u, restarts=16, seed=3)
-        assert u.certificate is cert
-
 
 class TestSubspaceHunt:
     def test_planted_product_vectors_found(self):
