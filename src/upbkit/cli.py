@@ -165,6 +165,11 @@ def _parse_label_key(key: str) -> tuple[str, ...]:
     return mu
 
 
+def _format_label_key(mu: tuple[str, ...]) -> str:
+    """The config key of a label tuple, the inverse of ``_parse_label_key``."""
+    return ",".join(mu)
+
+
 def parse_config(raw: dict[str, Any]) -> ExperimentConfig:
     """Validate a config dict; unknown fields and missing requirements are rejected."""
     if not isinstance(raw, dict):
@@ -328,7 +333,7 @@ def _config_echo(config: ExperimentConfig) -> dict[str, Any]:
     if config.noise is not None:
         noise = dict(config.noise)
         if "coefficients" in noise:
-            noise["coefficients"] = {",".join(mu): v for mu, v in noise["coefficients"].items()}
+            noise["coefficients"] = {_format_label_key(mu): v for mu, v in noise["coefficients"].items()}
         echo["noise"] = noise
     if config.epsilon_grid is not None:
         echo["epsilon_grid"] = list(config.epsilon_grid)
@@ -336,7 +341,7 @@ def _config_echo(config: ExperimentConfig) -> dict[str, Any]:
         echo["cut"] = list(config.cut)
     if config.command == "witness-radius":
         if isinstance(config.direction, dict):
-            echo["direction"] = {",".join(mu): v for mu, v in config.direction.items()}
+            echo["direction"] = {_format_label_key(mu): v for mu, v in config.direction.items()}
         else:
             echo["direction"] = config.direction
     if config.command == "subspace-hunt":
@@ -532,7 +537,7 @@ def cmd_witness_radius(config: ExperimentConfig) -> dict[str, Any]:
         direction_echo: Any = "uniform"
     else:
         direction = config.direction
-        direction_echo = {",".join(mu): v for mu, v in direction.items()}
+        direction_echo = {_format_label_key(mu): v for mu, v in direction.items()}
     radius = robustness_radius(w, rho, direction)
     detected = evaluate(w, rho)
     denom = abs(detected) / radius if np.isfinite(radius) and radius > 0 else 0.0

@@ -5,7 +5,7 @@ Everything downstream works on small (dim <= 64) dense complex matrices:
 - ``eigh_unchecked`` hands a matrix, or a stack of matrices, that must
   already be Hermitian to LAPACK through ``np.linalg.eigh`` and checks
   nothing; callers whose operand is Hermitian by construction (the seesaw's
-  local operators, symmetrized or validated matrices, their partial
+  qudit local operators, symmetrized or validated matrices, their partial
   transposes and mixtures of those) use it directly.  ``hermitian_eig`` is
   the checked entry point: ``as_hermitian`` followed by ``eigh_unchecked``.
   The output is deterministic for identical input on one install, so report

@@ -13,9 +13,12 @@ boundary the complement acquires one and the family degenerates.
 
 Unextendibility is certified numerically: a multi-start alternating ("seesaw")
 maximization of <phi|Q|phi> over product vectors, Q the complementary
-projector.  Each local update is an extremal eigenvector problem, so the
+projector.  Each local update maximizes exactly over one party, so the
 objective never decreases; the best value over all restarts, bounded away
-from 1 by a fixed gap, is the certificate.
+from 1 by a fixed gap, is the certificate.  For qubit parties the update is
+closed form: with Bloch vectors, |<a|m>|^2 = (1 + r_a . r_m)/2 makes the
+objective multilinear, g_0 + g . r_k in party k, maximal at r_k = g/|g|.
+Other local dims take the top eigenvector of the party's local operator.
 """
 
 from __future__ import annotations
@@ -136,6 +139,65 @@ def upb_state(u: UPB) -> DensityMatrix:
     return DensityMatrix(rho, u.parts, validate=False)
 
 
+# sigma_0 = I, sigma_x, sigma_y, sigma_z, stacked as PAULI[i, row, column]
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _pauli_tensor(p_tensor: np.ndarray) -> np.ndarray:
+    """Real ``T[i_1..i_n] = tr(P sigma_i_1 x ... x sigma_i_n) / 2^n`` of a Hermitian n-qubit ``P``.
+
+    ``p_tensor`` is ``P`` as a ``(2,) * 2n`` tensor (ket axes, then bra axes).
+    One contraction per party; for a product vector with Bloch vectors
+    ``r_k`` and ``s_k = (1, r_k)``, ``<phi|P|phi>`` is ``T`` contracted with
+    every ``s_k``.
+    """
+    n = p_tensor.ndim // 2
+    t = p_tensor
+    half = PAULI / 2
+    for k in range(n):
+        # party k's ket axis is first and its bra axis at n - k; T's axes collect at the end
+        t = np.tensordot(t, half, axes=([0, n - k], [2, 1]))
+    return t.real
+
+
+def _ket_to_bloch(kets: np.ndarray) -> np.ndarray:
+    """``(R, 4)`` rows ``s = (1, r)`` of ``(R, 2)`` unit kets, ``r_j = <a|sigma_j|a>``."""
+    c = 2 * kets[:, 0].conj() * kets[:, 1]
+    z = np.abs(kets[:, 0]) ** 2 - np.abs(kets[:, 1]) ** 2
+    return np.column_stack([np.ones(len(kets)), c.real, c.imag, z])
+
+
+def _bloch_to_ket(s: np.ndarray) -> np.ndarray:
+    """Unit kets of the ``(R, 4)`` rows ``s = (1, r)``, on the branch that stays away from ``1 + r_z = 0``."""
+    x, y, z = s[:, 1], s[:, 2], s[:, 3]
+    north = z >= 0
+    kets = np.column_stack([np.where(north, 1 + z, x - 1j * y), np.where(north, x + 1j * y, 1 - z)])
+    return kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
+def _bloch_update(op: np.ndarray, w: np.ndarray, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Qubit party: the objective is ``g_0 + g . r`` with ``g = w @ op``, maximal at ``r = g / |g|``.
+
+    ``g_0 + |g|`` and ``(1, g / |g|)`` are the top eigenpair of the 2x2 local
+    operator ``sum_j g_j sigma_j`` in Bloch form.  Where ``|g| = 0`` every
+    ``r`` is a maximizer and the previous state ``prev`` is kept.
+    """
+    g = w @ op
+    h = g[:, 1:]
+    norm = np.sqrt((h * h).sum(axis=1, keepdims=True))
+    s = prev.copy()
+    np.divide(h, norm, out=s[:, 1:], where=norm > 0)
+    return g[:, 0] + norm[:, 0], s
+
+
+def _eigh_update(op: np.ndarray, w: np.ndarray, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Any party: top eigenpair of each restart's local operator ``<w| P |w>``, one stacked LAPACK call."""
+    d = prev.shape[1]
+    x = (w @ op).reshape(len(w), d * d, -1)
+    vals, vecs = linalg.eigh_unchecked((x @ w.conj()[:, :, None]).reshape(-1, d, d))
+    return vals[:, -1], vecs[:, :, -1]
+
+
 def _seesaw(
     p_tensor: np.ndarray,
     dims: Sequence[int],
@@ -147,14 +209,21 @@ def _seesaw(
 
     ``p_tensor`` is the projector as a ``dims + dims`` tensor (ket axes, then
     bra axes) and must already be Hermitian: nothing here checks it again.
-    Restart r starts from ``default_rng([*seed, r])``.  Party k's local vectors
-    form one ``(restarts, d_k)`` array.  Party k's operator is reshaped once
-    into an ``(A_k, d_k * d_k * A_k)`` matrix, ``A_k = D / d_k``, so a local
-    update is two matmuls with the product ``w`` of the other parties' vectors
-    and one stacked ``linalg.eigh_unchecked`` over the active restarts.
+    Restart r starts from ``default_rng([*seed, r])``.  Party k's states form
+    one array over the restarts, and a local update maximizes over party k
+    with the product ``w`` of the other parties' states held fixed:
+
+    - every local dim 2: states are Bloch rows ``s_k = (1, r_k)``, and party
+      k's slice of the real Pauli tensor (``_pauli_tensor``) is one
+      ``(4^(n-1), 4)`` matrix, so an update is one real matmul and the closed
+      form of ``_bloch_update``, with no eigensolver;
+    - otherwise: states are kets, party k's operator is reshaped once into an
+      ``(A_k, d_k * d_k * A_k)`` matrix, ``A_k = D / d_k``, and an update is two
+      matmuls and one stacked ``linalg.eigh_unchecked`` (``_eigh_update``).
+
     Returns the final objective of every restart and the per-party local
-    vector arrays.  Raises ValueError for fewer than two parties, where there
-    is nothing to alternate over.
+    kets.  Raises ValueError for fewer than two parties, where there is
+    nothing to alternate over.
     """
     n = len(dims)
     if n < 2:
@@ -168,37 +237,50 @@ def _seesaw(
     for k, d in enumerate(dims):
         v = draws[:, offsets[k]:offsets[k] + d] + 1j * draws[:, offsets[k] + d:offsets[k + 1]]
         locs.append(v / np.linalg.norm(v, axis=1, keepdims=True))
-    # ops[k][y, a, b, x] = <x, a| P |y, b>, with x, y the other parties' indices
-    # (party k's ket and bra axes in the middle), so that for their product
-    # vector w, ((w @ ops[k]) @ conj(w))[a, b] = <w, a| P |w, b>
-    ops = []
-    for k in range(n):
-        others = [j for j in range(n) if j != k]
-        axes = [n + j for j in others] + [k, n + k] + others
-        ops.append(p_tensor.transpose(axes).reshape(math.prod(dims) // dims[k], -1))
+    bloch = all(d == 2 for d in dims)
+    if bloch:
+        t = _pauli_tensor(p_tensor)
+        ops = [np.moveaxis(t, k, -1).reshape(-1, 4) for k in range(n)]
+        locs = [_ket_to_bloch(v) for v in locs]
+        update = _bloch_update
+    else:
+        # ops[k][y, a, b, x] = <x, a| P |y, b>, with x, y the other parties' indices
+        # (party k's ket and bra axes in the middle), so that for their product
+        # vector w, ((w @ ops[k]) @ conj(w))[a, b] = <w, a| P |w, b>
+        ops = []
+        for k in range(n):
+            others = [j for j in range(n) if j != k]
+            axes = [n + j for j in others] + [k, n + k] + others
+            ops.append(p_tensor.transpose(axes).reshape(math.prod(dims) // dims[k], -1))
+        update = _eigh_update
     objective = np.full(restarts, -np.inf)
     active = np.arange(restarts)
     for sweep in range(SEESAW_MAX_SWEEPS):
-        sweep_start = objective[active]
-        for k, d in enumerate(dims):
-            w, *rest = [locs[j][active] for j in range(n) if j != k]
+        # the active restarts' states and objective, written back once per sweep
+        cur = [loc[active] for loc in locs]
+        sweep_start = value = objective[active]
+        for k in range(n):
+            w, *rest = cur[:k] + cur[k + 1:]
             for v in rest:
                 w = (w[:, :, None] * v[:, None, :]).reshape(active.size, -1)
-            x = (w @ ops[k]).reshape(active.size, d * d, -1)
-            vals, vecs = linalg.eigh_unchecked((x @ w.conj()[:, :, None]).reshape(-1, d, d))
+            vals, cur[k] = update(ops[k], w, cur[k])
             # each local update is an exact maximization, so the objective is monotone
-            drop = objective[active] - vals[:, -1]
-            if np.any(drop > improvement_tol):
+            drop = value - vals
+            if (drop > improvement_tol).any():
                 i = int(np.argmax(drop))
                 raise linalg.ConvergenceError(
                     f"seesaw objective decreased at restart {active[i]}, sweep {sweep}, "
                     f"party {k}: drop {drop[i]:.3e} exceeds {improvement_tol:.3e}"
                 )
-            locs[k][active] = vecs[:, :, -1]
-            objective[active] = vals[:, -1]
-        active = active[objective[active] - sweep_start >= improvement_tol]
+            value = vals
+        for loc, c in zip(locs, cur):
+            loc[active] = c
+        objective[active] = value
+        active = active[value - sweep_start >= improvement_tol]
         if not active.size:
             break
+    if bloch:
+        locs = [_bloch_to_ket(s) for s in locs]
     return objective, locs
 
 

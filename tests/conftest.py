@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from upbkit import linalg
+from upbkit import upb
 from upbkit import (
     ShiftsParams,
     build_upb_witness,
@@ -26,19 +26,25 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def lower_top_eigenvalue(monkeypatch, at_call: int, restart: int) -> None:
-    """Make the ``at_call``-th stacked eigensolve report a far lower top eigenvalue for one restart."""
-    real_eig = linalg.eigh_unchecked
+    """Make the ``at_call``-th seesaw local update report a far lower maximum for one restart.
+
+    Counts the Bloch updates of qubit parties and the stacked eigensolves of
+    the others alike, so the guard trips on either path.
+    """
     calls = []
 
-    def eig(matrix):
-        vals, vecs = real_eig(matrix)
-        calls.append(None)
-        if len(calls) == at_call:
-            vals = vals.copy()
-            vals[restart, -1] -= 10.0
-        return linalg.EigDecomposition(vals, vecs)
+    def lowered(real_update):
+        def update(op, w, prev):
+            vals, states = real_update(op, w, prev)
+            calls.append(None)
+            if len(calls) == at_call:
+                vals = vals.copy()
+                vals[restart] -= 10.0
+            return vals, states
+        return update
 
-    monkeypatch.setattr(linalg, "eigh_unchecked", eig)
+    for name in ("_bloch_update", "_eigh_update"):
+        monkeypatch.setattr(upb, name, lowered(getattr(upb, name)))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -53,6 +53,38 @@ def degenerate_family_members():
     )
 
 
+def random_projector(dims, rank, seed):
+    """Orthogonal projector onto a random rank-``rank`` subspace of the composite space."""
+    rng = np.random.default_rng(seed)
+    dim = int(np.prod(dims))
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    q, _ = np.linalg.qr(g)
+    return q @ q.conj().T
+
+
+def local_operator(proj, dims, vecs, k):
+    """Party k's operator <w| P |w>, with w the product of the other parties' ``vecs``."""
+    n = len(dims)
+    kets, bras = "abcdefgh"[:n], "ABCDEFGH"[:n]
+    specs, operands = [kets + bras], [proj.reshape(dims + dims)]
+    for j in range(n):
+        if j != k:
+            specs += [kets[j], bras[j]]
+            operands += [vecs[j].conj(), vecs[j]]
+    return np.einsum(",".join(specs) + f"->{kets[k]}{bras[k]}", *operands)
+
+
+def count_local_updates(monkeypatch) -> list:
+    """Record every seesaw local update, Bloch or eigensolver, as one list entry."""
+    calls = []
+    for name in ("_bloch_update", "_eigh_update"):
+        def counted(op, w, prev, real=getattr(upb, name)):
+            calls.append(None)
+            return real(op, w, prev)
+        monkeypatch.setattr(upb, name, counted)
+    return calls
+
+
 def tiles_upb():
     """Two-qutrit five-member fixture (the classic tiling construction)."""
     def q(i):
@@ -141,16 +173,33 @@ class TestUPBState:
 
 class TestSeesaw:
     def test_full_identity_reaches_one(self):
+        # every local operator is a multiple of the identity: each local update has no unique maximizer
         cert = seesaw_max_product_overlap(np.eye(8), qubits(3), restarts=4, seed=1)
         assert abs(cert.max_overlap - 1.0) < 1e-12
+        zero = seesaw_max_product_overlap(np.zeros((8, 8)), qubits(3), restarts=4, seed=1)
+        assert zero.max_overlap == 0
+        dims = (2, 2, 2)
+        for proj in (np.eye(8), np.zeros((8, 8))):
+            _, locs = _seesaw(proj.reshape(dims + dims), dims, 1, 4, SEESAW_IMPROVEMENT_TOL)
+            for v in locs:
+                assert np.all(np.isfinite(v))
+                assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) < 1e-12
+            # no update moves a vector, so each restart returns its start draw up to a phase
+            for r in range(4):
+                draw = np.random.default_rng([1, r]).standard_normal(12)
+                for k, v in enumerate(locs):
+                    start = draw[4 * k:4 * k + 2] + 1j * draw[4 * k + 2:4 * k + 4]
+                    assert abs(np.vdot(start / np.linalg.norm(start), v[r])) > 1 - 1e-12
 
     def test_single_product_projector(self):
-        target = np.zeros((8, 8), dtype=complex)
-        target[0, 0] = 1.0
-        cert = seesaw_max_product_overlap(target, qubits(3), restarts=8, seed=2)
-        assert abs(cert.max_overlap - 1.0) < 1e-12
-        found = expand(cert.best_product_vector)
-        assert abs(np.vdot(found, np.eye(8)[0])) > 1 - 1e-10
+        # |000> and |111>: the Bloch vectors r_z = +1 and r_z = -1, where 1 + r_z vanishes
+        for index in (0, 7):
+            target = np.zeros((8, 8), dtype=complex)
+            target[index, index] = 1.0
+            cert = seesaw_max_product_overlap(target, qubits(3), restarts=8, seed=2)
+            assert abs(cert.max_overlap - 1.0) < 1e-12
+            found = expand(cert.best_product_vector)
+            assert abs(np.vdot(found, np.eye(8)[index])) > 1 - 1e-10
 
     def test_rejects_non_projector(self):
         with pytest.raises(ValueError, match="projector"):
@@ -177,16 +226,35 @@ class TestSeesaw:
         assert np.max(np.abs(small - large[:4])) <= 1e-12
 
     def test_objectives_match_returned_vectors_unequal_dims(self):
-        # parties of dims 2, 3, 2: a swapped party order or contraction axis shows here
-        dims = (2, 3, 2)
-        rng = np.random.default_rng(8)
-        g = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-        q, _ = np.linalg.qr(g)
-        proj = q @ q.conj().T
-        objective, locs = _seesaw(proj.reshape(dims + dims), dims, 3, 6, SEESAW_IMPROVEMENT_TOL)
-        for r in range(6):
-            phi = expand(ProductVector(tuple(v[r] for v in locs)))
-            assert abs(objective[r] - np.vdot(phi, proj @ phi).real) < 1e-12
+        # parties of dims 2, 3, 2: a swapped party order or contraction axis shows here;
+        # all-qubit inputs take the Bloch update and its conversion back to kets
+        inputs = ((2, 3, 2), 3, 8), ((2, 2), 2, 1), ((2, 2, 2), 3, 2), ((2, 2, 2, 2), 5, 3)
+        for dims, rank, seed in inputs:
+            proj = random_projector(dims, rank, seed)
+            objective, locs = _seesaw(proj.reshape(dims + dims), dims, 3, 6, SEESAW_IMPROVEMENT_TOL)
+            for r in range(6):
+                phi = expand(ProductVector(tuple(v[r] for v in locs)))
+                assert abs(objective[r] - np.vdot(phi, proj @ phi).real) < 1e-12
+
+    def test_converged_restarts_are_stationary(self, pi4_upb, monkeypatch):
+        # every party's vector is a top eigenvector of its local operator, by numpy's own eigh
+        inputs = [
+            (pi4_upb.parts.local_dims, pi4_upb.complement_projector()),
+            ((2, 2, 2, 2), random_projector((2, 2, 2, 2), 5, 4)),
+            ((2, 3, 2), random_projector((2, 3, 2), 4, 5)),
+        ]
+        calls = count_local_updates(monkeypatch)
+        for dims, proj in inputs:
+            calls.clear()
+            objective, locs = _seesaw(proj.reshape(dims + dims), dims, 7, 8, SEESAW_IMPROVEMENT_TOL)
+            # the loop stopped before the sweep cap, so every restart converged
+            assert len(calls) < len(dims) * upb.SEESAW_MAX_SWEEPS
+            for r in range(8):
+                vecs = [v[r] for v in locs]
+                for k in range(len(dims)):
+                    vals, eigvecs = np.linalg.eigh(local_operator(proj, dims, vecs, k))
+                    assert abs(np.vdot(eigvecs[:, -1], vecs[k])) ** 2 > 1 - 1e-9
+                    assert abs(objective[r] - vals[-1]) < 1e-9
 
     def test_start_vectors_are_per_party_counter_draws(self, monkeypatch):
         monkeypatch.setattr(upb, "SEESAW_MAX_SWEEPS", 0)
@@ -200,12 +268,26 @@ class TestSeesaw:
                 assert np.max(np.abs(locs[k][r] - v / np.linalg.norm(v))) <= 1e-15
 
     def test_objective_drop_raises(self, pi4_upb, monkeypatch):
-        # three parties: call 4 is the first local update of sweep 1
-        lower_top_eigenvalue(monkeypatch, at_call=4, restart=2)
-        with pytest.raises(ConvergenceError, match="restart 2, sweep 1"):
-            seesaw_max_product_overlap(
-                pi4_upb.complement_projector(), pi4_upb.parts, restarts=4, seed=0
-            )
+        # three parties: call 4 is the first local update of sweep 1, on the Bloch
+        # update for qubits and on the stacked eigensolve for dims 2, 3, 2
+        inputs = [
+            (pi4_upb.complement_projector(), pi4_upb.parts),
+            (random_projector((2, 3, 2), 3, 6), PartyStructure((2, 3, 2))),
+        ]
+        for proj, parts in inputs:
+            with monkeypatch.context() as patch:
+                lower_top_eigenvalue(patch, at_call=4, restart=2)
+                with pytest.raises(ConvergenceError, match="restart 2, sweep 1"):
+                    seesaw_max_product_overlap(proj, parts, restarts=4, seed=0)
+
+    def test_qubit_seesaw_calls_no_eigensolver(self, pi4_upb, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("the qubit seesaw called LAPACK")
+
+        monkeypatch.setattr(la, "eigh_unchecked", refuse)
+        cert = certify_unextendible(pi4_upb, restarts=16, seed=3)
+        assert cert.certifies_unextendible
+        assert abs(cert.max_overlap - PI4_MAX_OVERLAP) < 1e-6
 
 
 class TestCertification:
