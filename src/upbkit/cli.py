@@ -13,7 +13,7 @@ serial execution would agree:
 
 Usage::
 
-    upbkit --config cfg.json [--seed N] [--restarts N] [--tol X] [--out report.json]
+    upbkit --config cfg.json [--seed N] [--restarts N] [--out report.json]
 
 The config schema (unknown fields are rejected)::
 
@@ -34,10 +34,9 @@ The config schema (unknown fields are rejected)::
     subspace_dim  subspace dimension          (subspace-hunt, not upb_complement)
     samples       number of subspaces         (subspace-hunt, not upb_complement)
     restarts      seesaw restarts, default 64
-    tolerances    {"rank_tol": x, "ppt_tol": x, "seesaw_tol": x}
 
-Exit codes: 0 success, 1 invalid config, 2 numerical guard tripped
-(non-convergence or positivity violation), 3 certification failure.
+Exit codes: 0 success, 1 invalid config or command line, 2 numerical guard
+tripped (non-convergence or positivity violation), 3 certification failure.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Sequence
 
 import numpy as np
@@ -77,6 +76,7 @@ from .states import (
     validate_labels,
 )
 from .upb import (
+    DEFAULT_RESTARTS,
     ShiftsParams,
     certify_unextendible,
     shifts_family,
@@ -87,46 +87,30 @@ from .witness import CertificationError, build_upb_witness, evaluate, robustness
 
 COMMANDS = ("build", "certify", "perturb-scan", "rank-mixtures", "subspace-hunt", "witness-radius")
 
-DEFAULT_RANK_TOL = 1e-9
-DEFAULT_PPT_TOL = 1e-9
-DEFAULT_SEESAW_TOL = 1e-12
-DEFAULT_RESTARTS = 64
-
 
 class ConfigError(ValueError):
     """The config file is malformed or inconsistent."""
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    rank_tol: float = DEFAULT_RANK_TOL
-    ppt_tol: float = DEFAULT_PPT_TOL
-    seesaw_tol: float = DEFAULT_SEESAW_TOL
-
-    def __post_init__(self):
-        for name in ("rank_tol", "ppt_tol", "seesaw_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"tolerance {name} must be positive and finite")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
+    """A config as ``parse_config`` returns it: defaults filled in, fields the command does not take None."""
+
     command: str
     seed: int
+    restarts: int
     angles: tuple[float, float, float] | None = None
     angles_second: tuple[float, float, float] | None = None
     noise: dict[str, Any] | None = None
     epsilon_grid: tuple[float, ...] | None = None
-    cut: tuple[int, ...] = (0,)
-    direction: Any = "uniform"
-    subspace_kind: str = "random"
+    cut: tuple[int, ...] | None = None
+    direction: Any = None
+    subspace_kind: str | None = None
     subspace_dim: int | None = None
     samples: int | None = None
-    restarts: int = DEFAULT_RESTARTS
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
 
-_COMMON_KEYS = {"command", "seed", "restarts", "tolerances"}
+_COMMON_KEYS = {"command", "seed", "restarts"}
 _ALLOWED_KEYS = {
     "build": _COMMON_KEYS | {"angles"},
     "certify": _COMMON_KEYS | {"angles"},
@@ -191,20 +175,7 @@ def parse_config(raw: dict[str, Any]) -> ExperimentConfig:
     if not isinstance(restarts, int) or isinstance(restarts, bool) or restarts < 1:
         raise ConfigError("restarts must be a positive integer")
 
-    tol_raw = raw.get("tolerances", {})
-    if not isinstance(tol_raw, dict):
-        raise ConfigError("tolerances must be an object")
-    unknown = set(tol_raw) - {"rank_tol", "ppt_tol", "seesaw_tol"}
-    if unknown:
-        raise ConfigError(f"unknown tolerance fields: {sorted(unknown)}")
-    tolerances = Tolerances(**{k: _parse_float(v, f"tolerance {k}") for k, v in tol_raw.items()})
-
-    kwargs: dict[str, Any] = {
-        "command": command,
-        "seed": seed,
-        "restarts": restarts,
-        "tolerances": tolerances,
-    }
+    kwargs: dict[str, Any] = {"command": command, "seed": seed, "restarts": restarts}
 
     needs_angles = command != "subspace-hunt" or raw.get("subspace_kind") == "upb_complement"
     if "angles" in raw:
@@ -315,42 +286,22 @@ def _parse_direction(raw: Any) -> Any:
 # commands
 # --------------------------------------------------------------------------
 
+def _echo_value(value: Any) -> Any:
+    """JSON data of a parsed config value: tuples become lists, label-tuple keys ``"0,phi1,1"``."""
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return {
+            _format_label_key(k) if isinstance(k, tuple) else k: _echo_value(v)
+            for k, v in value.items()
+        }
+    return value
+
+
 def _config_echo(config: ExperimentConfig) -> dict[str, Any]:
-    echo: dict[str, Any] = {
-        "command": config.command,
-        "seed": config.seed,
-        "restarts": config.restarts,
-        "tolerances": {
-            "rank_tol": config.tolerances.rank_tol,
-            "ppt_tol": config.tolerances.ppt_tol,
-            "seesaw_tol": config.tolerances.seesaw_tol,
-        },
-    }
-    if config.angles is not None:
-        echo["angles"] = list(config.angles)
-    if config.angles_second is not None:
-        echo["angles_second"] = list(config.angles_second)
-    if config.noise is not None:
-        noise = dict(config.noise)
-        if "coefficients" in noise:
-            noise["coefficients"] = {_format_label_key(mu): v for mu, v in noise["coefficients"].items()}
-        echo["noise"] = noise
-    if config.epsilon_grid is not None:
-        echo["epsilon_grid"] = list(config.epsilon_grid)
-    if config.command == "perturb-scan":
-        echo["cut"] = list(config.cut)
-    if config.command == "witness-radius":
-        if isinstance(config.direction, dict):
-            echo["direction"] = {_format_label_key(mu): v for mu, v in config.direction.items()}
-        else:
-            echo["direction"] = config.direction
-    if config.command == "subspace-hunt":
-        echo["subspace_kind"] = config.subspace_kind
-        if config.subspace_dim is not None:
-            echo["subspace_dim"] = config.subspace_dim
-        if config.samples is not None:
-            echo["samples"] = config.samples
-    return echo
+    """The config's set fields in declaration order, as JSON data that ``parse_config`` reads back."""
+    echo = {f.name: getattr(config, f.name) for f in fields(config)}
+    return {name: _echo_value(value) for name, value in echo.items() if value is not None}
 
 
 def _vector_payload(v: ProductVector) -> list[list[list[float]]]:
@@ -362,7 +313,7 @@ def cmd_build(config: ExperimentConfig) -> dict[str, Any]:
     rho = upb_state(u)
     spectrum, _ = linalg.hermitian_eig(rho.matrix)
     ppt_rows = []
-    for cut, verdict in is_ppt_all_cuts(rho, tol=config.tolerances.ppt_tol).items():
+    for cut, verdict in is_ppt_all_cuts(rho).items():
         ppt_rows.append(
             {
                 "side_a": list(cut.side_a),
@@ -375,23 +326,14 @@ def cmd_build(config: ExperimentConfig) -> dict[str, Any]:
         "members": [_vector_payload(v) for v in u.members],
         "spectrum": [float(x) for x in spectrum],
         "ppt": ppt_rows,
-        "rank": linalg.numerical_rank(rho.matrix, config.tolerances.rank_tol),
+        "rank": linalg.numerical_rank(rho.matrix),
     }
 
 
 def _certified_witness(config: ExperimentConfig):
     u = shifts_family(ShiftsParams(*config.angles))
-    cert = certify_unextendible(
-        u, restarts=config.restarts, seed=config.seed,
-        improvement_tol=config.tolerances.seesaw_tol,
-    )
-    if not cert.certifies_unextendible:
-        raise CertificationError(
-            f"seesaw found a product vector with overlap {cert.max_overlap!r}; "
-            "the complement is not certifiably product-free"
-        )
-    w = build_upb_witness(u, cert)
-    return u, cert, w
+    cert = certify_unextendible(u, restarts=config.restarts, seed=config.seed)
+    return u, cert, build_upb_witness(u, cert)
 
 
 def cmd_certify(config: ExperimentConfig) -> dict[str, Any]:
@@ -467,7 +409,6 @@ def cmd_perturb_scan(config: ExperimentConfig) -> dict[str, Any]:
 
 
 def cmd_rank_mixtures(config: ExperimentConfig) -> dict[str, Any]:
-    tol = config.tolerances.rank_tol
     u1 = shifts_family(ShiftsParams(*config.angles))
     u2 = shifts_family(ShiftsParams(*config.angles_second))
     rho1 = upb_state(u1)
@@ -475,11 +416,11 @@ def cmd_rank_mixtures(config: ExperimentConfig) -> dict[str, Any]:
     equal_mix = (rho1.matrix + rho2.matrix) / 2.0
     member_mix = (rho1.matrix + product_projector(u1.members[0])) / 2.0
     return {
-        "rank_first": linalg.numerical_rank(rho1.matrix, tol),
-        "rank_second": linalg.numerical_rank(rho2.matrix, tol),
-        "rank_equal_mixture": linalg.numerical_rank(equal_mix, tol),
-        "rank_state_plus_member": linalg.numerical_rank(member_mix, tol),
-        "rank_tol": tol,
+        "rank_first": linalg.numerical_rank(rho1.matrix),
+        "rank_second": linalg.numerical_rank(rho2.matrix),
+        "rank_equal_mixture": linalg.numerical_rank(equal_mix),
+        "rank_state_plus_member": linalg.numerical_rank(member_mix),
+        "rank_tol": linalg.DEFAULT_TOL,
     }
 
 
@@ -508,10 +449,7 @@ def cmd_subspace_hunt(config: ExperimentConfig) -> dict[str, Any]:
     sample_rows = []
     histogram: dict[int, int] = {}
     for index, basis, seed in runs:
-        result = subspace_product_hunt(
-            basis, parts, restarts=config.restarts, seed=seed,
-            improvement_tol=config.tolerances.seesaw_tol,
-        )
+        result = subspace_product_hunt(basis, parts, restarts=config.restarts, seed=seed)
         histogram[result.distinct_count] = histogram.get(result.distinct_count, 0) + 1
         sample_rows.append(
             {
@@ -532,12 +470,7 @@ def cmd_subspace_hunt(config: ExperimentConfig) -> dict[str, Any]:
 def cmd_witness_radius(config: ExperimentConfig) -> dict[str, Any]:
     u, _, w = _certified_witness(config)
     rho = upb_state(u)
-    if config.direction == "uniform":
-        direction = uniform_direction(3)
-        direction_echo: Any = "uniform"
-    else:
-        direction = config.direction
-        direction_echo = {_format_label_key(mu): v for mu, v in direction.items()}
+    direction = uniform_direction(3) if config.direction == "uniform" else config.direction
     radius = robustness_radius(w, rho, direction)
     detected = evaluate(w, rho)
     denom = abs(detected) / radius if np.isfinite(radius) and radius > 0 else 0.0
@@ -554,7 +487,7 @@ def cmd_witness_radius(config: ExperimentConfig) -> dict[str, Any]:
             "outside_value": outside,
         }
     return {
-        "direction": direction_echo,
+        "direction": _echo_value(config.direction),
         "radius": radius,
         "detected_value": detected,
         "denominator": denom,
@@ -611,11 +544,6 @@ def _apply_overrides(raw: dict[str, Any], args: argparse.Namespace) -> dict[str,
         raw["seed"] = args.seed
     if args.restarts is not None:
         raw["restarts"] = args.restarts
-    if args.tol is not None:
-        tol = dict(raw.get("tolerances", {}))
-        tol["rank_tol"] = args.tol
-        tol["ppt_tol"] = args.tol
-        raw["tolerances"] = tol
     return raw
 
 
@@ -627,9 +555,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--restarts", type=int, default=None, help="override the seesaw restart count")
-    parser.add_argument("--tol", type=float, default=None, help="override rank_tol and ppt_tol")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 here means a numerical guard tripped
+        return 1 if exc.code else 0
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

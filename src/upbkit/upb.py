@@ -203,9 +203,8 @@ def _seesaw(
     dims: Sequence[int],
     seed: int | Sequence[int],
     restarts: int,
-    improvement_tol: float,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run every restart in lockstep until its sweep improves by less than ``improvement_tol``.
+    """Run every restart in lockstep until its sweep improves by less than ``SEESAW_IMPROVEMENT_TOL``.
 
     ``p_tensor`` is the projector as a ``dims + dims`` tensor (ket axes, then
     bra axes) and must already be Hermitian: nothing here checks it again.
@@ -266,17 +265,17 @@ def _seesaw(
             vals, cur[k] = update(ops[k], w, cur[k])
             # each local update is an exact maximization, so the objective is monotone
             drop = value - vals
-            if (drop > improvement_tol).any():
+            if (drop > SEESAW_IMPROVEMENT_TOL).any():
                 i = int(np.argmax(drop))
                 raise linalg.ConvergenceError(
                     f"seesaw objective decreased at restart {active[i]}, sweep {sweep}, "
-                    f"party {k}: drop {drop[i]:.3e} exceeds {improvement_tol:.3e}"
+                    f"party {k}: drop {drop[i]:.3e} exceeds {SEESAW_IMPROVEMENT_TOL:.3e}"
                 )
             value = vals
         for loc, c in zip(locs, cur):
             loc[active] = c
         objective[active] = value
-        active = active[value - sweep_start >= improvement_tol]
+        active = active[value - sweep_start >= SEESAW_IMPROVEMENT_TOL]
         if not active.size:
             break
     if bloch:
@@ -289,7 +288,6 @@ def seesaw_max_product_overlap(
     parts: PartyStructure,
     restarts: int = DEFAULT_RESTARTS,
     seed: int | Sequence[int] = 0,
-    improvement_tol: float = SEESAW_IMPROVEMENT_TOL,
 ) -> UnextendibilityCertificate:
     """Maximize <phi|P|phi> over product vectors by multi-start seesaw.
 
@@ -305,7 +303,7 @@ def seesaw_max_product_overlap(
     dims = parts.local_dims
     if p.shape[0] != parts.dim:
         raise ValueError("projector dimension does not match the party structure")
-    objective, locs = _seesaw(p.reshape(dims + dims), dims, seed, restarts, improvement_tol)
+    objective, locs = _seesaw(p.reshape(dims + dims), dims, seed, restarts)
     r = int(np.argmax(objective))
     best = ProductVector(tuple(v[r] / np.linalg.norm(v[r]) for v in locs))
     return UnextendibilityCertificate(
@@ -319,12 +317,9 @@ def certify_unextendible(
     u: UPB,
     restarts: int = DEFAULT_RESTARTS,
     seed: int | Sequence[int] = 0,
-    improvement_tol: float = SEESAW_IMPROVEMENT_TOL,
 ) -> UnextendibilityCertificate:
     """Run the seesaw on the complementary projector and return its certificate."""
-    return seesaw_max_product_overlap(
-        u.complement_projector(), u.parts, restarts, seed, improvement_tol
-    )
+    return seesaw_max_product_overlap(u.complement_projector(), u.parts, restarts, seed)
 
 
 @dataclass(frozen=True)
@@ -345,7 +340,6 @@ def subspace_product_hunt(
     parts: PartyStructure,
     restarts: int = DEFAULT_RESTARTS,
     seed: int | Sequence[int] = 0,
-    improvement_tol: float = SEESAW_IMPROVEMENT_TOL,
 ) -> HuntResult:
     """Hunt product vectors in the span of ``basis`` by multi-start seesaw.
 
@@ -366,7 +360,7 @@ def subspace_product_hunt(
 
     dims = parts.local_dims
     p_tensor = ((proj + proj.conj().T) / 2).reshape(dims + dims)
-    objective, locs = _seesaw(p_tensor, dims, seed, restarts, improvement_tol)
+    objective, locs = _seesaw(p_tensor, dims, seed, restarts)
     hits: list[tuple[np.ndarray, ProductVector, float]] = []
     for r in np.flatnonzero(objective >= 1.0 - UNEXTENDIBILITY_GAP):
         pv = ProductVector(tuple(v[r] / np.linalg.norm(v[r]) for v in locs))

@@ -60,7 +60,8 @@ def build_upb_witness(u: UPB, certificate: UnextendibilityCertificate) -> Witnes
     """Trace-normalized S - c*I witness from a certified UPB."""
     if not certificate.certifies_unextendible:
         raise CertificationError(
-            f"certificate does not assert unextendibility (max_overlap = {certificate.max_overlap!r})"
+            f"seesaw found a product vector with overlap {certificate.max_overlap!r}; "
+            "the certificate does not assert unextendibility"
         )
     c = (1.0 - certificate.max_overlap) - SAFETY_MARGIN
     if c <= 0.0:

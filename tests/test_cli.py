@@ -48,7 +48,7 @@ class TestConfigParsing:
         config = parse_config(make_config())
         assert config.command == "build"
         assert config.restarts == 64
-        assert config.tolerances.rank_tol == 1e-9
+        assert config.cut is None and config.direction is None and config.subspace_kind is None
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config fields"):
@@ -150,22 +150,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cut"):
             parse_config(raw)
 
-    def test_tolerances_override(self, tmp_path, capsys):
-        config = parse_config(make_config(tolerances={"rank_tol": 1e-8}))
-        assert config.tolerances.rank_tol == 1e-8
-        assert config.tolerances.ppt_tol == 1e-9
-        with pytest.raises(ConfigError, match="unknown tolerance"):
-            parse_config(make_config(tolerances={"rank_tolerance": 1e-8}))
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ConfigError, match="finite"):
-                parse_config(make_config(tolerances={"ppt_tol": bad, "rank_tol": bad}))
-        for bad in (None, [1e-8], {"x": 1e-8}):
-            with pytest.raises(ConfigError, match="must be a number"):
-                parse_config(make_config(tolerances={"rank_tol": bad}))
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(make_config(tolerances={"rank_tol": None})))
-        assert cli.main(["--config", str(cfg)]) == 1
-        assert "invalid config: tolerance rank_tol must be a number" in capsys.readouterr().err
+    def test_tolerances_rejected(self):
+        # every tolerance is fixed at its library default; there is no config knob for one
+        with pytest.raises(ConfigError, match=r"unknown config fields for build: \['tolerances'\]"):
+            parse_config(make_config(tolerances={"rank_tol": 1e-8}))
 
 
 ALL_COMMAND_CONFIGS = {
@@ -213,6 +201,7 @@ class TestCommands:
         parsed = json.loads(first.render())
         assert parsed == {"config": first.config, "payload": first.payload, "meta": first.meta}
         validate_report(parsed)
+        assert parse_config(first.config) == config
 
     def test_report_is_rendered_once(self, monkeypatch):
         calls = []
@@ -421,7 +410,7 @@ class TestEndToEnd:
         }
         proc = run_cli(tmp_path, raw)
         assert proc.returncode == 3
-        assert "certification failure" in proc.stderr
+        assert "certification failure: seesaw found a product vector with overlap" in proc.stderr
 
     def test_seed_and_restarts_overrides(self, tmp_path):
         raw = dict(ALL_COMMAND_CONFIGS["certify"])
@@ -431,12 +420,22 @@ class TestEndToEnd:
         assert report["config"]["restarts"] == 8
         assert report["payload"]["restarts"] == 8
 
-    def test_tol_override(self, tmp_path):
+    def test_usage_error_exit_code(self, tmp_path, capsys):
+        # a command-line usage error is an invalid invocation (1), not a numerical guard trip (2)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(make_config()))
+        for argv, message in (
+            (["--config", str(cfg), "--bogus"], "unrecognized arguments: --bogus"),
+            (["--config", str(cfg), "--seed", "abc"], "invalid int value: 'abc'"),
+            ([], "the following arguments are required: --config"),
+            (["--config", str(cfg), "--tol", "1e-6"], "unrecognized arguments: --tol 1e-6"),
+        ):
+            assert cli.main(argv) == 1
+            assert message in capsys.readouterr().err
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: upbkit")
         proc = run_cli(tmp_path, make_config(), "--tol", "1e-6")
-        report = json.loads(proc.stdout)
-        assert report["config"]["tolerances"]["rank_tol"] == 1e-6
-        assert report["config"]["tolerances"]["ppt_tol"] == 1e-6
-        assert report["config"]["tolerances"]["seesaw_tol"] == 1e-12
+        assert proc.returncode == 1 and proc.stdout == ""
 
     def test_numerical_guard_exit_code(self, tmp_path, monkeypatch, capsys):
         def explode(config):

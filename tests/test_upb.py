@@ -19,7 +19,7 @@ from upbkit import (
 )
 from upbkit.linalg import ConvergenceError
 from upbkit.states import product_projector, random_product_vector
-from upbkit.upb import SEESAW_IMPROVEMENT_TOL, _seesaw
+from upbkit.upb import _seesaw
 
 from conftest import lower_top_eigenvalue
 
@@ -180,7 +180,7 @@ class TestSeesaw:
         assert zero.max_overlap == 0
         dims = (2, 2, 2)
         for proj in (np.eye(8), np.zeros((8, 8))):
-            _, locs = _seesaw(proj.reshape(dims + dims), dims, 1, 4, SEESAW_IMPROVEMENT_TOL)
+            _, locs = _seesaw(proj.reshape(dims + dims), dims, 1, 4)
             for v in locs:
                 assert np.all(np.isfinite(v))
                 assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) < 1e-12
@@ -221,8 +221,8 @@ class TestSeesaw:
         # counter seeds: restart r does the same work whatever the batch around it
         dims = pi4_upb.parts.local_dims
         p_tensor = pi4_upb.complement_projector().reshape(dims + dims)
-        small, _ = _seesaw(p_tensor, dims, [5, 1], 4, SEESAW_IMPROVEMENT_TOL)
-        large, _ = _seesaw(p_tensor, dims, [5, 1], 16, SEESAW_IMPROVEMENT_TOL)
+        small, _ = _seesaw(p_tensor, dims, [5, 1], 4)
+        large, _ = _seesaw(p_tensor, dims, [5, 1], 16)
         assert np.max(np.abs(small - large[:4])) <= 1e-12
 
     def test_objectives_match_returned_vectors_unequal_dims(self):
@@ -231,7 +231,7 @@ class TestSeesaw:
         inputs = ((2, 3, 2), 3, 8), ((2, 2), 2, 1), ((2, 2, 2), 3, 2), ((2, 2, 2, 2), 5, 3)
         for dims, rank, seed in inputs:
             proj = random_projector(dims, rank, seed)
-            objective, locs = _seesaw(proj.reshape(dims + dims), dims, 3, 6, SEESAW_IMPROVEMENT_TOL)
+            objective, locs = _seesaw(proj.reshape(dims + dims), dims, 3, 6)
             for r in range(6):
                 phi = expand(ProductVector(tuple(v[r] for v in locs)))
                 assert abs(objective[r] - np.vdot(phi, proj @ phi).real) < 1e-12
@@ -246,7 +246,7 @@ class TestSeesaw:
         calls = count_local_updates(monkeypatch)
         for dims, proj in inputs:
             calls.clear()
-            objective, locs = _seesaw(proj.reshape(dims + dims), dims, 7, 8, SEESAW_IMPROVEMENT_TOL)
+            objective, locs = _seesaw(proj.reshape(dims + dims), dims, 7, 8)
             # the loop stopped before the sweep cap, so every restart converged
             assert len(calls) < len(dims) * upb.SEESAW_MAX_SWEEPS
             for r in range(8):
@@ -260,7 +260,7 @@ class TestSeesaw:
         monkeypatch.setattr(upb, "SEESAW_MAX_SWEEPS", 0)
         dims = (2, 3, 2)
         p_tensor = np.eye(12).reshape(dims + dims)
-        _, locs = _seesaw(p_tensor, dims, [4, 2], 5, SEESAW_IMPROVEMENT_TOL)
+        _, locs = _seesaw(p_tensor, dims, [4, 2], 5)
         for r in range(5):
             rng = np.random.default_rng([4, 2, r])
             for k, d in enumerate(dims):
