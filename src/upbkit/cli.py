@@ -21,6 +21,7 @@ The config schema (unknown fields are rejected)::
                   | subspace-hunt | witness-radius
     seed          required unsigned 64-bit integer
     angles        [a, b, c] radians, each strictly inside (0, pi/2)
+                  (subspace-hunt: upb_complement only)
     angles_second second parameter set       (rank-mixtures)
     noise         {"kind": "white" | "npt_projector"}
                   | {"kind": "random", "count": N}
@@ -33,7 +34,9 @@ The config schema (unknown fields are rejected)::
     subspace_kind "random" | "planted" | "upb_complement"  (subspace-hunt)
     subspace_dim  subspace dimension          (subspace-hunt, not upb_complement)
     samples       number of subspaces         (subspace-hunt, not upb_complement)
-    restarts      seesaw restarts, default 64
+    restarts      seesaw restarts, default 64.  subspace-hunt solves
+                  dimensions <= 5 exactly and reads restarts only where that
+                  solve is degenerate and falls back to the seesaw
 
 Exit codes: 0 success, 1 invalid config or command line, 2 numerical guard
 tripped (non-convergence or positivity violation), 3 certification failure.
@@ -218,6 +221,8 @@ def parse_config(raw: dict[str, Any]) -> ExperimentConfig:
             if "subspace_dim" in raw or "samples" in raw:
                 raise ConfigError("upb_complement hunts fix the subspace; drop subspace_dim/samples")
         else:
+            if "angles" in raw:
+                raise ConfigError(f"{kind} hunts draw their subspaces from the seed; drop angles")
             dim = raw.get("subspace_dim")
             count = raw.get("samples")
             if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 8:

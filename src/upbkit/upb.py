@@ -19,10 +19,21 @@ from 1 by a fixed gap, is the certificate.  For qubit parties the update is
 closed form: with Bloch vectors, |<a|m>|^2 = (1 + r_a . r_m)/2 makes the
 objective multilinear, g_0 + g . r_k in party k, maximal at r_k = g/|g|.
 Other local dims take the top eigenvector of the party's local operator.
+
+Product hunting in a subspace takes one of two paths.  For three qubits and
+dimension k <= 5 the product vectors form a finite algebraic set (the Segre
+variety has degree 6), found by one degree-6 polynomial solve: six points in
+a five-dimensional (super)space, of which those within HUNT_RESIDUAL_TOL of
+the subspace count.  Every other input, and such a subspace where that solve
+is degenerate (a root at infinity, a rank-deficient constraint matrix, a
+multiple root, a continuum), goes to the seesaw, where each restart that
+reaches overlap 1 - gap counts.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,6 +55,8 @@ SEESAW_MAX_SWEEPS = 500
 DEFAULT_RESTARTS = 64
 DISTINCT_FIDELITY_TOL = 1e-6     # hits with fidelity > 1 - tol are the same solution
 PROJECTOR_TOL = 1e-10
+HUNT_RESIDUAL_TOL = 1e-8         # a solved point lies in the subspace when ||(I - P) phi|| < tol
+SEGRE_DEGENERACY_TOL = 1e-12     # relative size below which the solve's leading term or N's rank vanishes
 
 
 @dataclass(frozen=True)
@@ -335,19 +348,117 @@ class HuntResult:
         return len(self.vectors)
 
 
+# The three-qubit solve of ``_qubit_triple_points``: the 7th roots of unity
+# the degree-6 product condition is sampled at, the inverse DFT that turns the
+# seven samples into its coefficients (lowest degree first), and the 4-index
+# Levi-Civita symbol, which contracted with the three rows of a 3 x 4 matrix
+# gives its signed 3 x 3 minors, a null vector.
+_UNIT_ROOTS_7 = np.cos(2 * np.pi * np.arange(7) / 7) + 1j * np.sin(2 * np.pi * np.arange(7) / 7)
+# entry (n, j) is w_j^-n / 7 for the root w_j
+_INVERSE_DFT_7 = _UNIT_ROOTS_7.conj()[np.outer(np.arange(7), np.arange(7)) % 7] / 7
+
+
+def _levi_civita(n: int) -> np.ndarray:
+    """The n-index Levi-Civita symbol: the sign of each permutation of ``range(n)``, 0 elsewhere."""
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        eps[perm] = (-1) ** sum(i > j for i, j in itertools.combinations(perm, 2))
+    return eps
+
+
+_LEVI_CIVITA_4 = _levi_civita(4)
+
+
+@functools.cache
+def _segre_mix() -> np.ndarray:
+    """A fixed generic ``(3, 7)`` complex mix, from its own seed so that no config seed reaches it."""
+    draws = np.random.default_rng(0x5E67E).standard_normal((2, 3, 7))
+    return draws[0] + 1j * draws[1]
+
+
+def _null_vectors(n: np.ndarray) -> np.ndarray:
+    """The signed 3 x 3 minors ``z_m = eps_mijk n_0i n_1j n_2k`` of a stack of 3 x 4 matrices."""
+    return np.einsum("mijk,...i,...j,...k->...m", _LEVI_CIVITA_4, n[..., 0, :], n[..., 1, :], n[..., 2, :])
+
+
+def _qubit_triple_points(proj: np.ndarray, k: int) -> list[tuple[ProductVector, float]] | None:
+    """Every product vector in the range of ``proj``, a three-qubit projector of rank ``k <= 5``.
+
+    A product vector lies in the span iff it is orthogonal to the complement.
+    Three constraint vectors ``u_j`` are kept: the complement itself for
+    k = 5, else an orthonormal basis of a fixed generic mix of it
+    (``_segre_mix``), which cuts out a superspace of dimension 5.  With
+    ``a = (1, x)`` the constraints ``<u_j|a, b, c> = 0`` are ``N(x) z = 0``
+    for ``z = b (x) c`` and a 3 x 4 matrix ``N(x)`` linear in x.  Its null
+    vector is its signed 3 x 3 minors, cubic in x, and the product condition
+    ``z_0 z_3 - z_1 z_2 = 0`` is a degree-6 polynomial, whose six roots give
+    the superspace's six product vectors (the degree of the Segre variety).
+    The points returned are those whose residual ``||(I - P) phi||`` against
+    the whole complement is below ``HUNT_RESIDUAL_TOL``, each with its overlap
+    ``<phi|P|phi>``.
+
+    Returns None, for the seesaw to settle, when the solve is degenerate:
+    the leading coefficient vanishes (a root at infinity), ``N`` loses rank
+    at a root, or fewer than six distinct points verify in the superspace (a
+    multiple root, or a continuum of product vectors).
+    """
+    # proj's eigenvalues are 0 (8 - k times) and then 1
+    complement = linalg.eigh_unchecked(proj).eigenvectors[:, :8 - k]
+    constraints = complement
+    if k < 5:
+        constraints = np.column_stack(linalg.orthonormalize(list(_segre_mix()[:, :8 - k] @ complement.T)))
+    # N(x) = w[:, 0] + x w[:, 1], row j of w[:, i] pairing with a_i
+    w = constraints.conj().T.reshape(3, 2, 4)
+    z = _null_vectors(w[:, 0] + _UNIT_ROOTS_7[:, None, None] * w[:, 1])
+    coeffs = _INVERSE_DFT_7 @ (z[:, 0] * z[:, 3] - z[:, 1] * z[:, 2])
+    if abs(coeffs[6]) <= SEGRE_DEGENERACY_TOL * np.abs(coeffs).max():
+        return None
+    x = np.roots(coeffs[::-1])
+    a = np.column_stack([np.ones_like(x), x]) / np.sqrt(1 + np.abs(x) ** 2)[:, None]
+    n = a[:, 0, None, None] * w[:, 0] + a[:, 1, None, None] * w[:, 1]
+    # |z| is the product of N's three singular values, |N|^3 bounds it
+    z = _null_vectors(n).reshape(-1, 2, 2)
+    if (np.linalg.norm(z, axis=(1, 2)) <= SEGRE_DEGENERACY_TOL * np.linalg.norm(n, axis=(1, 2)) ** 3).any():
+        return None
+    # z = b c^T: b is the top eigenvector of z z^dag, c the normalized b^dag z
+    b = linalg.eigh_unchecked(z @ z.conj().transpose(0, 2, 1)).eigenvectors[:, :, 1]
+    c = np.einsum("rp,rpq->rq", b.conj(), z)
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    phi = (a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]).reshape(-1, 8)
+    fidelity = np.abs(phi.conj() @ phi.T) ** 2
+    np.fill_diagonal(fidelity, 0.0)
+    in_superspace = np.linalg.norm(phi @ constraints.conj(), axis=1) < HUNT_RESIDUAL_TOL
+    if not in_superspace.all() or (fidelity > 1.0 - DISTINCT_FIDELITY_TOL).any():
+        return None
+    found = np.flatnonzero(np.linalg.norm(phi @ complement.conj(), axis=1) < HUNT_RESIDUAL_TOL)
+    overlaps = np.einsum("ri,ij,rj->r", phi.conj(), proj, phi).real
+    return [(ProductVector((a[r], b[r], c[r])), float(overlaps[r])) for r in found]
+
+
 def subspace_product_hunt(
     basis: Sequence[np.ndarray],
     parts: PartyStructure,
     restarts: int = DEFAULT_RESTARTS,
     seed: int | Sequence[int] = 0,
 ) -> HuntResult:
-    """Hunt product vectors in the span of ``basis`` by multi-start seesaw.
+    """Hunt product vectors in the span of ``basis``.
 
-    The basis is orthonormalized first (a dependent basis is rejected); every
-    restart landing at overlap >= 1 - gap counts as a hit, and hits are
-    clustered into distinct solutions by mutual fidelity.  The reported rank
-    is the linear-independence rank of the expanded hits, computed from their
-    Gram spectrum at the default tolerance.
+    The basis is orthonormalized first (a dependent basis is rejected).  Two
+    paths find the candidate points:
+
+    - three qubits and dimension k <= 5: one degree-6 polynomial solve
+      (``_qubit_triple_points``), which finds every product vector in the span
+      whose residual ``||(I - P) phi||`` is below ``HUNT_RESIDUAL_TOL``.  The
+      count is exact and ``restarts`` and ``seed`` play no part.  Where the
+      solve is degenerate (a root at infinity, a rank-deficient constraint
+      matrix, a multiple root or a continuum of product vectors) the seesaw
+      below runs instead, with the same seed and restarts;
+    - otherwise a multi-start seesaw, where every restart landing at overlap
+      >= 1 - gap is a candidate.
+
+    Candidates are clustered into distinct solutions by mutual fidelity.  The
+    reported rank is the linear-independence rank of the expanded hits,
+    computed from their Gram spectrum at the default tolerance.
     """
     ortho = linalg.orthonormalize(basis)
     if len(ortho) != len(basis):
@@ -359,17 +470,22 @@ def subspace_product_hunt(
     proj = cols @ cols.conj().T
 
     dims = parts.local_dims
-    p_tensor = ((proj + proj.conj().T) / 2).reshape(dims + dims)
-    objective, locs = _seesaw(p_tensor, dims, seed, restarts)
+    candidates = _qubit_triple_points(proj, len(ortho)) if dims == (2, 2, 2) and len(ortho) <= 5 else None
+    if candidates is None:
+        p_tensor = ((proj + proj.conj().T) / 2).reshape(dims + dims)
+        objective, locs = _seesaw(p_tensor, dims, seed, restarts)
+        candidates = [
+            (ProductVector(tuple(v[r] / np.linalg.norm(v[r]) for v in locs)), float(objective[r]))
+            for r in np.flatnonzero(objective >= 1.0 - UNEXTENDIBILITY_GAP)
+        ]
     hits: list[tuple[np.ndarray, ProductVector, float]] = []
-    for r in np.flatnonzero(objective >= 1.0 - UNEXTENDIBILITY_GAP):
-        pv = ProductVector(tuple(v[r] / np.linalg.norm(v[r]) for v in locs))
+    for pv, overlap in candidates:
         full = expand(pv)
         for known, _, _ in hits:
             if abs(np.vdot(known, full)) ** 2 > 1.0 - DISTINCT_FIDELITY_TOL:
                 break
         else:
-            hits.append((full, pv, float(objective[r])))
+            hits.append((full, pv, overlap))
 
     if hits:
         stacked = np.column_stack([h[0] for h in hits])

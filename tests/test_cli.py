@@ -155,6 +155,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"unknown config fields for build: \['tolerances'\]"):
             parse_config(make_config(tolerances={"rank_tol": 1e-8}))
 
+    def test_angles_rejected_on_drawn_hunts(self):
+        # random and planted hunts draw their subspaces from the seed and never read angles
+        for kind in ("random", "planted"):
+            raw = {"command": "subspace-hunt", "seed": 1, "subspace_kind": kind,
+                   "subspace_dim": 5, "samples": 1}
+            assert parse_config(dict(raw)).angles is None
+            with pytest.raises(ConfigError, match="drop angles"):
+                parse_config({**raw, "angles": [0.3, 0.7, 1.1]})
+        upb_hunt = {"command": "subspace-hunt", "seed": 1, "subspace_kind": "upb_complement",
+                    "angles": [0.3, 0.7, 1.1]}
+        assert parse_config(upb_hunt).angles == (0.3, 0.7, 1.1)
+
 
 ALL_COMMAND_CONFIGS = {
     "build": make_config(),
@@ -297,8 +309,8 @@ class TestCommands:
             "restarts": 128,
         }
         payload = run_command(parse_config(raw)).payload
-        assert payload["samples"][0]["distinct_count"] >= 5
-        assert payload["samples"][0]["rank"] >= 5
+        assert payload["samples"][0]["distinct_count"] == 6
+        assert payload["samples"][0]["rank"] == 5
 
     def test_subspace_hunt_upb_complement(self):
         raw = {

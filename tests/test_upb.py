@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -329,8 +332,8 @@ class TestSubspaceHunt:
         planted = [random_product_vector(parts, rng) for _ in range(5)]
         basis = [expand(v) for v in planted]
         result = subspace_product_hunt(basis, parts, restarts=192, seed=42)
-        assert result.distinct_count >= 5
-        assert result.rank >= 5
+        assert result.distinct_count == 6
+        assert result.rank == 5
         for v in planted:
             fidelities = [
                 abs(np.vdot(expand(hit), expand(v))) ** 2 for hit in result.vectors
@@ -362,6 +365,134 @@ class TestSubspaceHunt:
     def test_rejects_one_party(self):
         with pytest.raises(ValueError, match="at least two parties"):
             subspace_product_hunt([np.eye(4)[0]], PartyStructure((4,)), restarts=1, seed=0)
+
+
+def random_subspace(rng, dim):
+    raw = rng.standard_normal((8, dim)) + 1j * rng.standard_normal((8, dim))
+    return [raw[:, k] for k in range(dim)]
+
+
+def assert_hits_in_span(result, basis):
+    cols = np.column_stack(la.orthonormalize(basis))
+    for hit, overlap in zip(result.vectors, result.overlaps):
+        phi = expand(hit)
+        assert np.linalg.norm(phi - cols @ (cols.conj().T @ phi)) < upb.HUNT_RESIDUAL_TOL
+        assert abs(overlap - 1.0) < 1e-12
+
+
+@pytest.fixture
+def no_seesaw(monkeypatch):
+    """Fail any hunt that leaves the three-qubit polynomial solve for the seesaw."""
+
+    def seesaw(*args, **kwargs):
+        raise AssertionError("the hunt fell back to the seesaw")
+
+    monkeypatch.setattr(upb, "_seesaw", seesaw)
+
+
+@pytest.fixture
+def seesaw_calls(monkeypatch):
+    """Count the hunt's seesaw runs, which still return what the seesaw finds."""
+    calls = []
+    real = upb._seesaw
+
+    def seesaw(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(upb, "_seesaw", seesaw)
+    return calls
+
+
+@pytest.mark.usefixtures("no_seesaw")
+class TestExactQubitHunt:
+    """Three-qubit subspaces of dimension <= 5 meet the degree-6 Segre variety in a finite set."""
+
+    def test_random_dim5_has_exactly_six(self):
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            basis = random_subspace(rng, 5)
+            result = subspace_product_hunt(basis, qubits(3), restarts=12, seed=0)
+            assert (result.distinct_count, result.rank) == (6, 5)
+            assert_hits_in_span(result, basis)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_planted_counts(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        parts = qubits(3)
+        planted = [random_product_vector(parts, rng) for _ in range(dim)]
+        basis = [expand(v) for v in planted]
+        result = subspace_product_hunt(basis, parts, restarts=12, seed=0)
+        assert (result.distinct_count, result.rank) == ((6, 5) if dim == 5 else (dim, dim))
+        assert_hits_in_span(result, basis)
+        for v in planted:
+            assert max(abs(np.vdot(expand(hit), expand(v))) ** 2 for hit in result.vectors) > 1 - 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_random_low_dim_has_none(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        for _ in range(10):
+            result = subspace_product_hunt(random_subspace(rng, dim), qubits(3), restarts=12, seed=0)
+            assert (result.distinct_count, result.rank) == (0, 0)
+
+    def test_upb_complements_have_none(self):
+        near_faces = [(0.05, 0.05, 0.05), (0.05, np.pi / 4, np.pi / 4), (0.1, np.pi / 2 - 0.1, 0.1),
+                      (0.01, 0.01, 0.01), (np.pi / 2 - 0.02,) * 3]
+        drawn = np.random.default_rng(7).uniform(0.01, np.pi / 2 - 0.01, size=(40, 3))
+        for angles in near_faces + [tuple(a) for a in drawn]:
+            u = shifts_family(ShiftsParams(*angles))
+            basis = la.kernel(u.member_sum_projector(), tol=0.5)
+            result = subspace_product_hunt(basis, u.parts, restarts=12, seed=0)
+            assert (result.distinct_count, result.rank) == (0, 0), angles
+
+    def test_count_ignores_seed_and_restarts(self):
+        basis = random_subspace(np.random.default_rng(2023), 5)
+        results = [subspace_product_hunt(basis, qubits(3), restarts=r, seed=s)
+                   for r, s in ((1, 0), (12, 5), (128, [3, 4]))]
+        for other in results[1:]:
+            assert other.overlaps == results[0].overlaps
+            for a, b in zip(other.vectors, results[0].vectors):
+                assert np.array_equal(expand(a), expand(b))
+
+
+class TestHuntFallback:
+    """A degenerate polynomial solve hands the hunt to the seesaw, which answers as before."""
+
+    @pytest.mark.parametrize("member", [0, 1, 2, 3])
+    def test_upb_complement_plus_member(self, seesaw_calls, member):
+        # a = |0> or |1> puts two points on one root x = 0, or one at x = infinity
+        u = shifts_family(ShiftsParams(0.5, 0.8, 1.0))
+        basis = la.kernel(u.member_sum_projector(), tol=0.5) + [expand(u.members[member])]
+        result = subspace_product_hunt(basis, u.parts, restarts=64, seed=member)
+        assert len(seesaw_calls) == 1
+        assert (result.distinct_count, result.rank) == (6, 5)
+
+    def test_continuum(self, seesaw_calls):
+        # span{|000>, |001>} holds |00>|c> for every c: a triple root that verifies only to ~1e-5
+        e = np.eye(8)
+        result = subspace_product_hunt([e[0], e[1]], qubits(3), restarts=16, seed=0)
+        assert len(seesaw_calls) == 1
+        assert (result.distinct_count, result.rank) == (16, 2)
+
+    def test_dim6_and_qutrits_keep_the_seesaw(self, seesaw_calls):
+        rng = np.random.default_rng(3)
+        subspace_product_hunt(random_subspace(rng, 6), qubits(3), restarts=4, seed=0)
+        subspace_product_hunt([np.eye(9)[0]], PartyStructure((3, 3)), restarts=4, seed=0)
+        assert len(seesaw_calls) == 2
+
+
+def test_hunt_leaves_numpy_fft_unloaded():
+    # the coefficients come from a fixed inverse-DFT matrix, not from numpy.fft, which numpy loads lazily
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from upbkit import qubits, subspace_product_hunt\n"
+        "raw = np.random.default_rng(0).standard_normal((5, 8))\n"
+        "assert subspace_product_hunt(list(raw + 0j), qubits(3), restarts=1).distinct_count == 6\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestMixtureRanks:
