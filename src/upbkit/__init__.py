@@ -41,18 +41,13 @@ from .upb import (
     upb_state,
 )
 from .perturbation import (
-    KernelCompression,
     MixingScan,
-    NoiseClassification,
     NoiseEffect,
     PositivityError,
-    classify_noise,
-    kernel_compression,
     kernel_product_basis,
     mixing_scan,
     perturb_local,
     perturb_mix,
-    predict_first_order,
     uniform_direction,
 )
 from .witness import (

@@ -383,10 +383,11 @@ def cmd_perturb_scan(config: ExperimentConfig) -> dict[str, Any]:
     scan = mixing_scan(u, noises, cut, config.epsilon_grid)
     counts = {effect.value: 0 for effect in NoiseEffect}
     samples = []
-    per_sample = zip(names, scan.classifications, scan.predicted_min.tolist(), scan.exact_min.tolist())
-    for name, cls, predicted, exact in per_sample:
-        counts[cls.verdict.value] += 1
-        decided_by = "exact" if cls.verdict is NoiseEffect.DEGENERATE else "first_order"
+    per_sample = zip(names, scan.verdicts, scan.compression_eigenvalues.tolist(),
+                     scan.predicted_min.tolist(), scan.exact_min.tolist())
+    for name, verdict, lam, predicted, exact in per_sample:
+        counts[verdict.value] += 1
+        decided_by = "exact" if verdict is NoiseEffect.DEGENERATE else "first_order"
         rows = [
             {
                 "epsilon": eps,
@@ -400,9 +401,9 @@ def cmd_perturb_scan(config: ExperimentConfig) -> dict[str, Any]:
         samples.append(
             {
                 "noise": name,
-                "compression_eigenvalues": [float(x) for x in cls.compression.eigenvalues],
-                "verdict": cls.verdict.value,
-                "lambda_min": cls.lambda_min,
+                "compression_eigenvalues": lam,
+                "verdict": verdict.value,
+                "lambda_min": lam[0],
                 "per_epsilon": rows,
             }
         )

@@ -25,6 +25,7 @@ import numpy as np
 
 HERMITIAN_RTOL = 1e-12      # admissible |H - H^dag| relative to 1 + maxabs(H)
 DEFAULT_TOL = 1e-9          # rank / kernel threshold for unit-trace operators
+DROP_TOL = 1e-10            # Gram-Schmidt residual norm below which a vector is dependent
 
 
 class ConvergenceError(RuntimeError):
@@ -54,16 +55,6 @@ def as_hermitian(matrix: np.ndarray) -> np.ndarray:
     if np.any(dev > HERMITIAN_RTOL * scale):
         raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {np.max(dev):.3e}")
     return (m + adj) / 2.0
-
-
-def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Left-to-right Kronecker product of a nonempty sequence."""
-    if not len(factors):
-        raise ValueError("need at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
 
 
 def eigh_unchecked(matrix: np.ndarray) -> EigDecomposition:
@@ -137,15 +128,15 @@ def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(np.abs(vals) >= tol))
 
 
-def orthonormalize(vectors: Sequence[np.ndarray], drop_tol: float = 1e-10) -> list[np.ndarray]:
-    """Modified Gram-Schmidt; vectors whose residual norm falls below drop_tol are dropped."""
+def orthonormalize(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Modified Gram-Schmidt; vectors whose residual norm falls below DROP_TOL are dropped."""
     basis: list[np.ndarray] = []
     for vec in vectors:
         w = np.asarray(vec, dtype=complex).copy()
         for b in basis:
             w = w - b * np.vdot(b, w)
         nrm = float(np.sqrt(np.vdot(w, w).real))
-        if nrm > drop_tol:
+        if nrm > DROP_TOL:
             basis.append(w / nrm)
     return basis
 

@@ -22,12 +22,9 @@ across the cut, negative makes it NPT, and a vanishing lam_r is reported as
 degenerate (first order is silent; callers resolve those instances by exact
 diagonalization at their eps).
 
-``mixing_scan`` runs that comparison for S noise states over a grid of E
-epsilons as one stacked computation: the kernel basis is built once, the S
-compressions go through one stacked eigensolve, and the exact spectra of all
-S x E mixtures through another, with every partial transpose taken once.
-``kernel_compression`` and ``classify_noise`` run the same code on a stack
-of one.
+``mixing_scan`` is the one entry point for that analysis: it classifies S
+noise states and compares the prediction with the exact spectrum over a grid
+of E epsilons as one stacked computation, and returns flat arrays.
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ from .states import (
     ProductVector,
     basis_labels,
     expand,
+    local_vector,
     projector_combination,
     qubits,
 )
@@ -122,47 +120,6 @@ def kernel_product_basis(u: UPB, cut: Bipartition) -> list[ProductVector]:
     return out
 
 
-@dataclass(frozen=True)
-class KernelCompression:
-    """Noise partial transpose compressed onto the kernel product basis."""
-
-    matrix: np.ndarray        # m x m Hermitian
-    eigenvalues: np.ndarray   # real, ascending
-
-
-def _compress_noises(
-    noises: Sequence[DensityMatrix], u: UPB, cut: Bipartition
-) -> tuple[np.ndarray, list[KernelCompression]]:
-    """Partial transposes of the noise states as one ``(S, D, D)`` stack, and their compressions.
-
-    The kernel basis is built once for all S states; the S compressions are
-    symmetrized together and diagonalized in one stacked solve.
-    """
-    if any(noise.parts != u.parts for noise in noises):
-        raise ValueError("noise state does not match the UPB's party structure")
-    basis = np.column_stack([expand(v) for v in kernel_product_basis(u, cut)])
-    pt = linalg.partial_transpose(
-        np.array([noise.matrix for noise in noises]), u.parts.local_dims, cut.side_a
-    )
-    comp = basis.conj().T @ pt @ basis
-    comp = (comp + comp.conj().swapaxes(-1, -2)) / 2.0
-    vals, _ = linalg.eigh_unchecked(comp)
-    return pt, [KernelCompression(matrix=c, eigenvalues=v) for c, v in zip(comp, vals)]
-
-
-def kernel_compression(noise: DensityMatrix, u: UPB, cut: Bipartition) -> KernelCompression:
-    """Compress noise^{T_cut} onto the conjugated-member basis of the cut."""
-    _, (comp,) = _compress_noises([noise], u, cut)
-    return comp
-
-
-def predict_first_order(compression: KernelCompression, epsilon: float) -> np.ndarray:
-    """First-order prediction eps * lam_r for the lowest PT eigenvalues, ascending."""
-    if not 0.0 <= epsilon <= EPSILON_GUARD:
-        raise ValueError(f"epsilon must lie in [0, {EPSILON_GUARD}] for a first-order prediction")
-    return np.sort(epsilon * compression.eigenvalues)
-
-
 def entangled_pair_noise(
     parts_n: int = 3, pair: tuple[int, int] = (0, 1)
 ) -> DensityMatrix:
@@ -174,12 +131,10 @@ def entangled_pair_noise(
     i, j = pair
     if i == j or not (0 <= i < parts_n and 0 <= j < parts_n):
         raise ValueError(f"pair {pair} must name two distinct parties among {parts_n}")
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    low = [e0] * parts_n
-    high = [e0] * parts_n
-    high[i], high[j] = e1, e1
-    vec = (linalg.kron_all(low) + linalg.kron_all(high)) / np.sqrt(2.0)
+    low = [local_vector("0")] * parts_n
+    high = list(low)
+    high[i] = high[j] = local_vector("1")
+    vec = (expand(ProductVector(tuple(low))) + expand(ProductVector(tuple(high)))) / np.sqrt(2.0)
     return DensityMatrix(np.outer(vec, vec.conj()), qubits(parts_n), validate=False)
 
 
@@ -190,45 +145,18 @@ class NoiseEffect(enum.Enum):
 
 
 @dataclass(frozen=True)
-class NoiseClassification:
-    verdict: NoiseEffect
-    lambda_min: float
-    compression: KernelCompression
-
-
-def _classify(comp: KernelCompression, band: float) -> NoiseClassification:
-    lam_min = float(comp.eigenvalues[0])
-    if lam_min > band:
-        verdict = NoiseEffect.PPT_PRESERVING
-    elif lam_min < -band:
-        verdict = NoiseEffect.NPT_INDUCING
-    else:
-        verdict = NoiseEffect.DEGENERATE
-    return NoiseClassification(verdict=verdict, lambda_min=lam_min, compression=comp)
-
-
-def classify_noise(
-    noise: DensityMatrix, u: UPB, cut: Bipartition, band: float = DEGENERACY_BAND
-) -> NoiseClassification:
-    """Classify the noise by the sign of the smallest compression eigenvalue.
-
-    PPT_PRESERVING requires lam_min > band and NPT_INDUCING lam_min < -band;
-    anything inside the band is DEGENERATE and must be resolved by exact
-    diagonalization at the working epsilon.
-    """
-    return _classify(kernel_compression(noise, u, cut), band)
-
-
-@dataclass(frozen=True)
 class MixingScan:
-    """Predicted against exact minimum PT eigenvalue of (rho + eps * rho1_s) / (1 + eps).
+    """Compression spectra, verdicts, and predicted against exact minimum PT eigenvalue.
 
-    Row s of each array belongs to noise state s, column e to epsilon e.
+    Row s of each array belongs to noise state s, column e to epsilon e.  The
+    smallest compression eigenvalue lam_min is ``compression_eigenvalues[:, 0]``
+    and the full first-order prediction at eps is ``eps * compression_eigenvalues``.
     """
 
-    classifications: tuple[NoiseClassification, ...]
-    predicted_min: np.ndarray   # (S, E): eps * lam_min, the smallest first-order prediction
-    exact_min: np.ndarray       # (S, E): smallest eigenvalue of the mixture's partial transpose
+    compression_eigenvalues: np.ndarray   # (S, m): eigenvalues lam_r of each compression, ascending
+    verdicts: tuple[NoiseEffect, ...]     # one per noise state, from the sign of lam_min
+    predicted_min: np.ndarray             # (S, E): eps * lam_min, the smallest first-order prediction
+    exact_min: np.ndarray                 # (S, E): smallest eigenvalue of the mixture's partial transpose
 
 
 def mixing_scan(
@@ -239,27 +167,44 @@ def mixing_scan(
 ) -> MixingScan:
     """Classify every noise state and compare the prediction with the exact spectrum on a grid.
 
-    Here rho = upb_state(u).  Every partial transpose is taken once: rho's and
-    the S noise states'.  The partial transpose is an index permutation, so
-    ``(rho^T + eps * rho1^T) / (1 + eps)`` is the partial transpose of the
-    mixture bit for bit; all S x E of them form one ``(S, E, D, D)`` stack and
-    one stacked eigensolve.  A mixture of two validated states is Hermitian
-    bit for bit, so it needs no symmetrizing; its trace is checked.
+    Here rho = upb_state(u) and rho1_s is noise state s.  The kernel basis is
+    built once; the S compressions are symmetrized together and diagonalized
+    in one stacked solve.  A verdict is DEGENERATE when |lam_min| <=
+    DEGENERACY_BAND; the exact column decides those.
+
+    Every partial transpose is taken once: rho's and the S noise states'.
+    The partial transpose is an index permutation, so ``(rho^T + eps *
+    rho1^T) / (1 + eps)`` is the partial transpose of the mixture bit for
+    bit; all S x E of them form one ``(S, E, D, D)`` stack and one stacked
+    eigensolve.  A mixture of two validated states is Hermitian bit for bit,
+    so it needs no symmetrizing; its trace is checked.
     """
     eps = np.asarray(epsilons, dtype=float)
     if eps.ndim != 1 or not np.all((eps > 0.0) & (eps <= EPSILON_GUARD)):
         raise ValueError(f"epsilon must lie in (0, {EPSILON_GUARD}]")
-    pt_noise, comps = _compress_noises(noises, u, cut)
-    classifications = tuple(_classify(comp, DEGENERACY_BAND) for comp in comps)
+    if any(noise.parts != u.parts for noise in noises):
+        raise ValueError("noise state does not match the UPB's party structure")
+    basis = np.column_stack([expand(v) for v in kernel_product_basis(u, cut)])
+    pt_noise = linalg.partial_transpose(
+        np.array([noise.matrix for noise in noises]), u.parts.local_dims, cut.side_a
+    )
+    comp = basis.conj().T @ pt_noise @ basis
+    lam, _ = linalg.eigh_unchecked((comp + comp.conj().swapaxes(-1, -2)) / 2.0)
+    verdicts = tuple(
+        NoiseEffect.PPT_PRESERVING if x > DEGENERACY_BAND
+        else NoiseEffect.NPT_INDUCING if x < -DEGENERACY_BAND
+        else NoiseEffect.DEGENERATE
+        for x in lam[:, 0]
+    )
     pt_state = linalg.partial_transpose(upb_state(u).matrix, u.parts.local_dims, cut.side_a)
     mixed = (pt_state + eps[:, None, None] * pt_noise[:, None]) / (1.0 + eps)[:, None, None]
     trace_dev = np.abs(np.trace(mixed, axis1=-2, axis2=-1).real - 1.0)
     if np.any(trace_dev > TRACE_TOL):
         raise ValueError(f"mixed operator trace deviates from 1 by {np.max(trace_dev):.3e}")
     vals, _ = linalg.eigh_unchecked(mixed)
-    lam_min = np.array([c.lambda_min for c in classifications])
     return MixingScan(
-        classifications=classifications,
-        predicted_min=lam_min[:, None] * eps,
+        compression_eigenvalues=lam,
+        verdicts=verdicts,
+        predicted_min=lam[:, :1] * eps,
         exact_min=vals[..., 0],
     )

@@ -262,12 +262,15 @@ def min_pt_eigenvalue(rho: DensityMatrix, cut: Bipartition) -> float:
     return float(vals[0])
 
 
-def is_ppt_all_cuts(rho: DensityMatrix, tol: float = PPT_TOL) -> dict[Bipartition, CutVerdict]:
-    """PPT verdict and min PT eigenvalue for every cut, up to complement symmetry."""
+def is_ppt_all_cuts(rho: DensityMatrix) -> dict[Bipartition, CutVerdict]:
+    """PPT verdict and min PT eigenvalue for every cut, up to complement symmetry.
+
+    A cut is PPT when its min PT eigenvalue is at least -PPT_TOL.
+    """
     report: dict[Bipartition, CutVerdict] = {}
     for cut in bipartitions(rho.parts):
         mn = min_pt_eigenvalue(rho, cut)
-        report[cut] = CutVerdict(mn >= -tol, mn)
+        report[cut] = CutVerdict(mn >= -PPT_TOL, mn)
     return report
 
 

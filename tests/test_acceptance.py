@@ -22,18 +22,16 @@ from upbkit import (
     basis_labels,
     bipartitions,
     build_upb_witness,
-    classify_noise,
     decompose_in_projector_basis,
     DensityMatrix,
     evaluate,
     expand,
     is_ppt_all_cuts,
-    kernel_compression,
     kernel_product_basis,
     min_pt_eigenvalue,
+    mixing_scan,
     perturb_local,
     perturb_mix,
-    predict_first_order,
     projector_basis_gram,
     qubits,
     random_density_matrix,
@@ -79,7 +77,7 @@ def test_01_upb_state_spectrum(fifty_states):
 def test_02_ppt_on_every_bipartition(fifty_states):
     worst = 0.0
     for _, rho in fifty_states:
-        report = is_ppt_all_cuts(rho, tol=1e-10)
+        report = is_ppt_all_cuts(rho)
         assert len(report) == 3
         for verdict in report.values():
             assert verdict.min_eigenvalue >= -1e-10
@@ -121,12 +119,12 @@ def test_05_first_order_accuracy(pi4_upb, pi4_state):
     rng_seed = 2024
     eps_grid = (1e-2, 5e-3, 2.5e-3)
     worst_ratio_lo, worst_ratio_hi = np.inf, 0.0
-    for s in range(20):
-        rho1 = random_density_matrix(qubits(3), np.random.default_rng([rng_seed, s]))
-        comp = kernel_compression(rho1, pi4_upb, CUT0)
+    noises = [random_density_matrix(qubits(3), np.random.default_rng([rng_seed, s])) for s in range(20)]
+    scan = mixing_scan(pi4_upb, noises, CUT0, eps_grid)
+    for rho1, lam in zip(noises, scan.compression_eigenvalues):
 
         def max_err(eps):
-            pred = predict_first_order(comp, eps)
+            pred = eps * lam
             mixed = perturb_mix(pi4_state, rho1, eps)
             pt = la.partial_transpose(mixed.matrix, (2, 2, 2), CUT0.side_a)
             exact = np.linalg.eigvalsh(pt)[:4]  # independent oracle
@@ -146,14 +144,14 @@ def test_05_first_order_accuracy(pi4_upb, pi4_state):
 def test_06_classification_soundness(pi4_upb, pi4_state):
     rng_seed = 31337
     counts = {effect: 0 for effect in NoiseEffect}
-    for s in range(200):
-        rho1 = random_density_matrix(qubits(3), np.random.default_rng([rng_seed, s]))
-        cls = classify_noise(rho1, pi4_upb, CUT0)
-        counts[cls.verdict] += 1
-        if cls.verdict is NoiseEffect.PPT_PRESERVING:
+    noises = [random_density_matrix(qubits(3), np.random.default_rng([rng_seed, s])) for s in range(200)]
+    scan = mixing_scan(pi4_upb, noises, CUT0, [1e-4])
+    for rho1, verdict in zip(noises, scan.verdicts):
+        counts[verdict] += 1
+        if verdict is NoiseEffect.PPT_PRESERVING:
             mixed = perturb_mix(pi4_state, rho1, 1e-4)
             assert min_pt_eigenvalue(mixed, CUT0) >= -1e-12
-        elif cls.verdict is NoiseEffect.NPT_INDUCING:
+        elif verdict is NoiseEffect.NPT_INDUCING:
             mixed = perturb_mix(pi4_state, rho1, 1e-3)
             assert min_pt_eigenvalue(mixed, CUT0) < -1e-9
         else:
@@ -173,7 +171,7 @@ def test_07_nonnegative_region_and_negative_reach(pi4_upb, pi4_state):
     for _ in range(200):
         eps = rng.uniform(0.0, 1e-2, size=64)
         out = perturb_local(pi4_state, dict(zip(labels, eps)))
-        for verdict in is_ppt_all_cuts(out, tol=1e-9).values():
+        for verdict in is_ppt_all_cuts(out).values():
             assert verdict.ppt
 
     # negative-coefficient reach: decompose a PPT-preserving state over the
@@ -184,7 +182,7 @@ def test_07_nonnegative_region_and_negative_reach(pi4_upb, pi4_state):
     n_negative = int(np.sum(coeffs < 0))
     assert n_negative > 0
     out = perturb_local(pi4_state, dict(zip(labels, 1e-3 * coeffs)))
-    for verdict in is_ppt_all_cuts(out, tol=1e-9).values():
+    for verdict in is_ppt_all_cuts(out).values():
         assert verdict.ppt
     print(f"ACCEPTANCE 07 PASS: 200 nonnegative local-noise draws stay PPT on all cuts; "
           f"a label map with {n_negative} negative coefficients also passes")

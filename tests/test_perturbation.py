@@ -11,17 +11,14 @@ from upbkit import (
     ProductVector,
     UPB,
     basis_labels,
-    classify_noise,
     decompose_in_projector_basis,
     expand,
     is_ppt_all_cuts,
-    kernel_compression,
     kernel_product_basis,
     min_pt_eigenvalue,
     mixing_scan,
     perturb_local,
     perturb_mix,
-    predict_first_order,
     qubits,
     random_density_matrix,
     shifts_family,
@@ -192,53 +189,50 @@ class TestKernelProductBasis:
         assert la.subspace_distance(la.kernel(pt, 1e-9), conjugated) < 1e-9
 
 
+def scan_one(noise, u, cut=CUT0, epsilons=(0.01,)):
+    """The mixing scan of a single noise state."""
+    return mixing_scan(u, [noise], cut, epsilons)
+
+
 class TestKernelCompression:
     def test_white_noise_gives_scaled_identity(self, pi4_upb):
-        comp = kernel_compression(maximally_mixed(), pi4_upb, CUT0)
-        assert np.max(np.abs(comp.matrix - np.eye(4) / 8)) < 1e-12
-        assert np.max(np.abs(comp.eigenvalues - 0.125)) < 1e-12
+        # a Hermitian compression equals I/8 iff all its eigenvalues are 1/8
+        lam = scan_one(maximally_mixed(), pi4_upb).compression_eigenvalues[0]
+        assert np.max(np.abs(lam - 0.125)) < 1e-12
 
     def test_member_projector_is_rank_one(self, pi4_upb):
         e000 = np.zeros((8, 8), dtype=complex)
         e000[0, 0] = 1.0
         noise = DensityMatrix(e000, qubits(3), validate=False)
-        comp = kernel_compression(noise, pi4_upb, CUT0)
+        lam = scan_one(noise, pi4_upb).compression_eigenvalues[0]
         # overlaps <psi_i|000> vanish except for the first member, so the
         # compression is a rank-1 projector with top eigenvalue 1
-        assert np.max(np.abs(comp.eigenvalues - np.array([0.0, 0.0, 0.0, 1.0]))) < 1e-12
+        assert np.max(np.abs(lam - np.array([0.0, 0.0, 0.0, 1.0]))) < 1e-12
 
     def test_orthogonal_support_gives_zero(self, pi4_upb, pi4_state):
-        comp = kernel_compression(pi4_state, pi4_upb, CUT0)
-        assert np.max(np.abs(comp.matrix)) < 1e-14
-
-    def test_hermitian(self, pi4_upb):
-        rho1 = random_density_matrix(qubits(3), np.random.default_rng(8))
-        comp = kernel_compression(rho1, pi4_upb, CUT0)
-        assert np.max(np.abs(comp.matrix - comp.matrix.conj().T)) < 1e-12
+        # a Hermitian compression vanishes iff all its eigenvalues do
+        lam = scan_one(pi4_state, pi4_upb).compression_eigenvalues[0]
+        assert np.max(np.abs(lam)) < 1e-14
 
 
 class TestFirstOrderPrediction:
     def test_white_noise_scaling(self, pi4_upb):
-        comp = kernel_compression(maximally_mixed(), pi4_upb, CUT0)
-        pred = predict_first_order(comp, 0.01)
+        scan = scan_one(maximally_mixed(), pi4_upb)
+        pred = 0.01 * scan.compression_eigenvalues[0]
         assert np.max(np.abs(pred - 0.00125)) < 1e-12
-
-    def test_zero_epsilon(self, pi4_upb):
-        comp = kernel_compression(maximally_mixed(), pi4_upb, CUT0)
-        assert np.array_equal(predict_first_order(comp, 0.0), np.zeros(4))
+        assert scan.predicted_min[0, 0] == pred[0]
 
     def test_epsilon_guard(self, pi4_upb):
-        comp = kernel_compression(maximally_mixed(), pi4_upb, CUT0)
         with pytest.raises(ValueError):
-            predict_first_order(comp, 0.2)
+            scan_one(maximally_mixed(), pi4_upb, epsilons=(0.2,))
 
     def test_matches_exact_spectrum_to_second_order(self, pi4_upb, pi4_state):
         rng = np.random.default_rng(2024)
-        for _ in range(5):
-            rho1 = random_density_matrix(qubits(3), rng)
-            comp = kernel_compression(rho1, pi4_upb, CUT0)
+        noises = [random_density_matrix(qubits(3), rng) for _ in range(5)]
+        lams = mixing_scan(pi4_upb, noises, CUT0, [0.01]).compression_eigenvalues
+        for rho1, lam in zip(noises, lams):
             for eps in (1e-2, 5e-3, 2.5e-3):
-                pred = predict_first_order(comp, eps)
+                pred = eps * lam
                 mixed = perturb_mix(pi4_state, rho1, eps)
                 pt = la.partial_transpose(mixed.matrix, (2, 2, 2), CUT0.side_a)
                 exact = np.linalg.eigvalsh(pt)[:4]  # independent oracle
@@ -246,10 +240,10 @@ class TestFirstOrderPrediction:
 
     def test_error_scales_quadratically(self, pi4_upb, pi4_state):
         rho1 = random_density_matrix(qubits(3), np.random.default_rng(99))
-        comp = kernel_compression(rho1, pi4_upb, CUT0)
+        lam = scan_one(rho1, pi4_upb).compression_eigenvalues[0]
 
         def max_err(eps):
-            pred = predict_first_order(comp, eps)
+            pred = eps * lam
             mixed = perturb_mix(pi4_state, rho1, eps)
             pt = la.partial_transpose(mixed.matrix, (2, 2, 2), CUT0.side_a)
             return float(np.max(np.abs(pred - np.linalg.eigvalsh(pt)[:4])))
@@ -261,30 +255,28 @@ class TestFirstOrderPrediction:
 
 class TestClassification:
     def test_white_noise_preserves_ppt(self, pi4_upb):
-        cls = classify_noise(maximally_mixed(), pi4_upb, CUT0)
-        assert cls.verdict is NoiseEffect.PPT_PRESERVING
-        assert abs(cls.lambda_min - 0.125) < 1e-12
+        scan = scan_one(maximally_mixed(), pi4_upb)
+        assert scan.verdicts == (NoiseEffect.PPT_PRESERVING,)
+        assert abs(scan.compression_eigenvalues[0, 0] - 0.125) < 1e-12
 
     def test_entangled_pair_noise_induces_npt(self, pi4_upb, pi4_state):
         noise = entangled_pair_noise(3, (0, 1))
-        cls = classify_noise(noise, pi4_upb, CUT0)
-        assert cls.verdict is NoiseEffect.NPT_INDUCING
-        assert cls.lambda_min < -1e-3
+        scan = scan_one(noise, pi4_upb)
+        assert scan.verdicts == (NoiseEffect.NPT_INDUCING,)
+        assert scan.compression_eigenvalues[0, 0] < -1e-3
         # exact spectrum confirms a negative eigenvalue at eps = 1e-3
         mixed = perturb_mix(pi4_state, noise, 1e-3)
         assert min_pt_eigenvalue(mixed, CUT0) < -1e-9
 
     def test_orthogonal_support_is_degenerate(self, pi4_upb, pi4_state):
-        cls = classify_noise(pi4_state, pi4_upb, CUT0)
-        assert cls.verdict is NoiseEffect.DEGENERATE
+        assert scan_one(pi4_state, pi4_upb).verdicts == (NoiseEffect.DEGENERATE,)
 
     def test_ppt_preserving_confirmed_by_exact_spectrum(self, pi4_upb, pi4_state):
         rng = np.random.default_rng(505)
+        noises = [random_density_matrix(qubits(3), rng) for _ in range(20)]
         confirmed = 0
-        for _ in range(20):
-            rho1 = random_density_matrix(qubits(3), rng)
-            cls = classify_noise(rho1, pi4_upb, CUT0)
-            if cls.verdict is NoiseEffect.PPT_PRESERVING:
+        for rho1, verdict in zip(noises, mixing_scan(pi4_upb, noises, CUT0, [1e-4]).verdicts):
+            if verdict is NoiseEffect.PPT_PRESERVING:
                 mixed = perturb_mix(pi4_state, rho1, 1e-4)
                 assert min_pt_eigenvalue(mixed, CUT0) >= -1e-12
                 confirmed += 1
@@ -300,7 +292,7 @@ class TestNegativeCoefficientReach:
         raw = 0.9 * np.eye(8) / 8 + 0.1 * random_density_matrix(qubits(3), rng).matrix
         rho1 = DensityMatrix(raw, qubits(3), validate=False)
         for cut in ALL_CUTS:
-            assert classify_noise(rho1, pi4_upb, cut).verdict is NoiseEffect.PPT_PRESERVING
+            assert scan_one(rho1, pi4_upb, cut).verdicts == (NoiseEffect.PPT_PRESERVING,)
 
         coeffs = decompose_in_projector_basis(rho1)
         assert np.min(coeffs) < 0
@@ -335,7 +327,7 @@ class TestMixingScan:
     @pytest.mark.parametrize("cut", [c.side_a for c in ALL_CUTS])
     @pytest.mark.parametrize("noise", SCAN_NOISES, ids=lambda n: n["kind"])
     def test_perturb_scan_equals_per_epsilon_referee(self, noise, cut):
-        # the stacked scan against one classify_noise per sample and one
+        # the stacked scan against one scan of each sample alone and one
         # perturb_mix + min_pt_eigenvalue per sample and epsilon, float for float
         config = cli.parse_config({
             "command": "perturb-scan", "seed": 17, "angles": [0.3, 0.7, 1.1], "noise": noise,
@@ -348,15 +340,17 @@ class TestMixingScan:
         samples = cli._noise_samples(config)
         assert len(payload["samples"]) == len(samples)
         for (name, rho1), row in zip(samples, payload["samples"]):
-            cls = classify_noise(rho1, u, bip)
+            single = mixing_scan(u, [rho1], bip, config.epsilon_grid)
+            (verdict,) = single.verdicts
+            lam = [float(x) for x in single.compression_eigenvalues[0]]
             assert row["noise"] == name
-            assert row["verdict"] == cls.verdict.value
-            assert row["lambda_min"] == cls.lambda_min
-            assert row["compression_eigenvalues"] == [float(x) for x in cls.compression.eigenvalues]
-            decided_by = "exact" if cls.verdict is NoiseEffect.DEGENERATE else "first_order"
+            assert row["verdict"] == verdict.value
+            assert row["lambda_min"] == lam[0]
+            assert row["compression_eigenvalues"] == lam
+            decided_by = "exact" if verdict is NoiseEffect.DEGENERATE else "first_order"
             expected = []
             for eps in config.epsilon_grid:
-                predicted = float(predict_first_order(cls.compression, eps)[0])
+                predicted = eps * lam[0]
                 exact = min_pt_eigenvalue(perturb_mix(rho, rho1, eps), bip)
                 expected.append({
                     "epsilon": eps, "predicted_min": predicted, "exact_min": exact,

@@ -119,7 +119,7 @@ class TestShiftsFamily:
 
     def test_pi4_members_include_one_plus_plus(self, pi4_upb):
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        target = la.kron_all([np.array([0.0, 1.0]), plus, plus])
+        target = expand(ProductVector((np.array([0.0, 1.0]), plus, plus)))
         overlaps = [abs(np.vdot(expand(v), target)) for v in pi4_upb.members]
         assert max(overlaps) > 1 - 1e-12
 
