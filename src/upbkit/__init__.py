@@ -2,7 +2,6 @@
 
 from .linalg import (
     ConvergenceError,
-    EigDecomposition,
     hermitian_eig,
     kernel,
     numerical_rank,

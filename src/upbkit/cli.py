@@ -13,7 +13,7 @@ serial execution would agree:
 
 Usage::
 
-    upbkit --config cfg.json [--seed N] [--restarts N] [--out report.json]
+    upbkit --config cfg.json [--out report.json]
 
 The config schema (unknown fields are rejected)::
 
@@ -34,9 +34,10 @@ The config schema (unknown fields are rejected)::
     subspace_kind "random" | "planted" | "upb_complement"  (subspace-hunt)
     subspace_dim  subspace dimension          (subspace-hunt, not upb_complement)
     samples       number of subspaces         (subspace-hunt, not upb_complement)
-    restarts      seesaw restarts, default 64.  subspace-hunt solves
-                  dimensions <= 5 exactly and reads restarts only where that
-                  solve is degenerate and falls back to the seesaw
+    restarts      seesaw restarts, default 64 (certify, witness-radius,
+                  subspace-hunt).  subspace-hunt solves dimensions <= 5
+                  exactly and reads restarts only where that solve is
+                  degenerate and falls back to the seesaw
 
 Exit codes: 0 success, 1 invalid config or command line, 2 numerical guard
 tripped (non-convergence or positivity violation), 3 certification failure.
@@ -57,6 +58,7 @@ import numpy as np
 from . import __version__, linalg
 from .linalg import ConvergenceError
 from .perturbation import (
+    EPSILON_GUARD,
     NoiseEffect,
     PositivityError,
     entangled_pair_noise,
@@ -86,7 +88,13 @@ from .upb import (
     subspace_product_hunt,
     upb_state,
 )
-from .witness import CertificationError, build_upb_witness, evaluate, robustness_radius
+from .witness import (
+    DIRECTION_SUM_TOL,
+    CertificationError,
+    build_upb_witness,
+    evaluate,
+    robustness_radius,
+)
 
 COMMANDS = ("build", "certify", "perturb-scan", "rank-mixtures", "subspace-hunt", "witness-radius")
 
@@ -101,7 +109,7 @@ class ExperimentConfig:
 
     command: str
     seed: int
-    restarts: int
+    restarts: int | None = None
     angles: tuple[float, float, float] | None = None
     angles_second: tuple[float, float, float] | None = None
     noise: dict[str, Any] | None = None
@@ -113,14 +121,14 @@ class ExperimentConfig:
     samples: int | None = None
 
 
-_COMMON_KEYS = {"command", "seed", "restarts"}
+_COMMON_KEYS = {"command", "seed", "angles"}
 _ALLOWED_KEYS = {
-    "build": _COMMON_KEYS | {"angles"},
-    "certify": _COMMON_KEYS | {"angles"},
-    "perturb-scan": _COMMON_KEYS | {"angles", "noise", "epsilon_grid", "cut"},
-    "rank-mixtures": _COMMON_KEYS | {"angles", "angles_second"},
-    "subspace-hunt": _COMMON_KEYS | {"angles", "subspace_kind", "subspace_dim", "samples"},
-    "witness-radius": _COMMON_KEYS | {"angles", "direction"},
+    "build": _COMMON_KEYS,
+    "certify": _COMMON_KEYS | {"restarts"},
+    "perturb-scan": _COMMON_KEYS | {"noise", "epsilon_grid", "cut"},
+    "rank-mixtures": _COMMON_KEYS | {"angles_second"},
+    "subspace-hunt": _COMMON_KEYS | {"restarts", "subspace_kind", "subspace_dim", "samples"},
+    "witness-radius": _COMMON_KEYS | {"restarts", "direction"},
 }
 
 
@@ -174,11 +182,12 @@ def parse_config(raw: dict[str, Any]) -> ExperimentConfig:
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
 
-    restarts = raw.get("restarts", DEFAULT_RESTARTS)
-    if not isinstance(restarts, int) or isinstance(restarts, bool) or restarts < 1:
-        raise ConfigError("restarts must be a positive integer")
-
-    kwargs: dict[str, Any] = {"command": command, "seed": seed, "restarts": restarts}
+    kwargs: dict[str, Any] = {"command": command, "seed": seed}
+    if "restarts" in _ALLOWED_KEYS[command]:
+        restarts = raw.get("restarts", DEFAULT_RESTARTS)
+        if not isinstance(restarts, int) or isinstance(restarts, bool) or restarts < 1:
+            raise ConfigError("restarts must be a positive integer")
+        kwargs["restarts"] = restarts
 
     needs_angles = command != "subspace-hunt" or raw.get("subspace_kind") == "upb_complement"
     if "angles" in raw:
@@ -199,8 +208,8 @@ def parse_config(raw: dict[str, Any]) -> ExperimentConfig:
         if not isinstance(grid, (list, tuple)) or not grid:
             raise ConfigError("perturb-scan requires a nonempty epsilon_grid")
         eps = tuple(_parse_float(x, "epsilon_grid value") for x in grid)
-        if any(not 0.0 < e <= 0.1 for e in eps):
-            raise ConfigError("epsilon_grid values must lie in (0, 0.1]")
+        if any(not 0.0 < e <= EPSILON_GUARD for e in eps):
+            raise ConfigError(f"epsilon_grid values must lie in (0, {EPSILON_GUARD}]")
         kwargs["epsilon_grid"] = eps
         cut_raw = raw.get("cut", [0])
         if not isinstance(cut_raw, (list, tuple)) or not cut_raw:
@@ -281,7 +290,7 @@ def _parse_direction(raw: Any) -> Any:
         }
         if not all(0 <= v < math.inf for v in parsed.values()):
             raise ConfigError("direction coefficients must be nonnegative and finite")
-        if abs(sum(parsed.values()) - 1.0) > 1e-12:
+        if abs(sum(parsed.values()) - 1.0) > DIRECTION_SUM_TOL:
             raise ConfigError("direction coefficients must sum to 1")
         return parsed
     raise ConfigError('direction must be "uniform" or a label->weight object')
@@ -359,7 +368,7 @@ def _noise_samples(config: ExperimentConfig) -> list[tuple[str, DensityMatrix]]:
     if noise["kind"] == "white":
         return [("white", DensityMatrix(np.eye(8) / 8.0, parts, validate=False))]
     if noise["kind"] == "npt_projector":
-        return [("npt_projector", entangled_pair_noise(3, (0, 1)))]
+        return [("npt_projector", entangled_pair_noise())]
     if noise["kind"] == "random":
         out = []
         for s in range(noise["count"]):
@@ -435,7 +444,7 @@ def cmd_subspace_hunt(config: ExperimentConfig) -> dict[str, Any]:
     runs: list[tuple[int, list[np.ndarray], Sequence[int]]] = []
     if config.subspace_kind == "upb_complement":
         u = shifts_family(ShiftsParams(*config.angles))
-        basis = linalg.kernel(u.member_sum_projector(), tol=0.5)
+        basis = linalg.kernel(u.member_sum_projector())
         runs.append((0, basis, [config.seed, 0]))
         dim = len(basis)
     else:
@@ -519,10 +528,6 @@ class Report:
     payload: dict[str, Any]
     meta: dict[str, Any]
 
-    def payload_text(self) -> str:
-        """Deterministic byte-stable rendering of the result payload alone."""
-        return dumps_canonical(self.payload)
-
     def render(self) -> str:
         """The whole report as canonical JSON text."""
         return dumps_canonical({"config": self.config, "payload": self.payload, "meta": self.meta})
@@ -545,22 +550,12 @@ def run_command(config: ExperimentConfig) -> Report:
 # entry point
 # --------------------------------------------------------------------------
 
-def _apply_overrides(raw: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.restarts is not None:
-        raw["restarts"] = args.restarts
-    return raw
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="upbkit",
         description="Reproducible experiments on UPB bound-entangled states and their noise robustness.",
     )
     parser.add_argument("--config", required=True, help="path to the JSON config file")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--restarts", type=int, default=None, help="override the seesaw restart count")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     try:
         args = parser.parse_args(argv)
@@ -571,16 +566,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        config = parse_config(_apply_overrides(raw, args))
-    except (OSError, json.JSONDecodeError, ConfigError, ValueError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        report = run_command(config)
-    except (ConfigError, ValueError) as exc:
+        text = run_command(parse_config(raw)).render()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (OSError, ValueError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, PositivityError) as exc:
@@ -589,13 +581,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 3
-
-    text = report.render()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -19,7 +19,7 @@ Everything downstream works on small (dim <= 64) dense complex matrices:
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,13 +30,6 @@ DROP_TOL = 1e-10            # Gram-Schmidt residual norm below which a vector is
 
 class ConvergenceError(RuntimeError):
     """An iterative numerical routine failed to converge or lost monotonicity."""
-
-
-class EigDecomposition(NamedTuple):
-    """Full Hermitian eigendecomposition, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray   # real, shape (..., n)
-    eigenvectors: np.ndarray  # complex, shape (..., n, n), orthonormal columns
 
 
 def as_hermitian(matrix: np.ndarray) -> np.ndarray:
@@ -57,25 +50,25 @@ def as_hermitian(matrix: np.ndarray) -> np.ndarray:
     return (m + adj) / 2.0
 
 
-def eigh_unchecked(matrix: np.ndarray) -> EigDecomposition:
+def eigh_unchecked(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a matrix, or a stack of them, with LAPACK (``eigh``); input must already be Hermitian.
 
     Nothing is checked: LAPACK reads only the lower triangle, so a
     non-Hermitian input gives the spectrum of a different matrix.  Accepts
-    shape ``(n, n)`` or ``(..., n, n)``; eigenvalues come back ascending
-    along the last axis, eigenvectors as the columns of the last two axes.
-    Identical input on one install gives identical output.
+    shape ``(n, n)`` or ``(..., n, n)``.  Returns numpy's named pair
+    ``(eigenvalues, eigenvectors)``: real eigenvalues ascending along the
+    last axis, and orthonormal eigenvectors as the columns of the last two
+    axes.  Identical input on one install gives identical output.
 
     Raises ConvergenceError if LAPACK reports that it did not converge.
     """
     try:
-        vals, vecs = np.linalg.eigh(matrix)
+        return np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
-    return EigDecomposition(vals, vecs)
 
 
-def hermitian_eig(matrix: np.ndarray) -> EigDecomposition:
+def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate Hermiticity (``as_hermitian``), then diagonalize with ``eigh_unchecked``.
 
     Raises ValueError on a non-Hermitian input and ConvergenceError if LAPACK
@@ -112,20 +105,16 @@ def partial_transpose(
     return m.reshape(lead + dims + dims).transpose(perm).reshape(m.shape)
 
 
-def kernel(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal eigenvectors of a Hermitian matrix with |eigenvalue| < tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def kernel(matrix: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal eigenvectors of a Hermitian matrix with |eigenvalue| < DEFAULT_TOL."""
     vals, vecs = hermitian_eig(matrix)
-    return [vecs[:, k].copy() for k in range(len(vals)) if abs(vals[k]) < tol]
+    return [vecs[:, k].copy() for k in range(len(vals)) if abs(vals[k]) < DEFAULT_TOL]
 
 
-def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Number of eigenvalues of a Hermitian matrix with |eigenvalue| >= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Number of eigenvalues of a Hermitian matrix with |eigenvalue| >= DEFAULT_TOL."""
     vals, _ = hermitian_eig(matrix)
-    return int(np.count_nonzero(np.abs(vals) >= tol))
+    return int(np.count_nonzero(np.abs(vals) >= DEFAULT_TOL))
 
 
 def orthonormalize(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -120,22 +120,17 @@ def kernel_product_basis(u: UPB, cut: Bipartition) -> list[ProductVector]:
     return out
 
 
-def entangled_pair_noise(
-    parts_n: int = 3, pair: tuple[int, int] = (0, 1)
-) -> DensityMatrix:
-    """Maximally entangled projector on two qubits, ground state elsewhere.
+def entangled_pair_noise() -> DensityMatrix:
+    """Three qubits: maximally entangled projector on qubits 0 and 1, qubit 2 in its ground state.
 
-    The partial transpose across any cut separating the pair has a negative
-    eigenvalue, so this is the canonical NPT-inducing noise fixture.
+    The partial transpose across any cut separating qubits 0 and 1 has a
+    negative eigenvalue, so this is the canonical NPT-inducing noise fixture.
     """
-    i, j = pair
-    if i == j or not (0 <= i < parts_n and 0 <= j < parts_n):
-        raise ValueError(f"pair {pair} must name two distinct parties among {parts_n}")
-    low = [local_vector("0")] * parts_n
-    high = list(low)
-    high[i] = high[j] = local_vector("1")
-    vec = (expand(ProductVector(tuple(low))) + expand(ProductVector(tuple(high)))) / np.sqrt(2.0)
-    return DensityMatrix(np.outer(vec, vec.conj()), qubits(parts_n), validate=False)
+    zero, one = local_vector("0"), local_vector("1")
+    low = expand(ProductVector((zero, zero, zero)))
+    high = expand(ProductVector((one, one, zero)))
+    vec = (low + high) / np.sqrt(2.0)
+    return DensityMatrix(np.outer(vec, vec.conj()), qubits(3), validate=False)
 
 
 class NoiseEffect(enum.Enum):

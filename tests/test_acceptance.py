@@ -106,7 +106,7 @@ def test_04_kernel_span_equality():
         rho = upb_state(u)
         for cut in bipartitions(rho.parts):
             pt = la.partial_transpose(rho.matrix, rho.parts.local_dims, cut.side_a)
-            numerical = la.kernel(pt, 1e-9)
+            numerical = la.kernel(pt)
             conjugated = [expand(v) for v in kernel_product_basis(u, cut)]
             dist = la.subspace_distance(numerical, conjugated)
             worst = max(worst, dist)
@@ -212,9 +212,9 @@ def test_09_mixture_ranks(pi4_upb, pi4_state):
     for _ in range(5):
         rho_a = upb_state(shifts_family(sample_params(rng)))
         rho_b = upb_state(shifts_family(sample_params(rng)))
-        assert la.numerical_rank((rho_a.matrix + rho_b.matrix) / 2, 1e-9) >= 6
+        assert la.numerical_rank((rho_a.matrix + rho_b.matrix) / 2) >= 6
     member_mix = (pi4_state.matrix + product_projector(pi4_upb.members[0])) / 2
-    member_rank = la.numerical_rank(member_mix, 1e-9)
+    member_rank = la.numerical_rank(member_mix)
     assert member_rank == 5
     print("ACCEPTANCE 09 PASS: two-state mixtures have rank >= 6; "
           "state + member projector has rank exactly 5")
@@ -257,7 +257,7 @@ def test_11_cli_determinism(tmp_path):
         config = parse_config(dict(raw))
         first = run_command(config)
         second = run_command(config)
-        assert first.payload_text() == second.payload_text(), name
+        assert dumps_canonical(first.payload) == dumps_canonical(second.payload), name
         validate_report(json.loads(first.render()))
 
     # end-to-end: two fresh processes produce byte-identical payloads

@@ -47,7 +47,7 @@ class TestConfigParsing:
     def test_minimal_build(self):
         config = parse_config(make_config())
         assert config.command == "build"
-        assert config.restarts == 64
+        assert config.restarts is None
         assert config.cut is None and config.direction is None and config.subspace_kind is None
 
     def test_unknown_field_rejected(self):
@@ -154,6 +154,14 @@ class TestConfigParsing:
         # every tolerance is fixed at its library default; there is no config knob for one
         with pytest.raises(ConfigError, match=r"unknown config fields for build: \['tolerances'\]"):
             parse_config(make_config(tolerances={"rank_tol": 1e-8}))
+        # only the commands that run the seesaw take restarts
+        for name in ("build", "perturb-scan", "rank-mixtures"):
+            raw = {**ALL_COMMAND_CONFIGS[name], "restarts": 64}
+            with pytest.raises(ConfigError, match=rf"unknown config fields for {name}: \['restarts'\]"):
+                parse_config(raw)
+        for name in ("certify", "subspace-hunt", "witness-radius"):
+            raw = {k: v for k, v in ALL_COMMAND_CONFIGS[name].items() if k != "restarts"}
+            assert parse_config(raw).restarts == 64
 
     def test_angles_rejected_on_drawn_hunts(self):
         # random and planted hunts draw their subspaces from the seed and never read angles
@@ -209,7 +217,7 @@ class TestCommands:
         config = parse_config(dict(ALL_COMMAND_CONFIGS[name]))
         first = run_command(config)
         second = run_command(config)
-        assert first.payload_text() == second.payload_text()
+        assert dumps_canonical(first.payload) == dumps_canonical(second.payload)
         parsed = json.loads(first.render())
         assert parsed == {"config": first.config, "payload": first.payload, "meta": first.meta}
         validate_report(parsed)
@@ -401,7 +409,7 @@ class TestEndToEnd:
         assert proc.returncode == 1
         assert "invalid config" in proc.stderr
 
-    def test_malformed_json_exit_code(self, tmp_path):
+    def test_malformed_json_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text("{nope")
         proc = subprocess.run(
@@ -410,6 +418,14 @@ class TestEndToEnd:
             text=True,
         )
         assert proc.returncode == 1
+        # a JSON value that is not an object, a missing config and an unwritable --out exit 1 too
+        cfg.write_text("[1, 2]")
+        assert cli.main(["--config", str(cfg)]) == 1
+        assert "invalid config: config must be a JSON object" in capsys.readouterr().err
+        assert cli.main(["--config", str(tmp_path / "missing.json")]) == 1
+        cfg.write_text(json.dumps(make_config()))
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "invalid config" in capsys.readouterr().err
 
     def test_certification_failure_exit_code(self, tmp_path):
         # valid but nearly degenerate angles: the complement contains a
@@ -424,21 +440,14 @@ class TestEndToEnd:
         assert proc.returncode == 3
         assert "certification failure: seesaw found a product vector with overlap" in proc.stderr
 
-    def test_seed_and_restarts_overrides(self, tmp_path):
-        raw = dict(ALL_COMMAND_CONFIGS["certify"])
-        proc = run_cli(tmp_path, raw, "--seed", "99", "--restarts", "8")
-        report = json.loads(proc.stdout)
-        assert report["config"]["seed"] == 99
-        assert report["config"]["restarts"] == 8
-        assert report["payload"]["restarts"] == 8
-
     def test_usage_error_exit_code(self, tmp_path, capsys):
         # a command-line usage error is an invalid invocation (1), not a numerical guard trip (2)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(make_config()))
         for argv, message in (
             (["--config", str(cfg), "--bogus"], "unrecognized arguments: --bogus"),
-            (["--config", str(cfg), "--seed", "abc"], "invalid int value: 'abc'"),
+            (["--config", str(cfg), "--seed", "99"], "unrecognized arguments: --seed 99"),
+            (["--config", str(cfg), "--restarts", "8"], "unrecognized arguments: --restarts 8"),
             ([], "the following arguments are required: --config"),
             (["--config", str(cfg), "--tol", "1e-6"], "unrecognized arguments: --tol 1e-6"),
         ):

@@ -61,3 +61,9 @@ def test_payload_matches_committed_report(config):
     committed = json.loads((SCRIPTS / "out" / f"{config.stem}.report.json").read_text())
     report = run_command(parse_config(json.loads(config.read_text())))
     assert_close(committed["payload"], json.loads(report.render())["payload"])
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_committed_config_echo_parses_back(config):
+    committed = json.loads((SCRIPTS / "out" / f"{config.stem}.report.json").read_text())
+    assert parse_config(committed["config"]) == parse_config(json.loads(config.read_text()))

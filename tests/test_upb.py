@@ -165,10 +165,10 @@ class TestUPBState:
                 assert verdict.min_eigenvalue >= -1e-10
 
     def test_rank_four(self, pi4_state):
-        assert la.numerical_rank(pi4_state.matrix, 1e-9) == 4
+        assert la.numerical_rank(pi4_state.matrix) == 4
 
     def test_kernel_spans_the_members(self, pi4_upb, pi4_state):
-        vecs = la.kernel(pi4_state.matrix, 1e-9)
+        vecs = la.kernel(pi4_state.matrix)
         assert len(vecs) == 4
         members = [expand(v) for v in pi4_upb.members]
         assert la.subspace_distance(vecs, members) < 1e-9
@@ -341,7 +341,7 @@ class TestSubspaceHunt:
             assert max(fidelities) > 1 - 1e-6
 
     def test_upb_complement_has_no_hits(self, pi4_upb):
-        basis = la.kernel(pi4_upb.member_sum_projector(), tol=0.5)
+        basis = la.kernel(pi4_upb.member_sum_projector())
         assert len(basis) == 4
         result = subspace_product_hunt(basis, pi4_upb.parts, restarts=128, seed=9)
         assert result.distinct_count == 0
@@ -441,7 +441,7 @@ class TestExactQubitHunt:
         drawn = np.random.default_rng(7).uniform(0.01, np.pi / 2 - 0.01, size=(40, 3))
         for angles in near_faces + [tuple(a) for a in drawn]:
             u = shifts_family(ShiftsParams(*angles))
-            basis = la.kernel(u.member_sum_projector(), tol=0.5)
+            basis = la.kernel(u.member_sum_projector())
             result = subspace_product_hunt(basis, u.parts, restarts=12, seed=0)
             assert (result.distinct_count, result.rank) == (0, 0), angles
 
@@ -462,7 +462,7 @@ class TestHuntFallback:
     def test_upb_complement_plus_member(self, seesaw_calls, member):
         # a = |0> or |1> puts two points on one root x = 0, or one at x = infinity
         u = shifts_family(ShiftsParams(0.5, 0.8, 1.0))
-        basis = la.kernel(u.member_sum_projector(), tol=0.5) + [expand(u.members[member])]
+        basis = la.kernel(u.member_sum_projector()) + [expand(u.members[member])]
         result = subspace_product_hunt(basis, u.parts, restarts=64, seed=member)
         assert len(seesaw_calls) == 1
         assert (result.distinct_count, result.rank) == (6, 5)
@@ -502,8 +502,8 @@ class TestMixtureRanks:
             rho1 = upb_state(shifts_family(random_params(rng)))
             rho2 = upb_state(shifts_family(random_params(rng)))
             mix = (rho1.matrix + rho2.matrix) / 2
-            assert la.numerical_rank(mix, 1e-9) >= 6
+            assert la.numerical_rank(mix) >= 6
 
     def test_state_plus_member_rank_five(self, pi4_upb, pi4_state):
         mix = (pi4_state.matrix + product_projector(pi4_upb.members[0])) / 2
-        assert la.numerical_rank(mix, 1e-9) == 5
+        assert la.numerical_rank(mix) == 5
