@@ -39,6 +39,12 @@ The config schema (unknown fields are rejected)::
                   exactly and reads restarts only where that solve is
                   degenerate and falls back to the seesaw
 
+Numbers must be JSON numbers: a bool or a string is rejected wherever a number
+is expected, and integer fields and cut indices take integers only.
+``parse_config`` returns the validated config as JSON data, with defaults
+filled in and label keys in their canonical ``"0,phi1,1"`` spelling.  The
+report echoes it verbatim, and it parses back to itself.
+
 Exit codes: 0 success, 1 invalid config or command line, 2 numerical guard
 tripped (non-convergence or positivity violation), 3 certification failure.
 """
@@ -50,7 +56,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -103,24 +109,6 @@ class ConfigError(ValueError):
     """The config file is malformed or inconsistent."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A config as ``parse_config`` returns it: defaults filled in, fields the command does not take None."""
-
-    command: str
-    seed: int
-    restarts: int | None = None
-    angles: tuple[float, float, float] | None = None
-    angles_second: tuple[float, float, float] | None = None
-    noise: dict[str, Any] | None = None
-    epsilon_grid: tuple[float, ...] | None = None
-    cut: tuple[int, ...] | None = None
-    direction: Any = None
-    subspace_kind: str | None = None
-    subspace_dim: int | None = None
-    samples: int | None = None
-
-
 _COMMON_KEYS = {"command", "seed", "angles"}
 _ALLOWED_KEYS = {
     "build": _COMMON_KEYS,
@@ -130,43 +118,70 @@ _ALLOWED_KEYS = {
     "subspace-hunt": _COMMON_KEYS | {"restarts", "subspace_kind", "subspace_dim", "samples"},
     "witness-radius": _COMMON_KEYS | {"restarts", "direction"},
 }
+_NOISE_FIELDS = {
+    "white": {"kind"},
+    "npt_projector": {"kind"},
+    "random": {"kind", "count"},
+    "local": {"kind", "coefficients"},
+}
 
 
-def _parse_angles(raw: Any, name: str) -> tuple[float, float, float]:
+def _parse_int(raw: Any, name: str, lo: int, hi: float) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int) or not lo <= raw <= hi:
+        raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {raw!r}")
+    return raw
+
+
+def _parse_float(raw: Any, name: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _parse_angles(raw: Any, name: str) -> list[float]:
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise ConfigError(f"{name} must be a list of three angles")
+    vals = [_parse_float(x, f"{name} value") for x in raw]
     try:
-        vals = tuple(float(x) for x in raw)
         ShiftsParams(*vals)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid {name}: {exc}") from exc
     return vals
 
 
-def _parse_float(raw: Any, name: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {raw!r}") from exc
-
-
-def _parse_label_key(key: str) -> tuple[str, ...]:
+def _parse_label_key(key: str) -> str:
+    """The canonical spelling ``"0,phi1,1"`` of a three-label key."""
     try:
         mu = validate_labels(tuple(part.strip() for part in key.split(",")))
     except ValueError as exc:
         raise ConfigError(f"bad label key {key!r}: {exc}") from exc
     if len(mu) != 3:
         raise ConfigError(f"bad label key {key!r}: expected 3 labels, got {len(mu)}")
-    return mu
-
-
-def _format_label_key(mu: tuple[str, ...]) -> str:
-    """The config key of a label tuple, the inverse of ``_parse_label_key``."""
     return ",".join(mu)
 
 
-def parse_config(raw: dict[str, Any]) -> ExperimentConfig:
-    """Validate a config dict; unknown fields and missing requirements are rejected."""
+def _parse_label_map(raw: Any, name: str) -> dict[str, float]:
+    """A nonempty label -> finite weight object, keys in their canonical spelling."""
+    if not isinstance(raw, dict) or not raw:
+        raise ConfigError(f"{name} must be a nonempty label->weight object, got {raw!r}")
+    weights = {_parse_label_key(k): _parse_float(v, f"{name}[{k!r}]") for k, v in raw.items()}
+    if not all(math.isfinite(v) for v in weights.values()):
+        raise ConfigError(f"{name} weights must be finite")
+    return weights
+
+
+def _label_tuples(weights: dict[str, float]) -> dict[tuple[str, ...], float]:
+    """A parsed label map keyed by label tuples, as ``states`` and ``witness`` take it."""
+    return {tuple(key.split(",")): w for key, w in weights.items()}
+
+
+def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
+    """Validate a config dict; unknown fields and missing requirements are rejected.
+
+    Returns the config as JSON data: defaults filled in, label keys in their
+    canonical spelling, numbers as floats where a float is meant.  It is the
+    report's config echo, and parses back to itself.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     command = raw.get("command")
@@ -178,152 +193,97 @@ def parse_config(raw: dict[str, Any]) -> ExperimentConfig:
 
     if "seed" not in raw:
         raise ConfigError("seed is required; runs must be reproducible")
-    seed = raw["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ConfigError("seed must be an unsigned 64-bit integer")
-
-    kwargs: dict[str, Any] = {"command": command, "seed": seed}
+    config: dict[str, Any] = {"command": command, "seed": _parse_int(raw["seed"], "seed", 0, 2**64 - 1)}
     if "restarts" in _ALLOWED_KEYS[command]:
-        restarts = raw.get("restarts", DEFAULT_RESTARTS)
-        if not isinstance(restarts, int) or isinstance(restarts, bool) or restarts < 1:
-            raise ConfigError("restarts must be a positive integer")
-        kwargs["restarts"] = restarts
+        config["restarts"] = _parse_int(raw.get("restarts", DEFAULT_RESTARTS), "restarts", 1, math.inf)
 
     needs_angles = command != "subspace-hunt" or raw.get("subspace_kind") == "upb_complement"
     if "angles" in raw:
-        kwargs["angles"] = _parse_angles(raw["angles"], "angles")
+        config["angles"] = _parse_angles(raw["angles"], "angles")
     elif needs_angles:
         raise ConfigError(f"{command} requires angles")
 
     if command == "rank-mixtures":
         if "angles_second" not in raw:
             raise ConfigError("rank-mixtures requires angles_second")
-        kwargs["angles_second"] = _parse_angles(raw["angles_second"], "angles_second")
-        if kwargs["angles_second"] == kwargs["angles"]:
+        config["angles_second"] = _parse_angles(raw["angles_second"], "angles_second")
+        if config["angles_second"] == config["angles"]:
             raise ConfigError("angles and angles_second must be distinct parameter sets")
 
     if command == "perturb-scan":
-        kwargs["noise"] = _parse_noise(raw.get("noise"))
+        config["noise"] = _parse_noise(raw.get("noise"))
         grid = raw.get("epsilon_grid")
         if not isinstance(grid, (list, tuple)) or not grid:
             raise ConfigError("perturb-scan requires a nonempty epsilon_grid")
-        eps = tuple(_parse_float(x, "epsilon_grid value") for x in grid)
+        eps = [_parse_float(x, "epsilon_grid value") for x in grid]
         if any(not 0.0 < e <= EPSILON_GUARD for e in eps):
             raise ConfigError(f"epsilon_grid values must lie in (0, {EPSILON_GUARD}]")
-        kwargs["epsilon_grid"] = eps
+        config["epsilon_grid"] = eps
         cut_raw = raw.get("cut", [0])
         if not isinstance(cut_raw, (list, tuple)) or not cut_raw:
             raise ConfigError("cut must be a nonempty list of party indices")
+        cut = Bipartition(tuple(_parse_int(k, "cut index", 0, 2) for k in cut_raw))
         try:
-            cut = Bipartition(tuple(int(k) for k in cut_raw))
             cut.validate_for(qubits(3))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid cut: {exc}") from exc
-        kwargs["cut"] = cut.side_a
+        config["cut"] = list(cut.side_a)
+
+    if command == "witness-radius":
+        direction = raw.get("direction", "uniform")
+        if direction != "uniform":
+            direction = _parse_label_map(direction, "direction")
+            if min(direction.values()) < 0:
+                raise ConfigError("direction weights must be nonnegative")
+            if abs(sum(direction.values()) - 1.0) > DIRECTION_SUM_TOL:
+                raise ConfigError("direction weights must sum to 1")
+        config["direction"] = direction
 
     if command == "subspace-hunt":
         kind = raw.get("subspace_kind", "random")
         if kind not in ("random", "planted", "upb_complement"):
             raise ConfigError(f"unknown subspace_kind {kind!r}")
-        kwargs["subspace_kind"] = kind
+        config["subspace_kind"] = kind
         if kind == "upb_complement":
             if "subspace_dim" in raw or "samples" in raw:
                 raise ConfigError("upb_complement hunts fix the subspace; drop subspace_dim/samples")
         else:
             if "angles" in raw:
                 raise ConfigError(f"{kind} hunts draw their subspaces from the seed; drop angles")
-            dim = raw.get("subspace_dim")
-            count = raw.get("samples")
-            if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 8:
-                raise ConfigError("subspace_dim must be an integer in 1..8")
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise ConfigError("samples must be a positive integer")
-            kwargs["subspace_dim"] = dim
-            kwargs["samples"] = count
+            config["subspace_dim"] = _parse_int(raw.get("subspace_dim"), "subspace_dim", 1, 8)
+            config["samples"] = _parse_int(raw.get("samples"), "samples", 1, math.inf)
 
-    if command == "witness-radius":
-        kwargs["direction"] = _parse_direction(raw.get("direction", "uniform"))
-
-    return ExperimentConfig(**kwargs)
+    return config
 
 
 def _parse_noise(raw: Any) -> dict[str, Any]:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError('noise must be an object with a "kind" field')
     kind = raw["kind"]
-    if kind in ("white", "npt_projector"):
-        if set(raw) != {"kind"}:
-            raise ConfigError(f"noise kind {kind!r} takes no extra fields")
-        return {"kind": kind}
+    if not isinstance(kind, str) or kind not in _NOISE_FIELDS:
+        raise ConfigError(f"unknown noise kind {kind!r}")
+    if set(raw) != _NOISE_FIELDS[kind]:
+        raise ConfigError(f"{kind} noise takes exactly the fields {sorted(_NOISE_FIELDS[kind])}")
     if kind == "random":
-        if set(raw) != {"kind", "count"}:
-            raise ConfigError('random noise takes exactly {"kind", "count"}')
-        count = raw["count"]
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise ConfigError("noise count must be a positive integer")
-        return {"kind": kind, "count": count}
+        return {"kind": kind, "count": _parse_int(raw["count"], "noise count", 1, math.inf)}
     if kind == "local":
-        if set(raw) != {"kind", "coefficients"}:
-            raise ConfigError('local noise takes exactly {"kind", "coefficients"}')
-        coeffs = raw["coefficients"]
-        if not isinstance(coeffs, dict) or not coeffs:
-            raise ConfigError("local noise coefficients must be a nonempty object")
-        parsed = {
-            _parse_label_key(k): _parse_float(v, f"local noise coefficient {k!r}")
-            for k, v in coeffs.items()
-        }
-        if not all(math.isfinite(v) for v in parsed.values()):
-            raise ConfigError("local noise coefficients must be finite")
-        total = sum(parsed.values())
-        if total <= 0:
-            raise ConfigError("local noise coefficients must have positive total weight")
-        return {"kind": kind, "coefficients": parsed}
-    raise ConfigError(f"unknown noise kind {kind!r}")
-
-
-def _parse_direction(raw: Any) -> Any:
-    if raw == "uniform":
-        return "uniform"
-    if isinstance(raw, dict) and raw:
-        parsed = {
-            _parse_label_key(k): _parse_float(v, f"direction weight {k!r}") for k, v in raw.items()
-        }
-        if not all(0 <= v < math.inf for v in parsed.values()):
-            raise ConfigError("direction coefficients must be nonnegative and finite")
-        if abs(sum(parsed.values()) - 1.0) > DIRECTION_SUM_TOL:
-            raise ConfigError("direction coefficients must sum to 1")
-        return parsed
-    raise ConfigError('direction must be "uniform" or a label->weight object')
+        coeffs = _parse_label_map(raw["coefficients"], "noise coefficients")
+        if sum(coeffs.values()) <= 0:
+            raise ConfigError("noise coefficients must have positive total weight")
+        return {"kind": kind, "coefficients": coeffs}
+    return {"kind": kind}
 
 
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
 
-def _echo_value(value: Any) -> Any:
-    """JSON data of a parsed config value: tuples become lists, label-tuple keys ``"0,phi1,1"``."""
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, dict):
-        return {
-            _format_label_key(k) if isinstance(k, tuple) else k: _echo_value(v)
-            for k, v in value.items()
-        }
-    return value
-
-
-def _config_echo(config: ExperimentConfig) -> dict[str, Any]:
-    """The config's set fields in declaration order, as JSON data that ``parse_config`` reads back."""
-    echo = {f.name: getattr(config, f.name) for f in fields(config)}
-    return {name: _echo_value(value) for name, value in echo.items() if value is not None}
-
-
 def _vector_payload(v: ProductVector) -> list[list[list[float]]]:
     return [[complex_pair(z) for z in loc] for loc in v.locals]
 
 
-def cmd_build(config: ExperimentConfig) -> dict[str, Any]:
-    u = shifts_family(ShiftsParams(*config.angles))
+def cmd_build(config: dict[str, Any]) -> dict[str, Any]:
+    u = shifts_family(ShiftsParams(*config["angles"]))
     rho = upb_state(u)
     spectrum, _ = linalg.hermitian_eig(rho.matrix)
     ppt_rows = []
@@ -344,13 +304,13 @@ def cmd_build(config: ExperimentConfig) -> dict[str, Any]:
     }
 
 
-def _certified_witness(config: ExperimentConfig):
-    u = shifts_family(ShiftsParams(*config.angles))
-    cert = certify_unextendible(u, restarts=config.restarts, seed=config.seed)
+def _certified_witness(config: dict[str, Any]):
+    u = shifts_family(ShiftsParams(*config["angles"]))
+    cert = certify_unextendible(u, restarts=config["restarts"], seed=config["seed"])
     return u, cert, build_upb_witness(u, cert)
 
 
-def cmd_certify(config: ExperimentConfig) -> dict[str, Any]:
+def cmd_certify(config: dict[str, Any]) -> dict[str, Any]:
     _, cert, w = _certified_witness(config)
     return {
         "max_overlap": cert.max_overlap,
@@ -362,8 +322,8 @@ def cmd_certify(config: ExperimentConfig) -> dict[str, Any]:
     }
 
 
-def _noise_samples(config: ExperimentConfig) -> list[tuple[str, DensityMatrix]]:
-    noise = config.noise
+def _noise_samples(config: dict[str, Any]) -> list[tuple[str, DensityMatrix]]:
+    noise = config["noise"]
     parts = qubits(3)
     if noise["kind"] == "white":
         return [("white", DensityMatrix(np.eye(8) / 8.0, parts, validate=False))]
@@ -372,11 +332,11 @@ def _noise_samples(config: ExperimentConfig) -> list[tuple[str, DensityMatrix]]:
     if noise["kind"] == "random":
         out = []
         for s in range(noise["count"]):
-            rng = np.random.default_rng([config.seed, s])
+            rng = np.random.default_rng([config["seed"], s])
             out.append((f"random[{s}]", random_density_matrix(parts, rng)))
         return out
     if noise["kind"] == "local":
-        coeffs = noise["coefficients"]
+        coeffs = _label_tuples(noise["coefficients"])
         op = projector_combination(coeffs) / sum(coeffs.values())
         try:
             return [("local", DensityMatrix(op, parts))]
@@ -385,11 +345,11 @@ def _noise_samples(config: ExperimentConfig) -> list[tuple[str, DensityMatrix]]:
     raise AssertionError(f"unreachable noise kind {noise['kind']!r}")
 
 
-def cmd_perturb_scan(config: ExperimentConfig) -> dict[str, Any]:
-    u = shifts_family(ShiftsParams(*config.angles))
-    cut = Bipartition(config.cut)
+def cmd_perturb_scan(config: dict[str, Any]) -> dict[str, Any]:
+    u = shifts_family(ShiftsParams(*config["angles"]))
+    cut = Bipartition(config["cut"])
     names, noises = zip(*_noise_samples(config))
-    scan = mixing_scan(u, noises, cut, config.epsilon_grid)
+    scan = mixing_scan(u, noises, cut, config["epsilon_grid"])
     counts = {effect.value: 0 for effect in NoiseEffect}
     samples = []
     per_sample = zip(names, scan.verdicts, scan.compression_eigenvalues.tolist(),
@@ -405,7 +365,7 @@ def cmd_perturb_scan(config: ExperimentConfig) -> dict[str, Any]:
                 "abs_error": abs(p - x),
                 "decided_by": decided_by,
             }
-            for eps, p, x in zip(config.epsilon_grid, predicted, exact)
+            for eps, p, x in zip(config["epsilon_grid"], predicted, exact)
         ]
         samples.append(
             {
@@ -423,9 +383,9 @@ def cmd_perturb_scan(config: ExperimentConfig) -> dict[str, Any]:
     }
 
 
-def cmd_rank_mixtures(config: ExperimentConfig) -> dict[str, Any]:
-    u1 = shifts_family(ShiftsParams(*config.angles))
-    u2 = shifts_family(ShiftsParams(*config.angles_second))
+def cmd_rank_mixtures(config: dict[str, Any]) -> dict[str, Any]:
+    u1 = shifts_family(ShiftsParams(*config["angles"]))
+    u2 = shifts_family(ShiftsParams(*config["angles_second"]))
     rho1 = upb_state(u1)
     rho2 = upb_state(u2)
     equal_mix = (rho1.matrix + rho2.matrix) / 2.0
@@ -439,19 +399,19 @@ def cmd_rank_mixtures(config: ExperimentConfig) -> dict[str, Any]:
     }
 
 
-def cmd_subspace_hunt(config: ExperimentConfig) -> dict[str, Any]:
+def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
     parts = qubits(3)
     runs: list[tuple[int, list[np.ndarray], Sequence[int]]] = []
-    if config.subspace_kind == "upb_complement":
-        u = shifts_family(ShiftsParams(*config.angles))
+    if config["subspace_kind"] == "upb_complement":
+        u = shifts_family(ShiftsParams(*config["angles"]))
         basis = linalg.kernel(u.member_sum_projector())
-        runs.append((0, basis, [config.seed, 0]))
+        runs.append((0, basis, [config["seed"], 0]))
         dim = len(basis)
     else:
-        dim = config.subspace_dim
-        for s in range(config.samples):
-            rng = np.random.default_rng([config.seed, s])
-            if config.subspace_kind == "planted":
+        dim = config["subspace_dim"]
+        for s in range(config["samples"]):
+            rng = np.random.default_rng([config["seed"], s])
+            if config["subspace_kind"] == "planted":
                 vecs = [expand(random_product_vector(parts, rng)) for _ in range(dim)]
             else:
                 raw = rng.standard_normal((parts.dim, dim)) + 1j * rng.standard_normal((parts.dim, dim))
@@ -459,12 +419,12 @@ def cmd_subspace_hunt(config: ExperimentConfig) -> dict[str, Any]:
             basis = linalg.orthonormalize(vecs)
             if len(basis) != dim:
                 raise ConfigError(f"sample {s}: drawn subspace basis is degenerate; change the seed")
-            runs.append((s, basis, [config.seed, s]))
+            runs.append((s, basis, [config["seed"], s]))
 
     sample_rows = []
     histogram: dict[int, int] = {}
     for index, basis, seed in runs:
-        result = subspace_product_hunt(basis, parts, restarts=config.restarts, seed=seed)
+        result = subspace_product_hunt(basis, parts, restarts=config["restarts"], seed=seed)
         histogram[result.distinct_count] = histogram.get(result.distinct_count, 0) + 1
         sample_rows.append(
             {
@@ -475,17 +435,17 @@ def cmd_subspace_hunt(config: ExperimentConfig) -> dict[str, Any]:
             }
         )
     return {
-        "kind": config.subspace_kind,
+        "kind": config["subspace_kind"],
         "dim": dim,
         "samples": sample_rows,
         "histogram": {str(k): histogram[k] for k in sorted(histogram)},
     }
 
 
-def cmd_witness_radius(config: ExperimentConfig) -> dict[str, Any]:
+def cmd_witness_radius(config: dict[str, Any]) -> dict[str, Any]:
     u, _, w = _certified_witness(config)
     rho = upb_state(u)
-    direction = uniform_direction(3) if config.direction == "uniform" else config.direction
+    direction = uniform_direction(3) if config["direction"] == "uniform" else _label_tuples(config["direction"])
     radius = robustness_radius(w, rho, direction)
     detected = evaluate(w, rho)
     denom = abs(detected) / radius if np.isfinite(radius) and radius > 0 else 0.0
@@ -502,7 +462,7 @@ def cmd_witness_radius(config: ExperimentConfig) -> dict[str, Any]:
             "outside_value": outside,
         }
     return {
-        "direction": _echo_value(config.direction),
+        "direction": config["direction"],
         "radius": radius,
         "detected_value": detected,
         "denominator": denom,
@@ -533,12 +493,12 @@ class Report:
         return dumps_canonical({"config": self.config, "payload": self.payload, "meta": self.meta})
 
 
-def run_command(config: ExperimentConfig) -> Report:
+def run_command(config: dict[str, Any]) -> Report:
     started = time.perf_counter()
-    payload = _RUNNERS[config.command](config)
+    payload = _RUNNERS[config["command"]](config)
     elapsed = time.perf_counter() - started
     report = Report(
-        config=_config_echo(config),
+        config=config,
         payload=payload,
         meta={"toolkit_version": __version__, "elapsed_seconds": elapsed},
     )

@@ -33,7 +33,6 @@ reaches overlap 1 - gap counts.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -350,23 +349,12 @@ class HuntResult:
 
 # The three-qubit solve of ``_qubit_triple_points``: the 7th roots of unity
 # the degree-6 product condition is sampled at, the inverse DFT that turns the
-# seven samples into its coefficients (lowest degree first), and the 4-index
-# Levi-Civita symbol, which contracted with the three rows of a 3 x 4 matrix
-# gives its signed 3 x 3 minors, a null vector.
+# seven samples into its coefficients (lowest degree first), and in row m the
+# columns of a 3 x 4 matrix that remain when column m is removed.
 _UNIT_ROOTS_7 = np.cos(2 * np.pi * np.arange(7) / 7) + 1j * np.sin(2 * np.pi * np.arange(7) / 7)
 # entry (n, j) is w_j^-n / 7 for the root w_j
 _INVERSE_DFT_7 = _UNIT_ROOTS_7.conj()[np.outer(np.arange(7), np.arange(7)) % 7] / 7
-
-
-def _levi_civita(n: int) -> np.ndarray:
-    """The n-index Levi-Civita symbol: the sign of each permutation of ``range(n)``, 0 elsewhere."""
-    eps = np.zeros((n,) * n)
-    for perm in itertools.permutations(range(n)):
-        eps[perm] = (-1) ** sum(i > j for i, j in itertools.combinations(perm, 2))
-    return eps
-
-
-_LEVI_CIVITA_4 = _levi_civita(4)
+_MINOR_COLUMNS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
 @functools.cache
@@ -377,8 +365,12 @@ def _segre_mix() -> np.ndarray:
 
 
 def _null_vectors(n: np.ndarray) -> np.ndarray:
-    """The signed 3 x 3 minors ``z_m = eps_mijk n_0i n_1j n_2k`` of a stack of 3 x 4 matrices."""
-    return np.einsum("mijk,...i,...j,...k->...m", _LEVI_CIVITA_4, n[..., 0, :], n[..., 1, :], n[..., 2, :])
+    """The signed 3 x 3 minors of a stack of 3 x 4 matrices, a null vector of each.
+
+    ``z_m = (-1)^m det(n without column m)``, so ``n @ z = 0`` by cofactor expansion.
+    """
+    # entry (m, j, i) is n[i, _MINOR_COLUMNS[m, j]]: minor m transposed, which has its det
+    return np.linalg.det(n.swapaxes(-1, -2)[..., _MINOR_COLUMNS, :]) * np.array([1, -1, 1, -1])
 
 
 def _qubit_triple_points(proj: np.ndarray, k: int) -> list[tuple[ProductVector, float]] | None:

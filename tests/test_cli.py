@@ -43,12 +43,78 @@ class TestFloatFormat:
         assert json.loads(dumps_canonical(1.0)) == 1.0
 
 
+SCAN = {"command": "perturb-scan", "seed": 1, "angles": PI4, "noise": {"kind": "white"},
+        "epsilon_grid": [0.01]}
+HUNT = {"command": "subspace-hunt", "seed": 1, "subspace_kind": "random", "subspace_dim": 5,
+        "samples": 1}
+UPB_HUNT = {"command": "subspace-hunt", "seed": 1, "subspace_kind": "upb_complement", "angles": PI4}
+RADIUS = {"command": "witness-radius", "seed": 1, "angles": PI4}
+RANK = {"command": "rank-mixtures", "seed": 1, "angles": PI4, "angles_second": [0.3, 0.7, 1.1]}
+
+
+def local_noise(coefficients):
+    return {**SCAN, "noise": {"kind": "local", "coefficients": coefficients}}
+
+
+# (raw config, message the ConfigError must match); the last seven rows hold JSON values of the
+# wrong type that a lenient float() or int() would accept
+REJECTED = [
+    (make_config(angles=[0.3, 0.7]), "angles must be a list of three angles"),
+    (make_config(angles=0.3), "angles must be a list of three angles"),
+    ({**RADIUS, "direction": {"0,0,2": 1.0}}, r"bad label key '0,0,2': unknown label '2'"),
+    (make_config(seed=2**64), r"seed must be an integer in \[0, 18446744073709551615\], got"),
+    (make_config(seed=-1), "seed must be an integer in"),
+    (make_config(seed=True), "seed must be an integer in"),
+    ({"command": "certify", "seed": 1, "angles": PI4, "restarts": 0},
+     r"restarts must be an integer in \[1, inf\], got 0"),
+    ({"command": "build", "seed": 1}, "build requires angles"),
+    ({k: v for k, v in RANK.items() if k != "angles_second"}, "rank-mixtures requires angles_second"),
+    ({**SCAN, "epsilon_grid": []}, "perturb-scan requires a nonempty epsilon_grid"),
+    ({**SCAN, "cut": 0}, "cut must be a nonempty list of party indices"),
+    ({**HUNT, "subspace_kind": "tiles"}, "unknown subspace_kind 'tiles'"),
+    ({**UPB_HUNT, "subspace_dim": 4}, "drop subspace_dim/samples"),
+    ({**UPB_HUNT, "samples": 1}, "drop subspace_dim/samples"),
+    ({**HUNT, "subspace_dim": 0}, r"subspace_dim must be an integer in \[1, 8\], got 0"),
+    ({**HUNT, "subspace_dim": 9}, r"subspace_dim must be an integer in \[1, 8\], got 9"),
+    ({**HUNT, "samples": 0}, "samples must be an integer in"),
+    ({**SCAN, "noise": "white"}, 'noise must be an object with a "kind" field'),
+    ({**SCAN, "noise": {"kind": ["white"]}}, r"unknown noise kind \['white'\]"),
+    ({**SCAN, "noise": {"kind": "white", "count": 1}}, r"white noise takes exactly the fields \['kind'\]"),
+    ({**SCAN, "noise": {"kind": "random"}}, r"random noise takes exactly the fields \['count', 'kind'\]"),
+    ({**SCAN, "noise": {"kind": "random", "count": 0}}, "noise count must be an integer in"),
+    ({**SCAN, "noise": {"kind": "local", "coefficients": {"0,0,0": 1.0}, "count": 1}},
+     "local noise takes exactly the fields"),
+    (local_noise({}), "noise coefficients must be a nonempty label->weight object, got {}"),
+    (local_noise({"0,0,0": 0.5, "1,1,1": -0.5}), "noise coefficients must have positive total weight"),
+    ({**RADIUS, "direction": "gaussian"}, "direction must be a nonempty label->weight object, got 'gaussian'"),
+    ({**RADIUS, "direction": [1.0]}, r"direction must be a nonempty label->weight object, got \[1.0\]"),
+    ({**RADIUS, "direction": {"0,0,0": 1.5, "1,1,1": -0.5}}, "direction weights must be nonnegative"),
+    (local_noise({"0,0,0": 1, "1,1,1": -0.5}), "local noise operator is not a state"),
+    ({**SCAN, "cut": [1.9]}, r"cut index must be an integer in \[0, 2\], got 1.9"),
+    ({**SCAN, "cut": [True]}, "cut index must be an integer in"),
+    ({**SCAN, "cut": ["2"]}, "cut index must be an integer in"),
+    (make_config(angles=[True, 0.7, 1.1]), "angles value must be a number, got True"),
+    ({**SCAN, "epsilon_grid": ["0.01"]}, "epsilon_grid value must be a number, got '0.01'"),
+    ({**RADIUS, "direction": {"0,0,0": True}}, r"direction\['0,0,0'\] must be a number, got True"),
+    (local_noise({"0,0,0": "1"}), r"noise coefficients\['0,0,0'\] must be a number, got '1'"),
+]
+
+
 class TestConfigParsing:
+    @pytest.mark.parametrize("raw, message", REJECTED)
+    def test_rejected(self, raw, message):
+        # the local-noise operator is checked when the command builds it, every other row on parsing
+        with pytest.raises(ConfigError, match=message):
+            run_command(parse_config(raw))
+
     def test_minimal_build(self):
-        config = parse_config(make_config())
-        assert config.command == "build"
-        assert config.restarts is None
-        assert config.cut is None and config.direction is None and config.subspace_kind is None
+        # the parsed config is JSON data, echoed as is: no field the command does not take
+        assert parse_config(make_config()) == {"command": "build", "seed": 42, "angles": PI4}
+
+    def test_label_keys_are_echoed_canonically(self):
+        config = parse_config({**RADIUS, "direction": {" 0, phi1 ,1": 1}})
+        assert config["direction"] == {"0,phi1,1": 1.0}
+        assert parse_config(config) == config
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config fields"):
@@ -161,19 +227,19 @@ class TestConfigParsing:
                 parse_config(raw)
         for name in ("certify", "subspace-hunt", "witness-radius"):
             raw = {k: v for k, v in ALL_COMMAND_CONFIGS[name].items() if k != "restarts"}
-            assert parse_config(raw).restarts == 64
+            assert parse_config(raw)["restarts"] == 64
 
     def test_angles_rejected_on_drawn_hunts(self):
         # random and planted hunts draw their subspaces from the seed and never read angles
         for kind in ("random", "planted"):
             raw = {"command": "subspace-hunt", "seed": 1, "subspace_kind": kind,
                    "subspace_dim": 5, "samples": 1}
-            assert parse_config(dict(raw)).angles is None
+            assert "angles" not in parse_config(dict(raw))
             with pytest.raises(ConfigError, match="drop angles"):
                 parse_config({**raw, "angles": [0.3, 0.7, 1.1]})
         upb_hunt = {"command": "subspace-hunt", "seed": 1, "subspace_kind": "upb_complement",
                     "angles": [0.3, 0.7, 1.1]}
-        assert parse_config(upb_hunt).angles == (0.3, 0.7, 1.1)
+        assert parse_config(upb_hunt)["angles"] == [0.3, 0.7, 1.1]
 
 
 ALL_COMMAND_CONFIGS = {

@@ -334,13 +334,13 @@ class TestMixingScan:
             "epsilon_grid": [1e-4, 1e-3, 1e-2, 1e-1], "cut": list(cut),
         })
         payload = cli.run_command(config).payload
-        u = shifts_family(ShiftsParams(*config.angles))
+        u = shifts_family(ShiftsParams(*config["angles"]))
         rho = upb_state(u)
         bip = Bipartition(cut)
         samples = cli._noise_samples(config)
         assert len(payload["samples"]) == len(samples)
         for (name, rho1), row in zip(samples, payload["samples"]):
-            single = mixing_scan(u, [rho1], bip, config.epsilon_grid)
+            single = mixing_scan(u, [rho1], bip, config["epsilon_grid"])
             (verdict,) = single.verdicts
             lam = [float(x) for x in single.compression_eigenvalues[0]]
             assert row["noise"] == name
@@ -349,7 +349,7 @@ class TestMixingScan:
             assert row["compression_eigenvalues"] == lam
             decided_by = "exact" if verdict is NoiseEffect.DEGENERATE else "first_order"
             expected = []
-            for eps in config.epsilon_grid:
+            for eps in config["epsilon_grid"]:
                 predicted = eps * lam[0]
                 exact = min_pt_eigenvalue(perturb_mix(rho, rho1, eps), bip)
                 expected.append({
