@@ -72,7 +72,7 @@ from .perturbation import (
     perturb_local,
     uniform_direction,
 )
-from .reporting import complex_pair, dumps_canonical, validate_report
+from .reporting import dumps_canonical, validate_report
 from .states import (
     Bipartition,
     DensityMatrix,
@@ -101,9 +101,6 @@ from .witness import (
     evaluate,
     robustness_radius,
 )
-
-COMMANDS = ("build", "certify", "perturb-scan", "rank-mixtures", "subspace-hunt", "witness-radius")
-
 
 class ConfigError(ValueError):
     """The config file is malformed or inconsistent."""
@@ -135,7 +132,10 @@ def _parse_int(raw: Any, name: str, lo: int, hi: float) -> int:
 def _parse_float(raw: Any, name: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{name} must be a number, got {raw!r}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError:
+        raise ConfigError(f"{name} is out of float range") from None
 
 
 def _parse_angles(raw: Any, name: str) -> list[float]:
@@ -164,7 +164,13 @@ def _parse_label_map(raw: Any, name: str) -> dict[str, float]:
     """A nonempty label -> finite weight object, keys in their canonical spelling."""
     if not isinstance(raw, dict) or not raw:
         raise ConfigError(f"{name} must be a nonempty label->weight object, got {raw!r}")
-    weights = {_parse_label_key(k): _parse_float(v, f"{name}[{k!r}]") for k, v in raw.items()}
+    weights: dict[str, float] = {}
+    for k, v in raw.items():
+        key = _parse_label_key(k)
+        if key in weights:
+            first = next(other for other in raw if _parse_label_key(other) == key)
+            raise ConfigError(f"{name} keys {first!r} and {k!r} both name the label {key!r}")
+        weights[key] = _parse_float(v, f"{name}[{k!r}]")
     if not all(math.isfinite(v) for v in weights.values()):
         raise ConfigError(f"{name} weights must be finite")
     return weights
@@ -185,8 +191,8 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     command = raw.get("command")
-    if command not in COMMANDS:
-        raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
+    if command not in tuple(_ALLOWED_KEYS):
+        raise ConfigError(f"command must be one of {tuple(_ALLOWED_KEYS)}, got {command!r}")
     unknown = set(raw) - _ALLOWED_KEYS[command]
     if unknown:
         raise ConfigError(f"unknown config fields for {command}: {sorted(unknown)}")
@@ -279,7 +285,7 @@ def _parse_noise(raw: Any) -> dict[str, Any]:
 # --------------------------------------------------------------------------
 
 def _vector_payload(v: ProductVector) -> list[list[list[float]]]:
-    return [[complex_pair(z) for z in loc] for loc in v.locals]
+    return [[[z.real, z.imag] for z in loc.tolist()] for loc in v.locals]
 
 
 def cmd_build(config: dict[str, Any]) -> dict[str, Any]:
@@ -416,10 +422,7 @@ def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
             else:
                 raw = rng.standard_normal((parts.dim, dim)) + 1j * rng.standard_normal((parts.dim, dim))
                 vecs = [raw[:, k] for k in range(dim)]
-            basis = linalg.orthonormalize(vecs)
-            if len(basis) != dim:
-                raise ConfigError(f"sample {s}: drawn subspace basis is degenerate; change the seed")
-            runs.append((s, basis, [config["seed"], s]))
+            runs.append((s, vecs, [config["seed"], s]))
 
     sample_rows = []
     histogram: dict[int, int] = {}

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import linalg
 from .states import (
+    PSD_TOL,
     TRACE_TOL,
     Bipartition,
     DensityMatrix,
@@ -51,7 +52,6 @@ from .upb import UPB, upb_state
 
 EPSILON_GUARD = 0.1          # perturbative regime for mixing / predictions
 DEGENERACY_BAND = 1e-9       # |lam_min| below this is degenerate
-POSITIVITY_TOL = 1e-9
 
 
 class PositivityError(RuntimeError):
@@ -72,8 +72,8 @@ def perturb_local(
 
     Each basis projector has unit trace, so the normalization constant is
     1 + sum of the coefficients.  Raises PositivityError if the result has an
-    eigenvalue below -POSITIVITY_TOL (only possible with negative
-    coefficients).
+    eigenvalue below -PSD_TOL, the bound ``DensityMatrix`` itself checks (only
+    possible with negative coefficients).
     """
     if not rho.parts.all_qubits:
         raise ValueError("local noise needs qubit parties")
@@ -85,10 +85,8 @@ def perturb_local(
         raise PositivityError("total noise weight drives the trace nonpositive")
     out = (rho.matrix + noise) / norm
     vals, _ = linalg.hermitian_eig(out)
-    if vals[0] < -POSITIVITY_TOL:
-        raise PositivityError(
-            f"perturbed operator has eigenvalue {vals[0]:.3e} < -{POSITIVITY_TOL:g}"
-        )
+    if vals[0] < -PSD_TOL:
+        raise PositivityError(f"perturbed operator has eigenvalue {vals[0]:.3e} < -{PSD_TOL:g}")
     return DensityMatrix(out, rho.parts, validate=False)
 
 

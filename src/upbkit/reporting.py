@@ -23,11 +23,6 @@ class SchemaError(RuntimeError):
     """A report does not match the documented schema."""
 
 
-def complex_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def dumps_canonical(value: Any) -> str:
     """Render plain dict/list/scalar data as deterministic JSON text."""
     return json.dumps(value, indent=2) + "\n"

@@ -137,10 +137,6 @@ class ProductVector:
             if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
                 raise ValueError(f"local vector {k} is not normalized")
 
-    @property
-    def parts(self) -> PartyStructure:
-        return PartyStructure(tuple(len(v) for v in self.locals))
-
 
 def expand(vector: ProductVector) -> np.ndarray:
     """Full tensor-product vector in the composite space."""
@@ -176,10 +172,6 @@ class DensityMatrix:
             vals, _ = linalg.eigh_unchecked(m)
             if vals[0] < -PSD_TOL:
                 raise ValueError(f"operator is not positive semidefinite: min eigenvalue {vals[0]:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.parts.dim
 
 
 def validate_labels(labels: Sequence[str]) -> tuple[str, ...]:

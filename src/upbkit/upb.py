@@ -144,11 +144,8 @@ def shifts_family(params: ShiftsParams) -> UPB:
 
 def upb_state(u: UPB) -> DensityMatrix:
     """Maximally mixed state on the orthogonal complement of the UPB."""
-    d = u.parts.dim
-    m = u.size
-    rho = (np.eye(d) - u.member_sum_projector()) / (d - m)
     # spectrum is exactly {0 x m, 1/(D-m) x (D-m)}, so no PSD re-check needed
-    return DensityMatrix(rho, u.parts, validate=False)
+    return DensityMatrix(u.complement_projector() / (u.parts.dim - u.size), u.parts, validate=False)
 
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z, stacked as PAULI[i, row, column]
@@ -211,18 +208,19 @@ def _eigh_update(op: np.ndarray, w: np.ndarray, prev: np.ndarray) -> tuple[np.nd
 
 
 def _seesaw(
-    p_tensor: np.ndarray,
+    projector: np.ndarray,
     dims: Sequence[int],
     seed: int | Sequence[int],
     restarts: int,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run every restart in lockstep until its sweep improves by less than ``SEESAW_IMPROVEMENT_TOL``.
 
-    ``p_tensor`` is the projector as a ``dims + dims`` tensor (ket axes, then
-    bra axes) and must already be Hermitian: nothing here checks it again.
-    Restart r starts from ``default_rng([*seed, r])``.  Party k's states form
-    one array over the restarts, and a local update maximizes over party k
-    with the product ``w`` of the other parties' states held fixed:
+    ``projector`` is the D x D matrix, ``D = prod(dims)``, and must already be
+    Hermitian: nothing here checks it again.  It is reshaped once into a
+    ``dims + dims`` tensor (ket axes, then bra axes).  Restart r starts from
+    ``default_rng([*seed, r])``.  Party k's states form one array over the
+    restarts, and a local update maximizes over party k with the product
+    ``w`` of the other parties' states held fixed:
 
     - every local dim 2: states are Bloch rows ``s_k = (1, r_k)``, and party
       k's slice of the real Pauli tensor (``_pauli_tensor``) is one
@@ -234,11 +232,14 @@ def _seesaw(
 
     Returns the final objective of every restart and the per-party local
     kets.  Raises ValueError for fewer than two parties, where there is
-    nothing to alternate over.
+    nothing to alternate over, and for fewer than one restart.
     """
     n = len(dims)
     if n < 2:
         raise ValueError(f"the seesaw needs at least two parties, got local dims {tuple(dims)}")
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    p_tensor = projector.reshape(tuple(dims) * 2)
     base = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
     # party j draws d_j real parts, then d_j imaginary parts, in party order
     draws = np.array([np.random.default_rng(base + [r]).standard_normal(2 * sum(dims))
@@ -310,12 +311,9 @@ def seesaw_max_product_overlap(
     p = linalg.as_hermitian(projector)
     if float(np.max(np.abs(p @ p - p))) > PROJECTOR_TOL:
         raise ValueError("input is not an orthogonal projector within tolerance")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    dims = parts.local_dims
     if p.shape[0] != parts.dim:
         raise ValueError("projector dimension does not match the party structure")
-    objective, locs = _seesaw(p.reshape(dims + dims), dims, seed, restarts)
+    objective, locs = _seesaw(p, parts.local_dims, seed, restarts)
     r = int(np.argmax(objective))
     best = ProductVector(tuple(v[r] / np.linalg.norm(v[r]) for v in locs))
     return UnextendibilityCertificate(
@@ -377,17 +375,17 @@ def _qubit_triple_points(proj: np.ndarray, k: int) -> list[tuple[ProductVector, 
     """Every product vector in the range of ``proj``, a three-qubit projector of rank ``k <= 5``.
 
     A product vector lies in the span iff it is orthogonal to the complement.
-    Three constraint vectors ``u_j`` are kept: the complement itself for
-    k = 5, else an orthonormal basis of a fixed generic mix of it
-    (``_segre_mix``), which cuts out a superspace of dimension 5.  With
-    ``a = (1, x)`` the constraints ``<u_j|a, b, c> = 0`` are ``N(x) z = 0``
-    for ``z = b (x) c`` and a 3 x 4 matrix ``N(x)`` linear in x.  Its null
-    vector is its signed 3 x 3 minors, cubic in x, and the product condition
-    ``z_0 z_3 - z_1 z_2 = 0`` is a degree-6 polynomial, whose six roots give
-    the superspace's six product vectors (the degree of the Segre variety).
-    The points returned are those whose residual ``||(I - P) phi||`` against
-    the whole complement is below ``HUNT_RESIDUAL_TOL``, each with its overlap
-    ``<phi|P|phi>``.
+    Three constraint vectors ``u_j`` are kept, the same way for every k <= 5:
+    an orthonormal basis of a fixed generic mix of the complement
+    (``_segre_mix``).  They cut out a superspace of dimension 5, which for
+    k = 5 is the span itself.  With ``a = (1, x)`` the constraints
+    ``<u_j|a, b, c> = 0`` are ``N(x) z = 0`` for ``z = b (x) c`` and a 3 x 4
+    matrix ``N(x)`` linear in x.  Its null vector is its signed 3 x 3 minors,
+    cubic in x, and the product condition ``z_0 z_3 - z_1 z_2 = 0`` is a
+    degree-6 polynomial, whose six roots give the superspace's six product
+    vectors (the degree of the Segre variety).  The points returned are those
+    whose residual ``||(I - P) phi||`` against the whole complement is below
+    ``HUNT_RESIDUAL_TOL``, each with its overlap ``<phi|P|phi>``.
 
     Returns None, for the seesaw to settle, when the solve is degenerate:
     the leading coefficient vanishes (a root at infinity), ``N`` loses rank
@@ -396,9 +394,7 @@ def _qubit_triple_points(proj: np.ndarray, k: int) -> list[tuple[ProductVector, 
     """
     # proj's eigenvalues are 0 (8 - k times) and then 1
     complement = linalg.eigh_unchecked(proj).eigenvectors[:, :8 - k]
-    constraints = complement
-    if k < 5:
-        constraints = np.column_stack(linalg.orthonormalize(list(_segre_mix()[:, :8 - k] @ complement.T)))
+    constraints = np.column_stack(linalg.orthonormalize(list(_segre_mix()[:, :8 - k] @ complement.T)))
     # N(x) = w[:, 0] + x w[:, 1], row j of w[:, i] pairing with a_i
     w = constraints.conj().T.reshape(3, 2, 4)
     z = _null_vectors(w[:, 0] + _UNIT_ROOTS_7[:, None, None] * w[:, 1])
@@ -435,8 +431,8 @@ def subspace_product_hunt(
 ) -> HuntResult:
     """Hunt product vectors in the span of ``basis``.
 
-    The basis is orthonormalized first (a dependent basis is rejected).  Two
-    paths find the candidate points:
+    The basis is orthonormalized first (an empty or dependent basis is
+    rejected).  Two paths find the candidate points:
 
     - three qubits and dimension k <= 5: one degree-6 polynomial solve
       (``_qubit_triple_points``), which finds every product vector in the span
@@ -452,6 +448,8 @@ def subspace_product_hunt(
     reported rank is the linear-independence rank of the expanded hits,
     computed from their Gram spectrum at the default tolerance.
     """
+    if len(basis) == 0:
+        raise ValueError("basis is empty")
     ortho = linalg.orthonormalize(basis)
     if len(ortho) != len(basis):
         raise ValueError("basis vectors are linearly dependent")
@@ -464,8 +462,7 @@ def subspace_product_hunt(
     dims = parts.local_dims
     candidates = _qubit_triple_points(proj, len(ortho)) if dims == (2, 2, 2) and len(ortho) <= 5 else None
     if candidates is None:
-        p_tensor = ((proj + proj.conj().T) / 2).reshape(dims + dims)
-        objective, locs = _seesaw(p_tensor, dims, seed, restarts)
+        objective, locs = _seesaw((proj + proj.conj().T) / 2, dims, seed, restarts)
         candidates = [
             (ProductVector(tuple(v[r] / np.linalg.norm(v[r]) for v in locs)), float(objective[r]))
             for r in np.flatnonzero(objective >= 1.0 - UNEXTENDIBILITY_GAP)

@@ -27,10 +27,9 @@ from typing import Mapping
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, projector_combination
+from .states import TRACE_TOL, DensityMatrix, projector_combination
 from .upb import UPB, UnextendibilityCertificate
 
-WITNESS_TRACE_TOL = 1e-12
 SAFETY_MARGIN = 1e-6      # subtracted from the certified floor c
 RADIUS_DENOM_FLOOR = 1e-15
 DIRECTION_SUM_TOL = 1e-12
@@ -50,7 +49,7 @@ class Witness:
     def __post_init__(self):
         m = linalg.as_hermitian(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if abs(np.trace(m).real - 1.0) > WITNESS_TRACE_TOL:
+        if abs(np.trace(m).real - 1.0) > TRACE_TOL:
             raise ValueError(f"witness trace is {np.trace(m).real!r}, expected 1")
         if not self.detected_value < 0.0:
             raise ValueError("a witness must detect the state it was built against")

@@ -56,8 +56,7 @@ def local_noise(coefficients):
     return {**SCAN, "noise": {"kind": "local", "coefficients": coefficients}}
 
 
-# (raw config, message the ConfigError must match); the last seven rows hold JSON values of the
-# wrong type that a lenient float() or int() would accept
+# (raw config, message the ConfigError must match)
 REJECTED = [
     (make_config(angles=[0.3, 0.7]), "angles must be a list of three angles"),
     (make_config(angles=0.3), "angles must be a list of three angles"),
@@ -90,6 +89,7 @@ REJECTED = [
     ({**RADIUS, "direction": [1.0]}, r"direction must be a nonempty label->weight object, got \[1.0\]"),
     ({**RADIUS, "direction": {"0,0,0": 1.5, "1,1,1": -0.5}}, "direction weights must be nonnegative"),
     (local_noise({"0,0,0": 1, "1,1,1": -0.5}), "local noise operator is not a state"),
+    # JSON values of the wrong type that a lenient float() or int() would accept
     ({**SCAN, "cut": [1.9]}, r"cut index must be an integer in \[0, 2\], got 1.9"),
     ({**SCAN, "cut": [True]}, "cut index must be an integer in"),
     ({**SCAN, "cut": ["2"]}, "cut index must be an integer in"),
@@ -97,6 +97,14 @@ REJECTED = [
     ({**SCAN, "epsilon_grid": ["0.01"]}, "epsilon_grid value must be a number, got '0.01'"),
     ({**RADIUS, "direction": {"0,0,0": True}}, r"direction\['0,0,0'\] must be a number, got True"),
     (local_noise({"0,0,0": "1"}), r"noise coefficients\['0,0,0'\] must be a number, got '1'"),
+    # integers beyond float range, and two keys that name one label
+    (make_config(angles=[0.3, 0.7, 10**400]), "angles value is out of float range"),
+    ({**SCAN, "epsilon_grid": [10**400]}, "epsilon_grid value is out of float range"),
+    ({**RADIUS, "direction": {"0,0,0": 10**400}}, r"direction\['0,0,0'\] is out of float range"),
+    (local_noise({"0,0,0": 0.5, " 0,0,0": 0.25, "1,1,1": 0.25}),
+     "noise coefficients keys '0,0,0' and ' 0,0,0' both name the label '0,0,0'"),
+    ({**RADIUS, "direction": {"0,phi1,1": 0.5, "0, phi1, 1": 0.5}},
+     "direction keys '0,phi1,1' and '0, phi1, 1' both name the label '0,phi1,1'"),
 ]
 
 
@@ -418,7 +426,51 @@ class TestCommands:
             assert payload["check"]["inside_value"] < 0 <= payload["check"]["outside_value"]
 
 
+SCHEMA_CONFIGS = {"build": make_config(), "subspace-hunt": HUNT, "witness-radius": RADIUS}
+DELETE = object()
+
+# (command, path to the value a row replaces or deletes, its new value, message the SchemaError must
+# match); the empty path replaces the whole report
+SCHEMA_REJECTED = [
+    ("build", ("payload", "spectrum", 0), "x", r"payload.spectrum\[0\]: expected number, got str"),
+    ("build", ("payload", "ppt", 0, "ppt"), 1, r"payload.ppt\[0\].ppt: expected bool, got int"),
+    ("build", ("payload", "ppt", 0), [], r"payload.ppt\[0\]: expected object, got list"),
+    ("build", ("payload", "spectrum"), 1.0, "payload.spectrum: expected array, got float"),
+    ("build", ("payload", "members", 0, 0, 0), [1.0], r"payload.members\[0\]\[0\]\[0\]: expected \[re, im\] pair"),
+    ("subspace-hunt", ("payload", "histogram"), [], "payload.histogram: expected object, got list"),
+    ("subspace-hunt", ("payload", "histogram"), {1: 1}, "payload.histogram: non-string key 1"),
+    ("witness-radius", ("payload", "direction"), 5, "payload.direction: no schema alternative matched"),
+    ("build", (), [], "report must be an object"),
+    ("build", ("meta",), DELETE, "report: missing top-level field 'meta'"),
+    ("build", ("config", "command"), DELETE, "config: missing command"),
+    ("build", ("config", "command"), "summon", "config.command: unknown command 'summon'"),
+]
+
+
+@pytest.fixture(scope="module")
+def rendered_reports():
+    return {command: run_command(parse_config(raw)).render() for command, raw in SCHEMA_CONFIGS.items()}
+
+
 class TestSchema:
+    @pytest.mark.parametrize("command, path, value, message", SCHEMA_REJECTED)
+    def test_rejected(self, rendered_reports, command, path, value, message):
+        report = json.loads(rendered_reports[command])
+        validate_report(report)
+        if not path:
+            report = value
+        else:
+            *head, last = path
+            target = report
+            for key in head:
+                target = target[key]
+            if value is DELETE:
+                del target[last]
+            else:
+                target[last] = value
+        with pytest.raises(SchemaError, match=message):
+            validate_report(report)
+
     def test_unknown_payload_field_rejected(self):
         report = json.loads(run_command(parse_config(make_config())).render())
         report["payload"]["surprise"] = 1
@@ -492,6 +544,10 @@ class TestEndToEnd:
         cfg.write_text(json.dumps(make_config()))
         assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "invalid config" in capsys.readouterr().err
+        # an integer beyond float range is an invalid config, not a traceback
+        cfg.write_text(json.dumps(make_config(angles=[0.3, 0.7, 10**400])))
+        assert cli.main(["--config", str(cfg)]) == 1
+        assert "invalid config: angles value is out of float range" in capsys.readouterr().err
 
     def test_certification_failure_exit_code(self, tmp_path):
         # valid but nearly degenerate angles: the complement contains a

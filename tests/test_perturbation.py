@@ -80,6 +80,14 @@ class TestPerturbLocal:
         with pytest.raises(PositivityError):
             perturb_local(pi4_state, coefficients)
 
+    def test_positivity_bound_is_the_state_bound(self):
+        # an eigenvalue DensityMatrix would reject is rejected here too, and one it accepts passes
+        rho = upb_state(shifts_family(ShiftsParams(0.3, 0.7, 1.1)))
+        with pytest.raises(PositivityError, match="eigenvalue -5.0"):
+            perturb_local(rho, {("0", "0", "0"): -5e-10})
+        out = perturb_local(rho, {("0", "0", "0"): -5e-11})
+        DensityMatrix(out.matrix, out.parts)
+
     def test_nonpositive_total_weight_rejected(self, pi4_state):
         with pytest.raises(PositivityError, match="trace nonpositive"):
             perturb_local(pi4_state, {("0", "0", "0"): 0.5, ("1", "1", "1"): -1.5})

@@ -183,7 +183,7 @@ class TestSeesaw:
         assert zero.max_overlap == 0
         dims = (2, 2, 2)
         for proj in (np.eye(8), np.zeros((8, 8))):
-            _, locs = _seesaw(proj.reshape(dims + dims), dims, 1, 4)
+            _, locs = _seesaw(proj, dims, 1, 4)
             for v in locs:
                 assert np.all(np.isfinite(v))
                 assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) < 1e-12
@@ -212,6 +212,13 @@ class TestSeesaw:
         with pytest.raises(ValueError, match="at least two parties"):
             seesaw_max_product_overlap(np.eye(4), PartyStructure((4,)), restarts=1, seed=0)
 
+    def test_rejects_no_restarts_and_a_wrong_size(self, pi4_upb):
+        with pytest.raises(ValueError, match="need at least one restart"):
+            seesaw_max_product_overlap(pi4_upb.complement_projector(), pi4_upb.parts, restarts=0)
+        # eye(4) is a projector, of dimension 4 against the parties' 8
+        with pytest.raises(ValueError, match="does not match the party structure"):
+            seesaw_max_product_overlap(np.eye(4), pi4_upb.parts, restarts=1)
+
     def test_restart_determinism(self, pi4_upb):
         proj = pi4_upb.complement_projector()
         first = seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=16, seed=11)
@@ -223,9 +230,9 @@ class TestSeesaw:
     def test_batched_and_serial_restarts_agree(self, pi4_upb):
         # counter seeds: restart r does the same work whatever the batch around it
         dims = pi4_upb.parts.local_dims
-        p_tensor = pi4_upb.complement_projector().reshape(dims + dims)
-        small, _ = _seesaw(p_tensor, dims, [5, 1], 4)
-        large, _ = _seesaw(p_tensor, dims, [5, 1], 16)
+        proj = pi4_upb.complement_projector()
+        small, _ = _seesaw(proj, dims, [5, 1], 4)
+        large, _ = _seesaw(proj, dims, [5, 1], 16)
         assert np.max(np.abs(small - large[:4])) <= 1e-12
 
     def test_objectives_match_returned_vectors_unequal_dims(self):
@@ -234,7 +241,7 @@ class TestSeesaw:
         inputs = ((2, 3, 2), 3, 8), ((2, 2), 2, 1), ((2, 2, 2), 3, 2), ((2, 2, 2, 2), 5, 3)
         for dims, rank, seed in inputs:
             proj = random_projector(dims, rank, seed)
-            objective, locs = _seesaw(proj.reshape(dims + dims), dims, 3, 6)
+            objective, locs = _seesaw(proj, dims, 3, 6)
             for r in range(6):
                 phi = expand(ProductVector(tuple(v[r] for v in locs)))
                 assert abs(objective[r] - np.vdot(phi, proj @ phi).real) < 1e-12
@@ -249,7 +256,7 @@ class TestSeesaw:
         calls = count_local_updates(monkeypatch)
         for dims, proj in inputs:
             calls.clear()
-            objective, locs = _seesaw(proj.reshape(dims + dims), dims, 7, 8)
+            objective, locs = _seesaw(proj, dims, 7, 8)
             # the loop stopped before the sweep cap, so every restart converged
             assert len(calls) < len(dims) * upb.SEESAW_MAX_SWEEPS
             for r in range(8):
@@ -262,8 +269,7 @@ class TestSeesaw:
     def test_start_vectors_are_per_party_counter_draws(self, monkeypatch):
         monkeypatch.setattr(upb, "SEESAW_MAX_SWEEPS", 0)
         dims = (2, 3, 2)
-        p_tensor = np.eye(12).reshape(dims + dims)
-        _, locs = _seesaw(p_tensor, dims, [4, 2], 5)
+        _, locs = _seesaw(np.eye(12), dims, [4, 2], 5)
         for r in range(5):
             rng = np.random.default_rng([4, 2, r])
             for k, d in enumerate(dims):
@@ -365,6 +371,16 @@ class TestSubspaceHunt:
     def test_rejects_one_party(self):
         with pytest.raises(ValueError, match="at least two parties"):
             subspace_product_hunt([np.eye(4)[0]], PartyStructure((4,)), restarts=1, seed=0)
+
+    def test_rejects_an_empty_basis(self):
+        with pytest.raises(ValueError, match="basis is empty"):
+            subspace_product_hunt([], qubits(3), restarts=1, seed=0)
+
+    def test_seesaw_path_needs_a_restart(self):
+        # dimension 6 takes the seesaw, which checks restarts as certification does
+        basis = random_subspace(np.random.default_rng(5), 6)
+        with pytest.raises(ValueError, match="need at least one restart"):
+            subspace_product_hunt(basis, qubits(3), restarts=0, seed=0)
 
 
 def random_subspace(rng, dim):
