@@ -291,7 +291,7 @@ def _vector_payload(v: ProductVector) -> list[list[list[float]]]:
 def cmd_build(config: dict[str, Any]) -> dict[str, Any]:
     u = shifts_family(ShiftsParams(*config["angles"]))
     rho = upb_state(u)
-    spectrum, _ = linalg.hermitian_eig(rho.matrix)
+    spectrum = linalg.eigvalsh_unchecked(rho.matrix)
     ppt_rows = []
     for cut, verdict in is_ppt_all_cuts(rho).items():
         ppt_rows.append(

@@ -2,12 +2,17 @@
 
 Everything downstream works on small (dim <= 64) dense complex matrices:
 
-- ``eigh_unchecked`` hands a matrix, or a stack of matrices, that must
-  already be Hermitian to LAPACK through ``np.linalg.eigh`` and checks
-  nothing; callers whose operand is Hermitian by construction (the seesaw's
-  qudit local operators, symmetrized or validated matrices, their partial
-  transposes and mixtures of those) use it directly.  ``hermitian_eig`` is
-  the checked entry point: ``as_hermitian`` followed by ``eigh_unchecked``.
+- ``eigvalsh_unchecked`` (``np.linalg.eigvalsh``, eigenvalues only) and
+  ``eigh_unchecked`` (``np.linalg.eigh``, eigenvalues and eigenvectors) hand
+  a matrix, or a stack of matrices, that must already be Hermitian to LAPACK
+  and check nothing.  Callers that drop the vectors (PSD and PPT checks,
+  ranks, spectra, the perturb-scan solves) use the first; ``kernel``, the
+  seesaw's qudit local updates and the exact hunt use the second.  Operands
+  Hermitian by construction (symmetrized or validated matrices, their
+  partial transposes and mixtures of those) go to them directly; others are
+  validated with ``as_hermitian`` first, and ``hermitian_eig`` is that
+  checked pair.  The two LAPACK paths may differ in the last ulp of an
+  eigenvalue, so values compared float for float come from the same one.
   The output is deterministic for identical input on one install, so report
   payloads are byte-stable there; another BLAS/LAPACK build may move floats
   by a few ulps and pick different eigenvector phases.
@@ -68,6 +73,22 @@ def eigh_unchecked(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
 
 
+def eigvalsh_unchecked(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a matrix, or a stack of them, with LAPACK (``eigvalsh``); input must already be Hermitian.
+
+    The values-only counterpart of ``eigh_unchecked``, and as unchecked:
+    LAPACK reads only the lower triangle.  Accepts shape ``(n, n)`` or
+    ``(..., n, n)`` and returns the real eigenvalues ascending along the last
+    axis.  Identical input on one install gives identical output.
+
+    Raises ConvergenceError if LAPACK reports that it did not converge.
+    """
+    try:
+        return np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
+
+
 def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate Hermiticity (``as_hermitian``), then diagonalize with ``eigh_unchecked``.
 
@@ -113,7 +134,7 @@ def kernel(matrix: np.ndarray) -> list[np.ndarray]:
 
 def numerical_rank(matrix: np.ndarray) -> int:
     """Number of eigenvalues of a Hermitian matrix with |eigenvalue| >= DEFAULT_TOL."""
-    vals, _ = hermitian_eig(matrix)
+    vals = eigvalsh_unchecked(as_hermitian(matrix))
     return int(np.count_nonzero(np.abs(vals) >= DEFAULT_TOL))
 
 

@@ -44,6 +44,7 @@ from .states import (
     ProductVector,
     basis_labels,
     expand,
+    expand_locals,
     local_vector,
     projector_combination,
     qubits,
@@ -83,11 +84,11 @@ def perturb_local(
     norm = 1.0 + float(sum(coefficients.values()))
     if norm <= 0.0:
         raise PositivityError("total noise weight drives the trace nonpositive")
-    out = (rho.matrix + noise) / norm
-    vals, _ = linalg.hermitian_eig(out)
-    if vals[0] < -PSD_TOL:
-        raise PositivityError(f"perturbed operator has eigenvalue {vals[0]:.3e} < -{PSD_TOL:g}")
-    return DensityMatrix(out, rho.parts, validate=False)
+    out = DensityMatrix((rho.matrix + noise) / norm, rho.parts, validate=False)
+    low = linalg.eigvalsh_unchecked(out.matrix)[0]
+    if low < -PSD_TOL:
+        raise PositivityError(f"perturbed operator has eigenvalue {low:.3e} < -{PSD_TOL:g}")
+    return out
 
 
 def perturb_mix(rho: DensityMatrix, rho1: DensityMatrix, epsilon: float) -> DensityMatrix:
@@ -100,22 +101,17 @@ def perturb_mix(rho: DensityMatrix, rho1: DensityMatrix, epsilon: float) -> Dens
     return DensityMatrix(out, rho.parts, validate=False)
 
 
-def kernel_product_basis(u: UPB, cut: Bipartition) -> list[ProductVector]:
-    """Members with the cut parties conjugated entrywise.
+def kernel_product_basis(u: UPB, cut: Bipartition) -> np.ndarray:
+    """The ``(D, m)`` matrix whose columns are the members with the cut parties conjugated entrywise.
 
-    These product vectors are orthonormal (conjugation preserves the zero
-    pattern of the local overlaps) and span the kernel of the partially
-    transposed UPB state.  For a real family the output equals the members.
+    Built from the UPB's local stacks.  The columns are orthonormal
+    (conjugation preserves the zero pattern of the local overlaps) and span
+    the kernel of the partially transposed UPB state.  For a real family they
+    equal the expanded members.
     """
     cut.validate_for(u.parts)
-    side = set(cut.side_a)
-    out = []
-    for member in u.members:
-        locs = tuple(
-            np.conj(v) if k in side else v.copy() for k, v in enumerate(member.locals)
-        )
-        out.append(ProductVector(locs))
-    return out
+    stacks = [s.conj() if k in cut.side_a else s for k, s in enumerate(u.local_stacks)]
+    return np.ascontiguousarray(expand_locals(stacks).T)
 
 
 def entangled_pair_noise() -> DensityMatrix:
@@ -177,12 +173,12 @@ def mixing_scan(
         raise ValueError(f"epsilon must lie in (0, {EPSILON_GUARD}]")
     if any(noise.parts != u.parts for noise in noises):
         raise ValueError("noise state does not match the UPB's party structure")
-    basis = np.column_stack([expand(v) for v in kernel_product_basis(u, cut)])
+    basis = kernel_product_basis(u, cut)
     pt_noise = linalg.partial_transpose(
         np.array([noise.matrix for noise in noises]), u.parts.local_dims, cut.side_a
     )
     comp = basis.conj().T @ pt_noise @ basis
-    lam, _ = linalg.eigh_unchecked((comp + comp.conj().swapaxes(-1, -2)) / 2.0)
+    lam = linalg.eigvalsh_unchecked((comp + comp.conj().swapaxes(-1, -2)) / 2.0)
     verdicts = tuple(
         NoiseEffect.PPT_PRESERVING if x > DEGENERACY_BAND
         else NoiseEffect.NPT_INDUCING if x < -DEGENERACY_BAND
@@ -194,10 +190,9 @@ def mixing_scan(
     trace_dev = np.abs(np.trace(mixed, axis1=-2, axis2=-1).real - 1.0)
     if np.any(trace_dev > TRACE_TOL):
         raise ValueError(f"mixed operator trace deviates from 1 by {np.max(trace_dev):.3e}")
-    vals, _ = linalg.eigh_unchecked(mixed)
     return MixingScan(
         compression_eigenvalues=lam,
         verdicts=verdicts,
         predicted_min=lam[:, :1] * eps,
-        exact_min=vals[..., 0],
+        exact_min=linalg.eigvalsh_unchecked(mixed)[..., 0],
     )

@@ -134,15 +134,26 @@ class ProductVector:
         for k, v in enumerate(vecs):
             if v.ndim != 1:
                 raise ValueError(f"local vector {k} is not one-dimensional")
-            if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
+            # written so that a NaN norm fails too
+            if not abs(math.sqrt(np.vdot(v, v).real) - 1.0) <= UNIT_NORM_TOL:
                 raise ValueError(f"local vector {k} is not normalized")
 
 
 def expand(vector: ProductVector) -> np.ndarray:
     """Full tensor-product vector in the composite space."""
-    out = vector.locals[0]
-    for v in vector.locals[1:]:
-        out = np.multiply.outer(out, v).ravel()
+    return expand_locals(vector.locals)
+
+
+def expand_locals(local_vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Tensor product of one local vector per party, taken over the last axis.
+
+    Party k's entry is one ``(d_k,)`` vector or a ``(..., d_k)`` stack of
+    them; leading axes broadcast, so ``(m, d_k)`` stacks give the ``(m, D)``
+    rows of m expanded product vectors.
+    """
+    out = local_vectors[0]
+    for v in local_vectors[1:]:
+        out = (out[..., :, None] * v[..., None, :]).reshape(*out.shape[:-1], -1)
     return out
 
 
@@ -169,7 +180,7 @@ class DensityMatrix:
         if abs(np.trace(m).real - 1.0) > TRACE_TOL:
             raise ValueError(f"trace is {np.trace(m).real!r}, expected 1")
         if validate:
-            vals, _ = linalg.eigh_unchecked(m)
+            vals = linalg.eigvalsh_unchecked(m)
             if vals[0] < -PSD_TOL:
                 raise ValueError(f"operator is not positive semidefinite: min eigenvalue {vals[0]:.3e}")
 
@@ -250,8 +261,7 @@ def min_pt_eigenvalue(rho: DensityMatrix, cut: Bipartition) -> float:
     cut.validate_for(rho.parts)
     # an index permutation of the Hermitian rho.matrix, so Hermitian as well
     pt = linalg.partial_transpose(rho.matrix, rho.parts.local_dims, cut.side_a)
-    vals, _ = linalg.eigh_unchecked(pt)
-    return float(vals[0])
+    return float(linalg.eigvalsh_unchecked(pt)[0])
 
 
 def is_ppt_all_cuts(rho: DensityMatrix) -> dict[Bipartition, CutVerdict]:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ from .states import (
     PartyStructure,
     ProductVector,
     expand,
+    expand_locals,
 )
 
 UNEXTENDIBILITY_GAP = 1e-3       # certified when max_overlap < 1 - gap
@@ -88,36 +89,70 @@ class UnextendibilityCertificate:
         return self.max_overlap < 1.0 - UNEXTENDIBILITY_GAP
 
 
-@dataclass
+@dataclass(frozen=True)
 class UPB:
-    """Ordered orthogonal product vectors with m < D."""
+    """Ordered orthogonal product vectors with m < D.
+
+    Construction stacks party k's local vectors into one read-only ``(m, d_k)``
+    array, ``local_stacks[k]``, expands the members once into the columns of a
+    ``(D, m)`` matrix V and checks orthogonality with one Gram product
+    ``V^H V``.  The projectors are built from V on first use and cached
+    read-only.
+    """
 
     parts: PartyStructure
     members: tuple[ProductVector, ...]
+    local_stacks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _vectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.members = tuple(self.members)
-        if len(self.members) >= self.parts.dim:
+        members = tuple(self.members)
+        object.__setattr__(self, "members", members)
+        if len(members) >= self.parts.dim:
             raise ValueError("an unextendible product basis must be incomplete (m < D)")
-        full = [expand(v) for v in self.members]
-        for i in range(len(full)):
-            if full[i].shape[0] != self.parts.dim:
+        shapes = tuple((d,) for d in self.parts.local_dims)
+        for i, v in enumerate(members):
+            if tuple(loc.shape for loc in v.locals) != shapes:
                 raise ValueError(f"member {i} does not match the party structure")
-            for j in range(i + 1, len(full)):
-                ov = abs(np.vdot(full[i], full[j]))
-                if ov > PAIRWISE_ORTHO_TOL:
-                    raise ValueError(f"members {i} and {j} are not orthogonal: |<i|j>| = {ov:.3e}")
+        stacks = tuple(
+            _read_only(np.array([v.locals[k] for v in members]).reshape(len(members), d))
+            for k, d in enumerate(self.parts.local_dims)
+        )
+        object.__setattr__(self, "local_stacks", stacks)
+        vecs = _read_only(np.ascontiguousarray(expand_locals(stacks).T))
+        object.__setattr__(self, "_vectors", vecs)
+        gram = vecs.conj().T @ vecs
+        # written so that a NaN overlap fails too; the first pair found has i < j
+        bad = ~(np.abs(gram) <= PAIRWISE_ORTHO_TOL)
+        np.fill_diagonal(bad, False)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"members {i} and {j} are not orthogonal: |<i|j>| = {abs(gram[i, j]):.3e}")
 
     @property
     def size(self) -> int:
         return len(self.members)
 
     def member_sum_projector(self) -> np.ndarray:
-        vecs = np.column_stack([expand(v) for v in self.members])
-        return vecs @ vecs.conj().T
+        """``V V^H``, the projector onto the members' span; the same read-only array on every call."""
+        return self._member_sum
 
     def complement_projector(self) -> np.ndarray:
-        return np.eye(self.parts.dim) - self.member_sum_projector()
+        """``I - V V^H``, the projector onto the complement; the same read-only array on every call."""
+        return self._complement
+
+    @functools.cached_property
+    def _member_sum(self) -> np.ndarray:
+        return _read_only(self._vectors @ self._vectors.conj().T)
+
+    @functools.cached_property
+    def _complement(self) -> np.ndarray:
+        return _read_only(np.eye(self.parts.dim) - self._member_sum)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _angle_pair(theta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -98,6 +98,26 @@ class TestHermitianEig:
             la.hermitian_eig(np.eye(2))
 
 
+class TestEigvalshUnchecked:
+    def test_matches_hermitian_eig_single_and_stacked(self):
+        rng = np.random.default_rng(41)
+        stack = np.stack([random_hermitian(rng, 8) for _ in range(6)]).reshape(2, 3, 8, 8)
+        vals = la.eigvalsh_unchecked(stack)
+        assert vals.shape == (2, 3, 8)
+        for h, v in zip(stack.reshape(-1, 8, 8), vals.reshape(-1, 8)):
+            expected = la.hermitian_eig(h).eigenvalues
+            assert np.max(np.abs(la.eigvalsh_unchecked(h) - expected)) < 1e-13
+            assert np.max(np.abs(v - expected)) < 1e-13
+
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+        def fail(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(la.ConvergenceError, match="did not converge"):
+            la.eigvalsh_unchecked(np.eye(2))
+
+
 class TestPartialTranspose:
     def test_diagonal_fixed_point(self):
         d = np.diag(np.arange(8.0))

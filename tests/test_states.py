@@ -169,6 +169,9 @@ class TestProductVectors:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
             states.ProductVector((np.array([1.0, 1.0]),))
+        # a NaN norm compares False against any bound, so it must fail the check too
+        with pytest.raises(ValueError, match="not normalized"):
+            states.ProductVector((np.array([np.nan, 0.0]),))
 
 
 class TestDensityMatrix:

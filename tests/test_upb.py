@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -140,6 +141,41 @@ class TestShiftsFamily:
         e1 = np.array([0.0, 1.0], dtype=complex)
         with pytest.raises(ValueError, match="incomplete"):
             UPB(qubits(1), (ProductVector((e0,)), ProductVector((e1,))))
+
+
+    def test_upb_type_rejects_locals_of_the_wrong_party(self):
+        # total dimension 8 matches, but party 0 must be the 2-dim one
+        member = ProductVector((np.eye(4)[0], np.array([1.0, 0.0])))
+        with pytest.raises(ValueError, match="does not match the party structure"):
+            UPB(PartyStructure((2, 4)), (member,))
+
+    def test_upb_type_rejects_nan_overlap(self):
+        e0 = np.array([1.0, 0.0], dtype=complex)
+        e1 = np.array([0.0, 1.0], dtype=complex)
+        first = ProductVector((e0, e0))
+        second = ProductVector((e1, e1.copy()))
+        # the local arrays stay writable after the norm check
+        second.locals[0][:] = np.nan
+        with pytest.raises(ValueError, match="members 0 and 1 are not orthogonal"):
+            UPB(qubits(2), (first, second))
+
+    def test_upb_type_is_frozen(self, pi4_upb):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pi4_upb.members = ()
+
+    def test_projectors_are_cached_and_read_only(self):
+        u = shifts_family(ShiftsParams(0.3, 0.7, 1.1))
+        member_sum = u.member_sum_projector()
+        complement = u.complement_projector()
+        assert u.member_sum_projector() is member_sum
+        assert u.complement_projector() is complement
+        for p in (member_sum, complement):
+            assert not p.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                p[0, 0] = 0.0
+        expected = sum(product_projector(v) for v in u.members)
+        assert np.max(np.abs(member_sum - expected)) < 1e-15
+        assert np.max(np.abs(complement - (np.eye(8) - expected))) < 1e-15
 
 
 class TestUPBState:
