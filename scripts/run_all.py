@@ -2,16 +2,18 @@
 """Run every sample config through the CLI and collect the reports.
 
 Reports land in scripts/out/<config-name>.report.json; a one-line summary per
-command is printed as it completes.
+command is printed as it completes.  The program is imported from ``src/`` of
+the checkout that holds this script, so it runs without installing upbkit.
 """
 
 import pathlib
 import sys
 
-from upbkit.cli import main
-
 HERE = pathlib.Path(__file__).resolve().parent
 OUT = HERE / "out"
+sys.path.insert(0, str(HERE.parent / "src"))
+
+from upbkit.cli import main  # noqa: E402
 
 
 def run():

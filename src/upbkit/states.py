@@ -124,14 +124,15 @@ def bipartitions(parts: PartyStructure) -> list[Bipartition]:
 
 @dataclass(frozen=True)
 class ProductVector:
-    """One normalized local vector per party."""
+    """One normalized local vector per party, each a read-only copy of the one given."""
 
     locals: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        vecs = tuple(np.asarray(v, dtype=complex) for v in self.locals)
+        vecs = tuple(np.array(v, dtype=complex) for v in self.locals)
         object.__setattr__(self, "locals", vecs)
         for k, v in enumerate(vecs):
+            v.flags.writeable = False
             if v.ndim != 1:
                 raise ValueError(f"local vector {k} is not one-dimensional")
             # written so that a NaN norm fails too
@@ -225,11 +226,18 @@ def projector_combination(coefficients: Mapping[tuple[str, ...], float]) -> np.n
         raise ValueError(f"need labels of one width, got widths {sorted(widths)}")
     (n,) = widths
     stack = projector_basis(n)
-    index = {mu: i for i, mu in enumerate(basis_labels(n))}
+    index = _basis_index(n)
     weights = np.zeros(len(stack))
     for mu, c in coefficients.items():
-        weights[index[validate_labels(mu)]] += c
+        i = index.get(mu)
+        weights[index[validate_labels(mu)] if i is None else i] += c
     return np.tensordot(weights, stack, axes=1)
+
+
+@functools.cache
+def _basis_index(n_qubits: int) -> dict[tuple[str, ...], int]:
+    """Position of each label tuple in ``basis_labels(n_qubits)``; built once per ``n_qubits``."""
+    return {mu: i for i, mu in enumerate(basis_labels(n_qubits))}
 
 
 def projector_basis_gram(n_qubits: int) -> np.ndarray:

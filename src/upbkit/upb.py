@@ -242,6 +242,16 @@ def _eigh_update(op: np.ndarray, w: np.ndarray, prev: np.ndarray) -> tuple[np.nd
     return vals[:, -1], vecs[:, :, -1]
 
 
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words of a nonnegative int, lowest first, as ``np.random.SeedSequence`` splits it."""
+    if n < 0:
+        raise ValueError(f"a seed must be nonnegative, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 def _seesaw(
     projector: np.ndarray,
     dims: Sequence[int],
@@ -253,21 +263,31 @@ def _seesaw(
     ``projector`` is the D x D matrix, ``D = prod(dims)``, and must already be
     Hermitian: nothing here checks it again.  It is reshaped once into a
     ``dims + dims`` tensor (ket axes, then bra axes).  Restart r starts from
-    ``default_rng([*seed, r])``.  Party k's states form one array over the
-    restarts, and a local update maximizes over party k with the product
-    ``w`` of the other parties' states held fixed:
+    the stream of ``default_rng([*seed, r])``: its generator is built from the
+    same uint32 entropy words, the seed's split once per call and r's after
+    them, which ``np.random.SeedSequence`` hashes to the same pool.  Party k's
+    states form one array over the restarts, and a local update maximizes over
+    party k with the product ``w`` of the other parties' states held fixed:
 
-    - every local dim 2: states are Bloch rows ``s_k = (1, r_k)``, and party
-      k's slice of the real Pauli tensor (``_pauli_tensor``) is one
+    - every local dim 2: states are Bloch rows ``s_k = (1, r_k)``, converted
+      from the start kets and back for all parties in one call each, and
+      party k's slice of the real Pauli tensor (``_pauli_tensor``) is one
       ``(4^(n-1), 4)`` matrix, so an update is one real matmul and the closed
       form of ``_bloch_update``, with no eigensolver;
     - otherwise: states are kets, party k's operator is reshaped once into an
       ``(A_k, d_k * d_k * A_k)`` matrix, ``A_k = D / d_k``, and an update is two
       matmuls and one stacked ``linalg.eigh_unchecked`` (``_eigh_update``).
 
+    The states and objectives of the restarts still improving are kept as
+    compact arrays from sweep to sweep, and written back to the full arrays
+    only on a sweep where a restart retires and once at the sweep cap.  The
+    objective's monotonicity is checked once per sweep, over every party's
+    update; a drop raises ConvergenceError naming the first party with one.
+
     Returns the final objective of every restart and the per-party local
     kets.  Raises ValueError for fewer than two parties, where there is
-    nothing to alternate over, and for fewer than one restart.
+    nothing to alternate over, for fewer than one restart and for a negative
+    seed.
     """
     n = len(dims)
     if n < 2:
@@ -275,22 +295,31 @@ def _seesaw(
     if restarts < 1:
         raise ValueError("need at least one restart")
     p_tensor = projector.reshape(tuple(dims) * 2)
-    base = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
+    base = seed if isinstance(seed, (list, tuple)) else [int(seed)]
+    seed_words = [w for s in base for w in _uint32_words(s)]
     # party j draws d_j real parts, then d_j imaginary parts, in party order
-    draws = np.array([np.random.default_rng(base + [r]).standard_normal(2 * sum(dims))
-                      for r in range(restarts)])
-    offsets = np.cumsum([0] + [2 * d for d in dims])
-    locs = []
-    for k, d in enumerate(dims):
-        v = draws[:, offsets[k]:offsets[k] + d] + 1j * draws[:, offsets[k] + d:offsets[k + 1]]
-        locs.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+    draws = np.array([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            np.array(seed_words + _uint32_words(r), dtype=np.uint32)))).standard_normal(2 * sum(dims))
+        for r in range(restarts)
+    ])
     bloch = all(d == 2 for d in dims)
     if bloch:
+        # (n * R, 2) start kets, party-major, so that each party's Bloch rows are one contiguous block
+        kets = draws.reshape(restarts, n, 2, 2).transpose(1, 0, 2, 3).reshape(-1, 2, 2)
+        kets = kets[:, 0] + 1j * kets[:, 1]
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        bloch_rows = _ket_to_bloch(kets).reshape(n, restarts, 4)
+        locs = list(bloch_rows)
         t = _pauli_tensor(p_tensor)
         ops = [np.moveaxis(t, k, -1).reshape(-1, 4) for k in range(n)]
-        locs = [_ket_to_bloch(v) for v in locs]
         update = _bloch_update
     else:
+        offsets = np.cumsum([0] + [2 * d for d in dims])
+        locs = []
+        for k, d in enumerate(dims):
+            v = draws[:, offsets[k]:offsets[k] + d] + 1j * draws[:, offsets[k] + d:offsets[k + 1]]
+            locs.append(v / np.linalg.norm(v, axis=1, keepdims=True))
         # ops[k][y, a, b, x] = <x, a| P |y, b>, with x, y the other parties' indices
         # (party k's ket and bra axes in the middle), so that for their product
         # vector w, ((w @ ops[k]) @ conj(w))[a, b] = <w, a| P |w, b>
@@ -302,32 +331,41 @@ def _seesaw(
         update = _eigh_update
     objective = np.full(restarts, -np.inf)
     active = np.arange(restarts)
+    # the active restarts' states; row 0 of values is their objective at the
+    # start of a sweep, row k + 1 the maximum of party k's update in it
+    cur = list(locs)
+    values = np.full((n + 1, restarts), -np.inf)
     for sweep in range(SEESAW_MAX_SWEEPS):
-        # the active restarts' states and objective, written back once per sweep
-        cur = [loc[active] for loc in locs]
-        sweep_start = value = objective[active]
+        values[0] = values[n]
+        # a sweep starts from C-contiguous states: with two parties w is the other
+        # party's state itself, and a matmul can round a strided operand (the
+        # eigenvector columns of _eigh_update) differently
+        cur = [np.ascontiguousarray(c) for c in cur]
         for k in range(n):
             w, *rest = cur[:k] + cur[k + 1:]
             for v in rest:
                 w = (w[:, :, None] * v[:, None, :]).reshape(active.size, -1)
-            vals, cur[k] = update(ops[k], w, cur[k])
-            # each local update is an exact maximization, so the objective is monotone
-            drop = value - vals
-            if (drop > SEESAW_IMPROVEMENT_TOL).any():
-                i = int(np.argmax(drop))
-                raise linalg.ConvergenceError(
-                    f"seesaw objective decreased at restart {active[i]}, sweep {sweep}, "
-                    f"party {k}: drop {drop[i]:.3e} exceeds {SEESAW_IMPROVEMENT_TOL:.3e}"
-                )
-            value = vals
-        for loc, c in zip(locs, cur):
-            loc[active] = c
-        objective[active] = value
-        active = active[value - sweep_start >= SEESAW_IMPROVEMENT_TOL]
-        if not active.size:
-            break
+            values[k + 1], cur[k] = update(ops[k], w, cur[k])
+        # each local update is an exact maximization, so the objective is monotone
+        drop = values[:-1] - values[1:]
+        if (drop > SEESAW_IMPROVEMENT_TOL).any():
+            k = int(np.argmax((drop > SEESAW_IMPROVEMENT_TOL).any(axis=1)))
+            i = int(np.argmax(drop[k]))
+            raise linalg.ConvergenceError(
+                f"seesaw objective decreased at restart {active[i]}, sweep {sweep}, "
+                f"party {k}: drop {drop[k, i]:.3e} exceeds {SEESAW_IMPROVEMENT_TOL:.3e}"
+            )
+        # written so that a NaN objective retires too
+        keep = values[n] - values[0] >= SEESAW_IMPROVEMENT_TOL
+        if not keep.all() or sweep == SEESAW_MAX_SWEEPS - 1:
+            for loc, c in zip(locs, cur):
+                loc[active] = c
+            objective[active] = values[n]
+            active, values, cur = active[keep], values[:, keep], [c[keep] for c in cur]
+            if not active.size:
+                break
     if bloch:
-        locs = [_bloch_to_ket(s) for s in locs]
+        locs = list(_bloch_to_ket(bloch_rows.reshape(-1, 4)).reshape(n, restarts, 2))
     return objective, locs
 
 

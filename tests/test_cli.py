@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -502,6 +504,18 @@ def run_cli(tmp_path, raw, *extra):
 
 
 class TestEndToEnd:
+    def test_run_all_script_imports_the_checkout(self, tmp_path):
+        # loaded under another name, so its main block, which writes scripts/out, does not run
+        root = pathlib.Path(__file__).resolve().parent.parent
+        code = "import runpy, sys; runpy.run_path(sys.argv[1]); print(sys.modules['upbkit'].__file__)"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(root / "scripts" / "run_all.py")],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (root / "src") in pathlib.Path(proc.stdout.strip()).resolve().parents
+
     def test_build_round_trip_and_determinism(self, tmp_path):
         first = run_cli(tmp_path, make_config())
         second = run_cli(tmp_path, make_config())

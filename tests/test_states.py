@@ -113,7 +113,7 @@ class TestProjectorBasis:
     def test_combination_rejects_mixed_widths(self):
         with pytest.raises(ValueError, match="widths"):
             states.projector_combination({("0", "1", "0"): 1.0, ("phi1", "phi2"): 0.0})
-        with pytest.raises(ValueError, match="label"):
+        with pytest.raises(ValueError, match="unknown label '2'; expected one of"):
             states.projector_combination({("0", "2"): 1.0})
 
     def test_size_guard(self):
@@ -172,6 +172,17 @@ class TestProductVectors:
         # a NaN norm compares False against any bound, so it must fail the check too
         with pytest.raises(ValueError, match="not normalized"):
             states.ProductVector((np.array([np.nan, 0.0]),))
+
+    def test_locals_are_read_only_copies(self):
+        e0 = states.local_vector("0")
+        v = states.ProductVector((e0, e0))
+        assert v.locals[0] is not e0
+        for loc in v.locals:
+            with pytest.raises(ValueError, match="read-only"):
+                loc[:] = np.nan
+        # the caller's array stays writable and changing it leaves the product vector alone
+        e0[:] = np.nan
+        assert np.array_equal(states.expand(v), np.eye(4)[0])
 
 
 class TestDensityMatrix:

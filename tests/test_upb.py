@@ -89,6 +89,58 @@ def count_local_updates(monkeypatch) -> list:
     return calls
 
 
+def reference_seesaw(proj, dims, seed, restarts):
+    """The seesaw as one update at a time, the reference ``_seesaw`` must equal bit for bit.
+
+    Restart r draws from ``default_rng([*seed, r])``, each party converts to and
+    from Bloch rows on its own, the objective is checked after every local
+    update, and the active restarts are gathered and written back every sweep.
+    """
+    n = len(dims)
+    p_tensor = proj.reshape(tuple(dims) * 2)
+    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    draws = np.array([np.random.default_rng(base + [r]).standard_normal(2 * sum(dims)) for r in range(restarts)])
+    offsets = np.cumsum([0] + [2 * d for d in dims])
+    locs = []
+    for k, d in enumerate(dims):
+        v = draws[:, offsets[k]:offsets[k] + d] + 1j * draws[:, offsets[k] + d:offsets[k + 1]]
+        locs.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+    bloch = all(d == 2 for d in dims)
+    if bloch:
+        t = upb._pauli_tensor(p_tensor)
+        ops = [np.moveaxis(t, k, -1).reshape(-1, 4) for k in range(n)]
+        locs = [upb._ket_to_bloch(v) for v in locs]
+        update = upb._bloch_update
+    else:
+        ops = []
+        for k in range(n):
+            others = [j for j in range(n) if j != k]
+            axes = [n + j for j in others] + [k, n + k] + others
+            ops.append(p_tensor.transpose(axes).reshape(int(np.prod(dims)) // dims[k], -1))
+        update = upb._eigh_update
+    objective = np.full(restarts, -np.inf)
+    active = np.arange(restarts)
+    for _ in range(upb.SEESAW_MAX_SWEEPS):
+        cur = [loc[active] for loc in locs]
+        sweep_start = value = objective[active]
+        for k in range(n):
+            w, *rest = cur[:k] + cur[k + 1:]
+            for v in rest:
+                w = (w[:, :, None] * v[:, None, :]).reshape(active.size, -1)
+            vals, cur[k] = update(ops[k], w, cur[k])
+            assert not (value - vals > upb.SEESAW_IMPROVEMENT_TOL).any()
+            value = vals
+        for loc, c in zip(locs, cur):
+            loc[active] = c
+        objective[active] = value
+        active = active[value - sweep_start >= upb.SEESAW_IMPROVEMENT_TOL]
+        if not active.size:
+            break
+    if bloch:
+        locs = [upb._bloch_to_ket(s) for s in locs]
+    return objective, locs
+
+
 def tiles_upb():
     """Two-qutrit five-member fixture (the classic tiling construction)."""
     def q(i):
@@ -153,9 +205,9 @@ class TestShiftsFamily:
         e0 = np.array([1.0, 0.0], dtype=complex)
         e1 = np.array([0.0, 1.0], dtype=complex)
         first = ProductVector((e0, e0))
-        second = ProductVector((e1, e1.copy()))
-        # the local arrays stay writable after the norm check
-        second.locals[0][:] = np.nan
+        second = ProductVector((e1, e1))
+        # the locals are read-only copies, so a NaN local that passed the norm check is injected
+        object.__setattr__(second, "locals", (np.full(2, np.nan, dtype=complex), e1))
         with pytest.raises(ValueError, match="members 0 and 1 are not orthogonal"):
             UPB(qubits(2), (first, second))
 
@@ -302,28 +354,68 @@ class TestSeesaw:
                     assert abs(np.vdot(eigvecs[:, -1], vecs[k])) ** 2 > 1 - 1e-9
                     assert abs(objective[r] - vals[-1]) < 1e-9
 
+    def test_equals_the_one_update_at_a_time_reference(self, monkeypatch):
+        # two, three and four parties on the Bloch path, and qudits, where with two
+        # parties the other party's state is the matmul operand itself; a cap of two
+        # sweeps stops restarts that are still improving
+        inputs = [(2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3), (3, 2), (2, 3, 2)]
+        for sweeps in (upb.SEESAW_MAX_SWEEPS, 2):
+            monkeypatch.setattr(upb, "SEESAW_MAX_SWEEPS", sweeps)
+            for case, dims in enumerate(inputs):
+                proj = random_projector(dims, int(np.prod(dims)) // 2, case)
+                for seed, restarts in ((case, 1), ([2**40 + case, 7], 12)):
+                    objective, locs = _seesaw(proj, dims, seed, restarts)
+                    ref_objective, ref_locs = reference_seesaw(proj, dims, seed, restarts)
+                    assert np.array_equal(objective, ref_objective)
+                    for v, ref in zip(locs, ref_locs, strict=True):
+                        assert np.array_equal(v, ref)
+
     def test_start_vectors_are_per_party_counter_draws(self, monkeypatch):
+        # restart r starts from default_rng([*seed, r]), with seeds across 32-bit word boundaries
         monkeypatch.setattr(upb, "SEESAW_MAX_SWEEPS", 0)
-        dims = (2, 3, 2)
-        _, locs = _seesaw(np.eye(12), dims, [4, 2], 5)
-        for r in range(5):
-            rng = np.random.default_rng([4, 2, r])
-            for k, d in enumerate(dims):
-                v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                assert np.max(np.abs(locs[k][r] - v / np.linalg.norm(v))) <= 1e-15
+        for seed in (0, 2**32 - 1, 2**32, 2**64 - 1, [2**64 - 1, 3], [5, 2**32], [4, 2]):
+            base = seed if isinstance(seed, list) else [seed]
+            for dims in ((2, 3, 2), (2, 2, 2)):
+                _, locs = _seesaw(np.eye(int(np.prod(dims))), dims, seed, 5)
+                offsets = np.cumsum([0, *(2 * d for d in dims)])
+                for r in range(5):
+                    draw = np.random.default_rng([*base, r]).standard_normal(2 * sum(dims))
+                    for k, d in enumerate(dims):
+                        v = draw[offsets[k]:offsets[k] + d] + 1j * draw[offsets[k] + d:offsets[k + 1]]
+                        v /= np.linalg.norm(v)
+                        if dims == (2, 2, 2):
+                            # the Bloch path returns the start ket up to a phase
+                            assert abs(np.vdot(v, locs[k][r])) > 1 - 1e-12
+                        else:
+                            assert np.max(np.abs(locs[k][r] - v)) <= 1e-15
+
+    def test_seed_words_are_numpys(self):
+        # the generator of restart r hashes the seed's words, then r's
+        assert upb._uint32_words(2**32) == [0, 1]
+        for n in (0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5):
+            words = np.array(upb._uint32_words(n), dtype=np.uint32)
+            assert np.array_equal(np.random.SeedSequence(words).pool, np.random.SeedSequence(n).pool)
+        words = np.array([5, *upb._uint32_words(2**32)], dtype=np.uint32)
+        assert np.array_equal(np.random.SeedSequence(words).pool, np.random.SeedSequence([5, 2**32]).pool)
+
+    def test_negative_seed_rejected(self):
+        for seed in (-1, [3, -1], -(2**64)):
+            with pytest.raises(ValueError, match="negative"):
+                _seesaw(np.eye(8), (2, 2, 2), seed, 2)
 
     def test_objective_drop_raises(self, pi4_upb, monkeypatch):
-        # three parties: call 4 is the first local update of sweep 1, on the Bloch
-        # update for qubits and on the stacked eigensolve for dims 2, 3, 2
+        # three parties: calls 4 and 6 are the first and last local updates of sweep 1,
+        # on the Bloch update for qubits and on the stacked eigensolve for dims 2, 3, 2
         inputs = [
             (pi4_upb.complement_projector(), pi4_upb.parts),
             (random_projector((2, 3, 2), 3, 6), PartyStructure((2, 3, 2))),
         ]
-        for proj, parts in inputs:
-            with monkeypatch.context() as patch:
-                lower_top_eigenvalue(patch, at_call=4, restart=2)
-                with pytest.raises(ConvergenceError, match="restart 2, sweep 1"):
-                    seesaw_max_product_overlap(proj, parts, restarts=4, seed=0)
+        for at_call, party in ((4, 0), (6, 2)):
+            for proj, parts in inputs:
+                with monkeypatch.context() as patch:
+                    lower_top_eigenvalue(patch, at_call=at_call, restart=2)
+                    with pytest.raises(ConvergenceError, match=f"restart 2, sweep 1, party {party}: drop "):
+                        seesaw_max_product_overlap(proj, parts, restarts=4, seed=0)
 
     def test_qubit_seesaw_calls_no_eigensolver(self, pi4_upb, monkeypatch):
         def refuse(matrix):
