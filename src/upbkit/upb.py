@@ -263,9 +263,8 @@ def _seesaw(
     ``projector`` is the D x D matrix, ``D = prod(dims)``, and must already be
     Hermitian: nothing here checks it again.  It is reshaped once into a
     ``dims + dims`` tensor (ket axes, then bra axes).  Restart r starts from
-    the stream of ``default_rng([*seed, r])``: its generator is built from the
-    same uint32 entropy words, the seed's split once per call and r's after
-    them, which ``np.random.SeedSequence`` hashes to the same pool.  Party k's
+    the stream of ``default_rng([*seed, r])``, with the seed's uint32 words
+    split once per call and r's appended for each restart.  Party k's
     states form one array over the restarts, and a local update maximizes over
     party k with the product ``w`` of the other parties' states held fixed:
 
@@ -299,27 +298,24 @@ def _seesaw(
     seed_words = [w for s in base for w in _uint32_words(s)]
     # party j draws d_j real parts, then d_j imaginary parts, in party order
     draws = np.array([
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            np.array(seed_words + _uint32_words(r), dtype=np.uint32)))).standard_normal(2 * sum(dims))
+        np.random.default_rng(np.array(seed_words + _uint32_words(r), dtype=np.uint32))
+        .standard_normal(2 * sum(dims))
         for r in range(restarts)
     ])
+    offsets = np.cumsum([0] + [2 * d for d in dims])
+    locs = []
+    for k, d in enumerate(dims):
+        v = draws[:, offsets[k]:offsets[k] + d] + 1j * draws[:, offsets[k] + d:offsets[k + 1]]
+        locs.append(v / np.linalg.norm(v, axis=1, keepdims=True))
     bloch = all(d == 2 for d in dims)
     if bloch:
-        # (n * R, 2) start kets, party-major, so that each party's Bloch rows are one contiguous block
-        kets = draws.reshape(restarts, n, 2, 2).transpose(1, 0, 2, 3).reshape(-1, 2, 2)
-        kets = kets[:, 0] + 1j * kets[:, 1]
-        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-        bloch_rows = _ket_to_bloch(kets).reshape(n, restarts, 4)
+        # one block of rows per party, so that locs are views the write-back fills
+        bloch_rows = _ket_to_bloch(np.concatenate(locs)).reshape(n, restarts, 4)
         locs = list(bloch_rows)
         t = _pauli_tensor(p_tensor)
         ops = [np.moveaxis(t, k, -1).reshape(-1, 4) for k in range(n)]
         update = _bloch_update
     else:
-        offsets = np.cumsum([0] + [2 * d for d in dims])
-        locs = []
-        for k, d in enumerate(dims):
-            v = draws[:, offsets[k]:offsets[k] + d] + 1j * draws[:, offsets[k] + d:offsets[k + 1]]
-            locs.append(v / np.linalg.norm(v, axis=1, keepdims=True))
         # ops[k][y, a, b, x] = <x, a| P |y, b>, with x, y the other parties' indices
         # (party k's ket and bra axes in the middle), so that for their product
         # vector w, ((w @ ops[k]) @ conj(w))[a, b] = <w, a| P |w, b>
