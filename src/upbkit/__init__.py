@@ -6,6 +6,7 @@ from .linalg import (
     kernel,
     numerical_rank,
     partial_transpose,
+    span_projector,
     subspace_distance,
 )
 from .states import (

@@ -407,12 +407,11 @@ def cmd_rank_mixtures(config: dict[str, Any]) -> dict[str, Any]:
 
 def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
     parts = qubits(3)
-    runs: list[tuple[int, list[np.ndarray], Sequence[int]]] = []
+    runs: list[tuple[int, np.ndarray, Sequence[int]]] = []
     if config["subspace_kind"] == "upb_complement":
         u = shifts_family(ShiftsParams(*config["angles"]))
-        basis = linalg.kernel(u.member_sum_projector())
-        runs.append((0, basis, [config["seed"], 0]))
-        dim = len(basis)
+        runs.append((0, u.complement_projector(), [config["seed"], 0]))
+        dim = parts.dim - u.size
     else:
         dim = config["subspace_dim"]
         for s in range(config["samples"]):
@@ -422,12 +421,12 @@ def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
             else:
                 raw = rng.standard_normal((parts.dim, dim)) + 1j * rng.standard_normal((parts.dim, dim))
                 vecs = [raw[:, k] for k in range(dim)]
-            runs.append((s, vecs, [config["seed"], s]))
+            runs.append((s, linalg.span_projector(vecs), [config["seed"], s]))
 
     sample_rows = []
     histogram: dict[int, int] = {}
-    for index, basis, seed in runs:
-        result = subspace_product_hunt(basis, parts, restarts=config["restarts"], seed=seed)
+    for index, projector, seed in runs:
+        result = subspace_product_hunt(projector, parts, restarts=config["restarts"], seed=seed)
         histogram[result.distinct_count] = histogram.get(result.distinct_count, 0) + 1
         sample_rows.append(
             {

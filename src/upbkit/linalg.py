@@ -151,17 +151,18 @@ def orthonormalize(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
     return basis
 
 
+def span_projector(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Orthogonal projector onto the span of ``vectors``, orthonormalized first; an empty span raises ValueError."""
+    ortho = orthonormalize(vectors)
+    if not ortho:
+        raise ValueError("empty span")
+    b = np.column_stack(ortho)
+    return b @ b.conj().T
+
+
 def subspace_distance(first: Sequence[np.ndarray], second: Sequence[np.ndarray]) -> float:
-    """Max-entry distance between the orthogonal projectors onto the two spans.
+    """Max-entry distance between the orthogonal projectors onto the two spans (``span_projector``).
 
-    Both vector lists are orthonormalized internally; the result is zero
-    exactly when the spans coincide.
+    The result is zero exactly when the spans coincide.
     """
-    def projector(vectors: Sequence[np.ndarray]) -> np.ndarray:
-        ortho = orthonormalize(vectors)
-        if not ortho:
-            raise ValueError("empty span")
-        b = np.column_stack(ortho)
-        return b @ b.conj().T
-
-    return float(np.max(np.abs(projector(first) - projector(second))))
+    return float(np.max(np.abs(span_projector(first) - span_projector(second))))

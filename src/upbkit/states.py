@@ -154,7 +154,7 @@ def expand_locals(local_vectors: Sequence[np.ndarray]) -> np.ndarray:
     """
     out = local_vectors[0]
     for v in local_vectors[1:]:
-        out = (out[..., :, None] * v[..., None, :]).reshape(*out.shape[:-1], -1)
+        out = (out[..., :, None] * v[..., None, :]).reshape(*out.shape[:-1], out.shape[-1] * v.shape[-1])
     return out
 
 

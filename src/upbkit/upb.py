@@ -20,14 +20,14 @@ closed form: with Bloch vectors, |<a|m>|^2 = (1 + r_a . r_m)/2 makes the
 objective multilinear, g_0 + g . r_k in party k, maximal at r_k = g/|g|.
 Other local dims take the top eigenvector of the party's local operator.
 
-Product hunting in a subspace takes one of two paths.  For three qubits and
-dimension k <= 5 the product vectors form a finite algebraic set (the Segre
-variety has degree 6), found by one degree-6 polynomial solve: six points in
-a five-dimensional (super)space, of which those within HUNT_RESIDUAL_TOL of
-the subspace count.  Every other input, and such a subspace where that solve
-is degenerate (a root at infinity, a rank-deficient constraint matrix, a
-multiple root, a continuum), goes to the seesaw, where each restart that
-reaches overlap 1 - gap counts.
+Product hunting takes a projector, as the certificate does, and searches its
+range.  For three qubits and rank k <= 5 the product vectors form a finite
+set (the Segre variety has degree 6), found by one degree-6 polynomial solve:
+six points in a five-dimensional (super)space, of which those within
+HUNT_RESIDUAL_TOL of the range count.  Every other input, and a degenerate
+solve (a root at infinity, a rank-deficient constraint matrix, a multiple
+root, a continuum), goes to the seesaw, where each restart that reaches
+overlap 1 - gap counts.  One fidelity rule keeps the distinct hits of either.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .states import (
     DensityMatrix,
     PartyStructure,
     ProductVector,
-    expand,
     expand_locals,
 )
 
@@ -365,6 +364,16 @@ def _seesaw(
     return objective, locs
 
 
+def _checked_projector(projector: np.ndarray, parts: PartyStructure) -> np.ndarray:
+    """The symmetrized ``projector`` (``linalg.as_hermitian``), checked idempotent and of shape ``(D, D)``."""
+    p = linalg.as_hermitian(projector)
+    if float(np.max(np.abs(p @ p - p))) > PROJECTOR_TOL:
+        raise ValueError("input is not an orthogonal projector within tolerance")
+    if p.shape != (parts.dim, parts.dim):
+        raise ValueError("projector dimension does not match the party structure")
+    return p
+
+
 def seesaw_max_product_overlap(
     projector: np.ndarray,
     parts: PartyStructure,
@@ -377,12 +386,7 @@ def seesaw_max_product_overlap(
     reproducible and restarts are independent; the best overlap wins, ties
     broken by the lowest restart index.
     """
-    p = linalg.as_hermitian(projector)
-    if float(np.max(np.abs(p @ p - p))) > PROJECTOR_TOL:
-        raise ValueError("input is not an orthogonal projector within tolerance")
-    if p.shape[0] != parts.dim:
-        raise ValueError("projector dimension does not match the party structure")
-    objective, locs = _seesaw(p, parts.local_dims, seed, restarts)
+    objective, locs = _seesaw(_checked_projector(projector, parts), parts.local_dims, seed, restarts)
     r = int(np.argmax(objective))
     best = ProductVector(tuple(v[r] / np.linalg.norm(v[r]) for v in locs))
     return UnextendibilityCertificate(
@@ -440,7 +444,17 @@ def _null_vectors(n: np.ndarray) -> np.ndarray:
     return np.linalg.det(n.swapaxes(-1, -2)[..., _MINOR_COLUMNS, :]) * np.array([1, -1, 1, -1])
 
 
-def _qubit_triple_points(proj: np.ndarray, k: int) -> list[tuple[ProductVector, float]] | None:
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """Indices of the unit rows kept in order: a row goes when its fidelity with a kept one exceeds 1 - tol."""
+    fidelity = np.abs(rows.conj() @ rows.T) ** 2
+    kept: list[int] = []
+    for r in range(len(rows)):
+        if not (fidelity[r, kept] > 1.0 - DISTINCT_FIDELITY_TOL).any():
+            kept.append(r)
+    return np.array(kept, dtype=int)
+
+
+def _qubit_triple_points(proj: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray] | None:
     """Every product vector in the range of ``proj``, a three-qubit projector of rank ``k <= 5``.
 
     A product vector lies in the span iff it is orthogonal to the complement.
@@ -454,12 +468,13 @@ def _qubit_triple_points(proj: np.ndarray, k: int) -> list[tuple[ProductVector, 
     degree-6 polynomial, whose six roots give the superspace's six product
     vectors (the degree of the Segre variety).  The points returned are those
     whose residual ``||(I - P) phi||`` against the whole complement is below
-    ``HUNT_RESIDUAL_TOL``, each with its overlap ``<phi|P|phi>``.
+    ``HUNT_RESIDUAL_TOL``, as the seesaw returns its restarts: the per-party
+    ``(R, 2)`` unit kets and the ``(R,)`` overlaps ``<phi|P|phi>``.
 
     Returns None, for the seesaw to settle, when the solve is degenerate:
     the leading coefficient vanishes (a root at infinity), ``N`` loses rank
-    at a root, or fewer than six distinct points verify in the superspace (a
-    multiple root, or a continuum of product vectors).
+    at a root, or fewer than six distinct points (``_distinct``) verify in
+    the superspace (a multiple root, or a continuum of product vectors).
     """
     # proj's eigenvalues are 0 (8 - k times) and then 1
     complement = linalg.eigh_unchecked(proj).eigenvectors[:, :8 - k]
@@ -481,29 +496,28 @@ def _qubit_triple_points(proj: np.ndarray, k: int) -> list[tuple[ProductVector, 
     b = linalg.eigh_unchecked(z @ z.conj().transpose(0, 2, 1)).eigenvectors[:, :, 1]
     c = np.einsum("rp,rpq->rq", b.conj(), z)
     c /= np.linalg.norm(c, axis=1, keepdims=True)
-    phi = (a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]).reshape(-1, 8)
-    fidelity = np.abs(phi.conj() @ phi.T) ** 2
-    np.fill_diagonal(fidelity, 0.0)
+    phi = expand_locals((a, b, c))
     in_superspace = np.linalg.norm(phi @ constraints.conj(), axis=1) < HUNT_RESIDUAL_TOL
-    if not in_superspace.all() or (fidelity > 1.0 - DISTINCT_FIDELITY_TOL).any():
+    if not in_superspace.all() or len(_distinct(phi)) < len(phi):
         return None
-    found = np.flatnonzero(np.linalg.norm(phi @ complement.conj(), axis=1) < HUNT_RESIDUAL_TOL)
+    found = np.linalg.norm(phi @ complement.conj(), axis=1) < HUNT_RESIDUAL_TOL
     overlaps = np.einsum("ri,ij,rj->r", phi.conj(), proj, phi).real
-    return [(ProductVector((a[r], b[r], c[r])), float(overlaps[r])) for r in found]
+    return [a[found], b[found], c[found]], overlaps[found]
 
 
 def subspace_product_hunt(
-    basis: Sequence[np.ndarray],
+    projector: np.ndarray,
     parts: PartyStructure,
     restarts: int = DEFAULT_RESTARTS,
     seed: int | Sequence[int] = 0,
 ) -> HuntResult:
-    """Hunt product vectors in the span of ``basis``.
+    """Hunt product vectors in the range of an orthogonal projector.
 
-    The basis is orthonormalized first (an empty or dependent basis is
-    rejected).  Two paths find the candidate points:
+    The input contract is ``seesaw_max_product_overlap``'s: a Hermitian,
+    idempotent ``projector`` of dimension ``parts.dim``; its rank k, read
+    from the trace, must be at least 1.  Two paths find the candidate points:
 
-    - three qubits and dimension k <= 5: one degree-6 polynomial solve
+    - three qubits and k <= 5: one degree-6 polynomial solve
       (``_qubit_triple_points``), which finds every product vector in the span
       whose residual ``||(I - P) phi||`` is below ``HUNT_RESIDUAL_TOL``.  The
       count is exact and ``restarts`` and ``seed`` play no part.  Where the
@@ -513,46 +527,28 @@ def subspace_product_hunt(
     - otherwise a multi-start seesaw, where every restart landing at overlap
       >= 1 - gap is a candidate.
 
-    Candidates are clustered into distinct solutions by mutual fidelity.  The
-    reported rank is the linear-independence rank of the expanded hits,
-    computed from their Gram spectrum at the default tolerance.
+    The candidates are expanded once and kept in order unless their fidelity
+    with a kept one exceeds ``1 - DISTINCT_FIDELITY_TOL`` (``_distinct``).
+    Overlaps are clamped into [0, 1], as the certificate's maximum is.  The
+    reported rank is the linear-independence rank of the kept hits, computed
+    from their Gram spectrum at the default tolerance.
     """
-    if len(basis) == 0:
-        raise ValueError("basis is empty")
-    ortho = linalg.orthonormalize(basis)
-    if len(ortho) != len(basis):
-        raise ValueError("basis vectors are linearly dependent")
-    dim = parts.dim
-    if any(b.shape[0] != dim for b in ortho):
-        raise ValueError("basis vectors do not match the party structure")
-    cols = np.column_stack(ortho)
-    proj = cols @ cols.conj().T
-
+    p = _checked_projector(projector, parts)
+    k = round(float(np.trace(p).real))
+    if k == 0:
+        raise ValueError("the projector's range is empty")
     dims = parts.local_dims
-    candidates = _qubit_triple_points(proj, len(ortho)) if dims == (2, 2, 2) and len(ortho) <= 5 else None
-    if candidates is None:
-        objective, locs = _seesaw((proj + proj.conj().T) / 2, dims, seed, restarts)
-        candidates = [
-            (ProductVector(tuple(v[r] / np.linalg.norm(v[r]) for v in locs)), float(objective[r]))
-            for r in np.flatnonzero(objective >= 1.0 - UNEXTENDIBILITY_GAP)
-        ]
-    hits: list[tuple[np.ndarray, ProductVector, float]] = []
-    for pv, overlap in candidates:
-        full = expand(pv)
-        for known, _, _ in hits:
-            if abs(np.vdot(known, full)) ** 2 > 1.0 - DISTINCT_FIDELITY_TOL:
-                break
-        else:
-            hits.append((full, pv, overlap))
-
-    if hits:
-        stacked = np.column_stack([h[0] for h in hits])
-        gram = stacked.conj().T @ stacked
-        rank = linalg.numerical_rank(gram)
-    else:
-        rank = 0
+    found = _qubit_triple_points(p, k) if dims == (2, 2, 2) and k <= 5 else None
+    if found is None:
+        objective, locs = _seesaw(p, dims, seed, restarts)
+        hit = objective >= 1.0 - UNEXTENDIBILITY_GAP
+        found = [v[hit] for v in locs], objective[hit]
+    locs, overlaps = found
+    full = expand_locals(locs)
+    kept = _distinct(full)
+    hits = full[kept]
     return HuntResult(
-        vectors=tuple(h[1] for h in hits),
-        overlaps=tuple(h[2] for h in hits),
-        rank=rank,
+        vectors=tuple(ProductVector(tuple(v[r] for v in locs)) for r in kept),
+        overlaps=tuple(float(x) for x in np.clip(overlaps[kept], 0.0, 1.0)),
+        rank=linalg.numerical_rank(hits.conj() @ hits.T),
     )

@@ -16,6 +16,7 @@ from upbkit.reporting import SchemaError, dumps_canonical, validate_report
 from conftest import lower_top_eigenvalue
 
 PI4 = [math.pi / 4, math.pi / 4, math.pi / 4]
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
 def make_config(**overrides):
@@ -408,6 +409,13 @@ class TestCommands:
         assert payload["dim"] == 4
         assert payload["samples"][0]["distinct_count"] == 0
         assert payload["histogram"] == {"0": 1}
+
+    def test_subspace_hunt_overlaps_are_at_most_one(self):
+        # the exact solve's overlaps <phi|P|phi> of hits in the span round to either side of 1
+        raw = json.loads((SCRIPTS / "configs" / "subspace_hunt_dim5.json").read_text())
+        overlaps = [x for row in run_command(parse_config(raw)).payload["samples"] for x in row["overlaps"]]
+        assert len(overlaps) == 48
+        assert max(overlaps) <= 1.0
 
     def test_witness_radius_payload(self, tmp_path):
         single_label = {

@@ -213,6 +213,18 @@ class TestSubspaceDistance:
         rotated = [a[:, 0] + a[:, 1], 1j * a[:, 0] - a[:, 1]]
         assert la.subspace_distance(mixed, rotated) < 1e-12
 
+    def test_span_projector(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        # the third vector depends on the first two
+        vectors = [a[:, 0], a[:, 1], a[:, 0] - 2j * a[:, 1]]
+        p = la.span_projector(vectors)
+        assert np.abs(p - p.conj().T).max() < 1e-14
+        assert np.abs(p @ p - p).max() < 1e-14
+        assert abs(np.trace(p) - 2) < 1e-12
+        with pytest.raises(ValueError, match="empty span"):
+            la.span_projector([])
+
     def test_orthonormalize_drops_dependent(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2)
         basis = la.orthonormalize([v, 2 * v])

@@ -166,6 +166,10 @@ class TestProductVectors:
         v = states.ProductVector((states.local_vector("phi1"), states.local_vector("0")))
         assert np.allclose(states.expand(v), np.array([1, 0, 1, 0]) / np.sqrt(2))
 
+    def test_expand_locals_of_empty_stacks(self):
+        stacks = (np.zeros((0, 2), complex), np.zeros((0, 3), complex), np.zeros((0, 2), complex))
+        assert states.expand_locals(stacks).shape == (0, 12)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
             states.ProductVector((np.array([1.0, 1.0]),))

@@ -293,8 +293,9 @@ class TestSeesaw:
             assert abs(np.vdot(found, np.eye(8)[index])) > 1 - 1e-10
 
     def test_rejects_non_projector(self):
-        with pytest.raises(ValueError, match="projector"):
-            seesaw_max_product_overlap(np.eye(8) * 0.5, qubits(3), restarts=1, seed=0)
+        for entry in (seesaw_max_product_overlap, subspace_product_hunt):
+            with pytest.raises(ValueError, match="not an orthogonal projector"):
+                entry(np.eye(8) * 0.5, qubits(3), restarts=1, seed=0)
 
     def test_rejects_one_party(self):
         with pytest.raises(ValueError, match="at least two parties"):
@@ -303,9 +304,12 @@ class TestSeesaw:
     def test_rejects_no_restarts_and_a_wrong_size(self, pi4_upb):
         with pytest.raises(ValueError, match="need at least one restart"):
             seesaw_max_product_overlap(pi4_upb.complement_projector(), pi4_upb.parts, restarts=0)
-        # eye(4) is a projector, of dimension 4 against the parties' 8
-        with pytest.raises(ValueError, match="does not match the party structure"):
-            seesaw_max_product_overlap(np.eye(4), pi4_upb.parts, restarts=1)
+        # eye(4) is a projector, of dimension 4 against the parties' 8; a stack of
+        # eight 8 x 8 projectors has the right leading size but is not one matrix
+        for entry in (seesaw_max_product_overlap, subspace_product_hunt):
+            for wrong in (np.eye(4), np.stack([np.eye(8)] * 8)):
+                with pytest.raises(ValueError, match="does not match the party structure"):
+                    entry(wrong, pi4_upb.parts, restarts=1)
 
     def test_restart_determinism(self, pi4_upb):
         proj = pi4_upb.complement_projector()
@@ -464,8 +468,8 @@ class TestSubspaceHunt:
         rng = np.random.default_rng(777)
         parts = qubits(3)
         planted = [random_product_vector(parts, rng) for _ in range(5)]
-        basis = [expand(v) for v in planted]
-        result = subspace_product_hunt(basis, parts, restarts=192, seed=42)
+        projector = la.span_projector([expand(v) for v in planted])
+        result = subspace_product_hunt(projector, parts, restarts=192, seed=42)
         assert result.distinct_count == 6
         assert result.rank == 5
         for v in planted:
@@ -475,52 +479,45 @@ class TestSubspaceHunt:
             assert max(fidelities) > 1 - 1e-6
 
     def test_upb_complement_has_no_hits(self, pi4_upb):
-        basis = la.kernel(pi4_upb.member_sum_projector())
-        assert len(basis) == 4
-        result = subspace_product_hunt(basis, pi4_upb.parts, restarts=128, seed=9)
+        result = subspace_product_hunt(pi4_upb.complement_projector(), pi4_upb.parts, restarts=128, seed=9)
         assert result.distinct_count == 0
         assert result.rank == 0
 
     def test_random_dim5_counts_are_seed_stable(self):
         rng = np.random.default_rng(2023)
-        raw = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-        basis = la.orthonormalize([raw[:, k] for k in range(5)])
+        projector = random_subspace(rng, 5)
         counts = set()
         for seed in (100, 200, 300):
-            result = subspace_product_hunt(basis, qubits(3), restarts=128, seed=seed)
+            result = subspace_product_hunt(projector, qubits(3), restarts=128, seed=seed)
             counts.add(result.distinct_count)
         assert len(counts) == 1
 
-    def test_rejects_dependent_basis(self):
-        v = np.eye(8)[0]
-        with pytest.raises(ValueError, match="dependent"):
-            subspace_product_hunt([v, v], qubits(3), restarts=1, seed=0)
-
     def test_rejects_one_party(self):
         with pytest.raises(ValueError, match="at least two parties"):
-            subspace_product_hunt([np.eye(4)[0]], PartyStructure((4,)), restarts=1, seed=0)
+            subspace_product_hunt(np.diag([1.0, 0.0, 0.0, 0.0]), PartyStructure((4,)), restarts=1, seed=0)
 
     def test_rejects_an_empty_basis(self):
-        with pytest.raises(ValueError, match="basis is empty"):
-            subspace_product_hunt([], qubits(3), restarts=1, seed=0)
+        # the zero projector is a projector, onto the empty span
+        with pytest.raises(ValueError, match="range is empty"):
+            subspace_product_hunt(np.zeros((8, 8)), qubits(3), restarts=1, seed=0)
 
     def test_seesaw_path_needs_a_restart(self):
         # dimension 6 takes the seesaw, which checks restarts as certification does
-        basis = random_subspace(np.random.default_rng(5), 6)
+        projector = random_subspace(np.random.default_rng(5), 6)
         with pytest.raises(ValueError, match="need at least one restart"):
-            subspace_product_hunt(basis, qubits(3), restarts=0, seed=0)
+            subspace_product_hunt(projector, qubits(3), restarts=0, seed=0)
 
 
 def random_subspace(rng, dim):
+    """Projector onto the span of ``dim`` complex Gaussian vectors of the three-qubit space."""
     raw = rng.standard_normal((8, dim)) + 1j * rng.standard_normal((8, dim))
-    return [raw[:, k] for k in range(dim)]
+    return la.span_projector(list(raw.T))
 
 
-def assert_hits_in_span(result, basis):
-    cols = np.column_stack(la.orthonormalize(basis))
+def assert_hits_in_span(result, projector):
     for hit, overlap in zip(result.vectors, result.overlaps):
         phi = expand(hit)
-        assert np.linalg.norm(phi - cols @ (cols.conj().T @ phi)) < upb.HUNT_RESIDUAL_TOL
+        assert np.linalg.norm(phi - projector @ phi) < upb.HUNT_RESIDUAL_TOL
         assert abs(overlap - 1.0) < 1e-12
 
 
@@ -555,20 +552,20 @@ class TestExactQubitHunt:
     def test_random_dim5_has_exactly_six(self):
         rng = np.random.default_rng(0)
         for _ in range(40):
-            basis = random_subspace(rng, 5)
-            result = subspace_product_hunt(basis, qubits(3), restarts=12, seed=0)
+            projector = random_subspace(rng, 5)
+            result = subspace_product_hunt(projector, qubits(3), restarts=12, seed=0)
             assert (result.distinct_count, result.rank) == (6, 5)
-            assert_hits_in_span(result, basis)
+            assert_hits_in_span(result, projector)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_planted_counts(self, dim):
         rng = np.random.default_rng(100 + dim)
         parts = qubits(3)
         planted = [random_product_vector(parts, rng) for _ in range(dim)]
-        basis = [expand(v) for v in planted]
-        result = subspace_product_hunt(basis, parts, restarts=12, seed=0)
+        projector = la.span_projector([expand(v) for v in planted])
+        result = subspace_product_hunt(projector, parts, restarts=12, seed=0)
         assert (result.distinct_count, result.rank) == ((6, 5) if dim == 5 else (dim, dim))
-        assert_hits_in_span(result, basis)
+        assert_hits_in_span(result, projector)
         for v in planted:
             assert max(abs(np.vdot(expand(hit), expand(v))) ** 2 for hit in result.vectors) > 1 - 1e-12
 
@@ -585,13 +582,12 @@ class TestExactQubitHunt:
         drawn = np.random.default_rng(7).uniform(0.01, np.pi / 2 - 0.01, size=(40, 3))
         for angles in near_faces + [tuple(a) for a in drawn]:
             u = shifts_family(ShiftsParams(*angles))
-            basis = la.kernel(u.member_sum_projector())
-            result = subspace_product_hunt(basis, u.parts, restarts=12, seed=0)
+            result = subspace_product_hunt(u.complement_projector(), u.parts, restarts=12, seed=0)
             assert (result.distinct_count, result.rank) == (0, 0), angles
 
     def test_count_ignores_seed_and_restarts(self):
-        basis = random_subspace(np.random.default_rng(2023), 5)
-        results = [subspace_product_hunt(basis, qubits(3), restarts=r, seed=s)
+        projector = random_subspace(np.random.default_rng(2023), 5)
+        results = [subspace_product_hunt(projector, qubits(3), restarts=r, seed=s)
                    for r, s in ((1, 0), (12, 5), (128, [3, 4]))]
         for other in results[1:]:
             assert other.overlaps == results[0].overlaps
@@ -606,22 +602,22 @@ class TestHuntFallback:
     def test_upb_complement_plus_member(self, seesaw_calls, member):
         # a = |0> or |1> puts two points on one root x = 0, or one at x = infinity
         u = shifts_family(ShiftsParams(0.5, 0.8, 1.0))
-        basis = la.kernel(u.member_sum_projector()) + [expand(u.members[member])]
-        result = subspace_product_hunt(basis, u.parts, restarts=64, seed=member)
+        projector = u.complement_projector() + product_projector(u.members[member])
+        result = subspace_product_hunt(projector, u.parts, restarts=64, seed=member)
         assert len(seesaw_calls) == 1
         assert (result.distinct_count, result.rank) == (6, 5)
 
     def test_continuum(self, seesaw_calls):
         # span{|000>, |001>} holds |00>|c> for every c: a triple root that verifies only to ~1e-5
         e = np.eye(8)
-        result = subspace_product_hunt([e[0], e[1]], qubits(3), restarts=16, seed=0)
+        result = subspace_product_hunt(la.span_projector([e[0], e[1]]), qubits(3), restarts=16, seed=0)
         assert len(seesaw_calls) == 1
         assert (result.distinct_count, result.rank) == (16, 2)
 
     def test_dim6_and_qutrits_keep_the_seesaw(self, seesaw_calls):
         rng = np.random.default_rng(3)
         subspace_product_hunt(random_subspace(rng, 6), qubits(3), restarts=4, seed=0)
-        subspace_product_hunt([np.eye(9)[0]], PartyStructure((3, 3)), restarts=4, seed=0)
+        subspace_product_hunt(la.span_projector([np.eye(9)[0]]), PartyStructure((3, 3)), restarts=4, seed=0)
         assert len(seesaw_calls) == 2
 
 
@@ -630,9 +626,9 @@ def test_hunt_leaves_numpy_fft_unloaded():
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from upbkit import qubits, subspace_product_hunt\n"
+        "from upbkit import qubits, span_projector, subspace_product_hunt\n"
         "raw = np.random.default_rng(0).standard_normal((5, 8))\n"
-        "assert subspace_product_hunt(list(raw + 0j), qubits(3), restarts=1).distinct_count == 6\n"
+        "assert subspace_product_hunt(span_projector(list(raw + 0j)), qubits(3), restarts=1).distinct_count == 6\n"
         "print('numpy.fft' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
