@@ -2,8 +2,6 @@
 
 from .linalg import (
     ConvergenceError,
-    hermitian_eig,
-    kernel,
     numerical_rank,
     partial_transpose,
     span_projector,

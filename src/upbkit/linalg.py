@@ -3,19 +3,21 @@
 Everything downstream works on small (dim <= 64) dense complex matrices:
 
 - ``eigvalsh_unchecked`` (``np.linalg.eigvalsh``, eigenvalues only) and
-  ``eigh_unchecked`` (``np.linalg.eigh``, eigenvalues and eigenvectors) hand
-  a matrix, or a stack of matrices, that must already be Hermitian to LAPACK
-  and check nothing.  Callers that drop the vectors (PSD and PPT checks,
-  ranks, spectra, the perturb-scan solves) use the first; ``kernel``, the
-  seesaw's qudit local updates and the exact hunt use the second.  Operands
-  Hermitian by construction (symmetrized or validated matrices, their
-  partial transposes and mixtures of those) go to them directly; others are
-  validated with ``as_hermitian`` first, and ``hermitian_eig`` is that
-  checked pair.  The two LAPACK paths may differ in the last ulp of an
-  eigenvalue, so values compared float for float come from the same one.
-  The output is deterministic for identical input on one install, so report
-  payloads are byte-stable there; another BLAS/LAPACK build may move floats
-  by a few ulps and pick different eigenvector phases.
+  ``eigh_unchecked`` (``np.linalg.eigh``, eigenvalues and eigenvectors) are
+  the two eigensolver entry points.  They hand a matrix, or a stack of
+  matrices, that must already be Hermitian to LAPACK and check nothing.
+  Callers that drop the vectors (PSD and PPT checks, ranks, spectra, the
+  perturb-scan solves) use the first; the seesaw's qudit local updates and
+  the exact hunt use the second.  Operands Hermitian by construction
+  (symmetrized or validated matrices, their partial transposes and mixtures
+  of those) go to them directly; others pass ``as_hermitian``, the one
+  checked boundary, first.  The two LAPACK paths may differ in the last ulp
+  of an eigenvalue, so values compared float for float come from the same
+  one.  The output is deterministic for identical input on one install, so
+  report payloads are byte-stable there; another BLAS/LAPACK build may move
+  floats by a few ulps and pick different eigenvector phases.
+- ``span_projector`` builds the projector onto a span from the left singular
+  vectors of the stacked vectors (``np.linalg.svd``).
 - ``partial_transpose`` is a pure index permutation (reshape + axis swap) of
   one matrix or of every matrix in a ``(..., D, D)`` stack, never a
   similarity transform, so traces and involution hold exactly.
@@ -29,8 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 HERMITIAN_RTOL = 1e-12      # admissible |H - H^dag| relative to 1 + maxabs(H)
-DEFAULT_TOL = 1e-9          # rank / kernel threshold for unit-trace operators
-DROP_TOL = 1e-10            # Gram-Schmidt residual norm below which a vector is dependent
+DEFAULT_TOL = 1e-9          # rank / span threshold for unit-trace operators and unit vectors
 
 
 class ConvergenceError(RuntimeError):
@@ -42,13 +43,17 @@ def as_hermitian(matrix: np.ndarray) -> np.ndarray:
 
     Takes one matrix or a stack of shape ``(..., n, n)``.  Raises ValueError
     if the matrices are not square or one of them deviates from its conjugate
-    transpose by more than ``HERMITIAN_RTOL * (1 + maxabs)``.
+    transpose by more than ``HERMITIAN_RTOL * (1 + maxabs)``, or if an entry
+    is not finite.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    adj = m.conj().swapaxes(-1, -2)
     scale = 1.0 + np.max(np.abs(m), axis=(-2, -1), initial=0.0)
+    # a NaN or infinite entry makes max |entry| NaN or infinite
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix has an entry that is not finite")
+    adj = m.conj().swapaxes(-1, -2)
     dev = np.max(np.abs(m - adj), axis=(-2, -1), initial=0.0)
     if np.any(dev > HERMITIAN_RTOL * scale):
         raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {np.max(dev):.3e}")
@@ -89,15 +94,6 @@ def eigvalsh_unchecked(matrix: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
 
 
-def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validate Hermiticity (``as_hermitian``), then diagonalize with ``eigh_unchecked``.
-
-    Raises ValueError on a non-Hermitian input and ConvergenceError if LAPACK
-    reports that it did not converge.
-    """
-    return eigh_unchecked(as_hermitian(matrix))
-
-
 def partial_transpose(
     matrix: np.ndarray, local_dims: Sequence[int], transposed: Iterable[int]
 ) -> np.ndarray:
@@ -126,38 +122,23 @@ def partial_transpose(
     return m.reshape(lead + dims + dims).transpose(perm).reshape(m.shape)
 
 
-def kernel(matrix: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal eigenvectors of a Hermitian matrix with |eigenvalue| < DEFAULT_TOL."""
-    vals, vecs = hermitian_eig(matrix)
-    return [vecs[:, k].copy() for k in range(len(vals)) if abs(vals[k]) < DEFAULT_TOL]
-
-
 def numerical_rank(matrix: np.ndarray) -> int:
     """Number of eigenvalues of a Hermitian matrix with |eigenvalue| >= DEFAULT_TOL."""
     vals = eigvalsh_unchecked(as_hermitian(matrix))
     return int(np.count_nonzero(np.abs(vals) >= DEFAULT_TOL))
 
 
-def orthonormalize(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Modified Gram-Schmidt; vectors whose residual norm falls below DROP_TOL are dropped."""
-    basis: list[np.ndarray] = []
-    for vec in vectors:
-        w = np.asarray(vec, dtype=complex).copy()
-        for b in basis:
-            w = w - b * np.vdot(b, w)
-        nrm = float(np.sqrt(np.vdot(w, w).real))
-        if nrm > DROP_TOL:
-            basis.append(w / nrm)
-    return basis
-
-
 def span_projector(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Orthogonal projector onto the span of ``vectors``, orthonormalized first; an empty span raises ValueError."""
-    ortho = orthonormalize(vectors)
-    if not ortho:
-        raise ValueError("empty span")
-    b = np.column_stack(ortho)
-    return b @ b.conj().T
+    """Orthogonal projector onto the span of ``vectors``: the left singular vectors with singular value above DEFAULT_TOL.
+
+    An empty span (no vectors, or none above the tolerance) raises ValueError.
+    """
+    if len(vectors):
+        u, s, _ = np.linalg.svd(np.column_stack(vectors), full_matrices=False)
+        basis = u[:, s > DEFAULT_TOL]
+        if basis.shape[1]:
+            return basis @ basis.conj().T
+    raise ValueError("empty span")
 
 
 def subspace_distance(first: Sequence[np.ndarray], second: Sequence[np.ndarray]) -> float:

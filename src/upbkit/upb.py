@@ -429,10 +429,16 @@ _MINOR_COLUMNS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
 @functools.cache
-def _segre_mix() -> np.ndarray:
-    """A fixed generic ``(3, 7)`` complex mix, from its own seed so that no config seed reaches it."""
+def _segre_mix(k: int) -> np.ndarray:
+    """The orthonormal ``(8 - k, 3)`` columns spanning a fixed generic complex mix, cached per k (read-only).
+
+    Column j of the mix holds the weights of constraint j on the ``8 - k``
+    complement vectors: the first ``8 - k`` of seven drawn from a seed of its
+    own, so that no config seed reaches them.
+    """
     draws = np.random.default_rng(0x5E67E).standard_normal((2, 3, 7))
-    return draws[0] + 1j * draws[1]
+    mix = (draws[0] + 1j * draws[1])[:, :8 - k]
+    return _read_only(np.linalg.svd(mix.T, full_matrices=False).U)
 
 
 def _null_vectors(n: np.ndarray) -> np.ndarray:
@@ -459,14 +465,15 @@ def _qubit_triple_points(proj: np.ndarray, k: int) -> tuple[list[np.ndarray], np
 
     A product vector lies in the span iff it is orthogonal to the complement.
     Three constraint vectors ``u_j`` are kept, the same way for every k <= 5:
-    an orthonormal basis of a fixed generic mix of the complement
-    (``_segre_mix``).  They cut out a superspace of dimension 5, which for
-    k = 5 is the span itself.  With ``a = (1, x)`` the constraints
-    ``<u_j|a, b, c> = 0`` are ``N(x) z = 0`` for ``z = b (x) c`` and a 3 x 4
-    matrix ``N(x)`` linear in x.  Its null vector is its signed 3 x 3 minors,
-    cubic in x, and the product condition ``z_0 z_3 - z_1 z_2 = 0`` is a
-    degree-6 polynomial, whose six roots give the superspace's six product
-    vectors (the degree of the Segre variety).  The points returned are those
+    the complement's orthonormal basis times the orthonormal columns of a
+    fixed generic mix (``_segre_mix``), so the ``u_j`` are orthonormal too.
+    They cut out a superspace of dimension 5, which for k = 5 is the span
+    itself.  With ``a = (1, x)`` the constraints ``<u_j|a, b, c> = 0`` are
+    ``N(x) z = 0`` for ``z = b (x) c`` and a 3 x 4 matrix ``N(x)`` linear in
+    x.  Its null vector is its signed 3 x 3 minors, cubic in x, and the
+    product condition ``z_0 z_3 - z_1 z_2 = 0`` is a degree-6 polynomial,
+    whose six roots give the superspace's six product vectors (the degree of
+    the Segre variety).  The points returned are those
     whose residual ``||(I - P) phi||`` against the whole complement is below
     ``HUNT_RESIDUAL_TOL``, as the seesaw returns its restarts: the per-party
     ``(R, 2)`` unit kets and the ``(R,)`` overlaps ``<phi|P|phi>``.
@@ -478,7 +485,7 @@ def _qubit_triple_points(proj: np.ndarray, k: int) -> tuple[list[np.ndarray], np
     """
     # proj's eigenvalues are 0 (8 - k times) and then 1
     complement = linalg.eigh_unchecked(proj).eigenvectors[:, :8 - k]
-    constraints = np.column_stack(linalg.orthonormalize(list(_segre_mix()[:, :8 - k] @ complement.T)))
+    constraints = complement @ _segre_mix(k)
     # N(x) = w[:, 0] + x w[:, 1], row j of w[:, i] pairing with a_i
     w = constraints.conj().T.reshape(3, 2, 4)
     z = _null_vectors(w[:, 0] + _UNIT_ROOTS_7[:, None, None] * w[:, 1])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from upbkit import upb
+from upbkit.linalg import DEFAULT_TOL
 from upbkit import (
     ShiftsParams,
     build_upb_witness,
@@ -23,6 +24,12 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2
+
+
+def kernel_vectors(h: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal kernel basis of a Hermitian matrix: numpy's eigenvectors with |eigenvalue| < DEFAULT_TOL."""
+    vals, vecs = np.linalg.eigh(h)
+    return list(vecs[:, np.abs(vals) < DEFAULT_TOL].T)
 
 
 def lower_top_eigenvalue(monkeypatch, at_call: int, restart: int) -> None:

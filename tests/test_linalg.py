@@ -21,20 +21,22 @@ BELL_PT_SPECTRUM = np.array([-0.5, 0.5, 0.5, 0.5])
 
 
 class TestHermitianEig:
+    """``eigh_unchecked``; the rejection goes through ``as_hermitian``, the check in front of it."""
+
     def test_identity(self):
-        vals, vecs = la.hermitian_eig(np.eye(4))
+        vals, vecs = la.eigh_unchecked(np.eye(4))
         assert np.allclose(vals, 1.0)
         assert np.allclose(vecs.conj().T @ vecs, np.eye(4))
 
     def test_diagonal_sorted_ascending(self):
-        vals, vecs = la.hermitian_eig(np.diag([3.0, -1.0, 2.0]))
+        vals, vecs = la.eigh_unchecked(np.diag([3.0, -1.0, 2.0]))
         assert np.allclose(vals, [-1.0, 2.0, 3.0])
         # permuted standard basis
         assert np.allclose(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
 
     def test_bell_partial_transpose_spectrum(self):
         pt = la.partial_transpose(bell_projector(), (2, 2), (1,))
-        vals, _ = la.hermitian_eig(pt)
+        vals, _ = la.eigh_unchecked(pt)
         assert np.max(np.abs(vals - BELL_PT_SPECTRUM)) < 1e-12
 
     def test_reconstruction_on_random_matrices(self):
@@ -43,7 +45,7 @@ class TestHermitianEig:
         worst = 0.0
         for _ in range(1000):
             h = random_hermitian(rng, 8)
-            vals, vecs = la.hermitian_eig(h)
+            vals, vecs = la.eigh_unchecked(h)
             err = np.max(np.abs(vecs @ np.diag(vals) @ vecs.conj().T - h))
             worst = max(worst, err / (1.0 + np.max(np.abs(h))))
         assert worst <= 1e-9
@@ -52,7 +54,7 @@ class TestHermitianEig:
     @settings(max_examples=40, deadline=None)
     def test_eigenpair_residuals_and_orthonormality(self, seed, n):
         h = random_hermitian(np.random.default_rng(seed), n)
-        vals, vecs = la.hermitian_eig(h)
+        vals, vecs = la.eigh_unchecked(h)
         scale = 1.0 + np.max(np.abs(h))
         for k in range(n):
             res = np.linalg.norm(h @ vecs[:, k] - vals[k] * vecs[:, k])
@@ -64,30 +66,27 @@ class TestHermitianEig:
         rng = np.random.default_rng(2718)
         for _ in range(25):
             h = random_hermitian(rng, 8)
-            vals, _ = la.hermitian_eig(h)
+            vals, _ = la.eigh_unchecked(h)
             assert np.max(np.abs(vals - np.linalg.eigvalsh(h))) < 1e-11
 
     def test_deterministic(self):
         h = random_hermitian(np.random.default_rng(99), 8)
-        first = la.hermitian_eig(h.copy())
-        second = la.hermitian_eig(h.copy())
+        first = la.eigh_unchecked(h.copy())
+        second = la.eigh_unchecked(h.copy())
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            la.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            la.as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_stack_matches_single_solves(self):
         rng = np.random.default_rng(4)
         stack = np.stack([random_hermitian(rng, 3) for _ in range(5)])
-        vals, vecs = la.hermitian_eig(stack)
+        vals, vecs = la.eigh_unchecked(stack)
         assert vals.shape == (5, 3) and vecs.shape == (5, 3, 3)
         for h, v in zip(stack, vals):
-            assert np.max(np.abs(v - la.hermitian_eig(h).eigenvalues)) < 1e-13
-        stack[2, 0, 1] += 1.0
-        with pytest.raises(ValueError, match="Hermitian"):
-            la.hermitian_eig(stack)
+            assert np.max(np.abs(v - la.eigh_unchecked(h).eigenvalues)) < 1e-13
 
     def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
         def fail(h):
@@ -95,17 +94,46 @@ class TestHermitianEig:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(la.ConvergenceError, match="did not converge"):
-            la.hermitian_eig(np.eye(2))
+            la.eigh_unchecked(np.eye(2))
+
+
+class TestAsHermitian:
+    def test_rejects_a_stack_with_one_bad_matrix(self):
+        stack = np.stack([np.eye(4)] * 3).astype(complex)
+        stack[1, 2, 0] = 1e-6
+        with pytest.raises(ValueError, match="not Hermitian: max \\|H - H\\^dag\\| = 1.000e-06"):
+            la.as_hermitian(stack)
+
+    def test_rejects_non_square(self):
+        for shape in ((3,), (2, 3), (4, 2, 3)):
+            with pytest.raises(ValueError, match="expected a square matrix"):
+                la.as_hermitian(np.zeros(shape))
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+            for index in ((0, 0), (0, 1)):
+                m = np.eye(3, dtype=complex)
+                m[index] = bad
+                with pytest.raises(ValueError, match="not finite"):
+                    la.as_hermitian(m)
+
+    def test_output_is_hermitian_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        near = np.stack([random_hermitian(rng, 8) for _ in range(4)])
+        near += 1e-14 * (rng.standard_normal(near.shape) + 1j * rng.standard_normal(near.shape))
+        out = la.as_hermitian(near)
+        assert np.array_equal(out, out.conj().swapaxes(-1, -2))
+        assert np.max(np.abs(out - near)) < 1e-13
 
 
 class TestEigvalshUnchecked:
-    def test_matches_hermitian_eig_single_and_stacked(self):
+    def test_matches_eigh_single_and_stacked(self):
         rng = np.random.default_rng(41)
         stack = np.stack([random_hermitian(rng, 8) for _ in range(6)]).reshape(2, 3, 8, 8)
         vals = la.eigvalsh_unchecked(stack)
         assert vals.shape == (2, 3, 8)
         for h, v in zip(stack.reshape(-1, 8, 8), vals.reshape(-1, 8)):
-            expected = la.hermitian_eig(h).eigenvalues
+            expected = la.eigh_unchecked(h).eigenvalues
             assert np.max(np.abs(la.eigvalsh_unchecked(h) - expected)) < 1e-13
             assert np.max(np.abs(v - expected)) < 1e-13
 
@@ -125,7 +153,7 @@ class TestPartialTranspose:
 
     def test_bell_min_eigenvalue(self):
         pt = la.partial_transpose(bell_projector(), (2, 2), (1,))
-        vals, _ = la.hermitian_eig(pt)
+        vals, _ = la.eigh_unchecked(pt)
         assert abs(vals[0] - (-0.5)) < 1e-12
 
     def test_involution_exact(self):
@@ -174,12 +202,10 @@ class TestPartialTranspose:
 
 
 class TestKernelAndRank:
-    def test_identity_has_empty_kernel(self):
-        assert la.kernel(np.eye(8)) == []
-
     def test_diag_zero_kernel(self):
-        vecs = la.kernel(np.diag([0.0, 0.0, 1.0]))
-        assert len(vecs) == 2
+        # entries below DEFAULT_TOL in modulus count as kernel
+        assert la.numerical_rank(np.diag([0.0, 0.0, 1.0])) == 1
+        assert la.numerical_rank(np.diag([1e-10, -1e-10, 1.0])) == 1
 
     def test_identity_full_rank(self):
         assert la.numerical_rank(np.eye(8)) == 8
@@ -189,11 +215,16 @@ class TestKernelAndRank:
     def test_kernel_plus_rank_is_dim(self, seed):
         rng = np.random.default_rng(seed)
         h = random_hermitian(rng, 6)
-        # plant some exact zeros by projecting out random directions
-        vals, vecs = la.hermitian_eig(h)
-        vals[: rng.integers(0, 4)] = 0.0
+        # plant a kernel of known dimension by zeroing eigenvalues
+        vals, vecs = np.linalg.eigh(h)
+        planted = int(rng.integers(0, 4))
+        vals[:planted] = 0.0
         h = vecs @ np.diag(vals) @ vecs.conj().T
-        assert len(la.kernel(h)) + la.numerical_rank(h) == 6
+        assert planted + la.numerical_rank(h) == 6
+
+    def test_rank_rejects_nan(self):
+        with pytest.raises(ValueError, match="not finite"):
+            la.numerical_rank(np.full((8, 8), np.nan))
 
 
 class TestSubspaceDistance:
@@ -225,7 +256,10 @@ class TestSubspaceDistance:
         with pytest.raises(ValueError, match="empty span"):
             la.span_projector([])
 
-    def test_orthonormalize_drops_dependent(self):
+    def test_span_projector_drops_dependent(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2)
-        basis = la.orthonormalize([v, 2 * v])
-        assert len(basis) == 1
+        p = la.span_projector([v, 2 * v])
+        assert abs(np.trace(p) - 1) < 1e-12
+        assert np.max(np.abs(p - np.outer(v, v))) < 1e-15
+        with pytest.raises(ValueError, match="empty span"):
+            la.span_projector([np.zeros(2), 1e-10 * v])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from upbkit import linalg as la
 from upbkit import states
 
 
@@ -131,7 +130,7 @@ class TestProjectorBasis:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gram_nonsingular(self, n):
         gram = states.projector_basis_gram(n)
-        vals, _ = la.hermitian_eig(gram)
+        vals = np.linalg.eigvalsh(gram)
         assert vals[0] > 1e-6
         # Gram matches the direct double loop over basis projectors
         basis = states.projector_basis(n)
@@ -202,6 +201,10 @@ class TestDensityMatrix:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             states.DensityMatrix(np.eye(4) / 4, states.qubits(3))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="not finite"):
+            states.DensityMatrix(np.full((8, 8), np.nan), states.qubits(3))
 
 
 def ghz_state():

@@ -25,7 +25,7 @@ from upbkit.linalg import ConvergenceError
 from upbkit.states import product_projector, random_product_vector
 from upbkit.upb import _seesaw
 
-from conftest import lower_top_eigenvalue
+from conftest import kernel_vectors, lower_top_eigenvalue
 
 # Regression constant: best product overlap with the complement of the
 # pi/4 family, recorded from 256-restart runs (stable to ~1e-14 across seeds).
@@ -236,7 +236,7 @@ class TestUPBState:
         expected = np.array([0.0] * 4 + [0.25] * 4)
         for _ in range(50):
             rho = upb_state(shifts_family(random_params(rng)))
-            vals, _ = la.hermitian_eig(rho.matrix)
+            vals = np.linalg.eigvalsh(rho.matrix)
             assert np.max(np.abs(vals - expected)) < 1e-10
 
     def test_orthogonal_to_members(self, pi4_upb, pi4_state):
@@ -256,7 +256,7 @@ class TestUPBState:
         assert la.numerical_rank(pi4_state.matrix) == 4
 
     def test_kernel_spans_the_members(self, pi4_upb, pi4_state):
-        vecs = la.kernel(pi4_state.matrix)
+        vecs = kernel_vectors(pi4_state.matrix)
         assert len(vecs) == 4
         members = [expand(v) for v in pi4_upb.members]
         assert la.subspace_distance(vecs, members) < 1e-9
@@ -300,6 +300,10 @@ class TestSeesaw:
     def test_rejects_one_party(self):
         with pytest.raises(ValueError, match="at least two parties"):
             seesaw_max_product_overlap(np.eye(4), PartyStructure((4,)), restarts=1, seed=0)
+
+    def test_rejects_a_nan_projector(self):
+        with pytest.raises(ValueError, match="not finite"):
+            seesaw_max_product_overlap(np.full((8, 8), np.nan), qubits(3), restarts=1, seed=0)
 
     def test_rejects_no_restarts_and_a_wrong_size(self, pi4_upb):
         with pytest.raises(ValueError, match="need at least one restart"):
@@ -495,6 +499,10 @@ class TestSubspaceHunt:
     def test_rejects_one_party(self):
         with pytest.raises(ValueError, match="at least two parties"):
             subspace_product_hunt(np.diag([1.0, 0.0, 0.0, 0.0]), PartyStructure((4,)), restarts=1, seed=0)
+
+    def test_rejects_a_nan_projector(self):
+        with pytest.raises(ValueError, match="not finite"):
+            subspace_product_hunt(np.full((8, 8), np.nan), qubits(3), restarts=1, seed=0)
 
     def test_rejects_an_empty_basis(self):
         # the zero projector is a projector, onto the empty span
