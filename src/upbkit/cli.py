@@ -74,6 +74,7 @@ from .perturbation import (
 )
 from .reporting import dumps_canonical, validate_report
 from .states import (
+    TRACE_TOL,
     Bipartition,
     DensityMatrix,
     ProductVector,
@@ -95,7 +96,6 @@ from .upb import (
     upb_state,
 )
 from .witness import (
-    DIRECTION_SUM_TOL,
     CertificationError,
     build_upb_witness,
     evaluate,
@@ -241,7 +241,7 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
             direction = _parse_label_map(direction, "direction")
             if min(direction.values()) < 0:
                 raise ConfigError("direction weights must be nonnegative")
-            if abs(sum(direction.values()) - 1.0) > DIRECTION_SUM_TOL:
+            if abs(sum(direction.values()) - 1.0) > TRACE_TOL:
                 raise ConfigError("direction weights must sum to 1")
         config["direction"] = direction
 
@@ -410,7 +410,7 @@ def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
     runs: list[tuple[int, np.ndarray, Sequence[int]]] = []
     if config["subspace_kind"] == "upb_complement":
         u = shifts_family(ShiftsParams(*config["angles"]))
-        runs.append((0, u.complement_projector(), [config["seed"], 0]))
+        runs.append((0, u.complement_projector, [config["seed"], 0]))
         dim = parts.dim - u.size
     else:
         dim = config["subspace_dim"]

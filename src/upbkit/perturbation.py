@@ -41,15 +41,12 @@ from .states import (
     TRACE_TOL,
     Bipartition,
     DensityMatrix,
-    ProductVector,
     basis_labels,
-    expand,
     expand_locals,
-    local_vector,
     projector_combination,
     qubits,
 )
-from .upb import UPB, upb_state
+from .upb import UPB
 
 EPSILON_GUARD = 0.1          # perturbative regime for mixing / predictions
 DEGENERACY_BAND = 1e-9       # |lam_min| below this is degenerate
@@ -120,10 +117,8 @@ def entangled_pair_noise() -> DensityMatrix:
     The partial transpose across any cut separating qubits 0 and 1 has a
     negative eigenvalue, so this is the canonical NPT-inducing noise fixture.
     """
-    zero, one = local_vector("0"), local_vector("1")
-    low = expand(ProductVector((zero, zero, zero)))
-    high = expand(ProductVector((one, one, zero)))
-    vec = (low + high) / np.sqrt(2.0)
+    vec = np.zeros(8, dtype=complex)
+    vec[[0, 6]] = 1.0 / np.sqrt(2.0)  # |000> and |110>
     return DensityMatrix(np.outer(vec, vec.conj()), qubits(3), validate=False)
 
 
@@ -156,17 +151,17 @@ def mixing_scan(
 ) -> MixingScan:
     """Classify every noise state and compare the prediction with the exact spectrum on a grid.
 
-    Here rho = upb_state(u) and rho1_s is noise state s.  The kernel basis is
-    built once; the S compressions are symmetrized together and diagonalized
-    in one stacked solve.  A verdict is DEGENERATE when |lam_min| <=
-    DEGENERACY_BAND; the exact column decides those.
+    Here rho = u.complement_projector / (D - m) and rho1_s is noise state
+    s.  The kernel basis is built once; the S compressions are symmetrized
+    together and diagonalized in one stacked solve.  A verdict is DEGENERATE
+    when |lam_min| <= DEGENERACY_BAND; the exact column decides those.
 
     Every partial transpose is taken once: rho's and the S noise states'.
     The partial transpose is an index permutation, so ``(rho^T + eps *
     rho1^T) / (1 + eps)`` is the partial transpose of the mixture bit for
     bit; all S x E of them form one ``(S, E, D, D)`` stack and one stacked
-    eigensolve.  A mixture of two validated states is Hermitian bit for bit,
-    so it needs no symmetrizing; its trace is checked.
+    eigensolve.  rho and the validated noise states are Hermitian bit for
+    bit, so their mixtures need no symmetrizing; their trace is checked.
     """
     eps = np.asarray(epsilons, dtype=float)
     if eps.ndim != 1 or not np.all((eps > 0.0) & (eps <= EPSILON_GUARD)):
@@ -185,7 +180,8 @@ def mixing_scan(
         else NoiseEffect.DEGENERATE
         for x in lam[:, 0]
     )
-    pt_state = linalg.partial_transpose(upb_state(u).matrix, u.parts.local_dims, cut.side_a)
+    rho = u.complement_projector / (u.parts.dim - u.size)
+    pt_state = linalg.partial_transpose(rho, u.parts.local_dims, cut.side_a)
     mixed = (pt_state + eps[:, None, None] * pt_noise[:, None]) / (1.0 + eps)[:, None, None]
     trace_dev = np.abs(np.trace(mixed, axis1=-2, axis2=-1).real - 1.0)
     if np.any(trace_dev > TRACE_TOL):

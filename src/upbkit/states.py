@@ -165,7 +165,7 @@ def product_projector(vector: ProductVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite (within tolerance) operator."""
+    """Hermitian, unit-trace, positive-semidefinite (within tolerance) operator, held read-only."""
 
     matrix: np.ndarray
     parts: PartyStructure
@@ -173,6 +173,7 @@ class DensityMatrix:
 
     def __post_init__(self, validate: bool):
         m = linalg.as_hermitian(self.matrix)
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         if m.shape[0] != self.parts.dim:
             raise ValueError(

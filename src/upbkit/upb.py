@@ -95,8 +95,8 @@ class UPB:
     Construction stacks party k's local vectors into one read-only ``(m, d_k)``
     array, ``local_stacks[k]``, expands the members once into the columns of a
     ``(D, m)`` matrix V and checks orthogonality with one Gram product
-    ``V^H V``.  The projectors are built from V on first use and cached
-    read-only.
+    ``V^H V``.  The projector attributes are built from V on first use and
+    cached read-only.
     """
 
     parts: PartyStructure
@@ -132,21 +132,15 @@ class UPB:
     def size(self) -> int:
         return len(self.members)
 
-    def member_sum_projector(self) -> np.ndarray:
-        """``V V^H``, the projector onto the members' span; the same read-only array on every call."""
-        return self._member_sum
-
-    def complement_projector(self) -> np.ndarray:
-        """``I - V V^H``, the projector onto the complement; the same read-only array on every call."""
-        return self._complement
-
     @functools.cached_property
-    def _member_sum(self) -> np.ndarray:
+    def member_sum_projector(self) -> np.ndarray:
+        """``V V^H``, the projector onto the members' span; built on first use, then the same read-only array."""
         return _read_only(self._vectors @ self._vectors.conj().T)
 
     @functools.cached_property
-    def _complement(self) -> np.ndarray:
-        return _read_only(np.eye(self.parts.dim) - self._member_sum)
+    def complement_projector(self) -> np.ndarray:
+        """``I - V V^H``, the projector onto the complement; built on first use, then the same read-only array."""
+        return _read_only(np.eye(self.parts.dim) - self.member_sum_projector)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -179,7 +173,7 @@ def shifts_family(params: ShiftsParams) -> UPB:
 def upb_state(u: UPB) -> DensityMatrix:
     """Maximally mixed state on the orthogonal complement of the UPB."""
     # spectrum is exactly {0 x m, 1/(D-m) x (D-m)}, so no PSD re-check needed
-    return DensityMatrix(u.complement_projector() / (u.parts.dim - u.size), u.parts, validate=False)
+    return DensityMatrix(u.complement_projector / (u.parts.dim - u.size), u.parts, validate=False)
 
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z, stacked as PAULI[i, row, column]
@@ -337,9 +331,7 @@ def _seesaw(
         # eigenvector columns of _eigh_update) differently
         cur = [np.ascontiguousarray(c) for c in cur]
         for k in range(n):
-            w, *rest = cur[:k] + cur[k + 1:]
-            for v in rest:
-                w = (w[:, :, None] * v[:, None, :]).reshape(active.size, -1)
+            w = expand_locals(cur[:k] + cur[k + 1:])
             values[k + 1], cur[k] = update(ops[k], w, cur[k])
         # each local update is an exact maximization, so the objective is monotone
         drop = values[:-1] - values[1:]
@@ -402,7 +394,7 @@ def certify_unextendible(
     seed: int | Sequence[int] = 0,
 ) -> UnextendibilityCertificate:
     """Run the seesaw on the complementary projector and return its certificate."""
-    return seesaw_max_product_overlap(u.complement_projector(), u.parts, restarts, seed)
+    return seesaw_max_product_overlap(u.complement_projector, u.parts, restarts, seed)
 
 
 @dataclass(frozen=True)

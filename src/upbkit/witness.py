@@ -32,7 +32,6 @@ from .upb import UPB, UnextendibilityCertificate
 
 SAFETY_MARGIN = 1e-6      # subtracted from the certified floor c
 RADIUS_DENOM_FLOOR = 1e-15
-DIRECTION_SUM_TOL = 1e-12
 
 
 class CertificationError(RuntimeError):
@@ -41,13 +40,14 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Witness:
-    """Unit-trace Hermitian operator with a cached negative detection value."""
+    """Unit-trace Hermitian operator, held read-only, with a cached negative detection value."""
 
     matrix: np.ndarray
     detected_value: float
 
     def __post_init__(self):
         m = linalg.as_hermitian(self.matrix)
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         if abs(np.trace(m).real - 1.0) > TRACE_TOL:
             raise ValueError(f"witness trace is {np.trace(m).real!r}, expected 1")
@@ -72,7 +72,7 @@ def build_upb_witness(u: UPB, certificate: UnextendibilityCertificate) -> Witnes
         raise CertificationError(
             "trace normalization is nonpositive; the certified floor is too large for this family"
         )
-    w = (u.member_sum_projector() - c * np.eye(d)) / norm
+    w = (u.member_sum_projector - c * np.eye(d)) / norm
     detected = -c / norm
     return Witness(matrix=w, detected_value=detected)
 
@@ -90,15 +90,19 @@ def robustness_radius(
     """Noise scale along a normalized direction at which this witness stops detecting.
 
     The direction is a label -> weight map with nonnegative weights summing
-    to 1.  Returns ``math.inf`` when the witness expectation of the direction
-    is numerically zero (detection never lost along that ray).
+    to 1.  A state the witness does not detect (``tr(W rho) >= 0``) gets 0.0:
+    along ``(rho + s sigma) / (1 + s)`` it is undetected from s = 0 on.
+    Returns ``math.inf`` when the witness expectation of the direction is
+    numerically zero (detection never lost along that ray).
     """
     if not all(weight >= 0.0 for weight in direction.values()):
         raise ValueError("direction coefficients must be nonnegative")
     total = float(sum(direction.values()))
-    if abs(total - 1.0) > DIRECTION_SUM_TOL:
+    if abs(total - 1.0) > TRACE_TOL:
         raise ValueError(f"direction coefficients sum to {total!r}, expected 1")
     detected = evaluate(w, rho)
+    if detected >= 0.0:
+        return 0.0
     denom = float(np.trace(w.matrix @ projector_combination(direction)).real)
     if denom <= RADIUS_DENOM_FLOOR:
         return math.inf

@@ -90,7 +90,7 @@ def pi4_witness(pi4_upb, pi4_cert):
 @pytest.fixture(scope="session")
 def ten_seed_certs(pi4_upb):
     """Certificates at 256 restarts for ten distinct seeds (stability checks)."""
-    proj = pi4_upb.complement_projector()
+    proj = pi4_upb.complement_projector
     return [
         seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=CERT_RESTARTS, seed=seed)
         for seed in range(10)

@@ -206,6 +206,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="not finite"):
             states.DensityMatrix(np.full((8, 8), np.nan), states.qubits(3))
 
+    def test_matrix_is_a_read_only_copy(self):
+        m = np.eye(2) / 2
+        rho = states.DensityMatrix(m, states.PartyStructure((2,)))
+        with pytest.raises(ValueError, match="read-only"):
+            rho.matrix[0, 0] = -5.0
+        # the caller's array stays writable and changing it leaves the state alone
+        m[0, 0] = -5.0
+        assert np.array_equal(rho.matrix, np.eye(2) / 2)
+
 
 def ghz_state():
     v = np.zeros(8, dtype=complex)

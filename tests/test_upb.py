@@ -217,14 +217,16 @@ class TestShiftsFamily:
 
     def test_projectors_are_cached_and_read_only(self):
         u = shifts_family(ShiftsParams(0.3, 0.7, 1.1))
-        member_sum = u.member_sum_projector()
-        complement = u.complement_projector()
-        assert u.member_sum_projector() is member_sum
-        assert u.complement_projector() is complement
+        member_sum = u.member_sum_projector
+        complement = u.complement_projector
+        assert u.member_sum_projector is member_sum
+        assert u.complement_projector is complement
         for p in (member_sum, complement):
             assert not p.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 p[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            u.complement_projector = np.eye(8)
         expected = sum(product_projector(v) for v in u.members)
         assert np.max(np.abs(member_sum - expected)) < 1e-15
         assert np.max(np.abs(complement - (np.eye(8) - expected))) < 1e-15
@@ -307,7 +309,7 @@ class TestSeesaw:
 
     def test_rejects_no_restarts_and_a_wrong_size(self, pi4_upb):
         with pytest.raises(ValueError, match="need at least one restart"):
-            seesaw_max_product_overlap(pi4_upb.complement_projector(), pi4_upb.parts, restarts=0)
+            seesaw_max_product_overlap(pi4_upb.complement_projector, pi4_upb.parts, restarts=0)
         # eye(4) is a projector, of dimension 4 against the parties' 8; a stack of
         # eight 8 x 8 projectors has the right leading size but is not one matrix
         for entry in (seesaw_max_product_overlap, subspace_product_hunt):
@@ -316,7 +318,7 @@ class TestSeesaw:
                     entry(wrong, pi4_upb.parts, restarts=1)
 
     def test_restart_determinism(self, pi4_upb):
-        proj = pi4_upb.complement_projector()
+        proj = pi4_upb.complement_projector
         first = seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=16, seed=11)
         second = seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=16, seed=11)
         assert first.max_overlap == second.max_overlap
@@ -326,7 +328,7 @@ class TestSeesaw:
     def test_batched_and_serial_restarts_agree(self, pi4_upb):
         # counter seeds: restart r does the same work whatever the batch around it
         dims = pi4_upb.parts.local_dims
-        proj = pi4_upb.complement_projector()
+        proj = pi4_upb.complement_projector
         small, _ = _seesaw(proj, dims, [5, 1], 4)
         large, _ = _seesaw(proj, dims, [5, 1], 16)
         assert np.max(np.abs(small - large[:4])) <= 1e-12
@@ -345,7 +347,7 @@ class TestSeesaw:
     def test_converged_restarts_are_stationary(self, pi4_upb, monkeypatch):
         # every party's vector is a top eigenvector of its local operator, by numpy's own eigh
         inputs = [
-            (pi4_upb.parts.local_dims, pi4_upb.complement_projector()),
+            (pi4_upb.parts.local_dims, pi4_upb.complement_projector),
             ((2, 2, 2, 2), random_projector((2, 2, 2, 2), 5, 4)),
             ((2, 3, 2), random_projector((2, 3, 2), 4, 5)),
         ]
@@ -415,7 +417,7 @@ class TestSeesaw:
         # three parties: calls 4 and 6 are the first and last local updates of sweep 1,
         # on the Bloch update for qubits and on the stacked eigensolve for dims 2, 3, 2
         inputs = [
-            (pi4_upb.complement_projector(), pi4_upb.parts),
+            (pi4_upb.complement_projector, pi4_upb.parts),
             (random_projector((2, 3, 2), 3, 6), PartyStructure((2, 3, 2))),
         ]
         for at_call, party in ((4, 0), (6, 2)):
@@ -442,7 +444,7 @@ class TestCertification:
         assert abs(pi4_cert.max_overlap - PI4_MAX_OVERLAP) < 1e-6
 
     def test_certificate_attained_value(self, pi4_upb, pi4_cert):
-        q = pi4_upb.complement_projector()
+        q = pi4_upb.complement_projector
         best = expand(pi4_cert.best_product_vector)
         direct = np.vdot(best, q @ best).real
         assert abs(direct - pi4_cert.max_overlap) < 1e-10
@@ -483,7 +485,7 @@ class TestSubspaceHunt:
             assert max(fidelities) > 1 - 1e-6
 
     def test_upb_complement_has_no_hits(self, pi4_upb):
-        result = subspace_product_hunt(pi4_upb.complement_projector(), pi4_upb.parts, restarts=128, seed=9)
+        result = subspace_product_hunt(pi4_upb.complement_projector, pi4_upb.parts, restarts=128, seed=9)
         assert result.distinct_count == 0
         assert result.rank == 0
 
@@ -590,7 +592,7 @@ class TestExactQubitHunt:
         drawn = np.random.default_rng(7).uniform(0.01, np.pi / 2 - 0.01, size=(40, 3))
         for angles in near_faces + [tuple(a) for a in drawn]:
             u = shifts_family(ShiftsParams(*angles))
-            result = subspace_product_hunt(u.complement_projector(), u.parts, restarts=12, seed=0)
+            result = subspace_product_hunt(u.complement_projector, u.parts, restarts=12, seed=0)
             assert (result.distinct_count, result.rank) == (0, 0), angles
 
     def test_count_ignores_seed_and_restarts(self):
@@ -610,7 +612,7 @@ class TestHuntFallback:
     def test_upb_complement_plus_member(self, seesaw_calls, member):
         # a = |0> or |1> puts two points on one root x = 0, or one at x = infinity
         u = shifts_family(ShiftsParams(0.5, 0.8, 1.0))
-        projector = u.complement_projector() + product_projector(u.members[member])
+        projector = u.complement_projector + product_projector(u.members[member])
         result = subspace_product_hunt(projector, u.parts, restarts=64, seed=member)
         assert len(seesaw_calls) == 1
         assert (result.distinct_count, result.rank) == (6, 5)
@@ -621,6 +623,19 @@ class TestHuntFallback:
         result = subspace_product_hunt(la.span_projector([e[0], e[1]]), qubits(3), restarts=16, seed=0)
         assert len(seesaw_calls) == 1
         assert (result.distinct_count, result.rank) == (16, 2)
+
+    def test_rank_deficient_constraint_matrix(self, seesaw_calls):
+        # span{|000>, |00+>, |0++>, |+00>}: N(x) loses rank at a root of the solve
+        e0, plus = np.eye(2)[0], np.ones(2) / np.sqrt(2)
+        planted = [(e0, e0, e0), (e0, e0, plus), (e0, plus, plus), (plus, e0, e0)]
+        projector = la.span_projector([expand(ProductVector(v)) for v in planted])
+        result = subspace_product_hunt(projector, qubits(3), restarts=32, seed=0)
+        assert len(seesaw_calls) == 1
+        # the count is not pinned: the seesaw finds some of the span's product vectors, not all
+        assert result.distinct_count >= 1
+        for v in result.vectors:
+            phi = expand(v)
+            assert np.vdot(phi, projector @ phi).real >= 1 - upb.UNEXTENDIBILITY_GAP
 
     def test_dim6_and_qutrits_keep_the_seesaw(self, seesaw_calls):
         rng = np.random.default_rng(3)

@@ -72,6 +72,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="detect"):
             Witness(matrix=np.eye(4) / 4, detected_value=0.5)
 
+    def test_matrix_is_read_only(self, pi4_witness):
+        with pytest.raises(ValueError, match="read-only"):
+            pi4_witness.matrix[0, 0] = -5.0
+
 
 class TestEvaluate:
     def test_nonnegative_on_every_basis_projector(self, pi4_witness):
@@ -134,6 +138,12 @@ class TestRobustnessRadius:
                 assert evaluate(pi4_witness, perturbed) < 0
             lost = perturb_local(pi4_state, scaled(direction, 2.0 * radius))
             assert evaluate(pi4_witness, lost) >= 0
+
+    def test_undetected_state_gets_zero_radius(self, pi4_witness):
+        # white noise is not detected: tr(W I/8) = tr(W)/8 = 1/8, so detection is lost at s = 0
+        white = DensityMatrix(np.eye(8) / 8, qubits(3))
+        assert evaluate(pi4_witness, white) > 0
+        assert robustness_radius(pi4_witness, white, uniform_direction(3)) == 0.0
 
     def test_zero_denominator_gives_infinite_radius(self):
         # |phi+> witness and the one product direction it cannot see:
