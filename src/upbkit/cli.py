@@ -69,7 +69,7 @@ from .perturbation import (
     PositivityError,
     entangled_pair_noise,
     mixing_scan,
-    perturb_local,
+    perturb_mix,
     uniform_direction,
 )
 from .reporting import dumps_canonical, validate_report
@@ -177,8 +177,13 @@ def _parse_label_map(raw: Any, name: str) -> dict[str, float]:
 
 
 def _label_tuples(weights: dict[str, float]) -> dict[tuple[str, ...], float]:
-    """A parsed label map keyed by label tuples, as ``states`` and ``witness`` take it."""
+    """A parsed label map keyed by label tuples, as ``states`` takes it."""
     return {tuple(key.split(",")): w for key, w in weights.items()}
+
+
+def _label_state(weights: dict[tuple[str, ...], float]) -> DensityMatrix:
+    """The three-qubit state ``projector_combination(w) / sum(w)``; ValueError if that is not a state."""
+    return DensityMatrix(projector_combination(weights) / sum(weights.values()), qubits(3))
 
 
 def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
@@ -342,10 +347,8 @@ def _noise_samples(config: dict[str, Any]) -> list[tuple[str, DensityMatrix]]:
             out.append((f"random[{s}]", random_density_matrix(parts, rng)))
         return out
     if noise["kind"] == "local":
-        coeffs = _label_tuples(noise["coefficients"])
-        op = projector_combination(coeffs) / sum(coeffs.values())
         try:
-            return [("local", DensityMatrix(op, parts))]
+            return [("local", _label_state(_label_tuples(noise["coefficients"])))]
         except ValueError as exc:
             raise ConfigError(f"local noise operator is not a state: {exc}") from exc
     raise AssertionError(f"unreachable noise kind {noise['kind']!r}")
@@ -448,15 +451,11 @@ def cmd_witness_radius(config: dict[str, Any]) -> dict[str, Any]:
     u, _, w = _certified_witness(config)
     rho = upb_state(u)
     direction = uniform_direction(3) if config["direction"] == "uniform" else _label_tuples(config["direction"])
-    radius = robustness_radius(w, rho, direction)
-    detected = evaluate(w, rho)
-    denom = abs(detected) / radius if np.isfinite(radius) and radius > 0 else 0.0
+    sigma = _label_state(direction)
+    radius = robustness_radius(w, rho, sigma)
     check = None
-    if np.isfinite(radius):
-        inside, outside = (
-            evaluate(w, perturb_local(rho, {mu: scale * radius * v for mu, v in direction.items()}))
-            for scale in (0.5, 2.0)
-        )
+    if 0.0 < radius < math.inf:
+        inside, outside = (evaluate(w, perturb_mix(rho, sigma, scale * radius)) for scale in (0.5, 2.0))
         check = {
             "inside_scale": 0.5,
             "inside_value": inside,
@@ -466,8 +465,8 @@ def cmd_witness_radius(config: dict[str, Any]) -> dict[str, Any]:
     return {
         "direction": config["direction"],
         "radius": radius,
-        "detected_value": detected,
-        "denominator": denom,
+        "detected_value": evaluate(w, rho),
+        "denominator": evaluate(w, sigma),
         "check": check,
     }
 

@@ -26,6 +26,7 @@ Everything downstream works on small (dim <= 64) dense complex matrices:
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,22 +42,21 @@ class ConvergenceError(RuntimeError):
 def as_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Validate Hermiticity within tolerance and return the symmetrized copy.
 
-    Takes one matrix or a stack of shape ``(..., n, n)``.  Raises ValueError
-    if the matrices are not square or one of them deviates from its conjugate
-    transpose by more than ``HERMITIAN_RTOL * (1 + maxabs)``, or if an entry
-    is not finite.
+    Takes one square matrix.  Raises ValueError if the input is not square
+    (a stack included), deviates from its conjugate transpose by more than
+    ``HERMITIAN_RTOL * (1 + maxabs)``, or has an entry that is not finite.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = 1.0 + np.max(np.abs(m), axis=(-2, -1), initial=0.0)
+    scale = 1.0 + np.abs(m).max(initial=0.0)
     # a NaN or infinite entry makes max |entry| NaN or infinite
-    if not np.isfinite(scale).all():
+    if not math.isfinite(scale):
         raise ValueError("matrix has an entry that is not finite")
-    adj = m.conj().swapaxes(-1, -2)
-    dev = np.max(np.abs(m - adj), axis=(-2, -1), initial=0.0)
-    if np.any(dev > HERMITIAN_RTOL * scale):
-        raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {np.max(dev):.3e}")
+    adj = m.conj().T
+    dev = np.abs(m - adj).max(initial=0.0)
+    if dev > HERMITIAN_RTOL * scale:
+        raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {dev:.3e}")
     return (m + adj) / 2.0
 
 
@@ -106,12 +106,12 @@ def partial_transpose(
     with entrywise arithmetic such as mixing two matrices.
     """
     m = np.asarray(matrix)
-    dims = tuple(int(d) for d in local_dims)
+    dims = tuple(operator.index(d) for d in local_dims)
     n = len(dims)
     total = math.prod(dims)
     if m.ndim < 2 or m.shape[-2:] != (total, total):
         raise ValueError(f"matrix shape {m.shape} does not match local dims {dims}")
-    cut = sorted(set(int(k) for k in transposed))
+    cut = sorted(set(operator.index(k) for k in transposed))
     if not cut or len(cut) >= n or cut[0] < 0 or cut[-1] >= n:
         raise ValueError(f"transposed parties {cut} must be a nonempty proper subset of 0..{n - 1}")
     lead = m.shape[:-2]

@@ -3,14 +3,16 @@
 Two ways of perturbing a state are implemented:
 
 - local noise: rho -> (rho + sum_mu eps_mu E_mu) / (1 + sum_mu eps_mu), with
-  E_mu the separable projector basis.  The noise, like a witness-radius
-  direction, is a plain label -> coefficient map ``{("0", "phi1", "1"): eps}``
-  that goes straight to ``states.projector_combination``.  Nonnegative
-  coefficients preserve positivity and every separability property
-  automatically; with negative coefficients positivity is checked post hoc
-  via the full spectrum (exact and cheap at these dimensions).
+  E_mu the separable projector basis.  The noise is a plain label ->
+  coefficient map ``{("0", "phi1", "1"): eps}`` that goes straight to
+  ``states.projector_combination``.  Nonnegative coefficients preserve
+  positivity and every separability property automatically; with negative
+  coefficients positivity is checked post hoc via the full spectrum (exact
+  and cheap at these dimensions).
 - mixing noise: rho -> (rho + eps * rho1) / (1 + eps) for any state rho1 and
-  eps in (0, EPSILON_GUARD].
+  any finite eps > 0, the exact ray along which a witness radius is
+  measured.  Only the first-order analysis below keeps eps in
+  (0, EPSILON_GUARD].
 
 For a UPB state the kernel of the partially transposed state is spanned by
 the UPB members with the cut parties conjugated entrywise.  Compressing the
@@ -48,7 +50,7 @@ from .states import (
 )
 from .upb import UPB
 
-EPSILON_GUARD = 0.1          # perturbative regime for mixing / predictions
+EPSILON_GUARD = 0.1          # perturbative regime of the first-order predictions
 DEGENERACY_BAND = 1e-9       # |lam_min| below this is degenerate
 
 
@@ -89,9 +91,9 @@ def perturb_local(
 
 
 def perturb_mix(rho: DensityMatrix, rho1: DensityMatrix, epsilon: float) -> DensityMatrix:
-    """Convex combination (rho + eps * rho1) / (1 + eps); positivity is automatic."""
-    if not 0.0 < epsilon <= EPSILON_GUARD:
-        raise ValueError(f"epsilon must lie in (0, {EPSILON_GUARD}]")
+    """Convex combination (rho + eps * rho1) / (1 + eps) for a finite eps > 0; positivity is automatic."""
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     if rho1.parts != rho.parts:
         raise ValueError("noise state does not match the party structure")
     out = (rho.matrix + epsilon * rho1.matrix) / (1.0 + epsilon)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import InitVar, dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -58,7 +59,7 @@ class PartyStructure:
     local_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.local_dims)
+        dims = tuple(operator.index(d) for d in self.local_dims)
         object.__setattr__(self, "local_dims", dims)
         if any(d < 1 for d in dims):
             raise ValueError(f"local dimensions must be positive, got {dims}")
@@ -89,7 +90,7 @@ class Bipartition:
     side_a: tuple[int, ...]
 
     def __post_init__(self):
-        side = tuple(sorted(set(int(k) for k in self.side_a)))
+        side = tuple(sorted(set(operator.index(k) for k in self.side_a)))
         object.__setattr__(self, "side_a", side)
         if not side:
             raise ValueError("side_a must be nonempty")

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -287,7 +288,7 @@ def _seesaw(
     if restarts < 1:
         raise ValueError("need at least one restart")
     p_tensor = projector.reshape(tuple(dims) * 2)
-    base = seed if isinstance(seed, (list, tuple)) else [int(seed)]
+    base = seed if isinstance(seed, (list, tuple)) else [operator.index(seed)]
     seed_words = [w for s in base for w in _uint32_words(s)]
     # party j draws d_j real parts, then d_j imaginary parts, in party order
     draws = np.array([

@@ -11,10 +11,10 @@ has unit trace, nonnegative expectation on every product vector up to the
 certificate slack, and detects the UPB state structurally: tr(S rho) = 0
 exactly because the state lives in the complement, so tr(W rho) = -c / (m - c D) < 0.
 
-The detection radius along a direction, a label -> weight map over the
-separable projector basis with nonnegative weights summing to 1, is where
-the witness expectation crosses zero; losing detection by this witness
-does not prove separability, so the value is a lower bound on how far the
+The detection radius toward a noise state sigma is the scale s at which the
+witness expectation along the ray (rho + s sigma) / (1 + s) crosses zero,
+s = -tr(W rho) / tr(W sigma); losing detection by this witness does not
+prove separability, so the value is a lower bound on how far the
 entanglement persists.
 """
 
@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from . import linalg
-from .states import TRACE_TOL, DensityMatrix, projector_combination
+from .states import TRACE_TOL, DensityMatrix
 from .upb import UPB, UnextendibilityCertificate
 
 SAFETY_MARGIN = 1e-6      # subtracted from the certified floor c
@@ -84,26 +83,18 @@ def evaluate(w: Witness, rho: DensityMatrix) -> float:
     return float(np.trace(w.matrix @ rho.matrix).real)
 
 
-def robustness_radius(
-    w: Witness, rho: DensityMatrix, direction: Mapping[tuple[str, ...], float]
-) -> float:
-    """Noise scale along a normalized direction at which this witness stops detecting.
+def robustness_radius(w: Witness, rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Noise scale s at which this witness stops detecting along ``(rho + s sigma) / (1 + s)``.
 
-    The direction is a label -> weight map with nonnegative weights summing
-    to 1.  A state the witness does not detect (``tr(W rho) >= 0``) gets 0.0:
-    along ``(rho + s sigma) / (1 + s)`` it is undetected from s = 0 on.
-    Returns ``math.inf`` when the witness expectation of the direction is
-    numerically zero (detection never lost along that ray).
+    Returns ``|tr(W rho)| / tr(W sigma)``.  A state the witness does not
+    detect (``tr(W rho) >= 0``) gets 0.0: it is undetected from s = 0 on.
+    Returns ``math.inf`` when ``tr(W sigma)`` is at most
+    ``RADIUS_DENOM_FLOOR`` (detection never lost along that ray).
     """
-    if not all(weight >= 0.0 for weight in direction.values()):
-        raise ValueError("direction coefficients must be nonnegative")
-    total = float(sum(direction.values()))
-    if abs(total - 1.0) > TRACE_TOL:
-        raise ValueError(f"direction coefficients sum to {total!r}, expected 1")
     detected = evaluate(w, rho)
     if detected >= 0.0:
         return 0.0
-    denom = float(np.trace(w.matrix @ projector_combination(direction)).real)
+    denom = evaluate(w, sigma)
     if denom <= RADIUS_DENOM_FLOOR:
         return math.inf
     return abs(detected) / denom

@@ -43,7 +43,7 @@ from upbkit.states import product_projector
 from upbkit.reporting import dumps_canonical, validate_report
 
 from conftest import kernel_vectors
-from test_witness import scaled
+from test_witness import label_state, scaled
 
 CUT0 = Bipartition((0,))
 PI4 = [math.pi / 4] * 3
@@ -196,7 +196,7 @@ def test_08_witness_robustness(pi4_witness, pi4_state):
         weights = rng.random(64)
         weights /= weights.sum()
         direction = dict(zip(labels, weights))
-        radius = robustness_radius(pi4_witness, pi4_state, direction)
+        radius = robustness_radius(pi4_witness, pi4_state, label_state(direction))
         radii.append(radius)
         for frac in (0.3, 0.6, 0.9):
             inside = perturb_local(pi4_state, scaled(direction, frac * radius))

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from upbkit import ConvergenceError
+from upbkit import ConvergenceError, basis_labels
 from upbkit import cli
 from upbkit.cli import ConfigError, parse_config, run_command
 from upbkit.reporting import SchemaError, dumps_canonical, validate_report
@@ -434,6 +434,24 @@ class TestCommands:
             payload = json.loads(out.read_text())["payload"]
             assert 0 < payload["radius"] < math.inf
             assert payload["check"]["inside_value"] < 0 <= payload["check"]["outside_value"]
+
+    def test_witness_radius_check_lies_on_the_ray(self):
+        # with q = tr(W sigma) = |d| / r, tr(W (rho + t sigma) / (1 + t)) = (d + t q) / (1 + t), so
+        # the checks at t = r / 2 and t = 2 r read 0.5 d / (1 + 0.5 r) and -d / (1 + 2 r)
+        rng = np.random.default_rng(2121)
+        labels = [",".join(mu) for mu in basis_labels(3)]
+        raws = [json.loads((SCRIPTS / "configs" / f"witness_radius_{name}.json").read_text())
+                for name in ("direction", "uniform")]
+        for seed in range(20):
+            weights = rng.random(64)
+            weights /= weights.sum()
+            raws.append({**RADIUS, "seed": seed, "restarts": 16, "direction": dict(zip(labels, weights.tolist()))})
+        for raw in raws:
+            payload = run_command(parse_config(raw)).payload
+            d, r, check = payload["detected_value"], payload["radius"], payload["check"]
+            assert r == abs(d) / payload["denominator"]
+            assert abs(check["inside_value"] - 0.5 * d / (1 + 0.5 * r)) <= 1e-15
+            assert abs(check["outside_value"] + d / (1 + 2 * r)) <= 1e-15
 
 
 SCHEMA_CONFIGS = {"build": make_config(), "subspace-hunt": HUNT, "witness-radius": RADIUS}

@@ -99,10 +99,14 @@ class TestHermitianEig:
 
 class TestAsHermitian:
     def test_rejects_a_stack_with_one_bad_matrix(self):
+        # one matrix only: a stack is a shape error, whether or not one of its matrices is bad
         stack = np.stack([np.eye(4)] * 3).astype(complex)
-        stack[1, 2, 0] = 1e-6
+        for bad in (0.0, 1e-6):
+            stack[1, 2, 0] = bad
+            with pytest.raises(ValueError, match="expected a square matrix, got shape \\(3, 4, 4\\)"):
+                la.as_hermitian(stack)
         with pytest.raises(ValueError, match="not Hermitian: max \\|H - H\\^dag\\| = 1.000e-06"):
-            la.as_hermitian(stack)
+            la.as_hermitian(stack[1])
 
     def test_rejects_non_square(self):
         for shape in ((3,), (2, 3), (4, 2, 3)):
@@ -119,11 +123,12 @@ class TestAsHermitian:
 
     def test_output_is_hermitian_bit_for_bit(self):
         rng = np.random.default_rng(17)
-        near = np.stack([random_hermitian(rng, 8) for _ in range(4)])
-        near += 1e-14 * (rng.standard_normal(near.shape) + 1j * rng.standard_normal(near.shape))
-        out = la.as_hermitian(near)
-        assert np.array_equal(out, out.conj().swapaxes(-1, -2))
-        assert np.max(np.abs(out - near)) < 1e-13
+        for _ in range(4):
+            near = random_hermitian(rng, 8)
+            near += 1e-14 * (rng.standard_normal(near.shape) + 1j * rng.standard_normal(near.shape))
+            out = la.as_hermitian(near)
+            assert np.array_equal(out, out.conj().T)
+            assert np.max(np.abs(out - near)) < 1e-13
 
 
 class TestEigvalshUnchecked:
@@ -199,6 +204,17 @@ class TestPartialTranspose:
         for shape in ((3, 8, 4), (3, 4, 4), (8,)):
             with pytest.raises(ValueError, match="does not match local dims"):
                 la.partial_transpose(np.zeros(shape), (2, 2, 2), (0,))
+
+    def test_parties_and_dims_must_be_integers(self):
+        # int() would truncate party 0.5 to party 0 and dimension 2.9 to 2
+        m = np.arange(64.0).reshape(8, 8)
+        with pytest.raises(TypeError):
+            la.partial_transpose(m, (2, 2, 2), [0.5])
+        with pytest.raises(TypeError):
+            la.partial_transpose(m, (2.9, 2, 2), [0])
+        # numpy integers are integers
+        expected = la.partial_transpose(m, (2, 2, 2), [1])
+        assert np.array_equal(la.partial_transpose(m, np.array([2, 2, 2]), np.array([1])), expected)
 
 
 class TestKernelAndRank:

@@ -142,10 +142,14 @@ class TestPerturbMix:
         assert min_pt_eigenvalue(out, CUT0) < 0
 
     def test_epsilon_guard(self, pi4_state):
-        with pytest.raises(ValueError, match="epsilon"):
-            perturb_mix(pi4_state, maximally_mixed(), 0.5)
-        with pytest.raises(ValueError, match="epsilon"):
-            perturb_mix(pi4_state, maximally_mixed(), 0.0)
+        # any finite eps > 0 is a point on the ray; only the first-order scan keeps (0, 0.1]
+        for eps in (0.0, -0.5, np.inf, np.nan):
+            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+                perturb_mix(pi4_state, maximally_mixed(), eps)
+
+    def test_large_epsilon_is_the_convex_combination(self, pi4_state):
+        out = perturb_mix(pi4_state, maximally_mixed(), 0.5)
+        assert np.array_equal(out.matrix, (pi4_state.matrix + 0.5 * (np.eye(8) / 8)) / 1.5)
 
 
 class TestKernelProductBasis:

@@ -71,6 +71,17 @@ class TestPartyStructure:
         with pytest.raises(ValueError, match="proper subset"):
             cut.validate_for(states.qubits(3))
 
+    def test_indices_and_dims_must_be_integers(self):
+        # int() would make Bipartition((0.7,)) the cut (0,) and PartyStructure((2.9, 2)) a pair of qubits
+        with pytest.raises(TypeError):
+            states.Bipartition((0.7,))
+        with pytest.raises(TypeError):
+            states.PartyStructure((2.9, 2))
+        # numpy integers are integers, and are stored as Python ints
+        assert states.Bipartition(tuple(np.array([2, 0]))).side_a == (0, 2)
+        dims = states.PartyStructure(tuple(np.array([2, 3]))).local_dims
+        assert dims == (2, 3) and all(type(d) is int for d in dims)
+
 
 class TestProjectorBasis:
     def test_e000_is_corner_projector(self):

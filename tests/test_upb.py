@@ -313,9 +313,19 @@ class TestSeesaw:
         # eye(4) is a projector, of dimension 4 against the parties' 8; a stack of
         # eight 8 x 8 projectors has the right leading size but is not one matrix
         for entry in (seesaw_max_product_overlap, subspace_product_hunt):
-            for wrong in (np.eye(4), np.stack([np.eye(8)] * 8)):
-                with pytest.raises(ValueError, match="does not match the party structure"):
-                    entry(wrong, pi4_upb.parts, restarts=1)
+            with pytest.raises(ValueError, match="does not match the party structure"):
+                entry(np.eye(4), pi4_upb.parts, restarts=1)
+            with pytest.raises(ValueError, match="expected a square matrix"):
+                entry(np.stack([np.eye(8)] * 8), pi4_upb.parts, restarts=1)
+
+    def test_seed_must_be_an_integer(self, pi4_upb):
+        # int() would run seed 1.5 as seed 1
+        proj = pi4_upb.complement_projector
+        with pytest.raises(TypeError):
+            seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=2, seed=1.5)
+        first = seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=2, seed=1)
+        second = seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=2, seed=np.int64(1))
+        assert first.max_overlap == second.max_overlap
 
     def test_restart_determinism(self, pi4_upb):
         proj = pi4_upb.complement_projector

@@ -14,7 +14,9 @@ from upbkit import (
     evaluate,
     perturb_local,
     projector_basis,
+    projector_combination,
     qubits,
+    random_density_matrix,
     random_product_vector,
     robustness_radius,
     uniform_direction,
@@ -28,6 +30,12 @@ from test_upb import degenerate_family_members
 def scaled(direction, factor):
     """The label map with every weight multiplied by ``factor``."""
     return {mu: factor * weight for mu, weight in direction.items()}
+
+
+def label_state(direction):
+    """The state ``sum_mu w[mu] E_mu`` of a label map with nonnegative weights summing to 1."""
+    n = len(next(iter(direction)))
+    return DensityMatrix(projector_combination(direction), qubits(n))
 
 
 def bell_pair():
@@ -103,7 +111,7 @@ class TestEvaluate:
 
 class TestRobustnessRadius:
     def test_uniform_direction_radius_is_finite_positive(self, pi4_witness, pi4_state):
-        radius = robustness_radius(pi4_witness, pi4_state, uniform_direction(3))
+        radius = robustness_radius(pi4_witness, pi4_state, label_state(uniform_direction(3)))
         assert 0 < radius < math.inf
 
     def test_closed_form(self, pi4_witness, pi4_state):
@@ -114,12 +122,12 @@ class TestRobustnessRadius:
             for w, e in zip(direction.values(), projector_basis(3))
         )
         expected = abs(evaluate(pi4_witness, pi4_state)) / denom
-        radius = robustness_radius(pi4_witness, pi4_state, direction)
+        radius = robustness_radius(pi4_witness, pi4_state, label_state(direction))
         assert abs(radius - expected) < 1e-12
 
     def test_two_point_consistency(self, pi4_witness, pi4_state):
         direction = uniform_direction(3)
-        radius = robustness_radius(pi4_witness, pi4_state, direction)
+        radius = robustness_radius(pi4_witness, pi4_state, label_state(direction))
         inside = perturb_local(pi4_state, scaled(direction, 0.5 * radius))
         outside = perturb_local(pi4_state, scaled(direction, 2.0 * radius))
         assert evaluate(pi4_witness, inside) < 0
@@ -132,7 +140,7 @@ class TestRobustnessRadius:
             weights = rng.random(64)
             weights /= weights.sum()
             direction = dict(zip(labels, weights))
-            radius = robustness_radius(pi4_witness, pi4_state, direction)
+            radius = robustness_radius(pi4_witness, pi4_state, label_state(direction))
             for frac in (0.25, 0.6, 0.9):
                 perturbed = perturb_local(pi4_state, scaled(direction, frac * radius))
                 assert evaluate(pi4_witness, perturbed) < 0
@@ -143,22 +151,20 @@ class TestRobustnessRadius:
         # white noise is not detected: tr(W I/8) = tr(W)/8 = 1/8, so detection is lost at s = 0
         white = DensityMatrix(np.eye(8) / 8, qubits(3))
         assert evaluate(pi4_witness, white) > 0
-        assert robustness_radius(pi4_witness, white, uniform_direction(3)) == 0.0
+        assert robustness_radius(pi4_witness, white, label_state(uniform_direction(3))) == 0.0
 
     def test_zero_denominator_gives_infinite_radius(self):
         # |phi+> witness and the one product direction it cannot see:
         # <++|phi+> has squared overlap exactly 1/2, the witness's floor
         w, rho = bell_pair()
-        direction = {("phi1", "phi1"): 1.0}
-        assert robustness_radius(w, rho, direction) == math.inf
+        assert robustness_radius(w, rho, label_state({("phi1", "phi1"): 1.0})) == math.inf
 
-    def test_direction_must_be_normalized(self, pi4_witness, pi4_state):
-        direction = {("0", "0", "0"): 0.5}
-        with pytest.raises(ValueError, match="sum"):
-            robustness_radius(pi4_witness, pi4_state, direction)
-
-    def test_direction_must_be_nonnegative(self, pi4_witness, pi4_state):
-        # sums to 1 but one coefficient is negative
-        direction = {("0", "0", "0"): 0.8, ("1", "1", "1"): 0.4, ("0", "1", "0"): -0.2}
-        with pytest.raises(ValueError, match="nonnegative"):
-            robustness_radius(pi4_witness, pi4_state, direction)
+    def test_direction_may_be_any_state(self, pi4_witness, pi4_state):
+        # a DensityMatrix built directly, not from a label map; the radius is -tr(W rho) / tr(W sigma)
+        white = DensityMatrix(np.eye(8) / 8, qubits(3))
+        drawn = random_density_matrix(qubits(3), np.random.default_rng(23))
+        detected = np.trace(pi4_witness.matrix @ pi4_state.matrix).real
+        for sigma in (white, drawn):
+            denom = np.trace(pi4_witness.matrix @ sigma.matrix).real
+            assert detected < 0 < denom
+            assert robustness_radius(pi4_witness, pi4_state, sigma) == -detected / denom
