@@ -45,8 +45,9 @@ is expected, and integer fields and cut indices take integers only.
 filled in and label keys in their canonical ``"0,phi1,1"`` spelling.  The
 report echoes it verbatim, and it parses back to itself.
 
-Exit codes: 0 success, 1 invalid config or command line, 2 numerical guard
-tripped (non-convergence or positivity violation), 3 certification failure.
+Exit codes: 0 success, 1 invalid config or command line (an unreadable config or
+an unwritable ``--out`` too), 2 numerical guard tripped (non-convergence or
+positivity violation), 3 certification failure; any other error raises.
 """
 
 from __future__ import annotations
@@ -115,12 +116,10 @@ _ALLOWED_KEYS = {
     "subspace-hunt": _COMMON_KEYS | {"restarts", "subspace_kind", "subspace_dim", "samples"},
     "witness-radius": _COMMON_KEYS | {"restarts", "direction"},
 }
-_NOISE_FIELDS = {
-    "white": {"kind"},
-    "npt_projector": {"kind"},
-    "random": {"kind", "count"},
-    "local": {"kind", "coefficients"},
-}
+# the parties of every command: label keys, cut indices, noise and drawn subspaces follow them
+_PARTIES = qubits(3)
+_WHITE_NOISE = DensityMatrix(np.eye(_PARTIES.dim) / _PARTIES.dim, _PARTIES, validate=False)
+_UNIFORM_DIRECTION = {",".join(mu): w for mu, w in uniform_direction(_PARTIES.n_parties).items()}
 
 
 def _parse_int(raw: Any, name: str, lo: int, hi: float) -> int:
@@ -150,13 +149,13 @@ def _parse_angles(raw: Any, name: str) -> list[float]:
 
 
 def _parse_label_key(key: str) -> str:
-    """The canonical spelling ``"0,phi1,1"`` of a three-label key."""
+    """The canonical spelling ``"0,phi1,1"`` of a label key, one label per party."""
     try:
         mu = validate_labels(tuple(part.strip() for part in key.split(",")))
     except ValueError as exc:
         raise ConfigError(f"bad label key {key!r}: {exc}") from exc
-    if len(mu) != 3:
-        raise ConfigError(f"bad label key {key!r}: expected 3 labels, got {len(mu)}")
+    if len(mu) != _PARTIES.n_parties:
+        raise ConfigError(f"bad label key {key!r}: expected {_PARTIES.n_parties} labels, got {len(mu)}")
     return ",".join(mu)
 
 
@@ -176,14 +175,10 @@ def _parse_label_map(raw: Any, name: str) -> dict[str, float]:
     return weights
 
 
-def _label_tuples(weights: dict[str, float]) -> dict[tuple[str, ...], float]:
-    """A parsed label map keyed by label tuples, as ``states`` takes it."""
-    return {tuple(key.split(",")): w for key, w in weights.items()}
-
-
-def _label_state(weights: dict[tuple[str, ...], float]) -> DensityMatrix:
-    """The three-qubit state ``projector_combination(w) / sum(w)``; ValueError if that is not a state."""
-    return DensityMatrix(projector_combination(weights) / sum(weights.values()), qubits(3))
+def _label_state(weights: dict[str, float]) -> DensityMatrix:
+    """The state ``projector_combination(w) / sum(w)`` of a parsed label map; ValueError if that is not a state."""
+    by_labels = {tuple(key.split(",")): w for key, w in weights.items()}
+    return DensityMatrix(projector_combination(by_labels) / sum(weights.values()), _PARTIES)
 
 
 def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
@@ -233,9 +228,9 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
         cut_raw = raw.get("cut", [0])
         if not isinstance(cut_raw, (list, tuple)) or not cut_raw:
             raise ConfigError("cut must be a nonempty list of party indices")
-        cut = Bipartition(tuple(_parse_int(k, "cut index", 0, 2) for k in cut_raw))
+        cut = Bipartition(tuple(_parse_int(k, "cut index", 0, _PARTIES.n_parties - 1) for k in cut_raw))
         try:
-            cut.validate_for(qubits(3))
+            cut.validate_for(_PARTIES)
         except ValueError as exc:
             raise ConfigError(f"invalid cut: {exc}") from exc
         config["cut"] = list(cut.side_a)
@@ -261,7 +256,7 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
         else:
             if "angles" in raw:
                 raise ConfigError(f"{kind} hunts draw their subspaces from the seed; drop angles")
-            config["subspace_dim"] = _parse_int(raw.get("subspace_dim"), "subspace_dim", 1, 8)
+            config["subspace_dim"] = _parse_int(raw.get("subspace_dim"), "subspace_dim", 1, _PARTIES.dim)
             config["samples"] = _parse_int(raw.get("samples"), "samples", 1, math.inf)
 
     return config
@@ -271,18 +266,40 @@ def _parse_noise(raw: Any) -> dict[str, Any]:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError('noise must be an object with a "kind" field')
     kind = raw["kind"]
-    if not isinstance(kind, str) or kind not in _NOISE_FIELDS:
+    if not isinstance(kind, str) or kind not in _NOISE_KINDS:
         raise ConfigError(f"unknown noise kind {kind!r}")
-    if set(raw) != _NOISE_FIELDS[kind]:
-        raise ConfigError(f"{kind} noise takes exactly the fields {sorted(_NOISE_FIELDS[kind])}")
-    if kind == "random":
-        return {"kind": kind, "count": _parse_int(raw["count"], "noise count", 1, math.inf)}
-    if kind == "local":
-        coeffs = _parse_label_map(raw["coefficients"], "noise coefficients")
-        if sum(coeffs.values()) <= 0:
-            raise ConfigError("noise coefficients must have positive total weight")
-        return {"kind": kind, "coefficients": coeffs}
-    return {"kind": kind}
+    fields, _ = _NOISE_KINDS[kind]
+    if set(raw) != {"kind", *fields}:
+        raise ConfigError(f"{kind} noise takes exactly the fields {sorted({'kind', *fields})}")
+    return {"kind": kind, **{name: parse(raw[name]) for name, parse in fields.items()}}
+
+
+def _parse_local_coefficients(raw: Any) -> dict[str, float]:
+    coeffs = _parse_label_map(raw, "noise coefficients")
+    if sum(coeffs.values()) <= 0:
+        raise ConfigError("noise coefficients must have positive total weight")
+    return coeffs
+
+
+def _random_noise(config: dict[str, Any]) -> list[tuple[str, DensityMatrix]]:
+    rngs = (np.random.default_rng([config["seed"], s]) for s in range(config["noise"]["count"]))
+    return [(f"random[{s}]", random_density_matrix(_PARTIES, rng)) for s, rng in enumerate(rngs)]
+
+
+def _local_noise(config: dict[str, Any]) -> list[tuple[str, DensityMatrix]]:
+    try:
+        return [("local", _label_state(config["noise"]["coefficients"]))]
+    except ValueError as exc:
+        raise ConfigError(f"local noise operator is not a state: {exc}") from exc
+
+
+# noise kind -> (its config fields besides "kind", each with its parser; the named noise states of a config)
+_NOISE_KINDS = {
+    "white": ({}, lambda config: [("white", _WHITE_NOISE)]),
+    "npt_projector": ({}, lambda config: [("npt_projector", entangled_pair_noise())]),
+    "random": ({"count": lambda raw: _parse_int(raw, "noise count", 1, math.inf)}, _random_noise),
+    "local": ({"coefficients": _parse_local_coefficients}, _local_noise),
+}
 
 
 # --------------------------------------------------------------------------
@@ -333,31 +350,11 @@ def cmd_certify(config: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _noise_samples(config: dict[str, Any]) -> list[tuple[str, DensityMatrix]]:
-    noise = config["noise"]
-    parts = qubits(3)
-    if noise["kind"] == "white":
-        return [("white", DensityMatrix(np.eye(8) / 8.0, parts, validate=False))]
-    if noise["kind"] == "npt_projector":
-        return [("npt_projector", entangled_pair_noise())]
-    if noise["kind"] == "random":
-        out = []
-        for s in range(noise["count"]):
-            rng = np.random.default_rng([config["seed"], s])
-            out.append((f"random[{s}]", random_density_matrix(parts, rng)))
-        return out
-    if noise["kind"] == "local":
-        try:
-            return [("local", _label_state(_label_tuples(noise["coefficients"])))]
-        except ValueError as exc:
-            raise ConfigError(f"local noise operator is not a state: {exc}") from exc
-    raise AssertionError(f"unreachable noise kind {noise['kind']!r}")
-
-
 def cmd_perturb_scan(config: dict[str, Any]) -> dict[str, Any]:
     u = shifts_family(ShiftsParams(*config["angles"]))
     cut = Bipartition(config["cut"])
-    names, noises = zip(*_noise_samples(config))
+    _, noise_states = _NOISE_KINDS[config["noise"]["kind"]]
+    names, noises = zip(*noise_states(config))
     scan = mixing_scan(u, noises, cut, config["epsilon_grid"])
     counts = {effect.value: 0 for effect in NoiseEffect}
     samples = []
@@ -409,27 +406,26 @@ def cmd_rank_mixtures(config: dict[str, Any]) -> dict[str, Any]:
 
 
 def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
-    parts = qubits(3)
     runs: list[tuple[int, np.ndarray, Sequence[int]]] = []
     if config["subspace_kind"] == "upb_complement":
         u = shifts_family(ShiftsParams(*config["angles"]))
         runs.append((0, u.complement_projector, [config["seed"], 0]))
-        dim = parts.dim - u.size
+        dim = _PARTIES.dim - u.size
     else:
         dim = config["subspace_dim"]
         for s in range(config["samples"]):
             rng = np.random.default_rng([config["seed"], s])
             if config["subspace_kind"] == "planted":
-                vecs = [expand(random_product_vector(parts, rng)) for _ in range(dim)]
+                vecs = [expand(random_product_vector(_PARTIES, rng)) for _ in range(dim)]
             else:
-                raw = rng.standard_normal((parts.dim, dim)) + 1j * rng.standard_normal((parts.dim, dim))
+                raw = rng.standard_normal((_PARTIES.dim, dim)) + 1j * rng.standard_normal((_PARTIES.dim, dim))
                 vecs = [raw[:, k] for k in range(dim)]
             runs.append((s, linalg.span_projector(vecs), [config["seed"], s]))
 
     sample_rows = []
     histogram: dict[int, int] = {}
     for index, projector, seed in runs:
-        result = subspace_product_hunt(projector, parts, restarts=config["restarts"], seed=seed)
+        result = subspace_product_hunt(projector, _PARTIES, restarts=config["restarts"], seed=seed)
         histogram[result.distinct_count] = histogram.get(result.distinct_count, 0) + 1
         sample_rows.append(
             {
@@ -450,8 +446,7 @@ def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
 def cmd_witness_radius(config: dict[str, Any]) -> dict[str, Any]:
     u, _, w = _certified_witness(config)
     rho = upb_state(u)
-    direction = uniform_direction(3) if config["direction"] == "uniform" else _label_tuples(config["direction"])
-    sigma = _label_state(direction)
+    sigma = _label_state(_UNIFORM_DIRECTION if config["direction"] == "uniform" else config["direction"])
     radius = robustness_radius(w, rho, sigma)
     check = None
     if 0.0 < radius < math.inf:
@@ -497,19 +492,19 @@ class Report:
 def run_command(config: dict[str, Any]) -> Report:
     started = time.perf_counter()
     payload = _RUNNERS[config["command"]](config)
-    elapsed = time.perf_counter() - started
-    report = Report(
-        config=config,
-        payload=payload,
-        meta={"toolkit_version": __version__, "elapsed_seconds": elapsed},
-    )
-    validate_report({"config": report.config, "payload": report.payload, "meta": report.meta})
-    return report
+    meta = {"toolkit_version": __version__, "elapsed_seconds": time.perf_counter() - started}
+    validate_report({"config": config, "payload": payload, "meta": meta})
+    return Report(config, payload, meta)
 
 
 # --------------------------------------------------------------------------
 # entry point
 # --------------------------------------------------------------------------
+
+def _invalid_config(exc: Exception) -> int:
+    print(f"invalid config: {exc}", file=sys.stderr)
+    return 1
+
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
@@ -527,21 +522,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # json.load raises plain ValueErrors too
+        return _invalid_config(exc)
+    try:
         text = run_command(parse_config(raw)).render()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except (OSError, ValueError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 1
+    except ConfigError as exc:
+        return _invalid_config(exc)
     except (ConvergenceError, PositivityError) as exc:
         print(f"numerical guard tripped: {exc}", file=sys.stderr)
         return 2
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 3
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        return _invalid_config(exc)
     return 0
 
 

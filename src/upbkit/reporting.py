@@ -31,121 +31,123 @@ def dumps_canonical(value: Any) -> str:
 # --------------------------------------------------------------------------
 # schema validation
 #
-# Spec mini-language:
-#   "int" | "float" | "str" | "bool" | "null"  primitive (float accepts int)
-#   ("list", spec)                             homogeneous array
-#   ("pair",)                                  [re, im] with two numbers
-#   ("map", spec)                              object with arbitrary string keys
-#   ("any_of", spec, ...)                      first matching alternative wins
-#   {key: spec, ...}                           object with exactly these keys
+# A schema is written with the Python types it checks:
+#   int | float | str | bool | None           primitive (float accepts int; only bool takes a bool)
+#   complex                                   [re, im] with two numbers
+#   [spec]                                    homogeneous array
+#   {str: spec}                               object with arbitrary string keys
+#   (spec, spec, ...)                         first matching alternative wins
+#   {key: spec, ...}                          object with exactly these keys
 # --------------------------------------------------------------------------
 
-_LOCAL_PAIR = ("list", ("pair",))
-_MEMBER = ("list", _LOCAL_PAIR)
+_MEMBER = [[complex]]
 
 _PER_EPSILON_ROW = {
-    "epsilon": "float",
-    "predicted_min": "float",
-    "exact_min": "float",
-    "abs_error": "float",
-    "decided_by": "str",
+    "epsilon": float,
+    "predicted_min": float,
+    "exact_min": float,
+    "abs_error": float,
+    "decided_by": str,
 }
 
 _SCAN_SAMPLE = {
-    "noise": "str",
-    "compression_eigenvalues": ("list", "float"),
-    "verdict": "str",
-    "lambda_min": "float",
-    "per_epsilon": ("list", _PER_EPSILON_ROW),
+    "noise": str,
+    "compression_eigenvalues": [float],
+    "verdict": str,
+    "lambda_min": float,
+    "per_epsilon": [_PER_EPSILON_ROW],
 }
 
 _HUNT_SAMPLE = {
-    "index": "int",
-    "distinct_count": "int",
-    "rank": "int",
-    "overlaps": ("list", "float"),
+    "index": int,
+    "distinct_count": int,
+    "rank": int,
+    "overlaps": [float],
 }
 
 _CUT_ROW = {
-    "side_a": ("list", "int"),
-    "side_b": ("list", "int"),
-    "ppt": "bool",
-    "min_eigenvalue": "float",
+    "side_a": [int],
+    "side_b": [int],
+    "ppt": bool,
+    "min_eigenvalue": float,
 }
 
 PAYLOAD_SCHEMAS: dict[str, dict] = {
     "build": {
-        "members": ("list", _MEMBER),
-        "spectrum": ("list", "float"),
-        "ppt": ("list", _CUT_ROW),
-        "rank": "int",
+        "members": [_MEMBER],
+        "spectrum": [float],
+        "ppt": [_CUT_ROW],
+        "rank": int,
     },
     "certify": {
-        "max_overlap": "float",
-        "restarts": "int",
-        "certified": "bool",
+        "max_overlap": float,
+        "restarts": int,
+        "certified": bool,
         "best_product_vector": _MEMBER,
-        "witness_trace": "float",
-        "witness_detected_value": "float",
+        "witness_trace": float,
+        "witness_detected_value": float,
     },
     "perturb-scan": {
-        "cut": {"side_a": ("list", "int"), "side_b": ("list", "int")},
-        "samples": ("list", _SCAN_SAMPLE),
-        "verdict_counts": ("map", "int"),
+        "cut": {"side_a": [int], "side_b": [int]},
+        "samples": [_SCAN_SAMPLE],
+        "verdict_counts": {str: int},
     },
     "rank-mixtures": {
-        "rank_first": "int",
-        "rank_second": "int",
-        "rank_equal_mixture": "int",
-        "rank_state_plus_member": "int",
-        "rank_tol": "float",
+        "rank_first": int,
+        "rank_second": int,
+        "rank_equal_mixture": int,
+        "rank_state_plus_member": int,
+        "rank_tol": float,
     },
     "subspace-hunt": {
-        "kind": "str",
-        "dim": "int",
-        "samples": ("list", _HUNT_SAMPLE),
-        "histogram": ("map", "int"),
+        "kind": str,
+        "dim": int,
+        "samples": [_HUNT_SAMPLE],
+        "histogram": {str: int},
     },
     "witness-radius": {
-        "direction": ("any_of", "str", ("map", "float")),
-        "radius": "float",
-        "detected_value": "float",
-        "denominator": "float",
+        "direction": (str, {str: float}),
+        "radius": float,
+        "detected_value": float,
+        "denominator": float,
         "check": (
-            "any_of",
-            "null",
+            None,
             {
-                "inside_scale": "float",
-                "inside_value": "float",
-                "outside_scale": "float",
-                "outside_value": "float",
+                "inside_scale": float,
+                "inside_value": float,
+                "outside_scale": float,
+                "outside_value": float,
             },
         ),
     },
 }
 
-META_SCHEMA = {"toolkit_version": "str", "elapsed_seconds": "float"}
+META_SCHEMA = {"toolkit_version": str, "elapsed_seconds": float}
+
+# a primitive spec: the types its values may have, and the error text for any other value
+_PRIMITIVES = {
+    int: (int, "expected int, got {}"),
+    float: ((int, float), "expected number, got {}"),
+    str: (str, "expected string, got {}"),
+    bool: (bool, "expected bool, got {}"),
+    None: (type(None), "expected null"),
+}
 
 
 def _check(value: Any, spec: Any, path: str) -> None:
-    if spec == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise SchemaError(f"{path}: expected int, got {type(value).__name__}")
-    elif spec == "float":
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"{path}: expected number, got {type(value).__name__}")
-    elif spec == "str":
-        if not isinstance(value, str):
-            raise SchemaError(f"{path}: expected string, got {type(value).__name__}")
-    elif spec == "bool":
-        if not isinstance(value, bool):
-            raise SchemaError(f"{path}: expected bool, got {type(value).__name__}")
-    elif spec == "null":
-        if value is not None:
-            raise SchemaError(f"{path}: expected null")
+    if spec is None or isinstance(spec, type) and spec is not complex:
+        accepted, error = _PRIMITIVES[spec]
+        if not isinstance(value, accepted) or isinstance(value, bool) and spec is not bool:
+            raise SchemaError(f"{path}: {error.format(type(value).__name__)}")
     elif isinstance(spec, dict):
         if not isinstance(value, dict):
             raise SchemaError(f"{path}: expected object, got {type(value).__name__}")
+        if str in spec:
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise SchemaError(f"{path}: non-string key {key!r}")
+                _check(item, spec[str], f"{path}.{key}")
+            return
         unknown = set(value) - set(spec)
         if unknown:
             raise SchemaError(f"{path}: unknown fields {sorted(unknown)}")
@@ -154,33 +156,23 @@ def _check(value: Any, spec: Any, path: str) -> None:
             raise SchemaError(f"{path}: missing fields {sorted(missing)}")
         for key, sub in spec.items():
             _check(value[key], sub, f"{path}.{key}")
-    elif isinstance(spec, tuple) and spec and spec[0] == "list":
+    elif isinstance(spec, list):
         if not isinstance(value, list):
             raise SchemaError(f"{path}: expected array, got {type(value).__name__}")
         for i, item in enumerate(value):
-            _check(item, spec[1], f"{path}[{i}]")
-    elif isinstance(spec, tuple) and spec and spec[0] == "pair":
+            _check(item, spec[0], f"{path}[{i}]")
+    elif spec is complex:
         if not isinstance(value, list) or len(value) != 2:
             raise SchemaError(f"{path}: expected [re, im] pair")
-        for i, item in enumerate(value):
-            _check(item, "float", f"{path}[{i}]")
-    elif isinstance(spec, tuple) and spec and spec[0] == "map":
-        if not isinstance(value, dict):
-            raise SchemaError(f"{path}: expected object, got {type(value).__name__}")
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise SchemaError(f"{path}: non-string key {key!r}")
-            _check(item, spec[1], f"{path}.{key}")
-    elif isinstance(spec, tuple) and spec and spec[0] == "any_of":
-        for alt in spec[1:]:
+        _check(value, [float], path)
+    else:
+        for alt in spec:
             try:
                 _check(value, alt, path)
                 return
             except SchemaError:
                 continue
         raise SchemaError(f"{path}: no schema alternative matched")
-    else:
-        raise AssertionError(f"bad schema spec at {path}: {spec!r}")
 
 
 def validate_report(report: Any) -> None:

@@ -11,14 +11,15 @@ for B and C.  For angles strictly inside (0, pi/2) the four vectors are
 pairwise orthogonal and their complement contains no product vector; at the
 boundary the complement acquires one and the family degenerates.
 
-Unextendibility is certified numerically: a multi-start alternating ("seesaw")
+Unextendibility is tested numerically: a multi-start alternating ("seesaw")
 maximization of <phi|Q|phi> over product vectors, Q the complementary
 projector.  Each local update maximizes exactly over one party, so the
 objective never decreases; the best value over all restarts, bounded away
-from 1 by a fixed gap, is the certificate.  For qubit parties the update is
-closed form: with Bloch vectors, |<a|m>|^2 = (1 + r_a . r_m)/2 makes the
-objective multilinear, g_0 + g . r_k in party k, maximal at r_k = g/|g|.
-Other local dims take the top eigenvector of the party's local operator.
+from 1 by a fixed gap, is the certificate: a lower bound on the true maximum,
+so no proof.  Qubit updates are closed form: with Bloch vectors, |<a|m>|^2 =
+(1 + r_a . r_m)/2 makes the objective multilinear, g_0 + g . r_k in party k,
+maximal at r_k = g/|g|.  Other local dims take the top eigenvector of the
+party's local operator.
 
 Product hunting takes a projector, as the certificate does, and searches its
 range.  For three qubits and rank k <= 5 the product vectors form a finite
@@ -78,7 +79,7 @@ class ShiftsParams:
 
 @dataclass(frozen=True)
 class UnextendibilityCertificate:
-    """Best product overlap with the complementary projector found by the seesaw."""
+    """Best product overlap with the complementary projector found by the seesaw: a lower bound on the maximum."""
 
     max_overlap: float
     restarts: int
@@ -246,6 +247,14 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
+def _seed_words(seed: int | Sequence[int], restarts: int) -> list[int]:
+    """The seed's uint32 words; TypeError or ValueError unless restarts is an int >= 1 and the seed ints >= 0."""
+    if operator.index(restarts) < 1:
+        raise ValueError("need at least one restart")
+    base = seed if isinstance(seed, (list, tuple)) else [operator.index(seed)]
+    return [w for s in base for w in _uint32_words(s)]
+
+
 def _seesaw(
     projector: np.ndarray,
     dims: Sequence[int],
@@ -279,17 +288,13 @@ def _seesaw(
 
     Returns the final objective of every restart and the per-party local
     kets.  Raises ValueError for fewer than two parties, where there is
-    nothing to alternate over, for fewer than one restart and for a negative
-    seed.
+    nothing to alternate over, and the errors of ``_seed_words``.
     """
     n = len(dims)
     if n < 2:
         raise ValueError(f"the seesaw needs at least two parties, got local dims {tuple(dims)}")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    seed_words = _seed_words(seed, restarts)
     p_tensor = projector.reshape(tuple(dims) * 2)
-    base = seed if isinstance(seed, (list, tuple)) else [operator.index(seed)]
-    seed_words = [w for s in base for w in _uint32_words(s)]
     # party j draws d_j real parts, then d_j imaginary parts, in party order
     draws = np.array([
         np.random.default_rng(np.array(seed_words + _uint32_words(r), dtype=np.uint32))
@@ -520,10 +525,10 @@ def subspace_product_hunt(
     - three qubits and k <= 5: one degree-6 polynomial solve
       (``_qubit_triple_points``), which finds every product vector in the span
       whose residual ``||(I - P) phi||`` is below ``HUNT_RESIDUAL_TOL``.  The
-      count is exact and ``restarts`` and ``seed`` play no part.  Where the
-      solve is degenerate (a root at infinity, a rank-deficient constraint
-      matrix, a multiple root or a continuum of product vectors) the seesaw
-      below runs instead, with the same seed and restarts;
+      count is exact and ``restarts`` and ``seed`` are checked but play no
+      part.  Where the solve is degenerate (a root at infinity, a
+      rank-deficient constraint matrix, a multiple root or a continuum of
+      product vectors) the seesaw below runs, with the same seed and restarts;
     - otherwise a multi-start seesaw, where every restart landing at overlap
       >= 1 - gap is a candidate.
 
@@ -534,6 +539,7 @@ def subspace_product_hunt(
     from their Gram spectrum at the default tolerance.
     """
     p = _checked_projector(projector, parts)
+    _seed_words(seed, restarts)  # the exact path reads neither, and rejects what the seesaw rejects
     k = round(float(np.trace(p).real))
     if k == 0:
         raise ValueError("the projector's range is empty")

@@ -1,15 +1,16 @@
 """Entanglement witnesses for UPB states and the noise radius of detection.
 
 The construction is the standard one for a UPB state: with S the sum of the
-member projectors and c the certified product-state floor of <phi|S|phi>
-(one minus the seesaw's max complementary overlap, less a small safety
+member projectors and c the seesaw's estimate of the product-state floor of
+<phi|S|phi> (one minus its best complementary overlap, less a small safety
 margin), the operator
 
     W = (S - c * I) / (m - c * D)
 
-has unit trace, nonnegative expectation on every product vector up to the
-certificate slack, and detects the UPB state structurally: tr(S rho) = 0
-exactly because the state lives in the complement, so tr(W rho) = -c / (m - c D) < 0.
+has unit trace and detects the UPB state structurally: tr(S rho) = 0 exactly
+because the state lives in the complement, so tr(W rho) = -c / (m - c D) < 0.
+It is a witness only if c is at most the true floor, which nothing proves:
+the seesaw's best overlap is only a lower bound on the true maximum.
 
 The detection radius toward a noise state sigma is the scale s at which the
 witness expectation along the ray (rho + s sigma) / (1 + s) crosses zero,
@@ -29,7 +30,7 @@ from . import linalg
 from .states import TRACE_TOL, DensityMatrix
 from .upb import UPB, UnextendibilityCertificate
 
-SAFETY_MARGIN = 1e-6      # subtracted from the certified floor c
+SAFETY_MARGIN = 1e-6      # subtracted from the seesaw's floor estimate c
 RADIUS_DENOM_FLOOR = 1e-15
 
 
@@ -55,7 +56,7 @@ class Witness:
 
 
 def build_upb_witness(u: UPB, certificate: UnextendibilityCertificate) -> Witness:
-    """Trace-normalized S - c*I witness from a certified UPB."""
+    """Trace-normalized S - c*I witness, c resting on the certificate's seesaw overlap (a lower bound)."""
     if not certificate.certifies_unextendible:
         raise CertificationError(
             f"seesaw found a product vector with overlap {certificate.max_overlap!r}; "

@@ -589,6 +589,17 @@ class TestEndToEnd:
         assert cli.main(["--config", str(cfg)]) == 1
         assert "invalid config: angles value is out of float range" in capsys.readouterr().err
 
+    def test_programming_error_keeps_its_traceback(self, tmp_path, monkeypatch):
+        # exit 1 means an invalid config: a ValueError raised inside a command is a bug, not one
+        def buggy(config):
+            raise ValueError("bug inside a command")
+
+        monkeypatch.setitem(cli._RUNNERS, "build", buggy)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(make_config()))
+        with pytest.raises(ValueError, match="bug inside a command"):
+            cli.main(["--config", str(cfg)])
+
     def test_certification_failure_exit_code(self, tmp_path):
         # valid but nearly degenerate angles: the complement contains a
         # product vector up to ~1e-9, so certification must refuse

@@ -193,6 +193,7 @@ class TestKernelProductBasis:
                 numerical = kernel_vectors(pt)
                 conjugated = list(kernel_product_basis(u, cut).T)
                 assert la.subspace_distance(numerical, conjugated) < 1e-9
+                assert_pt_is_kernel_complement(pt, u, cut)
 
     def test_complex_family_kernel_differs_from_member_span(self):
         u = complexified_family()
@@ -203,6 +204,14 @@ class TestKernelProductBasis:
         rho = upb_state(u)
         pt = la.partial_transpose(rho.matrix, (2, 2, 2), CUT0.side_a)
         assert la.subspace_distance(kernel_vectors(pt), conjugated) < 1e-9
+        assert_pt_is_kernel_complement(pt, u, CUT0)
+
+
+def assert_pt_is_kernel_complement(pt, u, cut):
+    """The partial transpose of a UPB state is ``(I - K K^dag) / (D - m)``, K the conjugated kernel basis."""
+    k = kernel_product_basis(u, cut)
+    d = u.parts.dim
+    assert np.max(np.abs(pt - (np.eye(d) - k @ k.conj().T) / (d - u.size))) < 1e-14
 
 
 def scan_one(noise, u, cut=CUT0, epsilons=(0.01,)):
@@ -353,7 +362,8 @@ class TestMixingScan:
         u = shifts_family(ShiftsParams(*config["angles"]))
         rho = upb_state(u)
         bip = Bipartition(cut)
-        samples = cli._noise_samples(config)
+        _, noise_samples = cli._NOISE_KINDS[noise["kind"]]
+        samples = noise_samples(config)
         assert len(payload["samples"]) == len(samples)
         for (name, rho1), row in zip(samples, payload["samples"]):
             single = mixing_scan(u, [rho1], bip, config["epsilon_grid"])

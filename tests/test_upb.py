@@ -614,6 +614,16 @@ class TestExactQubitHunt:
             for a, b in zip(other.vectors, results[0].vectors):
                 assert np.array_equal(expand(a), expand(b))
 
+    def test_exact_path_checks_restarts_and_seed(self):
+        # the seesaw rejects these before it runs; the exact path reads neither, and rejects them too
+        projector = random_subspace(np.random.default_rng(11), 5)
+        bad = [({"restarts": 0}, ValueError), ({"restarts": -3}, ValueError), ({"restarts": 2.5}, TypeError),
+               ({"seed": -1}, ValueError), ({"seed": 1.5}, TypeError), ({"seed": "x"}, TypeError)]
+        for kwargs, error in bad:
+            with pytest.raises(error):
+                subspace_product_hunt(projector, qubits(3), **{"restarts": 1, "seed": 0, **kwargs})
+        assert subspace_product_hunt(projector, qubits(3), restarts=1, seed=0).distinct_count == 6
+
 
 class TestHuntFallback:
     """A degenerate polynomial solve hands the hunt to the seesaw, which answers as before."""
