@@ -46,8 +46,10 @@ filled in and label keys in their canonical ``"0,phi1,1"`` spelling.  The
 report echoes it verbatim, and it parses back to itself.
 
 Exit codes: 0 success, 1 invalid config or command line (an unreadable config or
-an unwritable ``--out`` too), 2 numerical guard tripped (non-convergence or
-positivity violation), 3 certification failure; any other error raises.
+an unwritable ``--out`` too), 2 numerical guard tripped (a ``ConvergenceError``:
+LAPACK non-convergence or a seesaw objective drop), 3 certification failure;
+any other error raises.  No command reaches the library's ``PositivityError``;
+``main`` still maps it to 2.
 """
 
 from __future__ import annotations
@@ -543,7 +545,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         return _invalid_config(exc)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -132,6 +132,8 @@ class ProductVector:
     def __post_init__(self):
         vecs = tuple(np.array(v, dtype=complex) for v in self.locals)
         object.__setattr__(self, "locals", vecs)
+        if not vecs:
+            raise ValueError("a product vector needs at least one local vector")
         for k, v in enumerate(vecs):
             v.flags.writeable = False
             if v.ndim != 1:
@@ -268,7 +270,6 @@ class CutVerdict(NamedTuple):
 
 def min_pt_eigenvalue(rho: DensityMatrix, cut: Bipartition) -> float:
     """Smallest eigenvalue of the partial transpose of rho across the cut."""
-    cut.validate_for(rho.parts)
     # an index permutation of the Hermitian rho.matrix, so Hermitian as well
     pt = linalg.partial_transpose(rho.matrix, rho.parts.local_dims, cut.side_a)
     return float(linalg.eigvalsh_unchecked(pt)[0])

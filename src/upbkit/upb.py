@@ -109,6 +109,8 @@ class UPB:
     def __post_init__(self):
         members = tuple(self.members)
         object.__setattr__(self, "members", members)
+        if not members:
+            raise ValueError("an unextendible product basis needs at least one member")
         if len(members) >= self.parts.dim:
             raise ValueError("an unextendible product basis must be incomplete (m < D)")
         shapes = tuple((d,) for d in self.parts.local_dims)

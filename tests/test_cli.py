@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -556,10 +557,21 @@ class TestEndToEnd:
             second.stdout.split('"payload"')[1].rsplit('"meta"')[0]
         )
 
-    def test_out_flag_writes_file(self, tmp_path):
+    def test_out_flag_writes_file(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "report.json"
         proc = run_cli(tmp_path, make_config(), "--out", str(out))
         assert proc.returncode == 0 and proc.stdout == ""
+        validate_report(json.loads(out.read_text()))
+        # in process too: without --out the report goes to stdout, and python -m upbkit
+        # runs the package's __main__, which exits with main's status
+        cfg = tmp_path / "config.json"
+        assert cli.main(["--config", str(cfg)]) == 0
+        validate_report(json.loads(capsys.readouterr().out))
+        out.unlink()
+        monkeypatch.setattr(sys, "argv", ["upbkit", "--config", str(cfg), "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("upbkit", run_name="__main__")
+        assert exit_info.value.code == 0 and capsys.readouterr().out == ""
         validate_report(json.loads(out.read_text()))
 
     def test_invalid_config_exit_code(self, tmp_path):
@@ -600,7 +612,7 @@ class TestEndToEnd:
         with pytest.raises(ValueError, match="bug inside a command"):
             cli.main(["--config", str(cfg)])
 
-    def test_certification_failure_exit_code(self, tmp_path):
+    def test_certification_failure_exit_code(self, tmp_path, capsys):
         # valid but nearly degenerate angles: the complement contains a
         # product vector up to ~1e-9, so certification must refuse
         raw = {
@@ -612,6 +624,11 @@ class TestEndToEnd:
         proc = run_cli(tmp_path, raw)
         assert proc.returncode == 3
         assert "certification failure: seesaw found a product vector with overlap" in proc.stderr
+        cfg = tmp_path / "config.json"
+        assert cli.main(["--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "certification failure: seesaw found a product vector with overlap" in captured.err
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
         # a command-line usage error is an invalid invocation (1), not a numerical guard trip (2)

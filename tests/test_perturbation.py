@@ -147,6 +147,11 @@ class TestPerturbMix:
             with pytest.raises(ValueError, match="epsilon must be finite and positive"):
                 perturb_mix(pi4_state, maximally_mixed(), eps)
 
+    def test_rejects_noise_of_other_parties(self, pi4_state):
+        two_qubit = DensityMatrix(np.eye(4) / 4, qubits(2), validate=False)
+        with pytest.raises(ValueError, match="party structure"):
+            perturb_mix(pi4_state, two_qubit, 0.01)
+
     def test_large_epsilon_is_the_convex_combination(self, pi4_state):
         out = perturb_mix(pi4_state, maximally_mixed(), 0.5)
         assert np.array_equal(out.matrix, (pi4_state.matrix + 0.5 * (np.eye(8) / 8)) / 1.5)

@@ -70,6 +70,10 @@ class TestPartyStructure:
         cut = states.Bipartition((0, 1, 2))
         with pytest.raises(ValueError, match="proper subset"):
             cut.validate_for(states.qubits(3))
+        with pytest.raises(ValueError, match=r"parties outside 0\.\.2"):
+            states.Bipartition((1, 3)).validate_for(states.qubits(3))
+        with pytest.raises(ValueError, match="at least two parties"):
+            states.bipartitions(states.PartyStructure((4,)))
 
     def test_indices_and_dims_must_be_integers(self):
         # int() would make Bipartition((0.7,)) the cut (0,) and PartyStructure((2.9, 2)) a pair of qubits
@@ -131,6 +135,8 @@ class TestProjectorBasis:
             states.projector_basis(7)
         with pytest.raises(ValueError):
             states.projector_basis(0)
+        with pytest.raises(ValueError, match="at least one qubit"):
+            states.basis_labels(0)
 
     def test_gram_determinant_single_qubit(self):
         # oracle: explicit signed-permutation expansion of the 4x4 Gram
@@ -162,6 +168,11 @@ class TestProjectorBasis:
             recon += c * e
         assert np.max(np.abs(recon - rho.matrix)) < 1e-10
 
+    def test_decomposition_needs_qubits(self):
+        rho = states.DensityMatrix(np.eye(9) / 9, states.PartyStructure((3, 3)), validate=False)
+        with pytest.raises(ValueError, match="requires qubit parties"):
+            states.decompose_in_projector_basis(rho)
+
 
 class TestProductVectors:
     def test_expand_corners(self):
@@ -186,6 +197,15 @@ class TestProductVectors:
         # a NaN norm compares False against any bound, so it must fail the check too
         with pytest.raises(ValueError, match="not normalized"):
             states.ProductVector((np.array([np.nan, 0.0]),))
+
+    def test_rejects_a_local_that_is_not_a_vector(self):
+        with pytest.raises(ValueError, match="local vector 1 is not one-dimensional"):
+            states.ProductVector((states.local_vector("0"), np.eye(2)))
+
+    def test_rejects_no_locals(self):
+        # with no party there is nothing to expand: expand would index an empty tuple
+        with pytest.raises(ValueError, match="at least one local vector"):
+            states.ProductVector(())
 
     def test_locals_are_read_only_copies(self):
         e0 = states.local_vector("0")
@@ -244,6 +264,12 @@ class TestPPT:
         v[0] = v[3] = 1 / np.sqrt(2)
         rho = states.DensityMatrix(np.outer(v, v.conj()), states.qubits(2), validate=False)
         assert abs(states.min_pt_eigenvalue(rho, states.Bipartition((1,))) - (-0.5)) < 1e-12
+
+    @pytest.mark.parametrize("side_a", [(0, 1, 2), (3,), (0, 5)])
+    def test_rejects_a_cut_that_is_not_proper(self, side_a):
+        # the partial transpose is the one check of the cut against the parties
+        with pytest.raises(ValueError, match="proper subset"):
+            states.min_pt_eigenvalue(ghz_state(), states.Bipartition(side_a))
 
     def test_ghz_npt_on_all_cuts(self):
         report = states.is_ppt_all_cuts(ghz_state())

@@ -194,6 +194,11 @@ class TestShiftsFamily:
         with pytest.raises(ValueError, match="incomplete"):
             UPB(qubits(1), (ProductVector((e0,)), ProductVector((e1,))))
 
+    def test_upb_type_requires_a_member(self):
+        # with no member the kernel compression is 0 x 0, so mixing_scan has no lam_min to read
+        with pytest.raises(ValueError, match="at least one member"):
+            UPB(qubits(3), ())
+
 
     def test_upb_type_rejects_locals_of_the_wrong_party(self):
         # total dimension 8 matches, but party 0 must be the 2-dim one

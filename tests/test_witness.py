@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from upbkit import upb
 from upbkit import (
     CertificationError,
     DensityMatrix,
     UPB,
+    UnextendibilityCertificate,
     Witness,
     basis_labels,
     build_upb_witness,
@@ -73,6 +75,21 @@ class TestConstruction:
         cert = certify_unextendible(u, restarts=32, seed=4)
         with pytest.raises(CertificationError, match="unextendibility"):
             build_upb_witness(u, cert)
+
+    def test_floor_must_survive_the_safety_margin(self, pi4_upb, pi4_cert, monkeypatch):
+        # a gap below the margin certifies an overlap whose floor 1 - overlap is under the margin
+        monkeypatch.setattr(upb, "UNEXTENDIBILITY_GAP", SAFETY_MARGIN / 10)
+        cert = UnextendibilityCertificate(1.0 - SAFETY_MARGIN / 2, 1, pi4_cert.best_product_vector)
+        assert cert.certifies_unextendible
+        with pytest.raises(CertificationError, match="floor vanished after the safety margin"):
+            build_upb_witness(pi4_upb, cert)
+
+    def test_floor_too_large_for_the_family_rejected(self, pi4_upb, pi4_cert):
+        # overlap 0.1 puts the floor c near 0.9, and m - c D = 4 - 0.9 * 8 < 0
+        cert = UnextendibilityCertificate(0.1, 1, pi4_cert.best_product_vector)
+        assert cert.certifies_unextendible
+        with pytest.raises(CertificationError, match="trace normalization is nonpositive"):
+            build_upb_witness(pi4_upb, cert)
 
     def test_witness_type_validations(self):
         with pytest.raises(ValueError, match="trace"):
