@@ -8,7 +8,6 @@ from .linalg import (
     subspace_distance,
 )
 from .states import (
-    Bipartition,
     CutVerdict,
     DensityMatrix,
     PartyStructure,

@@ -78,7 +78,6 @@ from .perturbation import (
 from .reporting import dumps_canonical, validate_report
 from .states import (
     TRACE_TOL,
-    Bipartition,
     DensityMatrix,
     ProductVector,
     expand,
@@ -230,12 +229,11 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
         cut_raw = raw.get("cut", [0])
         if not isinstance(cut_raw, (list, tuple)) or not cut_raw:
             raise ConfigError("cut must be a nonempty list of party indices")
-        cut = Bipartition(tuple(_parse_int(k, "cut index", 0, _PARTIES.n_parties - 1) for k in cut_raw))
+        indices = [_parse_int(k, "cut index", 0, _PARTIES.n_parties - 1) for k in cut_raw]
         try:
-            cut.validate_for(_PARTIES)
+            config["cut"] = list(linalg.cut_parties(indices, _PARTIES.n_parties))
         except ValueError as exc:
             raise ConfigError(f"invalid cut: {exc}") from exc
-        config["cut"] = list(cut.side_a)
 
     if command == "witness-radius":
         direction = raw.get("direction", "uniform")
@@ -312,6 +310,11 @@ def _vector_payload(v: ProductVector) -> list[list[list[float]]]:
     return [[[z.real, z.imag] for z in loc.tolist()] for loc in v.locals]
 
 
+def _cut_payload(cut: Sequence[int]) -> dict[str, list[int]]:
+    """Both sides of a cut of the parties, each as a new list."""
+    return {"side_a": list(cut), "side_b": [k for k in range(_PARTIES.n_parties) if k not in cut]}
+
+
 def cmd_build(config: dict[str, Any]) -> dict[str, Any]:
     u = shifts_family(ShiftsParams(*config["angles"]))
     rho = upb_state(u)
@@ -320,8 +323,7 @@ def cmd_build(config: dict[str, Any]) -> dict[str, Any]:
     for cut, verdict in is_ppt_all_cuts(rho).items():
         ppt_rows.append(
             {
-                "side_a": list(cut.side_a),
-                "side_b": list(cut.side_b(rho.parts)),
+                **_cut_payload(cut),
                 "ppt": verdict.ppt,
                 "min_eigenvalue": verdict.min_eigenvalue,
             }
@@ -354,10 +356,9 @@ def cmd_certify(config: dict[str, Any]) -> dict[str, Any]:
 
 def cmd_perturb_scan(config: dict[str, Any]) -> dict[str, Any]:
     u = shifts_family(ShiftsParams(*config["angles"]))
-    cut = Bipartition(config["cut"])
     _, noise_states = _NOISE_KINDS[config["noise"]["kind"]]
     names, noises = zip(*noise_states(config))
-    scan = mixing_scan(u, noises, cut, config["epsilon_grid"])
+    scan = mixing_scan(u, noises, config["cut"], config["epsilon_grid"])
     counts = {effect.value: 0 for effect in NoiseEffect}
     samples = []
     per_sample = zip(names, scan.verdicts, scan.compression_eigenvalues.tolist(),
@@ -385,7 +386,7 @@ def cmd_perturb_scan(config: dict[str, Any]) -> dict[str, Any]:
             }
         )
     return {
-        "cut": {"side_a": list(cut.side_a), "side_b": list(cut.side_b(u.parts))},
+        "cut": _cut_payload(config["cut"]),
         "samples": samples,
         "verdict_counts": counts,
     }

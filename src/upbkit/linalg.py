@@ -18,6 +18,8 @@ Everything downstream works on small (dim <= 64) dense complex matrices:
   floats by a few ulps and pick different eigenvector phases.
 - ``span_projector`` builds the projector onto a span from the left singular
   vectors of the stacked vectors (``np.linalg.svd``).
+- ``cut_parties`` holds the one rule for a cut: a nonempty proper subset of
+  the party indices, the side-a parties as a sorted tuple.
 - ``partial_transpose`` is a pure index permutation (reshape + axis swap) of
   one matrix or of every matrix in a ``(..., D, D)`` stack, never a
   similarity transform, so traces and involution hold exactly.
@@ -94,16 +96,29 @@ def eigvalsh_unchecked(matrix: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
 
 
+def cut_parties(parties: Iterable[int], n_parties: int) -> tuple[int, ...]:
+    """The one check of a cut: its side-a party indices, sorted and distinct.
+
+    A non-integer index raises TypeError; ValueError unless the indices form a
+    nonempty proper subset of ``0..n_parties - 1``.
+    """
+    cut = tuple(sorted(set(operator.index(k) for k in parties)))
+    if not cut or len(cut) >= n_parties or cut[0] < 0 or cut[-1] >= n_parties:
+        raise ValueError(f"cut parties {list(cut)} must be a nonempty proper subset of 0..{n_parties - 1}")
+    return cut
+
+
 def partial_transpose(
     matrix: np.ndarray, local_dims: Sequence[int], transposed: Iterable[int]
 ) -> np.ndarray:
     """Transpose the row/column indices of the parties listed in ``transposed``.
 
     Takes one matrix or a stack of shape ``(..., D, D)`` and transposes every
-    matrix of the stack.  Implemented as an index permutation on the composite
-    multi-indices, so the operation is exact: applying it twice returns the
-    input bit for bit, the trace is untouched, and it commutes bit for bit
-    with entrywise arithmetic such as mixing two matrices.
+    matrix of the stack; ``transposed`` is a cut, checked by ``cut_parties``.
+    Implemented as an index permutation on the composite multi-indices, so the
+    operation is exact: applying it twice returns the input bit for bit, the
+    trace is untouched, and it commutes bit for bit with entrywise arithmetic
+    such as mixing two matrices.
     """
     m = np.asarray(matrix)
     dims = tuple(operator.index(d) for d in local_dims)
@@ -111,9 +126,7 @@ def partial_transpose(
     total = math.prod(dims)
     if m.ndim < 2 or m.shape[-2:] != (total, total):
         raise ValueError(f"matrix shape {m.shape} does not match local dims {dims}")
-    cut = sorted(set(operator.index(k) for k in transposed))
-    if not cut or len(cut) >= n or cut[0] < 0 or cut[-1] >= n:
-        raise ValueError(f"transposed parties {cut} must be a nonempty proper subset of 0..{n - 1}")
+    cut = cut_parties(transposed, n)
     lead = m.shape[:-2]
     off = len(lead)
     perm = list(range(off + 2 * n))

@@ -39,8 +39,6 @@ import numpy as np
 
 from . import linalg
 from .states import (
-    PSD_TOL,
-    Bipartition,
     DensityMatrix,
     basis_labels,
     expand_locals,
@@ -70,9 +68,9 @@ def perturb_local(
     """Add the weighted separable projectors of a label -> coefficient map and renormalize.
 
     Each basis projector has unit trace, so the normalization constant is
-    1 + sum of the coefficients.  Raises PositivityError if the result has an
-    eigenvalue below -PSD_TOL, the bound ``DensityMatrix`` itself checks (only
-    possible with negative coefficients).
+    1 + sum of the coefficients.  Raises PositivityError if ``DensityMatrix``
+    rejects the result as not positive semidefinite (only possible with
+    negative coefficients).
     """
     if not rho.parts.all_qubits:
         raise ValueError("local noise needs qubit parties")
@@ -82,11 +80,10 @@ def perturb_local(
     norm = 1.0 + float(sum(coefficients.values()))
     if norm <= 0.0:
         raise PositivityError("total noise weight drives the trace nonpositive")
-    out = DensityMatrix((rho.matrix + noise) / norm, rho.parts, validate=False)
-    low = linalg.eigvalsh_unchecked(out.matrix)[0]
-    if low < -PSD_TOL:
-        raise PositivityError(f"perturbed operator has eigenvalue {low:.3e} < -{PSD_TOL:g}")
-    return out
+    try:
+        return DensityMatrix((rho.matrix + noise) / norm, rho.parts)
+    except ValueError as exc:
+        raise PositivityError(f"perturbed {exc}") from exc
 
 
 def perturb_mix(rho: DensityMatrix, rho1: DensityMatrix, epsilon: float) -> DensityMatrix:
@@ -99,16 +96,17 @@ def perturb_mix(rho: DensityMatrix, rho1: DensityMatrix, epsilon: float) -> Dens
     return DensityMatrix(out, rho.parts, validate=False)
 
 
-def kernel_product_basis(u: UPB, cut: Bipartition) -> np.ndarray:
+def kernel_product_basis(u: UPB, cut: Sequence[int]) -> np.ndarray:
     """The ``(D, m)`` matrix whose columns are the members with the cut parties conjugated entrywise.
 
+    ``cut`` lists the side-a parties, checked by ``linalg.cut_parties``.
     Built from the UPB's local stacks.  The columns are orthonormal
     (conjugation preserves the zero pattern of the local overlaps) and span
     the kernel of the partially transposed UPB state.  For a real family they
     equal the expanded members.
     """
-    cut.validate_for(u.parts)
-    stacks = [s.conj() if k in cut.side_a else s for k, s in enumerate(u.local_stacks)]
+    side_a = linalg.cut_parties(cut, u.parts.n_parties)
+    stacks = [s.conj() if k in side_a else s for k, s in enumerate(u.local_stacks)]
     return np.ascontiguousarray(expand_locals(stacks).T)
 
 
@@ -147,15 +145,16 @@ class MixingScan:
 def mixing_scan(
     u: UPB,
     noises: Sequence[DensityMatrix],
-    cut: Bipartition,
+    cut: Sequence[int],
     epsilons: Sequence[float],
 ) -> MixingScan:
     """Classify every noise state and compare the prediction with the exact spectrum on a grid.
 
-    Here rho = u.complement_projector / (D - m) and rho1_s is noise state
-    s.  The kernel basis is built once; the S compressions are symmetrized
-    together and diagonalized in one stacked solve.  A verdict is DEGENERATE
-    when |lam_min| <= DEGENERACY_BAND; the exact column decides those.
+    Here rho = u.complement_projector / (D - m), rho1_s is noise state s
+    (at least one) and ``cut`` lists the side-a parties.  The kernel basis is
+    built once; the S compressions are symmetrized together and diagonalized
+    in one stacked solve.  A verdict is DEGENERATE when |lam_min| <=
+    DEGENERACY_BAND; the exact column decides those.
 
     Every partial transpose is taken once: rho's and the S noise states'.
     The partial transpose is an index permutation, so ``(rho^T + eps *
@@ -168,11 +167,13 @@ def mixing_scan(
     eps = np.asarray(epsilons, dtype=float)
     if eps.ndim != 1 or not np.all((eps > 0.0) & (eps <= EPSILON_GUARD)):
         raise ValueError(f"epsilon must lie in (0, {EPSILON_GUARD}]")
+    if not noises:
+        raise ValueError("mixing_scan needs at least one noise state")
     if any(noise.parts != u.parts for noise in noises):
         raise ValueError("noise state does not match the UPB's party structure")
     basis = kernel_product_basis(u, cut)
     pt_noise = linalg.partial_transpose(
-        np.array([noise.matrix for noise in noises]), u.parts.local_dims, cut.side_a
+        np.array([noise.matrix for noise in noises]), u.parts.local_dims, cut
     )
     comp = basis.conj().T @ pt_noise @ basis
     lam = linalg.eigvalsh_unchecked((comp + comp.conj().swapaxes(-1, -2)) / 2.0)
@@ -183,7 +184,7 @@ def mixing_scan(
         for x in lam[:, 0]
     )
     rho = u.complement_projector / (u.parts.dim - u.size)
-    pt_state = linalg.partial_transpose(rho, u.parts.local_dims, cut.side_a)
+    pt_state = linalg.partial_transpose(rho, u.parts.local_dims, cut)
     mixed = (pt_state + eps[:, None, None] * pt_noise[:, None]) / (1.0 + eps)[:, None, None]
     return MixingScan(
         compression_eigenvalues=lam,

@@ -1,6 +1,7 @@
 """Multipartite state representations and PPT testing.
 
-Holds the party bookkeeping (local dimensions, bipartitions), product
+Holds the party bookkeeping (local dimensions; cuts, each a plain tuple of
+its side-a party indices as ``linalg.cut_parties`` checks it), product
 vectors, density matrices, and the completely separable projector family
 indexed by per-qubit labels ``{0, 1, phi1, phi2}``:
 
@@ -83,44 +84,20 @@ def qubits(n: int) -> PartyStructure:
     return PartyStructure((2,) * n)
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """One side of a cut through the parties; the complement is the other side."""
-
-    side_a: tuple[int, ...]
-
-    def __post_init__(self):
-        side = tuple(sorted(set(operator.index(k) for k in self.side_a)))
-        object.__setattr__(self, "side_a", side)
-        if not side:
-            raise ValueError("side_a must be nonempty")
-
-    def validate_for(self, parts: PartyStructure) -> None:
-        n = parts.n_parties
-        if any(k < 0 or k >= n for k in self.side_a):
-            raise ValueError(f"cut {self.side_a} references parties outside 0..{n - 1}")
-        if len(self.side_a) >= n:
-            raise ValueError("side_a must be a proper subset of the parties")
-
-    def side_b(self, parts: PartyStructure) -> tuple[int, ...]:
-        return tuple(k for k in range(parts.n_parties) if k not in self.side_a)
-
-
-def bipartitions(parts: PartyStructure) -> list[Bipartition]:
+def bipartitions(parts: PartyStructure) -> list[tuple[int, ...]]:
     """All cuts up to complement symmetry, deterministic order.
 
-    The canonical representative is the side containing party 0; cuts are
-    listed by binary counting over the remaining parties.
+    Each cut is the sorted tuple of its side-a parties, the side containing
+    party 0; cuts are listed by binary counting over the remaining parties.
     """
     n = parts.n_parties
     if n < 2:
         raise ValueError("need at least two parties to bipartition")
     rest = list(range(1, n))
-    out = []
-    for mask in range(2 ** len(rest) - 1):
-        side = (0,) + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-        out.append(Bipartition(side))
-    return out
+    return [
+        (0,) + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
+        for mask in range(2 ** len(rest) - 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -268,19 +245,19 @@ class CutVerdict(NamedTuple):
     min_eigenvalue: float
 
 
-def min_pt_eigenvalue(rho: DensityMatrix, cut: Bipartition) -> float:
-    """Smallest eigenvalue of the partial transpose of rho across the cut."""
+def min_pt_eigenvalue(rho: DensityMatrix, cut: Sequence[int]) -> float:
+    """Smallest eigenvalue of the partial transpose of rho across the cut (its side-a parties)."""
     # an index permutation of the Hermitian rho.matrix, so Hermitian as well
-    pt = linalg.partial_transpose(rho.matrix, rho.parts.local_dims, cut.side_a)
+    pt = linalg.partial_transpose(rho.matrix, rho.parts.local_dims, cut)
     return float(linalg.eigvalsh_unchecked(pt)[0])
 
 
-def is_ppt_all_cuts(rho: DensityMatrix) -> dict[Bipartition, CutVerdict]:
-    """PPT verdict and min PT eigenvalue for every cut, up to complement symmetry.
+def is_ppt_all_cuts(rho: DensityMatrix) -> dict[tuple[int, ...], CutVerdict]:
+    """PPT verdict and min PT eigenvalue for every cut of ``bipartitions``, keyed by the cut.
 
     A cut is PPT when its min PT eigenvalue is at least -PPT_TOL.
     """
-    report: dict[Bipartition, CutVerdict] = {}
+    report: dict[tuple[int, ...], CutVerdict] = {}
     for cut in bipartitions(rho.parts):
         mn = min_pt_eigenvalue(rho, cut)
         report[cut] = CutVerdict(mn >= -PPT_TOL, mn)

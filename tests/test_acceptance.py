@@ -16,7 +16,6 @@ import pytest
 
 from upbkit import linalg as la
 from upbkit import (
-    Bipartition,
     NoiseEffect,
     ShiftsParams,
     basis_labels,
@@ -45,7 +44,7 @@ from upbkit.reporting import dumps_canonical, validate_report
 from conftest import kernel_vectors
 from test_witness import label_state, scaled
 
-CUT0 = Bipartition((0,))
+CUT0 = (0,)
 PI4 = [math.pi / 4] * 3
 
 
@@ -105,7 +104,7 @@ def test_04_kernel_span_equality():
         u = shifts_family(sample_params(rng))
         rho = upb_state(u)
         for cut in bipartitions(rho.parts):
-            pt = la.partial_transpose(rho.matrix, rho.parts.local_dims, cut.side_a)
+            pt = la.partial_transpose(rho.matrix, rho.parts.local_dims, cut)
             numerical = kernel_vectors(pt)
             conjugated = list(kernel_product_basis(u, cut).T)
             dist = la.subspace_distance(numerical, conjugated)
@@ -126,7 +125,7 @@ def test_05_first_order_accuracy(pi4_upb, pi4_state):
         def max_err(eps):
             pred = eps * lam
             mixed = perturb_mix(pi4_state, rho1, eps)
-            pt = la.partial_transpose(mixed.matrix, (2, 2, 2), CUT0.side_a)
+            pt = la.partial_transpose(mixed.matrix, (2, 2, 2), CUT0)
             exact = np.linalg.eigvalsh(pt)[:4]  # independent oracle
             return float(np.max(np.abs(pred - exact)))
 

@@ -378,6 +378,23 @@ class TestCommands:
         payload = run_command(parse_config(raw)).payload
         assert payload["samples"][0]["noise"] == "local"
 
+    def test_random_noise_sample_s_draws_from_its_counter_seed(self):
+        # sample s draws from default_rng([seed, s]), so a short batch is a prefix of a long one
+        short, long = (
+            run_command(parse_config({**SCAN, "noise": {"kind": "random", "count": count}})).payload
+            for count in (2, 5)
+        )
+        assert [row["noise"] for row in short["samples"]] == ["random[0]", "random[1]"]
+        assert short["samples"] == long["samples"][:2]
+
+    # random dim 5 and planted dim 3 take the exact solve, random and planted dim 6 the seesaw
+    @pytest.mark.parametrize("kind, dim", [("random", 5), ("planted", 3), ("random", 6), ("planted", 6)])
+    def test_hunt_sample_s_draws_from_its_counter_seed(self, kind, dim):
+        raw = {**HUNT, "subspace_kind": kind, "subspace_dim": dim, "restarts": 8}
+        one, three = (run_command(parse_config({**raw, "samples": n})).payload for n in (1, 3))
+        assert [row["index"] for row in three["samples"]] == [0, 1, 2]
+        assert one["samples"] == three["samples"][:1]
+
     def test_rank_mixture_payload(self):
         payload = run_command(parse_config(dict(ALL_COMMAND_CONFIGS["rank-mixtures"]))).payload
         assert payload["rank_first"] == 4

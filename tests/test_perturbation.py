@@ -3,7 +3,6 @@ import pytest
 
 from upbkit import linalg as la
 from upbkit import (
-    Bipartition,
     DensityMatrix,
     NoiseEffect,
     PartyStructure,
@@ -31,8 +30,8 @@ from upbkit.perturbation import entangled_pair_noise
 
 from conftest import kernel_vectors
 
-CUT0 = Bipartition((0,))
-ALL_CUTS = [Bipartition((0,)), Bipartition((0, 1)), Bipartition((0, 2))]
+CUT0 = (0,)
+ALL_CUTS = [(0,), (0, 1), (0, 2)]
 
 
 def maximally_mixed():
@@ -173,7 +172,7 @@ class TestKernelProductBasis:
             qubits(2),
             (ProductVector((e0, phi2)), ProductVector((e1, phi2))),
         )
-        out = kernel_product_basis(u, Bipartition((1,)))
+        out = kernel_product_basis(u, (1,))
         flipped = np.array([1.0, -1.0j]) / np.sqrt(2)
         assert out.shape == (4, 2)
         assert np.max(np.abs(out[:, 0] - np.kron(e0, flipped))) < 1e-15
@@ -194,7 +193,7 @@ class TestKernelProductBasis:
             u = shifts_family(params)
             rho = upb_state(u)
             for cut in ALL_CUTS:
-                pt = la.partial_transpose(rho.matrix, (2, 2, 2), cut.side_a)
+                pt = la.partial_transpose(rho.matrix, (2, 2, 2), cut)
                 numerical = kernel_vectors(pt)
                 conjugated = list(kernel_product_basis(u, cut).T)
                 assert la.subspace_distance(numerical, conjugated) < 1e-9
@@ -207,7 +206,7 @@ class TestKernelProductBasis:
         assert la.subspace_distance(members, conjugated) > 1e-3
         # and the lemma still holds for the complex family
         rho = upb_state(u)
-        pt = la.partial_transpose(rho.matrix, (2, 2, 2), CUT0.side_a)
+        pt = la.partial_transpose(rho.matrix, (2, 2, 2), CUT0)
         assert la.subspace_distance(kernel_vectors(pt), conjugated) < 1e-9
         assert_pt_is_kernel_complement(pt, u, CUT0)
 
@@ -264,7 +263,7 @@ class TestFirstOrderPrediction:
             for eps in (1e-2, 5e-3, 2.5e-3):
                 pred = eps * lam
                 mixed = perturb_mix(pi4_state, rho1, eps)
-                pt = la.partial_transpose(mixed.matrix, (2, 2, 2), CUT0.side_a)
+                pt = la.partial_transpose(mixed.matrix, (2, 2, 2), CUT0)
                 exact = np.linalg.eigvalsh(pt)[:4]  # independent oracle
                 assert np.max(np.abs(pred - exact)) <= 10 * eps * eps
 
@@ -275,7 +274,7 @@ class TestFirstOrderPrediction:
         def max_err(eps):
             pred = eps * lam
             mixed = perturb_mix(pi4_state, rho1, eps)
-            pt = la.partial_transpose(mixed.matrix, (2, 2, 2), CUT0.side_a)
+            pt = la.partial_transpose(mixed.matrix, (2, 2, 2), CUT0)
             return float(np.max(np.abs(pred - np.linalg.eigvalsh(pt)[:4])))
 
         for eps in (1e-2, 5e-3, 2.5e-3):
@@ -354,7 +353,7 @@ SCAN_NOISES = [
 
 
 class TestMixingScan:
-    @pytest.mark.parametrize("cut", [c.side_a for c in ALL_CUTS])
+    @pytest.mark.parametrize("cut", ALL_CUTS)
     @pytest.mark.parametrize("noise", SCAN_NOISES, ids=lambda n: n["kind"])
     def test_perturb_scan_equals_per_epsilon_referee(self, noise, cut):
         # the stacked scan against one scan of each sample alone and one
@@ -366,12 +365,11 @@ class TestMixingScan:
         payload = cli.run_command(config).payload
         u = shifts_family(ShiftsParams(*config["angles"]))
         rho = upb_state(u)
-        bip = Bipartition(cut)
         _, noise_samples = cli._NOISE_KINDS[noise["kind"]]
         samples = noise_samples(config)
         assert len(payload["samples"]) == len(samples)
         for (name, rho1), row in zip(samples, payload["samples"]):
-            single = mixing_scan(u, [rho1], bip, config["epsilon_grid"])
+            single = mixing_scan(u, [rho1], cut, config["epsilon_grid"])
             (verdict,) = single.verdicts
             lam = [float(x) for x in single.compression_eigenvalues[0]]
             assert row["noise"] == name
@@ -382,7 +380,7 @@ class TestMixingScan:
             expected = []
             for eps in config["epsilon_grid"]:
                 predicted = eps * lam[0]
-                exact = min_pt_eigenvalue(perturb_mix(rho, rho1, eps), bip)
+                exact = min_pt_eigenvalue(perturb_mix(rho, rho1, eps), cut)
                 expected.append({
                     "epsilon": eps, "predicted_min": predicted, "exact_min": exact,
                     "abs_error": abs(predicted - exact), "decided_by": decided_by,
@@ -399,6 +397,10 @@ class TestMixingScan:
         with pytest.raises(ValueError, match="party structure"):
             mixing_scan(pi4_upb, [maximally_mixed(), two_qubit], CUT0, [0.01])
 
+    def test_rejects_an_empty_noise_list(self, pi4_upb):
+        with pytest.raises(ValueError, match="needs at least one noise state"):
+            mixing_scan(pi4_upb, [], CUT0, [0.01])
+
     def test_rejects_bad_cut(self, pi4_upb):
         with pytest.raises(ValueError, match="proper subset"):
-            mixing_scan(pi4_upb, [maximally_mixed()], Bipartition((0, 1, 2)), [0.01])
+            mixing_scan(pi4_upb, [maximally_mixed()], (0, 1, 2), [0.01])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from upbkit import states
+from upbkit import linalg, states
 
 
 def permutation_determinant(m: np.ndarray) -> float:
@@ -57,32 +57,38 @@ class TestPartyStructure:
 
     def test_bipartitions_three_parties(self):
         cuts = states.bipartitions(states.qubits(3))
-        assert [c.side_a for c in cuts] == [(0,), (0, 1), (0, 2)]
+        assert cuts == [(0,), (0, 1), (0, 2)]
 
     def test_bipartitions_four_parties(self):
         cuts = states.bipartitions(states.qubits(4))
         assert len(cuts) == 2 ** 3 - 1
-        assert all(0 in c.side_a for c in cuts)
+        assert all(0 in c for c in cuts)
 
     def test_bipartition_validation(self):
+        # linalg.cut_parties is the one check of a cut; bipartitions lists cuts it accepts
         with pytest.raises(ValueError):
-            states.Bipartition(())
-        cut = states.Bipartition((0, 1, 2))
+            linalg.cut_parties((), 3)
         with pytest.raises(ValueError, match="proper subset"):
-            cut.validate_for(states.qubits(3))
-        with pytest.raises(ValueError, match=r"parties outside 0\.\.2"):
-            states.Bipartition((1, 3)).validate_for(states.qubits(3))
+            linalg.cut_parties((0, 1, 2), 3)
+        with pytest.raises(ValueError, match=r"proper subset of 0\.\.2"):
+            linalg.cut_parties((1, 3), 3)
+        with pytest.raises(ValueError, match=r"proper subset of 0\.\.2"):
+            linalg.cut_parties((-1, 0), 3)
+        for parts in (states.qubits(3), states.qubits(4)):
+            for cut in states.bipartitions(parts):
+                assert linalg.cut_parties(cut, parts.n_parties) == cut
         with pytest.raises(ValueError, match="at least two parties"):
             states.bipartitions(states.PartyStructure((4,)))
 
     def test_indices_and_dims_must_be_integers(self):
-        # int() would make Bipartition((0.7,)) the cut (0,) and PartyStructure((2.9, 2)) a pair of qubits
+        # int() would make the cut (0.7,) the cut (0,) and PartyStructure((2.9, 2)) a pair of qubits
         with pytest.raises(TypeError):
-            states.Bipartition((0.7,))
+            linalg.cut_parties((0.7,), 3)
         with pytest.raises(TypeError):
             states.PartyStructure((2.9, 2))
         # numpy integers are integers, and are stored as Python ints
-        assert states.Bipartition(tuple(np.array([2, 0]))).side_a == (0, 2)
+        cut = linalg.cut_parties(tuple(np.array([2, 0])), 3)
+        assert cut == (0, 2) and all(type(k) is int for k in cut)
         dims = states.PartyStructure(tuple(np.array([2, 3]))).local_dims
         assert dims == (2, 3) and all(type(d) is int for d in dims)
 
@@ -263,13 +269,13 @@ class TestPPT:
         v = np.zeros(4, dtype=complex)
         v[0] = v[3] = 1 / np.sqrt(2)
         rho = states.DensityMatrix(np.outer(v, v.conj()), states.qubits(2), validate=False)
-        assert abs(states.min_pt_eigenvalue(rho, states.Bipartition((1,))) - (-0.5)) < 1e-12
+        assert abs(states.min_pt_eigenvalue(rho, (1,)) - (-0.5)) < 1e-12
 
     @pytest.mark.parametrize("side_a", [(0, 1, 2), (3,), (0, 5)])
     def test_rejects_a_cut_that_is_not_proper(self, side_a):
-        # the partial transpose is the one check of the cut against the parties
+        # the partial transpose checks the cut against the parties with linalg.cut_parties
         with pytest.raises(ValueError, match="proper subset"):
-            states.min_pt_eigenvalue(ghz_state(), states.Bipartition(side_a))
+            states.min_pt_eigenvalue(ghz_state(), side_a)
 
     def test_ghz_npt_on_all_cuts(self):
         report = states.is_ppt_all_cuts(ghz_state())
@@ -283,8 +289,8 @@ class TestPPT:
         parts = states.qubits(3)
         for _ in range(20):
             rho = states.random_density_matrix(parts, rng)
-            first = states.min_pt_eigenvalue(rho, states.Bipartition((0,)))
-            second = states.min_pt_eigenvalue(rho, states.Bipartition((1, 2)))
+            first = states.min_pt_eigenvalue(rho, (0,))
+            second = states.min_pt_eigenvalue(rho, (1, 2))
             assert abs(first - second) < 1e-11
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
