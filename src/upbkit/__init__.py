@@ -11,11 +11,9 @@ from .states import (
     CutVerdict,
     DensityMatrix,
     PartyStructure,
-    ProductVector,
     basis_labels,
     bipartitions,
     decompose_in_projector_basis,
-    expand,
     is_ppt_all_cuts,
     local_vector,
     min_pt_eigenvalue,

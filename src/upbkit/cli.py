@@ -79,8 +79,7 @@ from .reporting import dumps_canonical, validate_report
 from .states import (
     TRACE_TOL,
     DensityMatrix,
-    ProductVector,
-    expand,
+    expand_locals,
     is_ppt_all_cuts,
     product_projector,
     projector_combination,
@@ -165,11 +164,12 @@ def _parse_label_map(raw: Any, name: str) -> dict[str, float]:
     if not isinstance(raw, dict) or not raw:
         raise ConfigError(f"{name} must be a nonempty label->weight object, got {raw!r}")
     weights: dict[str, float] = {}
+    spelled: dict[str, str] = {}  # canonical key -> the raw key that named it
     for k, v in raw.items():
         key = _parse_label_key(k)
-        if key in weights:
-            first = next(other for other in raw if _parse_label_key(other) == key)
-            raise ConfigError(f"{name} keys {first!r} and {k!r} both name the label {key!r}")
+        if key in spelled:
+            raise ConfigError(f"{name} keys {spelled[key]!r} and {k!r} both name the label {key!r}")
+        spelled[key] = k
         weights[key] = _parse_float(v, f"{name}[{k!r}]")
     if not all(math.isfinite(v) for v in weights.values()):
         raise ConfigError(f"{name} weights must be finite")
@@ -306,8 +306,9 @@ _NOISE_KINDS = {
 # commands
 # --------------------------------------------------------------------------
 
-def _vector_payload(v: ProductVector) -> list[list[list[float]]]:
-    return [[[z.real, z.imag] for z in loc.tolist()] for loc in v.locals]
+def _vector_payload(v: Sequence[np.ndarray]) -> list[list[list[float]]]:
+    """A product vector, one local vector per party, as ``[re, im]`` pairs."""
+    return [[[z.real, z.imag] for z in loc.tolist()] for loc in v]
 
 
 def _cut_payload(cut: Sequence[int]) -> dict[str, list[int]]:
@@ -329,7 +330,7 @@ def cmd_build(config: dict[str, Any]) -> dict[str, Any]:
             }
         )
     return {
-        "members": [_vector_payload(v) for v in u.members],
+        "members": [_vector_payload(v) for v in zip(*u.local_stacks)],
         "spectrum": [float(x) for x in spectrum],
         "ppt": ppt_rows,
         "rank": linalg.numerical_rank(rho.matrix),
@@ -346,7 +347,7 @@ def cmd_certify(config: dict[str, Any]) -> dict[str, Any]:
     _, cert, w = _certified_witness(config)
     return {
         "max_overlap": cert.max_overlap,
-        "restarts": cert.restarts,
+        "restarts": config["restarts"],
         "certified": cert.certifies_unextendible,
         "best_product_vector": _vector_payload(cert.best_product_vector),
         "witness_trace": float(np.trace(w.matrix).real),
@@ -398,7 +399,7 @@ def cmd_rank_mixtures(config: dict[str, Any]) -> dict[str, Any]:
     rho1 = upb_state(u1)
     rho2 = upb_state(u2)
     equal_mix = (rho1.matrix + rho2.matrix) / 2.0
-    member_mix = (rho1.matrix + product_projector(u1.members[0])) / 2.0
+    member_mix = (rho1.matrix + product_projector([s[0] for s in u1.local_stacks])) / 2.0
     return {
         "rank_first": linalg.numerical_rank(rho1.matrix),
         "rank_second": linalg.numerical_rank(rho2.matrix),
@@ -419,7 +420,7 @@ def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
         for s in range(config["samples"]):
             rng = np.random.default_rng([config["seed"], s])
             if config["subspace_kind"] == "planted":
-                vecs = [expand(random_product_vector(_PARTIES, rng)) for _ in range(dim)]
+                vecs = [expand_locals(random_product_vector(_PARTIES, rng)) for _ in range(dim)]
             else:
                 raw = rng.standard_normal((_PARTIES.dim, dim)) + 1j * rng.standard_normal((_PARTIES.dim, dim))
                 vecs = [raw[:, k] for k in range(dim)]

@@ -3,7 +3,10 @@
 Holds the party bookkeeping (local dimensions; cuts, each a plain tuple of
 its side-a party indices as ``linalg.cut_parties`` checks it), product
 vectors, density matrices, and the completely separable projector family
-indexed by per-qubit labels ``{0, 1, phi1, phi2}``:
+indexed by per-qubit labels ``{0, 1, phi1, phi2}``.  A product vector is a
+tuple of local vectors, one ``(d_k,)`` array per party, and a set of m of
+them is a tuple of ``(m, d_k)`` stacks, one per party; ``expand_locals``
+takes either to the composite space.  The projector family:
 
     |0>, |1>, |phi1> = (|0>+|1>)/sqrt(2), |phi2> = (|0>+i|1>)/sqrt(2)
 
@@ -30,7 +33,6 @@ from . import linalg
 
 LABELS = ("0", "1", "phi1", "phi2")
 
-UNIT_NORM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 PPT_TOL = 1e-9
@@ -100,31 +102,6 @@ def bipartitions(parts: PartyStructure) -> list[tuple[int, ...]]:
     ]
 
 
-@dataclass(frozen=True)
-class ProductVector:
-    """One normalized local vector per party, each a read-only copy of the one given."""
-
-    locals: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        vecs = tuple(np.array(v, dtype=complex) for v in self.locals)
-        object.__setattr__(self, "locals", vecs)
-        if not vecs:
-            raise ValueError("a product vector needs at least one local vector")
-        for k, v in enumerate(vecs):
-            v.flags.writeable = False
-            if v.ndim != 1:
-                raise ValueError(f"local vector {k} is not one-dimensional")
-            # written so that a NaN norm fails too
-            if not abs(math.sqrt(np.vdot(v, v).real) - 1.0) <= UNIT_NORM_TOL:
-                raise ValueError(f"local vector {k} is not normalized")
-
-
-def expand(vector: ProductVector) -> np.ndarray:
-    """Full tensor-product vector in the composite space."""
-    return expand_locals(vector.locals)
-
-
 def expand_locals(local_vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Tensor product of one local vector per party, taken over the last axis.
 
@@ -138,8 +115,9 @@ def expand_locals(local_vectors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def product_projector(vector: ProductVector) -> np.ndarray:
-    full = expand(vector)
+def product_projector(vector: Sequence[np.ndarray]) -> np.ndarray:
+    """``|phi><phi|`` of the product vector given as one local vector per party."""
+    full = expand_locals(vector)
     return np.outer(full, full.conj())
 
 
@@ -264,13 +242,13 @@ def is_ppt_all_cuts(rho: DensityMatrix) -> dict[tuple[int, ...], CutVerdict]:
     return report
 
 
-def random_product_vector(parts: PartyStructure, rng: np.random.Generator) -> ProductVector:
-    """Product vector with each local drawn uniformly on the complex unit sphere."""
+def random_product_vector(parts: PartyStructure, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Product vector, one local vector per party, each drawn uniformly on the complex unit sphere."""
     locs = []
     for d in parts.local_dims:
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         locs.append(v / np.linalg.norm(v))
-    return ProductVector(tuple(locs))
+    return tuple(locs)
 
 
 def random_density_matrix(parts: PartyStructure, rng: np.random.Generator) -> DensityMatrix:

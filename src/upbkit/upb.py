@@ -11,6 +11,11 @@ for B and C.  For angles strictly inside (0, pi/2) the four vectors are
 pairwise orthogonal and their complement contains no product vector; at the
 boundary the complement acquires one and the family degenerates.
 
+Product vectors take the format of ``states``: a ``UPB`` holds its m
+members, and a hunt result its hits, as one ``(m, d_k)`` stack of local
+vectors per party, and the certificate's best product vector is one local
+vector per party.
+
 Unextendibility is tested numerically: a multi-start alternating ("seesaw")
 maximization of <phi|Q|phi> over product vectors, Q the complementary
 projector.  Each local update maximizes exactly over one party, so the
@@ -42,14 +47,10 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .states import (
-    DensityMatrix,
-    PartyStructure,
-    ProductVector,
-    expand_locals,
-)
+from .states import DensityMatrix, PartyStructure, expand_locals
 
 UNEXTENDIBILITY_GAP = 1e-3       # certified when max_overlap < 1 - gap
+UNIT_NORM_TOL = 1e-12
 PAIRWISE_ORTHO_TOL = 1e-10
 SEESAW_IMPROVEMENT_TOL = 1e-12
 SEESAW_MAX_SWEEPS = 500
@@ -79,11 +80,13 @@ class ShiftsParams:
 
 @dataclass(frozen=True)
 class UnextendibilityCertificate:
-    """Best product overlap with the complementary projector found by the seesaw: a lower bound on the maximum."""
+    """Best product overlap with the complementary projector found by the seesaw: a lower bound on the maximum.
+
+    ``best_product_vector`` attains it: one read-only ``(d_k,)`` local vector per party.
+    """
 
     max_overlap: float
-    restarts: int
-    best_product_vector: ProductVector
+    best_product_vector: tuple[np.ndarray, ...]
 
     @property
     def certifies_unextendible(self) -> bool:
@@ -92,38 +95,44 @@ class UnextendibilityCertificate:
 
 @dataclass(frozen=True)
 class UPB:
-    """Ordered orthogonal product vectors with m < D.
+    """Ordered orthogonal product vectors with 1 <= m < D, one ``(m, d_k)`` stack per party.
 
-    Construction stacks party k's local vectors into one read-only ``(m, d_k)``
-    array, ``local_stacks[k]``, expands the members once into the columns of a
-    ``(D, m)`` matrix V and checks orthogonality with one Gram product
-    ``V^H V``.  The projector attributes are built from V on first use and
+    Row i of ``local_stacks[k]`` is member i's local vector for party k.
+    Construction keeps read-only copies of the stacks, checks their shapes
+    against the party structure and every row for unit norm, expands the
+    members once into the columns of the read-only ``(D, m)`` matrix
+    ``vectors`` and checks orthogonality with one Gram product ``V^H V``.
+    The projector attributes are built from ``vectors`` on first use and
     cached read-only.
     """
 
     parts: PartyStructure
-    members: tuple[ProductVector, ...]
-    local_stacks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    local_stacks: tuple[np.ndarray, ...]
+    vectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
-        if not members:
-            raise ValueError("an unextendible product basis needs at least one member")
-        if len(members) >= self.parts.dim:
-            raise ValueError("an unextendible product basis must be incomplete (m < D)")
-        shapes = tuple((d,) for d in self.parts.local_dims)
-        for i, v in enumerate(members):
-            if tuple(loc.shape for loc in v.locals) != shapes:
-                raise ValueError(f"member {i} does not match the party structure")
-        stacks = tuple(
-            _read_only(np.array([v.locals[k] for v in members]).reshape(len(members), d))
-            for k, d in enumerate(self.parts.local_dims)
-        )
+        stacks = tuple(_read_only(np.array(s, dtype=complex)) for s in self.local_stacks)
         object.__setattr__(self, "local_stacks", stacks)
+        dims = self.parts.local_dims
+        if [s.shape[1:] for s in stacks] != [(d,) for d in dims]:
+            raise ValueError(
+                f"stacks of shapes {[s.shape for s in stacks]} do not match the party structure {dims}: "
+                "need one (m, d_k) stack per party"
+            )
+        counts = sorted({len(s) for s in stacks})
+        if len(counts) > 1:
+            raise ValueError(f"the parties' stacks hold different member counts {counts}")
+        if counts == [0]:
+            raise ValueError("an unextendible product basis needs at least one member")
+        if counts[0] >= self.parts.dim:
+            raise ValueError("an unextendible product basis must be incomplete (m < D)")
+        for k, s in enumerate(stacks):
+            # written so that a NaN norm fails too
+            bad = ~(np.abs(np.linalg.norm(s, axis=1) - 1.0) <= UNIT_NORM_TOL)
+            if bad.any():
+                raise ValueError(f"member {np.argmax(bad)}: local vector {k} is not normalized")
         vecs = _read_only(np.ascontiguousarray(expand_locals(stacks).T))
-        object.__setattr__(self, "_vectors", vecs)
+        object.__setattr__(self, "vectors", vecs)
         gram = vecs.conj().T @ vecs
         # written so that a NaN overlap fails too; the first pair found has i < j
         bad = ~(np.abs(gram) <= PAIRWISE_ORTHO_TOL)
@@ -134,12 +143,12 @@ class UPB:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.vectors.shape[1]
 
     @functools.cached_property
     def member_sum_projector(self) -> np.ndarray:
         """``V V^H``, the projector onto the members' span; built on first use, then the same read-only array."""
-        return _read_only(self._vectors @ self._vectors.conj().T)
+        return _read_only(self.vectors @ self.vectors.conj().T)
 
     @functools.cached_property
     def complement_projector(self) -> np.ndarray:
@@ -152,26 +161,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _angle_pair(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    v = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
-    w = np.array([np.sin(theta), -np.cos(theta)], dtype=complex)
-    return v, w
+def _angle_pair(theta: float) -> np.ndarray:
+    """The rows ``|T> = cos(t)|0> + sin(t)|1>`` and ``|T~> = sin(t)|0> - cos(t)|1>``."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, s], [s, -c]], dtype=complex)
 
 
 def shifts_family(params: ShiftsParams) -> UPB:
     """The one-angle-per-party three-qubit family; orthogonal by construction."""
-    va, wa = _angle_pair(params.a)
-    vb, wb = _angle_pair(params.b)
-    vc, wc = _angle_pair(params.c)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    members = (
-        ProductVector((e0, e0, e0)),
-        ProductVector((e1, vb, vc)),
-        ProductVector((va, e1, wc)),
-        ProductVector((wa, wb, e1)),
+    (va, wa), (vb, wb), (vc, wc) = (_angle_pair(t) for t in (params.a, params.b, params.c))
+    e0, e1 = np.eye(2, dtype=complex)
+    # row i of party k's stack is member i's local vector, in the order of the module docstring
+    stacks = (
+        np.array([e0, e1, va, wa]),
+        np.array([e0, vb, e1, wb]),
+        np.array([e0, vc, wc, e1]),
     )
-    return UPB(PartyStructure((2, 2, 2)), members)
+    return UPB(PartyStructure((2, 2, 2)), stacks)
 
 
 def upb_state(u: UPB) -> DensityMatrix:
@@ -383,16 +389,20 @@ def seesaw_max_product_overlap(
     """Maximize <phi|P|phi> over product vectors by multi-start seesaw.
 
     Restart r draws its start from ``default_rng([*seed, r])``, so runs are
-    reproducible and restarts are independent; the best overlap wins, ties
-    broken by the lowest restart index.
+    reproducible and restarts are independent.  The best overlap wins, and
+    among objectives that are bit-equal the lowest restart index.  Restarts
+    that converge into one basin each stop within ``SEESAW_IMPROVEMENT_TOL``
+    of its maximum, so their objectives are seldom bit-equal (they end up to
+    3.2e-13 apart on the certify configs), and the strict argmax picks
+    ``best_product_vector`` among them by rounding.  ROADMAP item 2's tie
+    rule, a tolerance and a canonical choice among tied restarts, would fix
+    that choice.
     """
     objective, locs = _seesaw(_checked_projector(projector, parts), parts.local_dims, seed, restarts)
     r = int(np.argmax(objective))
-    best = ProductVector(tuple(v[r] / np.linalg.norm(v[r]) for v in locs))
     return UnextendibilityCertificate(
         max_overlap=float(min(max(objective[r], 0.0), 1.0)),
-        restarts=restarts,
-        best_product_vector=best,
+        best_product_vector=tuple(_read_only(v[r] / np.linalg.norm(v[r])) for v in locs),
     )
 
 
@@ -407,15 +417,20 @@ def certify_unextendible(
 
 @dataclass(frozen=True)
 class HuntResult:
-    """Distinct product vectors found inside a subspace, with their overlaps."""
+    """Distinct product vectors found inside a subspace, one read-only ``(h, d_k)`` stack per party, with their overlaps."""
 
-    vectors: tuple[ProductVector, ...]
+    local_stacks: tuple[np.ndarray, ...]
     overlaps: tuple[float, ...]
     rank: int
 
     @property
     def distinct_count(self) -> int:
-        return len(self.vectors)
+        return len(self.overlaps)
+
+    @property
+    def vectors(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The hits one at a time, each a product vector: row r of every stack."""
+        return tuple(zip(*self.local_stacks))
 
 
 # The three-qubit solve of ``_qubit_triple_points``: the 7th roots of unity
@@ -556,7 +571,7 @@ def subspace_product_hunt(
     kept = _distinct(full)
     hits = full[kept]
     return HuntResult(
-        vectors=tuple(ProductVector(tuple(v[r] for v in locs)) for r in kept),
+        local_stacks=tuple(_read_only(v[kept]) for v in locs),
         overlaps=tuple(float(x) for x in np.clip(overlaps[kept], 0.0, 1.0)),
         rank=linalg.numerical_rank(hits.conj() @ hits.T),
     )

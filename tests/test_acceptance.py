@@ -212,7 +212,7 @@ def test_09_mixture_ranks(pi4_upb, pi4_state):
         rho_a = upb_state(shifts_family(sample_params(rng)))
         rho_b = upb_state(shifts_family(sample_params(rng)))
         assert la.numerical_rank((rho_a.matrix + rho_b.matrix) / 2) >= 6
-    member_mix = (pi4_state.matrix + product_projector(pi4_upb.members[0])) / 2
+    member_mix = (pi4_state.matrix + product_projector([s[0] for s in pi4_upb.local_stacks])) / 2
     member_rank = la.numerical_rank(member_mix)
     assert member_rank == 5
     print("ACCEPTANCE 09 PASS: two-state mixtures have rank >= 6; "

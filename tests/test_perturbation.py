@@ -7,11 +7,9 @@ from upbkit import (
     NoiseEffect,
     PartyStructure,
     PositivityError,
-    ProductVector,
     UPB,
     basis_labels,
     decompose_in_projector_basis,
-    expand,
     is_ppt_all_cuts,
     kernel_product_basis,
     min_pt_eigenvalue,
@@ -27,6 +25,7 @@ from upbkit import (
 )
 from upbkit import cli
 from upbkit.perturbation import entangled_pair_noise
+from upbkit.states import expand_locals
 
 from conftest import kernel_vectors
 
@@ -49,10 +48,8 @@ def complexified_family(params=ShiftsParams(0.4, 0.8, 1.2)):
     rot = np.array(
         [[np.cos(phi), 1j * np.sin(phi)], [1j * np.sin(phi), np.cos(phi)]], dtype=complex
     )
-    members = tuple(
-        ProductVector((rot @ v.locals[0], v.locals[1], v.locals[2])) for v in u.members
-    )
-    return UPB(u.parts, members)
+    first, *rest = u.local_stacks
+    return UPB(u.parts, (first @ rot.T, *rest))
 
 
 class TestPerturbLocal:
@@ -159,7 +156,7 @@ class TestPerturbMix:
 class TestKernelProductBasis:
     def test_real_family_reproduces_members(self, pi4_upb):
         for cut in ALL_CUTS:
-            members = np.column_stack([expand(v) for v in pi4_upb.members])
+            members = expand_locals(pi4_upb.local_stacks).T
             basis = kernel_product_basis(pi4_upb, cut)
             assert basis.shape == (8, 4)
             assert np.max(np.abs(basis - members)) < 1e-15
@@ -168,10 +165,7 @@ class TestKernelProductBasis:
         phi2 = np.array([1.0, 1.0j]) / np.sqrt(2)
         e0 = np.array([1.0, 0.0], dtype=complex)
         e1 = np.array([0.0, 1.0], dtype=complex)
-        u = UPB(
-            qubits(2),
-            (ProductVector((e0, phi2)), ProductVector((e1, phi2))),
-        )
+        u = UPB(qubits(2), (np.array([e0, e1]), np.array([phi2, phi2])))
         out = kernel_product_basis(u, (1,))
         flipped = np.array([1.0, -1.0j]) / np.sqrt(2)
         assert out.shape == (4, 2)
@@ -201,7 +195,7 @@ class TestKernelProductBasis:
 
     def test_complex_family_kernel_differs_from_member_span(self):
         u = complexified_family()
-        members = [expand(v) for v in u.members]
+        members = list(u.vectors.T)
         conjugated = list(kernel_product_basis(u, CUT0).T)
         assert la.subspace_distance(members, conjugated) > 1e-3
         # and the lemma still holds for the complex family

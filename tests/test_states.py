@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from upbkit import linalg, states
+from upbkit.upb import UPB
 
 
 def permutation_determinant(m: np.ndarray) -> float:
@@ -126,7 +127,7 @@ class TestProjectorBasis:
     def test_combination_follows_label_order(self):
         # oracle: each labelled projector from its expanded product vector
         for mu in states.basis_labels(2):
-            v = states.expand(states.ProductVector(tuple(states.local_vector(l) for l in mu)))
+            v = states.expand_locals([states.local_vector(l) for l in mu])
             e = states.projector_combination({mu: 1.0})
             assert np.max(np.abs(e - np.outer(v, v.conj()))) < 1e-15
 
@@ -184,45 +185,32 @@ class TestProductVectors:
     def test_expand_corners(self):
         e0 = states.local_vector("0")
         e1 = states.local_vector("1")
-        v000 = states.ProductVector((e0, e0, e0))
-        v111 = states.ProductVector((e1, e1, e1))
-        assert np.array_equal(states.expand(v000), np.eye(8)[0])
-        assert np.array_equal(states.expand(v111), np.eye(8)[7])
+        assert np.array_equal(states.expand_locals((e0, e0, e0)), np.eye(8)[0])
+        assert np.array_equal(states.expand_locals((e1, e1, e1)), np.eye(8)[7])
+        # stacks of one vector per row expand row by row
+        stacks = (np.array([e0, e1]),) * 3
+        assert np.array_equal(states.expand_locals(stacks), np.eye(8)[[0, 7]])
 
     def test_expand_plus_zero(self):
-        v = states.ProductVector((states.local_vector("phi1"), states.local_vector("0")))
-        assert np.allclose(states.expand(v), np.array([1, 0, 1, 0]) / np.sqrt(2))
+        v = (states.local_vector("phi1"), states.local_vector("0"))
+        assert np.allclose(states.expand_locals(v), np.array([1, 0, 1, 0]) / np.sqrt(2))
+        assert np.allclose(states.product_projector(v), np.outer([1, 0, 1, 0], [1, 0, 1, 0]) / 2)
 
     def test_expand_locals_of_empty_stacks(self):
         stacks = (np.zeros((0, 2), complex), np.zeros((0, 3), complex), np.zeros((0, 2), complex))
         assert states.expand_locals(stacks).shape == (0, 12)
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            states.ProductVector((np.array([1.0, 1.0]),))
-        # a NaN norm compares False against any bound, so it must fail the check too
-        with pytest.raises(ValueError, match="not normalized"):
-            states.ProductVector((np.array([np.nan, 0.0]),))
-
     def test_rejects_a_local_that_is_not_a_vector(self):
-        with pytest.raises(ValueError, match="local vector 1 is not one-dimensional"):
-            states.ProductVector((states.local_vector("0"), np.eye(2)))
+        # a set of product vectors holds one (m, d_k) stack per party: a bare local
+        # vector in a party's place is 1-D, not a stack of them
+        e0 = np.eye(2)[:1]
+        with pytest.raises(ValueError, match=r"stacks of shapes \[\(1, 2\), \(2,\), \(1, 2\)\] do not match"):
+            UPB(states.qubits(3), (e0, np.array([1.0, 0.0]), e0))
 
     def test_rejects_no_locals(self):
-        # with no party there is nothing to expand: expand would index an empty tuple
-        with pytest.raises(ValueError, match="at least one local vector"):
-            states.ProductVector(())
-
-    def test_locals_are_read_only_copies(self):
-        e0 = states.local_vector("0")
-        v = states.ProductVector((e0, e0))
-        assert v.locals[0] is not e0
-        for loc in v.locals:
-            with pytest.raises(ValueError, match="read-only"):
-                loc[:] = np.nan
-        # the caller's array stays writable and changing it leaves the product vector alone
-        e0[:] = np.nan
-        assert np.array_equal(states.expand(v), np.eye(4)[0])
+        # with no party there is nothing to expand: expand_locals would index an empty tuple
+        with pytest.raises(ValueError, match=r"stacks of shapes \[\] do not match the party structure"):
+            UPB(states.qubits(3), ())
 
 
 class TestDensityMatrix:

@@ -8,12 +8,10 @@ import pytest
 from upbkit import linalg as la
 from upbkit import upb
 from upbkit import (
-    ProductVector,
     PartyStructure,
     ShiftsParams,
     UPB,
     certify_unextendible,
-    expand,
     is_ppt_all_cuts,
     qubits,
     seesaw_max_product_overlap,
@@ -22,7 +20,7 @@ from upbkit import (
     upb_state,
 )
 from upbkit.linalg import ConvergenceError
-from upbkit.states import product_projector, random_product_vector
+from upbkit.states import expand_locals, product_projector, random_product_vector
 from upbkit.upb import _seesaw
 
 from conftest import kernel_vectors, lower_top_eigenvalue
@@ -38,7 +36,7 @@ def random_params(rng):
 
 
 def degenerate_family_members():
-    """The a -> 0 limit of the family, built by hand (the constructor rejects it).
+    """The a -> 0 limit of the family, built by hand (the constructor rejects it), one stack per party.
 
     At a = 0 the first pair collapses to |0>, -|1> and the product vector
     |0>|0>|1> becomes orthogonal to all four members, so the set is extendible.
@@ -49,12 +47,8 @@ def degenerate_family_members():
     bbar = np.array([np.sin(0.7), -np.cos(0.7)], dtype=complex)
     c = np.array([np.cos(1.1), np.sin(1.1)], dtype=complex)
     cbar = np.array([np.sin(1.1), -np.cos(1.1)], dtype=complex)
-    return (
-        ProductVector((e0, e0, e0)),
-        ProductVector((e1, b, c)),
-        ProductVector((e0, e1, cbar)),
-        ProductVector((-e1, bbar, e1)),
-    )
+    members = [(e0, e0, e0), (e1, b, c), (e0, e1, cbar), (-e1, bbar, e1)]
+    return tuple(np.array(stack) for stack in zip(*members))
 
 
 def random_projector(dims, rank, seed):
@@ -150,14 +144,14 @@ def tiles_upb():
 
     s2 = np.sqrt(2.0)
     s3 = np.sqrt(3.0)
-    members = (
-        ProductVector((q(0), (q(0) - q(1)) / s2)),
-        ProductVector((q(2), (q(1) - q(2)) / s2)),
-        ProductVector(((q(0) - q(1)) / s2, q(2))),
-        ProductVector(((q(1) - q(2)) / s2, q(0))),
-        ProductVector(((q(0) + q(1) + q(2)) / s3, (q(0) + q(1) + q(2)) / s3)),
-    )
-    return UPB(PartyStructure((3, 3)), members)
+    members = [
+        (q(0), (q(0) - q(1)) / s2),
+        (q(2), (q(1) - q(2)) / s2),
+        ((q(0) - q(1)) / s2, q(2)),
+        ((q(1) - q(2)) / s2, q(0)),
+        ((q(0) + q(1) + q(2)) / s3, (q(0) + q(1) + q(2)) / s3),
+    ]
+    return UPB(PartyStructure((3, 3)), tuple(np.array(stack) for stack in zip(*members)))
 
 
 class TestShiftsFamily:
@@ -165,15 +159,15 @@ class TestShiftsFamily:
         rng = np.random.default_rng(123)
         for _ in range(50):
             u = shifts_family(random_params(rng))
-            full = [expand(v) for v in u.members]
+            full = list(expand_locals(u.local_stacks))
             for i in range(4):
                 for j in range(i + 1, 4):
                     assert abs(np.vdot(full[i], full[j])) < 1e-12
 
     def test_pi4_members_include_one_plus_plus(self, pi4_upb):
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        target = expand(ProductVector((np.array([0.0, 1.0]), plus, plus)))
-        overlaps = [abs(np.vdot(expand(v), target)) for v in pi4_upb.members]
+        target = expand_locals((np.array([0.0, 1.0]), plus, plus))
+        overlaps = [abs(np.vdot(v, target)) for v in pi4_upb.vectors.T]
         assert max(overlaps) > 1 - 1e-12
 
     def test_boundary_angles_rejected(self):
@@ -186,39 +180,64 @@ class TestShiftsFamily:
         e0 = np.array([1.0, 0.0], dtype=complex)
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
         with pytest.raises(ValueError, match="not orthogonal"):
-            UPB(qubits(2), (ProductVector((e0, e0)), ProductVector((plus, plus))))
+            UPB(qubits(2), (np.array([e0, plus]), np.array([e0, plus])))
 
     def test_upb_type_requires_incomplete_set(self):
         e0 = np.array([1.0, 0.0], dtype=complex)
         e1 = np.array([0.0, 1.0], dtype=complex)
         with pytest.raises(ValueError, match="incomplete"):
-            UPB(qubits(1), (ProductVector((e0,)), ProductVector((e1,))))
+            UPB(qubits(1), (np.array([e0, e1]),))
 
     def test_upb_type_requires_a_member(self):
         # with no member the kernel compression is 0 x 0, so mixing_scan has no lam_min to read
         with pytest.raises(ValueError, match="at least one member"):
-            UPB(qubits(3), ())
-
+            UPB(qubits(3), (np.zeros((0, 2)),) * 3)
 
     def test_upb_type_rejects_locals_of_the_wrong_party(self):
         # total dimension 8 matches, but party 0 must be the 2-dim one
-        member = ProductVector((np.eye(4)[0], np.array([1.0, 0.0])))
-        with pytest.raises(ValueError, match="does not match the party structure"):
-            UPB(PartyStructure((2, 4)), (member,))
+        with pytest.raises(ValueError, match=r"\[\(1, 4\), \(1, 2\)\] do not match the party structure"):
+            UPB(PartyStructure((2, 4)), (np.eye(4)[:1], np.eye(2)[:1]))
+
+    def test_upb_type_needs_one_2d_stack_per_party(self):
+        # too few stacks: a party has no members; a stack of matrices in place of a
+        # stack of vectors: not 2-D (no stack at all and a bare local vector are
+        # tests/test_states.py::TestProductVectors' rejection tests)
+        e0 = np.eye(2)[:1]
+        for stacks in ((e0, e0), (e0, np.eye(2)[None], e0)):
+            with pytest.raises(ValueError, match=r"do not match the party structure \(2, 2, 2\): need one \(m, d_k\) stack"):
+                UPB(qubits(3), stacks)
+
+    def test_upb_type_rejects_unequal_member_counts(self):
+        with pytest.raises(ValueError, match=r"different member counts \[1, 2\]"):
+            UPB(qubits(3), (np.eye(2)[:1], np.eye(2), np.eye(2)[:1]))
+
+    def test_upb_type_rejects_unnormalized_rows(self):
+        e0, e1 = np.eye(2)
+        with pytest.raises(ValueError, match="member 1: local vector 2 is not normalized"):
+            UPB(qubits(3), (np.array([e0, e1]),) * 2 + (np.array([e0, e0 + e1]),))
 
     def test_upb_type_rejects_nan_overlap(self):
-        e0 = np.array([1.0, 0.0], dtype=complex)
-        e1 = np.array([0.0, 1.0], dtype=complex)
-        first = ProductVector((e0, e0))
-        second = ProductVector((e1, e1))
-        # the locals are read-only copies, so a NaN local that passed the norm check is injected
-        object.__setattr__(second, "locals", (np.full(2, np.nan, dtype=complex), e1))
-        with pytest.raises(ValueError, match="members 0 and 1 are not orthogonal"):
-            UPB(qubits(2), (first, second))
+        # a NaN member never reaches the Gram product: its row fails the norm check, NaN-safe
+        e0, e1 = np.eye(2)
+        with pytest.raises(ValueError, match="member 1: local vector 0 is not normalized"):
+            UPB(qubits(2), (np.array([e0, [np.nan, 0.0]]), np.array([e0, e1])))
+
+    def test_upb_type_stacks_are_read_only_copies(self):
+        stack = np.eye(2, dtype=complex)[:1]
+        u = UPB(qubits(2), (stack, stack))
+        assert all(s is not stack for s in u.local_stacks)
+        for a in (*u.local_stacks, u.vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = np.nan
+        # the caller's array stays writable and changing it leaves the UPB alone
+        stack[:] = np.nan
+        for s in u.local_stacks:
+            assert np.array_equal(s, np.eye(2)[:1])
+        assert np.array_equal(u.vectors, np.eye(4)[:, :1])
 
     def test_upb_type_is_frozen(self, pi4_upb):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            pi4_upb.members = ()
+            pi4_upb.local_stacks = ()
 
     def test_projectors_are_cached_and_read_only(self):
         u = shifts_family(ShiftsParams(0.3, 0.7, 1.1))
@@ -232,7 +251,7 @@ class TestShiftsFamily:
                 p[0, 0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             u.complement_projector = np.eye(8)
-        expected = sum(product_projector(v) for v in u.members)
+        expected = sum(product_projector(v) for v in zip(*u.local_stacks))
         assert np.max(np.abs(member_sum - expected)) < 1e-15
         assert np.max(np.abs(complement - (np.eye(8) - expected))) < 1e-15
 
@@ -247,7 +266,7 @@ class TestUPBState:
             assert np.max(np.abs(vals - expected)) < 1e-10
 
     def test_orthogonal_to_members(self, pi4_upb, pi4_state):
-        for member in pi4_upb.members:
+        for member in zip(*pi4_upb.local_stacks):
             overlap = np.trace(pi4_state.matrix @ product_projector(member)).real
             assert abs(overlap) < 1e-14
 
@@ -265,8 +284,7 @@ class TestUPBState:
     def test_kernel_spans_the_members(self, pi4_upb, pi4_state):
         vecs = kernel_vectors(pi4_state.matrix)
         assert len(vecs) == 4
-        members = [expand(v) for v in pi4_upb.members]
-        assert la.subspace_distance(vecs, members) < 1e-9
+        assert la.subspace_distance(vecs, list(pi4_upb.vectors.T)) < 1e-9
 
 
 class TestSeesaw:
@@ -296,7 +314,7 @@ class TestSeesaw:
             target[index, index] = 1.0
             cert = seesaw_max_product_overlap(target, qubits(3), restarts=8, seed=2)
             assert abs(cert.max_overlap - 1.0) < 1e-12
-            found = expand(cert.best_product_vector)
+            found = expand_locals(cert.best_product_vector)
             assert abs(np.vdot(found, np.eye(8)[index])) > 1 - 1e-10
 
     def test_rejects_non_projector(self):
@@ -337,7 +355,7 @@ class TestSeesaw:
         first = seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=16, seed=11)
         second = seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=16, seed=11)
         assert first.max_overlap == second.max_overlap
-        for x, y in zip(first.best_product_vector.locals, second.best_product_vector.locals):
+        for x, y in zip(first.best_product_vector, second.best_product_vector, strict=True):
             assert np.array_equal(x, y)
 
     def test_batched_and_serial_restarts_agree(self, pi4_upb):
@@ -356,7 +374,7 @@ class TestSeesaw:
             proj = random_projector(dims, rank, seed)
             objective, locs = _seesaw(proj, dims, 3, 6)
             for r in range(6):
-                phi = expand(ProductVector(tuple(v[r] for v in locs)))
+                phi = expand_locals([v[r] for v in locs])
                 assert abs(objective[r] - np.vdot(phi, proj @ phi).real) < 1e-12
 
     def test_converged_restarts_are_stationary(self, pi4_upb, monkeypatch):
@@ -460,7 +478,7 @@ class TestCertification:
 
     def test_certificate_attained_value(self, pi4_upb, pi4_cert):
         q = pi4_upb.complement_projector
-        best = expand(pi4_cert.best_product_vector)
+        best = expand_locals(pi4_cert.best_product_vector)
         direct = np.vdot(best, q @ best).real
         assert abs(direct - pi4_cert.max_overlap) < 1e-10
 
@@ -474,9 +492,9 @@ class TestCertification:
         assert not cert.certifies_unextendible
         assert cert.max_overlap > 1 - 1e-9
         # the located product vector genuinely extends the set
-        found = expand(cert.best_product_vector)
-        for member in u.members:
-            assert abs(np.vdot(expand(member), found)) < 1e-5
+        found = expand_locals(cert.best_product_vector)
+        for member in u.vectors.T:
+            assert abs(np.vdot(member, found)) < 1e-5
 
     def test_tiles_fixture_certified(self):
         u = tiles_upb()
@@ -489,13 +507,13 @@ class TestSubspaceHunt:
         rng = np.random.default_rng(777)
         parts = qubits(3)
         planted = [random_product_vector(parts, rng) for _ in range(5)]
-        projector = la.span_projector([expand(v) for v in planted])
+        projector = la.span_projector([expand_locals(v) for v in planted])
         result = subspace_product_hunt(projector, parts, restarts=192, seed=42)
         assert result.distinct_count == 6
         assert result.rank == 5
         for v in planted:
             fidelities = [
-                abs(np.vdot(expand(hit), expand(v))) ** 2 for hit in result.vectors
+                abs(np.vdot(expand_locals(hit), expand_locals(v))) ** 2 for hit in result.vectors
             ]
             assert max(fidelities) > 1 - 1e-6
 
@@ -540,8 +558,8 @@ def random_subspace(rng, dim):
 
 
 def assert_hits_in_span(result, projector):
-    for hit, overlap in zip(result.vectors, result.overlaps):
-        phi = expand(hit)
+    for hit, overlap in zip(result.vectors, result.overlaps, strict=True):
+        phi = expand_locals(hit)
         assert np.linalg.norm(phi - projector @ phi) < upb.HUNT_RESIDUAL_TOL
         assert abs(overlap - 1.0) < 1e-12
 
@@ -587,12 +605,12 @@ class TestExactQubitHunt:
         rng = np.random.default_rng(100 + dim)
         parts = qubits(3)
         planted = [random_product_vector(parts, rng) for _ in range(dim)]
-        projector = la.span_projector([expand(v) for v in planted])
+        projector = la.span_projector([expand_locals(v) for v in planted])
         result = subspace_product_hunt(projector, parts, restarts=12, seed=0)
         assert (result.distinct_count, result.rank) == ((6, 5) if dim == 5 else (dim, dim))
         assert_hits_in_span(result, projector)
         for v in planted:
-            assert max(abs(np.vdot(expand(hit), expand(v))) ** 2 for hit in result.vectors) > 1 - 1e-12
+            assert max(abs(np.vdot(expand_locals(hit), expand_locals(v))) ** 2 for hit in result.vectors) > 1 - 1e-12
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_random_low_dim_has_none(self, dim):
@@ -616,8 +634,8 @@ class TestExactQubitHunt:
                    for r, s in ((1, 0), (12, 5), (128, [3, 4]))]
         for other in results[1:]:
             assert other.overlaps == results[0].overlaps
-            for a, b in zip(other.vectors, results[0].vectors):
-                assert np.array_equal(expand(a), expand(b))
+            for a, b in zip(other.local_stacks, results[0].local_stacks, strict=True):
+                assert np.array_equal(a, b)
 
     def test_exact_path_checks_restarts_and_seed(self):
         # the seesaw rejects these before it runs; the exact path reads neither, and rejects them too
@@ -637,7 +655,7 @@ class TestHuntFallback:
     def test_upb_complement_plus_member(self, seesaw_calls, member):
         # a = |0> or |1> puts two points on one root x = 0, or one at x = infinity
         u = shifts_family(ShiftsParams(0.5, 0.8, 1.0))
-        projector = u.complement_projector + product_projector(u.members[member])
+        projector = u.complement_projector + product_projector([s[member] for s in u.local_stacks])
         result = subspace_product_hunt(projector, u.parts, restarts=64, seed=member)
         assert len(seesaw_calls) == 1
         assert (result.distinct_count, result.rank) == (6, 5)
@@ -653,13 +671,13 @@ class TestHuntFallback:
         # span{|000>, |00+>, |0++>, |+00>}: N(x) loses rank at a root of the solve
         e0, plus = np.eye(2)[0], np.ones(2) / np.sqrt(2)
         planted = [(e0, e0, e0), (e0, e0, plus), (e0, plus, plus), (plus, e0, e0)]
-        projector = la.span_projector([expand(ProductVector(v)) for v in planted])
+        projector = la.span_projector([expand_locals(v) for v in planted])
         result = subspace_product_hunt(projector, qubits(3), restarts=32, seed=0)
         assert len(seesaw_calls) == 1
         # the count is not pinned: the seesaw finds some of the span's product vectors, not all
         assert result.distinct_count >= 1
         for v in result.vectors:
-            phi = expand(v)
+            phi = expand_locals(v)
             assert np.vdot(phi, projector @ phi).real >= 1 - upb.UNEXTENDIBILITY_GAP
 
     def test_dim6_and_qutrits_keep_the_seesaw(self, seesaw_calls):
@@ -693,5 +711,5 @@ class TestMixtureRanks:
             assert la.numerical_rank(mix) >= 6
 
     def test_state_plus_member_rank_five(self, pi4_upb, pi4_state):
-        mix = (pi4_state.matrix + product_projector(pi4_upb.members[0])) / 2
+        mix = (pi4_state.matrix + product_projector([s[0] for s in pi4_upb.local_stacks])) / 2
         assert la.numerical_rank(mix) == 5

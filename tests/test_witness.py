@@ -23,7 +23,7 @@ from upbkit import (
     robustness_radius,
     uniform_direction,
 )
-from upbkit.states import expand
+from upbkit.states import expand_locals
 from upbkit.witness import SAFETY_MARGIN
 
 from test_upb import degenerate_family_members
@@ -66,7 +66,7 @@ class TestConstruction:
         parts = qubits(3)
         worst = np.inf
         for _ in range(10_000):
-            phi = expand(random_product_vector(parts, rng))
+            phi = expand_locals(random_product_vector(parts, rng))
             worst = min(worst, np.vdot(phi, pi4_witness.matrix @ phi).real)
         assert worst >= -1e-9
 
@@ -79,14 +79,14 @@ class TestConstruction:
     def test_floor_must_survive_the_safety_margin(self, pi4_upb, pi4_cert, monkeypatch):
         # a gap below the margin certifies an overlap whose floor 1 - overlap is under the margin
         monkeypatch.setattr(upb, "UNEXTENDIBILITY_GAP", SAFETY_MARGIN / 10)
-        cert = UnextendibilityCertificate(1.0 - SAFETY_MARGIN / 2, 1, pi4_cert.best_product_vector)
+        cert = UnextendibilityCertificate(1.0 - SAFETY_MARGIN / 2, pi4_cert.best_product_vector)
         assert cert.certifies_unextendible
         with pytest.raises(CertificationError, match="floor vanished after the safety margin"):
             build_upb_witness(pi4_upb, cert)
 
     def test_floor_too_large_for_the_family_rejected(self, pi4_upb, pi4_cert):
         # overlap 0.1 puts the floor c near 0.9, and m - c D = 4 - 0.9 * 8 < 0
-        cert = UnextendibilityCertificate(0.1, 1, pi4_cert.best_product_vector)
+        cert = UnextendibilityCertificate(0.1, pi4_cert.best_product_vector)
         assert cert.certifies_unextendible
         with pytest.raises(CertificationError, match="trace normalization is nonpositive"):
             build_upb_witness(pi4_upb, cert)
