@@ -6,9 +6,13 @@ certify, hunt and noise workloads at benchmark seeds 1-3, then every
 ``scripts/configs/*.json``.  Each runs in this process through
 ``cli.parse_config`` and ``cli.run_command``, and prints one line: its name,
 its exit status (0, or 3 for a ``CertificationError``) and the sha256 of
-``dumps_canonical({"config": echo, "payload": payload})``, with the
-certification error's text as the payload of a job that exits 3.  Run
+``json.dumps({"config": echo, "payload": payload}, indent=2)`` and a newline,
+with the certification error's text as the payload of a job that exits 3.  Run
 metadata (the elapsed time) is left out.  The last line digests all others.
+
+The hashed text is this script's own fixed rendering, not the report layout
+of ``reporting.dumps_canonical``: a change of report whitespace moves no
+digest, and any change of a value or of its spelling moves one.
 
     python scripts/payload_digest.py > digests.txt
 
@@ -27,7 +31,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from upbkit import cli  # noqa: E402
-from upbkit.reporting import dumps_canonical  # noqa: E402
 
 SEEDS = (1, 2, 3)
 
@@ -49,7 +52,7 @@ def digest(raw: dict) -> tuple[int, str]:
         status, payload = 0, cli.run_command(config).payload
     except cli.CertificationError as exc:
         status, payload = 3, str(exc)
-    text = dumps_canonical({"config": config, "payload": payload})
+    text = json.dumps({"config": config, "payload": payload}, indent=2) + "\n"
     return status, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

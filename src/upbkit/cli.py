@@ -182,6 +182,9 @@ def _label_state(weights: dict[str, float]) -> DensityMatrix:
     return DensityMatrix(projector_combination(by_labels) / sum(weights.values()), _PARTIES)
 
 
+_UNIFORM_STATE = _label_state(_UNIFORM_DIRECTION)
+
+
 def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
     """Validate a config dict; unknown fields and missing requirements are rejected.
 
@@ -450,7 +453,7 @@ def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
 def cmd_witness_radius(config: dict[str, Any]) -> dict[str, Any]:
     u, _, w = _certified_witness(config)
     rho = upb_state(u)
-    sigma = _label_state(_UNIFORM_DIRECTION if config["direction"] == "uniform" else config["direction"])
+    sigma = _UNIFORM_STATE if config["direction"] == "uniform" else _label_state(config["direction"])
     radius = robustness_radius(w, rho, sigma)
     check = None
     if 0.0 < radius < math.inf:

@@ -127,7 +127,7 @@ class NoiseEffect(enum.Enum):
     DEGENERATE = "DEGENERATE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingScan:
     """Compression spectra, verdicts, and predicted against exact minimum PT eigenvalue.
 

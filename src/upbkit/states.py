@@ -121,7 +121,7 @@ def product_projector(vector: Sequence[np.ndarray]) -> np.ndarray:
     return np.outer(full, full.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite (within tolerance) operator, held read-only."""
 

@@ -78,7 +78,7 @@ class ShiftsParams:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnextendibilityCertificate:
     """Best product overlap with the complementary projector found by the seesaw: a lower bound on the maximum.
 
@@ -93,7 +93,7 @@ class UnextendibilityCertificate:
         return self.max_overlap < 1.0 - UNEXTENDIBILITY_GAP
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UPB:
     """Ordered orthogonal product vectors with 1 <= m < D, one ``(m, d_k)`` stack per party.
 
@@ -108,7 +108,7 @@ class UPB:
 
     parts: PartyStructure
     local_stacks: tuple[np.ndarray, ...]
-    vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         stacks = tuple(_read_only(np.array(s, dtype=complex)) for s in self.local_stacks)
@@ -415,7 +415,7 @@ def certify_unextendible(
     return seesaw_max_product_overlap(u.complement_projector, u.parts, restarts, seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HuntResult:
     """Distinct product vectors found inside a subspace, one read-only ``(h, d_k)`` stack per party, with their overlaps."""
 

@@ -38,7 +38,7 @@ class CertificationError(RuntimeError):
     """Witness construction requires a certificate asserting unextendibility."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """Unit-trace Hermitian operator, held read-only, with a cached negative detection value."""
 

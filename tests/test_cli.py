@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from upbkit import ConvergenceError, basis_labels
 from upbkit import cli
@@ -45,6 +46,18 @@ class TestFloatFormat:
     def test_integral_floats_keep_a_point(self):
         assert dumps_canonical(1.0) == "1.0\n"
         assert json.loads(dumps_canonical(1.0)) == 1.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text()
+        | st.sampled_from([-0.0, 5e-324, math.inf, -math.inf]) | st.floats(allow_nan=False),
+        lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+        max_leaves=12,
+    ))
+    def test_round_trip(self, value):
+        text = dumps_canonical(value)
+        assert json.loads(text) == value
+        assert text.count("\n") == 1 and text.endswith("\n")
 
 
 SCAN = {"command": "perturb-scan", "seed": 1, "angles": PI4, "noise": {"kind": "white"},
@@ -573,6 +586,12 @@ class TestEndToEnd:
         assert first.stdout.split('"payload"')[1].rsplit('"meta"')[0] == (
             second.stdout.split('"payload"')[1].rsplit('"meta"')[0]
         )
+
+    def test_report_is_one_line(self, tmp_path):
+        rendered = run_command(parse_config(make_config())).render()
+        stdout = run_cli(tmp_path, make_config()).stdout
+        for text in (rendered, stdout):
+            assert text.endswith("}\n") and text.count("\n") == 1
 
     def test_out_flag_writes_file(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "report.json"

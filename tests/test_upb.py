@@ -11,8 +11,10 @@ from upbkit import (
     PartyStructure,
     ShiftsParams,
     UPB,
+    build_upb_witness,
     certify_unextendible,
     is_ppt_all_cuts,
+    mixing_scan,
     qubits,
     seesaw_max_product_overlap,
     shifts_family,
@@ -238,6 +240,21 @@ class TestShiftsFamily:
     def test_upb_type_is_frozen(self, pi4_upb):
         with pytest.raises(dataclasses.FrozenInstanceError):
             pi4_upb.local_stacks = ()
+
+    def test_array_holding_types_compare_by_identity(self, pi4_params):
+        # two instances with the same content: a field-wise == would have to compare arrays
+        def build():
+            u = shifts_family(pi4_params)
+            rho = upb_state(u)
+            cert = certify_unextendible(u, restarts=8, seed=0)
+            hunt = subspace_product_hunt(product_projector(cert.best_product_vector), u.parts, 8, 0)
+            scan = mixing_scan(u, [rho], (0,), [0.01])
+            return u, rho, cert, hunt, scan, build_upb_witness(u, cert)
+
+        for a, b in zip(build(), build()):
+            assert a == a and not a != a
+            assert a != b and not a == b
+            assert len({a, b, a}) == 2, type(a).__name__
 
     def test_projectors_are_cached_and_read_only(self):
         u = shifts_family(ShiftsParams(0.3, 0.7, 1.1))
