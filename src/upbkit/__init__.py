@@ -10,7 +10,6 @@ from .linalg import (
 from .states import (
     CutVerdict,
     DensityMatrix,
-    PartyStructure,
     basis_labels,
     bipartitions,
     decompose_in_projector_basis,
@@ -20,7 +19,6 @@ from .states import (
     projector_basis,
     projector_basis_gram,
     projector_combination,
-    qubits,
     random_density_matrix,
     random_product_vector,
 )

@@ -83,7 +83,6 @@ from .states import (
     is_ppt_all_cuts,
     product_projector,
     projector_combination,
-    qubits,
     random_density_matrix,
     random_product_vector,
     validate_labels,
@@ -117,9 +116,12 @@ _ALLOWED_KEYS = {
     "witness-radius": _COMMON_KEYS | {"restarts", "direction"},
 }
 # the parties of every command: label keys, cut indices, noise and drawn subspaces follow them
-_PARTIES = qubits(3)
-_WHITE_NOISE = DensityMatrix(np.eye(_PARTIES.dim) / _PARTIES.dim, _PARTIES, validate=False)
-_UNIFORM_DIRECTION = {",".join(mu): w for mu, w in uniform_direction(_PARTIES.n_parties).items()}
+_DIMS = (2, 2, 2)
+_N_PARTIES = len(_DIMS)
+_DIM = math.prod(_DIMS)
+_WHITE_NOISE = DensityMatrix(np.eye(_DIM) / _DIM, _DIMS, validate=False)
+_NPT_NOISE = entangled_pair_noise()
+_UNIFORM_STATE = DensityMatrix(projector_combination(uniform_direction(_N_PARTIES)), _DIMS)
 
 
 def _parse_int(raw: Any, name: str, lo: int, hi: float) -> int:
@@ -154,8 +156,8 @@ def _parse_label_key(key: str) -> str:
         mu = validate_labels(tuple(part.strip() for part in key.split(",")))
     except ValueError as exc:
         raise ConfigError(f"bad label key {key!r}: {exc}") from exc
-    if len(mu) != _PARTIES.n_parties:
-        raise ConfigError(f"bad label key {key!r}: expected {_PARTIES.n_parties} labels, got {len(mu)}")
+    if len(mu) != _N_PARTIES:
+        raise ConfigError(f"bad label key {key!r}: expected {_N_PARTIES} labels, got {len(mu)}")
     return ",".join(mu)
 
 
@@ -179,10 +181,7 @@ def _parse_label_map(raw: Any, name: str) -> dict[str, float]:
 def _label_state(weights: dict[str, float]) -> DensityMatrix:
     """The state ``projector_combination(w) / sum(w)`` of a parsed label map; ValueError if that is not a state."""
     by_labels = {tuple(key.split(",")): w for key, w in weights.items()}
-    return DensityMatrix(projector_combination(by_labels) / sum(weights.values()), _PARTIES)
-
-
-_UNIFORM_STATE = _label_state(_UNIFORM_DIRECTION)
+    return DensityMatrix(projector_combination(by_labels) / sum(weights.values()), _DIMS)
 
 
 def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
@@ -232,9 +231,9 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
         cut_raw = raw.get("cut", [0])
         if not isinstance(cut_raw, (list, tuple)) or not cut_raw:
             raise ConfigError("cut must be a nonempty list of party indices")
-        indices = [_parse_int(k, "cut index", 0, _PARTIES.n_parties - 1) for k in cut_raw]
+        indices = [_parse_int(k, "cut index", 0, _N_PARTIES - 1) for k in cut_raw]
         try:
-            config["cut"] = list(linalg.cut_parties(indices, _PARTIES.n_parties))
+            config["cut"] = list(linalg.cut_parties(indices, _N_PARTIES))
         except ValueError as exc:
             raise ConfigError(f"invalid cut: {exc}") from exc
 
@@ -259,7 +258,7 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
         else:
             if "angles" in raw:
                 raise ConfigError(f"{kind} hunts draw their subspaces from the seed; drop angles")
-            config["subspace_dim"] = _parse_int(raw.get("subspace_dim"), "subspace_dim", 1, _PARTIES.dim)
+            config["subspace_dim"] = _parse_int(raw.get("subspace_dim"), "subspace_dim", 1, _DIM)
             config["samples"] = _parse_int(raw.get("samples"), "samples", 1, math.inf)
 
     return config
@@ -286,7 +285,7 @@ def _parse_local_coefficients(raw: Any) -> dict[str, float]:
 
 def _random_noise(config: dict[str, Any]) -> list[tuple[str, DensityMatrix]]:
     rngs = (np.random.default_rng([config["seed"], s]) for s in range(config["noise"]["count"]))
-    return [(f"random[{s}]", random_density_matrix(_PARTIES, rng)) for s, rng in enumerate(rngs)]
+    return [(f"random[{s}]", random_density_matrix(_DIMS, rng)) for s, rng in enumerate(rngs)]
 
 
 def _local_noise(config: dict[str, Any]) -> list[tuple[str, DensityMatrix]]:
@@ -299,7 +298,7 @@ def _local_noise(config: dict[str, Any]) -> list[tuple[str, DensityMatrix]]:
 # noise kind -> (its config fields besides "kind", each with its parser; the named noise states of a config)
 _NOISE_KINDS = {
     "white": ({}, lambda config: [("white", _WHITE_NOISE)]),
-    "npt_projector": ({}, lambda config: [("npt_projector", entangled_pair_noise())]),
+    "npt_projector": ({}, lambda config: [("npt_projector", _NPT_NOISE)]),
     "random": ({"count": lambda raw: _parse_int(raw, "noise count", 1, math.inf)}, _random_noise),
     "local": ({"coefficients": _parse_local_coefficients}, _local_noise),
 }
@@ -316,7 +315,7 @@ def _vector_payload(v: Sequence[np.ndarray]) -> list[list[list[float]]]:
 
 def _cut_payload(cut: Sequence[int]) -> dict[str, list[int]]:
     """Both sides of a cut of the parties, each as a new list."""
-    return {"side_a": list(cut), "side_b": [k for k in range(_PARTIES.n_parties) if k not in cut]}
+    return {"side_a": list(cut), "side_b": [k for k in range(_N_PARTIES) if k not in cut]}
 
 
 def cmd_build(config: dict[str, Any]) -> dict[str, Any]:
@@ -417,22 +416,22 @@ def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
     if config["subspace_kind"] == "upb_complement":
         u = shifts_family(ShiftsParams(*config["angles"]))
         runs.append((0, u.complement_projector, [config["seed"], 0]))
-        dim = _PARTIES.dim - u.size
+        dim = _DIM - u.size
     else:
         dim = config["subspace_dim"]
         for s in range(config["samples"]):
             rng = np.random.default_rng([config["seed"], s])
             if config["subspace_kind"] == "planted":
-                vecs = [expand_locals(random_product_vector(_PARTIES, rng)) for _ in range(dim)]
+                vecs = [expand_locals(random_product_vector(_DIMS, rng)) for _ in range(dim)]
             else:
-                raw = rng.standard_normal((_PARTIES.dim, dim)) + 1j * rng.standard_normal((_PARTIES.dim, dim))
+                raw = rng.standard_normal((_DIM, dim)) + 1j * rng.standard_normal((_DIM, dim))
                 vecs = [raw[:, k] for k in range(dim)]
             runs.append((s, linalg.span_projector(vecs), [config["seed"], s]))
 
     sample_rows = []
     histogram: dict[int, int] = {}
     for index, projector, seed in runs:
-        result = subspace_product_hunt(projector, _PARTIES, restarts=config["restarts"], seed=seed)
+        result = subspace_product_hunt(projector, _DIMS, restarts=config["restarts"], seed=seed)
         histogram[result.distinct_count] = histogram.get(result.distinct_count, 0) + 1
         sample_rows.append(
             {

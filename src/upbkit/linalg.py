@@ -18,8 +18,9 @@ Everything downstream works on small (dim <= 64) dense complex matrices:
   floats by a few ulps and pick different eigenvector phases.
 - ``span_projector`` builds the projector onto a span from the left singular
   vectors of the stacked vectors (``np.linalg.svd``).
-- ``cut_parties`` holds the one rule for a cut: a nonempty proper subset of
-  the party indices, the side-a parties as a sorted tuple.
+- ``party_dims`` holds the one rule for a party structure, the tuple of
+  local dimensions, and ``cut_parties`` the one rule for a cut: a nonempty
+  proper subset of the party indices, the side-a parties as a sorted tuple.
 - ``partial_transpose`` is a pure index permutation (reshape + axis swap) of
   one matrix or of every matrix in a ``(..., D, D)`` stack, never a
   similarity transform, so traces and involution hold exactly.
@@ -96,6 +97,18 @@ def eigvalsh_unchecked(matrix: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
 
 
+def party_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """The one check of a party structure: its local dimensions as a tuple of Python ints.
+
+    A non-integer dim raises TypeError; ValueError if a dim is below 1 or the
+    total dimension, their product, is below 2.
+    """
+    checked = tuple(operator.index(d) for d in dims)
+    if any(d < 1 for d in checked) or math.prod(checked) < 2:
+        raise ValueError(f"local dims {checked} must each be at least 1, with product at least 2")
+    return checked
+
+
 def cut_parties(parties: Iterable[int], n_parties: int) -> tuple[int, ...]:
     """The one check of a cut: its side-a party indices, sorted and distinct.
 
@@ -114,14 +127,15 @@ def partial_transpose(
     """Transpose the row/column indices of the parties listed in ``transposed``.
 
     Takes one matrix or a stack of shape ``(..., D, D)`` and transposes every
-    matrix of the stack; ``transposed`` is a cut, checked by ``cut_parties``.
+    matrix of the stack; ``local_dims`` are checked by ``party_dims`` and
+    ``transposed`` is a cut, checked by ``cut_parties``.
     Implemented as an index permutation on the composite multi-indices, so the
     operation is exact: applying it twice returns the input bit for bit, the
     trace is untouched, and it commutes bit for bit with entrywise arithmetic
     such as mixing two matrices.
     """
     m = np.asarray(matrix)
-    dims = tuple(operator.index(d) for d in local_dims)
+    dims = party_dims(local_dims)
     n = len(dims)
     total = math.prod(dims)
     if m.ndim < 2 or m.shape[-2:] != (total, total):

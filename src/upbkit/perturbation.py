@@ -43,7 +43,6 @@ from .states import (
     basis_labels,
     expand_locals,
     projector_combination,
-    qubits,
 )
 from .upb import UPB
 
@@ -72,7 +71,7 @@ def perturb_local(
     rejects the result as not positive semidefinite (only possible with
     negative coefficients).
     """
-    if not rho.parts.all_qubits:
+    if set(rho.local_dims) != {2}:
         raise ValueError("local noise needs qubit parties")
     noise = projector_combination(coefficients)
     if noise.shape != rho.matrix.shape:
@@ -81,7 +80,7 @@ def perturb_local(
     if norm <= 0.0:
         raise PositivityError("total noise weight drives the trace nonpositive")
     try:
-        return DensityMatrix((rho.matrix + noise) / norm, rho.parts)
+        return DensityMatrix((rho.matrix + noise) / norm, rho.local_dims)
     except ValueError as exc:
         raise PositivityError(f"perturbed {exc}") from exc
 
@@ -90,10 +89,10 @@ def perturb_mix(rho: DensityMatrix, rho1: DensityMatrix, epsilon: float) -> Dens
     """Convex combination (rho + eps * rho1) / (1 + eps) for a finite eps > 0; positivity is automatic."""
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
-    if rho1.parts != rho.parts:
+    if rho1.local_dims != rho.local_dims:
         raise ValueError("noise state does not match the party structure")
     out = (rho.matrix + epsilon * rho1.matrix) / (1.0 + epsilon)
-    return DensityMatrix(out, rho.parts, validate=False)
+    return DensityMatrix(out, rho.local_dims, validate=False)
 
 
 def kernel_product_basis(u: UPB, cut: Sequence[int]) -> np.ndarray:
@@ -105,7 +104,7 @@ def kernel_product_basis(u: UPB, cut: Sequence[int]) -> np.ndarray:
     the kernel of the partially transposed UPB state.  For a real family they
     equal the expanded members.
     """
-    side_a = linalg.cut_parties(cut, u.parts.n_parties)
+    side_a = linalg.cut_parties(cut, len(u.local_dims))
     stacks = [s.conj() if k in side_a else s for k, s in enumerate(u.local_stacks)]
     return np.ascontiguousarray(expand_locals(stacks).T)
 
@@ -118,7 +117,7 @@ def entangled_pair_noise() -> DensityMatrix:
     """
     vec = np.zeros(8, dtype=complex)
     vec[[0, 6]] = 1.0 / np.sqrt(2.0)  # |000> and |110>
-    return DensityMatrix(np.outer(vec, vec.conj()), qubits(3), validate=False)
+    return DensityMatrix(np.outer(vec, vec.conj()), (2, 2, 2), validate=False)
 
 
 class NoiseEffect(enum.Enum):
@@ -169,11 +168,11 @@ def mixing_scan(
         raise ValueError(f"epsilon must lie in (0, {EPSILON_GUARD}]")
     if not noises:
         raise ValueError("mixing_scan needs at least one noise state")
-    if any(noise.parts != u.parts for noise in noises):
+    if any(noise.local_dims != u.local_dims for noise in noises):
         raise ValueError("noise state does not match the UPB's party structure")
     basis = kernel_product_basis(u, cut)
     pt_noise = linalg.partial_transpose(
-        np.array([noise.matrix for noise in noises]), u.parts.local_dims, cut
+        np.array([noise.matrix for noise in noises]), u.local_dims, cut
     )
     comp = basis.conj().T @ pt_noise @ basis
     lam = linalg.eigvalsh_unchecked((comp + comp.conj().swapaxes(-1, -2)) / 2.0)
@@ -183,8 +182,8 @@ def mixing_scan(
         else NoiseEffect.DEGENERATE
         for x in lam[:, 0]
     )
-    rho = u.complement_projector / (u.parts.dim - u.size)
-    pt_state = linalg.partial_transpose(rho, u.parts.local_dims, cut)
+    rho = u.complement_projector / (len(u.vectors) - u.size)
+    pt_state = linalg.partial_transpose(rho, u.local_dims, cut)
     mixed = (pt_state + eps[:, None, None] * pt_noise[:, None]) / (1.0 + eps)[:, None, None]
     return MixingScan(
         compression_eigenvalues=lam,

@@ -1,8 +1,9 @@
 """Multipartite state representations and PPT testing.
 
-Holds the party bookkeeping (local dimensions; cuts, each a plain tuple of
-its side-a party indices as ``linalg.cut_parties`` checks it), product
-vectors, density matrices, and the completely separable projector family
+Holds the party bookkeeping (a party structure is the tuple of local
+dimensions, as ``linalg.party_dims`` checks it; a cut is the tuple of its
+side-a party indices, as ``linalg.cut_parties`` checks it), product vectors,
+density matrices, and the completely separable projector family
 indexed by per-qubit labels ``{0, 1, phi1, phi2}``.  A product vector is a
 tuple of local vectors, one ``(d_k,)`` array per party, and a set of m of
 them is a tuple of ``(m, d_k)`` stacks, one per party; ``expand_locals``
@@ -23,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import InitVar, dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -55,47 +55,15 @@ def local_vector(label: str) -> np.ndarray:
         raise ValueError(f"unknown label {label!r}; expected one of {LABELS}") from None
 
 
-@dataclass(frozen=True)
-class PartyStructure:
-    """Local dimensions of the parties, e.g. (2, 2, 2) for three qubits."""
-
-    local_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(operator.index(d) for d in self.local_dims)
-        object.__setattr__(self, "local_dims", dims)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"local dimensions must be positive, got {dims}")
-        if self.dim < 2:
-            raise ValueError("total dimension must be at least 2")
-
-    @property
-    def n_parties(self) -> int:
-        return len(self.local_dims)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.local_dims)
-
-    @property
-    def all_qubits(self) -> bool:
-        return all(d == 2 for d in self.local_dims)
-
-
-def qubits(n: int) -> PartyStructure:
-    return PartyStructure((2,) * n)
-
-
-def bipartitions(parts: PartyStructure) -> list[tuple[int, ...]]:
-    """All cuts up to complement symmetry, deterministic order.
+def bipartitions(n_parties: int) -> list[tuple[int, ...]]:
+    """All cuts of ``n_parties`` parties up to complement symmetry, deterministic order.
 
     Each cut is the sorted tuple of its side-a parties, the side containing
     party 0; cuts are listed by binary counting over the remaining parties.
     """
-    n = parts.n_parties
-    if n < 2:
+    if n_parties < 2:
         raise ValueError("need at least two parties to bipartition")
-    rest = list(range(1, n))
+    rest = list(range(1, n_parties))
     return [
         (0,) + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
         for mask in range(2 ** len(rest) - 1)
@@ -123,20 +91,20 @@ def product_projector(vector: Sequence[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite (within tolerance) operator, held read-only."""
+    """Hermitian, unit-trace, positive-semidefinite (within tolerance) operator, held read-only, and its checked dims."""
 
     matrix: np.ndarray
-    parts: PartyStructure
+    local_dims: tuple[int, ...]
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
         m = linalg.as_hermitian(self.matrix)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        if m.shape[0] != self.parts.dim:
-            raise ValueError(
-                f"matrix dimension {m.shape[0]} does not match party structure {self.parts.local_dims}"
-            )
+        dims = linalg.party_dims(self.local_dims)
+        object.__setattr__(self, "local_dims", dims)
+        if m.shape[0] != math.prod(dims):
+            raise ValueError(f"matrix dimension {m.shape[0]} does not match the party structure {dims}")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL:
             raise ValueError(f"trace is {np.trace(m).real!r}, expected 1")
         if validate:
@@ -211,9 +179,9 @@ def decompose_in_projector_basis(rho: DensityMatrix) -> np.ndarray:
     Solves G c = (tr(E_mu rho))_mu, which is well posed because the Gram
     matrix G is nonsingular for qubit parties.
     """
-    if not rho.parts.all_qubits:
+    if set(rho.local_dims) != {2}:
         raise ValueError("projector basis decomposition requires qubit parties")
-    n = rho.parts.n_parties
+    n = len(rho.local_dims)
     rhs = np.einsum("aij,ji->a", projector_basis(n), rho.matrix).real
     return np.linalg.solve(projector_basis_gram(n), rhs)
 
@@ -226,7 +194,7 @@ class CutVerdict(NamedTuple):
 def min_pt_eigenvalue(rho: DensityMatrix, cut: Sequence[int]) -> float:
     """Smallest eigenvalue of the partial transpose of rho across the cut (its side-a parties)."""
     # an index permutation of the Hermitian rho.matrix, so Hermitian as well
-    pt = linalg.partial_transpose(rho.matrix, rho.parts.local_dims, cut)
+    pt = linalg.partial_transpose(rho.matrix, rho.local_dims, cut)
     return float(linalg.eigvalsh_unchecked(pt)[0])
 
 
@@ -236,24 +204,24 @@ def is_ppt_all_cuts(rho: DensityMatrix) -> dict[tuple[int, ...], CutVerdict]:
     A cut is PPT when its min PT eigenvalue is at least -PPT_TOL.
     """
     report: dict[tuple[int, ...], CutVerdict] = {}
-    for cut in bipartitions(rho.parts):
+    for cut in bipartitions(len(rho.local_dims)):
         mn = min_pt_eigenvalue(rho, cut)
         report[cut] = CutVerdict(mn >= -PPT_TOL, mn)
     return report
 
 
-def random_product_vector(parts: PartyStructure, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+def random_product_vector(local_dims: Sequence[int], rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Product vector, one local vector per party, each drawn uniformly on the complex unit sphere."""
     locs = []
-    for d in parts.local_dims:
+    for d in local_dims:
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         locs.append(v / np.linalg.norm(v))
     return tuple(locs)
 
 
-def random_density_matrix(parts: PartyStructure, rng: np.random.Generator) -> DensityMatrix:
+def random_density_matrix(local_dims: Sequence[int], rng: np.random.Generator) -> DensityMatrix:
     """Full-rank state G G^dag / tr from a complex Gaussian G (Ginibre sampling)."""
-    d = parts.dim
+    d = math.prod(local_dims)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, parts, validate=False)
+    return DensityMatrix(m / np.trace(m).real, local_dims, validate=False)

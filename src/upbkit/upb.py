@@ -14,7 +14,9 @@ boundary the complement acquires one and the family degenerates.
 Product vectors take the format of ``states``: a ``UPB`` holds its m
 members, and a hunt result its hits, as one ``(m, d_k)`` stack of local
 vectors per party, and the certificate's best product vector is one local
-vector per party.
+vector per party.  A party structure is the tuple of local dims: a ``UPB``
+reads its own from the widths of its stacks, and the seesaw and the hunt
+take theirs next to the projector, checked by ``linalg.party_dims``.
 
 Unextendibility is tested numerically: a multi-start alternating ("seesaw")
 maximization of <phi|Q|phi> over product vectors, Q the complementary
@@ -47,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, PartyStructure, expand_locals
+from .states import DensityMatrix, expand_locals
 
 UNEXTENDIBILITY_GAP = 1e-3       # certified when max_overlap < 1 - gap
 UNIT_NORM_TOL = 1e-12
@@ -98,33 +100,30 @@ class UPB:
     """Ordered orthogonal product vectors with 1 <= m < D, one ``(m, d_k)`` stack per party.
 
     Row i of ``local_stacks[k]`` is member i's local vector for party k.
-    Construction keeps read-only copies of the stacks, checks their shapes
-    against the party structure and every row for unit norm, expands the
-    members once into the columns of the read-only ``(D, m)`` matrix
-    ``vectors`` and checks orthogonality with one Gram product ``V^H V``.
-    The projector attributes are built from ``vectors`` on first use and
-    cached read-only.
+    Construction keeps read-only copies of the stacks, reads ``local_dims``
+    from their widths, checks every row for unit norm, expands the members
+    once into the columns of the read-only ``(D, m)`` matrix ``vectors`` and
+    checks orthogonality with one Gram product ``V^H V``.  The projector
+    attributes are built from ``vectors`` on first use and cached read-only.
     """
 
-    parts: PartyStructure
     local_stacks: tuple[np.ndarray, ...]
+    local_dims: tuple[int, ...] = field(init=False)
     vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         stacks = tuple(_read_only(np.array(s, dtype=complex)) for s in self.local_stacks)
         object.__setattr__(self, "local_stacks", stacks)
-        dims = self.parts.local_dims
-        if [s.shape[1:] for s in stacks] != [(d,) for d in dims]:
-            raise ValueError(
-                f"stacks of shapes {[s.shape for s in stacks]} do not match the party structure {dims}: "
-                "need one (m, d_k) stack per party"
-            )
+        if not stacks or any(s.ndim != 2 for s in stacks):
+            raise ValueError(f"stacks of shapes {[s.shape for s in stacks]} are not one (m, d_k) stack per party")
+        dims = tuple(s.shape[1] for s in stacks)
+        object.__setattr__(self, "local_dims", dims)
         counts = sorted({len(s) for s in stacks})
         if len(counts) > 1:
             raise ValueError(f"the parties' stacks hold different member counts {counts}")
         if counts == [0]:
             raise ValueError("an unextendible product basis needs at least one member")
-        if counts[0] >= self.parts.dim:
+        if counts[0] >= math.prod(dims):
             raise ValueError("an unextendible product basis must be incomplete (m < D)")
         for k, s in enumerate(stacks):
             # written so that a NaN norm fails too
@@ -153,7 +152,7 @@ class UPB:
     @functools.cached_property
     def complement_projector(self) -> np.ndarray:
         """``I - V V^H``, the projector onto the complement; built on first use, then the same read-only array."""
-        return _read_only(np.eye(self.parts.dim) - self.member_sum_projector)
+        return _read_only(np.eye(len(self.vectors)) - self.member_sum_projector)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -177,13 +176,13 @@ def shifts_family(params: ShiftsParams) -> UPB:
         np.array([e0, vb, e1, wb]),
         np.array([e0, vc, wc, e1]),
     )
-    return UPB(PartyStructure((2, 2, 2)), stacks)
+    return UPB(stacks)
 
 
 def upb_state(u: UPB) -> DensityMatrix:
     """Maximally mixed state on the orthogonal complement of the UPB."""
     # spectrum is exactly {0 x m, 1/(D-m) x (D-m)}, so no PSD re-check needed
-    return DensityMatrix(u.complement_projector / (u.parts.dim - u.size), u.parts, validate=False)
+    return DensityMatrix(u.complement_projector / (len(u.vectors) - u.size), u.local_dims, validate=False)
 
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z, stacked as PAULI[i, row, column]
@@ -370,19 +369,23 @@ def _seesaw(
     return objective, locs
 
 
-def _checked_projector(projector: np.ndarray, parts: PartyStructure) -> np.ndarray:
-    """The symmetrized ``projector`` (``linalg.as_hermitian``), checked idempotent and of shape ``(D, D)``."""
+def _checked_projector(projector: np.ndarray, local_dims: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The symmetrized ``projector`` (``linalg.as_hermitian``), checked idempotent and of shape ``(D, D)``, and its dims.
+
+    The dims are checked by ``linalg.party_dims``, and D is their product.
+    """
     p = linalg.as_hermitian(projector)
     if float(np.max(np.abs(p @ p - p))) > PROJECTOR_TOL:
         raise ValueError("input is not an orthogonal projector within tolerance")
-    if p.shape != (parts.dim, parts.dim):
-        raise ValueError("projector dimension does not match the party structure")
-    return p
+    dims = linalg.party_dims(local_dims)
+    if p.shape != (math.prod(dims),) * 2:
+        raise ValueError(f"projector of shape {p.shape} does not match the party structure {dims}")
+    return p, dims
 
 
 def seesaw_max_product_overlap(
     projector: np.ndarray,
-    parts: PartyStructure,
+    local_dims: Sequence[int],
     restarts: int = DEFAULT_RESTARTS,
     seed: int | Sequence[int] = 0,
 ) -> UnextendibilityCertificate:
@@ -398,7 +401,7 @@ def seesaw_max_product_overlap(
     rule, a tolerance and a canonical choice among tied restarts, would fix
     that choice.
     """
-    objective, locs = _seesaw(_checked_projector(projector, parts), parts.local_dims, seed, restarts)
+    objective, locs = _seesaw(*_checked_projector(projector, local_dims), seed, restarts)
     r = int(np.argmax(objective))
     return UnextendibilityCertificate(
         max_overlap=float(min(max(objective[r], 0.0), 1.0)),
@@ -412,7 +415,7 @@ def certify_unextendible(
     seed: int | Sequence[int] = 0,
 ) -> UnextendibilityCertificate:
     """Run the seesaw on the complementary projector and return its certificate."""
-    return seesaw_max_product_overlap(u.complement_projector, u.parts, restarts, seed)
+    return seesaw_max_product_overlap(u.complement_projector, u.local_dims, restarts, seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -529,14 +532,14 @@ def _qubit_triple_points(proj: np.ndarray, k: int) -> tuple[list[np.ndarray], np
 
 def subspace_product_hunt(
     projector: np.ndarray,
-    parts: PartyStructure,
+    local_dims: Sequence[int],
     restarts: int = DEFAULT_RESTARTS,
     seed: int | Sequence[int] = 0,
 ) -> HuntResult:
     """Hunt product vectors in the range of an orthogonal projector.
 
     The input contract is ``seesaw_max_product_overlap``'s: a Hermitian,
-    idempotent ``projector`` of dimension ``parts.dim``; its rank k, read
+    idempotent ``projector`` of dimension ``prod(local_dims)``; its rank k, read
     from the trace, must be at least 1.  Two paths find the candidate points:
 
     - three qubits and k <= 5: one degree-6 polynomial solve
@@ -555,12 +558,11 @@ def subspace_product_hunt(
     reported rank is the linear-independence rank of the kept hits, computed
     from their Gram spectrum at the default tolerance.
     """
-    p = _checked_projector(projector, parts)
+    p, dims = _checked_projector(projector, local_dims)
     _seed_words(seed, restarts)  # the exact path reads neither, and rejects what the seesaw rejects
     k = round(float(np.trace(p).real))
     if k == 0:
         raise ValueError("the projector's range is empty")
-    dims = parts.local_dims
     found = _qubit_triple_points(p, k) if dims == (2, 2, 2) and k <= 5 else None
     if found is None:
         objective, locs = _seesaw(p, dims, seed, restarts)

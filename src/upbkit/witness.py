@@ -65,7 +65,7 @@ def build_upb_witness(u: UPB, certificate: UnextendibilityCertificate) -> Witnes
     c = (1.0 - certificate.max_overlap) - SAFETY_MARGIN
     if c <= 0.0:
         raise CertificationError("certified product-state floor vanished after the safety margin")
-    d = u.parts.dim
+    d = len(u.vectors)
     m = u.size
     norm = m - c * d
     if norm <= 0.0:

@@ -92,6 +92,6 @@ def ten_seed_certs(pi4_upb):
     """Certificates at 256 restarts for ten distinct seeds (stability checks)."""
     proj = pi4_upb.complement_projector
     return [
-        seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=CERT_RESTARTS, seed=seed)
+        seesaw_max_product_overlap(proj, pi4_upb.local_dims, restarts=CERT_RESTARTS, seed=seed)
         for seed in range(10)
     ]

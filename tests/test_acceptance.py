@@ -31,7 +31,6 @@ from upbkit import (
     perturb_local,
     perturb_mix,
     projector_basis_gram,
-    qubits,
     random_density_matrix,
     robustness_radius,
     shifts_family,
@@ -103,8 +102,8 @@ def test_04_kernel_span_equality():
     for _ in range(50):
         u = shifts_family(sample_params(rng))
         rho = upb_state(u)
-        for cut in bipartitions(rho.parts):
-            pt = la.partial_transpose(rho.matrix, rho.parts.local_dims, cut)
+        for cut in bipartitions(len(rho.local_dims)):
+            pt = la.partial_transpose(rho.matrix, rho.local_dims, cut)
             numerical = kernel_vectors(pt)
             conjugated = list(kernel_product_basis(u, cut).T)
             dist = la.subspace_distance(numerical, conjugated)
@@ -118,7 +117,7 @@ def test_05_first_order_accuracy(pi4_upb, pi4_state):
     rng_seed = 2024
     eps_grid = (1e-2, 5e-3, 2.5e-3)
     worst_ratio_lo, worst_ratio_hi = np.inf, 0.0
-    noises = [random_density_matrix(qubits(3), np.random.default_rng([rng_seed, s])) for s in range(20)]
+    noises = [random_density_matrix((2, 2, 2), np.random.default_rng([rng_seed, s])) for s in range(20)]
     scan = mixing_scan(pi4_upb, noises, CUT0, eps_grid)
     for rho1, lam in zip(noises, scan.compression_eigenvalues):
 
@@ -143,7 +142,7 @@ def test_05_first_order_accuracy(pi4_upb, pi4_state):
 def test_06_classification_soundness(pi4_upb, pi4_state):
     rng_seed = 31337
     counts = {effect: 0 for effect in NoiseEffect}
-    noises = [random_density_matrix(qubits(3), np.random.default_rng([rng_seed, s])) for s in range(200)]
+    noises = [random_density_matrix((2, 2, 2), np.random.default_rng([rng_seed, s])) for s in range(200)]
     scan = mixing_scan(pi4_upb, noises, CUT0, [1e-4])
     for rho1, verdict in zip(noises, scan.verdicts):
         counts[verdict] += 1
@@ -175,8 +174,8 @@ def test_07_nonnegative_region_and_negative_reach(pi4_upb, pi4_state):
 
     # negative-coefficient reach: decompose a PPT-preserving state over the
     # basis (unique via the nonsingular Gram), scale, and perturb
-    raw = 0.9 * np.eye(8) / 8 + 0.1 * random_density_matrix(qubits(3), rng).matrix
-    rho1 = DensityMatrix(raw, qubits(3), validate=False)
+    raw = 0.9 * np.eye(8) / 8 + 0.1 * random_density_matrix((2, 2, 2), rng).matrix
+    rho1 = DensityMatrix(raw, (2, 2, 2), validate=False)
     coeffs = decompose_in_projector_basis(rho1)
     n_negative = int(np.sum(coeffs < 0))
     assert n_negative > 0

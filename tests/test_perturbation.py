@@ -5,7 +5,6 @@ from upbkit import linalg as la
 from upbkit import (
     DensityMatrix,
     NoiseEffect,
-    PartyStructure,
     PositivityError,
     UPB,
     basis_labels,
@@ -16,7 +15,6 @@ from upbkit import (
     mixing_scan,
     perturb_local,
     perturb_mix,
-    qubits,
     random_density_matrix,
     shifts_family,
     ShiftsParams,
@@ -34,7 +32,7 @@ ALL_CUTS = [(0,), (0, 1), (0, 2)]
 
 
 def maximally_mixed():
-    return DensityMatrix(np.eye(8) / 8, qubits(3), validate=False)
+    return DensityMatrix(np.eye(8) / 8, (2, 2, 2), validate=False)
 
 
 def complexified_family(params=ShiftsParams(0.4, 0.8, 1.2)):
@@ -49,7 +47,7 @@ def complexified_family(params=ShiftsParams(0.4, 0.8, 1.2)):
         [[np.cos(phi), 1j * np.sin(phi)], [1j * np.sin(phi), np.cos(phi)]], dtype=complex
     )
     first, *rest = u.local_stacks
-    return UPB(u.parts, (first @ rot.T, *rest))
+    return UPB((first @ rot.T, *rest))
 
 
 class TestPerturbLocal:
@@ -84,7 +82,7 @@ class TestPerturbLocal:
         with pytest.raises(PositivityError, match="eigenvalue -5.0"):
             perturb_local(rho, {("0", "0", "0"): -5e-10})
         out = perturb_local(rho, {("0", "0", "0"): -5e-11})
-        DensityMatrix(out.matrix, out.parts)
+        DensityMatrix(out.matrix, out.local_dims)
 
     def test_nonpositive_total_weight_rejected(self, pi4_state):
         with pytest.raises(PositivityError, match="trace nonpositive"):
@@ -105,7 +103,7 @@ class TestPerturbLocal:
             perturb_local(pi4_state, {("0", "1", "2"): 1e-3})
         with pytest.raises(ValueError, match="one width"):
             perturb_local(pi4_state, {})
-        qutrits = DensityMatrix(np.eye(9) / 9, PartyStructure((3, 3)), validate=False)
+        qutrits = DensityMatrix(np.eye(9) / 9, (3, 3), validate=False)
         with pytest.raises(ValueError, match="qubit parties"):
             perturb_local(qutrits, {("0", "1"): 1e-3})
 
@@ -144,7 +142,7 @@ class TestPerturbMix:
                 perturb_mix(pi4_state, maximally_mixed(), eps)
 
     def test_rejects_noise_of_other_parties(self, pi4_state):
-        two_qubit = DensityMatrix(np.eye(4) / 4, qubits(2), validate=False)
+        two_qubit = DensityMatrix(np.eye(4) / 4, (2, 2), validate=False)
         with pytest.raises(ValueError, match="party structure"):
             perturb_mix(pi4_state, two_qubit, 0.01)
 
@@ -165,7 +163,7 @@ class TestKernelProductBasis:
         phi2 = np.array([1.0, 1.0j]) / np.sqrt(2)
         e0 = np.array([1.0, 0.0], dtype=complex)
         e1 = np.array([0.0, 1.0], dtype=complex)
-        u = UPB(qubits(2), (np.array([e0, e1]), np.array([phi2, phi2])))
+        u = UPB((np.array([e0, e1]), np.array([phi2, phi2])))
         out = kernel_product_basis(u, (1,))
         flipped = np.array([1.0, -1.0j]) / np.sqrt(2)
         assert out.shape == (4, 2)
@@ -208,7 +206,7 @@ class TestKernelProductBasis:
 def assert_pt_is_kernel_complement(pt, u, cut):
     """The partial transpose of a UPB state is ``(I - K K^dag) / (D - m)``, K the conjugated kernel basis."""
     k = kernel_product_basis(u, cut)
-    d = u.parts.dim
+    d = len(u.vectors)
     assert np.max(np.abs(pt - (np.eye(d) - k @ k.conj().T) / (d - u.size))) < 1e-14
 
 
@@ -226,7 +224,7 @@ class TestKernelCompression:
     def test_member_projector_is_rank_one(self, pi4_upb):
         e000 = np.zeros((8, 8), dtype=complex)
         e000[0, 0] = 1.0
-        noise = DensityMatrix(e000, qubits(3), validate=False)
+        noise = DensityMatrix(e000, (2, 2, 2), validate=False)
         lam = scan_one(noise, pi4_upb).compression_eigenvalues[0]
         # overlaps <psi_i|000> vanish except for the first member, so the
         # compression is a rank-1 projector with top eigenvalue 1
@@ -251,7 +249,7 @@ class TestFirstOrderPrediction:
 
     def test_matches_exact_spectrum_to_second_order(self, pi4_upb, pi4_state):
         rng = np.random.default_rng(2024)
-        noises = [random_density_matrix(qubits(3), rng) for _ in range(5)]
+        noises = [random_density_matrix((2, 2, 2), rng) for _ in range(5)]
         lams = mixing_scan(pi4_upb, noises, CUT0, [0.01]).compression_eigenvalues
         for rho1, lam in zip(noises, lams):
             for eps in (1e-2, 5e-3, 2.5e-3):
@@ -262,7 +260,7 @@ class TestFirstOrderPrediction:
                 assert np.max(np.abs(pred - exact)) <= 10 * eps * eps
 
     def test_error_scales_quadratically(self, pi4_upb, pi4_state):
-        rho1 = random_density_matrix(qubits(3), np.random.default_rng(99))
+        rho1 = random_density_matrix((2, 2, 2), np.random.default_rng(99))
         lam = scan_one(rho1, pi4_upb).compression_eigenvalues[0]
 
         def max_err(eps):
@@ -296,7 +294,7 @@ class TestClassification:
 
     def test_ppt_preserving_confirmed_by_exact_spectrum(self, pi4_upb, pi4_state):
         rng = np.random.default_rng(505)
-        noises = [random_density_matrix(qubits(3), rng) for _ in range(20)]
+        noises = [random_density_matrix((2, 2, 2), rng) for _ in range(20)]
         confirmed = 0
         for rho1, verdict in zip(noises, mixing_scan(pi4_upb, noises, CUT0, [1e-4]).verdicts):
             if verdict is NoiseEffect.PPT_PRESERVING:
@@ -312,8 +310,8 @@ class TestNegativeCoefficientReach:
         # decomposition is unique and generically has negative entries, yet the
         # perturbation it generates is exactly the (positive) state admixture
         rng = np.random.default_rng(42)
-        raw = 0.9 * np.eye(8) / 8 + 0.1 * random_density_matrix(qubits(3), rng).matrix
-        rho1 = DensityMatrix(raw, qubits(3), validate=False)
+        raw = 0.9 * np.eye(8) / 8 + 0.1 * random_density_matrix((2, 2, 2), rng).matrix
+        rho1 = DensityMatrix(raw, (2, 2, 2), validate=False)
         for cut in ALL_CUTS:
             assert scan_one(rho1, pi4_upb, cut).verdicts == (NoiseEffect.PPT_PRESERVING,)
 
@@ -387,7 +385,7 @@ class TestMixingScan:
                 mixing_scan(pi4_upb, [maximally_mixed()], CUT0, grid)
 
     def test_rejects_mismatched_noise(self, pi4_upb):
-        two_qubit = DensityMatrix(np.eye(4) / 4, qubits(2), validate=False)
+        two_qubit = DensityMatrix(np.eye(4) / 4, (2, 2), validate=False)
         with pytest.raises(ValueError, match="party structure"):
             mixing_scan(pi4_upb, [maximally_mixed(), two_qubit], CUT0, [0.01])
 

@@ -46,22 +46,32 @@ class TestLocalVectors:
 
 
 class TestPartyStructure:
+    # a party structure is the tuple of local dims, and linalg.party_dims its one check
     def test_dims(self):
-        p = states.PartyStructure((2, 3, 2))
-        assert p.dim == 12 and p.n_parties == 3 and not p.all_qubits
+        assert linalg.party_dims([2, 3, 2]) == (2, 3, 2)
+        assert linalg.party_dims((1, 2)) == (1, 2)
 
     def test_rejects_trivial(self):
         with pytest.raises(ValueError):
-            states.PartyStructure((1,))
+            linalg.party_dims((1,))
         with pytest.raises(ValueError):
-            states.PartyStructure((0, 2))
+            linalg.party_dims((0, 2))
+        with pytest.raises(ValueError):
+            linalg.party_dims(())
+
+    def test_density_matrix_checks_its_dims(self):
+        # the product is 8, so only the rule that every dim is positive can reject them
+        with pytest.raises(ValueError, match="at least 1"):
+            states.DensityMatrix(np.eye(8) / 8, (-2, -4))
+        rho = states.DensityMatrix(np.eye(8) / 8, np.array([2, 4]))
+        assert rho.local_dims == (2, 4) and all(type(d) is int for d in rho.local_dims)
 
     def test_bipartitions_three_parties(self):
-        cuts = states.bipartitions(states.qubits(3))
+        cuts = states.bipartitions(3)
         assert cuts == [(0,), (0, 1), (0, 2)]
 
     def test_bipartitions_four_parties(self):
-        cuts = states.bipartitions(states.qubits(4))
+        cuts = states.bipartitions(4)
         assert len(cuts) == 2 ** 3 - 1
         assert all(0 in c for c in cuts)
 
@@ -75,22 +85,22 @@ class TestPartyStructure:
             linalg.cut_parties((1, 3), 3)
         with pytest.raises(ValueError, match=r"proper subset of 0\.\.2"):
             linalg.cut_parties((-1, 0), 3)
-        for parts in (states.qubits(3), states.qubits(4)):
-            for cut in states.bipartitions(parts):
-                assert linalg.cut_parties(cut, parts.n_parties) == cut
+        for n in (3, 4):
+            for cut in states.bipartitions(n):
+                assert linalg.cut_parties(cut, n) == cut
         with pytest.raises(ValueError, match="at least two parties"):
-            states.bipartitions(states.PartyStructure((4,)))
+            states.bipartitions(1)
 
     def test_indices_and_dims_must_be_integers(self):
-        # int() would make the cut (0.7,) the cut (0,) and PartyStructure((2.9, 2)) a pair of qubits
+        # int() would make the cut (0.7,) the cut (0,) and the dims (2.9, 2) a pair of qubits
         with pytest.raises(TypeError):
             linalg.cut_parties((0.7,), 3)
         with pytest.raises(TypeError):
-            states.PartyStructure((2.9, 2))
+            linalg.party_dims((2.9, 2))
         # numpy integers are integers, and are stored as Python ints
         cut = linalg.cut_parties(tuple(np.array([2, 0])), 3)
         assert cut == (0, 2) and all(type(k) is int for k in cut)
-        dims = states.PartyStructure(tuple(np.array([2, 3]))).local_dims
+        dims = linalg.party_dims(tuple(np.array([2, 3])))
         assert dims == (2, 3) and all(type(d) is int for d in dims)
 
 
@@ -168,7 +178,7 @@ class TestProjectorBasis:
 
     def test_decomposition_round_trip(self):
         rng = np.random.default_rng(5)
-        rho = states.random_density_matrix(states.qubits(2), rng)
+        rho = states.random_density_matrix((2, 2), rng)
         coeffs = states.decompose_in_projector_basis(rho)
         recon = np.zeros((4, 4), dtype=complex)
         for c, e in zip(coeffs, states.projector_basis(2)):
@@ -176,7 +186,7 @@ class TestProjectorBasis:
         assert np.max(np.abs(recon - rho.matrix)) < 1e-10
 
     def test_decomposition_needs_qubits(self):
-        rho = states.DensityMatrix(np.eye(9) / 9, states.PartyStructure((3, 3)), validate=False)
+        rho = states.DensityMatrix(np.eye(9) / 9, (3, 3), validate=False)
         with pytest.raises(ValueError, match="requires qubit parties"):
             states.decompose_in_projector_basis(rho)
 
@@ -204,36 +214,36 @@ class TestProductVectors:
         # a set of product vectors holds one (m, d_k) stack per party: a bare local
         # vector in a party's place is 1-D, not a stack of them
         e0 = np.eye(2)[:1]
-        with pytest.raises(ValueError, match=r"stacks of shapes \[\(1, 2\), \(2,\), \(1, 2\)\] do not match"):
-            UPB(states.qubits(3), (e0, np.array([1.0, 0.0]), e0))
+        with pytest.raises(ValueError, match=r"stacks of shapes \[\(1, 2\), \(2,\), \(1, 2\)\] are not one \(m, d_k\) stack per party"):
+            UPB((e0, np.array([1.0, 0.0]), e0))
 
     def test_rejects_no_locals(self):
         # with no party there is nothing to expand: expand_locals would index an empty tuple
-        with pytest.raises(ValueError, match=r"stacks of shapes \[\] do not match the party structure"):
-            UPB(states.qubits(3), ())
+        with pytest.raises(ValueError, match=r"stacks of shapes \[\] are not one \(m, d_k\) stack per party"):
+            UPB(())
 
 
 class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            states.DensityMatrix(np.eye(2), states.PartyStructure((2,)))
+            states.DensityMatrix(np.eye(2), (2,))
 
     def test_rejects_negative(self):
         m = np.diag([1.5, -0.5])
         with pytest.raises(ValueError, match="positive semidefinite"):
-            states.DensityMatrix(m, states.PartyStructure((2,)))
+            states.DensityMatrix(m, (2,))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
-            states.DensityMatrix(np.eye(4) / 4, states.qubits(3))
+            states.DensityMatrix(np.eye(4) / 4, (2, 2, 2))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="not finite"):
-            states.DensityMatrix(np.full((8, 8), np.nan), states.qubits(3))
+            states.DensityMatrix(np.full((8, 8), np.nan), (2, 2, 2))
 
     def test_matrix_is_a_read_only_copy(self):
         m = np.eye(2) / 2
-        rho = states.DensityMatrix(m, states.PartyStructure((2,)))
+        rho = states.DensityMatrix(m, (2,))
         with pytest.raises(ValueError, match="read-only"):
             rho.matrix[0, 0] = -5.0
         # the caller's array stays writable and changing it leaves the state alone
@@ -244,19 +254,19 @@ class TestDensityMatrix:
 def ghz_state():
     v = np.zeros(8, dtype=complex)
     v[0] = v[7] = 1 / np.sqrt(2)
-    return states.DensityMatrix(np.outer(v, v.conj()), states.qubits(3), validate=False)
+    return states.DensityMatrix(np.outer(v, v.conj()), (2, 2, 2), validate=False)
 
 
 class TestPPT:
     def test_maximally_mixed(self):
-        rho = states.DensityMatrix(np.eye(8) / 8, states.qubits(3), validate=False)
-        for cut in states.bipartitions(rho.parts):
+        rho = states.DensityMatrix(np.eye(8) / 8, (2, 2, 2), validate=False)
+        for cut in states.bipartitions(len(rho.local_dims)):
             assert abs(states.min_pt_eigenvalue(rho, cut) - 1 / 8) < 1e-12
 
     def test_bell_state(self):
         v = np.zeros(4, dtype=complex)
         v[0] = v[3] = 1 / np.sqrt(2)
-        rho = states.DensityMatrix(np.outer(v, v.conj()), states.qubits(2), validate=False)
+        rho = states.DensityMatrix(np.outer(v, v.conj()), (2, 2), validate=False)
         assert abs(states.min_pt_eigenvalue(rho, (1,)) - (-0.5)) < 1e-12
 
     @pytest.mark.parametrize("side_a", [(0, 1, 2), (3,), (0, 5)])
@@ -274,9 +284,8 @@ class TestPPT:
 
     def test_complement_symmetry(self):
         rng = np.random.default_rng(17)
-        parts = states.qubits(3)
         for _ in range(20):
-            rho = states.random_density_matrix(parts, rng)
+            rho = states.random_density_matrix((2, 2, 2), rng)
             first = states.min_pt_eigenvalue(rho, (0,))
             second = states.min_pt_eigenvalue(rho, (1, 2))
             assert abs(first - second) < 1e-11
@@ -290,6 +299,6 @@ class TestPPT:
         weights /= weights.sum()
         picks = rng.integers(0, len(basis), size=10)
         mix = sum(w * basis[i] for w, i in zip(weights, picks))
-        rho = states.DensityMatrix(mix, states.qubits(3), validate=False)
+        rho = states.DensityMatrix(mix, (2, 2, 2), validate=False)
         for verdict in states.is_ppt_all_cuts(rho).values():
             assert verdict.ppt

@@ -8,14 +8,12 @@ import pytest
 from upbkit import linalg as la
 from upbkit import upb
 from upbkit import (
-    PartyStructure,
     ShiftsParams,
     UPB,
     build_upb_witness,
     certify_unextendible,
     is_ppt_all_cuts,
     mixing_scan,
-    qubits,
     seesaw_max_product_overlap,
     shifts_family,
     subspace_product_hunt,
@@ -153,7 +151,7 @@ def tiles_upb():
         ((q(1) - q(2)) / s2, q(0)),
         ((q(0) + q(1) + q(2)) / s3, (q(0) + q(1) + q(2)) / s3),
     ]
-    return UPB(PartyStructure((3, 3)), tuple(np.array(stack) for stack in zip(*members)))
+    return UPB(tuple(np.array(stack) for stack in zip(*members)))
 
 
 class TestShiftsFamily:
@@ -182,51 +180,53 @@ class TestShiftsFamily:
         e0 = np.array([1.0, 0.0], dtype=complex)
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
         with pytest.raises(ValueError, match="not orthogonal"):
-            UPB(qubits(2), (np.array([e0, plus]), np.array([e0, plus])))
+            UPB((np.array([e0, plus]), np.array([e0, plus])))
 
     def test_upb_type_requires_incomplete_set(self):
         e0 = np.array([1.0, 0.0], dtype=complex)
         e1 = np.array([0.0, 1.0], dtype=complex)
         with pytest.raises(ValueError, match="incomplete"):
-            UPB(qubits(1), (np.array([e0, e1]),))
+            UPB((np.array([e0, e1]),))
 
     def test_upb_type_requires_a_member(self):
         # with no member the kernel compression is 0 x 0, so mixing_scan has no lam_min to read
         with pytest.raises(ValueError, match="at least one member"):
-            UPB(qubits(3), (np.zeros((0, 2)),) * 3)
-
-    def test_upb_type_rejects_locals_of_the_wrong_party(self):
-        # total dimension 8 matches, but party 0 must be the 2-dim one
-        with pytest.raises(ValueError, match=r"\[\(1, 4\), \(1, 2\)\] do not match the party structure"):
-            UPB(PartyStructure((2, 4)), (np.eye(4)[:1], np.eye(2)[:1]))
+            UPB((np.zeros((0, 2)),) * 3)
 
     def test_upb_type_needs_one_2d_stack_per_party(self):
-        # too few stacks: a party has no members; a stack of matrices in place of a
-        # stack of vectors: not 2-D (no stack at all and a bare local vector are
-        # tests/test_states.py::TestProductVectors' rejection tests)
+        # a stack of matrices in place of a stack of vectors is not 2-D (no stack at
+        # all and a bare local vector are tests/test_states.py::TestProductVectors'
+        # rejection tests); a stack of width 0 is a party of dim 0, so D = 0 <= m
         e0 = np.eye(2)[:1]
-        for stacks in ((e0, e0), (e0, np.eye(2)[None], e0)):
-            with pytest.raises(ValueError, match=r"do not match the party structure \(2, 2, 2\): need one \(m, d_k\) stack"):
-                UPB(qubits(3), stacks)
+        with pytest.raises(ValueError, match=r"\(1, 2, 2\), \(1, 2\)\] are not one \(m, d_k\) stack per party"):
+            UPB((e0, np.eye(2)[None], e0))
+        with pytest.raises(ValueError, match="incomplete"):
+            UPB((e0, np.zeros((1, 0))))
+
+    def test_upb_reads_its_dims_from_its_stacks(self, pi4_upb):
+        for u, dims in ((tiles_upb(), (3, 3)), (pi4_upb, (2, 2, 2))):
+            assert u.local_dims == dims == tuple(s.shape[1] for s in u.local_stacks)
+            assert all(type(d) is int for d in u.local_dims)
+            assert u.vectors.shape == (np.prod(dims), u.size)
 
     def test_upb_type_rejects_unequal_member_counts(self):
         with pytest.raises(ValueError, match=r"different member counts \[1, 2\]"):
-            UPB(qubits(3), (np.eye(2)[:1], np.eye(2), np.eye(2)[:1]))
+            UPB((np.eye(2)[:1], np.eye(2), np.eye(2)[:1]))
 
     def test_upb_type_rejects_unnormalized_rows(self):
         e0, e1 = np.eye(2)
         with pytest.raises(ValueError, match="member 1: local vector 2 is not normalized"):
-            UPB(qubits(3), (np.array([e0, e1]),) * 2 + (np.array([e0, e0 + e1]),))
+            UPB((np.array([e0, e1]),) * 2 + (np.array([e0, e0 + e1]),))
 
     def test_upb_type_rejects_nan_overlap(self):
         # a NaN member never reaches the Gram product: its row fails the norm check, NaN-safe
         e0, e1 = np.eye(2)
         with pytest.raises(ValueError, match="member 1: local vector 0 is not normalized"):
-            UPB(qubits(2), (np.array([e0, [np.nan, 0.0]]), np.array([e0, e1])))
+            UPB((np.array([e0, [np.nan, 0.0]]), np.array([e0, e1])))
 
     def test_upb_type_stacks_are_read_only_copies(self):
         stack = np.eye(2, dtype=complex)[:1]
-        u = UPB(qubits(2), (stack, stack))
+        u = UPB((stack, stack))
         assert all(s is not stack for s in u.local_stacks)
         for a in (*u.local_stacks, u.vectors):
             with pytest.raises(ValueError, match="read-only"):
@@ -247,7 +247,7 @@ class TestShiftsFamily:
             u = shifts_family(pi4_params)
             rho = upb_state(u)
             cert = certify_unextendible(u, restarts=8, seed=0)
-            hunt = subspace_product_hunt(product_projector(cert.best_product_vector), u.parts, 8, 0)
+            hunt = subspace_product_hunt(product_projector(cert.best_product_vector), u.local_dims, 8, 0)
             scan = mixing_scan(u, [rho], (0,), [0.01])
             return u, rho, cert, hunt, scan, build_upb_witness(u, cert)
 
@@ -307,9 +307,9 @@ class TestUPBState:
 class TestSeesaw:
     def test_full_identity_reaches_one(self):
         # every local operator is a multiple of the identity: each local update has no unique maximizer
-        cert = seesaw_max_product_overlap(np.eye(8), qubits(3), restarts=4, seed=1)
+        cert = seesaw_max_product_overlap(np.eye(8), (2, 2, 2), restarts=4, seed=1)
         assert abs(cert.max_overlap - 1.0) < 1e-12
-        zero = seesaw_max_product_overlap(np.zeros((8, 8)), qubits(3), restarts=4, seed=1)
+        zero = seesaw_max_product_overlap(np.zeros((8, 8)), (2, 2, 2), restarts=4, seed=1)
         assert zero.max_overlap == 0
         dims = (2, 2, 2)
         for proj in (np.eye(8), np.zeros((8, 8))):
@@ -329,7 +329,7 @@ class TestSeesaw:
         for index in (0, 7):
             target = np.zeros((8, 8), dtype=complex)
             target[index, index] = 1.0
-            cert = seesaw_max_product_overlap(target, qubits(3), restarts=8, seed=2)
+            cert = seesaw_max_product_overlap(target, (2, 2, 2), restarts=8, seed=2)
             assert abs(cert.max_overlap - 1.0) < 1e-12
             found = expand_locals(cert.best_product_vector)
             assert abs(np.vdot(found, np.eye(8)[index])) > 1 - 1e-10
@@ -337,47 +337,47 @@ class TestSeesaw:
     def test_rejects_non_projector(self):
         for entry in (seesaw_max_product_overlap, subspace_product_hunt):
             with pytest.raises(ValueError, match="not an orthogonal projector"):
-                entry(np.eye(8) * 0.5, qubits(3), restarts=1, seed=0)
+                entry(np.eye(8) * 0.5, (2, 2, 2), restarts=1, seed=0)
 
     def test_rejects_one_party(self):
         with pytest.raises(ValueError, match="at least two parties"):
-            seesaw_max_product_overlap(np.eye(4), PartyStructure((4,)), restarts=1, seed=0)
+            seesaw_max_product_overlap(np.eye(4), (4,), restarts=1, seed=0)
 
     def test_rejects_a_nan_projector(self):
         with pytest.raises(ValueError, match="not finite"):
-            seesaw_max_product_overlap(np.full((8, 8), np.nan), qubits(3), restarts=1, seed=0)
+            seesaw_max_product_overlap(np.full((8, 8), np.nan), (2, 2, 2), restarts=1, seed=0)
 
     def test_rejects_no_restarts_and_a_wrong_size(self, pi4_upb):
         with pytest.raises(ValueError, match="need at least one restart"):
-            seesaw_max_product_overlap(pi4_upb.complement_projector, pi4_upb.parts, restarts=0)
+            seesaw_max_product_overlap(pi4_upb.complement_projector, pi4_upb.local_dims, restarts=0)
         # eye(4) is a projector, of dimension 4 against the parties' 8; a stack of
         # eight 8 x 8 projectors has the right leading size but is not one matrix
         for entry in (seesaw_max_product_overlap, subspace_product_hunt):
             with pytest.raises(ValueError, match="does not match the party structure"):
-                entry(np.eye(4), pi4_upb.parts, restarts=1)
+                entry(np.eye(4), pi4_upb.local_dims, restarts=1)
             with pytest.raises(ValueError, match="expected a square matrix"):
-                entry(np.stack([np.eye(8)] * 8), pi4_upb.parts, restarts=1)
+                entry(np.stack([np.eye(8)] * 8), pi4_upb.local_dims, restarts=1)
 
     def test_seed_must_be_an_integer(self, pi4_upb):
         # int() would run seed 1.5 as seed 1
         proj = pi4_upb.complement_projector
         with pytest.raises(TypeError):
-            seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=2, seed=1.5)
-        first = seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=2, seed=1)
-        second = seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=2, seed=np.int64(1))
+            seesaw_max_product_overlap(proj, pi4_upb.local_dims, restarts=2, seed=1.5)
+        first = seesaw_max_product_overlap(proj, pi4_upb.local_dims, restarts=2, seed=1)
+        second = seesaw_max_product_overlap(proj, pi4_upb.local_dims, restarts=2, seed=np.int64(1))
         assert first.max_overlap == second.max_overlap
 
     def test_restart_determinism(self, pi4_upb):
         proj = pi4_upb.complement_projector
-        first = seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=16, seed=11)
-        second = seesaw_max_product_overlap(proj, pi4_upb.parts, restarts=16, seed=11)
+        first = seesaw_max_product_overlap(proj, pi4_upb.local_dims, restarts=16, seed=11)
+        second = seesaw_max_product_overlap(proj, pi4_upb.local_dims, restarts=16, seed=11)
         assert first.max_overlap == second.max_overlap
         for x, y in zip(first.best_product_vector, second.best_product_vector, strict=True):
             assert np.array_equal(x, y)
 
     def test_batched_and_serial_restarts_agree(self, pi4_upb):
         # counter seeds: restart r does the same work whatever the batch around it
-        dims = pi4_upb.parts.local_dims
+        dims = pi4_upb.local_dims
         proj = pi4_upb.complement_projector
         small, _ = _seesaw(proj, dims, [5, 1], 4)
         large, _ = _seesaw(proj, dims, [5, 1], 16)
@@ -397,7 +397,7 @@ class TestSeesaw:
     def test_converged_restarts_are_stationary(self, pi4_upb, monkeypatch):
         # every party's vector is a top eigenvector of its local operator, by numpy's own eigh
         inputs = [
-            (pi4_upb.parts.local_dims, pi4_upb.complement_projector),
+            (pi4_upb.local_dims, pi4_upb.complement_projector),
             ((2, 2, 2, 2), random_projector((2, 2, 2, 2), 5, 4)),
             ((2, 3, 2), random_projector((2, 3, 2), 4, 5)),
         ]
@@ -467,15 +467,15 @@ class TestSeesaw:
         # three parties: calls 4 and 6 are the first and last local updates of sweep 1,
         # on the Bloch update for qubits and on the stacked eigensolve for dims 2, 3, 2
         inputs = [
-            (pi4_upb.complement_projector, pi4_upb.parts),
-            (random_projector((2, 3, 2), 3, 6), PartyStructure((2, 3, 2))),
+            (pi4_upb.complement_projector, pi4_upb.local_dims),
+            (random_projector((2, 3, 2), 3, 6), (2, 3, 2)),
         ]
         for at_call, party in ((4, 0), (6, 2)):
-            for proj, parts in inputs:
+            for proj, dims in inputs:
                 with monkeypatch.context() as patch:
                     lower_top_eigenvalue(patch, at_call=at_call, restart=2)
                     with pytest.raises(ConvergenceError, match=f"restart 2, sweep 1, party {party}: drop "):
-                        seesaw_max_product_overlap(proj, parts, restarts=4, seed=0)
+                        seesaw_max_product_overlap(proj, dims, restarts=4, seed=0)
 
     def test_qubit_seesaw_calls_no_eigensolver(self, pi4_upb, monkeypatch):
         def refuse(matrix):
@@ -504,7 +504,7 @@ class TestCertification:
         assert max(values) - min(values) < 1e-6
 
     def test_degenerate_family_not_certified(self):
-        u = UPB(qubits(3), degenerate_family_members())
+        u = UPB(degenerate_family_members())
         cert = certify_unextendible(u, restarts=64, seed=5)
         assert not cert.certifies_unextendible
         assert cert.max_overlap > 1 - 1e-9
@@ -522,10 +522,10 @@ class TestCertification:
 class TestSubspaceHunt:
     def test_planted_product_vectors_found(self):
         rng = np.random.default_rng(777)
-        parts = qubits(3)
-        planted = [random_product_vector(parts, rng) for _ in range(5)]
+        dims = (2, 2, 2)
+        planted = [random_product_vector(dims, rng) for _ in range(5)]
         projector = la.span_projector([expand_locals(v) for v in planted])
-        result = subspace_product_hunt(projector, parts, restarts=192, seed=42)
+        result = subspace_product_hunt(projector, dims, restarts=192, seed=42)
         assert result.distinct_count == 6
         assert result.rank == 5
         for v in planted:
@@ -535,7 +535,7 @@ class TestSubspaceHunt:
             assert max(fidelities) > 1 - 1e-6
 
     def test_upb_complement_has_no_hits(self, pi4_upb):
-        result = subspace_product_hunt(pi4_upb.complement_projector, pi4_upb.parts, restarts=128, seed=9)
+        result = subspace_product_hunt(pi4_upb.complement_projector, pi4_upb.local_dims, restarts=128, seed=9)
         assert result.distinct_count == 0
         assert result.rank == 0
 
@@ -544,28 +544,28 @@ class TestSubspaceHunt:
         projector = random_subspace(rng, 5)
         counts = set()
         for seed in (100, 200, 300):
-            result = subspace_product_hunt(projector, qubits(3), restarts=128, seed=seed)
+            result = subspace_product_hunt(projector, (2, 2, 2), restarts=128, seed=seed)
             counts.add(result.distinct_count)
         assert len(counts) == 1
 
     def test_rejects_one_party(self):
         with pytest.raises(ValueError, match="at least two parties"):
-            subspace_product_hunt(np.diag([1.0, 0.0, 0.0, 0.0]), PartyStructure((4,)), restarts=1, seed=0)
+            subspace_product_hunt(np.diag([1.0, 0.0, 0.0, 0.0]), (4,), restarts=1, seed=0)
 
     def test_rejects_a_nan_projector(self):
         with pytest.raises(ValueError, match="not finite"):
-            subspace_product_hunt(np.full((8, 8), np.nan), qubits(3), restarts=1, seed=0)
+            subspace_product_hunt(np.full((8, 8), np.nan), (2, 2, 2), restarts=1, seed=0)
 
     def test_rejects_an_empty_basis(self):
         # the zero projector is a projector, onto the empty span
         with pytest.raises(ValueError, match="range is empty"):
-            subspace_product_hunt(np.zeros((8, 8)), qubits(3), restarts=1, seed=0)
+            subspace_product_hunt(np.zeros((8, 8)), (2, 2, 2), restarts=1, seed=0)
 
     def test_seesaw_path_needs_a_restart(self):
         # dimension 6 takes the seesaw, which checks restarts as certification does
         projector = random_subspace(np.random.default_rng(5), 6)
         with pytest.raises(ValueError, match="need at least one restart"):
-            subspace_product_hunt(projector, qubits(3), restarts=0, seed=0)
+            subspace_product_hunt(projector, (2, 2, 2), restarts=0, seed=0)
 
 
 def random_subspace(rng, dim):
@@ -613,17 +613,17 @@ class TestExactQubitHunt:
         rng = np.random.default_rng(0)
         for _ in range(40):
             projector = random_subspace(rng, 5)
-            result = subspace_product_hunt(projector, qubits(3), restarts=12, seed=0)
+            result = subspace_product_hunt(projector, (2, 2, 2), restarts=12, seed=0)
             assert (result.distinct_count, result.rank) == (6, 5)
             assert_hits_in_span(result, projector)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_planted_counts(self, dim):
         rng = np.random.default_rng(100 + dim)
-        parts = qubits(3)
-        planted = [random_product_vector(parts, rng) for _ in range(dim)]
+        dims = (2, 2, 2)
+        planted = [random_product_vector(dims, rng) for _ in range(dim)]
         projector = la.span_projector([expand_locals(v) for v in planted])
-        result = subspace_product_hunt(projector, parts, restarts=12, seed=0)
+        result = subspace_product_hunt(projector, dims, restarts=12, seed=0)
         assert (result.distinct_count, result.rank) == ((6, 5) if dim == 5 else (dim, dim))
         assert_hits_in_span(result, projector)
         for v in planted:
@@ -633,7 +633,7 @@ class TestExactQubitHunt:
     def test_random_low_dim_has_none(self, dim):
         rng = np.random.default_rng(200 + dim)
         for _ in range(10):
-            result = subspace_product_hunt(random_subspace(rng, dim), qubits(3), restarts=12, seed=0)
+            result = subspace_product_hunt(random_subspace(rng, dim), (2, 2, 2), restarts=12, seed=0)
             assert (result.distinct_count, result.rank) == (0, 0)
 
     def test_upb_complements_have_none(self):
@@ -642,12 +642,12 @@ class TestExactQubitHunt:
         drawn = np.random.default_rng(7).uniform(0.01, np.pi / 2 - 0.01, size=(40, 3))
         for angles in near_faces + [tuple(a) for a in drawn]:
             u = shifts_family(ShiftsParams(*angles))
-            result = subspace_product_hunt(u.complement_projector, u.parts, restarts=12, seed=0)
+            result = subspace_product_hunt(u.complement_projector, u.local_dims, restarts=12, seed=0)
             assert (result.distinct_count, result.rank) == (0, 0), angles
 
     def test_count_ignores_seed_and_restarts(self):
         projector = random_subspace(np.random.default_rng(2023), 5)
-        results = [subspace_product_hunt(projector, qubits(3), restarts=r, seed=s)
+        results = [subspace_product_hunt(projector, (2, 2, 2), restarts=r, seed=s)
                    for r, s in ((1, 0), (12, 5), (128, [3, 4]))]
         for other in results[1:]:
             assert other.overlaps == results[0].overlaps
@@ -661,8 +661,8 @@ class TestExactQubitHunt:
                ({"seed": -1}, ValueError), ({"seed": 1.5}, TypeError), ({"seed": "x"}, TypeError)]
         for kwargs, error in bad:
             with pytest.raises(error):
-                subspace_product_hunt(projector, qubits(3), **{"restarts": 1, "seed": 0, **kwargs})
-        assert subspace_product_hunt(projector, qubits(3), restarts=1, seed=0).distinct_count == 6
+                subspace_product_hunt(projector, (2, 2, 2), **{"restarts": 1, "seed": 0, **kwargs})
+        assert subspace_product_hunt(projector, (2, 2, 2), restarts=1, seed=0).distinct_count == 6
 
 
 class TestHuntFallback:
@@ -673,14 +673,14 @@ class TestHuntFallback:
         # a = |0> or |1> puts two points on one root x = 0, or one at x = infinity
         u = shifts_family(ShiftsParams(0.5, 0.8, 1.0))
         projector = u.complement_projector + product_projector([s[member] for s in u.local_stacks])
-        result = subspace_product_hunt(projector, u.parts, restarts=64, seed=member)
+        result = subspace_product_hunt(projector, u.local_dims, restarts=64, seed=member)
         assert len(seesaw_calls) == 1
         assert (result.distinct_count, result.rank) == (6, 5)
 
     def test_continuum(self, seesaw_calls):
         # span{|000>, |001>} holds |00>|c> for every c: a triple root that verifies only to ~1e-5
         e = np.eye(8)
-        result = subspace_product_hunt(la.span_projector([e[0], e[1]]), qubits(3), restarts=16, seed=0)
+        result = subspace_product_hunt(la.span_projector([e[0], e[1]]), (2, 2, 2), restarts=16, seed=0)
         assert len(seesaw_calls) == 1
         assert (result.distinct_count, result.rank) == (16, 2)
 
@@ -689,7 +689,7 @@ class TestHuntFallback:
         e0, plus = np.eye(2)[0], np.ones(2) / np.sqrt(2)
         planted = [(e0, e0, e0), (e0, e0, plus), (e0, plus, plus), (plus, e0, e0)]
         projector = la.span_projector([expand_locals(v) for v in planted])
-        result = subspace_product_hunt(projector, qubits(3), restarts=32, seed=0)
+        result = subspace_product_hunt(projector, (2, 2, 2), restarts=32, seed=0)
         assert len(seesaw_calls) == 1
         # the count is not pinned: the seesaw finds some of the span's product vectors, not all
         assert result.distinct_count >= 1
@@ -699,8 +699,8 @@ class TestHuntFallback:
 
     def test_dim6_and_qutrits_keep_the_seesaw(self, seesaw_calls):
         rng = np.random.default_rng(3)
-        subspace_product_hunt(random_subspace(rng, 6), qubits(3), restarts=4, seed=0)
-        subspace_product_hunt(la.span_projector([np.eye(9)[0]]), PartyStructure((3, 3)), restarts=4, seed=0)
+        subspace_product_hunt(random_subspace(rng, 6), (2, 2, 2), restarts=4, seed=0)
+        subspace_product_hunt(la.span_projector([np.eye(9)[0]]), (3, 3), restarts=4, seed=0)
         assert len(seesaw_calls) == 2
 
 
@@ -709,9 +709,9 @@ def test_hunt_leaves_numpy_fft_unloaded():
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from upbkit import qubits, span_projector, subspace_product_hunt\n"
+        "from upbkit import span_projector, subspace_product_hunt\n"
         "raw = np.random.default_rng(0).standard_normal((5, 8))\n"
-        "assert subspace_product_hunt(span_projector(list(raw + 0j)), qubits(3), restarts=1).distinct_count == 6\n"
+        "assert subspace_product_hunt(span_projector(list(raw + 0j)), (2, 2, 2), restarts=1).distinct_count == 6\n"
         "print('numpy.fft' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -730,3 +730,40 @@ class TestMixtureRanks:
     def test_state_plus_member_rank_five(self, pi4_upb, pi4_state):
         mix = (pi4_state.matrix + product_projector([s[0] for s in pi4_upb.local_stacks])) / 2
         assert la.numerical_rank(mix) == 5
+
+
+class TestKnownWrongAnswers:
+    """Answers the toolkit gets wrong today, each pinned by a strict xfail that the named ROADMAP item must flip."""
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 1: the fixed seesaw gap rejects real UPBs near a face"
+    )
+    @pytest.mark.parametrize("angles", [(0.05, 0.05, 0.05), (0.1, np.pi / 2 - 0.1, 0.1)])
+    def test_near_face_upb_is_certified(self, angles):
+        # today max_overlap is 0.99999688 and 0.99999901 at every seed, above 1 - UNEXTENDIBILITY_GAP
+        u = shifts_family(ShiftsParams(*angles))
+        for seed in range(3):
+            assert certify_unextendible(u, restarts=64, seed=seed).certifies_unextendible
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 5(c): near-face false hits in the UPB complement"
+    )
+    @pytest.mark.parametrize(("eps", "restarts"), [(1e-3, 64), (1e-4, 12)])
+    def test_upb_complement_holds_no_product_vector(self, eps, restarts):
+        # today 4 hits of rank 4 from the exact solve at 1e-3; at 1e-4 the solve
+        # degenerates and the seesaw fallback reports 3 hits of rank 3
+        u = shifts_family(ShiftsParams(eps, np.pi / 2 - eps, eps))
+        result = subspace_product_hunt(u.complement_projector, u.local_dims, restarts=restarts, seed=0)
+        assert (result.distinct_count, result.rank) == (0, 0)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 5(b): the seesaw fallback misses product vectors"
+    )
+    @pytest.mark.parametrize(("restarts", "seed"), [(12, 5), (32, 0), (64, 1), (256, 2)])
+    def test_fallback_finds_the_span_of_product_vectors(self, restarts, seed):
+        # span{|000>, |00+>, |0++>, |+00>} holds the continuum |00c> and |0++>, |+00>,
+        # whose product vectors span all four dimensions; today 2 hits of rank 2
+        e0, plus = np.eye(2)[0], np.ones(2) / np.sqrt(2)
+        planted = [(e0, e0, e0), (e0, e0, plus), (e0, plus, plus), (plus, e0, e0)]
+        projector = la.span_projector([expand_locals(v) for v in planted])
+        assert subspace_product_hunt(projector, (2, 2, 2), restarts=restarts, seed=seed).rank == 4

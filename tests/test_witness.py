@@ -17,7 +17,6 @@ from upbkit import (
     perturb_local,
     projector_basis,
     projector_combination,
-    qubits,
     random_density_matrix,
     random_product_vector,
     robustness_radius,
@@ -37,13 +36,13 @@ def scaled(direction, factor):
 def label_state(direction):
     """The state ``sum_mu w[mu] E_mu`` of a label map with nonnegative weights summing to 1."""
     n = len(next(iter(direction)))
-    return DensityMatrix(projector_combination(direction), qubits(n))
+    return DensityMatrix(projector_combination(direction), (2,) * n)
 
 
 def bell_pair():
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / np.sqrt(2)
-    rho = DensityMatrix(np.outer(v, v.conj()), qubits(2), validate=False)
+    rho = DensityMatrix(np.outer(v, v.conj()), (2, 2), validate=False)
     w = Witness(matrix=np.eye(4) / 2 - rho.matrix, detected_value=-0.5)
     return w, rho
 
@@ -58,20 +57,20 @@ class TestConstruction:
         assert abs(value - pi4_witness.detected_value) < 1e-12
         # tr(W rho) = -c / (m - c D): structural, since tr(S rho) = 0 exactly
         c = (1 - pi4_cert.max_overlap) - SAFETY_MARGIN
-        m, d = pi4_upb.size, pi4_upb.parts.dim
+        m, d = pi4_upb.size, len(pi4_upb.vectors)
         assert abs(value - (-c / (m - c * d))) < 1e-12
 
     def test_nonnegative_on_random_product_states(self, pi4_witness):
         rng = np.random.default_rng(13)
-        parts = qubits(3)
+        dims = (2, 2, 2)
         worst = np.inf
         for _ in range(10_000):
-            phi = expand_locals(random_product_vector(parts, rng))
+            phi = expand_locals(random_product_vector(dims, rng))
             worst = min(worst, np.vdot(phi, pi4_witness.matrix @ phi).real)
         assert worst >= -1e-9
 
     def test_failed_certificate_rejected(self):
-        u = UPB(qubits(3), degenerate_family_members())
+        u = UPB(degenerate_family_members())
         cert = certify_unextendible(u, restarts=32, seed=4)
         with pytest.raises(CertificationError, match="unextendibility"):
             build_upb_witness(u, cert)
@@ -105,23 +104,23 @@ class TestConstruction:
 class TestEvaluate:
     def test_nonnegative_on_every_basis_projector(self, pi4_witness):
         for e in projector_basis(3):
-            assert evaluate(pi4_witness, DensityMatrix(e, qubits(3), validate=False)) >= 0
+            assert evaluate(pi4_witness, DensityMatrix(e, (2, 2, 2), validate=False)) >= 0
 
     def test_nonnegative_on_maximally_mixed(self, pi4_witness):
-        rho = DensityMatrix(np.eye(8) / 8, qubits(3), validate=False)
+        rho = DensityMatrix(np.eye(8) / 8, (2, 2, 2), validate=False)
         assert evaluate(pi4_witness, rho) >= 0
 
     def test_linearity_under_mixing(self, pi4_witness, pi4_state):
-        other = DensityMatrix(np.eye(8) / 8, qubits(3), validate=False)
+        other = DensityMatrix(np.eye(8) / 8, (2, 2, 2), validate=False)
         for lam in (0.1, 0.5, 0.9):
             mix = DensityMatrix(
-                lam * pi4_state.matrix + (1 - lam) * other.matrix, qubits(3), validate=False
+                lam * pi4_state.matrix + (1 - lam) * other.matrix, (2, 2, 2), validate=False
             )
             combo = lam * evaluate(pi4_witness, pi4_state) + (1 - lam) * evaluate(pi4_witness, other)
             assert abs(evaluate(pi4_witness, mix) - combo) <= 1e-12
 
     def test_dimension_mismatch(self, pi4_witness):
-        rho = DensityMatrix(np.eye(4) / 4, qubits(2), validate=False)
+        rho = DensityMatrix(np.eye(4) / 4, (2, 2), validate=False)
         with pytest.raises(ValueError, match="dimensions"):
             evaluate(pi4_witness, rho)
 
@@ -135,7 +134,7 @@ class TestRobustnessRadius:
         # oracle: recompute the crossing scale from direct trace evaluations
         direction = uniform_direction(3)
         denom = sum(
-            w * evaluate(pi4_witness, DensityMatrix(e, qubits(3), validate=False))
+            w * evaluate(pi4_witness, DensityMatrix(e, (2, 2, 2), validate=False))
             for w, e in zip(direction.values(), projector_basis(3))
         )
         expected = abs(evaluate(pi4_witness, pi4_state)) / denom
@@ -166,7 +165,7 @@ class TestRobustnessRadius:
 
     def test_undetected_state_gets_zero_radius(self, pi4_witness):
         # white noise is not detected: tr(W I/8) = tr(W)/8 = 1/8, so detection is lost at s = 0
-        white = DensityMatrix(np.eye(8) / 8, qubits(3))
+        white = DensityMatrix(np.eye(8) / 8, (2, 2, 2))
         assert evaluate(pi4_witness, white) > 0
         assert robustness_radius(pi4_witness, white, label_state(uniform_direction(3))) == 0.0
 
@@ -178,8 +177,8 @@ class TestRobustnessRadius:
 
     def test_direction_may_be_any_state(self, pi4_witness, pi4_state):
         # a DensityMatrix built directly, not from a label map; the radius is -tr(W rho) / tr(W sigma)
-        white = DensityMatrix(np.eye(8) / 8, qubits(3))
-        drawn = random_density_matrix(qubits(3), np.random.default_rng(23))
+        white = DensityMatrix(np.eye(8) / 8, (2, 2, 2))
+        drawn = random_density_matrix((2, 2, 2), np.random.default_rng(23))
         detected = np.trace(pi4_witness.matrix @ pi4_state.matrix).real
         for sigma in (white, drawn):
             denom = np.trace(pi4_witness.matrix @ sigma.matrix).real
