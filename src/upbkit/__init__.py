@@ -25,7 +25,6 @@ from .states import (
 from .upb import (
     UPB,
     HuntResult,
-    ShiftsParams,
     UnextendibilityCertificate,
     certify_unextendible,
     seesaw_max_product_overlap,

@@ -89,8 +89,8 @@ from .states import (
 )
 from .upb import (
     DEFAULT_RESTARTS,
-    ShiftsParams,
     certify_unextendible,
+    shifts_angles,
     shifts_family,
     subspace_product_hunt,
     upb_state,
@@ -144,7 +144,7 @@ def _parse_angles(raw: Any, name: str) -> list[float]:
         raise ConfigError(f"{name} must be a list of three angles")
     vals = [_parse_float(x, f"{name} value") for x in raw]
     try:
-        ShiftsParams(*vals)
+        shifts_angles(vals)
     except ValueError as exc:
         raise ConfigError(f"invalid {name}: {exc}") from exc
     return vals
@@ -319,7 +319,7 @@ def _cut_payload(cut: Sequence[int]) -> dict[str, list[int]]:
 
 
 def cmd_build(config: dict[str, Any]) -> dict[str, Any]:
-    u = shifts_family(ShiftsParams(*config["angles"]))
+    u = shifts_family(config["angles"])
     rho = upb_state(u)
     spectrum = linalg.eigvalsh_unchecked(rho.matrix)
     ppt_rows = []
@@ -340,7 +340,7 @@ def cmd_build(config: dict[str, Any]) -> dict[str, Any]:
 
 
 def _certified_witness(config: dict[str, Any]):
-    u = shifts_family(ShiftsParams(*config["angles"]))
+    u = shifts_family(config["angles"])
     cert = certify_unextendible(u, restarts=config["restarts"], seed=config["seed"])
     return u, cert, build_upb_witness(u, cert)
 
@@ -358,7 +358,7 @@ def cmd_certify(config: dict[str, Any]) -> dict[str, Any]:
 
 
 def cmd_perturb_scan(config: dict[str, Any]) -> dict[str, Any]:
-    u = shifts_family(ShiftsParams(*config["angles"]))
+    u = shifts_family(config["angles"])
     _, noise_states = _NOISE_KINDS[config["noise"]["kind"]]
     names, noises = zip(*noise_states(config))
     scan = mixing_scan(u, noises, config["cut"], config["epsilon_grid"])
@@ -396,8 +396,8 @@ def cmd_perturb_scan(config: dict[str, Any]) -> dict[str, Any]:
 
 
 def cmd_rank_mixtures(config: dict[str, Any]) -> dict[str, Any]:
-    u1 = shifts_family(ShiftsParams(*config["angles"]))
-    u2 = shifts_family(ShiftsParams(*config["angles_second"]))
+    u1 = shifts_family(config["angles"])
+    u2 = shifts_family(config["angles_second"])
     rho1 = upb_state(u1)
     rho2 = upb_state(u2)
     equal_mix = (rho1.matrix + rho2.matrix) / 2.0
@@ -414,7 +414,7 @@ def cmd_rank_mixtures(config: dict[str, Any]) -> dict[str, Any]:
 def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
     runs: list[tuple[int, np.ndarray, Sequence[int]]] = []
     if config["subspace_kind"] == "upb_complement":
-        u = shifts_family(ShiftsParams(*config["angles"]))
+        u = shifts_family(config["angles"])
         runs.append((0, u.complement_projector, [config["seed"], 0]))
         dim = _DIM - u.size
     else:

@@ -1,15 +1,16 @@
 """Unextendible product bases: construction, certification, and product hunting.
 
-The three-qubit family built here is parametrized by one angle per party:
+The three-qubit family ``shifts_family((a, b, c))`` takes one angle per party:
 
     |psi_1> = |0>|0>|0>          |psi_3> = |A>|1>|C~>
     |psi_2> = |1>|B>|C>          |psi_4> = |A~>|B~>|1>
 
 with |A> = cos(a)|0> + sin(a)|1> and |A~> = sin(a)|0> - cos(a)|1> (the phase
 convention for the orthogonal partner is fixed for determinism), similarly
-for B and C.  For angles strictly inside (0, pi/2) the four vectors are
-pairwise orthogonal and their complement contains no product vector; at the
-boundary the complement acquires one and the family degenerates.
+for B and C.  For angles strictly inside (0, pi/2), the range ``shifts_angles``
+checks, the four vectors are pairwise orthogonal and their complement contains
+no product vector; at the boundary the complement acquires one and the family
+degenerates.
 
 Product vectors take the format of ``states``: a ``UPB`` holds its m
 members, and a hunt result its hits, as one ``(m, d_k)`` stack of local
@@ -61,23 +62,6 @@ DISTINCT_FIDELITY_TOL = 1e-6     # hits with fidelity > 1 - tol are the same sol
 PROJECTOR_TOL = 1e-10
 HUNT_RESIDUAL_TOL = 1e-8         # a solved point lies in the subspace when ||(I - P) phi|| < tol
 SEGRE_DEGENERACY_TOL = 1e-12     # relative size below which the solve's leading term or N's rank vanishes
-
-
-@dataclass(frozen=True)
-class ShiftsParams:
-    """Angles (radians) for the three local pairs; each strictly inside (0, pi/2)."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        for name, val in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if not 0.0 < val < np.pi / 2:
-                raise ValueError(
-                    f"angle {name}={val!r} is at or outside (0, pi/2); "
-                    "the family degenerates there and the complement acquires product vectors"
-                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +150,21 @@ def _angle_pair(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
-def shifts_family(params: ShiftsParams) -> UPB:
-    """The one-angle-per-party three-qubit family; orthogonal by construction."""
-    (va, wa), (vb, wb), (vc, wc) = (_angle_pair(t) for t in (params.a, params.b, params.c))
+def shifts_angles(angles: Sequence[float]) -> tuple[float, ...]:
+    """``tuple(angles)``; ValueError unless there are three, each strictly inside (0, pi/2)."""
+    angles = tuple(angles)
+    if len(angles) != 3:
+        raise ValueError(f"the family takes three angles, one per party, got {len(angles)}")
+    for name, val in zip("abc", angles):
+        if not 0.0 < val < np.pi / 2:  # written so that a NaN angle fails too
+            raise ValueError(f"angle {name}={val!r} is at or outside (0, pi/2); "
+                             "the family degenerates there and the complement acquires product vectors")
+    return angles
+
+
+def shifts_family(angles: Sequence[float]) -> UPB:
+    """The one-angle-per-party three-qubit family of angles ``(a, b, c)``; orthogonal by construction."""
+    (va, wa), (vb, wb), (vc, wc) = (_angle_pair(t) for t in shifts_angles(angles))
     e0, e1 = np.eye(2, dtype=complex)
     # row i of party k's stack is member i's local vector, in the order of the module docstring
     stacks = (
@@ -432,7 +428,10 @@ class HuntResult:
 
     @property
     def vectors(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The hits one at a time, each a product vector: row r of every stack."""
+        """The hits one at a time, each a product vector: row r of every stack.
+
+        Kept for the benchmark tracer's ``upb.hunt.hits`` counter; it goes when that counter reads ``distinct_count``.
+        """
         return tuple(zip(*self.local_stacks))
 
 

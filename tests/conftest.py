@@ -7,7 +7,6 @@ import pytest
 from upbkit import upb
 from upbkit.linalg import DEFAULT_TOL
 from upbkit import (
-    ShiftsParams,
     build_upb_witness,
     certify_unextendible,
     seesaw_max_product_overlap,
@@ -64,7 +63,7 @@ def child_pythonpath():
 
 @pytest.fixture(scope="session")
 def pi4_params():
-    return ShiftsParams(np.pi / 4, np.pi / 4, np.pi / 4)
+    return (np.pi / 4,) * 3
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,6 @@ import pytest
 from upbkit import linalg as la
 from upbkit import (
     NoiseEffect,
-    ShiftsParams,
     basis_labels,
     bipartitions,
     build_upb_witness,
@@ -48,7 +47,7 @@ PI4 = [math.pi / 4] * 3
 
 
 def sample_params(rng):
-    return ShiftsParams(*rng.uniform(0.01, np.pi / 2 - 0.01, size=3))
+    return tuple(rng.uniform(0.01, np.pi / 2 - 0.01, size=3))
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -11,14 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from upbkit import ConvergenceError, basis_labels
-from upbkit import cli
+from upbkit import cli, upb
 from upbkit.cli import ConfigError, parse_config, run_command
 from upbkit.reporting import SchemaError, dumps_canonical, validate_report
 
 from conftest import lower_top_eigenvalue
 
 PI4 = [math.pi / 4, math.pi / 4, math.pi / 4]
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def make_config(**overrides):
@@ -154,6 +156,14 @@ class TestConfigParsing:
     def test_boundary_angle_rejected(self):
         with pytest.raises(ConfigError, match="degenerates"):
             parse_config(make_config(angles=[0.0, 0.7, 1.1]))
+
+    def test_nan_angle_exits_1(self, tmp_path, capsys):
+        # json reads the bare NaN token; the family's one angle check rejects it
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(make_config(angles=[math.nan, 0.7, 1.1])))
+        assert "NaN" in cfg.read_text()
+        assert cli.main(["--config", str(cfg)]) == 1
+        assert "invalid angles: angle a=nan is at or outside" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(ConfigError, match="command"):
@@ -721,3 +731,42 @@ class TestEndToEnd:
             monkeypatch.setitem(cli._RUNNERS, "rank-mixtures", runner)
             with pytest.raises(SchemaError, match=message):
                 cli.main(["--config", str(cfg)])
+
+
+class TestBenchmarkHarness:
+    """The package names ``perfbench/`` binds, so that deleting one fails the suite and not only the benchmark.
+
+    No test here calls ``Tracer.install()``: it rewrites the package's module
+    attributes for the rest of the session.
+    """
+
+    @pytest.fixture
+    def perfbench(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import run
+        import tracing
+        import workloads
+
+        return run, tracing, workloads
+
+    def test_run_job_statuses_on_certify_jobs(self, perfbench):
+        # a core job certifies; a near-face job exits 3 through run_job's except clauses,
+        # which evaluate cli.ConvergenceError and cli.PositivityError on the way
+        run, _, workloads = perfbench
+        near_face = {tuple(angles) for angles, _ in workloads.FAILING_ANGLES}
+        certify = [job for job in workloads.job_list("certify", 1) if job["command"] == "certify"]
+        core = next(job for job in certify if tuple(job["angles"]) not in near_face)
+        failing = next(job for job in certify if tuple(job["angles"]) in near_face)
+        assert run.run_job(cli, core)[0] == 0
+        assert run.run_job(cli, failing)[0] == 3
+
+    def test_bound_names(self, perfbench):
+        _, tracing, _ = perfbench
+        for name in ("run_command", "parse_config", "ConvergenceError", "PositivityError", "CertificationError"):
+            assert hasattr(cli, name), name
+        assert callable(cli.Report.render)
+        for entry in tracing.SEESAW_ENTRIES:
+            module, name = entry.split(".")
+            assert module == "upb", entry
+            assert "restarts" in inspect.signature(getattr(upb, name)).parameters, entry
+        assert isinstance(upb.HuntResult.vectors, property)

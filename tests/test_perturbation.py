@@ -17,7 +17,6 @@ from upbkit import (
     perturb_mix,
     random_density_matrix,
     shifts_family,
-    ShiftsParams,
     uniform_direction,
     upb_state,
 )
@@ -35,7 +34,7 @@ def maximally_mixed():
     return DensityMatrix(np.eye(8) / 8, (2, 2, 2), validate=False)
 
 
-def complexified_family(params=ShiftsParams(0.4, 0.8, 1.2)):
+def complexified_family(params=(0.4, 0.8, 1.2)):
     """Family members rotated by a complex local unitary on party 0.
 
     Local unitaries preserve orthogonality and unextendibility, but make the
@@ -78,7 +77,7 @@ class TestPerturbLocal:
 
     def test_positivity_bound_is_the_state_bound(self):
         # an eigenvalue DensityMatrix would reject is rejected here too, and one it accepts passes
-        rho = upb_state(shifts_family(ShiftsParams(0.3, 0.7, 1.1)))
+        rho = upb_state(shifts_family((0.3, 0.7, 1.1)))
         with pytest.raises(PositivityError, match="eigenvalue -5.0"):
             perturb_local(rho, {("0", "0", "0"): -5e-10})
         out = perturb_local(rho, {("0", "0", "0"): -5e-11})
@@ -181,7 +180,7 @@ class TestKernelProductBasis:
         # the span-equality statement, checked numerically against the eigensolver
         rng = np.random.default_rng(1618)
         for _ in range(15):
-            params = ShiftsParams(*rng.uniform(0.02, np.pi / 2 - 0.02, size=3))
+            params = tuple(rng.uniform(0.02, np.pi / 2 - 0.02, size=3))
             u = shifts_family(params)
             rho = upb_state(u)
             for cut in ALL_CUTS:
@@ -355,7 +354,7 @@ class TestMixingScan:
             "epsilon_grid": [1e-4, 1e-3, 1e-2, 1e-1], "cut": list(cut),
         })
         payload = cli.run_command(config).payload
-        u = shifts_family(ShiftsParams(*config["angles"]))
+        u = shifts_family(config["angles"])
         rho = upb_state(u)
         _, noise_samples = cli._NOISE_KINDS[noise["kind"]]
         samples = noise_samples(config)

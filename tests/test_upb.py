@@ -8,7 +8,6 @@ import pytest
 from upbkit import linalg as la
 from upbkit import upb
 from upbkit import (
-    ShiftsParams,
     UPB,
     build_upb_witness,
     certify_unextendible,
@@ -32,7 +31,7 @@ PI4_MAX_OVERLAP = 0.9185586535436877
 
 def random_params(rng):
     lo, hi = 0.02, np.pi / 2 - 0.02
-    return ShiftsParams(*rng.uniform(lo, hi, size=3))
+    return tuple(rng.uniform(lo, hi, size=3))
 
 
 def degenerate_family_members():
@@ -171,10 +170,23 @@ class TestShiftsFamily:
         assert max(overlaps) > 1 - 1e-12
 
     def test_boundary_angles_rejected(self):
-        with pytest.raises(ValueError, match="degenerates"):
-            ShiftsParams(0.0, 0.7, 1.1)
-        with pytest.raises(ValueError, match="degenerates"):
-            ShiftsParams(0.3, np.pi / 2, 1.1)
+        for angles in ((0.0, 0.7, 1.1), (0.3, np.pi / 2, 1.1), (np.nan, 0.7, 1.1), (0.3, np.inf, 1.1),
+                       (0.3, 0.7, -np.inf)):
+            with pytest.raises(ValueError, match="degenerates"):
+                shifts_family(angles)
+
+    def test_angle_count_rejected(self):
+        for angles in ((0.3, 0.7), (0.3, 0.7, 1.1, 0.5)):
+            with pytest.raises(ValueError, match="three angles"):
+                shifts_family(angles)
+
+    def test_any_sequence_of_angles_builds_the_same_stacks(self):
+        # the cli passes a list of floats, the tests tuples of numpy floats; the angles are not converted
+        angles = [0.3, 0.7, 1.1]
+        built = [shifts_family(a).local_stacks for a in (angles, np.array(angles), tuple(angles))]
+        for stacks in built[1:]:
+            for s, t in zip(stacks, built[0], strict=True):
+                assert s.tobytes() == t.tobytes()
 
     def test_upb_type_rejects_nonorthogonal(self):
         e0 = np.array([1.0, 0.0], dtype=complex)
@@ -257,7 +269,7 @@ class TestShiftsFamily:
             assert len({a, b, a}) == 2, type(a).__name__
 
     def test_projectors_are_cached_and_read_only(self):
-        u = shifts_family(ShiftsParams(0.3, 0.7, 1.1))
+        u = shifts_family((0.3, 0.7, 1.1))
         member_sum = u.member_sum_projector
         complement = u.complement_projector
         assert u.member_sum_projector is member_sum
@@ -641,7 +653,7 @@ class TestExactQubitHunt:
                       (0.01, 0.01, 0.01), (np.pi / 2 - 0.02,) * 3]
         drawn = np.random.default_rng(7).uniform(0.01, np.pi / 2 - 0.01, size=(40, 3))
         for angles in near_faces + [tuple(a) for a in drawn]:
-            u = shifts_family(ShiftsParams(*angles))
+            u = shifts_family(angles)
             result = subspace_product_hunt(u.complement_projector, u.local_dims, restarts=12, seed=0)
             assert (result.distinct_count, result.rank) == (0, 0), angles
 
@@ -671,7 +683,7 @@ class TestHuntFallback:
     @pytest.mark.parametrize("member", [0, 1, 2, 3])
     def test_upb_complement_plus_member(self, seesaw_calls, member):
         # a = |0> or |1> puts two points on one root x = 0, or one at x = infinity
-        u = shifts_family(ShiftsParams(0.5, 0.8, 1.0))
+        u = shifts_family((0.5, 0.8, 1.0))
         projector = u.complement_projector + product_projector([s[member] for s in u.local_stacks])
         result = subspace_product_hunt(projector, u.local_dims, restarts=64, seed=member)
         assert len(seesaw_calls) == 1
@@ -741,7 +753,7 @@ class TestKnownWrongAnswers:
     @pytest.mark.parametrize("angles", [(0.05, 0.05, 0.05), (0.1, np.pi / 2 - 0.1, 0.1)])
     def test_near_face_upb_is_certified(self, angles):
         # today max_overlap is 0.99999688 and 0.99999901 at every seed, above 1 - UNEXTENDIBILITY_GAP
-        u = shifts_family(ShiftsParams(*angles))
+        u = shifts_family(angles)
         for seed in range(3):
             assert certify_unextendible(u, restarts=64, seed=seed).certifies_unextendible
 
@@ -752,7 +764,7 @@ class TestKnownWrongAnswers:
     def test_upb_complement_holds_no_product_vector(self, eps, restarts):
         # today 4 hits of rank 4 from the exact solve at 1e-3; at 1e-4 the solve
         # degenerates and the seesaw fallback reports 3 hits of rank 3
-        u = shifts_family(ShiftsParams(eps, np.pi / 2 - eps, eps))
+        u = shifts_family((eps, np.pi / 2 - eps, eps))
         result = subspace_product_hunt(u.complement_projector, u.local_dims, restarts=restarts, seed=0)
         assert (result.distinct_count, result.rank) == (0, 0)
 
