@@ -15,7 +15,7 @@ Usage::
 
     upbkit --config cfg.json [--out report.json]
 
-The config schema (unknown fields are rejected)::
+The config schema (a command accepts exactly the fields it reads)::
 
     command       one of: build | certify | perturb-scan | rank-mixtures
                   | subspace-hunt | witness-radius
@@ -106,15 +106,6 @@ class ConfigError(ValueError):
     """The config file is malformed or inconsistent."""
 
 
-_COMMON_KEYS = {"command", "seed", "angles"}
-_ALLOWED_KEYS = {
-    "build": _COMMON_KEYS,
-    "certify": _COMMON_KEYS | {"restarts"},
-    "perturb-scan": _COMMON_KEYS | {"noise", "epsilon_grid", "cut"},
-    "rank-mixtures": _COMMON_KEYS | {"angles_second"},
-    "subspace-hunt": _COMMON_KEYS | {"restarts", "subspace_kind", "subspace_dim", "samples"},
-    "witness-radius": _COMMON_KEYS | {"restarts", "direction"},
-}
 # the parties of every command: label keys, cut indices, noise and drawn subspaces follow them
 _DIMS = (2, 2, 2)
 _N_PARTIES = len(_DIMS)
@@ -185,50 +176,50 @@ def _label_state(weights: dict[str, float]) -> DensityMatrix:
 
 
 def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
-    """Validate a config dict; unknown fields and missing requirements are rejected.
+    """Validate a config dict; a field its command does not read and a missing requirement are rejected.
 
-    Returns the config as JSON data: defaults filled in, label keys in their
-    canonical spelling, numbers as floats where a float is meant.  It is the
-    report's config echo, and parses back to itself.
+    Each field is taken from a copy of ``raw`` where it is parsed, and
+    whatever is left is unknown to the command.  Returns the config as JSON
+    data: defaults filled in, label keys in their canonical spelling, numbers
+    as floats where a float is meant.  It is the report's config echo, and
+    parses back to itself.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    command = raw.get("command")
-    if command not in tuple(_ALLOWED_KEYS):
-        raise ConfigError(f"command must be one of {tuple(_ALLOWED_KEYS)}, got {command!r}")
-    unknown = set(raw) - _ALLOWED_KEYS[command]
-    if unknown:
-        raise ConfigError(f"unknown config fields for {command}: {sorted(unknown)}")
+    rest = dict(raw)
+    command = rest.pop("command", None)
+    if command not in tuple(_RUNNERS):
+        raise ConfigError(f"command must be one of {tuple(_RUNNERS)}, got {command!r}")
 
-    if "seed" not in raw:
+    if "seed" not in rest:
         raise ConfigError("seed is required; runs must be reproducible")
-    config: dict[str, Any] = {"command": command, "seed": _parse_int(raw["seed"], "seed", 0, 2**64 - 1)}
-    if "restarts" in _ALLOWED_KEYS[command]:
-        config["restarts"] = _parse_int(raw.get("restarts", DEFAULT_RESTARTS), "restarts", 1, math.inf)
+    config: dict[str, Any] = {"command": command, "seed": _parse_int(rest.pop("seed"), "seed", 0, 2**64 - 1)}
+    if command in ("certify", "subspace-hunt", "witness-radius"):
+        config["restarts"] = _parse_int(rest.pop("restarts", DEFAULT_RESTARTS), "restarts", 1, math.inf)
 
-    needs_angles = command != "subspace-hunt" or raw.get("subspace_kind") == "upb_complement"
-    if "angles" in raw:
-        config["angles"] = _parse_angles(raw["angles"], "angles")
+    needs_angles = command != "subspace-hunt" or rest.get("subspace_kind") == "upb_complement"
+    if "angles" in rest:
+        config["angles"] = _parse_angles(rest.pop("angles"), "angles")
     elif needs_angles:
         raise ConfigError(f"{command} requires angles")
 
     if command == "rank-mixtures":
-        if "angles_second" not in raw:
+        if "angles_second" not in rest:
             raise ConfigError("rank-mixtures requires angles_second")
-        config["angles_second"] = _parse_angles(raw["angles_second"], "angles_second")
+        config["angles_second"] = _parse_angles(rest.pop("angles_second"), "angles_second")
         if config["angles_second"] == config["angles"]:
             raise ConfigError("angles and angles_second must be distinct parameter sets")
 
     if command == "perturb-scan":
-        config["noise"] = _parse_noise(raw.get("noise"))
-        grid = raw.get("epsilon_grid")
+        config["noise"] = _parse_noise(rest.pop("noise", None))
+        grid = rest.pop("epsilon_grid", None)
         if not isinstance(grid, (list, tuple)) or not grid:
             raise ConfigError("perturb-scan requires a nonempty epsilon_grid")
         eps = [_parse_float(x, "epsilon_grid value") for x in grid]
         if any(not 0.0 < e <= EPSILON_GUARD for e in eps):
             raise ConfigError(f"epsilon_grid values must lie in (0, {EPSILON_GUARD}]")
         config["epsilon_grid"] = eps
-        cut_raw = raw.get("cut", [0])
+        cut_raw = rest.pop("cut", [0])
         if not isinstance(cut_raw, (list, tuple)) or not cut_raw:
             raise ConfigError("cut must be a nonempty list of party indices")
         indices = [_parse_int(k, "cut index", 0, _N_PARTIES - 1) for k in cut_raw]
@@ -238,7 +229,7 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
             raise ConfigError(f"invalid cut: {exc}") from exc
 
     if command == "witness-radius":
-        direction = raw.get("direction", "uniform")
+        direction = rest.pop("direction", "uniform")
         if direction != "uniform":
             direction = _parse_label_map(direction, "direction")
             if min(direction.values()) < 0:
@@ -248,19 +239,21 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
         config["direction"] = direction
 
     if command == "subspace-hunt":
-        kind = raw.get("subspace_kind", "random")
+        kind = rest.pop("subspace_kind", "random")
         if kind not in ("random", "planted", "upb_complement"):
             raise ConfigError(f"unknown subspace_kind {kind!r}")
         config["subspace_kind"] = kind
         if kind == "upb_complement":
-            if "subspace_dim" in raw or "samples" in raw:
+            if "subspace_dim" in rest or "samples" in rest:
                 raise ConfigError("upb_complement hunts fix the subspace; drop subspace_dim/samples")
         else:
-            if "angles" in raw:
+            if "angles" in config:
                 raise ConfigError(f"{kind} hunts draw their subspaces from the seed; drop angles")
-            config["subspace_dim"] = _parse_int(raw.get("subspace_dim"), "subspace_dim", 1, _DIM)
-            config["samples"] = _parse_int(raw.get("samples"), "samples", 1, math.inf)
+            config["subspace_dim"] = _parse_int(rest.pop("subspace_dim", None), "subspace_dim", 1, _DIM)
+            config["samples"] = _parse_int(rest.pop("samples", None), "samples", 1, math.inf)
 
+    if rest:
+        raise ConfigError(f"unknown config fields for {command}: {sorted(rest)}")
     return config
 
 

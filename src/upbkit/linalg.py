@@ -34,8 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-HERMITIAN_RTOL = 1e-12      # admissible |H - H^dag| relative to 1 + maxabs(H)
-DEFAULT_TOL = 1e-9          # rank / span threshold for unit-trace operators and unit vectors
+HERMITIAN_RTOL = 1e-12      # a matrix is Hermitian when max |H - H^dag| <= this times 1 + max |H|
+DEFAULT_TOL = 1e-9          # a unit-trace operator's |eigenvalue| below it is zero: rank, span, PPT, degeneracy
 
 
 class ConvergenceError(RuntimeError):
@@ -158,10 +158,14 @@ def numerical_rank(matrix: np.ndarray) -> int:
 def span_projector(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """Orthogonal projector onto the span of ``vectors``: the left singular vectors with singular value above DEFAULT_TOL.
 
-    An empty span (no vectors, or none above the tolerance) raises ValueError.
+    An empty span (no vectors, or none above the tolerance) or an entry that
+    is not finite raises ValueError.
     """
     if len(vectors):
-        u, s, _ = np.linalg.svd(np.column_stack(vectors), full_matrices=False)
+        stacked = np.column_stack(vectors)
+        if not np.isfinite(stacked).all():
+            raise ValueError("vectors have an entry that is not finite")
+        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
         basis = u[:, s > DEFAULT_TOL]
         if basis.shape[1]:
             return basis @ basis.conj().T

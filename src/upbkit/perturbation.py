@@ -20,9 +20,9 @@ noise's partial transpose onto that basis gives a small Hermitian matrix
 whose eigenvalues lam_r predict the lowest eigenvalues of the perturbed
 partial transpose to first order, eps * lam_r + O(eps^2).  The sign of the
 smallest lam_r therefore classifies the noise: positive keeps the state PPT
-across the cut, negative makes it NPT, and a vanishing lam_r is reported as
-degenerate (first order is silent; callers resolve those instances by exact
-diagonalization at their eps).
+across the cut, negative makes it NPT, and one within ``linalg.DEFAULT_TOL`` of
+zero is degenerate (first order is silent; callers resolve those instances by
+exact diagonalization at their eps).
 
 ``mixing_scan`` is the one entry point for that analysis: it classifies S
 noise states and compares the prediction with the exact spectrum over a grid
@@ -46,8 +46,7 @@ from .states import (
 )
 from .upb import UPB
 
-EPSILON_GUARD = 0.1          # perturbative regime of the first-order predictions
-DEGENERACY_BAND = 1e-9       # |lam_min| below this is degenerate
+EPSILON_GUARD = 0.1          # the largest eps of the first-order predictions' perturbative regime
 
 
 class PositivityError(RuntimeError):
@@ -153,7 +152,7 @@ def mixing_scan(
     (at least one) and ``cut`` lists the side-a parties.  The kernel basis is
     built once; the S compressions are symmetrized together and diagonalized
     in one stacked solve.  A verdict is DEGENERATE when |lam_min| <=
-    DEGENERACY_BAND; the exact column decides those.
+    ``linalg.DEFAULT_TOL``; the exact column decides those.
 
     Every partial transpose is taken once: rho's and the S noise states'.
     The partial transpose is an index permutation, so ``(rho^T + eps *
@@ -177,8 +176,8 @@ def mixing_scan(
     comp = basis.conj().T @ pt_noise @ basis
     lam = linalg.eigvalsh_unchecked((comp + comp.conj().swapaxes(-1, -2)) / 2.0)
     verdicts = tuple(
-        NoiseEffect.PPT_PRESERVING if x > DEGENERACY_BAND
-        else NoiseEffect.NPT_INDUCING if x < -DEGENERACY_BAND
+        NoiseEffect.PPT_PRESERVING if x > linalg.DEFAULT_TOL
+        else NoiseEffect.NPT_INDUCING if x < -linalg.DEFAULT_TOL
         else NoiseEffect.DEGENERATE
         for x in lam[:, 0]
     )

@@ -16,7 +16,8 @@ Gram) basis of the n-qubit operator space, which is what makes "perturb in
 every independent direction" a finite computation.  ``projector_basis(n)``
 holds them as one cached, read-only ``(4^n, 2^n, 2^n)`` array in
 ``basis_labels(n)`` order, and ``projector_combination`` contracts a
-label -> coefficient map against it.
+label -> coefficient map against it.  A cut is PPT when its smallest
+partial-transpose eigenvalue is at least ``-linalg.DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ from . import linalg
 
 LABELS = ("0", "1", "phi1", "phi2")
 
-TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
-PPT_TOL = 1e-9
-PROJECTOR_BASIS_MAX_QUBITS = 6
+TRACE_TOL = 1e-12                # a trace, a norm or a weight sum that must be 1 may miss it by this much
+PSD_TOL = 1e-10                  # a validated state's smallest eigenvalue may lie this far below 0
+PROJECTOR_BASIS_MAX_QUBITS = 6   # the largest n of projector_basis(n), so that D = 2^n <= 64
 
 _LOCAL_VECTORS = {
     "0": np.array([1.0, 0.0], dtype=complex),
@@ -201,27 +201,28 @@ def min_pt_eigenvalue(rho: DensityMatrix, cut: Sequence[int]) -> float:
 def is_ppt_all_cuts(rho: DensityMatrix) -> dict[tuple[int, ...], CutVerdict]:
     """PPT verdict and min PT eigenvalue for every cut of ``bipartitions``, keyed by the cut.
 
-    A cut is PPT when its min PT eigenvalue is at least -PPT_TOL.
+    A cut is PPT when its min PT eigenvalue is at least ``-linalg.DEFAULT_TOL``.
     """
     report: dict[tuple[int, ...], CutVerdict] = {}
     for cut in bipartitions(len(rho.local_dims)):
         mn = min_pt_eigenvalue(rho, cut)
-        report[cut] = CutVerdict(mn >= -PPT_TOL, mn)
+        report[cut] = CutVerdict(mn >= -linalg.DEFAULT_TOL, mn)
     return report
 
 
 def random_product_vector(local_dims: Sequence[int], rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Product vector, one local vector per party, each drawn uniformly on the complex unit sphere."""
+    """One local vector per party, each uniform on the complex unit sphere; ``linalg.party_dims`` checks the dims."""
     locs = []
-    for d in local_dims:
+    for d in linalg.party_dims(local_dims):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         locs.append(v / np.linalg.norm(v))
     return tuple(locs)
 
 
 def random_density_matrix(local_dims: Sequence[int], rng: np.random.Generator) -> DensityMatrix:
-    """Full-rank state G G^dag / tr from a complex Gaussian G (Ginibre sampling)."""
-    d = math.prod(local_dims)
+    """Full-rank state G G^dag / tr from a complex Gaussian G (Ginibre sampling), dims checked by ``party_dims``."""
+    dims = linalg.party_dims(local_dims)
+    d = math.prod(dims)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, local_dims, validate=False)
+    return DensityMatrix(m / np.trace(m).real, dims, validate=False)

@@ -50,15 +50,14 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, expand_locals
+from .states import TRACE_TOL, DensityMatrix, expand_locals
 
 UNEXTENDIBILITY_GAP = 1e-3       # certified when max_overlap < 1 - gap
-UNIT_NORM_TOL = 1e-12
-PAIRWISE_ORTHO_TOL = 1e-10
-SEESAW_IMPROVEMENT_TOL = 1e-12
-SEESAW_MAX_SWEEPS = 500
-DEFAULT_RESTARTS = 64
+SEESAW_IMPROVEMENT_TOL = 1e-12   # a restart stops when a sweep gains less; a larger drop is a guard trip
+SEESAW_MAX_SWEEPS = 500          # a restart stops after this many sweeps
+DEFAULT_RESTARTS = 64            # seesaw restarts when the caller names none
 DISTINCT_FIDELITY_TOL = 1e-6     # hits with fidelity > 1 - tol are the same solution
+# max |PP - P| of a projector, and max |<i|j>| of distinct members: they are orthonormal iff V V^H is idempotent
 PROJECTOR_TOL = 1e-10
 HUNT_RESIDUAL_TOL = 1e-8         # a solved point lies in the subspace when ||(I - P) phi|| < tol
 SEGRE_DEGENERACY_TOL = 1e-12     # relative size below which the solve's leading term or N's rank vanishes
@@ -85,10 +84,11 @@ class UPB:
 
     Row i of ``local_stacks[k]`` is member i's local vector for party k.
     Construction keeps read-only copies of the stacks, reads ``local_dims``
-    from their widths, checks every row for unit norm, expands the members
-    once into the columns of the read-only ``(D, m)`` matrix ``vectors`` and
-    checks orthogonality with one Gram product ``V^H V``.  The projector
-    attributes are built from ``vectors`` on first use and cached read-only.
+    from their widths, checks every row for unit norm within
+    ``states.TRACE_TOL``, expands the members once into the columns of the
+    read-only ``(D, m)`` matrix ``vectors`` and checks orthogonality with one
+    Gram product ``V^H V`` within ``PROJECTOR_TOL``.  The projector attributes
+    are built from ``vectors`` on first use and cached read-only.
     """
 
     local_stacks: tuple[np.ndarray, ...]
@@ -111,14 +111,14 @@ class UPB:
             raise ValueError("an unextendible product basis must be incomplete (m < D)")
         for k, s in enumerate(stacks):
             # written so that a NaN norm fails too
-            bad = ~(np.abs(np.linalg.norm(s, axis=1) - 1.0) <= UNIT_NORM_TOL)
+            bad = ~(np.abs(np.linalg.norm(s, axis=1) - 1.0) <= TRACE_TOL)
             if bad.any():
                 raise ValueError(f"member {np.argmax(bad)}: local vector {k} is not normalized")
         vecs = _read_only(np.ascontiguousarray(expand_locals(stacks).T))
         object.__setattr__(self, "vectors", vecs)
         gram = vecs.conj().T @ vecs
         # written so that a NaN overlap fails too; the first pair found has i < j
-        bad = ~(np.abs(gram) <= PAIRWISE_ORTHO_TOL)
+        bad = ~(np.abs(gram) <= PROJECTOR_TOL)
         np.fill_diagonal(bad, False)
         if bad.any():
             i, j = np.argwhere(bad)[0]

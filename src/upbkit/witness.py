@@ -30,8 +30,8 @@ from . import linalg
 from .states import TRACE_TOL, DensityMatrix
 from .upb import UPB, UnextendibilityCertificate
 
-SAFETY_MARGIN = 1e-6      # subtracted from the seesaw's floor estimate c
-RADIUS_DENOM_FLOOR = 1e-15
+SAFETY_MARGIN = 1e-6        # subtracted from the seesaw's floor estimate c
+RADIUS_DENOM_FLOOR = 1e-15  # tr(W sigma) at or below it: detection is never lost along the ray
 
 
 class CertificationError(RuntimeError):

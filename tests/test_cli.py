@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import json
 import math
@@ -6,13 +7,14 @@ import pathlib
 import runpy
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from upbkit import ConvergenceError, basis_labels
-from upbkit import cli, upb
+from upbkit import cli, reporting, upb
 from upbkit.cli import ConfigError, parse_config, run_command
 from upbkit.reporting import SchemaError, dumps_canonical, validate_report
 
@@ -146,6 +148,9 @@ class TestConfigParsing:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config fields"):
             parse_config(make_config(extra_knob=1))
+        # a field the command reads is parsed before what is left over is reported
+        with pytest.raises(ConfigError, match="invalid angles"):
+            parse_config(make_config(extra_knob=1, angles=[0.0, 0.7, 1.1]))
 
     def test_missing_seed_rejected(self):
         raw = make_config()
@@ -255,11 +260,16 @@ class TestConfigParsing:
         # every tolerance is fixed at its library default; there is no config knob for one
         with pytest.raises(ConfigError, match=r"unknown config fields for build: \['tolerances'\]"):
             parse_config(make_config(tolerances={"rank_tol": 1e-8}))
-        # only the commands that run the seesaw take restarts
-        for name in ("build", "perturb-scan", "rank-mixtures"):
-            raw = {**ALL_COMMAND_CONFIGS[name], "restarts": 64}
-            with pytest.raises(ConfigError, match=rf"unknown config fields for {name}: \['restarts'\]"):
-                parse_config(raw)
+        # each command takes exactly the fields it reads: a field only other commands read is unknown to it
+        # (restarts included, which only the commands that run the seesaw take).  Left out: angles on a
+        # drawn hunt, which has its own message (test_angles_rejected_on_drawn_hunts)
+        fields = {field: value for raw in ALL_COMMAND_CONFIGS.values() for field, value in raw.items()}
+        for name, raw in ALL_COMMAND_CONFIGS.items():
+            for field, value in fields.items():
+                if field in raw or (name, field) == ("subspace-hunt", "angles"):
+                    continue
+                with pytest.raises(ConfigError, match=rf"unknown config fields for {name}: \['{field}'\]"):
+                    parse_config({**raw, field: value})
         for name in ("certify", "subspace-hunt", "witness-radius"):
             raw = {k: v for k, v in ALL_COMMAND_CONFIGS[name].items() if k != "restarts"}
             assert parse_config(raw)["restarts"] == 64
@@ -770,3 +780,13 @@ class TestBenchmarkHarness:
             assert module == "upb", entry
             assert "restarts" in inspect.signature(getattr(upb, name)).parameters, entry
         assert isinstance(upb.HuntResult.vectors, property)
+        # install() reads each traced module from sys.modules and wraps its public functions, the
+        # runners in cli._RUNNERS included; its report_bytes counter keys on reporting.dumps_canonical
+        for short in tracing.TRACED_MODULES:
+            assert importlib.import_module(f"upbkit.{short}") is sys.modules[f"upbkit.{short}"], short
+        assert isinstance(reporting.dumps_canonical, types.FunctionType)
+        assert reporting.dumps_canonical.__module__ == "upbkit.reporting"
+        # parse_config accepts exactly the commands of cli._RUNNERS
+        assert set(cli._RUNNERS) == set(ALL_COMMAND_CONFIGS)
+        for name, runner in cli._RUNNERS.items():
+            assert isinstance(runner, types.FunctionType) and getattr(cli, runner.__name__) is runner, name

@@ -272,6 +272,14 @@ class TestSubspaceDistance:
         with pytest.raises(ValueError, match="empty span"):
             la.span_projector([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_span_projector_rejects_an_entry_that_is_not_finite(self, bad):
+        v = np.array([1.0, 0.0, 0.0])
+        w = np.array([0.0, bad, 1.0])
+        for spans in (la.span_projector, lambda vs: la.subspace_distance(vs, [v])):
+            with pytest.raises(ValueError, match="not finite"):
+                spans([v, w])
+
     def test_span_projector_drops_dependent(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2)
         p = la.span_projector([v, 2 * v])

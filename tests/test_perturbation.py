@@ -291,6 +291,16 @@ class TestClassification:
     def test_orthogonal_support_is_degenerate(self, pi4_upb, pi4_state):
         assert scan_one(pi4_state, pi4_upb).verdicts == (NoiseEffect.DEGENERATE,)
 
+    @pytest.mark.parametrize("scale, verdict", [(0.5, NoiseEffect.DEGENERATE), (2.0, NoiseEffect.PPT_PRESERVING)])
+    def test_degeneracy_threshold_is_the_zero_eigenvalue_threshold(self, pi4_upb, pi4_state, scale, verdict):
+        # the compression of (1 - t) rho_UPB + t I/8 is t/8 I up to rounding: lam_min = scale * DEFAULT_TOL
+        t = 8 * scale * la.DEFAULT_TOL
+        noise = DensityMatrix((1 - t) * pi4_state.matrix + t * np.eye(8) / 8, (2, 2, 2), validate=False)
+        for cut in ALL_CUTS:
+            scan = scan_one(noise, pi4_upb, cut)
+            assert scan.compression_eigenvalues[0, 0] == pytest.approx(scale * la.DEFAULT_TOL, rel=1e-6)
+            assert scan.verdicts == (verdict,)
+
     def test_ppt_preserving_confirmed_by_exact_spectrum(self, pi4_upb, pi4_state):
         rng = np.random.default_rng(505)
         noises = [random_density_matrix((2, 2, 2), rng) for _ in range(20)]

@@ -66,6 +66,14 @@ class TestPartyStructure:
         rho = states.DensityMatrix(np.eye(8) / 8, np.array([2, 4]))
         assert rho.local_dims == (2, 4) and all(type(d) is int for d in rho.local_dims)
 
+    def test_random_draws_check_their_dims(self):
+        # the draws take no dims that linalg.party_dims rejects, before numpy sees them
+        rng = np.random.default_rng(0)
+        for draw, dims in ((states.random_product_vector, (2, 0)), (states.random_product_vector, ()),
+                           (states.random_density_matrix, (2, -1))):
+            with pytest.raises(ValueError, match="must each be at least 1, with product at least 2"):
+                draw(dims, rng)
+
     def test_bipartitions_three_parties(self):
         cuts = states.bipartitions(3)
         assert cuts == [(0,), (0, 1), (0, 2)]
@@ -274,6 +282,15 @@ class TestPPT:
         # the partial transpose checks the cut against the parties with linalg.cut_parties
         with pytest.raises(ValueError, match="proper subset"):
             states.min_pt_eigenvalue(ghz_state(), side_a)
+
+    @pytest.mark.parametrize("scale, ppt", [(0.5, True), (2.0, False)])
+    def test_ppt_threshold_is_the_zero_eigenvalue_threshold(self, scale, ppt):
+        # a diagonal matrix is its own partial transpose, so every cut's min PT eigenvalue is m
+        m = -scale * linalg.DEFAULT_TOL
+        rho = states.DensityMatrix(np.diag([m] + [(1 - m) / 7] * 7), (2, 2, 2), validate=False)
+        for verdict in states.is_ppt_all_cuts(rho).values():
+            assert verdict.min_eigenvalue == pytest.approx(m, rel=1e-6)
+            assert verdict.ppt is ppt
 
     def test_ghz_npt_on_all_cuts(self):
         report = states.is_ppt_all_cuts(ghz_state())
