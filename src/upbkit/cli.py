@@ -39,6 +39,10 @@ The config schema (a command accepts exactly the fields it reads)::
                   exactly and reads restarts only where that solve is
                   degenerate and falls back to the seesaw
 
+Every count (restarts, samples and the random noise count) is an integer in
+[1, MAX_COUNT], MAX_COUNT = 1024, so that no config asks a command for
+unbounded work or memory.
+
 Numbers must be JSON numbers: a bool or a string is rejected wherever a number
 is expected, and integer fields and cut indices take integers only.
 ``parse_config`` returns the validated config as JSON data, with defaults
@@ -90,6 +94,7 @@ from .states import (
 from .upb import (
     DEFAULT_RESTARTS,
     certify_unextendible,
+    counter_rngs,
     shifts_angles,
     shifts_family,
     subspace_product_hunt,
@@ -106,6 +111,8 @@ class ConfigError(ValueError):
     """The config file is malformed or inconsistent."""
 
 
+MAX_COUNT = 1024  # the largest restarts, samples or random noise count a config may ask for
+
 # the parties of every command: label keys, cut indices, noise and drawn subspaces follow them
 _DIMS = (2, 2, 2)
 _N_PARTIES = len(_DIMS)
@@ -115,7 +122,7 @@ _NPT_NOISE = entangled_pair_noise()
 _UNIFORM_STATE = DensityMatrix(projector_combination(uniform_direction(_N_PARTIES)), _DIMS)
 
 
-def _parse_int(raw: Any, name: str, lo: int, hi: float) -> int:
+def _parse_int(raw: Any, name: str, lo: int, hi: int) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int) or not lo <= raw <= hi:
         raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {raw!r}")
     return raw
@@ -195,7 +202,7 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
         raise ConfigError("seed is required; runs must be reproducible")
     config: dict[str, Any] = {"command": command, "seed": _parse_int(rest.pop("seed"), "seed", 0, 2**64 - 1)}
     if command in ("certify", "subspace-hunt", "witness-radius"):
-        config["restarts"] = _parse_int(rest.pop("restarts", DEFAULT_RESTARTS), "restarts", 1, math.inf)
+        config["restarts"] = _parse_int(rest.pop("restarts", DEFAULT_RESTARTS), "restarts", 1, MAX_COUNT)
 
     needs_angles = command != "subspace-hunt" or rest.get("subspace_kind") == "upb_complement"
     if "angles" in rest:
@@ -250,7 +257,7 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
             if "angles" in config:
                 raise ConfigError(f"{kind} hunts draw their subspaces from the seed; drop angles")
             config["subspace_dim"] = _parse_int(rest.pop("subspace_dim", None), "subspace_dim", 1, _DIM)
-            config["samples"] = _parse_int(rest.pop("samples", None), "samples", 1, math.inf)
+            config["samples"] = _parse_int(rest.pop("samples", None), "samples", 1, MAX_COUNT)
 
     if rest:
         raise ConfigError(f"unknown config fields for {command}: {sorted(rest)}")
@@ -277,7 +284,7 @@ def _parse_local_coefficients(raw: Any) -> dict[str, float]:
 
 
 def _random_noise(config: dict[str, Any]) -> list[tuple[str, DensityMatrix]]:
-    rngs = (np.random.default_rng([config["seed"], s]) for s in range(config["noise"]["count"]))
+    rngs = counter_rngs(config["seed"], config["noise"]["count"])
     return [(f"random[{s}]", random_density_matrix(_DIMS, rng)) for s, rng in enumerate(rngs)]
 
 
@@ -292,7 +299,7 @@ def _local_noise(config: dict[str, Any]) -> list[tuple[str, DensityMatrix]]:
 _NOISE_KINDS = {
     "white": ({}, lambda config: [("white", _WHITE_NOISE)]),
     "npt_projector": ({}, lambda config: [("npt_projector", _NPT_NOISE)]),
-    "random": ({"count": lambda raw: _parse_int(raw, "noise count", 1, math.inf)}, _random_noise),
+    "random": ({"count": lambda raw: _parse_int(raw, "noise count", 1, MAX_COUNT)}, _random_noise),
     "local": ({"coefficients": _parse_local_coefficients}, _local_noise),
 }
 
@@ -350,12 +357,15 @@ def cmd_certify(config: dict[str, Any]) -> dict[str, Any]:
     }
 
 
+_VERDICT_NAMES = tuple(effect.value for effect in NoiseEffect)  # the verdict_counts keys, in their order
+
+
 def cmd_perturb_scan(config: dict[str, Any]) -> dict[str, Any]:
     u = shifts_family(config["angles"])
     _, noise_states = _NOISE_KINDS[config["noise"]["kind"]]
     names, noises = zip(*noise_states(config))
     scan = mixing_scan(u, noises, config["cut"], config["epsilon_grid"])
-    counts = {effect.value: 0 for effect in NoiseEffect}
+    counts = dict.fromkeys(_VERDICT_NAMES, 0)
     samples = []
     per_sample = zip(names, scan.verdicts, scan.compression_eigenvalues.tolist(),
                      scan.predicted_min.tolist(), scan.exact_min.tolist())
@@ -412,8 +422,7 @@ def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
         dim = _DIM - u.size
     else:
         dim = config["subspace_dim"]
-        for s in range(config["samples"]):
-            rng = np.random.default_rng([config["seed"], s])
+        for s, rng in enumerate(counter_rngs(config["seed"], config["samples"])):
             if config["subspace_kind"] == "planted":
                 vecs = [expand_locals(random_product_vector(_DIMS, rng)) for _ in range(dim)]
             else:

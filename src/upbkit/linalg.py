@@ -103,8 +103,8 @@ def party_dims(dims: Iterable[int]) -> tuple[int, ...]:
     A non-integer dim raises TypeError; ValueError if a dim is below 1 or the
     total dimension, their product, is below 2.
     """
-    checked = tuple(operator.index(d) for d in dims)
-    if any(d < 1 for d in checked) or math.prod(checked) < 2:
+    checked = tuple(map(operator.index, dims))
+    if math.prod(checked) < 2 or min(checked) < 1:
         raise ValueError(f"local dims {checked} must each be at least 1, with product at least 2")
     return checked
 
@@ -115,7 +115,7 @@ def cut_parties(parties: Iterable[int], n_parties: int) -> tuple[int, ...]:
     A non-integer index raises TypeError; ValueError unless the indices form a
     nonempty proper subset of ``0..n_parties - 1``.
     """
-    cut = tuple(sorted(set(operator.index(k) for k in parties)))
+    cut = tuple(sorted(set(map(operator.index, parties))))
     if not cut or len(cut) >= n_parties or cut[0] < 0 or cut[-1] >= n_parties:
         raise ValueError(f"cut parties {list(cut)} must be a nonempty proper subset of 0..{n_parties - 1}")
     return cut

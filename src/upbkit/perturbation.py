@@ -154,35 +154,33 @@ def mixing_scan(
     in one stacked solve.  A verdict is DEGENERATE when |lam_min| <=
     ``linalg.DEFAULT_TOL``; the exact column decides those.
 
-    Every partial transpose is taken once: rho's and the S noise states'.
-    The partial transpose is an index permutation, so ``(rho^T + eps *
-    rho1^T) / (1 + eps)`` is the partial transpose of the mixture bit for
-    bit; all S x E of them form one ``(S, E, D, D)`` stack and one stacked
-    eigensolve.  rho and the validated noise states are Hermitian bit for
+    Every partial transpose is taken once, rho's and the S noise states' in
+    one stacked call.  The partial transpose is an index permutation, so
+    ``(rho^T + eps * rho1^T) / (1 + eps)`` is the partial transpose of the
+    mixture bit for bit; all S x E of them form one ``(S, E, D, D)`` stack
+    and one stacked eigensolve.  rho and the validated noise states are Hermitian bit for
     bit, so their mixtures need no symmetrizing; their unit trace holds by
     construction (convex weights, and the permutation keeps the diagonal).
     """
     eps = np.asarray(epsilons, dtype=float)
-    if eps.ndim != 1 or not np.all((eps > 0.0) & (eps <= EPSILON_GUARD)):
+    if eps.ndim != 1 or not all(0.0 < e <= EPSILON_GUARD for e in eps.tolist()):
         raise ValueError(f"epsilon must lie in (0, {EPSILON_GUARD}]")
     if not noises:
         raise ValueError("mixing_scan needs at least one noise state")
     if any(noise.local_dims != u.local_dims for noise in noises):
         raise ValueError("noise state does not match the UPB's party structure")
     basis = kernel_product_basis(u, cut)
-    pt_noise = linalg.partial_transpose(
-        np.array([noise.matrix for noise in noises]), u.local_dims, cut
-    )
+    rho = u.complement_projector / (len(u.vectors) - u.size)
+    pts = linalg.partial_transpose(np.array([rho, *(noise.matrix for noise in noises)]), u.local_dims, cut)
+    pt_state, pt_noise = pts[0], pts[1:]
     comp = basis.conj().T @ pt_noise @ basis
     lam = linalg.eigvalsh_unchecked((comp + comp.conj().swapaxes(-1, -2)) / 2.0)
     verdicts = tuple(
         NoiseEffect.PPT_PRESERVING if x > linalg.DEFAULT_TOL
         else NoiseEffect.NPT_INDUCING if x < -linalg.DEFAULT_TOL
         else NoiseEffect.DEGENERATE
-        for x in lam[:, 0]
+        for x in lam[:, 0].tolist()
     )
-    rho = u.complement_projector / (len(u.vectors) - u.size)
-    pt_state = linalg.partial_transpose(rho, u.local_dims, cut)
     mixed = (pt_state + eps[:, None, None] * pt_noise[:, None]) / (1.0 + eps)[:, None, None]
     return MixingScan(
         compression_eigenvalues=lam,

@@ -4,7 +4,8 @@ Reports are JSON with a fixed layout::
 
     {"config": {...}, "payload": {...}, "meta": {...}}
 
-``dumps_canonical`` renders them with ``json.dumps``, which keeps dict keys in
+``dumps_canonical`` renders them with one module-level ``json.JSONEncoder``
+(``json.dumps``'s settings with compact separators), which keeps dict keys in
 insertion order, writes every real in its shortest round-trip form
 (``float.__repr__``, also for ``np.float64``) and spells the non-finite reals
 ``NaN`` / ``Infinity`` / ``-Infinity``, which ``json.loads`` accepts back.
@@ -17,21 +18,32 @@ newline: without ``indent``, ``json`` runs its C encoder, several times
 faster on a long perturb-scan payload than the pure-Python encoder that any
 ``indent`` selects.  ``python -m json.tool report.json`` prints an indented
 view.
+
+``validate_report`` checks a report against ``META_SCHEMA`` and the payload
+schema of its command (``PAYLOAD_SCHEMAS``).  Each schema is compiled once, at
+import, into nested check functions, so a check walks the value and nothing
+else.  The path in an error (``payload.samples[0].per_epsilon[2].epsilon``)
+is built only when a check fails: each container adds its segment while the
+failure propagates out.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 
 class SchemaError(RuntimeError):
     """A report does not match the documented schema."""
 
 
+# json.dumps(value, separators=(",", ":")) builds this encoder anew on every call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def dumps_canonical(value: Any) -> str:
     """Render plain dict/list/scalar data as deterministic JSON text."""
-    return json.dumps(value, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(value) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -44,6 +56,7 @@ def dumps_canonical(value: Any) -> str:
 #   {str: spec}                               object with arbitrary string keys
 #   (spec, spec, ...)                         first matching alternative wins
 #   {key: spec, ...}                          object with exactly these keys
+# _compile turns each schema into its check function once, at import.
 # --------------------------------------------------------------------------
 
 _MEMBER = [[complex]]
@@ -140,45 +153,125 @@ _PRIMITIVES = {
 }
 
 
-def _check(value: Any, spec: Any, path: str) -> None:
+class _Mismatch(Exception):
+    """A value fails a compiled check: the error text, and the path segments added on the way out, innermost first."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.text = text
+        self.segments: list[str] = []
+
+
+_Check = Callable[[Any], None]
+
+
+def _compile(spec: Any) -> _Check:
+    """The function that checks a value against ``spec`` and raises ``_Mismatch`` at its first failure."""
     if spec is None or isinstance(spec, type) and spec is not complex:
-        accepted, error = _PRIMITIVES[spec]
-        if not isinstance(value, accepted) or isinstance(value, bool) and spec is not bool:
-            raise SchemaError(f"{path}: {error.format(type(value).__name__)}")
-    elif isinstance(spec, dict):
+        return _compile_primitive(spec)
+    if isinstance(spec, dict):
+        return _compile_map(_compile(spec[str])) if str in spec else _compile_object(spec)
+    if isinstance(spec, list):
+        return _compile_array(_compile(spec[0]))
+    if spec is complex:
+        return _check_pair
+    return _compile_alternatives([_compile(alt) for alt in spec])
+
+
+def _compile_primitive(spec: Any) -> _Check:
+    accepted, error = _PRIMITIVES[spec]
+    takes_bool = spec is bool  # bool subclasses int, and only a bool spec takes one
+
+    def check(value):
+        if not isinstance(value, accepted) or type(value) is bool and not takes_bool:
+            raise _Mismatch(error.format(type(value).__name__))
+
+    return check
+
+
+def _compile_object(spec: dict) -> _Check:
+    keys = spec.keys()
+    fields = [(key, _compile(sub)) for key, sub in spec.items()]
+
+    def check(value):
         if not isinstance(value, dict):
-            raise SchemaError(f"{path}: expected object, got {type(value).__name__}")
-        if str in spec:
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise SchemaError(f"{path}: non-string key {key!r}")
-                _check(item, spec[str], f"{path}.{key}")
-            return
-        unknown = set(value) - set(spec)
-        if unknown:
-            raise SchemaError(f"{path}: unknown fields {sorted(unknown)}")
-        missing = set(spec) - set(value)
-        if missing:
-            raise SchemaError(f"{path}: missing fields {sorted(missing)}")
-        for key, sub in spec.items():
-            _check(value[key], sub, f"{path}.{key}")
-    elif isinstance(spec, list):
-        if not isinstance(value, list):
-            raise SchemaError(f"{path}: expected array, got {type(value).__name__}")
-        for i, item in enumerate(value):
-            _check(item, spec[0], f"{path}[{i}]")
-    elif spec is complex:
-        if not isinstance(value, list) or len(value) != 2:
-            raise SchemaError(f"{path}: expected [re, im] pair")
-        _check(value, [float], path)
-    else:
-        for alt in spec:
+            raise _Mismatch(f"expected object, got {type(value).__name__}")
+        if value.keys() != keys:
+            unknown = set(value) - set(spec)
+            if unknown:
+                raise _Mismatch(f"unknown fields {sorted(unknown)}")
+            raise _Mismatch(f"missing fields {sorted(set(spec) - set(value))}")
+        try:
+            for key, check_field in fields:
+                check_field(value[key])
+        except _Mismatch as exc:
+            exc.segments.append(f".{key}")
+            raise
+
+    return check
+
+
+def _compile_map(check_item: _Check) -> _Check:
+    def check(value):
+        if not isinstance(value, dict):
+            raise _Mismatch(f"expected object, got {type(value).__name__}")
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise _Mismatch(f"non-string key {key!r}")
             try:
-                _check(value, alt, path)
+                check_item(item)
+            except _Mismatch as exc:
+                exc.segments.append(f".{key}")
+                raise
+
+    return check
+
+
+def _compile_array(check_item: _Check) -> _Check:
+    def check(value):
+        if not isinstance(value, list):
+            raise _Mismatch(f"expected array, got {type(value).__name__}")
+        try:
+            for i, item in enumerate(value):
+                check_item(item)
+        except _Mismatch as exc:
+            exc.segments.append(f"[{i}]")
+            raise
+
+    return check
+
+
+_check_numbers = _compile_array(_compile(float))
+
+
+def _check_pair(value):
+    if not isinstance(value, list) or len(value) != 2:
+        raise _Mismatch("expected [re, im] pair")
+    _check_numbers(value)
+
+
+def _compile_alternatives(alternatives: list[_Check]) -> _Check:
+    def check(value):
+        for alternative in alternatives:
+            try:
+                alternative(value)
                 return
-            except SchemaError:
+            except _Mismatch:
                 continue
-        raise SchemaError(f"{path}: no schema alternative matched")
+        raise _Mismatch("no schema alternative matched")
+
+    return check
+
+
+_PAYLOAD_CHECKS = {command: _compile(spec) for command, spec in PAYLOAD_SCHEMAS.items()}
+_META_CHECK = _compile(META_SCHEMA)
+
+
+def _run_check(check: _Check, value: Any, root: str) -> None:
+    try:
+        check(value)
+    except _Mismatch as exc:
+        raise SchemaError(f"{root}{''.join(reversed(exc.segments))}: {exc.text}") from None
 
 
 def validate_report(report: Any) -> None:
@@ -191,11 +284,11 @@ def validate_report(report: Any) -> None:
     for key in ("config", "payload", "meta"):
         if key not in report:
             raise SchemaError(f"report: missing top-level field {key!r}")
-    _check(report["meta"], META_SCHEMA, "meta")
+    _run_check(_META_CHECK, report["meta"], "meta")
     config = report["config"]
     if not isinstance(config, dict) or "command" not in config:
         raise SchemaError("config: missing command")
     command = config["command"]
     if command not in PAYLOAD_SCHEMAS:
         raise SchemaError(f"config.command: unknown command {command!r}")
-    _check(report["payload"], PAYLOAD_SCHEMAS[command], "payload")
+    _run_check(_PAYLOAD_CHECKS[command], report["payload"], "payload")

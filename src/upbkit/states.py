@@ -105,8 +105,8 @@ class DensityMatrix:
         object.__setattr__(self, "local_dims", dims)
         if m.shape[0] != math.prod(dims):
             raise ValueError(f"matrix dimension {m.shape[0]} does not match the party structure {dims}")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace is {np.trace(m).real!r}, expected 1")
+        if abs(m.trace().real - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace is {m.trace().real!r}, expected 1")
         if validate:
             vals = linalg.eigvalsh_unchecked(m)
             if vals[0] < -PSD_TOL:
@@ -158,7 +158,8 @@ def projector_combination(coefficients: Mapping[tuple[str, ...], float]) -> np.n
     for mu, c in coefficients.items():
         i = index.get(mu)
         weights[index[validate_labels(mu)] if i is None else i] += c
-    return np.tensordot(weights, stack, axes=1)
+    # the (1, 4^n) @ (4^n, 4^n) product that np.tensordot(weights, stack, axes=1) forms, without its wrapper
+    return np.dot(weights[None], stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
 
 @functools.cache
@@ -223,6 +224,7 @@ def random_density_matrix(local_dims: Sequence[int], rng: np.random.Generator) -
     """Full-rank state G G^dag / tr from a complex Gaussian G (Ginibre sampling), dims checked by ``party_dims``."""
     dims = linalg.party_dims(local_dims)
     d = math.prod(dims)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x = rng.standard_normal((2, d, d))  # the real parts, then the imaginary parts
+    g = x[0] + 1j * x[1]
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, dims, validate=False)
+    return DensityMatrix(m / m.trace().real, dims, validate=False)

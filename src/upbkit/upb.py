@@ -42,10 +42,11 @@ overlap 1 - gap counts.  One fidelity rule keeps the distinct hits of either.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -82,13 +83,17 @@ class UnextendibilityCertificate:
 class UPB:
     """Ordered orthogonal product vectors with 1 <= m < D, one ``(m, d_k)`` stack per party.
 
-    Row i of ``local_stacks[k]`` is member i's local vector for party k.
-    Construction keeps read-only copies of the stacks, reads ``local_dims``
-    from their widths, checks every row for unit norm within
-    ``states.TRACE_TOL``, expands the members once into the columns of the
-    read-only ``(D, m)`` matrix ``vectors`` and checks orthogonality with one
-    Gram product ``V^H V`` within ``PROJECTOR_TOL``.  The projector attributes
-    are built from ``vectors`` on first use and cached read-only.
+    Row i of ``local_stacks[k]`` is member i's local vector for party k; any
+    sequence of stacks is taken, an ``(n, m, d)`` array included.
+    Construction keeps read-only copies of the stacks and reads ``local_dims``
+    from their widths.  After the shapes and the member count it checks
+    every row for unit norm within ``states.TRACE_TOL``, all parties at once,
+    and names the lowest party's lowest failing member.  It then expands the
+    members once into the columns of the read-only ``(D, m)`` matrix
+    ``vectors`` and checks orthogonality with one Gram product ``V^H V``
+    within ``PROJECTOR_TOL``, naming the first failing pair (i, j), i < j, in
+    row order.  A NaN fails either check.  The projector attributes are built
+    from ``vectors`` on first use and cached read-only.
     """
 
     local_stacks: tuple[np.ndarray, ...]
@@ -109,19 +114,24 @@ class UPB:
             raise ValueError("an unextendible product basis needs at least one member")
         if counts[0] >= math.prod(dims):
             raise ValueError("an unextendible product basis must be incomplete (m < D)")
-        for k, s in enumerate(stacks):
-            # written so that a NaN norm fails too
-            bad = ~(np.abs(np.linalg.norm(s, axis=1) - 1.0) <= TRACE_TOL)
-            if bad.any():
-                raise ValueError(f"member {np.argmax(bad)}: local vector {k} is not normalized")
+        # every party's row norms at once, the sums np.linalg.norm forms, over the stacks side by side
+        # (party k's columns start at the sum of the earlier widths): column k of norms is party k's
+        flat = np.concatenate(stacks, axis=1)
+        starts = list(itertools.accumulate(dims[:-1], initial=0))
+        norms = np.sqrt(np.add.reduceat((flat.conj() * flat).real, starts, axis=1))
+        # written so that a NaN norm fails too; the first failure is the lowest party's lowest member
+        ok = np.abs(norms - 1.0) <= TRACE_TOL
+        if not ok.all():
+            k, i = np.argwhere(~ok.T)[0]
+            raise ValueError(f"member {i}: local vector {k} is not normalized")
         vecs = _read_only(np.ascontiguousarray(expand_locals(stacks).T))
         object.__setattr__(self, "vectors", vecs)
         gram = vecs.conj().T @ vecs
         # written so that a NaN overlap fails too; the first pair found has i < j
-        bad = ~(np.abs(gram) <= PROJECTOR_TOL)
-        np.fill_diagonal(bad, False)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
+        ok = np.abs(gram) <= PROJECTOR_TOL
+        ok.flat[::len(ok) + 1] = True
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
             raise ValueError(f"members {i} and {j} are not orthogonal: |<i|j>| = {abs(gram[i, j]):.3e}")
 
     @property
@@ -144,12 +154,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _angle_pair(theta: float) -> np.ndarray:
-    """The rows ``|T> = cos(t)|0> + sin(t)|1>`` and ``|T~> = sin(t)|0> - cos(t)|1>``."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [s, -c]], dtype=complex)
-
-
 def shifts_angles(angles: Sequence[float]) -> tuple[float, ...]:
     """``tuple(angles)``; ValueError unless there are three, each strictly inside (0, pi/2)."""
     angles = tuple(angles)
@@ -162,17 +166,25 @@ def shifts_angles(angles: Sequence[float]) -> tuple[float, ...]:
     return angles
 
 
+# shifts_family gathers its stacks from [0, 1, cos(a), cos(b), cos(c), sin(a), sin(b), sin(c), -cos(a), ...]:
+# party k's |0> = (1, 0), |1> = (0, 1), |T> = (cos t, sin t) and |T~> = (sin t, -cos t) for its angle t
+_KET_0, _KET_1 = (1, 0), (0, 1)
+_KET_T = [(2 + k, 5 + k) for k in range(3)]
+_KET_T_TILDE = [(5 + k, 8 + k) for k in range(3)]
+# row i of party k's stack is member i's local vector, in the order of the module docstring
+_FAMILY_ENTRIES = np.array([
+    [_KET_0, _KET_1, _KET_T[0], _KET_T_TILDE[0]],
+    [_KET_0, _KET_T[1], _KET_1, _KET_T_TILDE[1]],
+    [_KET_0, _KET_T[2], _KET_T_TILDE[2], _KET_1],
+])
+
+
 def shifts_family(angles: Sequence[float]) -> UPB:
     """The one-angle-per-party three-qubit family of angles ``(a, b, c)``; orthogonal by construction."""
-    (va, wa), (vb, wb), (vc, wc) = (_angle_pair(t) for t in shifts_angles(angles))
-    e0, e1 = np.eye(2, dtype=complex)
-    # row i of party k's stack is member i's local vector, in the order of the module docstring
-    stacks = (
-        np.array([e0, e1, va, wa]),
-        np.array([e0, vb, e1, wb]),
-        np.array([e0, vc, wc, e1]),
-    )
-    return UPB(stacks)
+    t = np.array(shifts_angles(angles), dtype=float)
+    c = np.cos(t)
+    entries = np.concatenate(([0.0, 1.0], c, np.sin(t), -c))
+    return UPB(entries[_FAMILY_ENTRIES].astype(complex))
 
 
 def upb_state(u: UPB) -> DensityMatrix:
@@ -258,6 +270,17 @@ def _seed_words(seed: int | Sequence[int], restarts: int) -> list[int]:
     return [w for s in base for w in _uint32_words(s)]
 
 
+def counter_rngs(seed: int | Sequence[int], count: int) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng([*seed, r])`` for r = 0, 1, ..., count - 1: the counter scheme of every seeded draw.
+
+    Each generator is seeded from the uint32 words that ``np.random.SeedSequence``
+    would split the list into, with the seed's words split once; the errors are
+    those of ``_seed_words``, raised before the first generator.
+    """
+    words = _seed_words(seed, count)
+    return (np.random.default_rng(np.array(words + _uint32_words(r), dtype=np.uint32)) for r in range(count))
+
+
 def _seesaw(
     projector: np.ndarray,
     dims: Sequence[int],
@@ -269,8 +292,7 @@ def _seesaw(
     ``projector`` is the D x D matrix, ``D = prod(dims)``, and must already be
     Hermitian: nothing here checks it again.  It is reshaped once into a
     ``dims + dims`` tensor (ket axes, then bra axes).  Restart r starts from
-    the stream of ``default_rng([*seed, r])``, with the seed's uint32 words
-    split once per call and r's appended for each restart.  Party k's
+    the stream of ``default_rng([*seed, r])`` (``counter_rngs``).  Party k's
     states form one array over the restarts, and a local update maximizes over
     party k with the product ``w`` of the other parties' states held fixed:
 
@@ -296,14 +318,10 @@ def _seesaw(
     n = len(dims)
     if n < 2:
         raise ValueError(f"the seesaw needs at least two parties, got local dims {tuple(dims)}")
-    seed_words = _seed_words(seed, restarts)
+    rngs = counter_rngs(seed, restarts)
     p_tensor = projector.reshape(tuple(dims) * 2)
     # party j draws d_j real parts, then d_j imaginary parts, in party order
-    draws = np.array([
-        np.random.default_rng(np.array(seed_words + _uint32_words(r), dtype=np.uint32))
-        .standard_normal(2 * sum(dims))
-        for r in range(restarts)
-    ])
+    draws = np.array([rng.standard_normal(2 * sum(dims)) for rng in rngs])
     offsets = np.cumsum([0] + [2 * d for d in dims])
     locs = []
     for k, d in enumerate(dims):

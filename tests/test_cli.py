@@ -86,7 +86,7 @@ REJECTED = [
     (make_config(seed=-1), "seed must be an integer in"),
     (make_config(seed=True), "seed must be an integer in"),
     ({"command": "certify", "seed": 1, "angles": PI4, "restarts": 0},
-     r"restarts must be an integer in \[1, inf\], got 0"),
+     r"restarts must be an integer in \[1, 1024\], got 0"),
     ({"command": "build", "seed": 1}, "build requires angles"),
     ({k: v for k, v in RANK.items() if k != "angles_second"}, "rank-mixtures requires angles_second"),
     ({**SCAN, "epsilon_grid": []}, "perturb-scan requires a nonempty epsilon_grid"),
@@ -273,6 +273,22 @@ class TestConfigParsing:
         for name in ("certify", "subspace-hunt", "witness-radius"):
             raw = {k: v for k, v in ALL_COMMAND_CONFIGS[name].items() if k != "restarts"}
             assert parse_config(raw)["restarts"] == 64
+
+    def test_counts_are_bounded(self):
+        # parsing alone rejects a count above the bound, so no command starts the work it asks for
+        bound = cli.MAX_COUNT
+        counts = [(ALL_COMMAND_CONFIGS[name], "restarts") for name in ("certify", "subspace-hunt", "witness-radius")]
+        counts.append((HUNT, "samples"))
+        for raw, field in counts:
+            assert parse_config({**raw, field: bound})[field] == bound
+            with pytest.raises(ConfigError, match=rf"^{field} must be an integer in \[1, {bound}\], got {bound + 1}$"):
+                parse_config({**raw, field: bound + 1})
+        assert parse_config({**SCAN, "noise": {"kind": "random", "count": bound}})["noise"]["count"] == bound
+        with pytest.raises(ConfigError, match=rf"^noise count must be an integer in \[1, {bound}\], got {bound + 1}$"):
+            parse_config({**SCAN, "noise": {"kind": "random", "count": bound + 1}})
+        # every sample config parses, the largest counts among them included
+        for path in sorted((SCRIPTS / "configs").glob("*.json")):
+            parse_config(json.loads(path.read_text()))
 
     def test_angles_rejected_on_drawn_hunts(self):
         # random and planted hunts draw their subspaces from the seed and never read angles
@@ -523,6 +539,16 @@ SCHEMA_REJECTED = [
     ("build", ("meta",), DELETE, "report: missing top-level field 'meta'"),
     ("build", ("config", "command"), DELETE, "config: missing command"),
     ("build", ("config", "command"), "summon", "config.command: unknown command 'summon'"),
+    # a bool is no number; the open histogram object checks its values; a pair's entry carries its whole
+    # path; an alternative's own failure gives way to the alternatives' message; meta is checked too
+    ("build", ("payload", "rank"), True, "payload.rank: expected int, got bool"),
+    ("build", ("payload", "spectrum", 0), False, r"payload.spectrum\[0\]: expected number, got bool"),
+    ("subspace-hunt", ("payload", "histogram", "6"), 1.5, "payload.histogram.6: expected int, got float"),
+    ("build", ("payload", "members", 2, 1, 0, 1), "0",
+     r"payload.members\[2\]\[1\]\[0\]\[1\]: expected number, got str"),
+    ("witness-radius", ("payload", "check"), "null", "payload.check: no schema alternative matched"),
+    ("witness-radius", ("payload", "check", "inside_value"), None, "payload.check: no schema alternative matched"),
+    ("build", ("meta", "elapsed_seconds"), "0.1", "meta.elapsed_seconds: expected number, got str"),
 ]
 
 
@@ -549,6 +575,11 @@ class TestSchema:
                 target[last] = value
         with pytest.raises(SchemaError, match=message):
             validate_report(report)
+
+    def test_null_check_is_an_alternative(self, rendered_reports):
+        report = json.loads(rendered_reports["witness-radius"])
+        report["payload"]["check"] = None
+        validate_report(report)
 
     def test_unknown_payload_field_rejected(self):
         report = json.loads(run_command(parse_config(make_config())).render())

@@ -236,6 +236,27 @@ class TestShiftsFamily:
         with pytest.raises(ValueError, match="member 1: local vector 0 is not normalized"):
             UPB((np.array([e0, [np.nan, 0.0]]), np.array([e0, e1])))
 
+    def test_upb_type_names_the_first_failure(self):
+        # every party's norms and every pair's overlap are checked at once, and the error still names the
+        # lowest party, then its lowest member, and the first pair (i, j), i < j, in row order
+        e0, e1 = np.eye(2)
+        plus = (e0 + e1) / np.sqrt(2)
+        nan = [np.nan, 0.0]
+        cases = [
+            # party 0 fails at member 2, party 1 at member 0, party 2 holds a NaN at member 1
+            ((np.array([e0, e1, 2 * e0, e1]), np.array([2 * e0, e1, e0, e1]), np.array([e0, nan, e0, e1])),
+             "member 2: local vector 0 is not normalized"),
+            # party 0 passes; party 1 fails at member 3, and the NaN sits in the later party 2, at member 0
+            ((np.array([e0, e1, e0, e1]), np.array([e0, e1, e0, 2 * e1]), np.array([nan, e1, e0, e1])),
+             "member 3: local vector 1 is not normalized"),
+            # unit rows; members 1 and 2 overlap, and so do members 0 and 3, the first pair in row order
+            ((np.array([e0, e1, e1, e0]), np.array([e0, e0, plus, plus]), np.array([e0, e0, e0, e0])),
+             r"members 0 and 3 are not orthogonal: \|<i\|j>\| = 7.071e-01"),
+        ]
+        for stacks, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                UPB(stacks)
+
     def test_upb_type_stacks_are_read_only_copies(self):
         stack = np.eye(2, dtype=complex)[:1]
         u = UPB((stack, stack))
@@ -469,6 +490,16 @@ class TestSeesaw:
             assert np.array_equal(np.random.SeedSequence(words).pool, np.random.SeedSequence(n).pool)
         words = np.array([5, *upb._uint32_words(2**32)], dtype=np.uint32)
         assert np.array_equal(np.random.SeedSequence(words).pool, np.random.SeedSequence([5, 2**32]).pool)
+
+    def test_counter_rngs_are_the_seed_lists_generators(self):
+        # generator r of counter_rngs(seed, n) draws the stream of default_rng([*seed, r])
+        for seed in (0, 7, 2**32 + 3, 2**64 - 1, [5, 2**32]):
+            base = seed if isinstance(seed, list) else [seed]
+            rngs = list(upb.counter_rngs(seed, 3))
+            assert len(rngs) == 3
+            for r, rng in enumerate(rngs):
+                expected = np.random.default_rng([*base, r]).standard_normal(4)
+                assert rng.standard_normal(4).tobytes() == expected.tobytes()
 
     def test_negative_seed_rejected(self):
         for seed in (-1, [3, -1], -(2**64)):
