@@ -39,9 +39,11 @@ The config schema (a command accepts exactly the fields it reads)::
                   exactly and reads restarts only where that solve is
                   degenerate and falls back to the seesaw
 
-Every count (restarts, samples and the random noise count) is an integer in
-[1, MAX_COUNT], MAX_COUNT = 1024, so that no config asks a command for
-unbounded work or memory.
+Every count (restarts, samples, the random noise count and the number of
+epsilon_grid values) is an integer in [1, MAX_COUNT], MAX_COUNT = 1024, so
+that no config asks a command for unbounded work or memory: the largest
+(S, E, 8, 8) stack of mixtures perturb-scan forms, S noise states by E grid
+values, is (1024, 1024, 8, 8), 1 GiB of complex128.
 
 Numbers must be JSON numbers: a bool or a string is rejected wherever a number
 is expected, and integer fields and cut indices take integers only.
@@ -111,7 +113,7 @@ class ConfigError(ValueError):
     """The config file is malformed or inconsistent."""
 
 
-MAX_COUNT = 1024  # the largest restarts, samples or random noise count a config may ask for
+MAX_COUNT = 1024  # the largest restarts, samples, random noise count or epsilon_grid length a config may ask for
 
 # the parties of every command: label keys, cut indices, noise and drawn subspaces follow them
 _DIMS = (2, 2, 2)
@@ -222,6 +224,8 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
         grid = rest.pop("epsilon_grid", None)
         if not isinstance(grid, (list, tuple)) or not grid:
             raise ConfigError("perturb-scan requires a nonempty epsilon_grid")
+        if len(grid) > MAX_COUNT:
+            raise ConfigError(f"epsilon_grid must hold at most {MAX_COUNT} values, got {len(grid)}")
         eps = [_parse_float(x, "epsilon_grid value") for x in grid]
         if any(not 0.0 < e <= EPSILON_GUARD for e in eps):
             raise ConfigError(f"epsilon_grid values must lie in (0, {EPSILON_GUARD}]")

@@ -165,6 +165,14 @@ class _Mismatch(Exception):
 _Check = Callable[[Any], None]
 
 
+def _sorted_names(keys: set) -> list:
+    """Unknown keys in the order an error names them: strings sorted, then any others by ``repr``.
+
+    A dict built in memory may mix key types, which ``sorted`` alone cannot order.
+    """
+    return sorted(keys, key=lambda k: (False, k) if isinstance(k, str) else (True, repr(k)))
+
+
 def _compile(spec: Any) -> _Check:
     """The function that checks a value against ``spec`` and raises ``_Mismatch`` at its first failure."""
     if spec is None or isinstance(spec, type) and spec is not complex:
@@ -199,7 +207,7 @@ def _compile_object(spec: dict) -> _Check:
         if value.keys() != keys:
             unknown = set(value) - set(spec)
             if unknown:
-                raise _Mismatch(f"unknown fields {sorted(unknown)}")
+                raise _Mismatch(f"unknown fields {_sorted_names(unknown)}")
             raise _Mismatch(f"missing fields {sorted(set(spec) - set(value))}")
         try:
             for key, check_field in fields:
@@ -280,7 +288,7 @@ def validate_report(report: Any) -> None:
         raise SchemaError("report must be an object")
     unknown = set(report) - {"config", "payload", "meta"}
     if unknown:
-        raise SchemaError(f"report: unknown top-level fields {sorted(unknown)}")
+        raise SchemaError(f"report: unknown top-level fields {_sorted_names(unknown)}")
     for key in ("config", "payload", "meta"):
         if key not in report:
             raise SchemaError(f"report: missing top-level field {key!r}")

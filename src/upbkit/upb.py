@@ -197,59 +197,62 @@ def upb_state(u: UPB) -> DensityMatrix:
 PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def _pauli_tensor(p_tensor: np.ndarray) -> np.ndarray:
-    """Real ``T[i_1..i_n] = tr(P sigma_i_1 x ... x sigma_i_n) / 2^n`` of a Hermitian n-qubit ``P``.
+def _pauli_slices(p_tensor: np.ndarray) -> list[np.ndarray]:
+    """Party k's slice of the real ``T[i_1..i_n] = tr(P sigma_i_1 x ... x sigma_i_n) / 2^n`` of a Hermitian n-qubit ``P``.
 
-    ``p_tensor`` is ``P`` as a ``(2,) * 2n`` tensor (ket axes, then bra axes).
-    One contraction per party; for a product vector with Bloch vectors
-    ``r_k`` and ``s_k = (1, r_k)``, ``<phi|P|phi>`` is ``T`` contracted with
-    every ``s_k``.
+    ``p_tensor`` is ``P`` as a ``(2,) * 2n`` tensor (ket axes, then bra axes).  For
+    Bloch vectors ``r_k`` and ``s_k = (1, r_k)``, ``<phi|P|phi>`` is ``T`` contracted
+    with every ``s_k``; slice k is ``T`` with party k's axis last, ``(4^(n-1), 4)``.
+    Each contraction is ``np.tensordot``'s own transpose, reshape and ``np.dot``.
     """
     n = p_tensor.ndim // 2
+    # entry (2 * column + row, i) is sigma_i[row, column] / 2: PAULI / 2 as tensordot lays out its axes (2, 1)
+    half = (PAULI / 2).transpose(2, 1, 0).reshape(4, 4)
     t = p_tensor
-    half = PAULI / 2
     for k in range(n):
         # party k's ket axis is first and its bra axis at n - k; T's axes collect at the end
-        t = np.tensordot(t, half, axes=([0, n - k], [2, 1]))
-    return t.real
+        rest = [j for j in range(1, t.ndim) if j != n - k]
+        t = np.dot(t.transpose(rest + [0, n - k]).reshape(-1, 4), half).reshape([t.shape[j] for j in rest] + [4])
+    return [t.real.transpose([j for j in range(n) if j != k] + [k]).reshape(-1, 4) for k in range(n)]
 
 
 def _ket_to_bloch(kets: np.ndarray) -> np.ndarray:
-    """``(R, 4)`` rows ``s = (1, r)`` of ``(R, 2)`` unit kets, ``r_j = <a|sigma_j|a>``."""
-    c = 2 * kets[:, 0].conj() * kets[:, 1]
-    z = np.abs(kets[:, 0]) ** 2 - np.abs(kets[:, 1]) ** 2
-    return np.column_stack([np.ones(len(kets)), c.real, c.imag, z])
+    """The C-contiguous ``(..., 4)`` rows ``s = (1, r)`` of a ``(..., 2)`` stack of unit kets, ``r_j = <a|sigma_j|a>``."""
+    c = 2 * kets[..., 0].conj() * kets[..., 1]
+    z = np.abs(kets[..., 0]) ** 2 - np.abs(kets[..., 1]) ** 2
+    return np.stack([np.ones_like(z), c.real, c.imag, z], axis=-1)
 
 
 def _bloch_to_ket(s: np.ndarray) -> np.ndarray:
-    """Unit kets of the ``(R, 4)`` rows ``s = (1, r)``, on the branch that stays away from ``1 + r_z = 0``."""
-    x, y, z = s[:, 1], s[:, 2], s[:, 3]
+    """Unit kets of the ``(..., 4)`` rows ``s = (1, r)``, on the branch that stays away from ``1 + r_z = 0``."""
+    x, y, z = s[..., 1], s[..., 2], s[..., 3]
     north = z >= 0
-    kets = np.column_stack([np.where(north, 1 + z, x - 1j * y), np.where(north, x + 1j * y, 1 - z)])
-    return kets / np.linalg.norm(kets, axis=1, keepdims=True)
+    kets = np.stack([np.where(north, 1 + z, x - 1j * y), np.where(north, x + 1j * y, 1 - z)], axis=-1)
+    return kets / np.linalg.norm(kets, axis=-1, keepdims=True)
 
 
-def _bloch_update(op: np.ndarray, w: np.ndarray, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bloch_update(op: np.ndarray, w: np.ndarray, state: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Qubit party: the objective is ``g_0 + g . r`` with ``g = w @ op``, maximal at ``r = g / |g|``.
 
     ``g_0 + |g|`` and ``(1, g / |g|)`` are the top eigenpair of the 2x2 local
-    operator ``sum_j g_j sigma_j`` in Bloch form.  Where ``|g| = 0`` every
-    ``r`` is a maximizer and the previous state ``prev`` is kept.
+    operator ``sum_j g_j sigma_j`` in Bloch form, written in place into ``out``
+    and ``state`` (returned) by the float operations fresh arrays would take.
+    Where ``|g| = 0`` every ``r`` is a maximizer and its row in ``state`` is kept.
     """
     g = w @ op
-    h = g[:, 1:]
-    norm = np.sqrt((h * h).sum(axis=1, keepdims=True))
-    s = prev.copy()
-    np.divide(h, norm, out=s[:, 1:], where=norm > 0)
-    return g[:, 0] + norm[:, 0], s
+    norm = np.sqrt(np.add.reduce((g * g)[:, 1:], axis=1, keepdims=True))  # squares all of g: cheaper than its strided slice
+    np.divide(g[:, 1:], norm, out=state[:, 1:], where=norm > 0.0)
+    np.add(g[:, 0], norm[:, 0], out=out)
+    return state
 
 
-def _eigh_update(op: np.ndarray, w: np.ndarray, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Any party: top eigenpair of each restart's local operator ``<w| P |w>``, one stacked LAPACK call."""
-    d = prev.shape[1]
+def _eigh_update(op: np.ndarray, w: np.ndarray, state: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Any party: the restarts' top eigenpairs of ``<w| P |w>``, one LAPACK call; values into ``out``, vectors returned."""
+    d = state.shape[1]
     x = (w @ op).reshape(len(w), d * d, -1)
     vals, vecs = linalg.eigh_unchecked((x @ w.conj()[:, :, None]).reshape(-1, d, d))
-    return vals[:, -1], vecs[:, :, -1]
+    out[...] = vals[:, -1]
+    return vecs[:, :, -1]
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -294,13 +297,14 @@ def _seesaw(
     ``dims + dims`` tensor (ket axes, then bra axes).  Restart r starts from
     the stream of ``default_rng([*seed, r])`` (``counter_rngs``).  Party k's
     states form one array over the restarts, and a local update maximizes over
-    party k with the product ``w`` of the other parties' states held fixed:
+    party k with the product ``w`` of the other parties' states held fixed,
+    writing its maxima into the sweep's values in place:
 
-    - every local dim 2: states are Bloch rows ``s_k = (1, r_k)``, converted
-      from the start kets and back for all parties in one call each, and
-      party k's slice of the real Pauli tensor (``_pauli_tensor``) is one
-      ``(4^(n-1), 4)`` matrix, so an update is one real matmul and the closed
-      form of ``_bloch_update``, with no eigensolver;
+    - every local dim 2: the start kets are one reshape of the draws, turned
+      into Bloch rows ``s_k = (1, r_k)`` and back in one call each; an update is
+      one real matmul by party k's Pauli slice (``_pauli_slices``) and the
+      closed form of ``_bloch_update``, which rewrites party k's rows in place,
+      so a sweep copies no state;
     - otherwise: states are kets, party k's operator is reshaped once into an
       ``(A_k, d_k * d_k * A_k)`` matrix, ``A_k = D / d_k``, and an update is two
       matmuls and one stacked ``linalg.eigh_unchecked`` (``_eigh_update``).
@@ -322,65 +326,61 @@ def _seesaw(
     p_tensor = projector.reshape(tuple(dims) * 2)
     # party j draws d_j real parts, then d_j imaginary parts, in party order
     draws = np.array([rng.standard_normal(2 * sum(dims)) for rng in rngs])
-    offsets = np.cumsum([0] + [2 * d for d in dims])
-    locs = []
-    for k, d in enumerate(dims):
-        v = draws[:, offsets[k]:offsets[k] + d] + 1j * draws[:, offsets[k] + d:offsets[k + 1]]
-        locs.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+    others = [[j for j in range(n) if j != k] for k in range(n)]  # w's parties, in order
     bloch = all(d == 2 for d in dims)
     if bloch:
-        # one block of rows per party, so that locs are views the write-back fills
-        bloch_rows = _ket_to_bloch(np.concatenate(locs)).reshape(n, restarts, 4)
-        locs = list(bloch_rows)
-        t = _pauli_tensor(p_tensor)
-        ops = [np.moveaxis(t, k, -1).reshape(-1, 4) for k in range(n)]
+        # entry (k, r, 0, i) is the real part of party k's start ket in restart r, (k, r, 1, i) the imaginary
+        parts = draws.reshape(restarts, n, 2, 2).transpose(1, 0, 2, 3)
+        kets = parts[:, :, 0] + 1j * parts[:, :, 1]
+        states = _ket_to_bloch(kets / np.linalg.norm(kets, axis=2, keepdims=True))
+        ops = _pauli_slices(p_tensor)
         update = _bloch_update
     else:
+        offsets = np.cumsum([0] + [2 * d for d in dims])
+        kets = [draws[:, o:o + d] + 1j * draws[:, o + d:o + 2 * d] for o, d in zip(offsets, dims)]
+        states = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in kets]
         # ops[k][y, a, b, x] = <x, a| P |y, b>, with x, y the other parties' indices
         # (party k's ket and bra axes in the middle), so that for their product
         # vector w, ((w @ ops[k]) @ conj(w))[a, b] = <w, a| P |w, b>
-        ops = []
-        for k in range(n):
-            others = [j for j in range(n) if j != k]
-            axes = [n + j for j in others] + [k, n + k] + others
-            ops.append(p_tensor.transpose(axes).reshape(math.prod(dims) // dims[k], -1))
+        ops = [p_tensor.transpose([n + j for j in o] + [k, n + k] + o).reshape(math.prod(dims) // dims[k], -1)
+               for k, o in enumerate(others)]
         update = _eigh_update
     objective = np.full(restarts, -np.inf)
     active = np.arange(restarts)
     # the active restarts' states; row 0 of values is their objective at the
     # start of a sweep, row k + 1 the maximum of party k's update in it
-    cur = list(locs)
+    cur = list(states)
     values = np.full((n + 1, restarts), -np.inf)
     for sweep in range(SEESAW_MAX_SWEEPS):
         values[0] = values[n]
-        # a sweep starts from C-contiguous states: with two parties w is the other
-        # party's state itself, and a matmul can round a strided operand (the
-        # eigenvector columns of _eigh_update) differently
-        cur = [np.ascontiguousarray(c) for c in cur]
-        for k in range(n):
-            w = expand_locals(cur[:k] + cur[k + 1:])
-            values[k + 1], cur[k] = update(ops[k], w, cur[k])
-        # each local update is an exact maximization, so the objective is monotone
+        # with two parties party 0's w is the last party's state itself, which a sweep starts C-contiguous:
+        # a matmul rounds a strided operand (the eigenvector columns of _eigh_update) differently
+        cur[-1] = np.ascontiguousarray(cur[-1])
+        for k, (first, *rest) in enumerate(others):
+            w = cur[first]
+            for j in rest:
+                w = (w[:, :, None] * cur[j][:, None, :]).reshape(len(w), -1)
+            cur[k] = update(ops[k], w, cur[k], values[k + 1])
+        # each local update is an exact maximization, so the objective is monotone (fmax skips a NaN drop)
         drop = values[:-1] - values[1:]
-        if (drop > SEESAW_IMPROVEMENT_TOL).any():
+        if np.fmax.reduce(drop, axis=None) > SEESAW_IMPROVEMENT_TOL:
             k = int(np.argmax((drop > SEESAW_IMPROVEMENT_TOL).any(axis=1)))
             i = int(np.argmax(drop[k]))
             raise linalg.ConvergenceError(
                 f"seesaw objective decreased at restart {active[i]}, sweep {sweep}, "
                 f"party {k}: drop {drop[k, i]:.3e} exceeds {SEESAW_IMPROVEMENT_TOL:.3e}"
             )
-        # written so that a NaN objective retires too
-        keep = values[n] - values[0] >= SEESAW_IMPROVEMENT_TOL
-        if not keep.all() or sweep == SEESAW_MAX_SWEEPS - 1:
-            for loc, c in zip(locs, cur):
+        # written so that a NaN objective retires too: a NaN gain is the minimum
+        gain = values[n] - values[0]
+        if not np.minimum.reduce(gain) >= SEESAW_IMPROVEMENT_TOL or sweep == SEESAW_MAX_SWEEPS - 1:
+            keep = gain >= SEESAW_IMPROVEMENT_TOL
+            for loc, c in zip(states, cur):
                 loc[active] = c
             objective[active] = values[n]
             active, values, cur = active[keep], values[:, keep], [c[keep] for c in cur]
             if not active.size:
                 break
-    if bloch:
-        locs = list(_bloch_to_ket(bloch_rows.reshape(-1, 4)).reshape(n, restarts, 2))
-    return objective, locs
+    return objective, list(_bloch_to_ket(states)) if bloch else states
 
 
 def _checked_projector(projector: np.ndarray, local_dims: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -35,18 +35,18 @@ def lower_top_eigenvalue(monkeypatch, at_call: int, restart: int) -> None:
     """Make the ``at_call``-th seesaw local update report a far lower maximum for one restart.
 
     Counts the Bloch updates of qubit parties and the stacked eigensolves of
-    the others alike, so the guard trips on either path.
+    the others alike, so the guard trips on either path.  An update writes its
+    maxima into ``out`` in place, and the wrapper lowers them there.
     """
     calls = []
 
     def lowered(real_update):
-        def update(op, w, prev):
-            vals, states = real_update(op, w, prev)
+        def update(op, w, state, out):
+            state = real_update(op, w, state, out)
             calls.append(None)
             if len(calls) == at_call:
-                vals = vals.copy()
-                vals[restart] -= 10.0
-            return vals, states
+                out[restart] -= 10.0
+            return state
         return update
 
     for name in ("_bloch_update", "_eigh_update"):

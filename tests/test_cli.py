@@ -286,6 +286,10 @@ class TestConfigParsing:
         assert parse_config({**SCAN, "noise": {"kind": "random", "count": bound}})["noise"]["count"] == bound
         with pytest.raises(ConfigError, match=rf"^noise count must be an integer in \[1, {bound}\], got {bound + 1}$"):
             parse_config({**SCAN, "noise": {"kind": "random", "count": bound + 1}})
+        grid = [0.01] * bound
+        assert parse_config({**SCAN, "epsilon_grid": grid})["epsilon_grid"] == grid
+        with pytest.raises(ConfigError, match=rf"^epsilon_grid must hold at most {bound} values, got {bound + 1}$"):
+            parse_config({**SCAN, "epsilon_grid": [*grid, 0.01]})
         # every sample config parses, the largest counts among them included
         for path in sorted((SCRIPTS / "configs").glob("*.json")):
             parse_config(json.loads(path.read_text()))
@@ -549,6 +553,11 @@ SCHEMA_REJECTED = [
     ("witness-radius", ("payload", "check"), "null", "payload.check: no schema alternative matched"),
     ("witness-radius", ("payload", "check", "inside_value"), None, "payload.check: no schema alternative matched"),
     ("build", ("meta", "elapsed_seconds"), "0.1", "meta.elapsed_seconds: expected number, got str"),
+    # unknown keys of mixed types, which an in-memory dict may hold, are named strings first in their own
+    # order (which repr would reverse here), then the others by repr
+    ("build", (), {"z'": 0, "a": 0, 1: 0, "config": {}, "payload": {}, "meta": {}},
+     r"""report: unknown top-level fields \['a', "z'", 1\]"""),
+    ("build", ("payload",), {1: 0, "z": 0, (2,): 0}, r"payload: unknown fields \['z', \(2,\), 1\]"),
 ]
 
 

@@ -75,11 +75,38 @@ def count_local_updates(monkeypatch) -> list:
     """Record every seesaw local update, Bloch or eigensolver, as one list entry."""
     calls = []
     for name in ("_bloch_update", "_eigh_update"):
-        def counted(op, w, prev, real=getattr(upb, name)):
+        def counted(op, w, state, out, real=getattr(upb, name)):
             calls.append(None)
-            return real(op, w, prev)
+            return real(op, w, state, out)
         monkeypatch.setattr(upb, name, counted)
     return calls
+
+
+def tensordot_pauli_slices(p_tensor):
+    """Party k's ``(4^(n-1), 4)`` slice of the real Pauli tensor, contracted by ``np.tensordot`` one party at a time."""
+    n = p_tensor.ndim // 2
+    t = p_tensor
+    for k in range(n):
+        t = np.tensordot(t, upb.PAULI / 2, axes=([0, n - k], [2, 1]))
+    return [np.moveaxis(t.real, k, -1).reshape(-1, 4) for k in range(n)]
+
+
+def reference_bloch_update(op, w, prev):
+    """The closed-form qubit update on fresh arrays: the maxima ``g_0 + |g|`` and the rows ``(1, g / |g|)``."""
+    g = w @ op
+    h = g[:, 1:]
+    norm = np.sqrt((h * h).sum(axis=1, keepdims=True))
+    s = prev.copy()
+    np.divide(h, norm, out=s[:, 1:], where=norm > 0)
+    return g[:, 0] + norm[:, 0], s
+
+
+def reference_eigh_update(op, w, prev):
+    """Top eigenpair of each restart's local operator ``<w| P |w>``, on fresh arrays."""
+    d = prev.shape[1]
+    x = (w @ op).reshape(len(w), d * d, -1)
+    vals, vecs = la.eigh_unchecked((x @ w.conj()[:, :, None]).reshape(-1, d, d))
+    return vals[:, -1], vecs[:, :, -1]
 
 
 def reference_seesaw(proj, dims, seed, restarts):
@@ -88,6 +115,7 @@ def reference_seesaw(proj, dims, seed, restarts):
     Restart r draws from ``default_rng([*seed, r])``, each party converts to and
     from Bloch rows on its own, the objective is checked after every local
     update, and the active restarts are gathered and written back every sweep.
+    The Pauli slices, the conversions and the updates are this module's own.
     """
     n = len(dims)
     p_tensor = proj.reshape(tuple(dims) * 2)
@@ -100,17 +128,19 @@ def reference_seesaw(proj, dims, seed, restarts):
         locs.append(v / np.linalg.norm(v, axis=1, keepdims=True))
     bloch = all(d == 2 for d in dims)
     if bloch:
-        t = upb._pauli_tensor(p_tensor)
-        ops = [np.moveaxis(t, k, -1).reshape(-1, 4) for k in range(n)]
-        locs = [upb._ket_to_bloch(v) for v in locs]
-        update = upb._bloch_update
+        ops = tensordot_pauli_slices(p_tensor)
+        for k, v in enumerate(locs):
+            c = 2 * v[:, 0].conj() * v[:, 1]
+            z = np.abs(v[:, 0]) ** 2 - np.abs(v[:, 1]) ** 2
+            locs[k] = np.column_stack([np.ones(len(v)), c.real, c.imag, z])
+        update = reference_bloch_update
     else:
         ops = []
         for k in range(n):
             others = [j for j in range(n) if j != k]
             axes = [n + j for j in others] + [k, n + k] + others
             ops.append(p_tensor.transpose(axes).reshape(int(np.prod(dims)) // dims[k], -1))
-        update = upb._eigh_update
+        update = reference_eigh_update
     objective = np.full(restarts, -np.inf)
     active = np.arange(restarts)
     for _ in range(upb.SEESAW_MAX_SWEEPS):
@@ -130,7 +160,11 @@ def reference_seesaw(proj, dims, seed, restarts):
         if not active.size:
             break
     if bloch:
-        locs = [upb._bloch_to_ket(s) for s in locs]
+        for k, s in enumerate(locs):
+            x, y, z = s[:, 1], s[:, 2], s[:, 3]
+            north = z >= 0
+            kets = np.column_stack([np.where(north, 1 + z, x - 1j * y), np.where(north, x + 1j * y, 1 - z)])
+            locs[k] = kets / np.linalg.norm(kets, axis=1, keepdims=True)
     return objective, locs
 
 
@@ -438,8 +472,10 @@ class TestSeesaw:
         for dims, proj in inputs:
             calls.clear()
             objective, locs = _seesaw(proj, dims, 7, 8)
-            # the loop stopped before the sweep cap, so every restart converged
-            assert len(calls) < len(dims) * upb.SEESAW_MAX_SWEEPS
+            # the loop stopped before the sweep cap, so every restart converged; every party's
+            # update, Bloch or eigensolver, was counted once per sweep
+            assert 0 < len(calls) < len(dims) * upb.SEESAW_MAX_SWEEPS
+            assert len(calls) % len(dims) == 0
             for r in range(8):
                 vecs = [v[r] for v in locs]
                 for k in range(len(dims)):
@@ -462,6 +498,17 @@ class TestSeesaw:
                     assert np.array_equal(objective, ref_objective)
                     for v, ref in zip(locs, ref_locs, strict=True):
                         assert np.array_equal(v, ref)
+
+    def test_pauli_slices_are_tensordots(self):
+        # the slices the seesaw multiplies by are np.tensordot's, bit for bit and in its layout:
+        # a matmul rounds a strided operand (the last slice, a view of T.real) differently
+        for n in (2, 3, 4):
+            dims = (2,) * n
+            for rank in (1, 2 ** (n - 1), 2 ** n - 1):
+                p_tensor = la.as_hermitian(random_projector(dims, rank, 10 * n + rank)).reshape(dims * 2)
+                for got, ref in zip(upb._pauli_slices(p_tensor), tensordot_pauli_slices(p_tensor), strict=True):
+                    assert got.shape == ref.shape and got.strides == ref.strides
+                    assert got.tobytes() == ref.tobytes()
 
     def test_start_vectors_are_per_party_counter_draws(self, monkeypatch):
         # restart r starts from default_rng([*seed, r]), with seeds across 32-bit word boundaries
@@ -519,6 +566,36 @@ class TestSeesaw:
                     lower_top_eigenvalue(patch, at_call=at_call, restart=2)
                     with pytest.raises(ConvergenceError, match=f"restart 2, sweep 1, party {party}: drop "):
                         seesaw_max_product_overlap(proj, dims, restarts=4, seed=0)
+
+    def test_nan_objective_retires_without_a_guard_trip(self, monkeypatch):
+        # a NaN maximum neither trips the monotonicity guard nor keeps a restart going, and it hides
+        # no drop beside it and keeps no other restart from going on
+        calls = count_local_updates(monkeypatch)
+        objective, _ = _seesaw(np.full((8, 8), np.nan), (2, 2, 2), 0, 3)
+        assert np.isnan(objective).all() and len(calls) == 3
+        real, sizes = upb._bloch_update, []
+
+        def with_nans(nan_at, drop_at):
+            def update(op, w, state, out):
+                state = real(op, w, state, out)
+                sizes.append(len(w))
+                if len(calls) == nan_at:
+                    out[0] = np.nan
+                if len(calls) == drop_at:
+                    out[1] -= 10.0
+                return state
+            return update
+
+        # restart 0 ends sweep 0 at NaN and retires alone
+        monkeypatch.setattr(upb, "_bloch_update", with_nans(3, 0))
+        calls.clear()
+        objective, _ = _seesaw(random_projector((2, 2, 2), 4, 1), (2, 2, 2), 0, 3)
+        assert np.isnan(objective[0]) and not np.isnan(objective[1:]).any() and sizes[2:4] == [3, 2]
+        # in sweep 1 restart 1 drops at party 0, and restart 0 turns NaN at party 1
+        monkeypatch.setattr(upb, "_bloch_update", with_nans(5, 4))
+        calls.clear()
+        with pytest.raises(ConvergenceError, match="restart 1, sweep 1, party 0: drop "):
+            _seesaw(random_projector((2, 2, 2), 4, 1), (2, 2, 2), 0, 3)
 
     def test_qubit_seesaw_calls_no_eigensolver(self, pi4_upb, monkeypatch):
         def refuse(matrix):
