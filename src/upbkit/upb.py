@@ -92,13 +92,16 @@ class UPB:
     members once into the columns of the read-only ``(D, m)`` matrix
     ``vectors`` and checks orthogonality with one Gram product ``V^H V``
     within ``PROJECTOR_TOL``, naming the first failing pair (i, j), i < j, in
-    row order.  A NaN fails either check.  The projector attributes are built
-    from ``vectors`` on first use and cached read-only.
+    row order.  A NaN fails either check.  It then builds the read-only
+    projectors ``member_sum_projector`` (``V V^H``, onto the members' span)
+    and ``complement_projector`` (``I - V V^H``, onto the complement).
     """
 
     local_stacks: tuple[np.ndarray, ...]
     local_dims: tuple[int, ...] = field(init=False)
     vectors: np.ndarray = field(init=False, repr=False)
+    member_sum_projector: np.ndarray = field(init=False, repr=False)
+    complement_projector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         stacks = tuple(_read_only(np.array(s, dtype=complex)) for s in self.local_stacks)
@@ -133,20 +136,13 @@ class UPB:
         if not ok.all():
             i, j = np.argwhere(~ok)[0]
             raise ValueError(f"members {i} and {j} are not orthogonal: |<i|j>| = {abs(gram[i, j]):.3e}")
+        member_sum = _read_only(vecs @ vecs.conj().T)
+        object.__setattr__(self, "member_sum_projector", member_sum)
+        object.__setattr__(self, "complement_projector", _read_only(np.eye(len(vecs)) - member_sum))
 
     @property
     def size(self) -> int:
         return self.vectors.shape[1]
-
-    @functools.cached_property
-    def member_sum_projector(self) -> np.ndarray:
-        """``V V^H``, the projector onto the members' span; built on first use, then the same read-only array."""
-        return _read_only(self.vectors @ self.vectors.conj().T)
-
-    @functools.cached_property
-    def complement_projector(self) -> np.ndarray:
-        """``I - V V^H``, the projector onto the complement; built on first use, then the same read-only array."""
-        return _read_only(np.eye(len(self.vectors)) - self.member_sum_projector)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -361,11 +357,11 @@ def _seesaw(
             for j in rest:
                 w = (w[:, :, None] * cur[j][:, None, :]).reshape(len(w), -1)
             cur[k] = update(ops[k], w, cur[k], values[k + 1])
-        # each local update is an exact maximization, so the objective is monotone (fmax skips a NaN drop)
+        # each local update is an exact maximization, so the objective is monotone (fmax and nanargmax skip a NaN drop)
         drop = values[:-1] - values[1:]
         if np.fmax.reduce(drop, axis=None) > SEESAW_IMPROVEMENT_TOL:
             k = int(np.argmax((drop > SEESAW_IMPROVEMENT_TOL).any(axis=1)))
-            i = int(np.argmax(drop[k]))
+            i = int(np.nanargmax(drop[k]))
             raise linalg.ConvergenceError(
                 f"seesaw objective decreased at restart {active[i]}, sweep {sweep}, "
                 f"party {k}: drop {drop[k, i]:.3e} exceeds {SEESAW_IMPROVEMENT_TOL:.3e}"

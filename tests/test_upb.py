@@ -339,6 +339,15 @@ class TestShiftsFamily:
         assert np.max(np.abs(member_sum - expected)) < 1e-15
         assert np.max(np.abs(complement - (np.eye(8) - expected))) < 1e-15
 
+    def test_projectors_are_fields_the_constructor_sets(self):
+        fields = {f.name: f for f in dataclasses.fields(UPB)}
+        for name in ("member_sum_projector", "complement_projector"):
+            assert not fields[name].init and not fields[name].repr, name
+        u = shifts_family((0.3, 0.7, 1.1))
+        # set with the other fields, before any read, and the complement is I minus the member sum exactly
+        assert {"member_sum_projector", "complement_projector"} <= set(vars(u))
+        assert np.array_equal(u.complement_projector, np.eye(8) - u.member_sum_projector)
+
 
 class TestUPBState:
     def test_spectrum_is_flat_on_complement(self):
@@ -595,6 +604,11 @@ class TestSeesaw:
         monkeypatch.setattr(upb, "_bloch_update", with_nans(5, 4))
         calls.clear()
         with pytest.raises(ConvergenceError, match="restart 1, sweep 1, party 0: drop "):
+            _seesaw(random_projector((2, 2, 2), 4, 1), (2, 2, 2), 0, 3)
+        # in sweep 1, at party 0, restart 0 turns NaN as restart 1 drops: the guard names restart 1
+        monkeypatch.setattr(upb, "_bloch_update", with_nans(4, 4))
+        calls.clear()
+        with pytest.raises(ConvergenceError, match=r"restart 1, sweep 1, party 0: drop 9\.\d+e\+00 "):
             _seesaw(random_projector((2, 2, 2), 4, 1), (2, 2, 2), 0, 3)
 
     def test_qubit_seesaw_calls_no_eigensolver(self, pi4_upb, monkeypatch):
