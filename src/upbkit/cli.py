@@ -11,6 +11,10 @@ serial execution would agree:
     sample s of a batch         -> default_rng([seed, s])
     restart r inside sample s   -> default_rng([seed, s, r])
 
+A command's parties are those of the UPB it builds.  ``_DIMS``, the family's
+``(2, 2, 2)``, bounds label keys, cut indices and ``subspace_dim`` and sets the
+size of the drawn hunts.  ``npt_projector`` noise is the three-qubit fixture.
+
 Usage::
 
     upbkit --config cfg.json [--out report.json]
@@ -61,6 +65,7 @@ any other error raises.  No command reaches the library's ``PositivityError``;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -115,13 +120,18 @@ class ConfigError(ValueError):
 
 MAX_COUNT = 1024  # the largest restarts, samples, random noise count or epsilon_grid length a config may ask for
 
-# the parties of every command: label keys, cut indices, noise and drawn subspaces follow them
+# the family's parties, read only where no UPB exists: the config's bounds and the drawn hunts
 _DIMS = (2, 2, 2)
-_N_PARTIES = len(_DIMS)
-_DIM = math.prod(_DIMS)
-_WHITE_NOISE = DensityMatrix(np.eye(_DIM) / _DIM, _DIMS, validate=False)
-_NPT_NOISE = entangled_pair_noise()
-_UNIFORM_STATE = DensityMatrix(projector_combination(uniform_direction(_N_PARTIES)), _DIMS)
+
+
+@functools.cache
+def _white_noise(dims: tuple[int, ...]) -> DensityMatrix:
+    return DensityMatrix(np.eye(math.prod(dims)) / math.prod(dims), dims, validate=False)
+
+
+@functools.cache
+def _uniform_state(dims: tuple[int, ...]) -> DensityMatrix:
+    return DensityMatrix(projector_combination(uniform_direction(len(dims))), dims)
 
 
 def _parse_int(raw: Any, name: str, lo: int, hi: int) -> int:
@@ -156,8 +166,8 @@ def _parse_label_key(key: str) -> str:
         mu = validate_labels(tuple(part.strip() for part in key.split(",")))
     except ValueError as exc:
         raise ConfigError(f"bad label key {key!r}: {exc}") from exc
-    if len(mu) != _N_PARTIES:
-        raise ConfigError(f"bad label key {key!r}: expected {_N_PARTIES} labels, got {len(mu)}")
+    if len(mu) != len(_DIMS):
+        raise ConfigError(f"bad label key {key!r}: expected {len(_DIMS)} labels, got {len(mu)}")
     return ",".join(mu)
 
 
@@ -178,10 +188,10 @@ def _parse_label_map(raw: Any, name: str) -> dict[str, float]:
     return weights
 
 
-def _label_state(weights: dict[str, float]) -> DensityMatrix:
+def _label_state(weights: dict[str, float], dims: tuple[int, ...]) -> DensityMatrix:
     """The state ``projector_combination(w) / sum(w)`` of a parsed label map; ValueError if that is not a state."""
     by_labels = {tuple(key.split(",")): w for key, w in weights.items()}
-    return DensityMatrix(projector_combination(by_labels) / sum(weights.values()), _DIMS)
+    return DensityMatrix(projector_combination(by_labels) / sum(weights.values()), dims)
 
 
 def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
@@ -233,9 +243,9 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
         cut_raw = rest.pop("cut", [0])
         if not isinstance(cut_raw, (list, tuple)) or not cut_raw:
             raise ConfigError("cut must be a nonempty list of party indices")
-        indices = [_parse_int(k, "cut index", 0, _N_PARTIES - 1) for k in cut_raw]
+        indices = [_parse_int(k, "cut index", 0, len(_DIMS) - 1) for k in cut_raw]
         try:
-            config["cut"] = list(linalg.cut_parties(indices, _N_PARTIES))
+            config["cut"] = list(linalg.cut_parties(indices, len(_DIMS)))
         except ValueError as exc:
             raise ConfigError(f"invalid cut: {exc}") from exc
 
@@ -260,7 +270,7 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
         else:
             if "angles" in config:
                 raise ConfigError(f"{kind} hunts draw their subspaces from the seed; drop angles")
-            config["subspace_dim"] = _parse_int(rest.pop("subspace_dim", None), "subspace_dim", 1, _DIM)
+            config["subspace_dim"] = _parse_int(rest.pop("subspace_dim", None), "subspace_dim", 1, math.prod(_DIMS))
             config["samples"] = _parse_int(rest.pop("samples", None), "samples", 1, MAX_COUNT)
 
     if rest:
@@ -287,22 +297,22 @@ def _parse_local_coefficients(raw: Any) -> dict[str, float]:
     return coeffs
 
 
-def _random_noise(config: dict[str, Any]) -> list[tuple[str, DensityMatrix]]:
+def _random_noise(config: dict[str, Any], dims: tuple[int, ...]) -> list[tuple[str, DensityMatrix]]:
     rngs = counter_rngs(config["seed"], config["noise"]["count"])
-    return [(f"random[{s}]", random_density_matrix(_DIMS, rng)) for s, rng in enumerate(rngs)]
+    return [(f"random[{s}]", random_density_matrix(dims, rng)) for s, rng in enumerate(rngs)]
 
 
-def _local_noise(config: dict[str, Any]) -> list[tuple[str, DensityMatrix]]:
+def _local_noise(config: dict[str, Any], dims: tuple[int, ...]) -> list[tuple[str, DensityMatrix]]:
     try:
-        return [("local", _label_state(config["noise"]["coefficients"]))]
+        return [("local", _label_state(config["noise"]["coefficients"], dims))]
     except ValueError as exc:
         raise ConfigError(f"local noise operator is not a state: {exc}") from exc
 
 
-# noise kind -> (its config fields besides "kind", each with its parser; the named noise states of a config)
+# noise kind -> (its config fields besides "kind", each with its parser; the named noise states of (config, dims))
 _NOISE_KINDS = {
-    "white": ({}, lambda config: [("white", _WHITE_NOISE)]),
-    "npt_projector": ({}, lambda config: [("npt_projector", _NPT_NOISE)]),
+    "white": ({}, lambda config, dims: [("white", _white_noise(dims))]),
+    "npt_projector": ({}, lambda config, dims: [("npt_projector", entangled_pair_noise())]),
     "random": ({"count": lambda raw: _parse_int(raw, "noise count", 1, MAX_COUNT)}, _random_noise),
     "local": ({"coefficients": _parse_local_coefficients}, _local_noise),
 }
@@ -317,24 +327,19 @@ def _vector_payload(v: Sequence[np.ndarray]) -> list[list[list[float]]]:
     return [[[z.real, z.imag] for z in loc.tolist()] for loc in v]
 
 
-def _cut_payload(cut: Sequence[int]) -> dict[str, list[int]]:
-    """Both sides of a cut of the parties, each as a new list."""
-    return {"side_a": list(cut), "side_b": [k for k in range(_N_PARTIES) if k not in cut]}
+def _cut_payload(cut: Sequence[int], n_parties: int) -> dict[str, list[int]]:
+    """Both sides of a cut of ``n_parties`` parties, each as a new list."""
+    return {"side_a": list(cut), "side_b": [k for k in range(n_parties) if k not in cut]}
 
 
 def cmd_build(config: dict[str, Any]) -> dict[str, Any]:
     u = shifts_family(config["angles"])
     rho = upb_state(u)
     spectrum = linalg.eigvalsh_unchecked(rho.matrix)
-    ppt_rows = []
-    for cut, verdict in is_ppt_all_cuts(rho).items():
-        ppt_rows.append(
-            {
-                **_cut_payload(cut),
-                "ppt": verdict.ppt,
-                "min_eigenvalue": verdict.min_eigenvalue,
-            }
-        )
+    ppt_rows = [
+        {**_cut_payload(cut, len(u.local_dims)), "ppt": verdict.ppt, "min_eigenvalue": verdict.min_eigenvalue}
+        for cut, verdict in is_ppt_all_cuts(rho).items()
+    ]
     return {
         "members": [_vector_payload(v) for v in zip(*u.local_stacks)],
         "spectrum": [float(x) for x in spectrum],
@@ -367,7 +372,7 @@ _VERDICT_NAMES = tuple(effect.value for effect in NoiseEffect)  # the verdict_co
 def cmd_perturb_scan(config: dict[str, Any]) -> dict[str, Any]:
     u = shifts_family(config["angles"])
     _, noise_states = _NOISE_KINDS[config["noise"]["kind"]]
-    names, noises = zip(*noise_states(config))
+    names, noises = zip(*noise_states(config, u.local_dims))
     scan = mixing_scan(u, noises, config["cut"], config["epsilon_grid"])
     counts = dict.fromkeys(_VERDICT_NAMES, 0)
     samples = []
@@ -396,7 +401,7 @@ def cmd_perturb_scan(config: dict[str, Any]) -> dict[str, Any]:
             }
         )
     return {
-        "cut": _cut_payload(config["cut"]),
+        "cut": _cut_payload(config["cut"], len(u.local_dims)),
         "samples": samples,
         "verdict_counts": counts,
     }
@@ -423,21 +428,21 @@ def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
     if config["subspace_kind"] == "upb_complement":
         u = shifts_family(config["angles"])
         runs.append((0, u.complement_projector, [config["seed"], 0]))
-        dim = _DIM - u.size
+        dims, dim = u.local_dims, len(u.vectors) - u.size
     else:
-        dim = config["subspace_dim"]
+        dims, dim, total = _DIMS, config["subspace_dim"], math.prod(_DIMS)
         for s, rng in enumerate(counter_rngs(config["seed"], config["samples"])):
             if config["subspace_kind"] == "planted":
-                vecs = [expand_locals(random_product_vector(_DIMS, rng)) for _ in range(dim)]
+                vecs = [expand_locals(random_product_vector(dims, rng)) for _ in range(dim)]
             else:
-                raw = rng.standard_normal((_DIM, dim)) + 1j * rng.standard_normal((_DIM, dim))
+                raw = rng.standard_normal((total, dim)) + 1j * rng.standard_normal((total, dim))
                 vecs = [raw[:, k] for k in range(dim)]
             runs.append((s, linalg.span_projector(vecs), [config["seed"], s]))
 
     sample_rows = []
     histogram: dict[int, int] = {}
     for index, projector, seed in runs:
-        result = subspace_product_hunt(projector, _DIMS, restarts=config["restarts"], seed=seed)
+        result = subspace_product_hunt(projector, dims, restarts=config["restarts"], seed=seed)
         histogram[result.distinct_count] = histogram.get(result.distinct_count, 0) + 1
         sample_rows.append(
             {
@@ -458,7 +463,8 @@ def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
 def cmd_witness_radius(config: dict[str, Any]) -> dict[str, Any]:
     u, _, w = _certified_witness(config)
     rho = upb_state(u)
-    sigma = _UNIFORM_STATE if config["direction"] == "uniform" else _label_state(config["direction"])
+    direction = config["direction"]
+    sigma = _uniform_state(u.local_dims) if direction == "uniform" else _label_state(direction, u.local_dims)
     radius = robustness_radius(w, rho, sigma)
     check = None
     if 0.0 < radius < math.inf:

@@ -32,6 +32,7 @@ of E epsilons as one stacked computation, and returns flat arrays.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -108,11 +109,13 @@ def kernel_product_basis(u: UPB, cut: Sequence[int]) -> np.ndarray:
     return np.ascontiguousarray(expand_locals(stacks).T)
 
 
+@functools.cache
 def entangled_pair_noise() -> DensityMatrix:
     """Three qubits: maximally entangled projector on qubits 0 and 1, qubit 2 in its ground state.
 
     The partial transpose across any cut separating qubits 0 and 1 has a
     negative eigenvalue, so this is the canonical NPT-inducing noise fixture.
+    It is built on first use and cached: every call returns one read-only state.
     """
     vec = np.zeros(8, dtype=complex)
     vec[[0, 6]] = 1.0 / np.sqrt(2.0)  # |000> and |110>

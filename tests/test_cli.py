@@ -19,6 +19,7 @@ from upbkit.cli import ConfigError, parse_config, run_command
 from upbkit.reporting import SchemaError, dumps_canonical, validate_report
 
 from conftest import lower_top_eigenvalue
+from test_upb import tiles_upb
 
 PI4 = [math.pi / 4, math.pi / 4, math.pi / 4]
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -488,6 +489,18 @@ class TestCommands:
         assert len(overlaps) == 48
         assert max(overlaps) <= 1.0
 
+    def test_commands_take_their_parties_from_their_upb(self, monkeypatch):
+        # a two-qutrit UPB of five members in place of the family: the cut sides, the noise state and the
+        # hunt's parties and dimension are its own
+        monkeypatch.setattr(cli, "shifts_family", lambda angles: tiles_upb())
+        build = run_command(parse_config(make_config())).payload
+        assert [(row["side_a"], row["side_b"]) for row in build["ppt"]] == [([0], [1])]
+        scan = run_command(parse_config({**SCAN, "cut": [0]})).payload
+        assert scan["cut"] == {"side_a": [0], "side_b": [1]}
+        assert scan["verdict_counts"]["PPT_PRESERVING"] == 1
+        hunt = run_command(parse_config({**UPB_HUNT, "restarts": 8})).payload
+        assert hunt["dim"] == 4
+
     def test_witness_radius_payload(self, tmp_path):
         single_label = {
             "command": "witness-radius",
@@ -632,6 +645,18 @@ class TestEndToEnd:
         )
         assert proc.returncode == 0, proc.stderr
         assert (root / "src") in pathlib.Path(proc.stdout.strip()).resolve().parents
+
+    def test_importing_the_cli_builds_no_state(self):
+        # the noise and direction states are built on first use, not at import: no projector basis
+        # (the uniform direction state's) and no NPT fixture
+        code = (
+            "from upbkit import cli, states\n"
+            "from upbkit.perturbation import entangled_pair_noise\n"
+            "print(states.projector_basis.cache_info().currsize, flush=True)\n"
+            "print(entangled_pair_noise.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.split() == ["0", "0"], proc.stderr
 
     def test_build_round_trip_and_determinism(self, tmp_path):
         first = run_cli(tmp_path, make_config())

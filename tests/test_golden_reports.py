@@ -7,7 +7,11 @@ each one is compared up to a global phase.
 
 A stable payload can still be wrong, so every committed report whose command
 the benchmark's checker (``perfbench/checks.py``, numpy apart from upbkit)
-covers must also pass that checker, and a doctored copy must fail it.
+covers must also pass that checker, and a doctored copy must fail it.  That
+checker does not check the rank of a dimension-5 hunt, so every sample of a
+committed random dimension-5 hunt is checked here for rank
+``min(dim, distinct_count)``: generic draws hold six product vectors of
+independence rank five.
 """
 
 import copy
@@ -116,3 +120,22 @@ def test_committed_report_passes_the_benchmark_checker(checks, path):
     doctored = copy.deepcopy(report["payload"])
     DOCTORINGS[report["config"]["command"]](doctored)
     assert checks.check_job(report["config"], 0, doctored)
+
+
+def rank_errors(payload) -> list[int]:
+    """Indices of the hunt samples whose rank is not ``min(dim, distinct_count)``."""
+    return [row["index"] for row in payload["samples"] if row["rank"] != min(payload["dim"], row["distinct_count"])]
+
+
+def test_random_dimension_five_hunts_have_full_rank():
+    payloads = [
+        report["payload"] for report in (json.loads(p.read_text()) for p in REPORTS)
+        if report["config"]["command"] == "subspace-hunt"
+        and report["config"]["subspace_kind"] == "random" and report["config"]["subspace_dim"] == 5
+    ]
+    assert payloads
+    for payload in payloads:
+        assert rank_errors(payload) == []
+        doctored = copy.deepcopy(payload)
+        doctored["samples"][-1]["rank"] = 3
+        assert rank_errors(doctored) == [doctored["samples"][-1]["index"]]

@@ -367,7 +367,7 @@ class TestMixingScan:
         u = shifts_family(config["angles"])
         rho = upb_state(u)
         _, noise_samples = cli._NOISE_KINDS[noise["kind"]]
-        samples = noise_samples(config)
+        samples = noise_samples(config, u.local_dims)
         assert len(payload["samples"]) == len(samples)
         for (name, rho1), row in zip(samples, payload["samples"]):
             single = mixing_scan(u, [rho1], cut, config["epsilon_grid"])
