@@ -4,8 +4,7 @@ Reports are JSON with a fixed layout::
 
     {"config": {...}, "payload": {...}, "meta": {...}}
 
-``dumps_canonical`` renders them with one module-level ``json.JSONEncoder``
-(``json.dumps``'s settings with compact separators), which keeps dict keys in
+``dumps_canonical`` renders them with ``json.dumps``, which keeps dict keys in
 insertion order, writes every real in its shortest round-trip form
 (``float.__repr__``, also for ``np.float64``) and spells the non-finite reals
 ``NaN`` / ``Infinity`` / ``-Infinity``, which ``json.loads`` accepts back.
@@ -37,13 +36,9 @@ class SchemaError(RuntimeError):
     """A report does not match the documented schema."""
 
 
-# json.dumps(value, separators=(",", ":")) builds this encoder anew on every call
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
 def dumps_canonical(value: Any) -> str:
     """Render plain dict/list/scalar data as deterministic JSON text."""
-    return _ENCODER.encode(value) + "\n"
+    return json.dumps(value, separators=(",", ":")) + "\n"
 
 
 # --------------------------------------------------------------------------

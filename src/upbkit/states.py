@@ -156,8 +156,7 @@ def projector_combination(coefficients: Mapping[tuple[str, ...], float]) -> np.n
     index = _basis_index(n)
     weights = np.zeros(len(stack))
     for mu, c in coefficients.items():
-        i = index.get(mu)
-        weights[index[validate_labels(mu)] if i is None else i] += c
+        weights[index[validate_labels(mu)]] += c
     # the (1, 4^n) @ (4^n, 4^n) product that np.tensordot(weights, stack, axes=1) forms, without its wrapper
     return np.dot(weights[None], stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 

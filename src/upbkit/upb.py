@@ -162,25 +162,15 @@ def shifts_angles(angles: Sequence[float]) -> tuple[float, ...]:
     return angles
 
 
-# shifts_family gathers its stacks from [0, 1, cos(a), cos(b), cos(c), sin(a), sin(b), sin(c), -cos(a), ...]:
-# party k's |0> = (1, 0), |1> = (0, 1), |T> = (cos t, sin t) and |T~> = (sin t, -cos t) for its angle t
-_KET_0, _KET_1 = (1, 0), (0, 1)
-_KET_T = [(2 + k, 5 + k) for k in range(3)]
-_KET_T_TILDE = [(5 + k, 8 + k) for k in range(3)]
-# row i of party k's stack is member i's local vector, in the order of the module docstring
-_FAMILY_ENTRIES = np.array([
-    [_KET_0, _KET_1, _KET_T[0], _KET_T_TILDE[0]],
-    [_KET_0, _KET_T[1], _KET_1, _KET_T_TILDE[1]],
-    [_KET_0, _KET_T[2], _KET_T_TILDE[2], _KET_1],
-])
-
-
 def shifts_family(angles: Sequence[float]) -> UPB:
     """The one-angle-per-party three-qubit family of angles ``(a, b, c)``; orthogonal by construction."""
     t = np.array(shifts_angles(angles), dtype=float)
-    c = np.cos(t)
-    entries = np.concatenate(([0.0, 1.0], c, np.sin(t), -c))
-    return UPB(entries[_FAMILY_ENTRIES].astype(complex))
+    cos, sin = np.cos(t), np.sin(t)
+    zero, one = (1.0, 0.0), (0.0, 1.0)
+    (a, b, c), (a_, b_, c_) = zip(cos, sin), zip(sin, -cos)  # |A>, |B>, |C> and |A~>, |B~>, |C~>
+    # the members |psi_1> .. |psi_4> of the module docstring, one local vector per party; UPB takes the party axis first
+    members = [(zero, zero, zero), (one, b, c), (a, one, c_), (a_, b_, one)]
+    return UPB(np.array(members, dtype=complex).transpose(1, 0, 2))
 
 
 def upb_state(u: UPB) -> DensityMatrix:

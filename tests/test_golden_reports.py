@@ -11,7 +11,11 @@ covers must also pass that checker, and a doctored copy must fail it.  That
 checker does not check the rank of a dimension-5 hunt, so every sample of a
 committed random dimension-5 hunt is checked here for rank
 ``min(dim, distinct_count)``: generic draws hold six product vectors of
-independence rank five.
+independence rank five.  Nor does it cover ``build`` or ``rank-mixtures``, so
+their committed reports are re-checked here from their JSON alone: numpy
+builds the family's members from the formula of the ``upb`` module docstring
+at the config's angles, the UPB states and mixtures from those members, and
+their spectra, ranks and partial-transpose minima from ``np.linalg.eigvalsh``.
 """
 
 import copy
@@ -139,3 +143,107 @@ def test_random_dimension_five_hunts_have_full_rank():
         doctored = copy.deepcopy(payload)
         doctored["samples"][-1]["rank"] = 3
         assert rank_errors(doctored) == [doctored["samples"][-1]["index"]]
+
+
+RANK_TOL = 1e-9  # an eigenvalue counts toward a rank, and a PT minimum is PPT, at |value| >= this
+CUTS = [([0], [1, 2]), ([0, 1], [2]), ([0, 2], [1])]  # (side_a, side_b) of every three-party cut, in payload order
+
+
+def shifts_members(angles) -> np.ndarray:
+    """The family's members as (member, party, 2) local vectors: |0>|0>|0>, |1>|B>|C>, |A>|1>|C~>, |A~>|B~>|1>."""
+    cos, sin = np.cos(np.array(angles)), np.sin(np.array(angles))
+    ket, tilde = np.stack([cos, sin], axis=1), np.stack([sin, -cos], axis=1)  # |T> and |T~> of each party's angle t
+    zero, one = np.eye(2)
+    return np.array([[zero, zero, zero], [one, ket[1], ket[2]], [ket[0], one, tilde[2]], [tilde[0], tilde[1], one]])
+
+
+def member_kets(members: np.ndarray) -> np.ndarray:
+    """Each member's 8-entry ket, one per row."""
+    return np.array([np.kron(np.kron(a, b), c) for a, b, c in members])
+
+
+def upb_state_matrix(members: np.ndarray) -> np.ndarray:
+    """The normalized projector onto the complement of the members' span."""
+    kets = member_kets(members)
+    return (np.eye(8) - kets.T @ kets.conj()) / (8 - len(kets))
+
+
+def numpy_rank(matrix: np.ndarray) -> int:
+    return int(np.count_nonzero(np.abs(np.linalg.eigvalsh(matrix)) >= RANK_TOL))
+
+
+def min_pt_eigenvalue(rho: np.ndarray, side: list[int]) -> float:
+    """Least eigenvalue of ``rho`` with the row and column indices of the ``side`` parties swapped."""
+    perm = list(range(6))
+    for k in side:
+        perm[k], perm[3 + k] = 3 + k, k
+    return float(np.linalg.eigvalsh(rho.reshape((2,) * 6).transpose(perm).reshape(8, 8))[0])
+
+
+def build_errors(config, payload) -> list[str]:
+    """The fields of a build payload that disagree with numpy at the config's angles."""
+    members = shifts_members(config["angles"])
+    rho = upb_state_matrix(members)
+    spectrum = np.linalg.eigvalsh(rho)
+    errors = []
+    if not np.allclose(local_vectors(payload["members"]).reshape(members.shape), members, rtol=0, atol=1e-15):
+        errors.append("members")
+    if not np.allclose(payload["spectrum"], spectrum, rtol=0, atol=FLOAT_TOL):
+        errors.append("spectrum")
+    if payload["rank"] != numpy_rank(rho):
+        errors.append("rank")
+    if [(row["side_a"], row["side_b"]) for row in payload["ppt"]] != CUTS:
+        errors.append("cuts")
+    for i, row in enumerate(payload["ppt"]):
+        if abs(row["min_eigenvalue"] - min_pt_eigenvalue(rho, row["side_a"])) > FLOAT_TOL:
+            errors.append(f"ppt[{i}].min_eigenvalue")
+        if row["ppt"] != (row["min_eigenvalue"] >= -RANK_TOL):
+            errors.append(f"ppt[{i}].ppt")
+    return errors
+
+
+def rank_mixture_errors(config, payload) -> list[str]:
+    """The ranks of a rank-mixtures payload that disagree with numpy at the config's angles."""
+    members = shifts_members(config["angles"])
+    first, second = upb_state_matrix(members), upb_state_matrix(shifts_members(config["angles_second"]))
+    member = member_kets(members)[0]
+    ranks = {
+        "rank_first": numpy_rank(first),
+        "rank_second": numpy_rank(second),
+        "rank_equal_mixture": numpy_rank((first + second) / 2),
+        "rank_state_plus_member": numpy_rank((first + np.outer(member, member.conj())) / 2),
+    }
+    errors = [key for key, rank in ranks.items() if payload[key] != rank]
+    return errors + ([] if payload["rank_tol"] == RANK_TOL else ["rank_tol"])
+
+
+def _shift_spectrum(payload):
+    payload["spectrum"][-1] += 1e-6
+
+
+def _flip_ppt(payload):
+    payload["ppt"][0]["ppt"] = not payload["ppt"][0]["ppt"]
+
+
+def _move_member(payload):
+    payload["members"][1][1][0][0] += 1e-3
+
+
+# command -> (its numpy re-check, one small error per field, with the error it must raise)
+NUMPY_RECHECKS = {
+    "build": (build_errors, [(_shift_spectrum, "spectrum"), (_flip_ppt, "ppt[0].ppt"), (_move_member, "members")]),
+    "rank-mixtures": (rank_mixture_errors, [(lambda payload: payload.update(rank_equal_mixture=6), "rank_equal_mixture")]),
+}
+
+
+@pytest.mark.parametrize("command", NUMPY_RECHECKS)
+def test_committed_report_agrees_with_numpy(command):
+    reports = [r for r in (json.loads(p.read_text()) for p in REPORTS) if r["config"]["command"] == command]
+    assert reports
+    recheck, doctorings = NUMPY_RECHECKS[command]
+    for report in reports:
+        assert recheck(report["config"], report["payload"]) == []
+        for doctor, error in doctorings:
+            doctored = copy.deepcopy(report["payload"])
+            doctor(doctored)
+            assert error in recheck(report["config"], doctored), error

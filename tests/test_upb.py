@@ -222,6 +222,18 @@ class TestShiftsFamily:
             for s, t in zip(stacks, built[0], strict=True):
                 assert s.tobytes() == t.tobytes()
 
+    def test_members_are_the_documented_formula(self):
+        # party k's stack, row i = member i: |psi_1..4> = |0>|0>|0>, |1>|B>|C>, |A>|1>|C~>, |A~>|B~>|1>
+        # with |T> = cos t|0> + sin t|1> and |T~> = sin t|0> - cos t|1>, exactly as the upb docstring writes them
+        zero, one = [1.0, 0.0], [0.0, 1.0]
+        for angles in ((0.3, 0.7, 1.1), (1.2, 0.1, 0.9)):
+            cos, sin = np.cos(np.array(angles)), np.sin(np.array(angles))
+            ket = [[cos[k], sin[k]] for k in range(3)]
+            tilde = [[sin[k], -cos[k]] for k in range(3)]
+            expected = [[zero, one, ket[0], tilde[0]], [zero, ket[1], one, tilde[1]], [zero, ket[2], tilde[2], one]]
+            for stack, rows in zip(shifts_family(angles).local_stacks, expected, strict=True):
+                np.testing.assert_array_equal(stack, np.array(rows, dtype=complex))
+
     def test_upb_type_rejects_nonorthogonal(self):
         e0 = np.array([1.0, 0.0], dtype=complex)
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
