@@ -41,7 +41,8 @@ The config schema (a command accepts exactly the fields it reads)::
     restarts      seesaw restarts, default 64 (certify, witness-radius,
                   subspace-hunt).  subspace-hunt solves dimensions <= 5
                   exactly and reads restarts only where that solve is
-                  degenerate and falls back to the seesaw
+                  degenerate and falls back to the seesaw; for dimensions
+                  >= 6 restarts sets how many exact hits are drawn
 
 Every count (restarts, samples, the random noise count and the number of
 epsilon_grid values) is an integer in [1, MAX_COUNT], MAX_COUNT = 1024, so

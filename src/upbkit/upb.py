@@ -33,10 +33,14 @@ Product hunting takes a projector, as the certificate does, and searches its
 range.  For three qubits and rank k <= 5 the product vectors form a finite
 set (the Segre variety has degree 6), found by one degree-6 polynomial solve:
 six points in a five-dimensional (super)space, of which those within
-HUNT_RESIDUAL_TOL of the range count.  Every other input, and a degenerate
-solve (a root at infinity, a rank-deficient constraint matrix, a multiple
-root, a continuum), goes to the seesaw, where each restart that reaches
-overlap 1 - gap counts.  One fidelity rule keeps the distinct hits of either.
+HUNT_RESIDUAL_TOL of the range count.  For rank 6 to 8 they form a continuum,
+and each restart gives one exact point of it: the seesaw's start kets fix the
+first k - 5 parties, and the rest solve in closed form (at most a quadratic).
+Every point must lie within HUNT_RESIDUAL_TOL of the range.  Every other
+input, and a degenerate solve (a root at infinity, a rank-deficient
+constraint matrix, a multiple root, a continuum where a finite set was
+expected), goes to the seesaw, where each restart that reaches overlap
+1 - gap counts.  One fidelity rule keeps the distinct hits of every path.
 """
 
 from __future__ import annotations
@@ -481,6 +485,22 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
     return np.array(kept, dtype=int)
 
 
+def _factor(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``z = b c^T`` for a stack of rank-one 2 x 2 ``z``: b the top eigenvector of ``z z^dag``, c the unit ``b^dag z``."""
+    b = linalg.eigh_unchecked(z @ z.conj().transpose(0, 2, 1)).eigenvectors[:, :, 1]
+    c = np.einsum("rp,rpq->rq", b.conj(), z)
+    return b, c / np.linalg.norm(c, axis=1, keepdims=True)
+
+
+def _verified(phi: np.ndarray, complement: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows ``phi`` have residual ``||(I - P) phi|| < HUNT_RESIDUAL_TOL``, and their overlaps ``<phi|P|phi>``.
+
+    The residual is ``||U^dag phi||`` for the orthonormal columns U of the complement of the range of P.
+    """
+    residual = np.linalg.norm(phi @ complement.conj(), axis=1)
+    return residual < HUNT_RESIDUAL_TOL, np.einsum("ri,ij,rj->r", phi.conj(), proj, phi).real
+
+
 def _qubit_triple_points(proj: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray] | None:
     """Every product vector in the range of ``proj``, a three-qubit projector of rank ``k <= 5``.
 
@@ -520,17 +540,78 @@ def _qubit_triple_points(proj: np.ndarray, k: int) -> tuple[list[np.ndarray], np
     z = _null_vectors(n).reshape(-1, 2, 2)
     if (np.linalg.norm(z, axis=(1, 2)) <= SEGRE_DEGENERACY_TOL * np.linalg.norm(n, axis=(1, 2)) ** 3).any():
         return None
-    # z = b c^T: b is the top eigenvector of z z^dag, c the normalized b^dag z
-    b = linalg.eigh_unchecked(z @ z.conj().transpose(0, 2, 1)).eigenvectors[:, :, 1]
-    c = np.einsum("rp,rpq->rq", b.conj(), z)
-    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    b, c = _factor(z)
     phi = expand_locals((a, b, c))
     in_superspace = np.linalg.norm(phi @ constraints.conj(), axis=1) < HUNT_RESIDUAL_TOL
     if not in_superspace.all() or len(_distinct(phi)) < len(phi):
         return None
-    found = np.linalg.norm(phi @ complement.conj(), axis=1) < HUNT_RESIDUAL_TOL
-    overlaps = np.einsum("ri,ij,rj->r", phi.conj(), proj, phi).real
+    found, overlaps = _verified(phi, complement, proj)
     return [a[found], b[found], c[found]], overlaps[found]
+
+
+def _qubit_triple_restarts(
+    proj: np.ndarray, k: int, seed: int | Sequence[int], restarts: int,
+) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """One product vector in the range of ``proj``, a three-qubit projector of rank ``6 <= k <= 8``, per restart.
+
+    Restart r draws the seesaw's start kets ``(a, b, c)`` from
+    ``default_rng([*seed, r])`` (``counter_rngs``), keeps the first ``k - 5``
+    of them and solves for the rest in closed form against the ``8 - k``
+    complement vectors ``u_j``, taken as ``_qubit_triple_points`` takes them:
+
+    - k = 8: the start is the hit;
+    - k = 7: ``<u|a, b, c> = n . c`` for ``n = <u|a, b, .>``, zero at ``c ~ (n_1, -n_0)``;
+    - k = 6: the constraints are ``N z = 0`` for ``z = b (x) c`` and a 2 x 4
+      ``N``, whose null space has an orthonormal basis ``z1, z2``.  The product
+      condition ``det(s z1 + t z2) = 0`` is a quadratic in ``(s, t)``; of its
+      two roots the unit z with the larger ``|<z|b (x) c>|`` is kept (the
+      first on a tie) and factored as ``b c^T`` (``_factor``).
+
+    Every restart is solved at once.  Returns the per-party ``(R, 2)`` kets and
+    the ``(R,)`` overlaps, as ``_qubit_triple_points`` does, or None, for the
+    seesaw to settle, when the solve is degenerate (``N`` of rank below 2 or
+    ``n`` zero relative to ``SEGRE_DEGENERACY_TOL``, a quadratic whose three
+    coefficients vanish, a root of zero norm) or a hit's residual is not
+    below ``HUNT_RESIDUAL_TOL``.
+    """
+    complement = linalg.eigh_unchecked(proj).eigenvectors[:, :8 - k]
+    # party j draws 2 real parts, then 2 imaginary parts, in party order: the seesaw's start kets
+    parts = np.array([rng.standard_normal(12) for rng in counter_rngs(seed, restarts)]).reshape(restarts, 3, 2, 2)
+    kets = parts[:, :, 0] + 1j * parts[:, :, 1]
+    a, b, c = (kets / np.linalg.norm(kets, axis=2, keepdims=True)).transpose(1, 0, 2)
+    # entry (j, i, p, q) is <u_j|i, p, q>
+    u = complement.conj().T.reshape(8 - k, 2, 2, 2)
+    if k == 7:
+        n = np.einsum("ipq,ri,rp->rq", u[0], a, b)
+        size = np.linalg.norm(n, axis=1, keepdims=True)
+        if (size <= SEGRE_DEGENERACY_TOL).any():
+            return None
+        c = n[:, ::-1] * np.array([1, -1]) / size
+    elif k == 6:
+        _, sv, vh = np.linalg.svd(np.einsum("jipq,ri->rjpq", u, a).reshape(restarts, 2, 4))
+        if (sv[:, 1] <= SEGRE_DEGENERACY_TOL * sv[:, 0]).any():
+            return None
+        # the conjugated rows of vh past N's rank are the orthonormal basis z1, z2 of its null space
+        zs = vh[:, 2:].conj().reshape(restarts, 2, 2, 2)
+        # det(s z1 + t z2) = qa s^2 + qb s t + qc t^2, from the mixed determinants d[m, n] = zm_00 zn_11 - zm_01 zn_10
+        d = zs[:, :, None, 0, 0] * zs[:, None, :, 1, 1] - zs[:, :, None, 0, 1] * zs[:, None, :, 1, 0]
+        qa, qb, qc = d[:, 0, 0], d[:, 0, 1] + d[:, 1, 0], d[:, 1, 1]
+        if (np.abs([qa, qb, qc]).max(axis=0) <= SEGRE_DEGENERACY_TOL).any():
+            return None
+        # q = -(qb + sqrt(disc)) / 2 on the branch that avoids cancellation; the roots (s : t) are (q : qa) and (qc : q)
+        root = np.sqrt(qb * qb - 4 * qa * qc)
+        q = -(qb + np.where((qb.conj() * root).real < 0, -root, root)) / 2
+        z = np.einsum("nmr,rmpq->nrpq", np.array([[q, qa], [qc, q]]), zs)
+        size = np.linalg.norm(z, axis=(2, 3), keepdims=True)
+        if (size == 0).any():
+            return None
+        z = z / size
+        near = np.abs(np.einsum("nrpq,rp,rq->nr", z.conj(), b, c))
+        b, c = _factor(np.where((near[0] >= near[1])[:, None, None], z[0], z[1]))
+    found, overlaps = _verified(expand_locals((a, b, c)), complement, proj)
+    if not found.all():
+        return None
+    return [a, b, c], overlaps
 
 
 def subspace_product_hunt(
@@ -543,7 +624,7 @@ def subspace_product_hunt(
 
     The input contract is ``seesaw_max_product_overlap``'s: a Hermitian,
     idempotent ``projector`` of dimension ``prod(local_dims)``; its rank k, read
-    from the trace, must be at least 1.  Two paths find the candidate points:
+    from the trace, must be at least 1.  Three paths find the candidate points:
 
     - three qubits and k <= 5: one degree-6 polynomial solve
       (``_qubit_triple_points``), which finds every product vector in the span
@@ -552,6 +633,12 @@ def subspace_product_hunt(
       part.  Where the solve is degenerate (a root at infinity, a
       rank-deficient constraint matrix, a multiple root or a continuum of
       product vectors) the seesaw below runs, with the same seed and restarts;
+    - three qubits and k >= 6: one exact product vector per restart
+      (``_qubit_triple_restarts``), through restart r's seesaw start kets, so
+      ``restarts`` sets how many points of the continuum are drawn.  Where
+      that solve is degenerate, or a point's residual is not below
+      ``HUNT_RESIDUAL_TOL``, the seesaw below runs with the same seed and
+      restarts;
     - otherwise a multi-start seesaw, where every restart landing at overlap
       >= 1 - gap is a candidate.
 
@@ -562,11 +649,13 @@ def subspace_product_hunt(
     from their Gram spectrum at the default tolerance.
     """
     p, dims = _checked_projector(projector, local_dims)
-    _seed_words(seed, restarts)  # the exact path reads neither, and rejects what the seesaw rejects
+    _seed_words(seed, restarts)  # every path rejects what the seesaw rejects, the k <= 5 solve too, which reads neither
     k = round(float(np.trace(p).real))
     if k == 0:
         raise ValueError("the projector's range is empty")
-    found = _qubit_triple_points(p, k) if dims == (2, 2, 2) and k <= 5 else None
+    found = None
+    if dims == (2, 2, 2):
+        found = _qubit_triple_points(p, k) if k <= 5 else _qubit_triple_restarts(p, k, seed, restarts)
     if found is None:
         objective, locs = _seesaw(p, dims, seed, restarts)
         hit = objective >= 1.0 - UNEXTENDIBILITY_GAP

@@ -441,7 +441,7 @@ class TestCommands:
         assert [row["noise"] for row in short["samples"]] == ["random[0]", "random[1]"]
         assert short["samples"] == long["samples"][:2]
 
-    # random dim 5 and planted dim 3 take the exact solve, random and planted dim 6 the seesaw
+    # random dim 5 and planted dim 3 take the exact solve, random and planted dim 6 one exact hit per restart
     @pytest.mark.parametrize("kind, dim", [("random", 5), ("planted", 3), ("random", 6), ("planted", 6)])
     def test_hunt_sample_s_draws_from_its_counter_seed(self, kind, dim):
         raw = {**HUNT, "subspace_kind": kind, "subspace_dim": dim, "restarts": 8}

@@ -708,7 +708,7 @@ class TestSubspaceHunt:
             subspace_product_hunt(np.zeros((8, 8)), (2, 2, 2), restarts=1, seed=0)
 
     def test_seesaw_path_needs_a_restart(self):
-        # dimension 6 takes the seesaw, which checks restarts as certification does
+        # every path checks restarts as certification does (_seed_words), before any solve
         projector = random_subspace(np.random.default_rng(5), 6)
         with pytest.raises(ValueError, match="need at least one restart"):
             subspace_product_hunt(projector, (2, 2, 2), restarts=0, seed=0)
@@ -729,7 +729,7 @@ def assert_hits_in_span(result, projector):
 
 @pytest.fixture
 def no_seesaw(monkeypatch):
-    """Fail any hunt that leaves the three-qubit polynomial solve for the seesaw."""
+    """Fail any hunt that leaves the three-qubit exact solves for the seesaw."""
 
     def seesaw(*args, **kwargs):
         raise AssertionError("the hunt fell back to the seesaw")
@@ -843,11 +843,87 @@ class TestHuntFallback:
             phi = expand_locals(v)
             assert np.vdot(phi, projector @ phi).real >= 1 - upb.UNEXTENDIBILITY_GAP
 
-    def test_dim6_and_qutrits_keep_the_seesaw(self, seesaw_calls):
-        rng = np.random.default_rng(3)
-        subspace_product_hunt(random_subspace(rng, 6), (2, 2, 2), restarts=4, seed=0)
+    def test_qutrits_keep_the_seesaw(self, seesaw_calls):
         subspace_product_hunt(la.span_projector([np.eye(9)[0]]), (3, 3), restarts=4, seed=0)
-        assert len(seesaw_calls) == 2
+        assert len(seesaw_calls) == 1
+
+
+def start_kets(seed, restarts):
+    """Restart r's normalized start kets ``(a, b, c)`` as the seesaw draws them from ``default_rng([*seed, r])``."""
+    kets = []
+    for r in range(restarts):
+        parts = np.random.default_rng([*seed, r]).standard_normal(12).reshape(3, 2, 2)
+        kets.append([v / np.linalg.norm(v) for v in parts[:, 0] + 1j * parts[:, 1]])
+    return kets
+
+
+class TestExactRestartHunt:
+    """Three-qubit subspaces of dimension 6 to 8: each restart's start kets fix one exact product vector.
+
+    The suite turns a warning into an error, so the fallback tests also show that no degenerate solve divides by zero.
+    """
+
+    @pytest.mark.usefixtures("no_seesaw")
+    @pytest.mark.parametrize("dim", [6, 7, 8])
+    @pytest.mark.parametrize("kind", ["random", "planted"])
+    def test_one_hit_per_restart_inside_the_span(self, kind, dim):
+        rng = np.random.default_rng(300 + dim)
+        for draw in range(5):
+            if kind == "random":
+                projector = random_subspace(rng, dim)
+            else:
+                planted = [random_product_vector((2, 2, 2), rng) for _ in range(dim)]
+                projector = la.span_projector([expand_locals(v) for v in planted])
+            for restarts in (4, 12):
+                result = subspace_product_hunt(projector, (2, 2, 2), restarts=restarts, seed=[draw, dim])
+                assert (result.distinct_count, result.rank) == (restarts, min(restarts, dim))
+                assert_hits_in_span(result, projector)
+
+    @pytest.mark.usefixtures("no_seesaw")
+    @pytest.mark.parametrize("dim", [6, 7, 8])
+    def test_hits_keep_the_start_kets_and_a_prefix(self, dim):
+        projector = random_subspace(np.random.default_rng(400 + dim), dim)
+        short, long = (subspace_product_hunt(projector, (2, 2, 2), restarts=r, seed=[7, 8]) for r in (4, 12))
+        for r, kets in enumerate(start_kets([7, 8], 12)):
+            for party in range(dim - 5):
+                assert np.allclose(long.local_stacks[party][r], kets[party], rtol=0, atol=1e-15)
+        assert short.overlaps == long.overlaps[:4]
+        for a, b in zip(short.local_stacks, long.local_stacks, strict=True):
+            assert np.array_equal(a, b[:4])
+
+    def test_vanishing_quadratic_falls_back(self, seesaw_calls):
+        # span{|000>, ..., |101>}: every z in N's null space span{|00>, |01>} is a product, so det(s z1 + t z2) = 0
+        result = subspace_product_hunt(la.span_projector(list(np.eye(8)[:6])), (2, 2, 2), restarts=12, seed=0)
+        assert len(seesaw_calls) == 1
+        assert result.distinct_count >= 1
+
+    @pytest.mark.parametrize("v", [(0, 1, -1, 0), (0, 0, 0, 1)], ids=["psi_minus", "11"])
+    def test_rank_deficient_constraint_matrix_falls_back(self, seesaw_calls, v):
+        # the complement C^2 (x) |v> gives N(a) the rows a_0 <v| and a_1 <v|: rank 1 for every a
+        projector = np.eye(8) - la.span_projector([np.kron(e, v) for e in np.eye(2)])
+        subspace_product_hunt(projector, (2, 2, 2), restarts=12, seed=0)
+        assert len(seesaw_calls) == 1
+
+    def test_double_root_falls_back(self, seesaw_calls):
+        # complement {|000>, |0>(|01> + |10>)}: N's null space is span{|11>, |01> - |10>}, where det = t^2 / 2
+        # has the double root |11>, and one of the two root vectors is exactly zero
+        e = np.eye(8)
+        subspace_product_hunt(np.eye(8) - la.span_projector([e[0], e[1] + e[2]]), (2, 2, 2), restarts=12, seed=0)
+        assert len(seesaw_calls) == 1
+
+    def test_vanishing_contraction_falls_back(self, seesaw_calls):
+        # rank 7 with complement |a'>|00>, a' orthogonal to restart 0's start ket a: n = <a'|a> <0|b> <0| = 0
+        a = start_kets([0], 1)[0][0]
+        a_perp = np.array([-a[1].conj(), a[0].conj()])
+        projector = np.eye(8) - product_projector([a_perp, np.eye(2)[0], np.eye(2)[0]])
+        subspace_product_hunt(projector, (2, 2, 2), restarts=12, seed=0)
+        assert len(seesaw_calls) == 1
+
+    def test_a_hit_outside_the_tolerance_falls_back(self, seesaw_calls, monkeypatch):
+        # every exact hit ends within rounding of the span; a zero tolerance rejects them all
+        monkeypatch.setattr(upb, "HUNT_RESIDUAL_TOL", 0.0)
+        subspace_product_hunt(random_subspace(np.random.default_rng(9), 6), (2, 2, 2), restarts=4, seed=0)
+        assert len(seesaw_calls) == 1
 
 
 def test_hunt_leaves_numpy_fft_unloaded():
@@ -856,8 +932,9 @@ def test_hunt_leaves_numpy_fft_unloaded():
         "import sys\n"
         "import numpy as np\n"
         "from upbkit import span_projector, subspace_product_hunt\n"
-        "raw = np.random.default_rng(0).standard_normal((5, 8))\n"
-        "assert subspace_product_hunt(span_projector(list(raw + 0j)), (2, 2, 2), restarts=1).distinct_count == 6\n"
+        "raw = np.random.default_rng(0).standard_normal((6, 8))\n"
+        "assert subspace_product_hunt(span_projector(list(raw[:5] + 0j)), (2, 2, 2), restarts=1).distinct_count == 6\n"
+        "assert subspace_product_hunt(span_projector(list(raw + 0j)), (2, 2, 2), restarts=1).distinct_count == 1\n"
         "print('numpy.fft' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
