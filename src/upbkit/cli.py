@@ -4,12 +4,18 @@ Every pipeline in the toolkit is wrapped as a command; the command name and
 all inputs live in a JSON config file, and the result is a JSON report whose
 payload is byte-identical across re-runs of the same config (see
 ``reporting``).  There are no wall-clock defaults: a 64-bit seed is required,
-and all randomness is derived from it by a counter scheme, so parallel and
-serial execution would agree:
+and every draw is a pure function of it and a counter, so parallel and serial
+execution would agree:
 
-    seesaw restart r            -> default_rng([seed, r])
     sample s of a batch         -> default_rng([seed, s])
-    restart r inside sample s   -> default_rng([seed, s, r])
+    seesaw restart r            -> block r of one stream, the first spawned
+                                   child of SeedSequence([seed])
+    restart r inside sample s   -> block r of the first spawned child of
+                                   SeedSequence([seed, s])
+
+A block is the restart's start draws, so the restarts of a shorter run are
+the first of a longer one, and the child never replays the sample's own
+stream.
 
 A command's parties are those of the UPB it builds.  ``_DIMS``, the family's
 ``(2, 2, 2)``, bounds label keys, cut indices and ``subspace_dim`` and sets the

@@ -264,14 +264,30 @@ def _seed_words(seed: int | Sequence[int], restarts: int) -> list[int]:
 
 
 def counter_rngs(seed: int | Sequence[int], count: int) -> Iterator[np.random.Generator]:
-    """``np.random.default_rng([*seed, r])`` for r = 0, 1, ..., count - 1: the counter scheme of every seeded draw.
+    """``np.random.default_rng([*seed, r])`` for r = 0, 1, ..., count - 1: the CLI's sample and noise draws.
 
     Each generator is seeded from the uint32 words that ``np.random.SeedSequence``
     would split the list into, with the seed's words split once; the errors are
-    those of ``_seed_words``, raised before the first generator.
+    those of ``_seed_words``, raised before the first generator.  Seesaw and
+    exact-hunt restarts draw from ``_start_draws`` instead.
     """
     words = _seed_words(seed, count)
     return (np.random.default_rng(np.array(words + _uint32_words(r), dtype=np.uint32)) for r in range(count))
+
+
+def _start_draws(seed: int | Sequence[int], restarts: int, width: int) -> np.ndarray:
+    """Every restart's start draws, ``(restarts, width)`` normals: row r is restart r's.
+
+    One generator per call draws them all, from the seed's first spawned
+    child (``SeedSequence(words).spawn(1)[0]``, built directly from its spawn
+    key).  Row r is the r-th block of ``width`` normals of its stream, a
+    function of ``(seed, r, width)`` alone, so fewer restarts draw the first
+    rows of more.  It is the child and not the seed's own stream because a
+    drawn hunt's sample s draws its subspace from ``default_rng([seed, s])``
+    and hunts with seed ``[seed, s]``.  The errors are those of ``_seed_words``.
+    """
+    words = _seed_words(seed, restarts)
+    return np.random.default_rng(np.random.SeedSequence(words, spawn_key=(0,))).standard_normal((restarts, width))
 
 
 def _seesaw(
@@ -285,10 +301,11 @@ def _seesaw(
     ``projector`` is the D x D matrix, ``D = prod(dims)``, and must already be
     Hermitian: nothing here checks it again.  It is reshaped once into a
     ``dims + dims`` tensor (ket axes, then bra axes).  Restart r starts from
-    the stream of ``default_rng([*seed, r])`` (``counter_rngs``).  Party k's
-    states form one array over the restarts, and a local update maximizes over
-    party k with the product ``w`` of the other parties' states held fixed,
-    writing its maxima into the sweep's values in place:
+    row r of ``_start_draws``: party j's ``d_j`` real parts, then its ``d_j``
+    imaginary parts, in party order.  Party k's states form one array over
+    the restarts, and a local update maximizes over party k with the product
+    ``w`` of the other parties' states held fixed, writing its maxima into
+    the sweep's values in place:
 
     - every local dim 2: the start kets are one reshape of the draws, turned
       into Bloch rows ``s_k = (1, r_k)`` and back in one call each; an update is
@@ -312,10 +329,8 @@ def _seesaw(
     n = len(dims)
     if n < 2:
         raise ValueError(f"the seesaw needs at least two parties, got local dims {tuple(dims)}")
-    rngs = counter_rngs(seed, restarts)
+    draws = _start_draws(seed, restarts, 2 * sum(dims))
     p_tensor = projector.reshape(tuple(dims) * 2)
-    # party j draws d_j real parts, then d_j imaginary parts, in party order
-    draws = np.array([rng.standard_normal(2 * sum(dims)) for rng in rngs])
     others = [[j for j in range(n) if j != k] for k in range(n)]  # w's parties, in order
     bloch = all(d == 2 for d in dims)
     if bloch:
@@ -395,15 +410,15 @@ def seesaw_max_product_overlap(
 ) -> UnextendibilityCertificate:
     """Maximize <phi|P|phi> over product vectors by multi-start seesaw.
 
-    Restart r draws its start from ``default_rng([*seed, r])``, so runs are
-    reproducible and restarts are independent.  The best overlap wins, and
-    among objectives that are bit-equal the lowest restart index.  Restarts
-    that converge into one basin each stop within ``SEESAW_IMPROVEMENT_TOL``
-    of its maximum, so their objectives are seldom bit-equal (they end up to
-    3.2e-13 apart on the certify configs), and the strict argmax picks
-    ``best_product_vector`` among them by rounding.  ROADMAP item 2's tie
-    rule, a tolerance and a canonical choice among tied restarts, would fix
-    that choice.
+    Restart r starts from row r of ``_start_draws``, so runs are reproducible
+    and the starts of fewer restarts are the first of more.  The best
+    overlap wins, and among objectives that are bit-equal the lowest restart
+    index.  Restarts that converge into one basin each stop within
+    ``SEESAW_IMPROVEMENT_TOL`` of its maximum, so their objectives are seldom
+    bit-equal (they end up to 3.2e-13 apart on the certify configs), and the
+    strict argmax picks ``best_product_vector`` among them by rounding.
+    ROADMAP item 2's tie rule, a tolerance and a canonical choice among tied
+    restarts, would fix that choice.
     """
     objective, locs = _seesaw(*_checked_projector(projector, local_dims), seed, restarts)
     r = int(np.argmax(objective))
@@ -477,10 +492,11 @@ def _null_vectors(n: np.ndarray) -> np.ndarray:
 
 def _distinct(rows: np.ndarray) -> np.ndarray:
     """Indices of the unit rows kept in order: a row goes when its fidelity with a kept one exceeds 1 - tol."""
-    fidelity = np.abs(rows.conj() @ rows.T) ** 2
+    # one comparison over the whole matrix, as Python bools (a NaN fidelity is never close)
+    close = (np.abs(rows.conj() @ rows.T) ** 2 > 1.0 - DISTINCT_FIDELITY_TOL).tolist()
     kept: list[int] = []
-    for r in range(len(rows)):
-        if not (fidelity[r, kept] > 1.0 - DISTINCT_FIDELITY_TOL).any():
+    for r, row in enumerate(close):
+        if not any(row[j] for j in kept):
             kept.append(r)
     return np.array(kept, dtype=int)
 
@@ -554,8 +570,8 @@ def _qubit_triple_restarts(
 ) -> tuple[list[np.ndarray], np.ndarray] | None:
     """One product vector in the range of ``proj``, a three-qubit projector of rank ``6 <= k <= 8``, per restart.
 
-    Restart r draws the seesaw's start kets ``(a, b, c)`` from
-    ``default_rng([*seed, r])`` (``counter_rngs``), keeps the first ``k - 5``
+    Restart r draws the seesaw's start kets ``(a, b, c)``, row r of
+    ``_start_draws(seed, restarts, 12)``, keeps the first ``k - 5``
     of them and solves for the rest in closed form against the ``8 - k``
     complement vectors ``u_j``, taken as ``_qubit_triple_points`` takes them:
 
@@ -576,7 +592,7 @@ def _qubit_triple_restarts(
     """
     complement = linalg.eigh_unchecked(proj).eigenvectors[:, :8 - k]
     # party j draws 2 real parts, then 2 imaginary parts, in party order: the seesaw's start kets
-    parts = np.array([rng.standard_normal(12) for rng in counter_rngs(seed, restarts)]).reshape(restarts, 3, 2, 2)
+    parts = _start_draws(seed, restarts, 12).reshape(restarts, 3, 2, 2)
     kets = parts[:, :, 0] + 1j * parts[:, :, 1]
     a, b, c = (kets / np.linalg.norm(kets, axis=2, keepdims=True)).transpose(1, 0, 2)
     # entry (j, i, p, q) is <u_j|i, p, q>

@@ -91,6 +91,13 @@ def tensordot_pauli_slices(p_tensor):
     return [np.moveaxis(t.real, k, -1).reshape(-1, 4) for k in range(n)]
 
 
+def start_draws(seed, restarts, width):
+    """Every restart's start draws, row r restart r's: blocks of one stream, the seed's first spawned child."""
+    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    child = np.random.SeedSequence(base).spawn(1)[0]
+    return np.random.default_rng(child).standard_normal((restarts, width))
+
+
 def reference_bloch_update(op, w, prev):
     """The closed-form qubit update on fresh arrays: the maxima ``g_0 + |g|`` and the rows ``(1, g / |g|)``."""
     g = w @ op
@@ -112,15 +119,14 @@ def reference_eigh_update(op, w, prev):
 def reference_seesaw(proj, dims, seed, restarts):
     """The seesaw as one update at a time, the reference ``_seesaw`` must equal bit for bit.
 
-    Restart r draws from ``default_rng([*seed, r])``, each party converts to and
+    Restart r draws row r of ``start_draws``, each party converts to and
     from Bloch rows on its own, the objective is checked after every local
     update, and the active restarts are gathered and written back every sweep.
     The Pauli slices, the conversions and the updates are this module's own.
     """
     n = len(dims)
     p_tensor = proj.reshape(tuple(dims) * 2)
-    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    draws = np.array([np.random.default_rng(base + [r]).standard_normal(2 * sum(dims)) for r in range(restarts)])
+    draws = start_draws(seed, restarts, 2 * sum(dims))
     offsets = np.cumsum([0] + [2 * d for d in dims])
     locs = []
     for k, d in enumerate(dims):
@@ -406,8 +412,7 @@ class TestSeesaw:
                 assert np.all(np.isfinite(v))
                 assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) < 1e-12
             # no update moves a vector, so each restart returns its start draw up to a phase
-            for r in range(4):
-                draw = np.random.default_rng([1, r]).standard_normal(12)
+            for r, draw in enumerate(start_draws(1, 4, 12)):
                 for k, v in enumerate(locs):
                     start = draw[4 * k:4 * k + 2] + 1j * draw[4 * k + 2:4 * k + 4]
                     assert abs(np.vdot(start / np.linalg.norm(start), v[r])) > 1 - 1e-12
@@ -464,7 +469,7 @@ class TestSeesaw:
             assert np.array_equal(x, y)
 
     def test_batched_and_serial_restarts_agree(self, pi4_upb):
-        # counter seeds: restart r does the same work whatever the batch around it
+        # restart r starts from the same draws whatever the batch around it
         dims = pi4_upb.local_dims
         proj = pi4_upb.complement_projector
         small, _ = _seesaw(proj, dims, [5, 1], 4)
@@ -532,15 +537,13 @@ class TestSeesaw:
                     assert got.tobytes() == ref.tobytes()
 
     def test_start_vectors_are_per_party_counter_draws(self, monkeypatch):
-        # restart r starts from default_rng([*seed, r]), with seeds across 32-bit word boundaries
+        # restart r starts from row r of start_draws, with seeds across 32-bit word boundaries
         monkeypatch.setattr(upb, "SEESAW_MAX_SWEEPS", 0)
         for seed in (0, 2**32 - 1, 2**32, 2**64 - 1, [2**64 - 1, 3], [5, 2**32], [4, 2]):
-            base = seed if isinstance(seed, list) else [seed]
             for dims in ((2, 3, 2), (2, 2, 2)):
                 _, locs = _seesaw(np.eye(int(np.prod(dims))), dims, seed, 5)
                 offsets = np.cumsum([0, *(2 * d for d in dims)])
-                for r in range(5):
-                    draw = np.random.default_rng([*base, r]).standard_normal(2 * sum(dims))
+                for r, draw in enumerate(start_draws(seed, 5, 2 * sum(dims))):
                     for k, d in enumerate(dims):
                         v = draw[offsets[k]:offsets[k] + d] + 1j * draw[offsets[k] + d:offsets[k + 1]]
                         v /= np.linalg.norm(v)
@@ -549,6 +552,21 @@ class TestSeesaw:
                             assert abs(np.vdot(v, locs[k][r])) > 1 - 1e-12
                         else:
                             assert np.max(np.abs(locs[k][r] - v)) <= 1e-15
+
+    def test_start_draws_are_one_child_stream_and_prefix_stable(self):
+        # one generator per call, the seed's first spawned child; fewer restarts draw the first rows of more
+        for seed in (0, 2**32 + 3, 2**64 - 1, [5, 2**32], [4, 2]):
+            for width in (12, 14):
+                long = upb._start_draws(seed, 12, width)
+                assert long.tobytes() == start_draws(seed, 12, width).tobytes()
+                assert upb._start_draws(seed, 4, width).tobytes() == long[:4].tobytes()
+
+    def test_start_draws_share_no_value_with_the_sample_stream(self):
+        # a drawn hunt's sample s draws its subspace from default_rng([seed, s]) and hunts with seed [seed, s];
+        # SeedSequence pads short entropy with zero words, so default_rng([seed, s, 0]) would be that very stream
+        for seed, s in ((0, 0), (1, 3), (2**63, 5)):
+            sample = np.random.default_rng([seed, s]).standard_normal(4096)
+            assert not np.isin(upb._start_draws([seed, s], 12, 12), sample).any()
 
     def test_seed_words_are_numpys(self):
         # the generator of restart r hashes the seed's words, then r's
@@ -714,6 +732,41 @@ class TestSubspaceHunt:
             subspace_product_hunt(projector, (2, 2, 2), restarts=0, seed=0)
 
 
+def reference_distinct(rows):
+    """The fidelity rule one numpy row at a time, the reference ``upb._distinct`` must equal."""
+    fidelity = np.abs(rows.conj() @ rows.T) ** 2
+    kept = []
+    for r in range(len(rows)):
+        if not (fidelity[r, kept] > 1.0 - upb.DISTINCT_FIDELITY_TOL).any():
+            kept.append(r)
+    return np.array(kept, dtype=int)
+
+
+def test_distinct_keeps_the_reference_indices():
+    rng = np.random.default_rng(12)
+    e0, e1 = np.eye(8, dtype=complex)[:2]
+    unit = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    # fidelities with e0 just above, at and just below the rule's edge 1 - tol
+    angles = np.arcsin(np.sqrt(upb.DISTINCT_FIDELITY_TOL * (1 + np.array([-1e-9, 0, 1e-9]))))
+    edge = [np.cos(t) * e0 + np.sin(t) * e1 for t in angles]
+    nan = np.full(8, np.nan + 0j)
+    inputs = [
+        np.zeros((0, 8), dtype=complex),
+        unit,
+        np.array([unit[0], unit[1], 1j * unit[0], unit[1], unit[2], np.exp(0.3j) * unit[2]]),
+        np.array([e0, *edge, e1, *edge]),
+        np.array([nan, unit[0], nan, unit[0], unit[1]]),
+        np.array([unit[0], nan, unit[0] + np.nan * e0, unit[0]]),
+    ]
+    for _ in range(20):
+        rows = unit[rng.integers(0, 6, size=10)] * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(10, 1)))
+        inputs.append(rows + rng.normal(scale=rng.choice([0.0, 1e-4, 1e-3]), size=rows.shape))
+    for rows in inputs:
+        got, ref = upb._distinct(rows), reference_distinct(rows)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 def random_subspace(rng, dim):
     """Projector onto the span of ``dim`` complex Gaussian vectors of the three-qubit space."""
     raw = rng.standard_normal((8, dim)) + 1j * rng.standard_normal((8, dim))
@@ -849,10 +902,10 @@ class TestHuntFallback:
 
 
 def start_kets(seed, restarts):
-    """Restart r's normalized start kets ``(a, b, c)`` as the seesaw draws them from ``default_rng([*seed, r])``."""
+    """Restart r's normalized start kets ``(a, b, c)`` as the seesaw draws them, from row r of ``start_draws``."""
     kets = []
-    for r in range(restarts):
-        parts = np.random.default_rng([*seed, r]).standard_normal(12).reshape(3, 2, 2)
+    for draw in start_draws(seed, restarts, 12):
+        parts = draw.reshape(3, 2, 2)
         kets.append([v / np.linalg.norm(v) for v in parts[:, 0] + 1j * parts[:, 1]])
     return kets
 
@@ -919,6 +972,16 @@ class TestExactRestartHunt:
         subspace_product_hunt(projector, (2, 2, 2), restarts=12, seed=0)
         assert len(seesaw_calls) == 1
 
+    def test_restarts_take_no_counter_generators(self, pi4_upb, monkeypatch):
+        # the seesaw and the exact restarts draw from _start_draws; counter_rngs is for the CLI's samples
+        def refuse(seed, count):
+            raise AssertionError("a restart drew from counter_rngs")
+
+        monkeypatch.setattr(upb, "counter_rngs", refuse)
+        assert certify_unextendible(pi4_upb, restarts=12, seed=1).certifies_unextendible
+        result = subspace_product_hunt(random_subspace(np.random.default_rng(6), 6), (2, 2, 2), restarts=12, seed=[1, 0])
+        assert (result.distinct_count, result.rank) == (12, 6)
+
     def test_a_hit_outside_the_tolerance_falls_back(self, seesaw_calls, monkeypatch):
         # every exact hit ends within rounding of the span; a zero tolerance rejects them all
         monkeypatch.setattr(upb, "HUNT_RESIDUAL_TOL", 0.0)
@@ -974,7 +1037,7 @@ class TestKnownWrongAnswers:
     @pytest.mark.parametrize(("eps", "restarts"), [(1e-3, 64), (1e-4, 12)])
     def test_upb_complement_holds_no_product_vector(self, eps, restarts):
         # today 4 hits of rank 4 from the exact solve at 1e-3; at 1e-4 the solve
-        # degenerates and the seesaw fallback reports 3 hits of rank 3
+        # degenerates and the seesaw fallback reports 4 hits of rank 4
         u = shifts_family((eps, np.pi / 2 - eps, eps))
         result = subspace_product_hunt(u.complement_projector, u.local_dims, restarts=restarts, seed=0)
         assert (result.distinct_count, result.rank) == (0, 0)
