@@ -192,8 +192,9 @@ def _pauli_slices(p_tensor: np.ndarray) -> list[np.ndarray]:
 
     ``p_tensor`` is ``P`` as a ``(2,) * 2n`` tensor (ket axes, then bra axes).  For
     Bloch vectors ``r_k`` and ``s_k = (1, r_k)``, ``<phi|P|phi>`` is ``T`` contracted
-    with every ``s_k``; slice k is ``T`` with party k's axis last, ``(4^(n-1), 4)``.
-    Each contraction is ``np.tensordot``'s own transpose, reshape and ``np.dot``.
+    with every ``s_k``; slice k is ``T`` with party k's axis last, ``(4^(n-1), 4)``,
+    copied C-contiguous so that no update's ``np.dot`` copies it again.  Each
+    contraction is ``np.tensordot``'s own transpose, reshape and ``np.dot``.
     """
     n = p_tensor.ndim // 2
     # entry (2 * column + row, i) is sigma_i[row, column] / 2: PAULI / 2 as tensordot lays out its axes (2, 1)
@@ -203,7 +204,8 @@ def _pauli_slices(p_tensor: np.ndarray) -> list[np.ndarray]:
         # party k's ket axis is first and its bra axis at n - k; T's axes collect at the end
         rest = [j for j in range(1, t.ndim) if j != n - k]
         t = np.dot(t.transpose(rest + [0, n - k]).reshape(-1, 4), half).reshape([t.shape[j] for j in rest] + [4])
-    return [t.real.transpose([j for j in range(n) if j != k] + [k]).reshape(-1, 4) for k in range(n)]
+    slices = (t.real.transpose([j for j in range(n) if j != k] + [k]).reshape(-1, 4) for k in range(n))
+    return [np.ascontiguousarray(s) for s in slices]
 
 
 def _ket_to_bloch(kets: np.ndarray) -> np.ndarray:
@@ -221,28 +223,37 @@ def _bloch_to_ket(s: np.ndarray) -> np.ndarray:
     return kets / np.linalg.norm(kets, axis=-1, keepdims=True)
 
 
-def _bloch_update(op: np.ndarray, w: np.ndarray, state: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Qubit party: the objective is ``g_0 + g . r`` with ``g = w @ op``, maximal at ``r = g / |g|``.
+# |g|^2 = (g * g) . _BLOCH_SQUARES for g = (g_0, g_x, g_y, g_z)
+_BLOCH_SQUARES = np.array([0.0, 1.0, 1.0, 1.0])
+
+
+def _bloch_update(op: np.ndarray, w: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
+    """Qubit party: the objective is ``g_0 + g . r`` with ``g = w op``, maximal at ``r = g / |g|``.
 
     ``g_0 + |g|`` and ``(1, g / |g|)`` are the top eigenpair of the 2x2 local
     operator ``sum_j g_j sigma_j`` in Bloch form, written in place into ``out``
-    and ``state`` (returned) by the float operations fresh arrays would take.
-    Where ``|g| = 0`` every ``r`` is a maximizer and its row in ``state`` is kept.
+    and the rows of ``state``.  ``|g|^2`` is one dot product of ``g * g`` with
+    ``(0, 1, 1, 1)``.  Where ``|g| = 0`` every ``r`` is a maximizer and the row
+    is kept, as it is where ``|g|`` is NaN: the divide is masked on the rare
+    update where some ``|g|`` is 0 or NaN, and plain otherwise.
     """
-    g = w @ op
-    norm = np.sqrt(np.add.reduce((g * g)[:, 1:], axis=1, keepdims=True))  # squares all of g: cheaper than its strided slice
-    np.divide(g[:, 1:], norm, out=state[:, 1:], where=norm > 0.0)
-    np.add(g[:, 0], norm[:, 0], out=out)
-    return state
+    g = np.dot(w, op)
+    norm = np.sqrt(np.dot(g * g, _BLOCH_SQUARES))
+    col = norm[:, None]
+    if norm[norm.argmin()] > 0.0:  # argmin stops at the first NaN
+        np.divide(g[:, 1:], col, out=state[:, 1:])
+    else:
+        np.divide(g[:, 1:], col, out=state[:, 1:], where=col > 0.0)
+    np.add(g[:, 0], norm, out=out)
 
 
-def _eigh_update(op: np.ndarray, w: np.ndarray, state: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Any party: the restarts' top eigenpairs of ``<w| P |w>``, one LAPACK call; values into ``out``, vectors returned."""
+def _eigh_update(op: np.ndarray, w: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
+    """Any party: the restarts' top eigenpairs of ``<w| P |w>``, one LAPACK call, written in place into ``out`` and ``state``."""
     d = state.shape[1]
-    x = (w @ op).reshape(len(w), d * d, -1)
+    x = np.dot(w, op).reshape(len(w), d * d, -1)
     vals, vecs = linalg.eigh_unchecked((x @ w.conj()[:, :, None]).reshape(-1, d, d))
     out[...] = vals[:, -1]
-    return vecs[:, :, -1]
+    state[...] = vecs[:, :, -1]
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -290,6 +301,30 @@ def _start_draws(seed: int | Sequence[int], restarts: int, width: int) -> np.nda
     return np.random.default_rng(np.random.SeedSequence(words, spawn_key=(0,))).standard_normal((restarts, width))
 
 
+def _sweep_operands(
+    ops: list[np.ndarray], states: list[np.ndarray], values: np.ndarray, others: list[list[int]],
+) -> list[tuple]:
+    """Party k's update operands ``(op, products, w, state, out)``, built once per compaction and used by every sweep.
+
+    ``w`` is the product of the states of the parties in ``others[k]``, in
+    order.  It starts as the first one's state, and each later one multiplies
+    it into a buffer of its own: a product ``(a, b, into)`` is
+    ``np.multiply(a, b, out=into)``, with ``a`` a column view of the product
+    so far and ``b`` a row view of the next state.  ``out`` is row k + 1 of
+    ``values``.  Every view reads the states and ``values`` in place, so the
+    operands stay valid until those arrays are reallocated.
+    """
+    operands = []
+    for k, (first, *rest) in enumerate(others):
+        w, products = states[first], []
+        for j in rest:
+            into = np.empty((len(w), w.shape[1], states[j].shape[1]), w.dtype)
+            products.append((w[:, :, None], states[j][:, None, :], into))
+            w = into.reshape(len(w), -1)
+        operands.append((ops[k], products, w, states[k], values[k + 1]))
+    return operands
+
+
 def _seesaw(
     projector: np.ndarray,
     dims: Sequence[int],
@@ -304,21 +339,24 @@ def _seesaw(
     row r of ``_start_draws``: party j's ``d_j`` real parts, then its ``d_j``
     imaginary parts, in party order.  Party k's states form one array over
     the restarts, and a local update maximizes over party k with the product
-    ``w`` of the other parties' states held fixed, writing its maxima into
-    the sweep's values in place:
+    ``w`` of the other parties' states held fixed, writing party k's new
+    states and maxima in place, into its state array and its row of the
+    sweep's values:
 
     - every local dim 2: the start kets are one reshape of the draws, turned
       into Bloch rows ``s_k = (1, r_k)`` and back in one call each; an update is
-      one real matmul by party k's Pauli slice (``_pauli_slices``) and the
-      closed form of ``_bloch_update``, which rewrites party k's rows in place,
-      so a sweep copies no state;
+      one real ``np.dot`` by party k's Pauli slice (``_pauli_slices``) and the
+      closed form of ``_bloch_update``;
     - otherwise: states are kets, party k's operator is reshaped once into an
       ``(A_k, d_k * d_k * A_k)`` matrix, ``A_k = D / d_k``, and an update is two
       matmuls and one stacked ``linalg.eigh_unchecked`` (``_eigh_update``).
 
-    The states and objectives of the restarts still improving are kept as
-    compact arrays from sweep to sweep, and written back to the full arrays
-    only on a sweep where a restart retires and once at the sweep cap.  The
+    One loop serves both.  The restarts still improving keep compact,
+    C-contiguous state arrays, allocated once per compaction: at the start,
+    and on a sweep where a restart retires, when the states and objectives
+    are written back to the full arrays (and once at the sweep cap).  Each
+    party's ``w`` buffer and the views that fill it (``_sweep_operands``) are
+    built with them, so a sweep allocates and copies no state.  The
     objective's monotonicity is checked once per sweep, over every party's
     update; a drop raises ConvergenceError naming the first party with one.
 
@@ -352,20 +390,17 @@ def _seesaw(
         update = _eigh_update
     objective = np.full(restarts, -np.inf)
     active = np.arange(restarts)
-    # the active restarts' states; row 0 of values is their objective at the
-    # start of a sweep, row k + 1 the maximum of party k's update in it
+    # the active restarts' states, which the updates overwrite; row 0 of values is their objective
+    # at the start of a sweep, row k + 1 the maximum of party k's update in it
     cur = list(states)
     values = np.full((n + 1, restarts), -np.inf)
+    operands = _sweep_operands(ops, cur, values, others)
     for sweep in range(SEESAW_MAX_SWEEPS):
         values[0] = values[n]
-        # with two parties party 0's w is the last party's state itself, which a sweep starts C-contiguous:
-        # a matmul rounds a strided operand (the eigenvector columns of _eigh_update) differently
-        cur[-1] = np.ascontiguousarray(cur[-1])
-        for k, (first, *rest) in enumerate(others):
-            w = cur[first]
-            for j in rest:
-                w = (w[:, :, None] * cur[j][:, None, :]).reshape(len(w), -1)
-            cur[k] = update(ops[k], w, cur[k], values[k + 1])
+        for op, products, w, state, out in operands:
+            for a, b, into in products:
+                np.multiply(a, b, out=into)
+            update(op, w, state, out)
         # each local update is an exact maximization, so the objective is monotone (fmax and nanargmax skip a NaN drop)
         drop = values[:-1] - values[1:]
         if np.fmax.reduce(drop, axis=None) > SEESAW_IMPROVEMENT_TOL:
@@ -385,6 +420,7 @@ def _seesaw(
             active, values, cur = active[keep], values[:, keep], [c[keep] for c in cur]
             if not active.size:
                 break
+            operands = _sweep_operands(ops, cur, values, others)
     return objective, list(_bloch_to_ket(states)) if bloch else states
 
 
@@ -411,17 +447,19 @@ def seesaw_max_product_overlap(
     """Maximize <phi|P|phi> over product vectors by multi-start seesaw.
 
     Restart r starts from row r of ``_start_draws``, so runs are reproducible
-    and the starts of fewer restarts are the first of more.  The best
-    overlap wins, and among objectives that are bit-equal the lowest restart
-    index.  Restarts that converge into one basin each stop within
-    ``SEESAW_IMPROVEMENT_TOL`` of its maximum, so their objectives are seldom
-    bit-equal (they end up to 3.2e-13 apart on the certify configs), and the
-    strict argmax picks ``best_product_vector`` among them by rounding.
-    ROADMAP item 2's tie rule, a tolerance and a canonical choice among tied
-    restarts, would fix that choice.
+    and the starts of fewer restarts are the first of more.  Restarts that
+    converge into one basin each stop within ``SEESAW_IMPROVEMENT_TOL`` of its
+    maximum, so their objectives differ in the last digits (up to 3.2e-13
+    apart on the certify configs) and a strict argmax would pick among them
+    by rounding.  So the lowest restart whose objective is within
+    ``linalg.DEFAULT_TOL`` of the best wins (no restart of the benchmark's
+    certify lists ends between 1e-12 and 1e-9 below it), and ``max_overlap``
+    is that restart's own objective, which ``best_product_vector`` attains.
+    A restart that ended at NaN wins over every other, so a call with one
+    reports a NaN overlap and certifies nothing.
     """
     objective, locs = _seesaw(*_checked_projector(projector, local_dims), seed, restarts)
-    r = int(np.argmax(objective))
+    r = int(np.argmax((objective >= np.max(objective) - linalg.DEFAULT_TOL) | np.isnan(objective)))
     return UnextendibilityCertificate(
         max_overlap=float(min(max(objective[r], 0.0), 1.0)),
         best_product_vector=tuple(_read_only(v[r] / np.linalg.norm(v[r])) for v in locs),

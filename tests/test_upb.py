@@ -77,7 +77,7 @@ def count_local_updates(monkeypatch) -> list:
     for name in ("_bloch_update", "_eigh_update"):
         def counted(op, w, state, out, real=getattr(upb, name)):
             calls.append(None)
-            return real(op, w, state, out)
+            real(op, w, state, out)
         monkeypatch.setattr(upb, name, counted)
     return calls
 
@@ -100,20 +100,19 @@ def start_draws(seed, restarts, width):
 
 def reference_bloch_update(op, w, prev):
     """The closed-form qubit update on fresh arrays: the maxima ``g_0 + |g|`` and the rows ``(1, g / |g|)``."""
-    g = w @ op
-    h = g[:, 1:]
-    norm = np.sqrt((h * h).sum(axis=1, keepdims=True))
+    g = np.dot(w, op)
+    norm = np.sqrt(np.dot(g * g, np.array([0.0, 1.0, 1.0, 1.0])))
     s = prev.copy()
-    np.divide(h, norm, out=s[:, 1:], where=norm > 0)
-    return g[:, 0] + norm[:, 0], s
+    np.divide(g[:, 1:], norm[:, None], out=s[:, 1:], where=norm[:, None] > 0)
+    return g[:, 0] + norm, s
 
 
 def reference_eigh_update(op, w, prev):
-    """Top eigenpair of each restart's local operator ``<w| P |w>``, on fresh arrays."""
+    """Top eigenpair of each restart's local operator ``<w| P |w>``, the vectors copied C-contiguous."""
     d = prev.shape[1]
-    x = (w @ op).reshape(len(w), d * d, -1)
+    x = np.dot(w, op).reshape(len(w), d * d, -1)
     vals, vecs = la.eigh_unchecked((x @ w.conj()[:, :, None]).reshape(-1, d, d))
-    return vals[:, -1], vecs[:, :, -1]
+    return vals[:, -1], np.ascontiguousarray(vecs[:, :, -1])
 
 
 def reference_seesaw(proj, dims, seed, restarts):
@@ -525,15 +524,28 @@ class TestSeesaw:
                     for v, ref in zip(locs, ref_locs, strict=True):
                         assert np.array_equal(v, ref)
 
+    def test_bloch_update_keeps_the_rows_where_g_vanishes(self):
+        # with op the identity g is w itself: restart 1's g has no Bloch part and restart 2's is NaN, so the
+        # divide is masked and keeps both rows, while restart 0's row is rewritten, bit for bit as the reference
+        w = np.array([[0.5, 0.3, -0.4, 1.2], [0.7, 0.0, 0.0, 0.0], [0.1, np.nan, 0.5, 0.25]])
+        state = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.6, 0.0, 0.8], [1.0, 1.0, 0.0, 0.0]])
+        ref_values, ref_state = reference_bloch_update(np.eye(4), w, state)
+        kept = state[1:].copy()
+        out = np.empty(3)
+        upb._bloch_update(np.eye(4), w, state, out)
+        assert np.array_equal(state, ref_state) and np.array_equal(out, ref_values, equal_nan=True)
+        assert np.array_equal(state[1:], kept) and out[1] == 0.7 and np.isnan(out[2])
+        assert np.allclose(state[0, 1:], w[0, 1:] / np.linalg.norm(w[0, 1:]), rtol=0, atol=1e-15)
+
     def test_pauli_slices_are_tensordots(self):
-        # the slices the seesaw multiplies by are np.tensordot's, bit for bit and in its layout:
-        # a matmul rounds a strided operand (the last slice, a view of T.real) differently
+        # the slices the seesaw multiplies by are np.tensordot's, bit for bit, copied C-contiguous
+        # once so that np.dot copies no strided operand (a view of T.real) on every update
         for n in (2, 3, 4):
             dims = (2,) * n
             for rank in (1, 2 ** (n - 1), 2 ** n - 1):
                 p_tensor = la.as_hermitian(random_projector(dims, rank, 10 * n + rank)).reshape(dims * 2)
                 for got, ref in zip(upb._pauli_slices(p_tensor), tensordot_pauli_slices(p_tensor), strict=True):
-                    assert got.shape == ref.shape and got.strides == ref.strides
+                    assert got.shape == ref.shape and got.flags.c_contiguous
                     assert got.tobytes() == ref.tobytes()
 
     def test_start_vectors_are_per_party_counter_draws(self, monkeypatch):
@@ -616,13 +628,12 @@ class TestSeesaw:
 
         def with_nans(nan_at, drop_at):
             def update(op, w, state, out):
-                state = real(op, w, state, out)
+                real(op, w, state, out)
                 sizes.append(len(w))
                 if len(calls) == nan_at:
                     out[0] = np.nan
                 if len(calls) == drop_at:
                     out[1] -= 10.0
-                return state
             return update
 
         # restart 0 ends sweep 0 at NaN and retires alone
@@ -652,6 +663,29 @@ class TestSeesaw:
 
 
 class TestCertification:
+    def test_ties_go_to_the_lowest_restart_within_the_tolerance(self, monkeypatch):
+        # restart r's local vectors are (cos t_r, sin t_r) with t_r = 0.1 (r + 1), so the vector names the restart;
+        # a restart 1e-13 below the best ties with it (linalg.DEFAULT_TOL is 1e-9), one 1e-6 below never does
+        t = 0.1 * np.arange(1, 4)
+        locs = [np.column_stack([np.cos(t), np.sin(t)]).astype(complex)] * 3
+        best = 0.75
+        cases = [
+            ([best - 1e-6, best - 1e-13, best], 1),
+            ([best - 1e-6, best, best - 1e-13], 1),
+            ([best, best - 1e-13, best - 1e-6], 0),
+        ]
+        for objective, r in cases:
+            monkeypatch.setattr(upb, "_seesaw", lambda *args, o=objective: (np.array(o), locs))
+            cert = seesaw_max_product_overlap(np.eye(8), (2, 2, 2), restarts=3, seed=0)
+            assert cert.max_overlap == objective[r]
+            for v in cert.best_product_vector:
+                assert np.allclose(v, locs[0][r], rtol=0, atol=1e-15)
+        # a restart that ended at NaN wins, so no certificate rests on the others
+        monkeypatch.setattr(upb, "_seesaw", lambda *args: (np.array([best, np.nan, best - 1e-6]), locs))
+        cert = seesaw_max_product_overlap(np.eye(8), (2, 2, 2), restarts=3, seed=0)
+        assert np.isnan(cert.max_overlap) and not cert.certifies_unextendible
+        assert np.allclose(cert.best_product_vector[0], locs[0][1], rtol=0, atol=1e-15)
+
     def test_pi4_certificate(self, pi4_cert):
         assert pi4_cert.certifies_unextendible
         assert pi4_cert.max_overlap < 1 - 1e-3
