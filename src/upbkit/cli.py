@@ -108,7 +108,6 @@ from .states import (
 from .upb import (
     DEFAULT_RESTARTS,
     certify_unextendible,
-    counter_rngs,
     shifts_angles,
     shifts_family,
     subspace_product_hunt,
@@ -305,8 +304,8 @@ def _parse_local_coefficients(raw: Any) -> dict[str, float]:
 
 
 def _random_noise(config: dict[str, Any], dims: tuple[int, ...]) -> list[tuple[str, DensityMatrix]]:
-    rngs = counter_rngs(config["seed"], config["noise"]["count"])
-    return [(f"random[{s}]", random_density_matrix(dims, rng)) for s, rng in enumerate(rngs)]
+    return [(f"random[{s}]", random_density_matrix(dims, np.random.default_rng([config["seed"], s])))
+            for s in range(config["noise"]["count"])]
 
 
 def _local_noise(config: dict[str, Any], dims: tuple[int, ...]) -> list[tuple[str, DensityMatrix]]:
@@ -438,7 +437,8 @@ def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
         dims, dim = u.local_dims, len(u.vectors) - u.size
     else:
         dims, dim, total = _DIMS, config["subspace_dim"], math.prod(_DIMS)
-        for s, rng in enumerate(counter_rngs(config["seed"], config["samples"])):
+        for s in range(config["samples"]):
+            rng = np.random.default_rng([config["seed"], s])
             if config["subspace_kind"] == "planted":
                 vecs = [expand_locals(random_product_vector(dims, rng)) for _ in range(dim)]
             else:

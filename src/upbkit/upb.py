@@ -50,7 +50,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -256,49 +256,49 @@ def _eigh_update(op: np.ndarray, w: np.ndarray, state: np.ndarray, out: np.ndarr
     state[...] = vecs[:, :, -1]
 
 
-def _uint32_words(n: int) -> list[int]:
-    """The 32-bit words of a nonnegative int, lowest first, as ``np.random.SeedSequence`` splits it."""
-    if n < 0:
-        raise ValueError(f"a seed must be nonnegative, got {n}")
-    words = [n & 0xFFFFFFFF]
-    while n := n >> 32:
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
-def _seed_words(seed: int | Sequence[int], restarts: int) -> list[int]:
-    """The seed's uint32 words; TypeError or ValueError unless restarts is an int >= 1 and the seed ints >= 0."""
+def _seed_list(seed: int | Sequence[int], restarts: int) -> list[int]:
+    """The seed as a list of ints; TypeError or ValueError unless restarts is an int >= 1 and the seed ints >= 0."""
     if operator.index(restarts) < 1:
         raise ValueError("need at least one restart")
-    base = seed if isinstance(seed, (list, tuple)) else [operator.index(seed)]
-    return [w for s in base for w in _uint32_words(s)]
-
-
-def counter_rngs(seed: int | Sequence[int], count: int) -> Iterator[np.random.Generator]:
-    """``np.random.default_rng([*seed, r])`` for r = 0, 1, ..., count - 1: the CLI's sample and noise draws.
-
-    Each generator is seeded from the uint32 words that ``np.random.SeedSequence``
-    would split the list into, with the seed's words split once; the errors are
-    those of ``_seed_words``, raised before the first generator.  Seesaw and
-    exact-hunt restarts draw from ``_start_draws`` instead.
-    """
-    words = _seed_words(seed, count)
-    return (np.random.default_rng(np.array(words + _uint32_words(r), dtype=np.uint32)) for r in range(count))
+    base = [operator.index(s) for s in seed] if isinstance(seed, (list, tuple)) else [operator.index(seed)]
+    if any(s < 0 for s in base):
+        raise ValueError(f"a seed must be nonnegative, got {seed}")
+    return base
 
 
 def _start_draws(seed: int | Sequence[int], restarts: int, width: int) -> np.ndarray:
     """Every restart's start draws, ``(restarts, width)`` normals: row r is restart r's.
 
     One generator per call draws them all, from the seed's first spawned
-    child (``SeedSequence(words).spawn(1)[0]``, built directly from its spawn
+    child (``SeedSequence(seed).spawn(1)[0]``, built directly from its spawn
     key).  Row r is the r-th block of ``width`` normals of its stream, a
     function of ``(seed, r, width)`` alone, so fewer restarts draw the first
     rows of more.  It is the child and not the seed's own stream because a
     drawn hunt's sample s draws its subspace from ``default_rng([seed, s])``
-    and hunts with seed ``[seed, s]``.  The errors are those of ``_seed_words``.
+    and hunts with seed ``[seed, s]``.  The errors are those of ``_seed_list``.
     """
-    words = _seed_words(seed, restarts)
-    return np.random.default_rng(np.random.SeedSequence(words, spawn_key=(0,))).standard_normal((restarts, width))
+    base = _seed_list(seed, restarts)
+    return np.random.default_rng(np.random.SeedSequence(base, spawn_key=(0,))).standard_normal((restarts, width))
+
+
+def _start_kets(seed: int | Sequence[int], restarts: int, dims: Sequence[int]) -> Sequence[np.ndarray]:
+    """Every restart's unit start ket per party: party k's ``(restarts, d_k)`` kets are entry k.
+
+    Row r of ``_start_draws(seed, restarts, 2 * sum(dims))`` holds restart
+    r's: party j's ``d_j`` real parts, then its ``d_j`` imaginary parts, in
+    party order.  When every local dim is equal the kets are one reshape of
+    the draws, an ``(n, restarts, d)`` array; otherwise one slice per party.
+    The errors are those of ``_seed_list``.
+    """
+    draws = _start_draws(seed, restarts, 2 * sum(dims))
+    if len(set(dims)) == 1:
+        # entry (k, r, 0, i) is the real part of party k's start ket in restart r, (k, r, 1, i) the imaginary
+        parts = draws.reshape(restarts, len(dims), 2, dims[0]).transpose(1, 0, 2, 3)
+        kets = parts[:, :, 0] + 1j * parts[:, :, 1]
+        return kets / np.linalg.norm(kets, axis=2, keepdims=True)
+    offsets = np.cumsum([0] + [2 * d for d in dims])
+    kets = [draws[:, o:o + d] + 1j * draws[:, o + d:o + 2 * d] for o, d in zip(offsets, dims)]
+    return [v / np.linalg.norm(v, axis=1, keepdims=True) for v in kets]
 
 
 def _sweep_operands(
@@ -336,15 +336,14 @@ def _seesaw(
     ``projector`` is the D x D matrix, ``D = prod(dims)``, and must already be
     Hermitian: nothing here checks it again.  It is reshaped once into a
     ``dims + dims`` tensor (ket axes, then bra axes).  Restart r starts from
-    row r of ``_start_draws``: party j's ``d_j`` real parts, then its ``d_j``
-    imaginary parts, in party order.  Party k's states form one array over
-    the restarts, and a local update maximizes over party k with the product
+    its kets of ``_start_kets``.  Party k's states form one array over the
+    restarts, and a local update maximizes over party k with the product
     ``w`` of the other parties' states held fixed, writing party k's new
     states and maxima in place, into its state array and its row of the
     sweep's values:
 
-    - every local dim 2: the start kets are one reshape of the draws, turned
-      into Bloch rows ``s_k = (1, r_k)`` and back in one call each; an update is
+    - every local dim 2: the start kets are turned into Bloch rows
+      ``s_k = (1, r_k)`` and back in one call each; an update is
       one real ``np.dot`` by party k's Pauli slice (``_pauli_slices``) and the
       closed form of ``_bloch_update``;
     - otherwise: states are kets, party k's operator is reshaped once into an
@@ -362,26 +361,21 @@ def _seesaw(
 
     Returns the final objective of every restart and the per-party local
     kets.  Raises ValueError for fewer than two parties, where there is
-    nothing to alternate over, and the errors of ``_seed_words``.
+    nothing to alternate over, and the errors of ``_seed_list``.
     """
     n = len(dims)
     if n < 2:
         raise ValueError(f"the seesaw needs at least two parties, got local dims {tuple(dims)}")
-    draws = _start_draws(seed, restarts, 2 * sum(dims))
+    kets = _start_kets(seed, restarts, dims)
     p_tensor = projector.reshape(tuple(dims) * 2)
     others = [[j for j in range(n) if j != k] for k in range(n)]  # w's parties, in order
     bloch = all(d == 2 for d in dims)
     if bloch:
-        # entry (k, r, 0, i) is the real part of party k's start ket in restart r, (k, r, 1, i) the imaginary
-        parts = draws.reshape(restarts, n, 2, 2).transpose(1, 0, 2, 3)
-        kets = parts[:, :, 0] + 1j * parts[:, :, 1]
-        states = _ket_to_bloch(kets / np.linalg.norm(kets, axis=2, keepdims=True))
+        states = _ket_to_bloch(kets)
         ops = _pauli_slices(p_tensor)
         update = _bloch_update
     else:
-        offsets = np.cumsum([0] + [2 * d for d in dims])
-        kets = [draws[:, o:o + d] + 1j * draws[:, o + d:o + 2 * d] for o, d in zip(offsets, dims)]
-        states = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in kets]
+        states = [np.ascontiguousarray(v) for v in kets]  # as a compaction leaves them; a reshape's are strided
         # ops[k][y, a, b, x] = <x, a| P |y, b>, with x, y the other parties' indices
         # (party k's ket and bra axes in the middle), so that for their product
         # vector w, ((w @ ops[k]) @ conj(w))[a, b] = <w, a| P |w, b>
@@ -609,9 +603,10 @@ def _qubit_triple_restarts(
     """One product vector in the range of ``proj``, a three-qubit projector of rank ``6 <= k <= 8``, per restart.
 
     Restart r draws the seesaw's start kets ``(a, b, c)``, row r of
-    ``_start_draws(seed, restarts, 12)``, keeps the first ``k - 5``
-    of them and solves for the rest in closed form against the ``8 - k``
-    complement vectors ``u_j``, taken as ``_qubit_triple_points`` takes them:
+    ``_start_kets(seed, restarts, (2, 2, 2))``'s three parties, keeps the
+    first ``k - 5`` of them and solves for the rest in closed form against
+    the ``8 - k`` complement vectors ``u_j``, taken as
+    ``_qubit_triple_points`` takes them:
 
     - k = 8: the start is the hit;
     - k = 7: ``<u|a, b, c> = n . c`` for ``n = <u|a, b, .>``, zero at ``c ~ (n_1, -n_0)``;
@@ -629,10 +624,7 @@ def _qubit_triple_restarts(
     below ``HUNT_RESIDUAL_TOL``.
     """
     complement = linalg.eigh_unchecked(proj).eigenvectors[:, :8 - k]
-    # party j draws 2 real parts, then 2 imaginary parts, in party order: the seesaw's start kets
-    parts = _start_draws(seed, restarts, 12).reshape(restarts, 3, 2, 2)
-    kets = parts[:, :, 0] + 1j * parts[:, :, 1]
-    a, b, c = (kets / np.linalg.norm(kets, axis=2, keepdims=True)).transpose(1, 0, 2)
+    a, b, c = _start_kets(seed, restarts, (2, 2, 2))
     # entry (j, i, p, q) is <u_j|i, p, q>
     u = complement.conj().T.reshape(8 - k, 2, 2, 2)
     if k == 7:
@@ -688,11 +680,11 @@ def subspace_product_hunt(
       rank-deficient constraint matrix, a multiple root or a continuum of
       product vectors) the seesaw below runs, with the same seed and restarts;
     - three qubits and k >= 6: one exact product vector per restart
-      (``_qubit_triple_restarts``), through restart r's seesaw start kets, so
-      ``restarts`` sets how many points of the continuum are drawn.  Where
-      that solve is degenerate, or a point's residual is not below
-      ``HUNT_RESIDUAL_TOL``, the seesaw below runs with the same seed and
-      restarts;
+      (``_qubit_triple_restarts``), through restart r's seesaw start kets
+      (``_start_kets``), so ``restarts`` sets how many points of the
+      continuum are drawn.  Where that solve is degenerate, or a point's
+      residual is not below ``HUNT_RESIDUAL_TOL``, the seesaw below runs
+      with the same seed and restarts;
     - otherwise a multi-start seesaw, where every restart landing at overlap
       >= 1 - gap is a candidate.
 
@@ -703,7 +695,7 @@ def subspace_product_hunt(
     from their Gram spectrum at the default tolerance.
     """
     p, dims = _checked_projector(projector, local_dims)
-    _seed_words(seed, restarts)  # every path rejects what the seesaw rejects, the k <= 5 solve too, which reads neither
+    _seed_list(seed, restarts)  # every path rejects what the seesaw rejects, the k <= 5 solve too, which reads neither
     k = round(float(np.trace(p).real))
     if k == 0:
         raise ValueError("the projector's range is empty")

@@ -13,10 +13,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from upbkit import ConvergenceError, basis_labels
+from upbkit import (
+    ConvergenceError,
+    basis_labels,
+    mixing_scan,
+    random_density_matrix,
+    random_product_vector,
+    shifts_family,
+    span_projector,
+    subspace_product_hunt,
+)
 from upbkit import cli, reporting, upb
 from upbkit.cli import ConfigError, parse_config, run_command
 from upbkit.reporting import SchemaError, dumps_canonical, validate_report
+from upbkit.states import expand_locals
 
 from conftest import lower_top_eigenvalue
 from test_upb import tiles_upb
@@ -434,12 +444,13 @@ class TestCommands:
 
     def test_random_noise_sample_s_draws_from_its_counter_seed(self):
         # sample s draws from default_rng([seed, s]), so a short batch is a prefix of a long one
-        short, long = (
-            run_command(parse_config({**SCAN, "noise": {"kind": "random", "count": count}})).payload
-            for count in (2, 5)
-        )
+        configs = [parse_config({**SCAN, "noise": {"kind": "random", "count": count}}) for count in (2, 5)]
+        short, long = (run_command(config).payload for config in configs)
         assert [row["noise"] for row in short["samples"]] == ["random[0]", "random[1]"]
         assert short["samples"] == long["samples"][:2]
+        noises = [random_density_matrix((2, 2, 2), np.random.default_rng([SCAN["seed"], s])) for s in range(5)]
+        scan = mixing_scan(shifts_family(PI4), noises, configs[1]["cut"], SCAN["epsilon_grid"])
+        assert [row["compression_eigenvalues"] for row in long["samples"]] == scan.compression_eigenvalues.tolist()
 
     # random dim 5 and planted dim 3 take the exact solve, random and planted dim 6 one exact hit per restart
     @pytest.mark.parametrize("kind, dim", [("random", 5), ("planted", 3), ("random", 6), ("planted", 6)])
@@ -448,6 +459,16 @@ class TestCommands:
         one, three = (run_command(parse_config({**raw, "samples": n})).payload for n in (1, 3))
         assert [row["index"] for row in three["samples"]] == [0, 1, 2]
         assert one["samples"] == three["samples"][:1]
+        # sample s hunts the span drawn from default_rng([seed, s]), with seed [seed, s]
+        for s, row in enumerate(three["samples"]):
+            rng = np.random.default_rng([HUNT["seed"], s])
+            if kind == "planted":
+                vecs = [expand_locals(random_product_vector((2, 2, 2), rng)) for _ in range(dim)]
+            else:
+                vecs = list((rng.standard_normal((8, dim)) + 1j * rng.standard_normal((8, dim))).T)
+            result = subspace_product_hunt(span_projector(vecs), (2, 2, 2), restarts=8, seed=[HUNT["seed"], s])
+            assert (row["distinct_count"], row["rank"]) == (result.distinct_count, result.rank)
+            assert row["overlaps"] == list(result.overlaps)
 
     def test_rank_mixture_payload(self):
         payload = run_command(parse_config(dict(ALL_COMMAND_CONFIGS["rank-mixtures"]))).payload

@@ -98,6 +98,14 @@ def start_draws(seed, restarts, width):
     return np.random.default_rng(child).standard_normal((restarts, width))
 
 
+def start_kets(seed, restarts, dims=(2, 2, 2)):
+    """Entry k is party k's ``(restarts, d_k)`` unit start kets: its slice of ``start_draws``, real then imaginary."""
+    draws = start_draws(seed, restarts, 2 * sum(dims))
+    offsets = np.cumsum([0, *(2 * d for d in dims)])
+    kets = [draws[:, o:o + d] + 1j * draws[:, o + d:o + 2 * d] for o, d in zip(offsets, dims)]
+    return [v / np.linalg.norm(v, axis=1, keepdims=True) for v in kets]
+
+
 def reference_bloch_update(op, w, prev):
     """The closed-form qubit update on fresh arrays: the maxima ``g_0 + |g|`` and the rows ``(1, g / |g|)``."""
     g = np.dot(w, op)
@@ -549,25 +557,29 @@ class TestSeesaw:
                     assert got.tobytes() == ref.tobytes()
 
     def test_start_vectors_are_per_party_counter_draws(self, monkeypatch):
-        # restart r starts from row r of start_draws, with seeds across 32-bit word boundaries
+        # restart r starts from row r of start_draws, with seeds across 32-bit word boundaries; equal dims
+        # take _start_kets' reshape, (2, 3, 2) its per-party slices, and both give start_kets' bits
         monkeypatch.setattr(upb, "SEESAW_MAX_SWEEPS", 0)
         for seed in (0, 2**32 - 1, 2**32, 2**64 - 1, [2**64 - 1, 3], [5, 2**32], [4, 2]):
-            for dims in ((2, 3, 2), (2, 2, 2)):
+            for dims in ((2, 3, 2), (2, 2, 2), (3, 3)):
+                expected = start_kets(seed, 5, dims)
+                kets, fewer = upb._start_kets(seed, 5, dims), upb._start_kets(seed, 3, dims)
+                assert len(kets) == len(fewer) == len(dims)
+                for k, want in enumerate(expected):
+                    assert kets[k].shape == want.shape and kets[k].tobytes() == want.tobytes()
+                    assert fewer[k].tobytes() == want[:3].tobytes()
                 _, locs = _seesaw(np.eye(int(np.prod(dims))), dims, seed, 5)
-                offsets = np.cumsum([0, *(2 * d for d in dims)])
-                for r, draw in enumerate(start_draws(seed, 5, 2 * sum(dims))):
-                    for k, d in enumerate(dims):
-                        v = draw[offsets[k]:offsets[k] + d] + 1j * draw[offsets[k] + d:offsets[k + 1]]
-                        v /= np.linalg.norm(v)
-                        if dims == (2, 2, 2):
-                            # the Bloch path returns the start ket up to a phase
-                            assert abs(np.vdot(v, locs[k][r])) > 1 - 1e-12
-                        else:
-                            assert np.max(np.abs(locs[k][r] - v)) <= 1e-15
+                for got, want in zip(locs, expected, strict=True):
+                    if dims == (2, 2, 2):
+                        # the Bloch path returns the start ket up to a phase
+                        assert (np.abs(np.sum(want.conj() * got, axis=1)) > 1 - 1e-12).all()
+                    else:
+                        assert got.tobytes() == want.tobytes()
 
     def test_start_draws_are_one_child_stream_and_prefix_stable(self):
         # one generator per call, the seed's first spawned child; fewer restarts draw the first rows of more
-        for seed in (0, 2**32 + 3, 2**64 - 1, [5, 2**32], [4, 2]):
+        # numpy splits the seed into 32-bit words, past 64 bits too; an empty list is a seed of its own
+        for seed in (0, 2**32 + 3, 2**64 - 1, 2**64 + 5, [5, 2**32], [4, 2], []):
             for width in (12, 14):
                 long = upb._start_draws(seed, 12, width)
                 assert long.tobytes() == start_draws(seed, 12, width).tobytes()
@@ -580,29 +592,23 @@ class TestSeesaw:
             sample = np.random.default_rng([seed, s]).standard_normal(4096)
             assert not np.isin(upb._start_draws([seed, s], 12, 12), sample).any()
 
-    def test_seed_words_are_numpys(self):
-        # the generator of restart r hashes the seed's words, then r's
-        assert upb._uint32_words(2**32) == [0, 1]
-        for n in (0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5):
-            words = np.array(upb._uint32_words(n), dtype=np.uint32)
-            assert np.array_equal(np.random.SeedSequence(words).pool, np.random.SeedSequence(n).pool)
-        words = np.array([5, *upb._uint32_words(2**32)], dtype=np.uint32)
-        assert np.array_equal(np.random.SeedSequence(words).pool, np.random.SeedSequence([5, 2**32]).pool)
-
-    def test_counter_rngs_are_the_seed_lists_generators(self):
-        # generator r of counter_rngs(seed, n) draws the stream of default_rng([*seed, r])
-        for seed in (0, 7, 2**32 + 3, 2**64 - 1, [5, 2**32]):
-            base = seed if isinstance(seed, list) else [seed]
-            rngs = list(upb.counter_rngs(seed, 3))
-            assert len(rngs) == 3
-            for r, rng in enumerate(rngs):
-                expected = np.random.default_rng([*base, r]).standard_normal(4)
-                assert rng.standard_normal(4).tobytes() == expected.tobytes()
-
-    def test_negative_seed_rejected(self):
-        for seed in (-1, [3, -1], -(2**64)):
-            with pytest.raises(ValueError, match="negative"):
-                _seesaw(np.eye(8), (2, 2, 2), seed, 2)
+    def test_negative_seed_rejected(self, pi4_upb):
+        # the certificate and every hunt path: the rank-4 exact solve, which draws nothing, the rank-6 exact
+        # restarts and the seesaw hunt of dims (2, 3, 2)
+        entries = {
+            "certify": lambda seed: seesaw_max_product_overlap(pi4_upb.complement_projector, (2, 2, 2), 2, seed),
+            "hunt rank 4": lambda seed: subspace_product_hunt(pi4_upb.complement_projector, (2, 2, 2), 2, seed),
+            "hunt rank 6": lambda seed: subspace_product_hunt(
+                random_subspace(np.random.default_rng(6), 6), (2, 2, 2), 2, seed),
+            "hunt (2, 3, 2)": lambda seed: subspace_product_hunt(random_projector((2, 3, 2), 3, 8), (2, 3, 2), 2, seed),
+        }
+        for name, entry in entries.items():
+            for seed in (-1, [3, -1], -(2**64)):
+                with pytest.raises(ValueError, match="negative"):
+                    entry(seed)
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                entry([3, 1.5])
+            assert entry([]) is not None, name
 
     def test_objective_drop_raises(self, pi4_upb, monkeypatch):
         # three parties: calls 4 and 6 are the first and last local updates of sweep 1,
@@ -760,7 +766,7 @@ class TestSubspaceHunt:
             subspace_product_hunt(np.zeros((8, 8)), (2, 2, 2), restarts=1, seed=0)
 
     def test_seesaw_path_needs_a_restart(self):
-        # every path checks restarts as certification does (_seed_words), before any solve
+        # every path checks restarts as certification does (_seed_list), before any solve
         projector = random_subspace(np.random.default_rng(5), 6)
         with pytest.raises(ValueError, match="need at least one restart"):
             subspace_product_hunt(projector, (2, 2, 2), restarts=0, seed=0)
@@ -935,15 +941,6 @@ class TestHuntFallback:
         assert len(seesaw_calls) == 1
 
 
-def start_kets(seed, restarts):
-    """Restart r's normalized start kets ``(a, b, c)`` as the seesaw draws them, from row r of ``start_draws``."""
-    kets = []
-    for draw in start_draws(seed, restarts, 12):
-        parts = draw.reshape(3, 2, 2)
-        kets.append([v / np.linalg.norm(v) for v in parts[:, 0] + 1j * parts[:, 1]])
-    return kets
-
-
 class TestExactRestartHunt:
     """Three-qubit subspaces of dimension 6 to 8: each restart's start kets fix one exact product vector.
 
@@ -971,9 +968,8 @@ class TestExactRestartHunt:
     def test_hits_keep_the_start_kets_and_a_prefix(self, dim):
         projector = random_subspace(np.random.default_rng(400 + dim), dim)
         short, long = (subspace_product_hunt(projector, (2, 2, 2), restarts=r, seed=[7, 8]) for r in (4, 12))
-        for r, kets in enumerate(start_kets([7, 8], 12)):
-            for party in range(dim - 5):
-                assert np.allclose(long.local_stacks[party][r], kets[party], rtol=0, atol=1e-15)
+        for party, kets in enumerate(start_kets([7, 8], 12)[:dim - 5]):
+            assert np.array_equal(long.local_stacks[party], kets)
         assert short.overlaps == long.overlaps[:4]
         for a, b in zip(short.local_stacks, long.local_stacks, strict=True):
             assert np.array_equal(a, b[:4])
@@ -1005,16 +1001,6 @@ class TestExactRestartHunt:
         projector = np.eye(8) - product_projector([a_perp, np.eye(2)[0], np.eye(2)[0]])
         subspace_product_hunt(projector, (2, 2, 2), restarts=12, seed=0)
         assert len(seesaw_calls) == 1
-
-    def test_restarts_take_no_counter_generators(self, pi4_upb, monkeypatch):
-        # the seesaw and the exact restarts draw from _start_draws; counter_rngs is for the CLI's samples
-        def refuse(seed, count):
-            raise AssertionError("a restart drew from counter_rngs")
-
-        monkeypatch.setattr(upb, "counter_rngs", refuse)
-        assert certify_unextendible(pi4_upb, restarts=12, seed=1).certifies_unextendible
-        result = subspace_product_hunt(random_subspace(np.random.default_rng(6), 6), (2, 2, 2), restarts=12, seed=[1, 0])
-        assert (result.distinct_count, result.rank) == (12, 6)
 
     def test_a_hit_outside_the_tolerance_falls_back(self, seesaw_calls, monkeypatch):
         # every exact hit ends within rounding of the span; a zero tolerance rejects them all
