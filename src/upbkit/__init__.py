@@ -27,9 +27,11 @@ from .upb import (
     HuntResult,
     UnextendibilityCertificate,
     certify_unextendible,
+    partition_margin,
     seesaw_max_product_overlap,
     shifts_family,
     subspace_product_hunt,
+    upb_complement_hunt,
     upb_state,
 )
 from .perturbation import (

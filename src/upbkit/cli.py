@@ -48,7 +48,9 @@ The config schema (a command accepts exactly the fields it reads)::
                   subspace-hunt).  subspace-hunt solves dimensions <= 5
                   exactly and reads restarts only where that solve is
                   degenerate and falls back to the seesaw; for dimensions
-                  >= 6 restarts sets how many exact hits are drawn
+                  >= 6 restarts sets how many exact hits are drawn.  A
+                  upb_complement hunt that the partition margin proves
+                  empty solves nothing
 
 Every count (restarts, samples, the random noise count and the number of
 epsilon_grid values) is an integer in [1, MAX_COUNT], MAX_COUNT = 1024, so
@@ -111,6 +113,7 @@ from .upb import (
     shifts_angles,
     shifts_family,
     subspace_product_hunt,
+    upb_complement_hunt,
     upb_state,
 )
 from .witness import (
@@ -430,26 +433,27 @@ def cmd_rank_mixtures(config: dict[str, Any]) -> dict[str, Any]:
 
 
 def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
-    runs: list[tuple[int, np.ndarray, Sequence[int]]] = []
+    # sample s hunts with seed [seed, s]; a UPB complement is the one sample 0
+    results = []
     if config["subspace_kind"] == "upb_complement":
         u = shifts_family(config["angles"])
-        runs.append((0, u.complement_projector, [config["seed"], 0]))
-        dims, dim = u.local_dims, len(u.vectors) - u.size
+        results.append(upb_complement_hunt(u, config["restarts"], [config["seed"], 0]))
+        dim = len(u.vectors) - u.size
     else:
-        dims, dim, total = _DIMS, config["subspace_dim"], math.prod(_DIMS)
+        dim, total = config["subspace_dim"], math.prod(_DIMS)
         for s in range(config["samples"]):
             rng = np.random.default_rng([config["seed"], s])
             if config["subspace_kind"] == "planted":
-                vecs = [expand_locals(random_product_vector(dims, rng)) for _ in range(dim)]
+                vecs = [expand_locals(random_product_vector(_DIMS, rng)) for _ in range(dim)]
             else:
                 raw = rng.standard_normal((total, dim)) + 1j * rng.standard_normal((total, dim))
                 vecs = [raw[:, k] for k in range(dim)]
-            runs.append((s, linalg.span_projector(vecs), [config["seed"], s]))
+            projector = linalg.span_projector(vecs)
+            results.append(subspace_product_hunt(projector, _DIMS, config["restarts"], [config["seed"], s]))
 
     sample_rows = []
     histogram: dict[int, int] = {}
-    for index, projector, seed in runs:
-        result = subspace_product_hunt(projector, dims, restarts=config["restarts"], seed=seed)
+    for index, result in enumerate(results):
         histogram[result.distinct_count] = histogram.get(result.distinct_count, 0) + 1
         sample_rows.append(
             {

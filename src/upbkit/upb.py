@@ -41,6 +41,12 @@ input, and a degenerate solve (a root at infinity, a rank-deficient
 constraint matrix, a multiple root, a continuum where a finite set was
 expected), goes to the seesaw, where each restart that reaches overlap
 1 - gap counts.  One fidelity rule keeps the distinct hits of every path.
+
+A UPB's complement is first hunted by proof (``upb_complement_hunt``): the
+partition margin sigma (Bennett et al., quant-ph/9808030; DiVincenzo et al.,
+quant-ph/9908070), closed form for qubit sets of m = n + 1 members
+(``partition_margin``), bounds every unit product vector's overlap with the
+members' span below by (sigma^2/m)^n; above the hunt's tolerance, no hit.
 """
 
 from __future__ import annotations
@@ -181,6 +187,25 @@ def upb_state(u: UPB) -> DensityMatrix:
     """Maximally mixed state on the orthogonal complement of the UPB."""
     # spectrum is exactly {0 x m, 1/(D-m) x (D-m)}, so no PSD re-check needed
     return DensityMatrix(u.complement_projector / (len(u.vectors) - u.size), u.local_dims, validate=False)
+
+
+def partition_margin(u: UPB) -> float:
+    """The partition criterion's margin sigma of a qubit UPB of m = n + 1 members; ValueError for any other set.
+
+    sigma is the minimum over partitions of the members (one group per party)
+    of the largest ``d_j``-th singular value of a group's local vectors, and
+    the set is a UPB iff sigma > 0.  With n + 1 qubit members some party
+    takes a pair in every partition, and a larger group only raises ``s_2``,
+    so sigma is the least ``s_2`` of a pair ``[u v]`` of one party's vectors:
+    ``s_2^2 = |det[u v]|^2 / (1 + |<u|v>|)``, ``1 - |<u|v>|`` without its cancellation.
+    """
+    if u.local_dims != (2,) * (u.size - 1):
+        raise ValueError(f"the pair formula needs qubits and m = n + 1, got local dims {u.local_dims} and m = {u.size}")
+    i, j = np.triu_indices(u.size, 1)
+    stacks = np.array(u.local_stacks)
+    a, b = stacks[:, i], stacks[:, j]
+    det = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return float(np.sqrt(np.min(np.abs(det) ** 2 / (1 + np.abs(np.sum(a.conj() * b, axis=-1))))))
 
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z, stacked as PAULI[i, row, column]
@@ -688,6 +713,9 @@ def subspace_product_hunt(
     - otherwise a multi-start seesaw, where every restart landing at overlap
       >= 1 - gap is a candidate.
 
+    A UPB's complement goes to ``upb_complement_hunt`` first, which proves it
+    empty where the partition margin allows and runs these paths elsewhere.
+
     The candidates are expanded once and kept in order unless their fidelity
     with a kept one exceeds ``1 - DISTINCT_FIDELITY_TOL`` (``_distinct``).
     Overlaps are clamped into [0, 1], as the certificate's maximum is.  The
@@ -715,3 +743,29 @@ def subspace_product_hunt(
         overlaps=tuple(float(x) for x in np.clip(overlaps[kept], 0.0, 1.0)),
         rank=linalg.numerical_rank(hits.conj() @ hits.T),
     )
+
+
+def upb_complement_hunt(u: UPB, restarts: int = DEFAULT_RESTARTS, seed: int | Sequence[int] = 0) -> HuntResult:
+    """``subspace_product_hunt`` on ``u.complement_projector``, answered by proof where the partition margin allows.
+
+    Let ``t`` be the largest member term ``prod_k |<phi_k|m_ik>|^2`` of a unit
+    product vector ``phi``.  Each member has a factor at most ``t^(1/n)`` at
+    some party; grouping it there is a partition, whose group ``S_j`` at some
+    party j has ``d_j``-th singular value at least sigma, so ``sigma^2 <=
+    sum_(i in S_j) |<phi_j|m_ij>|^2 <= m t^(1/n)`` and ``||V^H phi||^2 >= t >=
+    (sigma^2/m)^n``, using neither orthogonality nor a solve.  A hit has
+    ``<phi|S|phi> < HUNT_RESIDUAL_TOL^2`` for S the projector onto the members'
+    span, and ``<phi|S|phi> >= ||V^H phi||^2 / (1 + m * PROJECTOR_TOL)``: the
+    Gram matrix ``V^H V`` passed the UPB's checks (unit norms within
+    ``TRACE_TOL`` move it, and the pair formula, by far less).  So a qubit set
+    of n + 1 members whose floor beats the tolerance inflated by that factor
+    has no hit, and the empty result returns as the exact solve returns it;
+    any other set is hunted.  Seed and restarts are checked first, as every
+    hunt path checks them.
+    """
+    _seed_list(seed, restarts)
+    m, n = u.size, len(u.local_dims)
+    if (u.local_dims == (2,) * (m - 1)
+            and (partition_margin(u) ** 2 / m) ** n > HUNT_RESIDUAL_TOL ** 2 * (1 + m * PROJECTOR_TOL)):
+        return HuntResult(tuple(_read_only(np.zeros((0, d), complex)) for d in u.local_dims), (), 0)
+    return subspace_product_hunt(u.complement_projector, u.local_dims, restarts, seed)

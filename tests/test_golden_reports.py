@@ -85,7 +85,12 @@ def test_committed_config_echo_parses_back(config):
 
 
 def _doctor_hunt(payload):
-    next(row for row in payload["samples"] if row["overlaps"])["overlaps"].pop()
+    # drop a hit's overlap, or claim one in a hunt that found none
+    row = next((row for row in payload["samples"] if row["overlaps"]), None)
+    if row is None:
+        payload["samples"][0].update(distinct_count=1, rank=1, overlaps=[1.0])
+    else:
+        row["overlaps"].pop()
 
 
 def _doctor_perturb_scan(payload):

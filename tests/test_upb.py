@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import subprocess
 import sys
 
@@ -13,11 +14,14 @@ from upbkit import (
     certify_unextendible,
     is_ppt_all_cuts,
     mixing_scan,
+    partition_margin,
     seesaw_max_product_overlap,
     shifts_family,
     subspace_product_hunt,
+    upb_complement_hunt,
     upb_state,
 )
+from upbkit.cli import parse_config, run_command
 from upbkit.linalg import ConvergenceError
 from upbkit.states import expand_locals, product_projector, random_product_vector
 from upbkit.upb import _seesaw
@@ -594,13 +598,14 @@ class TestSeesaw:
 
     def test_negative_seed_rejected(self, pi4_upb):
         # the certificate and every hunt path: the rank-4 exact solve, which draws nothing, the rank-6 exact
-        # restarts and the seesaw hunt of dims (2, 3, 2)
+        # restarts, the seesaw hunt of dims (2, 3, 2) and the UPB complement's proof, which solves nothing
         entries = {
             "certify": lambda seed: seesaw_max_product_overlap(pi4_upb.complement_projector, (2, 2, 2), 2, seed),
             "hunt rank 4": lambda seed: subspace_product_hunt(pi4_upb.complement_projector, (2, 2, 2), 2, seed),
             "hunt rank 6": lambda seed: subspace_product_hunt(
                 random_subspace(np.random.default_rng(6), 6), (2, 2, 2), 2, seed),
             "hunt (2, 3, 2)": lambda seed: subspace_product_hunt(random_projector((2, 3, 2), 3, 8), (2, 3, 2), 2, seed),
+            "upb complement": lambda seed: upb_complement_hunt(pi4_upb, 2, seed),
         }
         for name, entry in entries.items():
             for seed in (-1, [3, -1], -(2**64)):
@@ -1009,6 +1014,109 @@ class TestExactRestartHunt:
         assert len(seesaw_calls) == 1
 
 
+def enumerated_margin(stacks) -> float:
+    """The partition criterion's margin by enumeration: over all n^m assignments of members to parties, the
+    minimum of the largest d_j-th singular value of a party's group (0 for a group of fewer than d_j)."""
+    n, m = len(stacks), len(stacks[0])
+    best = np.inf
+    for parties in itertools.product(range(n), repeat=m):
+        score = 0.0
+        for j, stack in enumerate(stacks):
+            group = [i for i in range(m) if parties[i] == j]
+            d = stack.shape[1]
+            if len(group) >= d:
+                score = max(score, np.linalg.svd(stack[group].T, compute_uv=False)[d - 1])
+        best = min(best, score)
+    return best
+
+
+# the certify workload's five near-face angle sets
+NEAR_FACES = [(0.05, 0.05, 0.05), (0.05, np.pi / 4, np.pi / 4), (np.pi / 4, np.pi / 2 - 0.05, np.pi / 4),
+              (np.pi / 4, np.pi / 4, 0.05), (0.1, np.pi / 2 - 0.1, 0.1)]
+
+
+def margin_sets():
+    """50 random interior angle sets, the near-face sets and the degenerate family limit, as UPBs."""
+    rng = np.random.default_rng(42)
+    return ([shifts_family(random_params(rng)) for _ in range(50)] + [shifts_family(a) for a in NEAR_FACES]
+            + [UPB(degenerate_family_members())])
+
+
+def product_floor(u) -> float:
+    return (partition_margin(u) ** 2 / u.size) ** len(u.local_dims)
+
+
+class TestPartitionMargin:
+    def test_pair_formula_equals_the_enumeration(self):
+        for u in margin_sets():
+            assert abs(partition_margin(u) - enumerated_margin(u.local_stacks)) < 1e-12
+        assert partition_margin(UPB(degenerate_family_members())) == 0.0
+
+    def test_family_margin_is_the_nearest_face_distance(self):
+        for angles in [(0.3, 0.7, 1.1), (1e-3, np.pi / 2 - 1e-3, 1e-3), *NEAR_FACES]:
+            d = min(min(a, np.pi / 2 - a) for a in angles)
+            assert partition_margin(shifts_family(angles)) == pytest.approx(np.sqrt(2) * np.sin(d / 2), rel=1e-9)
+
+    def test_seesaw_minimum_is_above_the_floor(self):
+        # 1 - max_overlap is the least <phi|S|phi> the seesaw finds, so no smaller than the proven floor
+        for u in margin_sets():
+            assert 1.0 - certify_unextendible(u, restarts=64).max_overlap >= product_floor(u)
+
+    def test_other_sets_raise(self):
+        e = np.eye(2, dtype=complex)
+        for u in (tiles_upb(), UPB(np.array([e, e]))):  # two qutrits; two qubits with members |00>, |11>
+            with pytest.raises(ValueError, match="m = n \\+ 1"):
+                partition_margin(u)
+
+
+def core_centres():
+    """The hunt workload's 64 UPB complements: the centres of a 4 x 4 x 4 grid of cells over [0.4, pi/2 - 0.4]^3."""
+    cells = np.array(list(itertools.product(range(4), repeat=3)))
+    return [tuple(a) for a in 0.4 + (np.pi / 2 - 0.8) * (cells + 0.5) / 4]
+
+
+@pytest.fixture
+def hunt_calls(monkeypatch):
+    """Count the calls of ``upb.subspace_product_hunt``, which still return what it finds."""
+    calls = []
+    real = upb.subspace_product_hunt
+
+    def hunt(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(upb, "subspace_product_hunt", hunt)
+    return calls
+
+
+class TestUPBComplementHunt:
+    def test_proof_gives_the_search_answer_on_the_core(self, hunt_calls):
+        for k, angles in enumerate(core_centres()):
+            u = shifts_family(angles)
+            assert np.sqrt(product_floor(u)) > 5e-3  # six orders above HUNT_RESIDUAL_TOL
+            proven = upb_complement_hunt(u, 12, [k, 0])
+            searched = upb.subspace_product_hunt(u.complement_projector, u.local_dims, 12, [k, 0])
+            assert (proven.distinct_count, proven.rank, proven.overlaps) == (0, 0, ())
+            assert (searched.distinct_count, searched.rank, searched.overlaps) == (0, 0, ())
+            assert [s.shape for s in proven.local_stacks] == [s.shape for s in searched.local_stacks]
+        assert len(hunt_calls) == 64  # the test's own searches only
+
+    @pytest.mark.parametrize("u", [shifts_family((1e-3, np.pi / 2 - 1e-3, 1e-3)), tiles_upb()],
+                             ids=["near_face", "tiles"])
+    def test_search_runs_where_no_proof_applies(self, hunt_calls, u):
+        hunted = upb_complement_hunt(u, 12, 3)
+        assert len(hunt_calls) == 1
+        today = upb.subspace_product_hunt(u.complement_projector, u.local_dims, 12, 3)
+        assert (hunted.distinct_count, hunted.rank, hunted.overlaps) == (today.distinct_count, today.rank, today.overlaps)
+
+    def test_proof_path_checks_restarts_and_seed(self, pi4_upb, hunt_calls):
+        for kwargs, error in [({"restarts": 0}, ValueError), ({"restarts": 2.5}, TypeError), ({"seed": 1.5}, TypeError)]:
+            with pytest.raises(error):
+                upb_complement_hunt(pi4_upb, **{"restarts": 1, "seed": 0, **kwargs})
+        assert upb_complement_hunt(pi4_upb, 1, 0).distinct_count == 0
+        assert not hunt_calls
+
+
 def test_hunt_leaves_numpy_fft_unloaded():
     # the coefficients come from a fixed inverse-DFT matrix, not from numpy.fft, which numpy loads lazily
     code = (
@@ -1073,3 +1181,16 @@ class TestKnownWrongAnswers:
         planted = [(e0, e0, e0), (e0, e0, plus), (e0, plus, plus), (plus, e0, e0)]
         projector = la.span_projector([expand_locals(v) for v in planted])
         assert subspace_product_hunt(projector, (2, 2, 2), restarts=restarts, seed=seed).rank == 4
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="CHANGES.md, PR 41 FOUND: the counter-seed rule default_rng([seed, s]) is not one-to-one",
+    )
+    def test_counter_seeds_draw_distinct_streams(self):
+        # SeedSequence pads short entropy with zero words, so seed 2**32 + 5 sample 0 (words [5, 1, 0]) draws
+        # the stream of seed 5 sample 1 (words [5, 1]); today both pairs below are equal
+        raw = {"command": "perturb-scan", "angles": [np.pi / 4] * 3, "noise": {"kind": "random", "count": 2},
+               "epsilon_grid": [1e-3]}
+        high, low = (run_command(parse_config({**raw, "seed": seed})).payload["samples"] for seed in (2**32 + 5, 5))
+        assert high[0]["compression_eigenvalues"] != low[1]["compression_eigenvalues"]
+        assert not np.array_equal(upb._start_draws([2**32 + 5, 0], 12, 12), upb._start_draws([5, 1], 12, 12))
