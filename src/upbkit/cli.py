@@ -13,8 +13,9 @@ execution would agree:
     restart r inside sample s   -> block r of the first spawned child of
                                    SeedSequence([seed, s])
 
-A block is the restart's start draws, so the restarts of a shorter run are
-the first of a longer one, and the child never replays the sample's own
+A block is the restart's start draws, so the restarts of a shorter run
+start as the first of a longer one (they stop together, so their ends also
+depend on how many there are), and the child never replays the sample's own
 stream.
 
 A command's parties are those of the UPB it builds.  ``_DIMS``, the family's

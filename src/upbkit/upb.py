@@ -64,8 +64,8 @@ from . import linalg
 from .states import TRACE_TOL, DensityMatrix, expand_locals
 
 UNEXTENDIBILITY_GAP = 1e-3       # certified when max_overlap < 1 - gap
-SEESAW_IMPROVEMENT_TOL = 1e-12   # a restart stops when a sweep gains less; a larger drop is a guard trip
-SEESAW_MAX_SWEEPS = 500          # a restart stops after this many sweeps
+SEESAW_IMPROVEMENT_TOL = 1e-12   # a call stops after a sweep where no restart gains this; a larger drop is a guard trip
+SEESAW_MAX_SWEEPS = 500          # a call stops after this many sweeps
 DEFAULT_RESTARTS = 64            # seesaw restarts when the caller names none
 DISTINCT_FIDELITY_TOL = 1e-6     # hits with fidelity > 1 - tol are the same solution
 # max |PP - P| of a projector, and max |<i|j>| of distinct members: they are orthonormal iff V V^H is idempotent
@@ -252,24 +252,29 @@ def _bloch_to_ket(s: np.ndarray) -> np.ndarray:
 _BLOCH_SQUARES = np.array([0.0, 1.0, 1.0, 1.0])
 
 
-def _bloch_update(op: np.ndarray, w: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
+def _bloch_update(
+    op: np.ndarray, w: np.ndarray, r: np.ndarray, out: np.ndarray,
+    g: np.ndarray, squares: np.ndarray, norm: np.ndarray, g_0: np.ndarray, g_r: np.ndarray, col: np.ndarray,
+) -> None:
     """Qubit party: the objective is ``g_0 + g . r`` with ``g = w op``, maximal at ``r = g / |g|``.
 
     ``g_0 + |g|`` and ``(1, g / |g|)`` are the top eigenpair of the 2x2 local
     operator ``sum_j g_j sigma_j`` in Bloch form, written in place into ``out``
-    and the rows of ``state``.  ``|g|^2`` is one dot product of ``g * g`` with
-    ``(0, 1, 1, 1)``.  Where ``|g| = 0`` every ``r`` is a maximizer and the row
-    is kept, as it is where ``|g|`` is NaN: the divide is masked on the rare
-    update where some ``|g|`` is 0 or NaN, and plain otherwise.
+    and ``r``, the Bloch part of the party's rows.  ``|g|^2`` is one dot
+    product of ``g * g`` with ``(0, 1, 1, 1)``.  ``g``, ``g * g`` and ``|g|``
+    go into the caller's buffers ``g``, ``squares`` and ``norm``, read through
+    its views ``g_0 = g[:, 0]``, ``g_r = g[:, 1:]`` and ``col = norm[:, None]``.
+    Where ``|g| = 0`` every ``r`` is a maximizer and the row is kept, as it is
+    where ``|g|`` is NaN: the divide is masked on the rare update where some
+    ``|g|`` is 0 or NaN, and plain otherwise.
     """
-    g = np.dot(w, op)
-    norm = np.sqrt(np.dot(g * g, _BLOCH_SQUARES))
-    col = norm[:, None]
+    np.dot(w, op, out=g)
+    np.sqrt(np.dot(np.multiply(g, g, out=squares), _BLOCH_SQUARES, out=norm), out=norm)
     if norm[norm.argmin()] > 0.0:  # argmin stops at the first NaN
-        np.divide(g[:, 1:], col, out=state[:, 1:])
+        np.divide(g_r, col, out=r)
     else:
-        np.divide(g[:, 1:], col, out=state[:, 1:], where=col > 0.0)
-    np.add(g[:, 0], norm, out=out)
+        np.divide(g_r, col, out=r, where=col > 0.0)
+    np.add(g_0, norm, out=out)
 
 
 def _eigh_update(op: np.ndarray, w: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
@@ -326,37 +331,13 @@ def _start_kets(seed: int | Sequence[int], restarts: int, dims: Sequence[int]) -
     return [v / np.linalg.norm(v, axis=1, keepdims=True) for v in kets]
 
 
-def _sweep_operands(
-    ops: list[np.ndarray], states: list[np.ndarray], values: np.ndarray, others: list[list[int]],
-) -> list[tuple]:
-    """Party k's update operands ``(op, products, w, state, out)``, built once per compaction and used by every sweep.
-
-    ``w`` is the product of the states of the parties in ``others[k]``, in
-    order.  It starts as the first one's state, and each later one multiplies
-    it into a buffer of its own: a product ``(a, b, into)`` is
-    ``np.multiply(a, b, out=into)``, with ``a`` a column view of the product
-    so far and ``b`` a row view of the next state.  ``out`` is row k + 1 of
-    ``values``.  Every view reads the states and ``values`` in place, so the
-    operands stay valid until those arrays are reallocated.
-    """
-    operands = []
-    for k, (first, *rest) in enumerate(others):
-        w, products = states[first], []
-        for j in rest:
-            into = np.empty((len(w), w.shape[1], states[j].shape[1]), w.dtype)
-            products.append((w[:, :, None], states[j][:, None, :], into))
-            w = into.reshape(len(w), -1)
-        operands.append((ops[k], products, w, states[k], values[k + 1]))
-    return operands
-
-
 def _seesaw(
     projector: np.ndarray,
     dims: Sequence[int],
     seed: int | Sequence[int],
     restarts: int,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run every restart in lockstep until its sweep improves by less than ``SEESAW_IMPROVEMENT_TOL``.
+    """Run every restart in one block until a sweep in which none gains ``SEESAW_IMPROVEMENT_TOL``.
 
     ``projector`` is the D x D matrix, ``D = prod(dims)``, and must already be
     Hermitian: nothing here checks it again.  It is reshaped once into a
@@ -375,14 +356,20 @@ def _seesaw(
       ``(A_k, d_k * d_k * A_k)`` matrix, ``A_k = D / d_k``, and an update is two
       matmuls and one stacked ``linalg.eigh_unchecked`` (``_eigh_update``).
 
-    One loop serves both.  The restarts still improving keep compact,
-    C-contiguous state arrays, allocated once per compaction: at the start,
-    and on a sweep where a restart retires, when the states and objectives
-    are written back to the full arrays (and once at the sweep cap).  Each
-    party's ``w`` buffer and the views that fill it (``_sweep_operands``) are
-    built with them, so a sweep allocates and copies no state.  The
+    One loop serves both, and every sweep updates every restart.  Each
+    party's ``w`` is the product of the other parties' states in order,
+    multiplied into a buffer of its own through views of the states; those
+    buffers, the Bloch update's, the values and the drops and gains are
+    allocated once per call, so a sweep allocates and copies no state.  The
     objective's monotonicity is checked once per sweep, over every party's
-    update; a drop raises ConvergenceError naming the first party with one.
+    update; a drop raises ConvergenceError naming the first party with one
+    and its restart.  The call stops after the first sweep whose largest gain
+    is below ``SEESAW_IMPROVEMENT_TOL`` (``np.fmax``, so a NaN restart neither
+    stops the call nor prolongs it; every restart NaN stops it), or after
+    ``SEESAW_MAX_SWEEPS``.  Restart r's start is a function of ``(seed, r)``,
+    but its end depends on how many sweeps the call runs: with more restarts
+    beside it, it runs at least as many monotone sweeps, so its objective
+    can only rise, up to the last-digit rounding of a converged restart.
 
     Returns the final objective of every restart and the per-party local
     kets.  Raises ValueError for fewer than two parties, where there is
@@ -391,56 +378,56 @@ def _seesaw(
     n = len(dims)
     if n < 2:
         raise ValueError(f"the seesaw needs at least two parties, got local dims {tuple(dims)}")
-    kets = _start_kets(seed, restarts, dims)
+    states = _start_kets(seed, restarts, dims)
     p_tensor = projector.reshape(tuple(dims) * 2)
     others = [[j for j in range(n) if j != k] for k in range(n)]  # w's parties, in order
     bloch = all(d == 2 for d in dims)
     if bloch:
-        states = _ket_to_bloch(kets)
+        states = _ket_to_bloch(states)
         ops = _pauli_slices(p_tensor)
-        update = _bloch_update
+        g, norm = np.empty((restarts, 4)), np.empty(restarts)
+        # the Bloch update writes party k's Bloch part, and the parties share its buffers and their views
+        update, targets = _bloch_update, [s[:, 1:] for s in states]
+        scratch = (g, np.empty((restarts, 4)), norm, g[:, 0], g[:, 1:], norm[:, None])
     else:
-        states = [np.ascontiguousarray(v) for v in kets]  # as a compaction leaves them; a reshape's are strided
         # ops[k][y, a, b, x] = <x, a| P |y, b>, with x, y the other parties' indices
         # (party k's ket and bra axes in the middle), so that for their product
         # vector w, ((w @ ops[k]) @ conj(w))[a, b] = <w, a| P |w, b>
         ops = [p_tensor.transpose([n + j for j in o] + [k, n + k] + o).reshape(math.prod(dims) // dims[k], -1)
                for k, o in enumerate(others)]
-        update = _eigh_update
-    objective = np.full(restarts, -np.inf)
-    active = np.arange(restarts)
-    # the active restarts' states, which the updates overwrite; row 0 of values is their objective
-    # at the start of a sweep, row k + 1 the maximum of party k's update in it
-    cur = list(states)
+        update, targets, scratch = _eigh_update, states, ()
+    # row 0 of values is the objective at the start of a sweep, row k + 1 the maximum of party k's update in it
     values = np.full((n + 1, restarts), -np.inf)
-    operands = _sweep_operands(ops, cur, values, others)
+    start, objective, head, tail = values[0], values[n], values[:-1], values[1:]
+    drop, gain = np.empty((n, restarts)), np.empty(restarts)
+    # party k's products (a, b, into), each np.multiply(a, b, out=into), then its update's arguments
+    parties = []
+    for k, (first, *rest) in enumerate(others):
+        w, products = states[first], []
+        for j in rest:
+            into = np.empty((restarts, w.shape[1], states[j].shape[1]), w.dtype)
+            products.append((w[:, :, None], states[j][:, None, :], into))
+            w = into.reshape(restarts, -1)
+        parties.append((products, (ops[k], w, targets[k], values[k + 1], *scratch)))
     for sweep in range(SEESAW_MAX_SWEEPS):
-        values[0] = values[n]
-        for op, products, w, state, out in operands:
+        start[...] = objective
+        for products, args in parties:
             for a, b, into in products:
                 np.multiply(a, b, out=into)
-            update(op, w, state, out)
+            update(*args)
         # each local update is an exact maximization, so the objective is monotone (fmax and nanargmax skip a NaN drop)
-        drop = values[:-1] - values[1:]
+        np.subtract(head, tail, out=drop)
         if np.fmax.reduce(drop, axis=None) > SEESAW_IMPROVEMENT_TOL:
             k = int(np.argmax((drop > SEESAW_IMPROVEMENT_TOL).any(axis=1)))
             i = int(np.nanargmax(drop[k]))
             raise linalg.ConvergenceError(
-                f"seesaw objective decreased at restart {active[i]}, sweep {sweep}, "
+                f"seesaw objective decreased at restart {i}, sweep {sweep}, "
                 f"party {k}: drop {drop[k, i]:.3e} exceeds {SEESAW_IMPROVEMENT_TOL:.3e}"
             )
-        # written so that a NaN objective retires too: a NaN gain is the minimum
-        gain = values[n] - values[0]
-        if not np.minimum.reduce(gain) >= SEESAW_IMPROVEMENT_TOL or sweep == SEESAW_MAX_SWEEPS - 1:
-            keep = gain >= SEESAW_IMPROVEMENT_TOL
-            for loc, c in zip(states, cur):
-                loc[active] = c
-            objective[active] = values[n]
-            active, values, cur = active[keep], values[:, keep], [c[keep] for c in cur]
-            if not active.size:
-                break
-            operands = _sweep_operands(ops, cur, values, others)
-    return objective, list(_bloch_to_ket(states)) if bloch else states
+        # written so that an all-NaN gain stops the call too: fmax skips a NaN unless every gain is one
+        if not np.fmax.reduce(np.subtract(objective, start, out=gain)) >= SEESAW_IMPROVEMENT_TOL:
+            break
+    return objective, list(_bloch_to_ket(states) if bloch else states)
 
 
 def _checked_projector(projector: np.ndarray, local_dims: Sequence[int]) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -466,22 +453,24 @@ def seesaw_max_product_overlap(
     """Maximize <phi|P|phi> over product vectors by multi-start seesaw.
 
     Restart r starts from row r of ``_start_draws``, so runs are reproducible
-    and the starts of fewer restarts are the first of more.  Restarts that
-    converge into one basin each stop within ``SEESAW_IMPROVEMENT_TOL`` of its
-    maximum, so their objectives differ in the last digits (up to 3.2e-13
-    apart on the certify configs) and a strict argmax would pick among them
-    by rounding.  So the lowest restart whose objective is within
-    ``linalg.DEFAULT_TOL`` of the best wins (no restart of the benchmark's
-    certify lists ends between 1e-12 and 1e-9 below it), and ``max_overlap``
-    is that restart's own objective, which ``best_product_vector`` attains.
-    A restart that ended at NaN wins over every other, so a call with one
-    reports a NaN overlap and certifies nothing.
+    and the starts of fewer restarts are the first of more.  The restarts of
+    one call sweep together until a sweep in which none gains
+    ``SEESAW_IMPROVEMENT_TOL`` (``_seesaw``), so restarts that converge into
+    one basin end in its last digits (up to 4.9e-13 apart on the certify
+    configs) and a strict argmax would pick among them by rounding.  So the
+    lowest restart whose objective is within ``linalg.DEFAULT_TOL`` of the
+    best wins (no restart of the benchmark's certify lists ends between
+    1e-12 and 1e-9 below it), and ``max_overlap`` is that restart's own
+    objective, which ``best_product_vector`` attains: read-only copies of
+    its unit kets, as the seesaw returns them.  A restart that ended at NaN
+    wins over every other, so a call with one reports a NaN overlap and
+    certifies nothing.
     """
     objective, locs = _seesaw(*_checked_projector(projector, local_dims), seed, restarts)
     r = int(np.argmax((objective >= np.max(objective) - linalg.DEFAULT_TOL) | np.isnan(objective)))
     return UnextendibilityCertificate(
         max_overlap=float(min(max(objective[r], 0.0), 1.0)),
-        best_product_vector=tuple(_read_only(v[r] / np.linalg.norm(v[r])) for v in locs),
+        best_product_vector=tuple(_read_only(v[r].copy()) for v in locs),
     )
 
 

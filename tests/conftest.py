@@ -36,13 +36,15 @@ def lower_top_eigenvalue(monkeypatch, at_call: int, restart: int) -> None:
 
     Counts the Bloch updates of qubit parties and the stacked eigensolves of
     the others alike, so the guard trips on either path.  An update writes its
-    maxima into ``out`` in place, and the wrapper lowers them there.
+    maxima in place into ``out``, its fourth argument (after the operator, the
+    product ``w`` and the states), and the wrapper lowers them there; the
+    buffers after ``out`` pass through.
     """
     calls = []
 
     def lowered(real_update):
-        def update(op, w, state, out):
-            real_update(op, w, state, out)
+        def update(op, w, state, out, *buffers):
+            real_update(op, w, state, out, *buffers)
             calls.append(None)
             if len(calls) == at_call:
                 out[restart] -= 10.0

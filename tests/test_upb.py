@@ -79,9 +79,9 @@ def count_local_updates(monkeypatch) -> list:
     """Record every seesaw local update, Bloch or eigensolver, as one list entry."""
     calls = []
     for name in ("_bloch_update", "_eigh_update"):
-        def counted(op, w, state, out, real=getattr(upb, name)):
+        def counted(*args, real=getattr(upb, name)):
             calls.append(None)
-            real(op, w, state, out)
+            real(*args)
         monkeypatch.setattr(upb, name, counted)
     return calls
 
@@ -132,8 +132,9 @@ def reference_seesaw(proj, dims, seed, restarts):
 
     Restart r draws row r of ``start_draws``, each party converts to and
     from Bloch rows on its own, the objective is checked after every local
-    update, and the active restarts are gathered and written back every sweep.
-    The Pauli slices, the conversions and the updates are this module's own.
+    update, and every restart sweeps until a sweep in which none gains the
+    tolerance (a NaN gain counts for none).  The Pauli slices, the
+    conversions and the updates are this module's own.
     """
     n = len(dims)
     p_tensor = proj.reshape(tuple(dims) * 2)
@@ -159,22 +160,18 @@ def reference_seesaw(proj, dims, seed, restarts):
             ops.append(p_tensor.transpose(axes).reshape(int(np.prod(dims)) // dims[k], -1))
         update = reference_eigh_update
     objective = np.full(restarts, -np.inf)
-    active = np.arange(restarts)
     for _ in range(upb.SEESAW_MAX_SWEEPS):
-        cur = [loc[active] for loc in locs]
-        sweep_start = value = objective[active]
+        value = objective
         for k in range(n):
-            w, *rest = cur[:k] + cur[k + 1:]
+            w, *rest = locs[:k] + locs[k + 1:]
             for v in rest:
-                w = (w[:, :, None] * v[:, None, :]).reshape(active.size, -1)
-            vals, cur[k] = update(ops[k], w, cur[k])
+                w = (w[:, :, None] * v[:, None, :]).reshape(restarts, -1)
+            vals, locs[k] = update(ops[k], w, locs[k])
             assert not (value - vals > upb.SEESAW_IMPROVEMENT_TOL).any()
             value = vals
-        for loc, c in zip(locs, cur):
-            loc[active] = c
-        objective[active] = value
-        active = active[value - sweep_start >= upb.SEESAW_IMPROVEMENT_TOL]
-        if not active.size:
+        gains = [g for g in value - objective if not np.isnan(g)]
+        objective = value
+        if not any(g >= upb.SEESAW_IMPROVEMENT_TOL for g in gains):
             break
     if bloch:
         for k, s in enumerate(locs):
@@ -543,8 +540,8 @@ class TestSeesaw:
         state = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.6, 0.0, 0.8], [1.0, 1.0, 0.0, 0.0]])
         ref_values, ref_state = reference_bloch_update(np.eye(4), w, state)
         kept = state[1:].copy()
-        out = np.empty(3)
-        upb._bloch_update(np.eye(4), w, state, out)
+        out, g, norm = np.empty(3), np.empty((3, 4)), np.empty(3)
+        upb._bloch_update(np.eye(4), w, state[:, 1:], out, g, np.empty((3, 4)), norm, g[:, 0], g[:, 1:], norm[:, None])
         assert np.array_equal(state, ref_state) and np.array_equal(out, ref_values, equal_nan=True)
         assert np.array_equal(state[1:], kept) and out[1] == 0.7 and np.isnan(out[2])
         assert np.allclose(state[0, 1:], w[0, 1:] / np.linalg.norm(w[0, 1:]), rtol=0, atol=1e-15)
@@ -630,38 +627,73 @@ class TestSeesaw:
                         seesaw_max_product_overlap(proj, dims, restarts=4, seed=0)
 
     def test_nan_objective_retires_without_a_guard_trip(self, monkeypatch):
-        # a NaN maximum neither trips the monotonicity guard nor keeps a restart going, and it hides
-        # no drop beside it and keeps no other restart from going on
+        # a NaN maximum neither trips the monotonicity guard nor stops or prolongs the call, it hides
+        # no drop beside it, and the restart keeps its NaN objective
         calls = count_local_updates(monkeypatch)
         objective, _ = _seesaw(np.full((8, 8), np.nan), (2, 2, 2), 0, 3)
         assert np.isnan(objective).all() and len(calls) == 3
-        real, sizes = upb._bloch_update, []
+        real, proj, ends = upb._bloch_update, random_projector((2, 2, 2), 4, 1), []
 
-        def with_nans(nan_at, drop_at):
-            def update(op, w, state, out):
-                real(op, w, state, out)
-                sizes.append(len(w))
-                if len(calls) == nan_at:
+        def recorded(*args):
+            real(*args)
+            if len(calls) % 3 == 0:
+                ends.append(args[3].copy())
+
+        # the clean call's objectives after every sweep; restarts 1 and 2 alone would stop after `sweeps`,
+        # before restart 0 does
+        monkeypatch.setattr(upb, "_bloch_update", recorded)
+        calls.clear()
+        _seesaw(proj, (2, 2, 2), 0, 3)
+        gains = np.diff(np.array(ends)[:, 1:], axis=0)
+        sweeps = 2 + int(np.argmax(gains.max(axis=1) < upb.SEESAW_IMPROVEMENT_TOL))
+        assert 2 < sweeps < len(ends)
+
+        def with_nans(nan_from, drop_at):
+            # restart 0's maximum is NaN from update nan_from on, as it stays once a restart's data is NaN
+            def update(*args):
+                real(*args)
+                out = args[3]
+                if len(calls) >= nan_from:
                     out[0] = np.nan
                 if len(calls) == drop_at:
                     out[1] -= 10.0
             return update
 
-        # restart 0 ends sweep 0 at NaN and retires alone
+        # restart 0 ends sweep 0 at NaN, and the call stops where restarts 1 and 2 stop
         monkeypatch.setattr(upb, "_bloch_update", with_nans(3, 0))
         calls.clear()
-        objective, _ = _seesaw(random_projector((2, 2, 2), 4, 1), (2, 2, 2), 0, 3)
-        assert np.isnan(objective[0]) and not np.isnan(objective[1:]).any() and sizes[2:4] == [3, 2]
+        objective, _ = _seesaw(proj, (2, 2, 2), 0, 3)
+        assert np.isnan(objective[0]) and np.array_equal(objective[1:], ends[sweeps - 1][1:])
+        assert len(calls) == 3 * sweeps
         # in sweep 1 restart 1 drops at party 0, and restart 0 turns NaN at party 1
         monkeypatch.setattr(upb, "_bloch_update", with_nans(5, 4))
         calls.clear()
         with pytest.raises(ConvergenceError, match="restart 1, sweep 1, party 0: drop "):
-            _seesaw(random_projector((2, 2, 2), 4, 1), (2, 2, 2), 0, 3)
+            _seesaw(proj, (2, 2, 2), 0, 3)
         # in sweep 1, at party 0, restart 0 turns NaN as restart 1 drops: the guard names restart 1
         monkeypatch.setattr(upb, "_bloch_update", with_nans(4, 4))
         calls.clear()
         with pytest.raises(ConvergenceError, match=r"restart 1, sweep 1, party 0: drop 9\.\d+e\+00 "):
-            _seesaw(random_projector((2, 2, 2), 4, 1), (2, 2, 2), 0, 3)
+            _seesaw(proj, (2, 2, 2), 0, 3)
+
+    def test_every_update_sees_every_restart(self, pi4_upb, monkeypatch):
+        # no restart retires before the call stops: every local update, Bloch or eigensolver, is handed all R
+        # rows, so restarts 0-3 of a 16-restart call run at least the sweeps of a 4-restart call and end at or
+        # above their objectives there (within 1e-15: a converged restart's last digit moves with rounding)
+        rows = []
+        for name in ("_bloch_update", "_eigh_update"):
+            def recorded(op, w, state, out, *buffers, real=getattr(upb, name)):
+                rows.append({len(w), len(state), len(out)})
+                real(op, w, state, out, *buffers)
+            monkeypatch.setattr(upb, name, recorded)
+        inputs = [(pi4_upb.complement_projector, pi4_upb.local_dims), (random_projector((2, 3, 2), 3, 6), (2, 3, 2))]
+        for proj, dims in inputs:
+            objectives = {}
+            for restarts in (4, 16):
+                rows.clear()
+                objectives[restarts], _ = _seesaw(proj, dims, [5, 1], restarts)
+                assert len(rows) > len(dims) and all(r == {restarts} for r in rows)
+            assert (objectives[16][:4] >= objectives[4] - 1e-15).all()
 
     def test_qubit_seesaw_calls_no_eigensolver(self, pi4_upb, monkeypatch):
         def refuse(matrix):
