@@ -67,8 +67,9 @@ report echoes it verbatim, and it parses back to itself.
 
 Exit codes: 0 success, 1 invalid config or command line (an unreadable config or
 an unwritable ``--out`` too), 2 numerical guard tripped (a ``ConvergenceError``:
-LAPACK non-convergence or a seesaw objective drop), 3 certification failure;
-any other error raises.  No command reaches the library's ``PositivityError``;
+LAPACK non-convergence or a seesaw objective drop), 3 certification failure
+(the seesaw's floor leaves no witness, even for a proven UPB); any other
+error raises.  No command reaches the library's ``PositivityError``;
 ``main`` still maps it to 2.
 """
 
@@ -111,6 +112,7 @@ from .states import (
 from .upb import (
     DEFAULT_RESTARTS,
     certify_unextendible,
+    partition_margin,
     shifts_angles,
     shifts_family,
     subspace_product_hunt,
@@ -365,11 +367,11 @@ def _certified_witness(config: dict[str, Any]):
 
 
 def cmd_certify(config: dict[str, Any]) -> dict[str, Any]:
-    _, cert, w = _certified_witness(config)
+    u, cert, w = _certified_witness(config)
     return {
         "max_overlap": cert.max_overlap,
         "restarts": config["restarts"],
-        "certified": cert.certifies_unextendible,
+        "certified": partition_margin(u) > linalg.DEFAULT_TOL,
         "best_product_vector": _vector_payload(cert.best_product_vector),
         "witness_trace": float(np.trace(w.matrix).real),
         "witness_detected_value": w.detected_value,

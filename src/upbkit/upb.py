@@ -19,15 +19,19 @@ vector per party.  A party structure is the tuple of local dims: a ``UPB``
 reads its own from the widths of its stacks, and the seesaw and the hunt
 take theirs next to the projector, checked by ``linalg.party_dims``.
 
-Unextendibility is tested numerically: a multi-start alternating ("seesaw")
-maximization of <phi|Q|phi> over product vectors, Q the complementary
-projector.  Each local update maximizes exactly over one party, so the
-objective never decreases; the best value over all restarts, bounded away
-from 1 by a fixed gap, is the certificate: a lower bound on the true maximum,
-so no proof.  Qubit updates are closed form: with Bloch vectors, |<a|m>|^2 =
-(1 + r_a . r_m)/2 makes the objective multilinear, g_0 + g . r_k in party k,
-maximal at r_k = g/|g|.  Other local dims take the top eigenvector of the
-party's local operator.
+Unextendibility is decided by the partition criterion (Bennett et al.,
+quant-ph/9808030; DiVincenzo et al., quant-ph/9908070): an orthogonal
+product set is a UPB iff its margin sigma is positive, and it counts as one
+where ``partition_margin``, closed form for qubit sets of m = n + 1 members,
+exceeds ``linalg.DEFAULT_TOL``.  The seesaw is a measurement, not a verdict:
+a multi-start alternating maximization of <phi|Q|phi> over product vectors,
+Q the complementary projector.  Each local update maximizes exactly over one
+party, so the objective never decreases; the best value over all restarts
+is the certificate's overlap, a lower bound on the true maximum, from which
+the witness takes its floor.  Qubit updates are closed form: with Bloch
+vectors, |<a|m>|^2 = (1 + r_a . r_m)/2 makes the objective multilinear,
+g_0 + g . r_k in party k, maximal at r_k = g/|g|.  Other local dims take the
+top eigenvector of the party's local operator.
 
 Product hunting takes a projector, as the certificate does, and searches its
 range.  For three qubits and rank k <= 5 the product vectors form a finite
@@ -42,11 +46,9 @@ constraint matrix, a multiple root, a continuum where a finite set was
 expected), goes to the seesaw, where each restart that reaches overlap
 1 - gap counts.  One fidelity rule keeps the distinct hits of every path.
 
-A UPB's complement is first hunted by proof (``upb_complement_hunt``): the
-partition margin sigma (Bennett et al., quant-ph/9808030; DiVincenzo et al.,
-quant-ph/9908070), closed form for qubit sets of m = n + 1 members
-(``partition_margin``), bounds every unit product vector's overlap with the
-members' span below by (sigma^2/m)^n; above the hunt's tolerance, no hit.
+A UPB's complement is first hunted by proof (``upb_complement_hunt``): where
+the margin counts as positive the set is a UPB, so its complement holds no
+product vector and the hunt solves nothing.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ import numpy as np
 from . import linalg
 from .states import TRACE_TOL, DensityMatrix, expand_locals
 
-UNEXTENDIBILITY_GAP = 1e-3       # certified when max_overlap < 1 - gap
+UNEXTENDIBILITY_GAP = 1e-3       # a restart of the hunt's seesaw fallback is a hit at overlap >= 1 - gap
 SEESAW_IMPROVEMENT_TOL = 1e-12   # a call stops after a sweep where no restart gains this; a larger drop is a guard trip
 SEESAW_MAX_SWEEPS = 500          # a call stops after this many sweeps
 DEFAULT_RESTARTS = 64            # seesaw restarts when the caller names none
@@ -78,15 +80,13 @@ SEGRE_DEGENERACY_TOL = 1e-12     # relative size below which the solve's leading
 class UnextendibilityCertificate:
     """Best product overlap with the complementary projector found by the seesaw: a lower bound on the maximum.
 
+    A measurement, not a verdict: ``partition_margin`` decides unextendibility,
+    and the overlap sets the witness's floor (``witness.build_upb_witness``).
     ``best_product_vector`` attains it: one read-only ``(d_k,)`` local vector per party.
     """
 
     max_overlap: float
     best_product_vector: tuple[np.ndarray, ...]
-
-    @property
-    def certifies_unextendible(self) -> bool:
-        return self.max_overlap < 1.0 - UNEXTENDIBILITY_GAP
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,11 +201,13 @@ def partition_margin(u: UPB) -> float:
     """
     if u.local_dims != (2,) * (u.size - 1):
         raise ValueError(f"the pair formula needs qubits and m = n + 1, got local dims {u.local_dims} and m = {u.size}")
-    i, j = np.triu_indices(u.size, 1)
+    # every ordered pair (i, j) of one party's vectors, off the diagonal: swapping a pair negates det and
+    # conjugates the overlap, both exactly, so each pair's s_2^2 appears twice with the same bits
     stacks = np.array(u.local_stacks)
-    a, b = stacks[:, i], stacks[:, j]
+    a, b = stacks[:, :, None], stacks[:, None, :]
     det = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return float(np.sqrt(np.min(np.abs(det) ** 2 / (1 + np.abs(np.sum(a.conj() * b, axis=-1))))))
+    s2 = np.abs(det) ** 2 / (1 + np.abs(np.sum(a.conj() * b, axis=-1)))
+    return float(np.sqrt(np.min(s2[:, ~np.eye(u.size, dtype=bool)])))
 
 
 # sigma_0 = I, sigma_x, sigma_y, sigma_z, stacked as PAULI[i, row, column]
@@ -463,8 +465,8 @@ def seesaw_max_product_overlap(
     1e-12 and 1e-9 below it), and ``max_overlap`` is that restart's own
     objective, which ``best_product_vector`` attains: read-only copies of
     its unit kets, as the seesaw returns them.  A restart that ended at NaN
-    wins over every other, so a call with one reports a NaN overlap and
-    certifies nothing.
+    wins over every other, so a call with one reports a NaN overlap, on
+    which no witness is built.
     """
     objective, locs = _seesaw(*_checked_projector(projector, local_dims), seed, restarts)
     r = int(np.argmax((objective >= np.max(objective) - linalg.DEFAULT_TOL) | np.isnan(objective)))
@@ -737,24 +739,14 @@ def subspace_product_hunt(
 def upb_complement_hunt(u: UPB, restarts: int = DEFAULT_RESTARTS, seed: int | Sequence[int] = 0) -> HuntResult:
     """``subspace_product_hunt`` on ``u.complement_projector``, answered by proof where the partition margin allows.
 
-    Let ``t`` be the largest member term ``prod_k |<phi_k|m_ik>|^2`` of a unit
-    product vector ``phi``.  Each member has a factor at most ``t^(1/n)`` at
-    some party; grouping it there is a partition, whose group ``S_j`` at some
-    party j has ``d_j``-th singular value at least sigma, so ``sigma^2 <=
-    sum_(i in S_j) |<phi_j|m_ij>|^2 <= m t^(1/n)`` and ``||V^H phi||^2 >= t >=
-    (sigma^2/m)^n``, using neither orthogonality nor a solve.  A hit has
-    ``<phi|S|phi> < HUNT_RESIDUAL_TOL^2`` for S the projector onto the members'
-    span, and ``<phi|S|phi> >= ||V^H phi||^2 / (1 + m * PROJECTOR_TOL)``: the
-    Gram matrix ``V^H V`` passed the UPB's checks (unit norms within
-    ``TRACE_TOL`` move it, and the pair formula, by far less).  So a qubit set
-    of n + 1 members whose floor beats the tolerance inflated by that factor
-    has no hit, and the empty result returns as the exact solve returns it;
-    any other set is hunted.  Seed and restarts are checked first, as every
-    hunt path checks them.
+    A product vector in the complement is orthogonal to every member, so the
+    set would extend and its margin would be 0.  So a qubit set of n + 1
+    members whose ``partition_margin`` exceeds ``linalg.DEFAULT_TOL`` has no
+    hit, and the empty result returns as the exact solve returns it; any
+    other set is hunted.  Seed and restarts are checked first, as every hunt
+    path checks them.
     """
     _seed_list(seed, restarts)
-    m, n = u.size, len(u.local_dims)
-    if (u.local_dims == (2,) * (m - 1)
-            and (partition_margin(u) ** 2 / m) ** n > HUNT_RESIDUAL_TOL ** 2 * (1 + m * PROJECTOR_TOL)):
+    if u.local_dims == (2,) * (u.size - 1) and partition_margin(u) > linalg.DEFAULT_TOL:
         return HuntResult(tuple(_read_only(np.zeros((0, d), complex)) for d in u.local_dims), (), 0)
     return subspace_product_hunt(u.complement_projector, u.local_dims, restarts, seed)

@@ -10,7 +10,9 @@ margin), the operator
 has unit trace and detects the UPB state structurally: tr(S rho) = 0 exactly
 because the state lives in the complement, so tr(W rho) = -c / (m - c D) < 0.
 It is a witness only if c is at most the true floor, which nothing proves:
-the seesaw's best overlap is only a lower bound on the true maximum.
+the seesaw's best overlap is only a lower bound on the true maximum.  The
+construction reads only that floor: ``upb.partition_margin`` decides whether
+the set is a UPB, and one that is not leaves no floor after the margin.
 
 The detection radius toward a noise state sigma is the scale s at which the
 witness expectation along the ray (rho + s sigma) / (1 + s) crosses zero,
@@ -35,7 +37,7 @@ RADIUS_DENOM_FLOOR = 1e-15  # tr(W sigma) at or below it: detection is never los
 
 
 class CertificationError(RuntimeError):
-    """Witness construction requires a certificate asserting unextendibility."""
+    """The certificate's floor does not give a witness: nothing is left after the safety margin, or too much."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,20 +59,17 @@ class Witness:
 
 def build_upb_witness(u: UPB, certificate: UnextendibilityCertificate) -> Witness:
     """Trace-normalized S - c*I witness, c resting on the certificate's seesaw overlap (a lower bound)."""
-    if not certificate.certifies_unextendible:
-        raise CertificationError(
-            f"seesaw found a product vector with overlap {certificate.max_overlap!r}; "
-            "the certificate does not assert unextendibility"
-        )
     c = (1.0 - certificate.max_overlap) - SAFETY_MARGIN
-    if c <= 0.0:
-        raise CertificationError("certified product-state floor vanished after the safety margin")
+    if not c > 0.0:  # written so that a NaN overlap fails too
+        raise CertificationError(
+            f"seesaw overlap {certificate.max_overlap!r}: the product-state floor vanished after the safety margin"
+        )
     d = len(u.vectors)
     m = u.size
     norm = m - c * d
     if norm <= 0.0:
         raise CertificationError(
-            "trace normalization is nonpositive; the certified floor is too large for this family"
+            "trace normalization is nonpositive; the seesaw floor is too large for this family"
         )
     w = (u.member_sum_projector - c * np.eye(d)) / norm
     detected = -c / norm

@@ -755,8 +755,8 @@ class TestEndToEnd:
             cli.main(["--config", str(cfg)])
 
     def test_certification_failure_exit_code(self, tmp_path, capsys):
-        # valid but nearly degenerate angles: the complement contains a
-        # product vector up to ~1e-9, so certification must refuse
+        # valid angles near a face: a proven UPB (margin 7.1e-5), but the seesaw finds a
+        # product vector within ~1e-9 of the complement, so no floor survives the safety margin
         raw = {
             "command": "certify",
             "seed": 3,
@@ -765,12 +765,14 @@ class TestEndToEnd:
         }
         proc = run_cli(tmp_path, raw)
         assert proc.returncode == 3
-        assert "certification failure: seesaw found a product vector with overlap" in proc.stderr
+        assert "certification failure: seesaw overlap" in proc.stderr
+        assert "floor vanished after the safety margin" in proc.stderr
         cfg = tmp_path / "config.json"
         assert cli.main(["--config", str(cfg)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "certification failure: seesaw found a product vector with overlap" in captured.err
+        assert "certification failure: seesaw overlap" in captured.err
+        assert "floor vanished after the safety margin" in captured.err
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
         # a command-line usage error is an invalid invocation (1), not a numerical guard trip (2)
@@ -846,14 +848,21 @@ class TestBenchmarkHarness:
         return run, tracing, workloads
 
     def test_run_job_statuses_on_certify_jobs(self, perfbench):
-        # a core job certifies; a near-face job exits 3 through run_job's except clauses,
-        # which evaluate cli.ConvergenceError and cli.PositivityError on the way
+        # a core job and a near-face job certify and pass the benchmark's check; the job at
+        # (0.1, pi/2 - 0.1, 0.1), whose seesaw floor does not survive the safety margin, exits 3
+        # through run_job's except clauses, which evaluate cli.ConvergenceError and
+        # cli.PositivityError on the way
         run, _, workloads = perfbench
+        checks = importlib.import_module("checks")
         near_face = {tuple(angles) for angles, _ in workloads.FAILING_ANGLES}
         certify = [job for job in workloads.job_list("certify", 1) if job["command"] == "certify"]
         core = next(job for job in certify if tuple(job["angles"]) not in near_face)
-        failing = next(job for job in certify if tuple(job["angles"]) in near_face)
-        assert run.run_job(cli, core)[0] == 0
+        passing = next(job for job in certify if tuple(job["angles"]) == (0.05, 0.05, 0.05))
+        failing = next(job for job in certify if tuple(job["angles"]) == (0.1, math.pi / 2 - 0.1, 0.1))
+        for job in (core, passing):
+            status, text = run.run_job(cli, job)
+            assert status == 0
+            assert checks.check_job(job, status, json.loads(text)["payload"]) == []
         assert run.run_job(cli, failing)[0] == 3
 
     def test_bound_names(self, perfbench):

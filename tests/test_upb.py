@@ -10,6 +10,7 @@ from upbkit import linalg as la
 from upbkit import upb
 from upbkit import (
     UPB,
+    CertificationError,
     build_upb_witness,
     certify_unextendible,
     is_ppt_all_cuts,
@@ -701,12 +702,11 @@ class TestSeesaw:
 
         monkeypatch.setattr(la, "eigh_unchecked", refuse)
         cert = certify_unextendible(pi4_upb, restarts=16, seed=3)
-        assert cert.certifies_unextendible
         assert abs(cert.max_overlap - PI4_MAX_OVERLAP) < 1e-6
 
 
 class TestCertification:
-    def test_ties_go_to_the_lowest_restart_within_the_tolerance(self, monkeypatch):
+    def test_ties_go_to_the_lowest_restart_within_the_tolerance(self, pi4_upb, monkeypatch):
         # restart r's local vectors are (cos t_r, sin t_r) with t_r = 0.1 (r + 1), so the vector names the restart;
         # a restart 1e-13 below the best ties with it (linalg.DEFAULT_TOL is 1e-9), one 1e-6 below never does
         t = 0.1 * np.arange(1, 4)
@@ -723,14 +723,16 @@ class TestCertification:
             assert cert.max_overlap == objective[r]
             for v in cert.best_product_vector:
                 assert np.allclose(v, locs[0][r], rtol=0, atol=1e-15)
-        # a restart that ended at NaN wins, so no certificate rests on the others
+        # a restart that ended at NaN wins, so no witness rests on the others
         monkeypatch.setattr(upb, "_seesaw", lambda *args: (np.array([best, np.nan, best - 1e-6]), locs))
         cert = seesaw_max_product_overlap(np.eye(8), (2, 2, 2), restarts=3, seed=0)
-        assert np.isnan(cert.max_overlap) and not cert.certifies_unextendible
+        assert np.isnan(cert.max_overlap)
+        with pytest.raises(CertificationError, match="floor vanished after the safety margin"):
+            build_upb_witness(pi4_upb, cert)
         assert np.allclose(cert.best_product_vector[0], locs[0][1], rtol=0, atol=1e-15)
 
-    def test_pi4_certificate(self, pi4_cert):
-        assert pi4_cert.certifies_unextendible
+    def test_pi4_certificate(self, pi4_upb, pi4_cert):
+        assert partition_margin(pi4_upb) > la.DEFAULT_TOL
         assert pi4_cert.max_overlap < 1 - 1e-3
         assert abs(pi4_cert.max_overlap - PI4_MAX_OVERLAP) < 1e-6
 
@@ -747,17 +749,24 @@ class TestCertification:
     def test_degenerate_family_not_certified(self):
         u = UPB(degenerate_family_members())
         cert = certify_unextendible(u, restarts=64, seed=5)
-        assert not cert.certifies_unextendible
+        assert partition_margin(u) == 0.0
         assert cert.max_overlap > 1 - 1e-9
         # the located product vector genuinely extends the set
         found = expand_locals(cert.best_product_vector)
         for member in u.vectors.T:
             assert abs(np.vdot(member, found)) < 1e-5
 
+    @pytest.mark.parametrize("angles", [(0.05, 0.05, 0.05), (0.1, np.pi / 2 - 0.1, 0.1)])
+    def test_near_face_upb_is_certified(self, angles):
+        # the seesaw's overlap is 0.99999688 and 0.99999901 here, within 1e-3 of 1; the margin is 3.5e-2 and 7.1e-2
+        assert partition_margin(shifts_family(angles)) > la.DEFAULT_TOL
+
     def test_tiles_fixture_certified(self):
+        # the pair formula does not cover two qutrits, so the seesaw's floor is the evidence: far above 0, and a witness
         u = tiles_upb()
         cert = certify_unextendible(u, restarts=64, seed=6)
-        assert cert.certifies_unextendible
+        assert cert.max_overlap < 1 - 1e-3
+        build_upb_witness(u, cert)
 
 
 class TestSubspaceHunt:
@@ -1125,7 +1134,7 @@ class TestUPBComplementHunt:
     def test_proof_gives_the_search_answer_on_the_core(self, hunt_calls):
         for k, angles in enumerate(core_centres()):
             u = shifts_family(angles)
-            assert np.sqrt(product_floor(u)) > 5e-3  # six orders above HUNT_RESIDUAL_TOL
+            assert partition_margin(u) > 1e6 * la.DEFAULT_TOL
             proven = upb_complement_hunt(u, 12, [k, 0])
             searched = upb.subspace_product_hunt(u.complement_projector, u.local_dims, 12, [k, 0])
             assert (proven.distinct_count, proven.rank, proven.overlaps) == (0, 0, ())
@@ -1133,13 +1142,30 @@ class TestUPBComplementHunt:
             assert [s.shape for s in proven.local_stacks] == [s.shape for s in searched.local_stacks]
         assert len(hunt_calls) == 64  # the test's own searches only
 
-    @pytest.mark.parametrize("u", [shifts_family((1e-3, np.pi / 2 - 1e-3, 1e-3)), tiles_upb()],
-                             ids=["near_face", "tiles"])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_proof_holds_near_a_face(self, hunt_calls, eps):
+        # margins 7.1e-4 and 7.1e-5, far above linalg.DEFAULT_TOL; the search reports false hits here (item 5(c))
+        u = shifts_family((eps, np.pi / 2 - eps, eps))
+        assert partition_margin(u) > 1e3 * la.DEFAULT_TOL
+        proven = upb_complement_hunt(u, 12, 3)
+        assert (proven.distinct_count, proven.rank, proven.overlaps) == (0, 0, ())
+        assert [s.shape for s in proven.local_stacks] == [(0, 2)] * 3
+        assert not hunt_calls
+
+    @pytest.mark.parametrize("u", [UPB(degenerate_family_members()), tiles_upb()], ids=["degenerate", "tiles"])
     def test_search_runs_where_no_proof_applies(self, hunt_calls, u):
+        # the degenerate family is a qubit set of n + 1 members with margin 0.0; the pair formula does not cover Tiles
         hunted = upb_complement_hunt(u, 12, 3)
         assert len(hunt_calls) == 1
         today = upb.subspace_product_hunt(u.complement_projector, u.local_dims, 12, 3)
         assert (hunted.distinct_count, hunted.rank, hunted.overlaps) == (today.distinct_count, today.rank, today.overlaps)
+
+    def test_search_finds_the_degenerate_family_product_vector(self):
+        # |0>|0>|1> is orthogonal to all four members of the a -> 0 limit
+        hunted = upb_complement_hunt(UPB(degenerate_family_members()), 12, 3)
+        e = np.eye(8)[1]
+        assert hunted.distinct_count >= 1
+        assert max(abs(np.vdot(expand_locals(v), e)) ** 2 for v in hunted.vectors) > 1 - 1e-12
 
     def test_proof_path_checks_restarts_and_seed(self, pi4_upb, hunt_calls):
         for kwargs, error in [({"restarts": 0}, ValueError), ({"restarts": 2.5}, TypeError), ({"seed": 1.5}, TypeError)]:
@@ -1182,22 +1208,23 @@ class TestKnownWrongAnswers:
     """Answers the toolkit gets wrong today, each pinned by a strict xfail that the named ROADMAP item must flip."""
 
     @pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="ROADMAP item 1: the fixed seesaw gap rejects real UPBs near a face"
+        strict=True, raises=CertificationError,
+        reason="ROADMAP item 2: the seesaw floor of a proven UPB this near a face does not survive SAFETY_MARGIN",
     )
-    @pytest.mark.parametrize("angles", [(0.05, 0.05, 0.05), (0.1, np.pi / 2 - 0.1, 0.1)])
-    def test_near_face_upb_is_certified(self, angles):
-        # today max_overlap is 0.99999688 and 0.99999901 at every seed, above 1 - UNEXTENDIBILITY_GAP
-        u = shifts_family(angles)
+    def test_proven_upb_near_a_face_gets_a_witness(self):
+        # the margin is 7.1e-2, but 1 - max_overlap is 9.9e-7 at every seed, below the witness's 1e-6 safety margin
+        u = shifts_family((0.1, np.pi / 2 - 0.1, 0.1))
+        assert partition_margin(u) > la.DEFAULT_TOL
         for seed in range(3):
-            assert certify_unextendible(u, restarts=64, seed=seed).certifies_unextendible
+            build_upb_witness(u, certify_unextendible(u, restarts=64, seed=seed))
 
     @pytest.mark.xfail(
         strict=True, raises=AssertionError, reason="ROADMAP item 5(c): near-face false hits in the UPB complement"
     )
     @pytest.mark.parametrize(("eps", "restarts"), [(1e-3, 64), (1e-4, 12)])
     def test_upb_complement_holds_no_product_vector(self, eps, restarts):
-        # today 4 hits of rank 4 from the exact solve at 1e-3; at 1e-4 the solve
-        # degenerates and the seesaw fallback reports 4 hits of rank 4
+        # today 4 hits of rank 4 from the exact solve at 1e-3; at 1e-4 the solve degenerates and the
+        # seesaw fallback reports 4 hits of rank 4 (upb_complement_hunt answers both by the margin instead)
         u = shifts_family((eps, np.pi / 2 - eps, eps))
         result = subspace_product_hunt(u.complement_projector, u.local_dims, restarts=restarts, seed=0)
         assert (result.distinct_count, result.rank) == (0, 0)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from upbkit import upb
 from upbkit import (
     CertificationError,
     DensityMatrix,
@@ -14,6 +13,7 @@ from upbkit import (
     build_upb_witness,
     certify_unextendible,
     evaluate,
+    partition_margin,
     perturb_local,
     projector_basis,
     projector_combination,
@@ -22,6 +22,7 @@ from upbkit import (
     robustness_radius,
     uniform_direction,
 )
+from upbkit.linalg import DEFAULT_TOL
 from upbkit.states import expand_locals
 from upbkit.witness import SAFETY_MARGIN
 
@@ -72,21 +73,20 @@ class TestConstruction:
     def test_failed_certificate_rejected(self):
         u = UPB(degenerate_family_members())
         cert = certify_unextendible(u, restarts=32, seed=4)
-        with pytest.raises(CertificationError, match="unextendibility"):
+        with pytest.raises(CertificationError, match="floor vanished after the safety margin"):
             build_upb_witness(u, cert)
 
-    def test_floor_must_survive_the_safety_margin(self, pi4_upb, pi4_cert, monkeypatch):
-        # a gap below the margin certifies an overlap whose floor 1 - overlap is under the margin
-        monkeypatch.setattr(upb, "UNEXTENDIBILITY_GAP", SAFETY_MARGIN / 10)
+    def test_floor_must_survive_the_safety_margin(self, pi4_upb, pi4_cert):
+        # a proven UPB whose seesaw floor 1 - overlap is under the margin gets no witness
+        assert partition_margin(pi4_upb) > DEFAULT_TOL
         cert = UnextendibilityCertificate(1.0 - SAFETY_MARGIN / 2, pi4_cert.best_product_vector)
-        assert cert.certifies_unextendible
         with pytest.raises(CertificationError, match="floor vanished after the safety margin"):
             build_upb_witness(pi4_upb, cert)
 
     def test_floor_too_large_for_the_family_rejected(self, pi4_upb, pi4_cert):
         # overlap 0.1 puts the floor c near 0.9, and m - c D = 4 - 0.9 * 8 < 0
         cert = UnextendibilityCertificate(0.1, pi4_cert.best_product_vector)
-        assert cert.certifies_unextendible
+        assert 1.0 - cert.max_overlap - SAFETY_MARGIN > 0.0  # the floor guard passes
         with pytest.raises(CertificationError, match="trace normalization is nonpositive"):
             build_upb_witness(pi4_upb, cert)
 
