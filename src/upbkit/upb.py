@@ -38,13 +38,13 @@ range.  For three qubits and rank k <= 5 the product vectors form a finite
 set (the Segre variety has degree 6), found by one degree-6 polynomial solve:
 six points in a five-dimensional (super)space, of which those within
 HUNT_RESIDUAL_TOL of the range count.  For rank 6 to 8 they form a continuum,
-and each restart gives one exact point of it: the seesaw's start kets fix the
-first k - 5 parties, and the rest solve in closed form (at most a quadratic).
-Every point must lie within HUNT_RESIDUAL_TOL of the range.  Every other
-input, and a degenerate solve (a root at infinity, a rank-deficient
-constraint matrix, a multiple root, a continuum where a finite set was
-expected), goes to the seesaw, where each restart that reaches overlap
-1 - gap counts.  One fidelity rule keeps the distinct hits of every path.
+and each restart gives one exact point of it, which must lie as close: the
+start kets fix k - 5 parties, and the rest solve in closed form.  Every other
+input, and a solve that fails its rule or is degenerate, goes to the seesaw,
+where a restart counts at overlap >= 1 - linalg.DEFAULT_TOL: a unit product
+vector's weight 1 - <phi|P|phi> outside the range is zero by the toolkit's one
+zero threshold.  That count is a lower bound.  One fidelity rule keeps the
+distinct hits of every path.
 
 A UPB's complement is first hunted by proof (``upb_complement_hunt``): where
 the margin counts as positive the set is a UPB, so its complement holds no
@@ -65,7 +65,6 @@ import numpy as np
 from . import linalg
 from .states import TRACE_TOL, DensityMatrix, expand_locals
 
-UNEXTENDIBILITY_GAP = 1e-3       # a restart of the hunt's seesaw fallback is a hit at overlap >= 1 - gap
 SEESAW_IMPROVEMENT_TOL = 1e-12   # a call stops after a sweep where no restart gains this; a larger drop is a guard trip
 SEESAW_MAX_SWEEPS = 500          # a call stops after this many sweeps
 DEFAULT_RESTARTS = 64            # seesaw restarts when the caller names none
@@ -73,7 +72,7 @@ DISTINCT_FIDELITY_TOL = 1e-6     # hits with fidelity > 1 - tol are the same sol
 # max |PP - P| of a projector, and max |<i|j>| of distinct members: they are orthonormal iff V V^H is idempotent
 PROJECTOR_TOL = 1e-10
 HUNT_RESIDUAL_TOL = 1e-8         # a solved point lies in the subspace when ||(I - P) phi|| < tol
-SEGRE_DEGENERACY_TOL = 1e-12     # relative size below which the solve's leading term or N's rank vanishes
+SEGRE_DEGENERACY_TOL = 1e-12     # a size that counts as zero: the finite solve's leading term or N's rank, n at k = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -633,11 +632,11 @@ def _qubit_triple_restarts(
       first on a tie) and factored as ``b c^T`` (``_factor``).
 
     Every restart is solved at once.  Returns the per-party ``(R, 2)`` kets and
-    the ``(R,)`` overlaps, as ``_qubit_triple_points`` does, or None, for the
-    seesaw to settle, when the solve is degenerate (``N`` of rank below 2 or
-    ``n`` zero relative to ``SEGRE_DEGENERACY_TOL``, a quadratic whose three
-    coefficients vanish, a root of zero norm) or a hit's residual is not
-    below ``HUNT_RESIDUAL_TOL``.
+    the ``(R,)`` overlaps, as ``_qubit_triple_points`` does, if every hit's
+    residual is below ``HUNT_RESIDUAL_TOL``, the one rule, and None otherwise,
+    for the seesaw to settle.  Only what would divide by zero returns None
+    first: ``n`` within ``SEGRE_DEGENERACY_TOL`` of zero, or a zero root z (a
+    double root, or a vanishing quadratic).
     """
     complement = linalg.eigh_unchecked(proj).eigenvectors[:, :8 - k]
     a, b, c = _start_kets(seed, restarts, (2, 2, 2))
@@ -650,16 +649,12 @@ def _qubit_triple_restarts(
             return None
         c = n[:, ::-1] * np.array([1, -1]) / size
     elif k == 6:
-        _, sv, vh = np.linalg.svd(np.einsum("jipq,ri->rjpq", u, a).reshape(restarts, 2, 4))
-        if (sv[:, 1] <= SEGRE_DEGENERACY_TOL * sv[:, 0]).any():
-            return None
-        # the conjugated rows of vh past N's rank are the orthonormal basis z1, z2 of its null space
+        vh = np.linalg.svd(np.einsum("jipq,ri->rjpq", u, a).reshape(restarts, 2, 4)).Vh
+        # the conjugated rows of vh past the second are orthonormal null vectors z1, z2 of N, its null space at rank 2
         zs = vh[:, 2:].conj().reshape(restarts, 2, 2, 2)
         # det(s z1 + t z2) = qa s^2 + qb s t + qc t^2, from the mixed determinants d[m, n] = zm_00 zn_11 - zm_01 zn_10
         d = zs[:, :, None, 0, 0] * zs[:, None, :, 1, 1] - zs[:, :, None, 0, 1] * zs[:, None, :, 1, 0]
         qa, qb, qc = d[:, 0, 0], d[:, 0, 1] + d[:, 1, 0], d[:, 1, 1]
-        if (np.abs([qa, qb, qc]).max(axis=0) <= SEGRE_DEGENERACY_TOL).any():
-            return None
         # q = -(qb + sqrt(disc)) / 2 on the branch that avoids cancellation; the roots (s : t) are (q : qa) and (qc : q)
         root = np.sqrt(qb * qb - 4 * qa * qc)
         q = -(qb + np.where((qb.conj() * root).real < 0, -root, root)) / 2
@@ -698,11 +693,11 @@ def subspace_product_hunt(
     - three qubits and k >= 6: one exact product vector per restart
       (``_qubit_triple_restarts``), through restart r's seesaw start kets
       (``_start_kets``), so ``restarts`` sets how many points of the
-      continuum are drawn.  Where that solve is degenerate, or a point's
-      residual is not below ``HUNT_RESIDUAL_TOL``, the seesaw below runs
-      with the same seed and restarts;
-    - otherwise a multi-start seesaw, where every restart landing at overlap
-      >= 1 - gap is a candidate.
+      continuum are drawn.  Unless every point's residual is below
+      ``HUNT_RESIDUAL_TOL``, the seesaw below runs with the same seed and restarts;
+    - otherwise a multi-start seesaw, where a restart whose overlap is at least
+      ``1 - linalg.DEFAULT_TOL`` is a candidate: its weight outside the range
+      is zero.  The count is a lower bound: a restart still converging is dropped.
 
     A UPB's complement goes to ``upb_complement_hunt`` first, which proves it
     empty where the partition margin allows and runs these paths elsewhere.
@@ -723,7 +718,7 @@ def subspace_product_hunt(
         found = _qubit_triple_points(p, k) if k <= 5 else _qubit_triple_restarts(p, k, seed, restarts)
     if found is None:
         objective, locs = _seesaw(p, dims, seed, restarts)
-        hit = objective >= 1.0 - UNEXTENDIBILITY_GAP
+        hit = objective >= 1.0 - linalg.DEFAULT_TOL
         found = [v[hit] for v in locs], objective[hit]
     locs, overlaps = found
     full = expand_locals(locs)

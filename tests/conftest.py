@@ -54,6 +54,20 @@ def lower_top_eigenvalue(monkeypatch, at_call: int, restart: int) -> None:
         monkeypatch.setattr(upb, name, lowered(getattr(upb, name)))
 
 
+@pytest.fixture
+def seesaw_calls(monkeypatch):
+    """Count the hunt's seesaw runs, which still return what the seesaw finds."""
+    calls = []
+    real = upb._seesaw
+
+    def seesaw(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(upb, "_seesaw", seesaw)
+    return calls
+
+
 @pytest.fixture(scope="session", autouse=True)
 def child_pythonpath():
     """CLI tests run ``python -m upbkit`` in a child process; let it import this checkout."""

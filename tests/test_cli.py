@@ -865,6 +865,16 @@ class TestBenchmarkHarness:
             assert checks.check_job(job, status, json.loads(text)["payload"]) == []
         assert run.run_job(cli, failing)[0] == 3
 
+    def test_no_hunt_job_reaches_the_seesaw(self, perfbench, seesaw_calls):
+        # the benchmark's hunt jobs and the sample hunt configs are answered by proof or by the exact three-qubit
+        # solves, so no change to the seesaw fallback moves their payloads
+        run, _, workloads = perfbench
+        configs = sorted((SCRIPTS / "configs").glob("subspace_hunt_*.json"))
+        assert len(configs) == 2
+        for job in workloads.job_list("hunt", 1) + [json.loads(path.read_text()) for path in configs]:
+            assert run.run_job(cli, job)[0] == 0
+        assert seesaw_calls == []
+
     def test_bound_names(self, perfbench):
         _, tracing, _ = perfbench
         for name in ("run_command", "parse_config", "ConvergenceError", "PositivityError", "CertificationError"):

@@ -853,9 +853,9 @@ def test_distinct_keeps_the_reference_indices():
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
-def random_subspace(rng, dim):
-    """Projector onto the span of ``dim`` complex Gaussian vectors of the three-qubit space."""
-    raw = rng.standard_normal((8, dim)) + 1j * rng.standard_normal((8, dim))
+def random_subspace(rng, dim, space=8):
+    """Projector onto the span of ``dim`` complex Gaussian vectors of a ``space``-dimensional space, three qubits by default."""
+    raw = rng.standard_normal((space, dim)) + 1j * rng.standard_normal((space, dim))
     return la.span_projector(list(raw.T))
 
 
@@ -866,6 +866,14 @@ def assert_hits_in_span(result, projector):
         assert abs(overlap - 1.0) < 1e-12
 
 
+def assert_hits_inside(result, projector, dim):
+    """Each hit's weight ``1 - <phi|P|phi>`` outside the subspace is zero by DEFAULT_TOL, and the hits span at most ``dim``."""
+    for hit in result.vectors:
+        phi = expand_locals(hit)
+        assert 1 - np.vdot(phi, projector @ phi).real <= la.DEFAULT_TOL
+    assert result.rank <= dim
+
+
 @pytest.fixture
 def no_seesaw(monkeypatch):
     """Fail any hunt that leaves the three-qubit exact solves for the seesaw."""
@@ -874,20 +882,6 @@ def no_seesaw(monkeypatch):
         raise AssertionError("the hunt fell back to the seesaw")
 
     monkeypatch.setattr(upb, "_seesaw", seesaw)
-
-
-@pytest.fixture
-def seesaw_calls(monkeypatch):
-    """Count the hunt's seesaw runs, which still return what the seesaw finds."""
-    calls = []
-    real = upb._seesaw
-
-    def seesaw(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(upb, "_seesaw", seesaw)
-    return calls
 
 
 @pytest.mark.usefixtures("no_seesaw")
@@ -951,7 +945,11 @@ class TestExactQubitHunt:
 
 
 class TestHuntFallback:
-    """A degenerate polynomial solve hands the hunt to the seesaw, which answers as before."""
+    """A degenerate polynomial solve, and every party structure but three qubits, hands the hunt to the seesaw.
+
+    The seesaw keeps a restart only when its overlap is at least ``1 - DEFAULT_TOL``: for a unit product
+    vector, ``1 - <phi|P|phi>`` is its weight outside the subspace, and it must be zero by that tolerance.
+    """
 
     @pytest.mark.parametrize("member", [0, 1, 2, 3])
     def test_upb_complement_plus_member(self, seesaw_calls, member):
@@ -978,13 +976,34 @@ class TestHuntFallback:
         assert len(seesaw_calls) == 1
         # the count is not pinned: the seesaw finds some of the span's product vectors, not all
         assert result.distinct_count >= 1
-        for v in result.vectors:
-            phi = expand_locals(v)
-            assert np.vdot(phi, projector @ phi).real >= 1 - upb.UNEXTENDIBILITY_GAP
+        assert_hits_inside(result, projector, 4)
 
     def test_qutrits_keep_the_seesaw(self, seesaw_calls):
         subspace_product_hunt(la.span_projector([np.eye(9)[0]]), (3, 3), restarts=4, seed=0)
         assert len(seesaw_calls) == 1
+
+    def test_no_hit_in_a_span_without_product_vectors(self, seesaw_calls):
+        # a generic 4-dimensional subspace of C^3 (x) C^3 misses the 4-dimensional Segre variety of its
+        # 8-dimensional projective space; one restart stops at overlap 0.99978, a local maximum and no hit
+        projector = random_subspace(np.random.default_rng([1, 4, 9]), 4, 9)
+        result = subspace_product_hunt(projector, (3, 3), restarts=12, seed=0)
+        assert len(seesaw_calls) == 1
+        assert (result.distinct_count, result.rank) == (0, 0)
+
+    @pytest.mark.parametrize("dims, dim, planted, draw", [
+        ((2, 3, 2), 7, False, 0), ((2, 3, 2), 8, True, 0), ((3, 3), 4, False, 3), ((3, 3), 5, True, 7),
+    ], ids=["2x3x2-random", "2x3x2-planted", "3x3-random", "3x3-planted"])
+    def test_hits_lie_in_the_subspace(self, seesaw_calls, dims, dim, planted, draw):
+        # random subspaces one dimension short of meeting the Segre variety hold no product vector, and planted
+        # spans of that dimension plus one hold finitely many; restarts stopped short of one are no hits
+        rng = np.random.default_rng([*dims, dim, draw])
+        if planted:
+            projector = la.span_projector([expand_locals(random_product_vector(dims, rng)) for _ in range(dim)])
+        else:
+            projector = random_subspace(rng, dim, np.prod(dims))
+        result = subspace_product_hunt(projector, dims, restarts=16, seed=draw)
+        assert len(seesaw_calls) == 1
+        assert_hits_inside(result, projector, dim)
 
 
 class TestExactRestartHunt:
@@ -1022,13 +1041,15 @@ class TestExactRestartHunt:
 
     def test_vanishing_quadratic_falls_back(self, seesaw_calls):
         # span{|000>, ..., |101>}: every z in N's null space span{|00>, |01>} is a product, so det(s z1 + t z2) = 0
+        # and both roots are zero
         result = subspace_product_hunt(la.span_projector(list(np.eye(8)[:6])), (2, 2, 2), restarts=12, seed=0)
         assert len(seesaw_calls) == 1
         assert result.distinct_count >= 1
 
     @pytest.mark.parametrize("v", [(0, 1, -1, 0), (0, 0, 0, 1)], ids=["psi_minus", "11"])
     def test_rank_deficient_constraint_matrix_falls_back(self, seesaw_calls, v):
-        # the complement C^2 (x) |v> gives N(a) the rows a_0 <v| and a_1 <v|: rank 1 for every a
+        # the complement C^2 (x) |v> gives N(a) the rows a_0 <v| and a_1 <v|: rank 1 for every a, and the two
+        # null vectors the SVD returns give some restart's quadratic a zero root
         projector = np.eye(8) - la.span_projector([np.kron(e, v) for e in np.eye(2)])
         subspace_product_hunt(projector, (2, 2, 2), restarts=12, seed=0)
         assert len(seesaw_calls) == 1
