@@ -49,7 +49,7 @@ The config schema (a command accepts exactly the fields it reads)::
                   subspace-hunt).  subspace-hunt solves dimensions <= 5
                   exactly and reads restarts only where that solve is
                   degenerate and falls back to the seesaw; for dimensions
-                  >= 6 restarts sets how many exact hits are drawn.  A
+                  >= 6 at most restarts hits are drawn.  A
                   upb_complement hunt that the partition margin proves
                   empty solves nothing
 

@@ -34,17 +34,19 @@ g_0 + g . r_k in party k, maximal at r_k = g/|g|.  Other local dims take the
 top eigenvector of the party's local operator.
 
 Product hunting takes a projector, as the certificate does, and searches its
-range.  For three qubits and rank k <= 5 the product vectors form a finite
-set (the Segre variety has degree 6), found by one degree-6 polynomial solve:
-six points in a five-dimensional (super)space, of which those within
-HUNT_RESIDUAL_TOL of the range count.  For rank 6 to 8 they form a continuum,
-and each restart gives one exact point of it, which must lie as close: the
-start kets fix k - 5 parties, and the rest solve in closed form.  Every other
-input, and a solve that fails its rule or is degenerate, goes to the seesaw,
-where a restart counts at overlap >= 1 - linalg.DEFAULT_TOL: a unit product
-vector's weight 1 - <phi|P|phi> outside the range is zero by the toolkit's one
-zero threshold.  That count is a lower bound.  One fidelity rule keeps the
-distinct hits of every path.
+range.  A point is a hit by one rule on every path: its residual
+||(I - P) phi|| is below HUNT_RESIDUAL_TOL.  For three qubits and rank k <= 5
+the product vectors form a finite set (the Segre variety has degree 6), found
+by one degree-6 polynomial solve: six points in a five-dimensional
+(super)space, of which those in the range count.  For rank 6 to 8 they form a
+continuum, and each restart gives one point of it: the start kets fix k - 5
+parties, and the rest solve in closed form.  Every other input, and a finite
+solve that is degenerate, goes to the seesaw, whose stopped restarts are the
+candidates; its objective decides nothing.  A candidate of the continuum or
+of the seesaw that fails the rule is polished by Gauss-Newton and checked
+again, so three qubits of rank k >= 6 never reach the seesaw.  The seesaw's
+count is a lower bound.  One fidelity rule keeps the distinct hits of every
+path.
 
 A UPB's complement is first hunted by proof (``upb_complement_hunt``): where
 the margin counts as positive the set is a UPB, so its complement holds no
@@ -71,8 +73,8 @@ DEFAULT_RESTARTS = 64            # seesaw restarts when the caller names none
 DISTINCT_FIDELITY_TOL = 1e-6     # hits with fidelity > 1 - tol are the same solution
 # max |PP - P| of a projector, and max |<i|j>| of distinct members: they are orthonormal iff V V^H is idempotent
 PROJECTOR_TOL = 1e-10
-HUNT_RESIDUAL_TOL = 1e-8         # a solved point lies in the subspace when ||(I - P) phi|| < tol
-SEGRE_DEGENERACY_TOL = 1e-12     # a size that counts as zero: the finite solve's leading term or N's rank, n at k = 7
+HUNT_RESIDUAL_TOL = 1e-8         # a hunt's point lies in the subspace when ||(I - P) phi|| < tol
+POLISH_STEPS = 20                # Gauss-Newton steps of the hunt's polish: a double root converges only linearly
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,6 +566,37 @@ def _verified(phi: np.ndarray, complement: np.ndarray, proj: np.ndarray) -> tupl
     return residual < HUNT_RESIDUAL_TOL, np.einsum("ri,ij,rj->r", phi.conj(), proj, phi).real
 
 
+def _polish(complement: np.ndarray, locs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """``POLISH_STEPS`` Gauss-Newton steps on ``f = U^dag (x_1 (x) ... (x) x_n)``, every row of the kets at once.
+
+    ``complement`` is U, the orthonormal ``(D, c)`` basis of the complement, so
+    ``||f||`` is a unit product vector's residual ``||(I - P) phi||``, and
+    ``locs`` holds the per-party ``(R, d_k)`` unit kets.  f is linear in each
+    ket: its Jacobian block ``J_k`` contracts U^dag with every other party's
+    ket, and ``J_k x_k = f``.  So a step along ``x_k`` only rescales phi, and a
+    minimum-norm step that may take it shrinks every ket instead of moving it.
+    Party k's step is kept in ``x_k^perp`` by its block ``J_k (I - x_k x_k^dag)
+    = J_k - f x_k^dag``, whose minimum-norm solutions lie there; one stacked
+    ``np.linalg.pinv`` of the ``(R, c, sum d_k)`` blocks solves every row's
+    step, and each moved ket, at least unit length as its step is orthogonal to it, is normalized again.
+    Returns the new kets; acceptance is ``_verified``'s, by the caller.
+    """
+    dims = [v.shape[1] for v in locs]
+    u = complement.conj().T.reshape(-1, *dims)
+    # party k's <u_j| with its own axis last: entry (j, o, i), o the index of the other parties' product
+    blocks = [np.moveaxis(u, k + 1, -1).reshape(len(u), -1, d) for k, d in enumerate(dims)]
+    splits, locs = list(itertools.accumulate(dims[:-1])), list(locs)
+    for _ in range(POLISH_STEPS):
+        jac = [np.einsum("joi,ro->rji", block, expand_locals(locs[:k] + locs[k + 1:]))
+               for k, block in enumerate(blocks)]
+        f = np.einsum("rji,ri->rj", jac[0], locs[0])
+        restricted = np.concatenate([j - f[:, :, None] * x.conj()[:, None, :] for j, x in zip(jac, locs)], axis=2)
+        steps = np.split((np.linalg.pinv(restricted) @ f[:, :, None])[:, :, 0], splits, axis=1)
+        locs = [x - s for x, s in zip(locs, steps)]
+        locs = [x / np.linalg.norm(x, axis=1, keepdims=True) for x in locs]
+    return locs
+
+
 def _qubit_triple_points(proj: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray] | None:
     """Every product vector in the range of ``proj``, a three-qubit projector of rank ``k <= 5``.
 
@@ -579,13 +612,17 @@ def _qubit_triple_points(proj: np.ndarray, k: int) -> tuple[list[np.ndarray], np
     whose six roots give the superspace's six product vectors (the degree of
     the Segre variety).  The points returned are those
     whose residual ``||(I - P) phi||`` against the whole complement is below
-    ``HUNT_RESIDUAL_TOL``, as the seesaw returns its restarts: the per-party
-    ``(R, 2)`` unit kets and the ``(R,)`` overlaps ``<phi|P|phi>``.
+    ``HUNT_RESIDUAL_TOL``, as the per-party ``(R, 2)`` unit kets and the
+    ``(R,)`` overlaps ``<phi|P|phi>``.
 
-    Returns None, for the seesaw to settle, when the solve is degenerate:
-    the leading coefficient vanishes (a root at infinity), ``N`` loses rank
-    at a root, or fewer than six distinct points (``_distinct``) verify in
-    the superspace (a multiple root, or a continuum of product vectors).
+    Returns None, for the seesaw to settle, unless six distinct points
+    (``_distinct``) lie in the superspace by the same residual rule: a
+    leading coefficient that is exactly zero loses its root at infinity, a
+    root where ``N`` loses rank exactly factors to NaN, and a multiple root
+    or a continuum of product vectors gives fewer distinct points.  No other
+    size is tested against a tolerance, so a polynomial that vanishes only to
+    rounding (a span holding a product vector at every ``a``) gives six of a
+    continuum's points, each in the span.
     """
     # proj's eigenvalues are 0 (8 - k times) and then 1
     complement = linalg.eigh_unchecked(proj).eigenvectors[:, :8 - k]
@@ -594,36 +631,32 @@ def _qubit_triple_points(proj: np.ndarray, k: int) -> tuple[list[np.ndarray], np
     w = constraints.conj().T.reshape(3, 2, 4)
     z = _null_vectors(w[:, 0] + _UNIT_ROOTS_7[:, None, None] * w[:, 1])
     coeffs = _INVERSE_DFT_7 @ (z[:, 0] * z[:, 3] - z[:, 1] * z[:, 2])
-    if abs(coeffs[6]) <= SEGRE_DEGENERACY_TOL * np.abs(coeffs).max():
-        return None
+    # np.roots drops a leading coefficient that is exactly zero, and with it the root at infinity
     x = np.roots(coeffs[::-1])
     a = np.column_stack([np.ones_like(x), x]) / np.sqrt(1 + np.abs(x) ** 2)[:, None]
     n = a[:, 0, None, None] * w[:, 0] + a[:, 1, None, None] * w[:, 1]
-    # |z| is the product of N's three singular values, |N|^3 bounds it
-    z = _null_vectors(n).reshape(-1, 2, 2)
-    if (np.linalg.norm(z, axis=(1, 2)) <= SEGRE_DEGENERACY_TOL * np.linalg.norm(n, axis=(1, 2)) ** 3).any():
-        return None
-    b, c = _factor(z)
+    # a zero z, where N loses rank at a root, factors to NaN, which lies outside the superspace
+    b, c = _factor(_null_vectors(n).reshape(-1, 2, 2))
     phi = expand_locals((a, b, c))
     in_superspace = np.linalg.norm(phi @ constraints.conj(), axis=1) < HUNT_RESIDUAL_TOL
-    if not in_superspace.all() or len(_distinct(phi)) < len(phi):
+    if not in_superspace.all() or len(_distinct(phi)) < 6:
         return None
     found, overlaps = _verified(phi, complement, proj)
     return [a[found], b[found], c[found]], overlaps[found]
 
 
 def _qubit_triple_restarts(
-    proj: np.ndarray, k: int, seed: int | Sequence[int], restarts: int,
-) -> tuple[list[np.ndarray], np.ndarray] | None:
-    """One product vector in the range of ``proj``, a three-qubit projector of rank ``6 <= k <= 8``, per restart.
+    complement: np.ndarray, k: int, seed: int | Sequence[int], restarts: int,
+) -> list[np.ndarray]:
+    """One candidate product vector in a three-qubit subspace of rank ``6 <= k <= 8`` per restart.
 
-    Restart r draws the seesaw's start kets ``(a, b, c)``, row r of
-    ``_start_kets(seed, restarts, (2, 2, 2))``'s three parties, keeps the
-    first ``k - 5`` of them and solves for the rest in closed form against
-    the ``8 - k`` complement vectors ``u_j``, taken as
-    ``_qubit_triple_points`` takes them:
+    ``complement`` holds the ``8 - k`` orthonormal complement vectors ``u_j``,
+    as ``_qubit_triple_points`` takes them.  Restart r draws the seesaw's
+    start kets ``(a, b, c)``, row r of ``_start_kets(seed, restarts, (2, 2,
+    2))``'s three parties, keeps the first ``k - 5`` of them and solves for
+    the rest in closed form:
 
-    - k = 8: the start is the hit;
+    - k = 8: the start is the candidate;
     - k = 7: ``<u|a, b, c> = n . c`` for ``n = <u|a, b, .>``, zero at ``c ~ (n_1, -n_0)``;
     - k = 6: the constraints are ``N z = 0`` for ``z = b (x) c`` and a 2 x 4
       ``N``, whose null space has an orthonormal basis ``z1, z2``.  The product
@@ -631,23 +664,21 @@ def _qubit_triple_restarts(
       two roots the unit z with the larger ``|<z|b (x) c>|`` is kept (the
       first on a tie) and factored as ``b c^T`` (``_factor``).
 
-    Every restart is solved at once.  Returns the per-party ``(R, 2)`` kets and
-    the ``(R,)`` overlaps, as ``_qubit_triple_points`` does, if every hit's
-    residual is below ``HUNT_RESIDUAL_TOL``, the one rule, and None otherwise,
-    for the seesaw to settle.  Only what would divide by zero returns None
-    first: ``n`` within ``SEGRE_DEGENERACY_TOL`` of zero, or a zero root z (a
-    double root, or a vanishing quadratic).
+    Every restart is solved at once, and the per-party ``(R, 2)`` kets are
+    returned for ``subspace_product_hunt``'s residual rule and polish.  Only
+    what would divide by zero is tested, exactly: a restart whose ``n``
+    vanishes, or one of whose roots is zero (a double root, or a vanishing
+    quadratic), keeps its start kets.
     """
-    complement = linalg.eigh_unchecked(proj).eigenvectors[:, :8 - k]
     a, b, c = _start_kets(seed, restarts, (2, 2, 2))
     # entry (j, i, p, q) is <u_j|i, p, q>
     u = complement.conj().T.reshape(8 - k, 2, 2, 2)
     if k == 7:
         n = np.einsum("ipq,ri,rp->rq", u[0], a, b)
-        size = np.linalg.norm(n, axis=1, keepdims=True)
-        if (size <= SEGRE_DEGENERACY_TOL).any():
-            return None
-        c = n[:, ::-1] * np.array([1, -1]) / size
+        solved, size = n[:, ::-1] * np.array([1, -1]), np.linalg.norm(n, axis=1, keepdims=True)
+        if (size == 0).any():  # a vanishing n: every c solves, and the start's is kept
+            solved, size = np.where(size == 0, c, solved), np.where(size == 0, 1.0, size)
+        c = solved / size
     elif k == 6:
         vh = np.linalg.svd(np.einsum("jipq,ri->rjpq", u, a).reshape(restarts, 2, 4)).Vh
         # the conjugated rows of vh past the second are orthonormal null vectors z1, z2 of N, its null space at rank 2
@@ -660,15 +691,12 @@ def _qubit_triple_restarts(
         q = -(qb + np.where((qb.conj() * root).real < 0, -root, root)) / 2
         z = np.einsum("nmr,rmpq->nrpq", np.array([[q, qa], [qc, q]]), zs)
         size = np.linalg.norm(z, axis=(2, 3), keepdims=True)
-        if (size == 0).any():
-            return None
+        if (size == 0).any():  # the start's unit b (x) c stands in for a zero root, and is kept: |<z|b (x) c>| = 1
+            z, size = np.where(size == 0, b[:, :, None] * c[:, None, :], z), np.where(size == 0, 1.0, size)
         z = z / size
         near = np.abs(np.einsum("nrpq,rp,rq->nr", z.conj(), b, c))
         b, c = _factor(np.where((near[0] >= near[1])[:, None, None], z[0], z[1]))
-    found, overlaps = _verified(expand_locals((a, b, c)), complement, proj)
-    if not found.all():
-        return None
-    return [a, b, c], overlaps
+    return [a, b, c]
 
 
 def subspace_product_hunt(
@@ -681,28 +709,33 @@ def subspace_product_hunt(
 
     The input contract is ``seesaw_max_product_overlap``'s: a Hermitian,
     idempotent ``projector`` of dimension ``prod(local_dims)``; its rank k, read
-    from the trace, must be at least 1.  Three paths find the candidate points:
+    from the trace, must be at least 1.  A point is a hit by one rule, on
+    every path: its residual ``||(I - P) phi||`` is below ``HUNT_RESIDUAL_TOL``
+    (``_verified``).  Three paths find the candidate points:
 
     - three qubits and k <= 5: one degree-6 polynomial solve
-      (``_qubit_triple_points``), which finds every product vector in the span
-      whose residual ``||(I - P) phi||`` is below ``HUNT_RESIDUAL_TOL``.  The
-      count is exact and ``restarts`` and ``seed`` are checked but play no
-      part.  Where the solve is degenerate (a root at infinity, a
+      (``_qubit_triple_points``), which finds every product vector in the
+      span.  The count is exact, unless the span holds a continuum that the
+      solve sees only to rounding, and ``restarts`` and ``seed`` are checked
+      but play no part.  Where the solve is degenerate (a root at infinity, a
       rank-deficient constraint matrix, a multiple root or a continuum of
       product vectors) the seesaw below runs, with the same seed and restarts;
-    - three qubits and k >= 6: one exact product vector per restart
+    - three qubits and k >= 6: one candidate per restart
       (``_qubit_triple_restarts``), through restart r's seesaw start kets
-      (``_start_kets``), so ``restarts`` sets how many points of the
-      continuum are drawn.  Unless every point's residual is below
-      ``HUNT_RESIDUAL_TOL``, the seesaw below runs with the same seed and restarts;
-    - otherwise a multi-start seesaw, where a restart whose overlap is at least
-      ``1 - linalg.DEFAULT_TOL`` is a candidate: its weight outside the range
-      is zero.  The count is a lower bound: a restart still converging is dropped.
+      (``_start_kets``), so ``restarts`` bounds how many points of the
+      continuum are drawn.  This path never reaches the seesaw;
+    - otherwise a multi-start seesaw, each restart's stopped kets a
+      candidate; its objective decides nothing.
+
+    On the last two paths the candidates that fail the rule are polished
+    (``_polish``) and checked again, and those that still fail are dropped,
+    so the count is at most ``restarts``.  The seesaw's count is a lower
+    bound: it misses product vectors in basins no restart enters.
 
     A UPB's complement goes to ``upb_complement_hunt`` first, which proves it
     empty where the partition margin allows and runs these paths elsewhere.
 
-    The candidates are expanded once and kept in order unless their fidelity
+    The hits are expanded once and kept in order unless their fidelity
     with a kept one exceeds ``1 - DISTINCT_FIDELITY_TOL`` (``_distinct``).
     Overlaps are clamped into [0, 1], as the certificate's maximum is.  The
     reported rank is the linear-independence rank of the kept hits, computed
@@ -714,12 +747,23 @@ def subspace_product_hunt(
     if k == 0:
         raise ValueError("the projector's range is empty")
     found = None
-    if dims == (2, 2, 2):
-        found = _qubit_triple_points(p, k) if k <= 5 else _qubit_triple_restarts(p, k, seed, restarts)
+    if dims == (2, 2, 2) and k <= 5:
+        found = _qubit_triple_points(p, k)
     if found is None:
-        objective, locs = _seesaw(p, dims, seed, restarts)
-        hit = objective >= 1.0 - linalg.DEFAULT_TOL
-        found = [v[hit] for v in locs], objective[hit]
+        complement = linalg.eigh_unchecked(p).eigenvectors[:, :len(p) - k]
+        if dims == (2, 2, 2) and k >= 6:
+            locs = _qubit_triple_restarts(complement, k, seed, restarts)
+        else:
+            locs = _seesaw(p, dims, seed, restarts)[1]
+        hit, overlaps = _verified(expand_locals(locs), complement, p)
+        if not hit.all():
+            miss = ~hit
+            polished = _polish(complement, [v[miss] for v in locs])
+            hit[miss], overlaps[miss] = _verified(expand_locals(polished), complement, p)
+            for v, w in zip(locs, polished):
+                v[miss] = w
+            locs, overlaps = [v[hit] for v in locs], overlaps[hit]
+        found = locs, overlaps
     locs, overlaps = found
     full = expand_locals(locs)
     kept = _distinct(full)

@@ -54,18 +54,29 @@ def lower_top_eigenvalue(monkeypatch, at_call: int, restart: int) -> None:
         monkeypatch.setattr(upb, name, lowered(getattr(upb, name)))
 
 
-@pytest.fixture
-def seesaw_calls(monkeypatch):
-    """Count the hunt's seesaw runs, which still return what the seesaw finds."""
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call of ``upb.<name>``, which still returns what it returns."""
     calls = []
-    real = upb._seesaw
+    real = getattr(upb, name)
 
-    def seesaw(*args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(upb, "_seesaw", seesaw)
+    monkeypatch.setattr(upb, name, counted)
     return calls
+
+
+@pytest.fixture
+def seesaw_calls(monkeypatch):
+    """The hunt's seesaw runs."""
+    return count_calls(monkeypatch, "_seesaw")
+
+
+@pytest.fixture
+def polish_calls(monkeypatch):
+    """The hunt's Gauss-Newton polishes."""
+    return count_calls(monkeypatch, "_polish")
 
 
 @pytest.fixture(scope="session", autouse=True)

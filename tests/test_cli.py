@@ -865,15 +865,17 @@ class TestBenchmarkHarness:
             assert checks.check_job(job, status, json.loads(text)["payload"]) == []
         assert run.run_job(cli, failing)[0] == 3
 
-    def test_no_hunt_job_reaches_the_seesaw(self, perfbench, seesaw_calls):
+    def test_no_hunt_job_reaches_the_seesaw(self, perfbench, seesaw_calls, polish_calls):
         # the benchmark's hunt jobs and the sample hunt configs are answered by proof or by the exact three-qubit
-        # solves, so no change to the seesaw fallback moves their payloads
+        # solves, every exact point within the residual rule as solved, so no change to the seesaw fallback or to
+        # the polish moves their payloads
         run, _, workloads = perfbench
         configs = sorted((SCRIPTS / "configs").glob("subspace_hunt_*.json"))
         assert len(configs) == 2
         for job in workloads.job_list("hunt", 1) + [json.loads(path.read_text()) for path in configs]:
             assert run.run_job(cli, job)[0] == 0
         assert seesaw_calls == []
+        assert polish_calls == []
 
     def test_bound_names(self, perfbench):
         _, tracing, _ = perfbench

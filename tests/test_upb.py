@@ -27,7 +27,7 @@ from upbkit.linalg import ConvergenceError
 from upbkit.states import expand_locals, product_projector, random_product_vector
 from upbkit.upb import _seesaw
 
-from conftest import kernel_vectors, lower_top_eigenvalue
+from conftest import count_calls, kernel_vectors, lower_top_eigenvalue
 
 # Regression constant: best product overlap with the complement of the
 # pi/4 family, recorded from 256-restart runs (stable to ~1e-14 across seeds).
@@ -860,18 +860,24 @@ def random_subspace(rng, dim, space=8):
 
 
 def assert_hits_in_span(result, projector):
+    """Every hit passes the hunt's one rule, ``||(I - P) phi|| < HUNT_RESIDUAL_TOL``, and their rank is at most P's."""
     for hit, overlap in zip(result.vectors, result.overlaps, strict=True):
         phi = expand_locals(hit)
         assert np.linalg.norm(phi - projector @ phi) < upb.HUNT_RESIDUAL_TOL
         assert abs(overlap - 1.0) < 1e-12
+    assert result.rank <= round(np.trace(projector).real)
 
 
-def assert_hits_inside(result, projector, dim):
-    """Each hit's weight ``1 - <phi|P|phi>`` outside the subspace is zero by DEFAULT_TOL, and the hits span at most ``dim``."""
-    for hit in result.vectors:
-        phi = expand_locals(hit)
-        assert 1 - np.vdot(phi, projector @ phi).real <= la.DEFAULT_TOL
-    assert result.rank <= dim
+def assert_no_objective_hit_lost(result, seesaw_calls):
+    """Each distinct restart that the seesaw's objective rule, ``objective >= 1 - DEFAULT_TOL``, keeps from the hunt's
+    seesaw run, run again with the same arguments, has fidelity above ``1 - DISTINCT_FIDELITY_TOL`` with a hit."""
+    (args,) = seesaw_calls
+    objective, locs = _seesaw(*args)
+    kept = objective >= 1.0 - la.DEFAULT_TOL
+    reference = expand_locals([v[kept] for v in locs])
+    hits = expand_locals(result.local_stacks)
+    for phi in reference[upb._distinct(reference)]:
+        assert np.max(np.abs(hits.conj() @ phi) ** 2, initial=0.0) > 1.0 - upb.DISTINCT_FIDELITY_TOL
 
 
 @pytest.fixture
@@ -947,8 +953,9 @@ class TestExactQubitHunt:
 class TestHuntFallback:
     """A degenerate polynomial solve, and every party structure but three qubits, hands the hunt to the seesaw.
 
-    The seesaw keeps a restart only when its overlap is at least ``1 - DEFAULT_TOL``: for a unit product
-    vector, ``1 - <phi|P|phi>`` is its weight outside the subspace, and it must be zero by that tolerance.
+    The seesaw's objective decides nothing: its stopped restarts are candidates, each kept by the hunt's one rule,
+    residual ``||(I - P) phi|| < HUNT_RESIDUAL_TOL``, as it stands or after the polish.  No hit that the old rule,
+    ``objective >= 1 - DEFAULT_TOL``, keeps from the same seesaw run is lost.
     """
 
     @pytest.mark.parametrize("member", [0, 1, 2, 3])
@@ -959,13 +966,30 @@ class TestHuntFallback:
         result = subspace_product_hunt(projector, u.local_dims, restarts=64, seed=member)
         assert len(seesaw_calls) == 1
         assert (result.distinct_count, result.rank) == (6, 5)
+        assert_hits_in_span(result, projector)
+        assert_no_objective_hit_lost(result, seesaw_calls)
 
     def test_continuum(self, seesaw_calls):
         # span{|000>, |001>} holds |00>|c> for every c: a triple root that verifies only to ~1e-5
         e = np.eye(8)
-        result = subspace_product_hunt(la.span_projector([e[0], e[1]]), (2, 2, 2), restarts=16, seed=0)
+        projector = la.span_projector([e[0], e[1]])
+        result = subspace_product_hunt(projector, (2, 2, 2), restarts=16, seed=0)
         assert len(seesaw_calls) == 1
         assert (result.distinct_count, result.rank) == (16, 2)
+        assert_hits_in_span(result, projector)
+        assert_no_objective_hit_lost(result, seesaw_calls)
+
+    def test_vanishing_polynomial(self, seesaw_calls):
+        # span{|011>, |100>, ..., |111>}: the constraints pair with a = |0> only, so N(x) is constant, its null vector
+        # |11> makes the degree-6 polynomial exactly zero, and np.roots returns no root, not six; the span holds the
+        # continuum |1>|b>|c>
+        e = np.eye(8)
+        projector = la.span_projector([e[3], *e[4:]])
+        result = subspace_product_hunt(projector, (2, 2, 2), restarts=16, seed=0)
+        assert len(seesaw_calls) == 1
+        assert (result.distinct_count, result.rank) == (16, 4)
+        assert_hits_in_span(result, projector)
+        assert_no_objective_hit_lost(result, seesaw_calls)
 
     def test_rank_deficient_constraint_matrix(self, seesaw_calls):
         # span{|000>, |00+>, |0++>, |+00>}: N(x) loses rank at a root of the solve
@@ -976,11 +1000,15 @@ class TestHuntFallback:
         assert len(seesaw_calls) == 1
         # the count is not pinned: the seesaw finds some of the span's product vectors, not all
         assert result.distinct_count >= 1
-        assert_hits_inside(result, projector, 4)
+        assert_hits_in_span(result, projector)
+        assert_no_objective_hit_lost(result, seesaw_calls)
 
     def test_qutrits_keep_the_seesaw(self, seesaw_calls):
-        subspace_product_hunt(la.span_projector([np.eye(9)[0]]), (3, 3), restarts=4, seed=0)
+        projector = la.span_projector([np.eye(9)[0]])
+        result = subspace_product_hunt(projector, (3, 3), restarts=4, seed=0)
         assert len(seesaw_calls) == 1
+        assert_hits_in_span(result, projector)
+        assert_no_objective_hit_lost(result, seesaw_calls)
 
     def test_no_hit_in_a_span_without_product_vectors(self, seesaw_calls):
         # a generic 4-dimensional subspace of C^3 (x) C^3 misses the 4-dimensional Segre variety of its
@@ -989,13 +1017,14 @@ class TestHuntFallback:
         result = subspace_product_hunt(projector, (3, 3), restarts=12, seed=0)
         assert len(seesaw_calls) == 1
         assert (result.distinct_count, result.rank) == (0, 0)
+        assert_no_objective_hit_lost(result, seesaw_calls)
 
     @pytest.mark.parametrize("dims, dim, planted, draw", [
         ((2, 3, 2), 7, False, 0), ((2, 3, 2), 8, True, 0), ((3, 3), 4, False, 3), ((3, 3), 5, True, 7),
     ], ids=["2x3x2-random", "2x3x2-planted", "3x3-random", "3x3-planted"])
     def test_hits_lie_in_the_subspace(self, seesaw_calls, dims, dim, planted, draw):
         # random subspaces one dimension short of meeting the Segre variety hold no product vector, and planted
-        # spans of that dimension plus one hold finitely many; restarts stopped short of one are no hits
+        # spans of that dimension plus one hold finitely many; restarts that no polish brings inside are no hits
         rng = np.random.default_rng([*dims, dim, draw])
         if planted:
             projector = la.span_projector([expand_locals(random_product_vector(dims, rng)) for _ in range(dim)])
@@ -1003,16 +1032,21 @@ class TestHuntFallback:
             projector = random_subspace(rng, dim, np.prod(dims))
         result = subspace_product_hunt(projector, dims, restarts=16, seed=draw)
         assert len(seesaw_calls) == 1
-        assert_hits_inside(result, projector, dim)
+        assert_hits_in_span(result, projector)
+        assert_no_objective_hit_lost(result, seesaw_calls)
 
 
+@pytest.mark.usefixtures("no_seesaw")
 class TestExactRestartHunt:
     """Three-qubit subspaces of dimension 6 to 8: each restart's start kets fix one exact product vector.
 
-    The suite turns a warning into an error, so the fallback tests also show that no degenerate solve divides by zero.
+    This path never reaches the seesaw.  In the ``*_falls_back`` tests a degenerate restart falls back to its start
+    kets, and each point outside the residual rule to the polish: the hits, at least as many and of at least the rank
+    the seesaw found on these inputs, all lie in the span, and where they reach the rank of every product vector
+    there that rank is pinned.  The suite turns a warning into an error, so they also show that no degenerate solve
+    divides by zero.
     """
 
-    @pytest.mark.usefixtures("no_seesaw")
     @pytest.mark.parametrize("dim", [6, 7, 8])
     @pytest.mark.parametrize("kind", ["random", "planted"])
     def test_one_hit_per_restart_inside_the_span(self, kind, dim):
@@ -1028,7 +1062,6 @@ class TestExactRestartHunt:
                 assert (result.distinct_count, result.rank) == (restarts, min(restarts, dim))
                 assert_hits_in_span(result, projector)
 
-    @pytest.mark.usefixtures("no_seesaw")
     @pytest.mark.parametrize("dim", [6, 7, 8])
     def test_hits_keep_the_start_kets_and_a_prefix(self, dim):
         projector = random_subspace(np.random.default_rng(400 + dim), dim)
@@ -1039,41 +1072,90 @@ class TestExactRestartHunt:
         for a, b in zip(short.local_stacks, long.local_stacks, strict=True):
             assert np.array_equal(a, b[:4])
 
-    def test_vanishing_quadratic_falls_back(self, seesaw_calls):
+    def test_vanishing_quadratic_falls_back(self):
         # span{|000>, ..., |101>}: every z in N's null space span{|00>, |01>} is a product, so det(s z1 + t z2) = 0
-        # and both roots are zero
-        result = subspace_product_hunt(la.span_projector(list(np.eye(8)[:6])), (2, 2, 2), restarts=12, seed=0)
-        assert len(seesaw_calls) == 1
-        assert result.distinct_count >= 1
+        # and both roots are zero; its product vectors |0>|b>|c> and |a>|0>|c> span all 6 dimensions
+        projector = la.span_projector(list(np.eye(8)[:6]))
+        result = subspace_product_hunt(projector, (2, 2, 2), restarts=12, seed=0)
+        assert (result.distinct_count, result.rank) == (12, 6)  # the seesaw found (12, 4)
+        assert_hits_in_span(result, projector)
 
     @pytest.mark.parametrize("v", [(0, 1, -1, 0), (0, 0, 0, 1)], ids=["psi_minus", "11"])
-    def test_rank_deficient_constraint_matrix_falls_back(self, seesaw_calls, v):
+    def test_rank_deficient_constraint_matrix_falls_back(self, v):
         # the complement C^2 (x) |v> gives N(a) the rows a_0 <v| and a_1 <v|: rank 1 for every a, and the two
-        # null vectors the SVD returns give some restart's quadratic a zero root
+        # null vectors the SVD returns give some restart's quadratic a zero root; the product vectors a (x) b (x) c
+        # with b (x) c orthogonal to v span all 6 dimensions
         projector = np.eye(8) - la.span_projector([np.kron(e, v) for e in np.eye(2)])
-        subspace_product_hunt(projector, (2, 2, 2), restarts=12, seed=0)
-        assert len(seesaw_calls) == 1
+        result = subspace_product_hunt(projector, (2, 2, 2), restarts=12, seed=0)
+        assert (result.distinct_count, result.rank) == (12, 6)  # the seesaw found (12, 6) and (12, 4)
+        assert_hits_in_span(result, projector)
 
-    def test_double_root_falls_back(self, seesaw_calls):
+    def test_double_root_falls_back(self):
         # complement {|000>, |0>(|01> + |10>)}: N's null space is span{|11>, |01> - |10>}, where det = t^2 / 2
-        # has the double root |11>, and one of the two root vectors is exactly zero
+        # has the double root |11>, and one of the two root vectors is exactly zero; the product vectors |1>|b>|c>
+        # and |a>|11> span 5 dimensions, and a point accepted near the double root but off them would raise the rank
         e = np.eye(8)
-        subspace_product_hunt(np.eye(8) - la.span_projector([e[0], e[1] + e[2]]), (2, 2, 2), restarts=12, seed=0)
-        assert len(seesaw_calls) == 1
+        projector = np.eye(8) - la.span_projector([e[0], e[1] + e[2]])
+        result = subspace_product_hunt(projector, (2, 2, 2), restarts=12, seed=0)
+        assert (result.distinct_count, result.rank) == (12, 5)  # the seesaw found (12, 4)
+        assert_hits_in_span(result, projector)
 
-    def test_vanishing_contraction_falls_back(self, seesaw_calls):
+    def test_vanishing_contraction_falls_back(self):
         # rank 7 with complement |a'>|00>, a' orthogonal to restart 0's start ket a: n = <a'|a> <0|b> <0| = 0
         a = start_kets([0], 1)[0][0]
         a_perp = np.array([-a[1].conj(), a[0].conj()])
         projector = np.eye(8) - product_projector([a_perp, np.eye(2)[0], np.eye(2)[0]])
-        subspace_product_hunt(projector, (2, 2, 2), restarts=12, seed=0)
-        assert len(seesaw_calls) == 1
+        result = subspace_product_hunt(projector, (2, 2, 2), restarts=12, seed=0)
+        assert result.distinct_count == 12 and result.rank >= 3  # the seesaw found (3, 3)
+        assert_hits_in_span(result, projector)
 
-    def test_a_hit_outside_the_tolerance_falls_back(self, seesaw_calls, monkeypatch):
-        # every exact hit ends within rounding of the span; a zero tolerance rejects them all
+    def test_an_exactly_vanishing_contraction_keeps_the_start_kets(self):
+        # the same complement given exactly, not by an eigensolver: restart 0's n is exactly 0, so it keeps its start
+        # kets, which lie in the span as a is orthogonal to a'; every other restart's c solves n . c = 0
+        starts = start_kets([0], 12)
+        a = starts[0][0]
+        complement = expand_locals([np.array([-a[1].conj(), a[0].conj()]), np.eye(2)[0], np.eye(2)[0]])[:, None]
+        kets = upb._qubit_triple_restarts(complement, 7, [0], 12)
+        for got, start in zip(kets, starts, strict=True):
+            assert np.array_equal(got[0], start[0])
+        assert np.abs(expand_locals(kets) @ complement.conj()).max() < 1e-15
+
+    def test_a_hit_outside_the_tolerance_falls_back(self, polish_calls, monkeypatch):
+        # every exact hit ends within rounding of the span; a zero tolerance rejects them all, polished or not
         monkeypatch.setattr(upb, "HUNT_RESIDUAL_TOL", 0.0)
-        subspace_product_hunt(random_subspace(np.random.default_rng(9), 6), (2, 2, 2), restarts=4, seed=0)
-        assert len(seesaw_calls) == 1
+        result = subspace_product_hunt(random_subspace(np.random.default_rng(9), 6), (2, 2, 2), restarts=4, seed=0)
+        assert len(polish_calls) == 1
+        assert (result.distinct_count, result.rank) == (0, 0)
+
+
+class TestPolish:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 3), (2, 2, 2, 2)])
+    def test_points_near_a_planted_vector_converge_onto_it(self, dims):
+        # unit kets 1e-3 off planted product vectors reach them; a step that may rescale the kets stalls instead
+        rng = np.random.default_rng([len(dims), *dims])
+        planted = [random_product_vector(dims, rng) for _ in range(3)]
+        complement = np.array(kernel_vectors(la.span_projector([expand_locals(v) for v in planted]))).T
+        off = [np.array([x + 1e-3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d)) for x in party])
+               for party, d in zip(zip(*planted), dims)]
+        start = [x / np.linalg.norm(x, axis=1, keepdims=True) for x in off]
+        polished = upb._polish(complement, start)
+        for x in polished:
+            assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-15)
+        phi, target = expand_locals(polished), expand_locals([np.array(p) for p in zip(*planted)])
+        assert np.abs(phi @ complement.conj()).max() < 1e-14
+        assert np.all(np.abs(np.sum(phi.conj() * target, axis=1)) ** 2 > 1 - 1e-12)
+
+    def test_rows_are_polished_independently(self):
+        # the stacked steps equal those of one row at a time
+        rng = np.random.default_rng(3)
+        complement = np.array(kernel_vectors(random_subspace(rng, 5, 12))).T
+        kets = [rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d)) for d in (2, 3, 2)]
+        kets = [x / np.linalg.norm(x, axis=1, keepdims=True) for x in kets]
+        stacked = upb._polish(complement, kets)
+        for r in range(6):
+            single = upb._polish(complement, [x[r:r + 1] for x in kets])
+            for a, b in zip(stacked, single, strict=True):
+                assert np.allclose(a[r:r + 1], b, rtol=0, atol=1e-12)
 
 
 def enumerated_margin(stacks) -> float:
@@ -1139,16 +1221,8 @@ def core_centres():
 
 @pytest.fixture
 def hunt_calls(monkeypatch):
-    """Count the calls of ``upb.subspace_product_hunt``, which still return what it finds."""
-    calls = []
-    real = upb.subspace_product_hunt
-
-    def hunt(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(upb, "subspace_product_hunt", hunt)
-    return calls
+    """The calls of ``upb.subspace_product_hunt``."""
+    return count_calls(monkeypatch, "subspace_product_hunt")
 
 
 class TestUPBComplementHunt:
