@@ -3,7 +3,12 @@
 
 The jobs are the passes ``perfbench/workloads.job_list`` builds for the
 certify, hunt and noise workloads at benchmark seeds 1-3, then every
-``scripts/configs/*.json``.  Each runs in this process through
+``scripts/configs/*.json``, then the drawn hunts: a ``subspace-hunt`` of 4
+samples and 12 restarts for each ``subspace_kind`` random and planted, each
+``subspace_dim`` 1-8 and each seed 1-3.  They come last, so that the earlier
+lines keep their place, and they reach the partial acceptance of the
+three-qubit dimension <= 5 solve (planted dimensions 1-4), which no benchmark
+job or sample config runs.  Each runs in this process through
 ``cli.parse_config`` and ``cli.run_command``, and prints one line: its name,
 its exit status (0, or 3 for a ``CertificationError``) and the sha256 of
 ``json.dumps({"config": echo, "payload": payload}, indent=2)`` and a newline,
@@ -43,6 +48,11 @@ def jobs():
                 yield f"{workload}:{seed}:{k}", raw
     for path in sorted((ROOT / "scripts" / "configs").glob("*.json")):
         yield f"configs/{path.name}", json.loads(path.read_text(encoding="utf-8"))
+    for kind in ("random", "planted"):
+        for dim in range(1, 9):
+            for seed in SEEDS:
+                yield f"drawn:{kind}:{dim}:{seed}", {"command": "subspace-hunt", "seed": seed, "subspace_kind": kind,
+                                                     "subspace_dim": dim, "samples": 4, "restarts": 12}
 
 
 def digest(raw: dict) -> tuple[int, str]:

@@ -34,19 +34,19 @@ g_0 + g . r_k in party k, maximal at r_k = g/|g|.  Other local dims take the
 top eigenvector of the party's local operator.
 
 Product hunting takes a projector, as the certificate does, and searches its
-range.  A point is a hit by one rule on every path: its residual
-||(I - P) phi|| is below HUNT_RESIDUAL_TOL.  For three qubits and rank k <= 5
-the product vectors form a finite set (the Segre variety has degree 6), found
-by one degree-6 polynomial solve: six points in a five-dimensional
-(super)space, of which those in the range count.  For rank 6 to 8 they form a
-continuum, and each restart gives one point of it: the start kets fix k - 5
-parties, and the rest solve in closed form.  Every other input, and a finite
-solve that is degenerate, goes to the seesaw, whose stopped restarts are the
-candidates; its objective decides nothing.  A candidate of the continuum or
-of the seesaw that fails the rule is polished by Gauss-Newton and checked
-again, so three qubits of rank k >= 6 never reach the seesaw.  The seesaw's
-count is a lower bound.  One fidelity rule keeps the distinct hits of every
-path.
+range, whose complement it computes once.  Each path returns candidate kets,
+expanded once, and ``subspace_product_hunt`` alone accepts them, by one rule:
+the residual ||(I - P) phi|| is below HUNT_RESIDUAL_TOL.  For three qubits and
+rank k <= 5 the product vectors form a finite set (the Segre variety has
+degree 6), found by one degree-6 polynomial solve: six points in a
+five-dimensional (super)space, of which those in the range count.  For rank 6
+to 8 they form a continuum, and each restart gives one point of it: the start
+kets fix k - 5 parties, and the rest solve in closed form.  Every other input,
+and a finite solve that is degenerate, goes to the seesaw, whose stopped
+restarts are the candidates; its objective decides nothing.  A candidate of
+the continuum or of the seesaw that fails the rule is polished by Gauss-Newton
+and checked again, so three qubits of rank k >= 6 never reach the seesaw.  The
+seesaw's count is a lower bound.  One fidelity rule keeps the distinct hits.
 
 A UPB's complement is first hunted by proof (``upb_complement_hunt``): where
 the margin counts as positive the set is a UPB, so its complement holds no
@@ -557,13 +557,12 @@ def _factor(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
-def _verified(phi: np.ndarray, complement: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which rows ``phi`` have residual ``||(I - P) phi|| < HUNT_RESIDUAL_TOL``, and their overlaps ``<phi|P|phi>``.
+def _in_span(phi: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Which unit rows ``phi`` pass the hunt's one rule: ``||U^dag phi|| < HUNT_RESIDUAL_TOL`` for U = ``basis``.
 
-    The residual is ``||U^dag phi||`` for the orthonormal columns U of the complement of the range of P.
+    For the orthonormal columns U of the range's complement, ``||U^dag phi||`` is the residual ``||(I - P) phi||``.
     """
-    residual = np.linalg.norm(phi @ complement.conj(), axis=1)
-    return residual < HUNT_RESIDUAL_TOL, np.einsum("ri,ij,rj->r", phi.conj(), proj, phi).real
+    return np.linalg.norm(phi @ basis.conj(), axis=1) < HUNT_RESIDUAL_TOL
 
 
 def _polish(complement: np.ndarray, locs: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -579,7 +578,7 @@ def _polish(complement: np.ndarray, locs: Sequence[np.ndarray]) -> list[np.ndarr
     = J_k - f x_k^dag``, whose minimum-norm solutions lie there; one stacked
     ``np.linalg.pinv`` of the ``(R, c, sum d_k)`` blocks solves every row's
     step, and each moved ket, at least unit length as its step is orthogonal to it, is normalized again.
-    Returns the new kets; acceptance is ``_verified``'s, by the caller.
+    Returns the new kets; ``subspace_product_hunt`` decides which are hits.
     """
     dims = [v.shape[1] for v in locs]
     u = complement.conj().T.reshape(-1, *dims)
@@ -597,26 +596,23 @@ def _polish(complement: np.ndarray, locs: Sequence[np.ndarray]) -> list[np.ndarr
     return locs
 
 
-def _qubit_triple_points(proj: np.ndarray, k: int) -> tuple[list[np.ndarray], np.ndarray] | None:
-    """Every product vector in the range of ``proj``, a three-qubit projector of rank ``k <= 5``.
+def _qubit_triple_points(complement: np.ndarray, k: int) -> list[np.ndarray] | None:
+    """The six candidate product vectors of a three-qubit subspace of rank ``k <= 5``, as per-party ``(6, 2)`` kets.
 
-    A product vector lies in the span iff it is orthogonal to the complement.
-    Three constraint vectors ``u_j`` are kept, the same way for every k <= 5:
-    the complement's orthonormal basis times the orthonormal columns of a
-    fixed generic mix (``_segre_mix``), so the ``u_j`` are orthonormal too.
-    They cut out a superspace of dimension 5, which for k = 5 is the span
-    itself.  With ``a = (1, x)`` the constraints ``<u_j|a, b, c> = 0`` are
-    ``N(x) z = 0`` for ``z = b (x) c`` and a 3 x 4 matrix ``N(x)`` linear in
-    x.  Its null vector is its signed 3 x 3 minors, cubic in x, and the
-    product condition ``z_0 z_3 - z_1 z_2 = 0`` is a degree-6 polynomial,
-    whose six roots give the superspace's six product vectors (the degree of
-    the Segre variety).  The points returned are those
-    whose residual ``||(I - P) phi||`` against the whole complement is below
-    ``HUNT_RESIDUAL_TOL``, as the per-party ``(R, 2)`` unit kets and the
-    ``(R,)`` overlaps ``<phi|P|phi>``.
+    A product vector lies in the span iff it is orthogonal to the ``8 - k``
+    orthonormal columns of ``complement``.  Three constraint vectors ``u_j``
+    are kept, the same way for every k <= 5: the complement times the
+    orthonormal columns of a fixed generic mix (``_segre_mix``), so the
+    ``u_j`` are orthonormal too.  They cut out a superspace of dimension 5,
+    which for k = 5 is the span itself.  With ``a = (1, x)`` the constraints
+    ``<u_j|a, b, c> = 0`` are ``N(x) z = 0`` for ``z = b (x) c`` and a 3 x 4
+    matrix ``N(x)`` linear in x.  Its null vector is its signed 3 x 3 minors,
+    cubic in x, and the product condition ``z_0 z_3 - z_1 z_2 = 0`` is a
+    degree-6 polynomial, whose six roots give the superspace's six product
+    vectors (the degree of the Segre variety), the span's among them.
 
     Returns None, for the seesaw to settle, unless six distinct points
-    (``_distinct``) lie in the superspace by the same residual rule: a
+    (``_distinct``) lie in the superspace by the hunt's rule (``_in_span``): a
     leading coefficient that is exactly zero loses its root at infinity, a
     root where ``N`` loses rank exactly factors to NaN, and a multiple root
     or a continuum of product vectors gives fewer distinct points.  No other
@@ -624,8 +620,6 @@ def _qubit_triple_points(proj: np.ndarray, k: int) -> tuple[list[np.ndarray], np
     rounding (a span holding a product vector at every ``a``) gives six of a
     continuum's points, each in the span.
     """
-    # proj's eigenvalues are 0 (8 - k times) and then 1
-    complement = linalg.eigh_unchecked(proj).eigenvectors[:, :8 - k]
     constraints = complement @ _segre_mix(k)
     # N(x) = w[:, 0] + x w[:, 1], row j of w[:, i] pairing with a_i
     w = constraints.conj().T.reshape(3, 2, 4)
@@ -638,11 +632,9 @@ def _qubit_triple_points(proj: np.ndarray, k: int) -> tuple[list[np.ndarray], np
     # a zero z, where N loses rank at a root, factors to NaN, which lies outside the superspace
     b, c = _factor(_null_vectors(n).reshape(-1, 2, 2))
     phi = expand_locals((a, b, c))
-    in_superspace = np.linalg.norm(phi @ constraints.conj(), axis=1) < HUNT_RESIDUAL_TOL
-    if not in_superspace.all() or len(_distinct(phi)) < 6:
+    if not _in_span(phi, constraints).all() or len(_distinct(phi)) < 6:
         return None
-    found, overlaps = _verified(phi, complement, proj)
-    return [a[found], b[found], c[found]], overlaps[found]
+    return [a, b, c]
 
 
 def _qubit_triple_restarts(
@@ -709,15 +701,18 @@ def subspace_product_hunt(
 
     The input contract is ``seesaw_max_product_overlap``'s: a Hermitian,
     idempotent ``projector`` of dimension ``prod(local_dims)``; its rank k, read
-    from the trace, must be at least 1.  A point is a hit by one rule, on
-    every path: its residual ``||(I - P) phi||`` is below ``HUNT_RESIDUAL_TOL``
-    (``_verified``).  Three paths find the candidate points:
+    from the trace, must be at least 1.  One eigensolve of the projector
+    gives the complement's orthonormal basis, which every path reads.  Three
+    paths return candidates as per-party kets, and only this function
+    decides which are hits, by one rule: the residual ``||(I - P) phi||`` is
+    below ``HUNT_RESIDUAL_TOL`` (``_in_span``).  The paths:
 
     - three qubits and k <= 5: one degree-6 polynomial solve
-      (``_qubit_triple_points``), which finds every product vector in the
-      span.  The count is exact, unless the span holds a continuum that the
-      solve sees only to rounding, and ``restarts`` and ``seed`` are checked
-      but play no part.  Where the solve is degenerate (a root at infinity, a
+      (``_qubit_triple_points``), whose six points hold every product vector
+      in the span; those outside it are dropped and never polished.  The
+      count is exact, unless the span holds a continuum that the solve sees
+      only to rounding, and ``restarts`` and ``seed`` are checked but play no
+      part.  Where the solve is degenerate (a root at infinity, a
       rank-deficient constraint matrix, a multiple root or a continuum of
       product vectors) the seesaw below runs, with the same seed and restarts;
     - three qubits and k >= 6: one candidate per restart
@@ -735,42 +730,43 @@ def subspace_product_hunt(
     A UPB's complement goes to ``upb_complement_hunt`` first, which proves it
     empty where the partition margin allows and runs these paths elsewhere.
 
-    The hits are expanded once and kept in order unless their fidelity
-    with a kept one exceeds ``1 - DISTINCT_FIDELITY_TOL`` (``_distinct``).
-    Overlaps are clamped into [0, 1], as the certificate's maximum is.  The
-    reported rank is the linear-independence rank of the kept hits, computed
-    from their Gram spectrum at the default tolerance.
+    The kets are expanded once (the polished rows again, in place).  The hits
+    are kept in order unless their fidelity with a kept one exceeds
+    ``1 - DISTINCT_FIDELITY_TOL`` (``_distinct``); the kept hits' overlaps
+    are clamped into [0, 1], as the certificate's maximum is, and their rank
+    is the linear-independence rank of their Gram spectrum at the default
+    tolerance.
     """
     p, dims = _checked_projector(projector, local_dims)
     _seed_list(seed, restarts)  # every path rejects what the seesaw rejects, the k <= 5 solve too, which reads neither
     k = round(float(np.trace(p).real))
     if k == 0:
         raise ValueError("the projector's range is empty")
-    found = None
-    if dims == (2, 2, 2) and k <= 5:
-        found = _qubit_triple_points(p, k)
-    if found is None:
-        complement = linalg.eigh_unchecked(p).eigenvectors[:, :len(p) - k]
-        if dims == (2, 2, 2) and k >= 6:
-            locs = _qubit_triple_restarts(complement, k, seed, restarts)
-        else:
-            locs = _seesaw(p, dims, seed, restarts)[1]
-        hit, overlaps = _verified(expand_locals(locs), complement, p)
-        if not hit.all():
+    # p's eigenvalues are 0 (D - k times) and then 1
+    complement = linalg.eigh_unchecked(p).eigenvectors[:, :len(p) - k]
+    locs = _qubit_triple_points(complement, k) if dims == (2, 2, 2) and k <= 5 else None
+    exact = locs is not None
+    if dims == (2, 2, 2) and k >= 6:
+        locs = _qubit_triple_restarts(complement, k, seed, restarts)
+    elif not exact:
+        locs = _seesaw(p, dims, seed, restarts)[1]
+    full = expand_locals(locs)
+    hit = _in_span(full, complement)
+    if not hit.all():
+        if not exact:
             miss = ~hit
             polished = _polish(complement, [v[miss] for v in locs])
-            hit[miss], overlaps[miss] = _verified(expand_locals(polished), complement, p)
+            full[miss] = expand_locals(polished)
+            hit[miss] = _in_span(full[miss], complement)
             for v, w in zip(locs, polished):
                 v[miss] = w
-            locs, overlaps = [v[hit] for v in locs], overlaps[hit]
-        found = locs, overlaps
-    locs, overlaps = found
-    full = expand_locals(locs)
+        locs, full = [v[hit] for v in locs], full[hit]
     kept = _distinct(full)
     hits = full[kept]
+    overlaps = np.einsum("ri,ij,rj->r", hits.conj(), p, hits).real
     return HuntResult(
         local_stacks=tuple(_read_only(v[kept]) for v in locs),
-        overlaps=tuple(float(x) for x in np.clip(overlaps[kept], 0.0, 1.0)),
+        overlaps=tuple(float(x) for x in np.clip(overlaps, 0.0, 1.0)),
         rank=linalg.numerical_rank(hits.conj() @ hits.T),
     )
 
