@@ -19,17 +19,17 @@ faster on a long perturb-scan payload than the pure-Python encoder that any
 view.
 
 ``validate_report`` checks a report against ``META_SCHEMA`` and the payload
-schema of its command (``PAYLOAD_SCHEMAS``).  Each schema is compiled once, at
-import, into nested check functions, so a check walks the value and nothing
-else.  The path in an error (``payload.samples[0].per_epsilon[2].epsilon``)
-is built only when a check fails: each container adds its segment while the
-failure propagates out.
+schema of its command (``PAYLOAD_SCHEMAS``) by one recursive walk of the value
+and its schema.  A container lets an entry whose type is exactly its primitive
+spec pass without a call; only the other entries recurse.  The path in an
+error (``payload.samples[0].per_epsilon[2].epsilon``) is built only when a
+check fails: each container adds its segment while the failure propagates out.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable
+from typing import Any
 
 
 class SchemaError(RuntimeError):
@@ -51,7 +51,7 @@ def dumps_canonical(value: Any) -> str:
 #   {str: spec}                               object with arbitrary string keys
 #   (spec, spec, ...)                         first matching alternative wins
 #   {key: spec, ...}                          object with exactly these keys
-# _compile turns each schema into its check function once, at import.
+# _check walks a value and its schema together and stops at the first failure.
 # --------------------------------------------------------------------------
 
 _MEMBER = [[complex]]
@@ -149,15 +149,12 @@ _PRIMITIVES = {
 
 
 class _Mismatch(Exception):
-    """A value fails a compiled check: the error text, and the path segments added on the way out, innermost first."""
+    """A value fails its spec: the error text, and the path segments added on the way out, innermost first."""
 
     def __init__(self, text: str):
         super().__init__(text)
         self.text = text
         self.segments: list[str] = []
-
-
-_Check = Callable[[Any], None]
 
 
 def _sorted_names(keys: set) -> list:
@@ -168,111 +165,61 @@ def _sorted_names(keys: set) -> list:
     return sorted(keys, key=lambda k: (False, k) if isinstance(k, str) else (True, repr(k)))
 
 
-def _compile(spec: Any) -> _Check:
-    """The function that checks a value against ``spec`` and raises ``_Mismatch`` at its first failure."""
-    if spec is None or isinstance(spec, type) and spec is not complex:
-        return _compile_primitive(spec)
+def _check(value: Any, spec: Any) -> None:
+    """Raise ``_Mismatch`` at the first part of ``value`` that fails ``spec``."""
+    fields = string_keys = False
     if isinstance(spec, dict):
-        return _compile_map(_compile(spec[str])) if str in spec else _compile_object(spec)
-    if isinstance(spec, list):
-        return _compile_array(_compile(spec[0]))
-    if spec is complex:
-        return _check_pair
-    return _compile_alternatives([_compile(alt) for alt in spec])
-
-
-def _compile_primitive(spec: Any) -> _Check:
-    accepted, error = _PRIMITIVES[spec]
-    takes_bool = spec is bool  # bool subclasses int, and only a bool spec takes one
-
-    def check(value):
-        if not isinstance(value, accepted) or type(value) is bool and not takes_bool:
-            raise _Mismatch(error.format(type(value).__name__))
-
-    return check
-
-
-def _compile_object(spec: dict) -> _Check:
-    keys = spec.keys()
-    fields = [(key, _compile(sub)) for key, sub in spec.items()]
-
-    def check(value):
         if not isinstance(value, dict):
             raise _Mismatch(f"expected object, got {type(value).__name__}")
-        if value.keys() != keys:
+        if str in spec:
+            entries, sub, string_keys = value.items(), spec[str], True
+        elif value.keys() == spec.keys():
+            entries, fields = spec.items(), True
+        else:
             unknown = set(value) - set(spec)
             if unknown:
                 raise _Mismatch(f"unknown fields {_sorted_names(unknown)}")
             raise _Mismatch(f"missing fields {sorted(set(spec) - set(value))}")
-        try:
-            for key, check_field in fields:
-                check_field(value[key])
-        except _Mismatch as exc:
-            exc.segments.append(f".{key}")
-            raise
-
-    return check
-
-
-def _compile_map(check_item: _Check) -> _Check:
-    def check(value):
-        if not isinstance(value, dict):
-            raise _Mismatch(f"expected object, got {type(value).__name__}")
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise _Mismatch(f"non-string key {key!r}")
-            try:
-                check_item(item)
-            except _Mismatch as exc:
-                exc.segments.append(f".{key}")
-                raise
-
-    return check
-
-
-def _compile_array(check_item: _Check) -> _Check:
-    def check(value):
-        if not isinstance(value, list):
+    elif spec is complex or isinstance(spec, list):
+        if spec is complex:
+            if not isinstance(value, list) or len(value) != 2:
+                raise _Mismatch("expected [re, im] pair")
+            spec = [float]
+        elif not isinstance(value, list):
             raise _Mismatch(f"expected array, got {type(value).__name__}")
-        try:
-            for i, item in enumerate(value):
-                check_item(item)
-        except _Mismatch as exc:
-            exc.segments.append(f"[{i}]")
-            raise
-
-    return check
-
-
-_check_numbers = _compile_array(_compile(float))
-
-
-def _check_pair(value):
-    if not isinstance(value, list) or len(value) != 2:
-        raise _Mismatch("expected [re, im] pair")
-    _check_numbers(value)
-
-
-def _compile_alternatives(alternatives: list[_Check]) -> _Check:
-    def check(value):
-        for alternative in alternatives:
+        entries, sub = enumerate(value), spec[0]
+    elif isinstance(spec, tuple):
+        for alternative in spec:
             try:
-                alternative(value)
+                _check(value, alternative)
                 return
             except _Mismatch:
-                continue
+                pass
         raise _Mismatch("no schema alternative matched")
+    else:
+        accepted, error = _PRIMITIVES[spec]
+        # bool subclasses int, and only a bool spec takes one
+        if not isinstance(value, accepted) or type(value) is bool and spec is not bool:
+            raise _Mismatch(error.format(type(value).__name__))
+        return
+    for key, item in entries:
+        if fields:  # an object's entries are its spec's (key, sub) pairs, taken in spec order
+            item, sub = value[key], item
+        elif string_keys and not isinstance(key, str):
+            raise _Mismatch(f"non-string key {key!r}")
+        # an exact primitive type always passes; a complex spec wants an [re, im] pair, never a complex
+        if type(item) is sub and sub is not complex:
+            continue
+        try:
+            _check(item, sub)
+        except _Mismatch as exc:
+            exc.segments.append(f"[{key}]" if type(key) is int else f".{key}")
+            raise
 
-    return check
 
-
-_PAYLOAD_CHECKS = {command: _compile(spec) for command, spec in PAYLOAD_SCHEMAS.items()}
-_META_CHECK = _compile(META_SCHEMA)
-
-
-def _run_check(check: _Check, value: Any, root: str) -> None:
+def _run_check(spec: Any, value: Any, root: str) -> None:
     try:
-        check(value)
+        _check(value, spec)
     except _Mismatch as exc:
         raise SchemaError(f"{root}{''.join(reversed(exc.segments))}: {exc.text}") from None
 
@@ -287,11 +234,11 @@ def validate_report(report: Any) -> None:
     for key in ("config", "payload", "meta"):
         if key not in report:
             raise SchemaError(f"report: missing top-level field {key!r}")
-    _run_check(_META_CHECK, report["meta"], "meta")
+    _run_check(META_SCHEMA, report["meta"], "meta")
     config = report["config"]
     if not isinstance(config, dict) or "command" not in config:
         raise SchemaError("config: missing command")
     command = config["command"]
-    if command not in PAYLOAD_SCHEMAS:
+    if not isinstance(command, str) or command not in PAYLOAD_SCHEMAS:
         raise SchemaError(f"config.command: unknown command {command!r}")
-    _run_check(_PAYLOAD_CHECKS[command], report["payload"], "payload")
+    _run_check(PAYLOAD_SCHEMAS[command], report["payload"], "payload")

@@ -559,7 +559,8 @@ class TestCommands:
             assert abs(check["outside_value"] + d / (1 + 2 * r)) <= 1e-15
 
 
-SCHEMA_CONFIGS = {"build": make_config(), "subspace-hunt": HUNT, "witness-radius": RADIUS}
+SCHEMA_CONFIGS = {"build": make_config(), "certify": ALL_COMMAND_CONFIGS["certify"], "subspace-hunt": HUNT,
+                  "witness-radius": RADIUS}
 DELETE = object()
 
 # (command, path to the value a row replaces or deletes, its new value, message the SchemaError must
@@ -592,6 +593,11 @@ SCHEMA_REJECTED = [
     ("build", (), {"z'": 0, "a": 0, 1: 0, "config": {}, "payload": {}, "meta": {}},
      r"""report: unknown top-level fields \['a', "z'", 1\]"""),
     ("build", ("payload",), {1: 0, "z": 0, (2,): 0}, r"payload: unknown fields \['z', \(2,\), 1\]"),
+    # an unhashable command is an unknown one; a Python complex is no [re, im] pair, though its type is
+    # exactly the spec's
+    ("build", ("config", "command"), [], r"config.command: unknown command \[\]"),
+    ("build", ("config", "command"), {"a": 1}, r"config.command: unknown command \{'a': 1\}"),
+    ("build", ("payload", "members", 0, 0, 0), 1j, r"payload.members\[0\]\[0\]\[0\]: expected \[re, im\] pair"),
 ]
 
 
@@ -618,6 +624,15 @@ class TestSchema:
                 target[last] = value
         with pytest.raises(SchemaError, match=message):
             validate_report(report)
+
+    def test_numbers_of_other_types_pass(self, rendered_reports):
+        # a number slot takes a float subclass and an int, not only an exact float
+        build = json.loads(rendered_reports["build"])
+        build["payload"]["spectrum"][:2] = [np.float64(0.5), 1]
+        validate_report(build)
+        certify = json.loads(rendered_reports["certify"])
+        certify["payload"]["max_overlap"] = np.float64(certify["payload"]["max_overlap"])
+        validate_report(certify)
 
     def test_null_check_is_an_alternative(self, rendered_reports):
         report = json.loads(rendered_reports["witness-radius"])

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from upbkit.cli import parse_config, run_command
+from upbkit.reporting import validate_report
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -69,6 +70,11 @@ def test_every_sample_config_has_a_report():
     assert CONFIGS
     for config in CONFIGS:
         assert (SCRIPTS / "out" / f"{config.stem}.report.json").is_file(), config.name
+
+
+@pytest.mark.parametrize("path", REPORTS, ids=lambda p: p.stem)
+def test_committed_report_validates_as_read(path):
+    validate_report(json.loads(path.read_text()))
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
