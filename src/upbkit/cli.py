@@ -378,15 +378,12 @@ def cmd_certify(config: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-_VERDICT_NAMES = tuple(effect.value for effect in NoiseEffect)  # the verdict_counts keys, in their order
-
-
 def cmd_perturb_scan(config: dict[str, Any]) -> dict[str, Any]:
     u = shifts_family(config["angles"])
     _, noise_states = _NOISE_KINDS[config["noise"]["kind"]]
     names, noises = zip(*noise_states(config, u.local_dims))
     scan = mixing_scan(u, noises, config["cut"], config["epsilon_grid"])
-    counts = dict.fromkeys(_VERDICT_NAMES, 0)
+    counts = dict.fromkeys((effect.value for effect in NoiseEffect), 0)  # the verdict_counts keys, in the enum's order
     samples = []
     per_sample = zip(names, scan.verdicts, scan.compression_eigenvalues.tolist(),
                      scan.predicted_min.tolist(), scan.exact_min.tolist())

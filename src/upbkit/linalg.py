@@ -21,6 +21,7 @@ Everything downstream works on small (dim <= 64) dense complex matrices:
 - ``party_dims`` holds the one rule for a party structure, the tuple of
   local dimensions, and ``cut_parties`` the one rule for a cut: a nonempty
   proper subset of the party indices, the side-a parties as a sorted tuple.
+  Both read each integer through ``as_index``, the one integer check.
 - ``partial_transpose`` is a pure index permutation (reshape + axis swap) of
   one matrix or of every matrix in a ``(..., D, D)`` stack, never a
   similarity transform, so traces and involution hold exactly.
@@ -97,13 +98,20 @@ def eigvalsh_unchecked(matrix: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"Hermitian eigensolver did not converge: {exc}") from exc
 
 
+def as_index(value: int, name: str) -> int:
+    """``operator.index(value)``, which passes numpy integers and reads ``True`` as 1, but a bool raises TypeError naming ``name``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got the bool {value!r}")
+    return operator.index(value)
+
+
 def party_dims(dims: Iterable[int]) -> tuple[int, ...]:
     """The one check of a party structure: its local dimensions as a tuple of Python ints.
 
-    A non-integer dim raises TypeError; ValueError if a dim is below 1 or the
+    A non-integer or bool dim raises TypeError; ValueError if a dim is below 1 or the
     total dimension, their product, is below 2.
     """
-    checked = tuple(map(operator.index, dims))
+    checked = tuple(as_index(d, "a local dim") for d in dims)
     if math.prod(checked) < 2 or min(checked) < 1:
         raise ValueError(f"local dims {checked} must each be at least 1, with product at least 2")
     return checked
@@ -112,10 +120,10 @@ def party_dims(dims: Iterable[int]) -> tuple[int, ...]:
 def cut_parties(parties: Iterable[int], n_parties: int) -> tuple[int, ...]:
     """The one check of a cut: its side-a party indices, sorted and distinct.
 
-    A non-integer index raises TypeError; ValueError unless the indices form a
+    A non-integer or bool index raises TypeError; ValueError unless the indices form a
     nonempty proper subset of ``0..n_parties - 1``.
     """
-    cut = tuple(sorted(set(map(operator.index, parties))))
+    cut = tuple(sorted({as_index(k, "a cut party") for k in parties}))
     if not cut or len(cut) >= n_parties or cut[0] < 0 or cut[-1] >= n_parties:
         raise ValueError(f"cut parties {list(cut)} must be a nonempty proper subset of 0..{n_parties - 1}")
     return cut

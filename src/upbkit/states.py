@@ -38,13 +38,19 @@ TRACE_TOL = 1e-12                # a trace, a norm or a weight sum that must be 
 PSD_TOL = 1e-10                  # a validated state's smallest eigenvalue may lie this far below 0
 PROJECTOR_BASIS_MAX_QUBITS = 6   # the largest n of projector_basis(n), so that D = 2^n <= 64
 
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 _LOCAL_VECTORS = {
-    "0": np.array([1.0, 0.0], dtype=complex),
-    "1": np.array([0.0, 1.0], dtype=complex),
-    "phi1": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    "phi2": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
+    "0": _read_only(np.array([1.0, 0.0], dtype=complex)),
+    "1": _read_only(np.array([0.0, 1.0], dtype=complex)),
+    "phi1": _read_only(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)),
+    "phi2": _read_only(np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)),
 }
-_LOCAL_PROJECTORS = np.array([np.outer(v, v.conj()) for v in _LOCAL_VECTORS.values()])
+_LOCAL_PROJECTORS = _read_only(np.array([np.outer(v, v.conj()) for v in _LOCAL_VECTORS.values()]))
 
 
 def local_vector(label: str) -> np.ndarray:
@@ -98,8 +104,7 @@ class DensityMatrix:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
-        m = linalg.as_hermitian(self.matrix)
-        m.flags.writeable = False
+        m = _read_only(linalg.as_hermitian(self.matrix))
         object.__setattr__(self, "matrix", m)
         dims = linalg.party_dims(self.local_dims)
         object.__setattr__(self, "local_dims", dims)
@@ -142,8 +147,7 @@ def projector_basis(n_qubits: int) -> np.ndarray:
         # (A, 1, d, d) kron (4, 2, 2): every stacked projector times every local one
         d = 2 * stack.shape[-1]
         stack = np.kron(stack[:, None], _LOCAL_PROJECTORS).reshape(-1, d, d)
-    stack.flags.writeable = False
-    return stack
+    return _read_only(stack)
 
 
 def projector_combination(coefficients: Mapping[tuple[str, ...], float]) -> np.ndarray:

@@ -55,17 +55,15 @@ product vector and the hunt solves nothing.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .states import TRACE_TOL, DensityMatrix, expand_locals
+from .states import TRACE_TOL, DensityMatrix, _read_only, expand_locals
 
 SEESAW_IMPROVEMENT_TOL = 1e-12   # a call stops after a sweep where no restart gains this; a larger drop is a guard trip
 SEESAW_MAX_SWEEPS = 500          # a call stops after this many sweeps
@@ -156,11 +154,6 @@ class UPB:
         return self.vectors.shape[1]
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def shifts_angles(angles: Sequence[float]) -> tuple[float, ...]:
     """``tuple(angles)``; ValueError unless there are three, each strictly inside (0, pi/2)."""
     angles = tuple(angles)
@@ -211,8 +204,10 @@ def partition_margin(u: UPB) -> float:
     return float(np.sqrt(np.min(s2[:, ~np.eye(u.size, dtype=bool)])))
 
 
-# sigma_0 = I, sigma_x, sigma_y, sigma_z, stacked as PAULI[i, row, column]
-PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# sigma_0 = I, sigma_x, sigma_y, sigma_z halved; entry (2 * column + row, i) is sigma_i[row, column] / 2,
+# the (i, row, column) stack as tensordot lays out its axes (2, 1)
+_HALF_PAULI = _read_only((np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]) / 2)
+                         .transpose(2, 1, 0).reshape(4, 4))
 
 
 def _pauli_slices(p_tensor: np.ndarray) -> list[np.ndarray]:
@@ -222,16 +217,14 @@ def _pauli_slices(p_tensor: np.ndarray) -> list[np.ndarray]:
     Bloch vectors ``r_k`` and ``s_k = (1, r_k)``, ``<phi|P|phi>`` is ``T`` contracted
     with every ``s_k``; slice k is ``T`` with party k's axis last, ``(4^(n-1), 4)``,
     copied C-contiguous so that no update's ``np.dot`` copies it again.  Each
-    contraction is ``np.tensordot``'s own transpose, reshape and ``np.dot``.
+    contraction is ``np.tensordot``'s own transpose, reshape and ``np.dot`` by ``_HALF_PAULI``.
     """
     n = p_tensor.ndim // 2
-    # entry (2 * column + row, i) is sigma_i[row, column] / 2: PAULI / 2 as tensordot lays out its axes (2, 1)
-    half = (PAULI / 2).transpose(2, 1, 0).reshape(4, 4)
     t = p_tensor
     for k in range(n):
-        # party k's ket axis is first and its bra axis at n - k; T's axes collect at the end
+        # party k's ket axis is first and its bra axis at n - k, paired with _HALF_PAULI's row; T's axes collect at the end
         rest = [j for j in range(1, t.ndim) if j != n - k]
-        t = np.dot(t.transpose(rest + [0, n - k]).reshape(-1, 4), half).reshape([t.shape[j] for j in rest] + [4])
+        t = np.dot(t.transpose(rest + [0, n - k]).reshape(-1, 4), _HALF_PAULI).reshape([t.shape[j] for j in rest] + [4])
     slices = (t.real.transpose([j for j in range(n) if j != k] + [k]).reshape(-1, 4) for k in range(n))
     return [np.ascontiguousarray(s) for s in slices]
 
@@ -252,7 +245,7 @@ def _bloch_to_ket(s: np.ndarray) -> np.ndarray:
 
 
 # |g|^2 = (g * g) . _BLOCH_SQUARES for g = (g_0, g_x, g_y, g_z)
-_BLOCH_SQUARES = np.array([0.0, 1.0, 1.0, 1.0])
+_BLOCH_SQUARES = _read_only(np.array([0.0, 1.0, 1.0, 1.0]))
 
 
 def _bloch_update(
@@ -290,10 +283,11 @@ def _eigh_update(op: np.ndarray, w: np.ndarray, state: np.ndarray, out: np.ndarr
 
 
 def _seed_list(seed: int | Sequence[int], restarts: int) -> list[int]:
-    """The seed as a list of ints; TypeError or ValueError unless restarts is an int >= 1 and the seed ints >= 0."""
-    if operator.index(restarts) < 1:
+    """The seed as a list of ints; TypeError or ValueError unless restarts is an int >= 1 and the seed ints >= 0, none a bool."""
+    if linalg.as_index(restarts, "restarts") < 1:
         raise ValueError("need at least one restart")
-    base = [operator.index(s) for s in seed] if isinstance(seed, (list, tuple)) else [operator.index(seed)]
+    seeds = seed if isinstance(seed, (list, tuple)) else [seed]
+    base = [linalg.as_index(s, "seed") for s in seeds]
     if any(s < 0 for s in base):
         raise ValueError(f"a seed must be nonnegative, got {seed}")
     return base
@@ -511,15 +505,14 @@ class HuntResult:
 # the degree-6 product condition is sampled at, the inverse DFT that turns the
 # seven samples into its coefficients (lowest degree first), and in row m the
 # columns of a 3 x 4 matrix that remain when column m is removed.
-_UNIT_ROOTS_7 = np.cos(2 * np.pi * np.arange(7) / 7) + 1j * np.sin(2 * np.pi * np.arange(7) / 7)
+_UNIT_ROOTS_7 = _read_only(np.cos(2 * np.pi * np.arange(7) / 7) + 1j * np.sin(2 * np.pi * np.arange(7) / 7))
 # entry (n, j) is w_j^-n / 7 for the root w_j
-_INVERSE_DFT_7 = _UNIT_ROOTS_7.conj()[np.outer(np.arange(7), np.arange(7)) % 7] / 7
-_MINOR_COLUMNS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_INVERSE_DFT_7 = _read_only(_UNIT_ROOTS_7.conj()[np.outer(np.arange(7), np.arange(7)) % 7] / 7)
+_MINOR_COLUMNS = _read_only(np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]))
 
 
-@functools.cache
 def _segre_mix(k: int) -> np.ndarray:
-    """The orthonormal ``(8 - k, 3)`` columns spanning a fixed generic complex mix, cached per k (read-only).
+    """The orthonormal ``(8 - k, 3)`` columns spanning a fixed generic complex mix.
 
     Column j of the mix holds the weights of constraint j on the ``8 - k``
     complement vectors: the first ``8 - k`` of seven drawn from a seed of its
@@ -527,7 +520,7 @@ def _segre_mix(k: int) -> np.ndarray:
     """
     draws = np.random.default_rng(0x5E67E).standard_normal((2, 3, 7))
     mix = (draws[0] + 1j * draws[1])[:, :8 - k]
-    return _read_only(np.linalg.svd(mix.T, full_matrices=False).U)
+    return np.linalg.svd(mix.T, full_matrices=False).U
 
 
 def _null_vectors(n: np.ndarray) -> np.ndarray:

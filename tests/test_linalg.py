@@ -212,6 +212,11 @@ class TestPartialTranspose:
             la.partial_transpose(m, (2, 2, 2), [0.5])
         with pytest.raises(TypeError):
             la.partial_transpose(m, (2.9, 2, 2), [0])
+        # operator.index alone would read True as party 1 and as dimension 1
+        with pytest.raises(TypeError, match="cut party"):
+            la.partial_transpose(m, (2, 2, 2), [True])
+        with pytest.raises(TypeError, match="local dim"):
+            la.partial_transpose(m, (2, 2, True, 2), [0])
         # numpy integers are integers
         expected = la.partial_transpose(m, (2, 2, 2), [1])
         assert np.array_equal(la.partial_transpose(m, np.array([2, 2, 2]), np.array([1])), expected)

@@ -105,6 +105,11 @@ class TestPartyStructure:
             linalg.cut_parties((0.7,), 3)
         with pytest.raises(TypeError):
             linalg.party_dims((2.9, 2))
+        # operator.index alone would make [True] the cut (1,) and (2, True, 2) the dims (2, 1, 2)
+        with pytest.raises(TypeError, match="cut party"):
+            linalg.cut_parties([True], 3)
+        with pytest.raises(TypeError, match="local dim"):
+            linalg.party_dims([2, True, 2])
         # numpy integers are integers, and are stored as Python ints
         cut = linalg.cut_parties(tuple(np.array([2, 0])), 3)
         assert cut == (0, 2) and all(type(k) is int for k in cut)

@@ -1,11 +1,14 @@
 import dataclasses
+import importlib
 import itertools
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import upbkit
 from upbkit import linalg as la
 from upbkit import upb
 from upbkit import (
@@ -89,10 +92,12 @@ def count_local_updates(monkeypatch) -> list:
 
 def tensordot_pauli_slices(p_tensor):
     """Party k's ``(4^(n-1), 4)`` slice of the real Pauli tensor, contracted by ``np.tensordot`` one party at a time."""
+    # sigma_0 = I, sigma_x, sigma_y, sigma_z, stacked as pauli[i, row, column]
+    pauli = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     n = p_tensor.ndim // 2
     t = p_tensor
     for k in range(n):
-        t = np.tensordot(t, upb.PAULI / 2, axes=([0, n - k], [2, 1]))
+        t = np.tensordot(t, pauli / 2, axes=([0, n - k], [2, 1]))
     return [np.moveaxis(t.real, k, -1).reshape(-1, 4) for k in range(n)]
 
 
@@ -461,10 +466,14 @@ class TestSeesaw:
                 entry(np.stack([np.eye(8)] * 8), pi4_upb.local_dims, restarts=1)
 
     def test_seed_must_be_an_integer(self, pi4_upb):
-        # int() would run seed 1.5 as seed 1
+        # int() would run seed 1.5 as seed 1, and operator.index alone runs seed True as seed 1
         proj = pi4_upb.complement_projector
         with pytest.raises(TypeError):
             seesaw_max_product_overlap(proj, pi4_upb.local_dims, restarts=2, seed=1.5)
+        for name, value in (("seed", True), ("seed", [2, False]), ("restarts", True)):
+            kwargs = {"restarts": 2, "seed": 1, name: value}
+            with pytest.raises(TypeError, match=f"{name} must be an integer, got the bool"):
+                seesaw_max_product_overlap(proj, pi4_upb.local_dims, **kwargs)
         first = seesaw_max_product_overlap(proj, pi4_upb.local_dims, restarts=2, seed=1)
         second = seesaw_max_product_overlap(proj, pi4_upb.local_dims, restarts=2, seed=np.int64(1))
         assert first.max_overlap == second.max_overlap
@@ -1294,6 +1303,28 @@ def test_hunt_leaves_numpy_fft_unloaded():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_module_array_is_read_only():
+    # a write into a shared constant would move every later result that reads it, so each array among the
+    # globals of upbkit and its modules, or among the values of a global dict, is read-only (importing
+    # __main__ would run the CLI, so it is skipped)
+    modules = [upbkit] + [importlib.import_module(f"upbkit.{m.name}")
+                          for m in pkgutil.iter_modules(upbkit.__path__) if m.name != "__main__"]
+    writeable, arrays = [], 0
+    for module in modules:
+        for name, value in vars(module).items():
+            entries = [(name, value)]
+            if isinstance(value, dict):
+                entries += [(f"{name}[{key!r}]", v) for key, v in value.items()]
+            for label, entry in entries:
+                if isinstance(entry, np.ndarray):
+                    arrays += 1
+                    if entry.flags.writeable:
+                        writeable.append(f"{module.__name__}.{label}")
+    assert arrays > 0 and writeable == []
+    with pytest.raises(ValueError):
+        upb._HALF_PAULI[3, 1] = 0.5
 
 
 class TestMixtureRanks:
