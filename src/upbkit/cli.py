@@ -304,8 +304,9 @@ def _parse_noise(raw: Any) -> dict[str, Any]:
 
 def _parse_local_coefficients(raw: Any) -> dict[str, float]:
     coeffs = _parse_label_map(raw, "noise coefficients")
-    if sum(coeffs.values()) <= 0:
-        raise ConfigError("noise coefficients must have positive total weight")
+    total = sum(coeffs.values())
+    if not 0 < total < math.inf:
+        raise ConfigError(f"noise coefficients must have positive total weight, got {total}")
     return coeffs
 
 

@@ -111,7 +111,7 @@ class DensityMatrix:
         if m.shape[0] != math.prod(dims):
             raise ValueError(f"matrix dimension {m.shape[0]} does not match the party structure {dims}")
         if abs(m.trace().real - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace is {m.trace().real!r}, expected 1")
+            raise ValueError(f"trace is {m.trace().real}, expected 1")
         if validate:
             vals = linalg.eigvalsh_unchecked(m)
             if vals[0] < -PSD_TOL:

@@ -161,7 +161,7 @@ def shifts_angles(angles: Sequence[float]) -> tuple[float, ...]:
         raise ValueError(f"the family takes three angles, one per party, got {len(angles)}")
     for name, val in zip("abc", angles):
         if not 0.0 < val < np.pi / 2:  # written so that a NaN angle fails too
-            raise ValueError(f"angle {name}={val!r} is at or outside (0, pi/2); "
+            raise ValueError(f"angle {name}={val} is at or outside (0, pi/2); "
                              "the family degenerates there and the complement acquires product vectors")
     return angles
 
@@ -289,7 +289,7 @@ def _seed_list(seed: int | Sequence[int], restarts: int) -> list[int]:
     seeds = seed if isinstance(seed, (list, tuple)) else [seed]
     base = [linalg.as_index(s, "seed") for s in seeds]
     if any(s < 0 for s in base):
-        raise ValueError(f"a seed must be nonnegative, got {seed}")
+        raise ValueError(f"a seed must be nonnegative, got {min(base)}")
     return base
 
 

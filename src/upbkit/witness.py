@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import TRACE_TOL, DensityMatrix
+from .states import TRACE_TOL, DensityMatrix, _read_only
 from .upb import UPB, UnextendibilityCertificate
 
 SAFETY_MARGIN = 1e-6        # subtracted from the seesaw's floor estimate c
@@ -48,11 +48,10 @@ class Witness:
     detected_value: float
 
     def __post_init__(self):
-        m = linalg.as_hermitian(self.matrix)
-        m.flags.writeable = False
+        m = _read_only(linalg.as_hermitian(self.matrix))
         object.__setattr__(self, "matrix", m)
         if abs(np.trace(m).real - 1.0) > TRACE_TOL:
-            raise ValueError(f"witness trace is {np.trace(m).real!r}, expected 1")
+            raise ValueError(f"witness trace is {np.trace(m).real}, expected 1")
         if not self.detected_value < 0.0:
             raise ValueError("a witness must detect the state it was built against")
 

@@ -137,6 +137,8 @@ REJECTED = [
      "noise coefficients keys '0,0,0' and ' 0,0,0' both name the label '0,0,0'"),
     ({**RADIUS, "direction": {"0,phi1,1": 0.5, "0, phi1, 1": 0.5}},
      "direction keys '0,phi1,1' and '0, phi1, 1' both name the label '0,phi1,1'"),
+    # each weight is finite, but their sum overflows; the last row, so earlier rows keep their ids
+    (local_noise({"0,0,0": 1e308, "1,1,1": 1e308}), r"^noise coefficients must have positive total weight, got inf$"),
 ]
 
 

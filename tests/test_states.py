@@ -238,7 +238,7 @@ class TestProductVectors:
 
 class TestDensityMatrix:
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(ValueError, match=r"^trace is 2.0, expected 1$"):
             states.DensityMatrix(np.eye(2), (2,))
 
     def test_rejects_negative(self):

@@ -16,7 +16,6 @@ from upbkit import (
     CertificationError,
     build_upb_witness,
     certify_unextendible,
-    is_ppt_all_cuts,
     mixing_scan,
     partition_margin,
     seesaw_max_product_overlap,
@@ -228,6 +227,8 @@ class TestShiftsFamily:
                        (0.3, 0.7, -np.inf)):
             with pytest.raises(ValueError, match="degenerates"):
                 shifts_family(angles)
+        with pytest.raises(ValueError, match=r"^angle a=0.0 is at or outside"):
+            shifts_family(np.array([0.0, 0.5, 0.5]))
 
     def test_angle_count_rejected(self):
         for angles in ((0.3, 0.7), (0.3, 0.7, 1.1, 0.5)):
@@ -382,26 +383,10 @@ class TestShiftsFamily:
 
 
 class TestUPBState:
-    def test_spectrum_is_flat_on_complement(self):
-        rng = np.random.default_rng(321)
-        expected = np.array([0.0] * 4 + [0.25] * 4)
-        for _ in range(50):
-            rho = upb_state(shifts_family(random_params(rng)))
-            vals = np.linalg.eigvalsh(rho.matrix)
-            assert np.max(np.abs(vals - expected)) < 1e-10
-
     def test_orthogonal_to_members(self, pi4_upb, pi4_state):
         for member in zip(*pi4_upb.local_stacks):
             overlap = np.trace(pi4_state.matrix @ product_projector(member)).real
             assert abs(overlap) < 1e-14
-
-    def test_ppt_on_all_cuts(self):
-        rng = np.random.default_rng(555)
-        for _ in range(10):
-            rho = upb_state(shifts_family(random_params(rng)))
-            for verdict in is_ppt_all_cuts(rho).values():
-                assert verdict.ppt
-                assert verdict.min_eigenvalue >= -1e-10
 
     def test_rank_four(self, pi4_state):
         assert la.numerical_rank(pi4_state.matrix) == 4
@@ -618,6 +603,8 @@ class TestSeesaw:
             for seed in (-1, [3, -1], -(2**64)):
                 with pytest.raises(ValueError, match="negative"):
                     entry(seed)
+            with pytest.raises(ValueError, match=r"^a seed must be nonnegative, got -1$"):
+                entry([np.int64(-1)])
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
                 entry([3, 1.5])
             assert entry([]) is not None, name
@@ -750,10 +737,6 @@ class TestCertification:
         best = expand_locals(pi4_cert.best_product_vector)
         direct = np.vdot(best, q @ best).real
         assert abs(direct - pi4_cert.max_overlap) < 1e-10
-
-    def test_stability_across_seeds(self, ten_seed_certs):
-        values = [cert.max_overlap for cert in ten_seed_certs]
-        assert max(values) - min(values) < 1e-6
 
     def test_degenerate_family_not_certified(self):
         u = UPB(degenerate_family_members())
@@ -1325,20 +1308,6 @@ def test_every_module_array_is_read_only():
     assert arrays > 0 and writeable == []
     with pytest.raises(ValueError):
         upb._HALF_PAULI[3, 1] = 0.5
-
-
-class TestMixtureRanks:
-    def test_two_state_mixture_rank_at_least_six(self):
-        rng = np.random.default_rng(31)
-        for _ in range(5):
-            rho1 = upb_state(shifts_family(random_params(rng)))
-            rho2 = upb_state(shifts_family(random_params(rng)))
-            mix = (rho1.matrix + rho2.matrix) / 2
-            assert la.numerical_rank(mix) >= 6
-
-    def test_state_plus_member_rank_five(self, pi4_upb, pi4_state):
-        mix = (pi4_state.matrix + product_projector([s[0] for s in pi4_upb.local_stacks])) / 2
-        assert la.numerical_rank(mix) == 5
 
 
 class TestKnownWrongAnswers:

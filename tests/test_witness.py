@@ -9,7 +9,6 @@ from upbkit import (
     UPB,
     UnextendibilityCertificate,
     Witness,
-    basis_labels,
     build_upb_witness,
     certify_unextendible,
     evaluate,
@@ -91,7 +90,7 @@ class TestConstruction:
             build_upb_witness(pi4_upb, cert)
 
     def test_witness_type_validations(self):
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(ValueError, match=r"^witness trace is 4.0, expected 1$"):
             Witness(matrix=np.eye(4), detected_value=-1.0)
         with pytest.raises(ValueError, match="detect"):
             Witness(matrix=np.eye(4) / 4, detected_value=0.5)
@@ -148,20 +147,6 @@ class TestRobustnessRadius:
         outside = perturb_local(pi4_state, scaled(direction, 2.0 * radius))
         assert evaluate(pi4_witness, inside) < 0
         assert evaluate(pi4_witness, outside) >= 0
-
-    def test_detection_persists_below_radius(self, pi4_witness, pi4_state):
-        rng = np.random.default_rng(41)
-        labels = basis_labels(3)
-        for _ in range(20):
-            weights = rng.random(64)
-            weights /= weights.sum()
-            direction = dict(zip(labels, weights))
-            radius = robustness_radius(pi4_witness, pi4_state, label_state(direction))
-            for frac in (0.25, 0.6, 0.9):
-                perturbed = perturb_local(pi4_state, scaled(direction, frac * radius))
-                assert evaluate(pi4_witness, perturbed) < 0
-            lost = perturb_local(pi4_state, scaled(direction, 2.0 * radius))
-            assert evaluate(pi4_witness, lost) >= 0
 
     def test_undetected_state_gets_zero_radius(self, pi4_witness):
         # white noise is not detected: tr(W I/8) = tr(W)/8 = 1/8, so detection is lost at s = 0
