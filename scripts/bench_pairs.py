@@ -16,10 +16,19 @@ sources on every run.
 For each workload and end-to-end metric it prints the parent's and the
 change's median, the change in percent, in how many pairs the change read
 lower (ties count for neither), the spread of the parent's runs (distance
-between their quartiles over their median) and the metric's bound, then each
-side's ``correct``, ``failed`` and ``attempted``.  Every run's result is
-written to ``--out`` as one JSON line.  The script changes no file of either
-tree but the benchmark's own ``perfbench/out/``.
+between their quartiles over their median), the metric's bound and a verdict,
+then each side's ``correct``, ``failed`` and ``attempted``.  The verdict
+reads lower as better, as every end-to-end metric of ``BENCHMARK.json`` does:
+
+- ``gain``: the change read lower in at least 9/10 of the pairs, and its
+  median is lower than the parent's by more than the distance between the
+  parent's quartiles;
+- ``regression``: the change's median is higher than the parent's by more
+  than the metric's bound;
+- ``within``: anything else.
+
+Every run's result is written to ``--out`` as one JSON line.  The script
+changes no file of either tree but the benchmark's own ``perfbench/out/``.
 """
 
 import argparse
@@ -68,9 +77,22 @@ def run_once(tree: pathlib.Path, command: list, workload: str, seed: int, second
     return json.loads(lines[-1])
 
 
+GAIN_SHARE = 0.9  # a gain reads lower in at least this share of the pairs
+
+
+def verdict(change_lower: int, pairs: int, parent_median: float, change_median: float, parent_iqr: float,
+            bound: float) -> str:
+    """``gain``, ``regression`` or ``within`` by the rule of the module docstring; ``bound`` is relative."""
+    if change_lower >= GAIN_SHARE * pairs and parent_median - change_median > parent_iqr:
+        return "gain"
+    if change_median > parent_median * (1 + bound):
+        return "regression"
+    return "within"
+
+
 def summarize(rows: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: for each end-to-end metric the two medians, the change, the pairs read lower, the
-    parent's spread and the bound; and each side's correct, failed and attempted over its runs."""
+    parent's spread, the bound and the verdict; and each side's correct, failed and attempted over its runs."""
     summary = {}
     for workload in dict.fromkeys(row["workload"] for row in rows):
         runs = {(row["side"], row["pair"]): row["result"] for row in rows if row["workload"] == workload}
@@ -87,15 +109,17 @@ def summarize(rows: list[dict], end_to_end: list[dict]) -> dict:
             change = np.array([values["change"][pair] for pair in both])
             p25, parent_median, p75 = np.percentile(parent, [25, 50, 75])
             change_median = float(np.median(change))
+            change_lower = int(np.sum(change < parent))
             metrics[name] = {
                 "unit": spec["unit"],
                 "parent_median": float(parent_median),
                 "change_median": change_median,
                 "change_pct": 100.0 * (change_median - parent_median) / parent_median,
-                "change_lower": int(np.sum(change < parent)),
+                "change_lower": change_lower,
                 "pairs": len(both),
                 "parent_iqr_pct": 100.0 * (p75 - p25) / parent_median,
                 "bound_pct": 100.0 * spec["bound"],
+                "verdict": verdict(change_lower, len(both), parent_median, change_median, p75 - p25, spec["bound"]),
             }
         sides = {}
         for side in SIDES:
@@ -112,13 +136,13 @@ def summarize(rows: list[dict], end_to_end: list[dict]) -> dict:
 
 def report(summary: dict) -> list[str]:
     lines = [f"{'workload':8s} {'metric':12s} {'parent':>11s} {'change':>11s} {'delta':>7s} "
-             f"{'lower':>7s} {'p.IQR':>6s} {'bound':>6s}"]
+             f"{'lower':>7s} {'p.IQR':>6s} {'bound':>6s} verdict"]
     for workload, entry in summary.items():
         for name, m in entry["metrics"].items():
             lines.append(
                 f"{workload:8s} {name:12s} {m['parent_median']:11.6g} {m['change_median']:11.6g} "
                 f"{m['change_pct']:+6.1f}% {m['change_lower']:>3d}/{m['pairs']:<3d} "
-                f"{m['parent_iqr_pct']:5.1f}% {m['bound_pct']:5.0f}%")
+                f"{m['parent_iqr_pct']:5.1f}% {m['bound_pct']:5.0f}% {m['verdict']}")
         for side, s in entry["sides"].items():
             lines.append(f"{workload:8s} {side}: correct {s['correct']}/{s['runs']}, "
                          f"failed {s['failed']}, attempted {s['attempted']}")

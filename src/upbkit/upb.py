@@ -26,12 +26,17 @@ where ``partition_margin``, closed form for qubit sets of m = n + 1 members,
 exceeds ``linalg.DEFAULT_TOL``.  The seesaw is a measurement, not a verdict:
 a multi-start alternating maximization of <phi|Q|phi> over product vectors,
 Q the complementary projector.  Each local update maximizes exactly over one
-party, so the objective never decreases; the best value over all restarts
-is the certificate's overlap, a lower bound on the true maximum, from which
-the witness takes its floor.  Qubit updates are closed form: with Bloch
-vectors, |<a|m>|^2 = (1 + r_a . r_m)/2 makes the objective multilinear,
-g_0 + g . r_k in party k, maximal at r_k = g/|g|.  Other local dims take the
-top eigenvector of the party's local operator.
+party, and the one jump a qubit call may take is kept only where it raises
+the objective, so the objective never decreases; the best value over all
+restarts is the certificate's overlap, a lower bound on the true maximum,
+from which the witness takes its floor.  Qubit updates are closed form: with
+Bloch vectors, |<a|m>|^2 = (1 + r_a . r_m)/2 makes the objective
+multilinear, g_0 + g . r_k in party k, maximal at r_k = g/|g|, and the
+restarts start from Bloch vectors drawn directly.  A qubit call still
+running after sweep ``JUMP_SWEEP`` moves each restart once along its last
+sweep's drift, scaled by ``JUMP_FACTOR``, where that is higher: restarts
+parked on a slow ridge of the objective leave it in one step.  Other local
+dims take the top eigenvector of the party's local operator.
 
 Product hunting takes a projector, as the certificate does, and searches its
 range, whose complement it computes once.  Each path returns candidate kets,
@@ -67,6 +72,8 @@ from .states import TRACE_TOL, DensityMatrix, _read_only, expand_locals
 
 SEESAW_IMPROVEMENT_TOL = 1e-12   # a call stops after a sweep where no restart gains this; a larger drop is a guard trip
 SEESAW_MAX_SWEEPS = 500          # a call stops after this many sweeps
+JUMP_SWEEP = 10                  # a qubit call still running after its JUMP_SWEEP-th sweep jumps each restart once
+JUMP_FACTOR = 16                 # the jump's step, in multiples of that sweep's move
 DEFAULT_RESTARTS = 64            # seesaw restarts when the caller names none
 DISTINCT_FIDELITY_TOL = 1e-6     # hits with fidelity > 1 - tol are the same solution
 # max |PP - P| of a projector, and max |<i|j>| of distinct members: they are orthonormal iff V V^H is idempotent
@@ -229,13 +236,6 @@ def _pauli_slices(p_tensor: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(s) for s in slices]
 
 
-def _ket_to_bloch(kets: np.ndarray) -> np.ndarray:
-    """The C-contiguous ``(..., 4)`` rows ``s = (1, r)`` of a ``(..., 2)`` stack of unit kets, ``r_j = <a|sigma_j|a>``."""
-    c = 2 * kets[..., 0].conj() * kets[..., 1]
-    z = np.abs(kets[..., 0]) ** 2 - np.abs(kets[..., 1]) ** 2
-    return np.stack([np.ones_like(z), c.real, c.imag, z], axis=-1)
-
-
 def _bloch_to_ket(s: np.ndarray) -> np.ndarray:
     """Unit kets of the ``(..., 4)`` rows ``s = (1, r)``, on the branch that stays away from ``1 + r_z = 0``."""
     x, y, z = s[..., 1], s[..., 2], s[..., 3]
@@ -244,33 +244,56 @@ def _bloch_to_ket(s: np.ndarray) -> np.ndarray:
     return kets / np.linalg.norm(kets, axis=-1, keepdims=True)
 
 
-# |g|^2 = (g * g) . _BLOCH_SQUARES for g = (g_0, g_x, g_y, g_z)
-_BLOCH_SQUARES = _read_only(np.array([0.0, 1.0, 1.0, 1.0]))
-
-
 def _bloch_update(
     op: np.ndarray, w: np.ndarray, r: np.ndarray, out: np.ndarray,
-    g: np.ndarray, squares: np.ndarray, norm: np.ndarray, g_0: np.ndarray, g_r: np.ndarray, col: np.ndarray,
+    g: np.ndarray, norm: np.ndarray, g_0: np.ndarray, g_r: np.ndarray, col: np.ndarray,
 ) -> None:
     """Qubit party: the objective is ``g_0 + g . r`` with ``g = w op``, maximal at ``r = g / |g|``.
 
     ``g_0 + |g|`` and ``(1, g / |g|)`` are the top eigenpair of the 2x2 local
     operator ``sum_j g_j sigma_j`` in Bloch form, written in place into ``out``
-    and ``r``, the Bloch part of the party's rows.  ``|g|^2`` is one dot
-    product of ``g * g`` with ``(0, 1, 1, 1)``.  ``g``, ``g * g`` and ``|g|``
-    go into the caller's buffers ``g``, ``squares`` and ``norm``, read through
-    its views ``g_0 = g[:, 0]``, ``g_r = g[:, 1:]`` and ``col = norm[:, None]``.
+    and ``r``, the Bloch part of the party's rows.  ``|g|^2`` is one
+    ``np.vecdot`` of ``g``'s Bloch part with itself.  ``g`` and ``|g|`` go
+    into the caller's buffers ``g`` and ``norm``, read through its views
+    ``g_0 = g[:, 0]``, ``g_r = g[:, 1:]`` and ``col = norm[:, None]``.
     Where ``|g| = 0`` every ``r`` is a maximizer and the row is kept, as it is
     where ``|g|`` is NaN: the divide is masked on the rare update where some
     ``|g|`` is 0 or NaN, and plain otherwise.
     """
     np.dot(w, op, out=g)
-    np.sqrt(np.dot(np.multiply(g, g, out=squares), _BLOCH_SQUARES, out=norm), out=norm)
+    np.sqrt(np.vecdot(g_r, g_r, out=norm), out=norm)
     if norm[norm.argmin()] > 0.0:  # argmin stops at the first NaN
         np.divide(g_r, col, out=r)
     else:
         np.divide(g_r, col, out=r, where=col > 0.0)
     np.add(g_0, norm, out=out)
+
+
+def _bloch_jump(op: np.ndarray, s: np.ndarray, s_prev: np.ndarray, objective: np.ndarray) -> None:
+    """Move each restart's ``(n, R, 4)`` Bloch rows ``s`` once along their drift, where that raises its objective.
+
+    The candidate is ``s + JUMP_FACTOR * (s - s_prev)``, built in ``s_prev``,
+    with its Bloch parts renormalized; column 0 stays 1, as it is 1 in both
+    rows.  Its objective is the last party's slice ``op`` contracted with
+    every party's candidate row, and a restart takes its candidate's rows and
+    objective, in place, only where that objective is strictly higher than
+    its own in ``objective``.  A zero Bloch part renormalizes to NaN, and a
+    NaN objective, the candidate's or the restart's own, is never higher, so
+    neither is taken.
+    """
+    cand = np.subtract(s, s_prev, out=s_prev)
+    cand *= JUMP_FACTOR
+    cand += s
+    r = cand[..., 1:]
+    with np.errstate(invalid="ignore"):
+        r /= np.sqrt(np.vecdot(r, r))[..., None]
+    w = cand[0]
+    for c in cand[1:-1]:
+        w = (w[:, :, None] * c[:, None, :]).reshape(len(c), -1)
+    value = np.vecdot(np.dot(w, op), cand[-1])
+    take = value > objective
+    np.copyto(s, cand, where=take[:, None])
+    np.copyto(objective, value, where=take)
 
 
 def _eigh_update(op: np.ndarray, w: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
@@ -328,6 +351,23 @@ def _start_kets(seed: int | Sequence[int], restarts: int, dims: Sequence[int]) -
     return [v / np.linalg.norm(v, axis=1, keepdims=True) for v in kets]
 
 
+def _start_bloch(seed: int | Sequence[int], restarts: int, n: int) -> np.ndarray:
+    """Every restart's start rows ``s = (1, r)`` for n qubits, an ``(n, restarts, 4)`` array: those of ``_start_kets``.
+
+    Party k's draws in row r of ``_start_draws`` are ``_start_kets``' ket
+    ``a`` before its normalization, and ``<a|sigma_i|a> / 2`` is ``a``'s outer
+    product times ``_HALF_PAULI``: ``|a|^2 / 2`` for i = 0, so dividing by it
+    gives ``s`` with column 0 exactly 1, and no ket is normalized.  The errors
+    are those of ``_seed_list``.
+    """
+    # entry (k, r, 0, i) is the real part of party k's start ket in restart r, (k, r, 1, i) the imaginary
+    parts = _start_draws(seed, restarts, 4 * n).reshape(restarts, n, 2, 2).transpose(1, 0, 2, 3)
+    a = parts[:, :, 0] + 1j * parts[:, :, 1]
+    # entry 2 * column + row of the flattened outer product is a_column conj(a_row), as _HALF_PAULI's rows pair
+    q = np.dot((a[..., :, None] * a.conj()[..., None, :]).reshape(n, restarts, 4), _HALF_PAULI).real
+    return q / q[..., :1]
+
+
 def _seesaw(
     projector: np.ndarray,
     dims: Sequence[int],
@@ -338,20 +378,21 @@ def _seesaw(
 
     ``projector`` is the D x D matrix, ``D = prod(dims)``, and must already be
     Hermitian: nothing here checks it again.  It is reshaped once into a
-    ``dims + dims`` tensor (ket axes, then bra axes).  Restart r starts from
-    its kets of ``_start_kets``.  Party k's states form one array over the
-    restarts, and a local update maximizes over party k with the product
-    ``w`` of the other parties' states held fixed, writing party k's new
-    states and maxima in place, into its state array and its row of the
-    sweep's values:
+    ``dims + dims`` tensor (ket axes, then bra axes).  Party k's states form
+    one array over the restarts, and a local update maximizes over party k
+    with the product ``w`` of the other parties' states held fixed, writing
+    party k's new states and maxima in place, into its state array and its
+    row of the sweep's values:
 
-    - every local dim 2: the start kets are turned into Bloch rows
-      ``s_k = (1, r_k)`` and back in one call each; an update is
-      one real ``np.dot`` by party k's Pauli slice (``_pauli_slices``) and the
-      closed form of ``_bloch_update``;
-    - otherwise: states are kets, party k's operator is reshaped once into an
-      ``(A_k, d_k * d_k * A_k)`` matrix, ``A_k = D / d_k``, and an update is two
-      matmuls and one stacked ``linalg.eigh_unchecked`` (``_eigh_update``).
+    - every local dim 2: states are Bloch rows ``s_k = (1, r_k)``, and
+      restart r starts from the Bloch vectors of its kets of ``_start_kets``,
+      computed from the same draws (``_start_bloch``); an update is one real
+      ``np.dot`` by party k's Pauli slice (``_pauli_slices``) and the closed
+      form of ``_bloch_update``, and the rows become kets once, at the end;
+    - otherwise: restart r starts from its kets of ``_start_kets``, party k's
+      operator is reshaped once into an ``(A_k, d_k * d_k * A_k)`` matrix,
+      ``A_k = D / d_k``, and an update is two matmuls and one stacked
+      ``linalg.eigh_unchecked`` (``_eigh_update``).
 
     One loop serves both, and every sweep updates every restart.  Each
     party's ``w`` is the product of the other parties' states in order,
@@ -363,10 +404,23 @@ def _seesaw(
     and its restart.  The call stops after the first sweep whose largest gain
     is below ``SEESAW_IMPROVEMENT_TOL`` (``np.fmax``, so a NaN restart neither
     stops the call nor prolongs it; every restart NaN stops it), or after
-    ``SEESAW_MAX_SWEEPS``.  Restart r's start is a function of ``(seed, r)``,
-    but its end depends on how many sweeps the call runs: with more restarts
-    beside it, it runs at least as many monotone sweeps, so its objective
-    can only rise, up to the last-digit rounding of a converged restart.
+    ``SEESAW_MAX_SWEEPS``.
+
+    A qubit call still running after its ``JUMP_SWEEP``-th sweep jumps once:
+    a restart parked on a slow ridge moves along it by about the same step
+    each sweep, and ``_bloch_jump`` tries ``JUMP_FACTOR`` such steps at once,
+    from the rows the restarts had at the start of that sweep.  A restart
+    takes its jump only where the objective is strictly higher there, and
+    the next sweep starts from that objective, so every restart stays
+    monotone and the drop guard, the stop rule and the tie rule of
+    ``seesaw_max_product_overlap`` read it as they read a sweep.
+
+    Restart r's start is a function of ``(seed, r)`` alone.  Its jump is a
+    function of its own rows, and of whether its call still runs after
+    sweep ``JUMP_SWEEP``, and its end depends on how many sweeps the call
+    runs: with more restarts beside it, it runs at least as many monotone
+    sweeps, so its objective can only rise, up to the last-digit rounding of
+    a converged restart.
 
     Returns the final objective of every restart and the per-party local
     kets.  Raises ValueError for fewer than two parties, where there is
@@ -375,18 +429,18 @@ def _seesaw(
     n = len(dims)
     if n < 2:
         raise ValueError(f"the seesaw needs at least two parties, got local dims {tuple(dims)}")
-    states = _start_kets(seed, restarts, dims)
     p_tensor = projector.reshape(tuple(dims) * 2)
     others = [[j for j in range(n) if j != k] for k in range(n)]  # w's parties, in order
     bloch = all(d == 2 for d in dims)
     if bloch:
-        states = _ket_to_bloch(states)
+        states = _start_bloch(seed, restarts, n)
         ops = _pauli_slices(p_tensor)
         g, norm = np.empty((restarts, 4)), np.empty(restarts)
         # the Bloch update writes party k's Bloch part, and the parties share its buffers and their views
         update, targets = _bloch_update, [s[:, 1:] for s in states]
-        scratch = (g, np.empty((restarts, 4)), norm, g[:, 0], g[:, 1:], norm[:, None])
+        scratch = (g, norm, g[:, 0], g[:, 1:], norm[:, None])
     else:
+        states = _start_kets(seed, restarts, dims)
         # ops[k][y, a, b, x] = <x, a| P |y, b>, with x, y the other parties' indices
         # (party k's ket and bra axes in the middle), so that for their product
         # vector w, ((w @ ops[k]) @ conj(w))[a, b] = <w, a| P |w, b>
@@ -408,6 +462,9 @@ def _seesaw(
         parties.append((products, (ops[k], w, targets[k], values[k + 1], *scratch)))
     for sweep in range(SEESAW_MAX_SWEEPS):
         start[...] = objective
+        jump = bloch and sweep + 1 == JUMP_SWEEP
+        if jump:
+            before = states.copy()
         for products, args in parties:
             for a, b, into in products:
                 np.multiply(a, b, out=into)
@@ -424,6 +481,8 @@ def _seesaw(
         # written so that an all-NaN gain stops the call too: fmax skips a NaN unless every gain is one
         if not np.fmax.reduce(np.subtract(objective, start, out=gain)) >= SEESAW_IMPROVEMENT_TOL:
             break
+        if jump:
+            _bloch_jump(ops[-1], states, before, objective)
     return objective, list(_bloch_to_ket(states) if bloch else states)
 
 

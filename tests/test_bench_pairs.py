@@ -36,10 +36,31 @@ def test_summary_of_fixed_rows(bench_pairs):
     assert cpu["pairs"] == 4 and cpu["change_lower"] == 2
     assert cpu["parent_median"] == 2.5 and cpu["change_median"] == 2.5 and cpu["change_pct"] == 0.0
     assert cpu["parent_iqr_pct"] == pytest.approx(100 * (3.25 - 1.75) / 2.5)
-    assert cpu["bound_pct"] == 25.0
+    assert cpu["bound_pct"] == 25.0 and cpu["verdict"] == "within"
     rss = summary["metrics"]["peak_rss_mb"]
     assert rss["change_lower"] == 0 and rss["parent_iqr_pct"] == 0.0 and rss["bound_pct"] == 10.0
     assert summary["sides"]["parent"] == {"runs": 5, "correct": 4, "failed": [0], "attempted": [648]}
     assert summary["sides"]["change"] == {"runs": 4, "correct": 3, "failed": [0, 6], "attempted": [648]}
     lines = bench_pairs.report(bench_pairs.summarize(rows, END_TO_END))
     assert any(line.startswith("noise    cpu_s") and "2/4" in line and "25%" in line for line in lines)
+
+
+@pytest.mark.parametrize("offsets, expected", [
+    # lower in 9 of 10 pairs (a tie in the last), the median by 0.2 against the parent's quartile distance of 0.1
+    ([-0.2] * 9 + [0.0], "gain"),
+    # lower in 9 of 10, but the median by no more than the quartile distance
+    ([-0.05] * 9 + [0.0], "within"),
+    # the median lower by 0.2, but in 8 of 10 pairs
+    ([-0.2] * 8 + [0.0] * 2, "within"),
+    # the median higher by 30% against the bound's 25%, and by 20%
+    ([0.3] * 10, "regression"),
+    ([0.2] * 10, "within"),
+], ids=["gain", "within-quartiles", "within-pairs", "regression", "within-bound"])
+def test_verdicts_follow_the_claim_rule(bench_pairs, offsets, expected):
+    parent = [0.9, 0.9, 0.95, 0.95, 1.0, 1.0, 1.05, 1.05, 1.1, 1.1]  # median 1.0, quartiles 0.95 and 1.05
+    rows = [row("parent", k + 1, v) for k, v in enumerate(parent)]
+    rows += [row("change", k + 1, v + d) for k, (v, d) in enumerate(zip(parent, offsets))]
+    summary = bench_pairs.summarize(rows, END_TO_END)
+    assert summary["noise"]["metrics"]["cpu_s"]["verdict"] == expected
+    lines = bench_pairs.report(summary)
+    assert any(line.startswith("noise    cpu_s") and line.endswith(f"% {expected}") for line in lines)

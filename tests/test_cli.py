@@ -88,57 +88,70 @@ def local_noise(coefficients):
     return {**SCAN, "noise": {"kind": "local", "coefficients": coefficients}}
 
 
+def named(key, *row):
+    """A table row whose test id is ``key`` and the row's message, its last entry.
+
+    The keys keep the ids pytest gave the rows by their position before the
+    ids were written out; a new row takes a key of its own, anywhere, and
+    renames no other test.
+    """
+    return pytest.param(*row, id=f"{key}-{row[-1]}")
+
+
 # (raw config, message the ConfigError must match)
 REJECTED = [
-    (make_config(angles=[0.3, 0.7]), "angles must be a list of three angles"),
-    (make_config(angles=0.3), "angles must be a list of three angles"),
-    ({**RADIUS, "direction": {"0,0,2": 1.0}}, r"bad label key '0,0,2': unknown label '2'"),
-    (make_config(seed=2**64), r"seed must be an integer in \[0, 18446744073709551615\], got"),
-    (make_config(seed=-1), "seed must be an integer in"),
-    (make_config(seed=True), "seed must be an integer in"),
-    ({"command": "certify", "seed": 1, "angles": PI4, "restarts": 0},
-     r"restarts must be an integer in \[1, 1024\], got 0"),
-    ({"command": "build", "seed": 1}, "build requires angles"),
-    ({k: v for k, v in RANK.items() if k != "angles_second"}, "rank-mixtures requires angles_second"),
-    ({**SCAN, "epsilon_grid": []}, "perturb-scan requires a nonempty epsilon_grid"),
-    ({**SCAN, "cut": 0}, "cut must be a nonempty list of party indices"),
-    ({**HUNT, "subspace_kind": "tiles"}, "unknown subspace_kind 'tiles'"),
-    ({**UPB_HUNT, "subspace_dim": 4}, "drop subspace_dim/samples"),
-    ({**UPB_HUNT, "samples": 1}, "drop subspace_dim/samples"),
-    ({**HUNT, "subspace_dim": 0}, r"subspace_dim must be an integer in \[1, 8\], got 0"),
-    ({**HUNT, "subspace_dim": 9}, r"subspace_dim must be an integer in \[1, 8\], got 9"),
-    ({**HUNT, "samples": 0}, "samples must be an integer in"),
-    ({**SCAN, "noise": "white"}, 'noise must be an object with a "kind" field'),
-    ({**SCAN, "noise": {"kind": ["white"]}}, r"unknown noise kind \['white'\]"),
-    ({**SCAN, "noise": {"kind": "white", "count": 1}}, r"white noise takes exactly the fields \['kind'\]"),
-    ({**SCAN, "noise": {"kind": "random"}}, r"random noise takes exactly the fields \['count', 'kind'\]"),
-    ({**SCAN, "noise": {"kind": "random", "count": 0}}, "noise count must be an integer in"),
-    ({**SCAN, "noise": {"kind": "local", "coefficients": {"0,0,0": 1.0}, "count": 1}},
-     "local noise takes exactly the fields"),
-    (local_noise({}), "noise coefficients must be a nonempty label->weight object, got {}"),
-    (local_noise({"0,0,0": 0.5, "1,1,1": -0.5}), "noise coefficients must have positive total weight"),
-    ({**RADIUS, "direction": "gaussian"}, "direction must be a nonempty label->weight object, got 'gaussian'"),
-    ({**RADIUS, "direction": [1.0]}, r"direction must be a nonempty label->weight object, got \[1.0\]"),
-    ({**RADIUS, "direction": {"0,0,0": 1.5, "1,1,1": -0.5}}, "direction weights must be nonnegative"),
-    (local_noise({"0,0,0": 1, "1,1,1": -0.5}), "local noise operator is not a state"),
+    named("raw0", make_config(angles=[0.3, 0.7]), "angles must be a list of three angles"),
+    named("raw1", make_config(angles=0.3), "angles must be a list of three angles"),
+    named("raw2", {**RADIUS, "direction": {"0,0,2": 1.0}}, r"bad label key '0,0,2': unknown label '2'"),
+    named("raw3", make_config(seed=2**64), r"seed must be an integer in \[0, 18446744073709551615\], got"),
+    named("raw4", make_config(seed=-1), "seed must be an integer in"),
+    named("raw5", make_config(seed=True), "seed must be an integer in"),
+    named("raw6", {"command": "certify", "seed": 1, "angles": PI4, "restarts": 0},
+          r"restarts must be an integer in \[1, 1024\], got 0"),
+    named("raw7", {"command": "build", "seed": 1}, "build requires angles"),
+    named("raw8", {k: v for k, v in RANK.items() if k != "angles_second"}, "rank-mixtures requires angles_second"),
+    named("raw9", {**SCAN, "epsilon_grid": []}, "perturb-scan requires a nonempty epsilon_grid"),
+    named("raw10", {**SCAN, "cut": 0}, "cut must be a nonempty list of party indices"),
+    named("raw11", {**HUNT, "subspace_kind": "tiles"}, "unknown subspace_kind 'tiles'"),
+    named("raw12", {**UPB_HUNT, "subspace_dim": 4}, "drop subspace_dim/samples"),
+    named("raw13", {**UPB_HUNT, "samples": 1}, "drop subspace_dim/samples"),
+    named("raw14", {**HUNT, "subspace_dim": 0}, r"subspace_dim must be an integer in \[1, 8\], got 0"),
+    named("raw15", {**HUNT, "subspace_dim": 9}, r"subspace_dim must be an integer in \[1, 8\], got 9"),
+    named("raw16", {**HUNT, "samples": 0}, "samples must be an integer in"),
+    named("raw17", {**SCAN, "noise": "white"}, 'noise must be an object with a "kind" field'),
+    named("raw18", {**SCAN, "noise": {"kind": ["white"]}}, r"unknown noise kind \['white'\]"),
+    named("raw19", {**SCAN, "noise": {"kind": "white", "count": 1}},
+          r"white noise takes exactly the fields \['kind'\]"),
+    named("raw20", {**SCAN, "noise": {"kind": "random"}}, r"random noise takes exactly the fields \['count', 'kind'\]"),
+    named("raw21", {**SCAN, "noise": {"kind": "random", "count": 0}}, "noise count must be an integer in"),
+    named("raw22", {**SCAN, "noise": {"kind": "local", "coefficients": {"0,0,0": 1.0}, "count": 1}},
+          "local noise takes exactly the fields"),
+    named("raw23", local_noise({}), "noise coefficients must be a nonempty label->weight object, got {}"),
+    named("raw24", local_noise({"0,0,0": 0.5, "1,1,1": -0.5}), "noise coefficients must have positive total weight"),
+    # each weight is finite, but their sum overflows
+    named("raw41", local_noise({"0,0,0": 1e308, "1,1,1": 1e308}),
+          r"^noise coefficients must have positive total weight, got inf$"),
+    named("raw25", {**RADIUS, "direction": "gaussian"},
+          "direction must be a nonempty label->weight object, got 'gaussian'"),
+    named("raw26", {**RADIUS, "direction": [1.0]}, r"direction must be a nonempty label->weight object, got \[1.0\]"),
+    named("raw27", {**RADIUS, "direction": {"0,0,0": 1.5, "1,1,1": -0.5}}, "direction weights must be nonnegative"),
+    named("raw28", local_noise({"0,0,0": 1, "1,1,1": -0.5}), "local noise operator is not a state"),
     # JSON values of the wrong type that a lenient float() or int() would accept
-    ({**SCAN, "cut": [1.9]}, r"cut index must be an integer in \[0, 2\], got 1.9"),
-    ({**SCAN, "cut": [True]}, "cut index must be an integer in"),
-    ({**SCAN, "cut": ["2"]}, "cut index must be an integer in"),
-    (make_config(angles=[True, 0.7, 1.1]), "angles value must be a number, got True"),
-    ({**SCAN, "epsilon_grid": ["0.01"]}, "epsilon_grid value must be a number, got '0.01'"),
-    ({**RADIUS, "direction": {"0,0,0": True}}, r"direction\['0,0,0'\] must be a number, got True"),
-    (local_noise({"0,0,0": "1"}), r"noise coefficients\['0,0,0'\] must be a number, got '1'"),
+    named("raw29", {**SCAN, "cut": [1.9]}, r"cut index must be an integer in \[0, 2\], got 1.9"),
+    named("raw30", {**SCAN, "cut": [True]}, "cut index must be an integer in"),
+    named("raw31", {**SCAN, "cut": ["2"]}, "cut index must be an integer in"),
+    named("raw32", make_config(angles=[True, 0.7, 1.1]), "angles value must be a number, got True"),
+    named("raw33", {**SCAN, "epsilon_grid": ["0.01"]}, "epsilon_grid value must be a number, got '0.01'"),
+    named("raw34", {**RADIUS, "direction": {"0,0,0": True}}, r"direction\['0,0,0'\] must be a number, got True"),
+    named("raw35", local_noise({"0,0,0": "1"}), r"noise coefficients\['0,0,0'\] must be a number, got '1'"),
     # integers beyond float range, and two keys that name one label
-    (make_config(angles=[0.3, 0.7, 10**400]), "angles value is out of float range"),
-    ({**SCAN, "epsilon_grid": [10**400]}, "epsilon_grid value is out of float range"),
-    ({**RADIUS, "direction": {"0,0,0": 10**400}}, r"direction\['0,0,0'\] is out of float range"),
-    (local_noise({"0,0,0": 0.5, " 0,0,0": 0.25, "1,1,1": 0.25}),
-     "noise coefficients keys '0,0,0' and ' 0,0,0' both name the label '0,0,0'"),
-    ({**RADIUS, "direction": {"0,phi1,1": 0.5, "0, phi1, 1": 0.5}},
-     "direction keys '0,phi1,1' and '0, phi1, 1' both name the label '0,phi1,1'"),
-    # each weight is finite, but their sum overflows; the last row, so earlier rows keep their ids
-    (local_noise({"0,0,0": 1e308, "1,1,1": 1e308}), r"^noise coefficients must have positive total weight, got inf$"),
+    named("raw36", make_config(angles=[0.3, 0.7, 10**400]), "angles value is out of float range"),
+    named("raw37", {**SCAN, "epsilon_grid": [10**400]}, "epsilon_grid value is out of float range"),
+    named("raw38", {**RADIUS, "direction": {"0,0,0": 10**400}}, r"direction\['0,0,0'\] is out of float range"),
+    named("raw39", local_noise({"0,0,0": 0.5, " 0,0,0": 0.25, "1,1,1": 0.25}),
+          "noise coefficients keys '0,0,0' and ' 0,0,0' both name the label '0,0,0'"),
+    named("raw40", {**RADIUS, "direction": {"0,phi1,1": 0.5, "0, phi1, 1": 0.5}},
+          "direction keys '0,phi1,1' and '0, phi1, 1' both name the label '0,phi1,1'"),
 ]
 
 
@@ -568,38 +581,51 @@ DELETE = object()
 # (command, path to the value a row replaces or deletes, its new value, message the SchemaError must
 # match); the empty path replaces the whole report
 SCHEMA_REJECTED = [
-    ("build", ("payload", "spectrum", 0), "x", r"payload.spectrum\[0\]: expected number, got str"),
-    ("build", ("payload", "ppt", 0, "ppt"), 1, r"payload.ppt\[0\].ppt: expected bool, got int"),
-    ("build", ("payload", "ppt", 0), [], r"payload.ppt\[0\]: expected object, got list"),
-    ("build", ("payload", "spectrum"), 1.0, "payload.spectrum: expected array, got float"),
-    ("build", ("payload", "members", 0, 0, 0), [1.0], r"payload.members\[0\]\[0\]\[0\]: expected \[re, im\] pair"),
-    ("subspace-hunt", ("payload", "histogram"), [], "payload.histogram: expected object, got list"),
-    ("subspace-hunt", ("payload", "histogram"), {1: 1}, "payload.histogram: non-string key 1"),
-    ("witness-radius", ("payload", "direction"), 5, "payload.direction: no schema alternative matched"),
-    ("build", (), [], "report must be an object"),
-    ("build", ("meta",), DELETE, "report: missing top-level field 'meta'"),
-    ("build", ("config", "command"), DELETE, "config: missing command"),
-    ("build", ("config", "command"), "summon", "config.command: unknown command 'summon'"),
+    named("build-path0-x", "build", ("payload", "spectrum", 0), "x",
+          r"payload.spectrum\[0\]: expected number, got str"),
+    named("build-path1-1", "build", ("payload", "ppt", 0, "ppt"), 1, r"payload.ppt\[0\].ppt: expected bool, got int"),
+    named("build-path2-value2", "build", ("payload", "ppt", 0), [], r"payload.ppt\[0\]: expected object, got list"),
+    named("build-path3-1.0", "build", ("payload", "spectrum"), 1.0, "payload.spectrum: expected array, got float"),
+    named("build-path4-value4", "build", ("payload", "members", 0, 0, 0), [1.0],
+          r"payload.members\[0\]\[0\]\[0\]: expected \[re, im\] pair"),
+    named("subspace-hunt-path5-value5", "subspace-hunt", ("payload", "histogram"), [],
+          "payload.histogram: expected object, got list"),
+    named("subspace-hunt-path6-value6", "subspace-hunt", ("payload", "histogram"), {1: 1},
+          "payload.histogram: non-string key 1"),
+    named("witness-radius-path7-5", "witness-radius", ("payload", "direction"), 5,
+          "payload.direction: no schema alternative matched"),
+    named("build-path8-value8", "build", (), [], "report must be an object"),
+    named("build-path9-value9", "build", ("meta",), DELETE, "report: missing top-level field 'meta'"),
+    named("build-path10-value10", "build", ("config", "command"), DELETE, "config: missing command"),
+    named("build-path11-summon", "build", ("config", "command"), "summon", "config.command: unknown command 'summon'"),
     # a bool is no number; the open histogram object checks its values; a pair's entry carries its whole
     # path; an alternative's own failure gives way to the alternatives' message; meta is checked too
-    ("build", ("payload", "rank"), True, "payload.rank: expected int, got bool"),
-    ("build", ("payload", "spectrum", 0), False, r"payload.spectrum\[0\]: expected number, got bool"),
-    ("subspace-hunt", ("payload", "histogram", "6"), 1.5, "payload.histogram.6: expected int, got float"),
-    ("build", ("payload", "members", 2, 1, 0, 1), "0",
-     r"payload.members\[2\]\[1\]\[0\]\[1\]: expected number, got str"),
-    ("witness-radius", ("payload", "check"), "null", "payload.check: no schema alternative matched"),
-    ("witness-radius", ("payload", "check", "inside_value"), None, "payload.check: no schema alternative matched"),
-    ("build", ("meta", "elapsed_seconds"), "0.1", "meta.elapsed_seconds: expected number, got str"),
+    named("build-path12-True", "build", ("payload", "rank"), True, "payload.rank: expected int, got bool"),
+    named("build-path13-False", "build", ("payload", "spectrum", 0), False,
+          r"payload.spectrum\[0\]: expected number, got bool"),
+    named("subspace-hunt-path14-1.5", "subspace-hunt", ("payload", "histogram", "6"), 1.5,
+          "payload.histogram.6: expected int, got float"),
+    named("build-path15-0", "build", ("payload", "members", 2, 1, 0, 1), "0",
+          r"payload.members\[2\]\[1\]\[0\]\[1\]: expected number, got str"),
+    named("witness-radius-path16-null", "witness-radius", ("payload", "check"), "null",
+          "payload.check: no schema alternative matched"),
+    named("witness-radius-path17-None", "witness-radius", ("payload", "check", "inside_value"), None,
+          "payload.check: no schema alternative matched"),
+    named("build-path18-0.1", "build", ("meta", "elapsed_seconds"), "0.1",
+          "meta.elapsed_seconds: expected number, got str"),
     # unknown keys of mixed types, which an in-memory dict may hold, are named strings first in their own
     # order (which repr would reverse here), then the others by repr
-    ("build", (), {"z'": 0, "a": 0, 1: 0, "config": {}, "payload": {}, "meta": {}},
-     r"""report: unknown top-level fields \['a', "z'", 1\]"""),
-    ("build", ("payload",), {1: 0, "z": 0, (2,): 0}, r"payload: unknown fields \['z', \(2,\), 1\]"),
+    named("build-path19-value19", "build", (), {"z'": 0, "a": 0, 1: 0, "config": {}, "payload": {}, "meta": {}},
+          r"""report: unknown top-level fields \['a', "z'", 1\]"""),
+    named("build-path20-value20", "build", ("payload",), {1: 0, "z": 0, (2,): 0},
+          r"payload: unknown fields \['z', \(2,\), 1\]"),
     # an unhashable command is an unknown one; a Python complex is no [re, im] pair, though its type is
     # exactly the spec's
-    ("build", ("config", "command"), [], r"config.command: unknown command \[\]"),
-    ("build", ("config", "command"), {"a": 1}, r"config.command: unknown command \{'a': 1\}"),
-    ("build", ("payload", "members", 0, 0, 0), 1j, r"payload.members\[0\]\[0\]\[0\]: expected \[re, im\] pair"),
+    named("build-path21-value21", "build", ("config", "command"), [], r"config.command: unknown command \[\]"),
+    named("build-path22-value22", "build", ("config", "command"), {"a": 1},
+          r"config.command: unknown command \{'a': 1\}"),
+    named("build-path23-1j", "build", ("payload", "members", 0, 0, 0), 1j,
+          r"payload.members\[0\]\[0\]\[0\]: expected \[re, im\] pair"),
 ]
 
 

@@ -29,11 +29,15 @@ from upbkit.linalg import ConvergenceError
 from upbkit.states import expand_locals, product_projector, random_product_vector
 from upbkit.upb import _seesaw
 
-from conftest import count_calls, kernel_vectors, lower_top_eigenvalue
+from conftest import CERT_RESTARTS, CERT_SEED, count_calls, kernel_vectors, lower_top_eigenvalue
 
 # Regression constant: best product overlap with the complement of the
 # pi/4 family, recorded from 256-restart runs (stable to ~1e-14 across seeds).
 PI4_MAX_OVERLAP = 0.9185586535436877
+# A witness-radius job of the seed-1 benchmark whose restarts park on a ridge about 2.1e-2 below the maximum and
+# drift along it: without the jump its 12-restart seesaw runs 38 sweeps
+PARKED_ANGLES = (0.6890486225480863, 0.6890486225480863, 0.8817477042468105)
+PARKED_SEED = 4699270066518164142
 
 
 def random_params(rng):
@@ -89,6 +93,20 @@ def count_local_updates(monkeypatch) -> list:
     return calls
 
 
+def jumps_taken(monkeypatch) -> list:
+    """Record, for every seesaw jump, the restarts that took it: those whose objective it raised."""
+    taken = []
+    real = upb._bloch_jump
+
+    def recorded(op, s, s_prev, objective):
+        before = objective.copy()
+        real(op, s, s_prev, objective)
+        taken.append(np.flatnonzero(objective > before))
+
+    monkeypatch.setattr(upb, "_bloch_jump", recorded)
+    return taken
+
+
 def tensordot_pauli_slices(p_tensor):
     """Party k's ``(4^(n-1), 4)`` slice of the real Pauli tensor, contracted by ``np.tensordot`` one party at a time."""
     # sigma_0 = I, sigma_x, sigma_y, sigma_z, stacked as pauli[i, row, column]
@@ -118,7 +136,7 @@ def start_kets(seed, restarts, dims=(2, 2, 2)):
 def reference_bloch_update(op, w, prev):
     """The closed-form qubit update on fresh arrays: the maxima ``g_0 + |g|`` and the rows ``(1, g / |g|)``."""
     g = np.dot(w, op)
-    norm = np.sqrt(np.dot(g * g, np.array([0.0, 1.0, 1.0, 1.0])))
+    norm = np.sqrt(np.vecdot(g[:, 1:], g[:, 1:]))
     s = prev.copy()
     np.divide(g[:, 1:], norm[:, None], out=s[:, 1:], where=norm[:, None] > 0)
     return g[:, 0] + norm, s
@@ -132,32 +150,56 @@ def reference_eigh_update(op, w, prev):
     return vals[:, -1], np.ascontiguousarray(vecs[:, :, -1])
 
 
+def reference_bloch_start(draws):
+    """Unit Bloch rows ``(1, r)`` of one party's ``(R, 4)`` start draws: ``<a|sigma_i|a>`` of their ket, over i = 0."""
+    # sigma_0 = I, sigma_x, sigma_y, sigma_z; entry (2 * column + row, i) of the table is sigma_i[row, column] / 2
+    pauli = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    a = draws[:, :2] + 1j * draws[:, 2:]
+    q = np.dot((a[:, :, None] * a.conj()[:, None, :]).reshape(-1, 4), (pauli / 2).transpose(2, 1, 0).reshape(4, 4)).real
+    return q / q[:, :1]
+
+
+def reference_jump(ops, locs, before, value):
+    """Each restart's jump: ``s + JUMP_FACTOR * (s - s_prev)`` renormalized, taken where its objective is higher."""
+    cands = []
+    for s, prev in zip(locs, before):
+        c = upb.JUMP_FACTOR * (s - prev) + s
+        with np.errstate(invalid="ignore"):
+            c[:, 1:] /= np.sqrt(np.vecdot(c[:, 1:], c[:, 1:]))[:, None]
+        cands.append(c)
+    w, *rest = cands[:-1]
+    for v in rest:
+        w = (w[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+    jumped = np.vecdot(np.dot(w, ops[-1]), cands[-1])
+    take = jumped > value
+    return [np.where(take[:, None], c, s) for c, s in zip(cands, locs)], np.where(take, jumped, value)
+
+
 def reference_seesaw(proj, dims, seed, restarts):
     """The seesaw as one update at a time, the reference ``_seesaw`` must equal bit for bit.
 
-    Restart r draws row r of ``start_draws``, each party converts to and
-    from Bloch rows on its own, the objective is checked after every local
-    update, and every restart sweeps until a sweep in which none gains the
-    tolerance (a NaN gain counts for none).  The Pauli slices, the
-    conversions and the updates are this module's own.
+    Restart r draws row r of ``start_draws``.  Qubit parties turn their
+    draws into Bloch rows on their own and back into kets at the end, and
+    after sweep ``JUMP_SWEEP`` every restart tries its jump; the objective
+    is checked after every local update, and every restart sweeps until a
+    sweep in which none gains the tolerance (a NaN gain counts for none).
+    The Pauli slices, the conversions, the jump and the updates are this
+    module's own.
     """
     n = len(dims)
     p_tensor = proj.reshape(tuple(dims) * 2)
     draws = start_draws(seed, restarts, 2 * sum(dims))
     offsets = np.cumsum([0] + [2 * d for d in dims])
-    locs = []
-    for k, d in enumerate(dims):
-        v = draws[:, offsets[k]:offsets[k] + d] + 1j * draws[:, offsets[k] + d:offsets[k + 1]]
-        locs.append(v / np.linalg.norm(v, axis=1, keepdims=True))
     bloch = all(d == 2 for d in dims)
     if bloch:
+        locs = [reference_bloch_start(draws[:, o:o + 4]) for o in offsets[:-1]]
         ops = tensordot_pauli_slices(p_tensor)
-        for k, v in enumerate(locs):
-            c = 2 * v[:, 0].conj() * v[:, 1]
-            z = np.abs(v[:, 0]) ** 2 - np.abs(v[:, 1]) ** 2
-            locs[k] = np.column_stack([np.ones(len(v)), c.real, c.imag, z])
         update = reference_bloch_update
     else:
+        locs = []
+        for k, d in enumerate(dims):
+            v = draws[:, offsets[k]:offsets[k] + d] + 1j * draws[:, offsets[k] + d:offsets[k + 1]]
+            locs.append(v / np.linalg.norm(v, axis=1, keepdims=True))
         ops = []
         for k in range(n):
             others = [j for j in range(n) if j != k]
@@ -165,8 +207,8 @@ def reference_seesaw(proj, dims, seed, restarts):
             ops.append(p_tensor.transpose(axes).reshape(int(np.prod(dims)) // dims[k], -1))
         update = reference_eigh_update
     objective = np.full(restarts, -np.inf)
-    for _ in range(upb.SEESAW_MAX_SWEEPS):
-        value = objective
+    for sweep in range(upb.SEESAW_MAX_SWEEPS):
+        value, before = objective, list(locs)
         for k in range(n):
             w, *rest = locs[:k] + locs[k + 1:]
             for v in rest:
@@ -178,6 +220,8 @@ def reference_seesaw(proj, dims, seed, restarts):
         objective = value
         if not any(g >= upb.SEESAW_IMPROVEMENT_TOL for g in gains):
             break
+        if bloch and sweep + 1 == upb.JUMP_SWEEP:
+            locs, objective = reference_jump(ops, locs, before, objective)
     if bloch:
         for k, s in enumerate(locs):
             x, y, z = s[:, 1], s[:, 2], s[:, 3]
@@ -515,18 +559,23 @@ class TestSeesaw:
     def test_equals_the_one_update_at_a_time_reference(self, monkeypatch):
         # two, three and four parties on the Bloch path, and qudits, where with two
         # parties the other party's state is the matmul operand itself; a cap of two
-        # sweeps stops restarts that are still improving
+        # sweeps stops restarts that are still improving.  The parked family is last,
+        # and restarts of its calls take their jump
         inputs = [(2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3), (3, 2), (2, 3, 2)]
+        cases = [(dims, random_projector(dims, int(np.prod(dims)) // 2, case), case) for case, dims in enumerate(inputs)]
+        cases.append(((2, 2, 2), shifts_family(PARKED_ANGLES).complement_projector, PARKED_SEED))
+        taken = jumps_taken(monkeypatch)
         for sweeps in (upb.SEESAW_MAX_SWEEPS, 2):
             monkeypatch.setattr(upb, "SEESAW_MAX_SWEEPS", sweeps)
-            for case, dims in enumerate(inputs):
-                proj = random_projector(dims, int(np.prod(dims)) // 2, case)
+            for dims, proj, case in cases:
+                taken.clear()
                 for seed, restarts in ((case, 1), ([2**40 + case, 7], 12)):
                     objective, locs = _seesaw(proj, dims, seed, restarts)
                     ref_objective, ref_locs = reference_seesaw(proj, dims, seed, restarts)
                     assert np.array_equal(objective, ref_objective)
                     for v, ref in zip(locs, ref_locs, strict=True):
                         assert np.array_equal(v, ref)
+                assert any(t.size for t in taken) == (case == PARKED_SEED and sweeps > 2)
 
     def test_bloch_update_keeps_the_rows_where_g_vanishes(self):
         # with op the identity g is w itself: restart 1's g has no Bloch part and restart 2's is NaN, so the
@@ -536,7 +585,7 @@ class TestSeesaw:
         ref_values, ref_state = reference_bloch_update(np.eye(4), w, state)
         kept = state[1:].copy()
         out, g, norm = np.empty(3), np.empty((3, 4)), np.empty(3)
-        upb._bloch_update(np.eye(4), w, state[:, 1:], out, g, np.empty((3, 4)), norm, g[:, 0], g[:, 1:], norm[:, None])
+        upb._bloch_update(np.eye(4), w, state[:, 1:], out, g, norm, g[:, 0], g[:, 1:], norm[:, None])
         assert np.array_equal(state, ref_state) and np.array_equal(out, ref_values, equal_nan=True)
         assert np.array_equal(state[1:], kept) and out[1] == 0.7 and np.isnan(out[2])
         assert np.allclose(state[0, 1:], w[0, 1:] / np.linalg.norm(w[0, 1:]), rtol=0, atol=1e-15)
@@ -676,14 +725,18 @@ class TestSeesaw:
     def test_every_update_sees_every_restart(self, pi4_upb, monkeypatch):
         # no restart retires before the call stops: every local update, Bloch or eigensolver, is handed all R
         # rows, so restarts 0-3 of a 16-restart call run at least the sweeps of a 4-restart call and end at or
-        # above their objectives there (within 1e-15: a converged restart's last digit moves with rounding)
+        # above their objectives there (within 1e-15: a converged restart's last digit moves with rounding).
+        # On the parked family restarts 2 and 3 take their jump in both calls, which keeps them monotone
         rows = []
         for name in ("_bloch_update", "_eigh_update"):
             def recorded(op, w, state, out, *buffers, real=getattr(upb, name)):
                 rows.append({len(w), len(state), len(out)})
                 real(op, w, state, out, *buffers)
             monkeypatch.setattr(upb, name, recorded)
-        inputs = [(pi4_upb.complement_projector, pi4_upb.local_dims), (random_projector((2, 3, 2), 3, 6), (2, 3, 2))]
+        taken = jumps_taken(monkeypatch)
+        parked = shifts_family(PARKED_ANGLES).complement_projector
+        inputs = [(pi4_upb.complement_projector, pi4_upb.local_dims), (parked, (2, 2, 2)),
+                  (random_projector((2, 3, 2), 3, 6), (2, 3, 2))]
         for proj, dims in inputs:
             objectives = {}
             for restarts in (4, 16):
@@ -691,6 +744,42 @@ class TestSeesaw:
                 objectives[restarts], _ = _seesaw(proj, dims, [5, 1], restarts)
                 assert len(rows) > len(dims) and all(r == {restarts} for r in rows)
             assert (objectives[16][:4] >= objectives[4] - 1e-15).all()
+        assert [t[t < 4].tolist() for t in taken[-2:]] == [[2, 3], [2, 3]]
+
+    def test_parked_restarts_jump_off_their_ridge(self, monkeypatch):
+        # one jump along the drift takes the parked restarts off the ridge: at most 30 sweeps, and the certificate
+        # is the 256-restart one
+        u = shifts_family(PARKED_ANGLES)
+        calls, taken = count_local_updates(monkeypatch), jumps_taken(monkeypatch)
+        cert = certify_unextendible(u, restarts=12, seed=PARKED_SEED)
+        assert len(calls) <= 3 * 30 and len(taken) == 1 and taken[0].size
+        ref = certify_unextendible(u, restarts=CERT_RESTARTS, seed=CERT_SEED)
+        assert abs(cert.max_overlap - ref.max_overlap) <= 1e-12
+
+    def test_zero_and_nan_candidates_are_never_taken(self, monkeypatch):
+        # a factor of -1 makes the candidate the rows at the start of the jump's sweep; with their Bloch parts zeroed
+        # it is a zero candidate, which renormalizes to NaN without a warning, and with NaN rows a NaN one. Neither
+        # is taken, so the call ends as it does with no jump, though restarts 2 and 3 take a plain jump
+        proj = shifts_family(PARKED_ANGLES).complement_projector
+        monkeypatch.setattr(upb, "JUMP_SWEEP", 0)
+        plain_objective, plain_locs = _seesaw(proj, (2, 2, 2), [5, 1], 4)
+        monkeypatch.undo()
+        real = upb._bloch_jump
+        for part, spoiled in ((np.s_[..., 1:], 0.0), (np.s_[...], np.nan)):
+            def spoil(op, s, s_prev, objective, part=part, spoiled=spoiled):
+                s_prev[part] = spoiled
+                kept = s.copy(), objective.copy()
+                real(op, s, s_prev, objective)
+                assert np.array_equal(s, kept[0]) and np.array_equal(objective, kept[1])
+                jumps.append(None)
+
+            jumps = []
+            monkeypatch.setattr(upb, "JUMP_FACTOR", -1)
+            monkeypatch.setattr(upb, "_bloch_jump", spoil)
+            objective, locs = _seesaw(proj, (2, 2, 2), [5, 1], 4)
+            assert len(jumps) == 1 and np.array_equal(objective, plain_objective)
+            for v, ref in zip(locs, plain_locs, strict=True):
+                assert np.array_equal(v, ref)
 
     def test_qubit_seesaw_calls_no_eigensolver(self, pi4_upb, monkeypatch):
         def refuse(matrix):
@@ -702,6 +791,16 @@ class TestSeesaw:
 
 
 class TestCertification:
+    def test_twelve_restarts_find_the_global_basin(self):
+        # the jump never trades the global basin for a lower one: at 100 random family angle sets the 12-restart
+        # certificate of the benchmark's jobs is the 256-restart one
+        rng = np.random.default_rng(0)
+        for seed in range(100):
+            u = shifts_family(random_params(rng))
+            cert = certify_unextendible(u, restarts=12, seed=seed)
+            ref = certify_unextendible(u, restarts=CERT_RESTARTS, seed=CERT_SEED)
+            assert abs(cert.max_overlap - ref.max_overlap) <= la.DEFAULT_TOL, seed
+
     def test_ties_go_to_the_lowest_restart_within_the_tolerance(self, pi4_upb, monkeypatch):
         # restart r's local vectors are (cos t_r, sin t_r) with t_r = 0.1 (r + 1), so the vector names the restart;
         # a restart 1e-13 below the best ties with it (linalg.DEFAULT_TOL is 1e-9), one 1e-6 below never does
