@@ -18,9 +18,10 @@ start as the first of a longer one (they stop together, so their ends also
 depend on how many there are), and the child never replays the sample's own
 stream.
 
-A command's parties are those of the UPB it builds.  ``_DIMS``, the family's
-``(2, 2, 2)``, bounds label keys, cut indices and ``subspace_dim`` and sets the
-size of the drawn hunts.  ``npt_projector`` noise is the three-qubit fixture.
+A command's parties are those of the UPB it builds; ``parse_config`` bounds
+label keys and cut indices by its ``angles``, one per party.  The drawn hunts
+name no UPB, and ``_THREE_QUBITS`` bounds their ``subspace_dim`` and sets their
+size.  ``npt_projector`` noise is the three-qubit fixture.
 
 Usage::
 
@@ -132,8 +133,8 @@ class ConfigError(ValueError):
 
 MAX_COUNT = 1024  # the largest restarts, samples, random noise count or epsilon_grid length a config may ask for
 
-# the family's parties, read only where no UPB exists: the config's bounds and the drawn hunts
-_DIMS = (2, 2, 2)
+# the parties of the drawn random and planted hunts, which name no UPB
+_THREE_QUBITS = (2, 2, 2)
 
 
 @functools.cache
@@ -172,25 +173,20 @@ def _parse_angles(raw: Any, name: str) -> list[float]:
     return vals
 
 
-def _parse_label_key(key: str) -> str:
-    """The canonical spelling ``"0,phi1,1"`` of a label key, one label per party."""
-    try:
-        mu = validate_labels(tuple(part.strip() for part in key.split(",")))
-    except ValueError as exc:
-        raise ConfigError(f"bad label key {key!r}: {exc}") from exc
-    if len(mu) != len(_DIMS):
-        raise ConfigError(f"bad label key {key!r}: expected {len(_DIMS)} labels, got {len(mu)}")
-    return ",".join(mu)
-
-
-def _parse_label_map(raw: Any, name: str) -> dict[str, float]:
-    """A nonempty label -> finite weight object, keys in their canonical spelling."""
+def _parse_label_map(raw: Any, name: str, n_parties: int) -> dict[str, float]:
+    """A nonempty label -> finite weight object, keys of one label per party spelt ``"0,phi1,1"``."""
     if not isinstance(raw, dict) or not raw:
         raise ConfigError(f"{name} must be a nonempty label->weight object, got {raw!r}")
     weights: dict[str, float] = {}
     spelled: dict[str, str] = {}  # canonical key -> the raw key that named it
     for k, v in raw.items():
-        key = _parse_label_key(k)
+        try:
+            mu = validate_labels(tuple(part.strip() for part in k.split(",")))
+        except ValueError as exc:
+            raise ConfigError(f"bad label key {k!r}: {exc}") from exc
+        if len(mu) != n_parties:
+            raise ConfigError(f"bad label key {k!r}: expected {n_parties} labels, got {len(mu)}")
+        key = ",".join(mu)
         if key in spelled:
             raise ConfigError(f"{name} keys {spelled[key]!r} and {k!r} both name the label {key!r}")
         spelled[key] = k
@@ -233,6 +229,7 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
         config["angles"] = _parse_angles(rest.pop("angles"), "angles")
     elif needs_angles:
         raise ConfigError(f"{command} requires angles")
+    n_parties = len(config.get("angles", ()))  # the family takes one angle per party; drawn hunts read no count
 
     if command == "rank-mixtures":
         if "angles_second" not in rest:
@@ -242,7 +239,7 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
             raise ConfigError("angles and angles_second must be distinct parameter sets")
 
     if command == "perturb-scan":
-        config["noise"] = _parse_noise(rest.pop("noise", None))
+        config["noise"] = _parse_noise(rest.pop("noise", None), n_parties)
         grid = rest.pop("epsilon_grid", None)
         if not isinstance(grid, (list, tuple)) or not grid:
             raise ConfigError("perturb-scan requires a nonempty epsilon_grid")
@@ -255,16 +252,16 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
         cut_raw = rest.pop("cut", [0])
         if not isinstance(cut_raw, (list, tuple)) or not cut_raw:
             raise ConfigError("cut must be a nonempty list of party indices")
-        indices = [_parse_int(k, "cut index", 0, len(_DIMS) - 1) for k in cut_raw]
+        indices = [_parse_int(k, "cut index", 0, n_parties - 1) for k in cut_raw]
         try:
-            config["cut"] = list(linalg.cut_parties(indices, len(_DIMS)))
+            config["cut"] = list(linalg.cut_parties(indices, n_parties))
         except ValueError as exc:
             raise ConfigError(f"invalid cut: {exc}") from exc
 
     if command == "witness-radius":
         direction = rest.pop("direction", "uniform")
         if direction != "uniform":
-            direction = _parse_label_map(direction, "direction")
+            direction = _parse_label_map(direction, "direction", n_parties)
             if min(direction.values()) < 0:
                 raise ConfigError("direction weights must be nonnegative")
             if abs(sum(direction.values()) - 1.0) > TRACE_TOL:
@@ -282,7 +279,8 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
         else:
             if "angles" in config:
                 raise ConfigError(f"{kind} hunts draw their subspaces from the seed; drop angles")
-            config["subspace_dim"] = _parse_int(rest.pop("subspace_dim", None), "subspace_dim", 1, math.prod(_DIMS))
+            dim_max = math.prod(_THREE_QUBITS)
+            config["subspace_dim"] = _parse_int(rest.pop("subspace_dim", None), "subspace_dim", 1, dim_max)
             config["samples"] = _parse_int(rest.pop("samples", None), "samples", 1, MAX_COUNT)
 
     if rest:
@@ -290,7 +288,7 @@ def parse_config(raw: dict[str, Any]) -> dict[str, Any]:
     return config
 
 
-def _parse_noise(raw: Any) -> dict[str, Any]:
+def _parse_noise(raw: Any, n_parties: int) -> dict[str, Any]:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError('noise must be an object with a "kind" field')
     kind = raw["kind"]
@@ -299,11 +297,11 @@ def _parse_noise(raw: Any) -> dict[str, Any]:
     fields, _ = _NOISE_KINDS[kind]
     if set(raw) != {"kind", *fields}:
         raise ConfigError(f"{kind} noise takes exactly the fields {sorted({'kind', *fields})}")
-    return {"kind": kind, **{name: parse(raw[name]) for name, parse in fields.items()}}
+    return {"kind": kind, **{name: parse(raw[name], n_parties) for name, parse in fields.items()}}
 
 
-def _parse_local_coefficients(raw: Any) -> dict[str, float]:
-    coeffs = _parse_label_map(raw, "noise coefficients")
+def _parse_local_coefficients(raw: Any, n_parties: int) -> dict[str, float]:
+    coeffs = _parse_label_map(raw, "noise coefficients", n_parties)
     total = sum(coeffs.values())
     if not 0 < total < math.inf:
         raise ConfigError(f"noise coefficients must have positive total weight, got {total}")
@@ -322,11 +320,11 @@ def _local_noise(config: dict[str, Any], dims: tuple[int, ...]) -> list[tuple[st
         raise ConfigError(f"local noise operator is not a state: {exc}") from exc
 
 
-# noise kind -> (its config fields besides "kind", each with its parser; the named noise states of (config, dims))
+# noise kind -> (its fields besides "kind", each with its (raw, n_parties) parser; its named states of (config, dims))
 _NOISE_KINDS = {
     "white": ({}, lambda config, dims: [("white", _white_noise(dims))]),
     "npt_projector": ({}, lambda config, dims: [("npt_projector", entangled_pair_noise())]),
-    "random": ({"count": lambda raw: _parse_int(raw, "noise count", 1, MAX_COUNT)}, _random_noise),
+    "random": ({"count": lambda raw, n_parties: _parse_int(raw, "noise count", 1, MAX_COUNT)}, _random_noise),
     "local": ({"coefficients": _parse_local_coefficients}, _local_noise),
 }
 
@@ -441,16 +439,16 @@ def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
         results.append(upb_complement_hunt(u, config["restarts"], [config["seed"], 0]))
         dim = len(u.vectors) - u.size
     else:
-        dim, total = config["subspace_dim"], math.prod(_DIMS)
+        dim, total = config["subspace_dim"], math.prod(_THREE_QUBITS)
         for s in range(config["samples"]):
             rng = np.random.default_rng([config["seed"], s])
             if config["subspace_kind"] == "planted":
-                vecs = [expand_locals(random_product_vector(_DIMS, rng)) for _ in range(dim)]
+                vecs = [expand_locals(random_product_vector(_THREE_QUBITS, rng)) for _ in range(dim)]
             else:
                 raw = rng.standard_normal((total, dim)) + 1j * rng.standard_normal((total, dim))
                 vecs = [raw[:, k] for k in range(dim)]
             projector = linalg.span_projector(vecs)
-            results.append(subspace_product_hunt(projector, _DIMS, config["restarts"], [config["seed"], s]))
+            results.append(subspace_product_hunt(projector, _THREE_QUBITS, config["restarts"], [config["seed"], s]))
 
     sample_rows = []
     histogram: dict[int, int] = {}

@@ -89,6 +89,9 @@ class UnextendibilityCertificate:
     A measurement, not a verdict: ``partition_margin`` decides unextendibility,
     and the overlap sets the witness's floor (``witness.build_upb_witness``).
     ``best_product_vector`` attains it: one read-only ``(d_k,)`` local vector per party.
+    The seesaw stops once a sweep gains less than ``SEESAW_IMPROVEMENT_TOL``, and
+    near a maximum the objective is flat to second order, so ``max_overlap`` is
+    fixed to about 1e-12 but the vector only to about its square root, 1e-6.
     """
 
     max_overlap: float
@@ -287,10 +290,7 @@ def _bloch_jump(op: np.ndarray, s: np.ndarray, s_prev: np.ndarray, objective: np
     r = cand[..., 1:]
     with np.errstate(invalid="ignore"):
         r /= np.sqrt(np.vecdot(r, r))[..., None]
-    w = cand[0]
-    for c in cand[1:-1]:
-        w = (w[:, :, None] * c[:, None, :]).reshape(len(c), -1)
-    value = np.vecdot(np.dot(w, op), cand[-1])
+    value = np.vecdot(np.dot(expand_locals(cand[:-1]), op), cand[-1])
     take = value > objective
     np.copyto(s, cand, where=take[:, None])
     np.copyto(objective, value, where=take)

@@ -152,6 +152,10 @@ REJECTED = [
           "noise coefficients keys '0,0,0' and ' 0,0,0' both name the label '0,0,0'"),
     named("raw40", {**RADIUS, "direction": {"0,phi1,1": 0.5, "0, phi1, 1": 0.5}},
           "direction keys '0,phi1,1' and '0, phi1, 1' both name the label '0,phi1,1'"),
+    # label keys and cut indices are bounded by the party count of the angles
+    named("raw42", {**RADIUS, "direction": {"0,1": 1.0}}, r"^bad label key '0,1': expected 3 labels, got 2$"),
+    named("raw43", local_noise({"0,0,0,0": 1.0}), "expected 3 labels, got 4$"),
+    named("raw44", {**SCAN, "cut": [3]}, r"cut index must be an integer in \[0, 2\], got 3"),
 ]
 
 
@@ -403,11 +407,6 @@ class TestCommands:
         assert np.max(np.abs(spectrum - np.array([0] * 4 + [0.25] * 4))) < 1e-10
         assert [row["ppt"] for row in payload["ppt"]] == [True, True, True]
         assert len(payload["members"]) == 4
-
-    def test_build_spectrum_is_angle_independent(self):
-        other = run_command(parse_config(make_config(angles=[0.3, 0.7, 1.1])))
-        spectrum = np.array(other.payload["spectrum"])
-        assert np.max(np.abs(spectrum - np.array([0] * 4 + [0.25] * 4))) < 1e-10
 
     def test_certify_payload_values(self):
         report = run_command(parse_config(dict(ALL_COMMAND_CONFIGS["certify"])))

@@ -1,9 +1,11 @@
 """Every sample config in scripts/configs reproduces its committed report payload.
 
 Integers, strings, booleans and nulls must match exactly and lists must keep
-their lengths; floats must agree to ``FLOAT_TOL``.  The local vectors of a
-product vector are eigenvectors, whose phase is the eigensolver's choice, so
-each one is compared up to a global phase.
+their lengths; floats must agree to ``FLOAT_TOL``.  A product vector's local
+vectors are compared by ``|<old|new>|``, one per party: the certificate fixes
+``max_overlap`` to about 1e-12, but ``best_product_vector`` only to about
+``sqrt(SEESAW_IMPROVEMENT_TOL)``, about 1e-6, where the objective is flat to
+second order, and ``|<old|new>|`` moves by the square of such a change.
 
 A stable payload can still be wrong, so every committed report whose command
 the benchmark's checker (``perfbench/checks.py``, numpy apart from upbkit)

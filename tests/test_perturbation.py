@@ -53,12 +53,6 @@ class TestPerturbLocal:
         out = perturb_local(pi4_state, coefficients)
         assert np.max(np.abs(out.matrix - pi4_state.matrix)) < 1e-15
 
-    def test_uniform_local_noise_stays_ppt(self, pi4_state):
-        coefficients = {mu: 1e-3 for mu in basis_labels(3)}
-        out = perturb_local(pi4_state, coefficients)
-        for verdict in is_ppt_all_cuts(out).values():
-            assert verdict.ppt
-
     def test_single_projector_grows_rank_by_one(self, pi4_state):
         coefficients = {("0", "0", "0"): 1e-3}
         out = perturb_local(pi4_state, coefficients)
@@ -220,18 +214,6 @@ class TestKernelCompression:
         # a Hermitian compression vanishes iff all its eigenvalues do
         lam = scan_one(pi4_state, pi4_upb).compression_eigenvalues[0]
         assert np.max(np.abs(lam)) < 1e-14
-
-
-class TestFirstOrderPrediction:
-    def test_white_noise_scaling(self, pi4_upb):
-        scan = scan_one(maximally_mixed(), pi4_upb)
-        pred = 0.01 * scan.compression_eigenvalues[0]
-        assert np.max(np.abs(pred - 0.00125)) < 1e-12
-        assert scan.predicted_min[0, 0] == pred[0]
-
-    def test_epsilon_guard(self, pi4_upb):
-        with pytest.raises(ValueError):
-            scan_one(maximally_mixed(), pi4_upb, epsilons=(0.2,))
 
 
 class TestClassification:
