@@ -180,6 +180,8 @@ def _parse_label_map(raw: Any, name: str, n_parties: int) -> dict[str, float]:
     weights: dict[str, float] = {}
     spelled: dict[str, str] = {}  # canonical key -> the raw key that named it
     for k, v in raw.items():
+        if not isinstance(k, str):
+            raise ConfigError(f"bad label key {k!r}: must be a string")
         try:
             mu = validate_labels(tuple(part.strip() for part in k.split(",")))
         except ValueError as exc:

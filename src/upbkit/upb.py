@@ -26,17 +26,17 @@ where ``partition_margin``, closed form for qubit sets of m = n + 1 members,
 exceeds ``linalg.DEFAULT_TOL``.  The seesaw is a measurement, not a verdict:
 a multi-start alternating maximization of <phi|Q|phi> over product vectors,
 Q the complementary projector.  Each local update maximizes exactly over one
-party, and the one jump a qubit call may take is kept only where it raises
-the objective, so the objective never decreases; the best value over all
+party, and the jumps a qubit call takes are kept only where they raise the
+objective, so the objective never decreases; the best value over all
 restarts is the certificate's overlap, a lower bound on the true maximum,
 from which the witness takes its floor.  Qubit updates are closed form: with
 Bloch vectors, |<a|m>|^2 = (1 + r_a . r_m)/2 makes the objective
 multilinear, g_0 + g . r_k in party k, maximal at r_k = g/|g|, and the
-restarts start from Bloch vectors drawn directly.  A qubit call still
-running after sweep ``JUMP_SWEEP`` moves each restart once along its last
-sweep's drift, scaled by ``JUMP_FACTOR``, where that is higher: restarts
-parked on a slow ridge of the objective leave it in one step.  Other local
-dims take the top eigenvector of the party's local operator.
+restarts start from Bloch vectors drawn directly.  After every
+``JUMP_SWEEP``-th sweep a qubit call still running moves each restart along
+its last move where that is higher: by Aitken's step where its gain at least
+halved, and by ``JUMP_FACTOR`` where it drifts along a slow ridge.  Other
+local dims take the top eigenvector of the party's local operator.
 
 Product hunting takes a projector, as the certificate does, and searches its
 range, whose complement it computes once.  Each path returns candidate kets,
@@ -72,8 +72,9 @@ from .states import TRACE_TOL, DensityMatrix, _read_only, expand_locals
 
 SEESAW_IMPROVEMENT_TOL = 1e-12   # a call stops after a sweep where no restart gains this; a larger drop is a guard trip
 SEESAW_MAX_SWEEPS = 500          # a call stops after this many sweeps
-JUMP_SWEEP = 10                  # a qubit call still running after its JUMP_SWEEP-th sweep jumps each restart once
-JUMP_FACTOR = 16                 # the jump's step, in multiples of that sweep's move
+JUMP_SWEEP = 10                  # a qubit call still running after every JUMP_SWEEP-th sweep jumps each restart
+JUMP_RATIO = 0.5                 # a restart whose gain ratio over the last two sweeps is below this takes Aitken's step
+JUMP_FACTOR = 16                 # every other restart's step, in multiples of that sweep's move
 DEFAULT_RESTARTS = 64            # seesaw restarts when the caller names none
 DISTINCT_FIDELITY_TOL = 1e-6     # hits with fidelity > 1 - tol are the same solution
 # max |PP - P| of a projector, and max |<i|j>| of distinct members: they are orthonormal iff V V^H is idempotent
@@ -272,23 +273,31 @@ def _bloch_update(
     np.add(g_0, norm, out=out)
 
 
-def _bloch_jump(op: np.ndarray, s: np.ndarray, s_prev: np.ndarray, objective: np.ndarray) -> None:
-    """Move each restart's ``(n, R, 4)`` Bloch rows ``s`` once along their drift, where that raises its objective.
+def _bloch_jump(
+    op: np.ndarray, s: np.ndarray, s_prev: np.ndarray, objective: np.ndarray, gain: np.ndarray, prev_gain: np.ndarray,
+) -> None:
+    """Move each restart's ``(n, R, 4)`` Bloch rows ``s`` once along their last move, where that raises its objective.
 
-    The candidate is ``s + JUMP_FACTOR * (s - s_prev)``, built in ``s_prev``,
-    with its Bloch parts renormalized; column 0 stays 1, as it is 1 in both
-    rows.  Its objective is the last party's slice ``op`` contracted with
-    every party's candidate row, and a restart takes its candidate's rows and
-    objective, in place, only where that objective is strictly higher than
-    its own in ``objective``.  A zero Bloch part renormalizes to NaN, and a
-    NaN objective, the candidate's or the restart's own, is never higher, so
-    neither is taken.
+    A restart whose last two gains give ``q = gain / prev_gain < JUMP_RATIO``
+    converges linearly, its moves shrinking by ``lam = sqrt(q)`` a sweep, and
+    steps by Aitken's ``lam / (1 - lam)``, the rest of that geometric series;
+    any other, a NaN or infinite ``q`` included, by ``JUMP_FACTOR``.  The
+    candidate ``s + step * (s - s_prev)``, built in ``s_prev``, has its Bloch
+    parts renormalized (column 0 is 1 in both rows).  Its objective is the
+    last party's slice ``op`` contracted with every party's candidate row,
+    and a restart takes its candidate's rows and objective, in place, only
+    where that objective is strictly higher than its own in ``objective``.
+    A zero Bloch part or a negative ``q`` gives a NaN candidate, and a NaN
+    objective, the candidate's or the restart's own, is never higher.
     """
-    cand = np.subtract(s, s_prev, out=s_prev)
-    cand *= JUMP_FACTOR
-    cand += s
-    r = cand[..., 1:]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = gain / prev_gain
+        lam = np.sqrt(q)
+        step = np.where(q < JUMP_RATIO, lam / (1 - lam), JUMP_FACTOR)
+        cand = np.subtract(s, s_prev, out=s_prev)
+        cand *= step[:, None]
+        cand += s
+        r = cand[..., 1:]
         r /= np.sqrt(np.vecdot(r, r))[..., None]
     value = np.vecdot(np.dot(expand_locals(cand[:-1]), op), cand[-1])
     take = value > objective
@@ -406,21 +415,21 @@ def _seesaw(
     stops the call nor prolongs it; every restart NaN stops it), or after
     ``SEESAW_MAX_SWEEPS``.
 
-    A qubit call still running after its ``JUMP_SWEEP``-th sweep jumps once:
-    a restart parked on a slow ridge moves along it by about the same step
-    each sweep, and ``_bloch_jump`` tries ``JUMP_FACTOR`` such steps at once,
-    from the rows the restarts had at the start of that sweep.  A restart
-    takes its jump only where the objective is strictly higher there, and
-    the next sweep starts from that objective, so every restart stays
-    monotone and the drop guard, the stop rule and the tie rule of
-    ``seesaw_max_product_overlap`` read it as they read a sweep.
+    A qubit call still running after every ``JUMP_SWEEP``-th sweep jumps
+    from the rows the restarts had at the start of that sweep, each restart
+    by a step read from its last two gains (``_bloch_jump``): Aitken's where
+    it converges linearly, ``JUMP_FACTOR`` where it drifts along a slow
+    ridge.  A restart takes its jump only where the objective is strictly
+    higher there, and the next sweep starts from that objective, so every
+    restart stays monotone and the drop guard, the stop rule and the tie
+    rule of ``seesaw_max_product_overlap`` read it as they read a sweep.
 
-    Restart r's start is a function of ``(seed, r)`` alone.  Its jump is a
-    function of its own rows, and of whether its call still runs after
-    sweep ``JUMP_SWEEP``, and its end depends on how many sweeps the call
-    runs: with more restarts beside it, it runs at least as many monotone
-    sweeps, so its objective can only rise, up to the last-digit rounding of
-    a converged restart.
+    Restart r's start is a function of ``(seed, r)`` alone.  Its jumps are a
+    function of its own rows and last two gains, and of whether its call
+    still runs at each multiple of ``JUMP_SWEEP``, and its end depends on
+    how many sweeps the call runs: with more restarts beside it, it runs at
+    least as many monotone sweeps, so its objective can only rise, up to the
+    last-digit rounding of a converged restart.
 
     Returns the final objective of every restart and the per-party local
     kets.  Raises ValueError for fewer than two parties, where there is
@@ -450,7 +459,8 @@ def _seesaw(
     # row 0 of values is the objective at the start of a sweep, row k + 1 the maximum of party k's update in it
     values = np.full((n + 1, restarts), -np.inf)
     start, objective, head, tail = values[0], values[n], values[:-1], values[1:]
-    drop, gain = np.empty((n, restarts)), np.empty(restarts)
+    # the gain before the first sweep is infinite, as the first sweep's is
+    drop, gain = np.empty((n, restarts)), np.full(restarts, np.inf)
     # party k's products (a, b, into), each np.multiply(a, b, out=into), then its update's arguments
     parties = []
     for k, (first, *rest) in enumerate(others):
@@ -462,9 +472,9 @@ def _seesaw(
         parties.append((products, (ops[k], w, targets[k], values[k + 1], *scratch)))
     for sweep in range(SEESAW_MAX_SWEEPS):
         start[...] = objective
-        jump = bloch and sweep + 1 == JUMP_SWEEP
+        jump = bloch and (sweep + 1) % JUMP_SWEEP == 0
         if jump:
-            before = states.copy()
+            before, prev_gain = states.copy(), gain.copy()
         for products, args in parties:
             for a, b, into in products:
                 np.multiply(a, b, out=into)
@@ -482,7 +492,7 @@ def _seesaw(
         if not np.fmax.reduce(np.subtract(objective, start, out=gain)) >= SEESAW_IMPROVEMENT_TOL:
             break
         if jump:
-            _bloch_jump(ops[-1], states, before, objective)
+            _bloch_jump(ops[-1], states, before, objective, gain, prev_gain)
     return objective, list(_bloch_to_ket(states) if bloch else states)
 
 

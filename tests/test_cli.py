@@ -156,6 +156,9 @@ REJECTED = [
     named("raw42", {**RADIUS, "direction": {"0,1": 1.0}}, r"^bad label key '0,1': expected 3 labels, got 2$"),
     named("raw43", local_noise({"0,0,0,0": 1.0}), "expected 3 labels, got 4$"),
     named("raw44", {**SCAN, "cut": [3]}, r"cut index must be an integer in \[0, 2\], got 3"),
+    # a dict config, unlike one read from JSON, may have keys that are not strings
+    named("raw45", {**RADIUS, "direction": {1: 1.0}}, "^bad label key 1: must be a string$"),
+    named("raw46", local_noise({("0", "0", "0"): 1.0}), r"^bad label key \('0', '0', '0'\): must be a string$"),
 ]
 
 

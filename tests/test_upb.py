@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import itertools
+import math
 import pkgutil
 import subprocess
 import sys
@@ -38,6 +39,10 @@ PI4_MAX_OVERLAP = 0.9185586535436877
 # drift along it: without the jump its 12-restart seesaw runs 38 sweeps
 PARKED_ANGLES = (0.6890486225480863, 0.6890486225480863, 0.8817477042468105)
 PARKED_SEED = 4699270066518164142
+# A certify job of the seed-1 benchmark whose restarts converge linearly, each sweep gaining about a third of the last:
+# with one fixed-step jump its 12-restart seesaw runs 14 sweeps, and no restart takes that jump
+LINEAR_ANGLES = (0.8817477042468105, 0.8817477042468105, 1.0744467859455344)
+LINEAR_SEED = 7613781214818516770
 
 
 def random_params(rng):
@@ -98,9 +103,9 @@ def jumps_taken(monkeypatch) -> list:
     taken = []
     real = upb._bloch_jump
 
-    def recorded(op, s, s_prev, objective):
+    def recorded(op, s, s_prev, objective, *gains):
         before = objective.copy()
-        real(op, s, s_prev, objective)
+        real(op, s, s_prev, objective, *gains)
         taken.append(np.flatnonzero(objective > before))
 
     monkeypatch.setattr(upb, "_bloch_jump", recorded)
@@ -159,11 +164,20 @@ def reference_bloch_start(draws):
     return q / q[:, :1]
 
 
-def reference_jump(ops, locs, before, value):
-    """Each restart's jump: ``s + JUMP_FACTOR * (s - s_prev)`` renormalized, taken where its objective is higher."""
+def reference_jump(ops, locs, before, value, ratios):
+    """Each restart's jump: ``s + step * (s - s_prev)`` renormalized, taken where its objective is higher.
+
+    A restart whose gain ratio ``q`` is below ``JUMP_RATIO`` steps by
+    ``lam / (1 - lam)``, ``lam = sqrt(q)`` (NaN for a negative ``q``), and
+    every other restart by ``JUMP_FACTOR``.
+    """
+    steps = []
+    for q in ratios.tolist():
+        lam = math.sqrt(q) if q >= 0 else math.nan
+        steps.append(lam / (1 - lam) if q < upb.JUMP_RATIO else upb.JUMP_FACTOR)
     cands = []
     for s, prev in zip(locs, before):
-        c = upb.JUMP_FACTOR * (s - prev) + s
+        c = np.array(steps)[:, None] * (s - prev) + s
         with np.errstate(invalid="ignore"):
             c[:, 1:] /= np.sqrt(np.vecdot(c[:, 1:], c[:, 1:]))[:, None]
         cands.append(c)
@@ -180,7 +194,8 @@ def reference_seesaw(proj, dims, seed, restarts):
 
     Restart r draws row r of ``start_draws``.  Qubit parties turn their
     draws into Bloch rows on their own and back into kets at the end, and
-    after sweep ``JUMP_SWEEP`` every restart tries its jump; the objective
+    after every ``JUMP_SWEEP``-th sweep every restart tries its jump, its
+    step read from its last two gains; the objective
     is checked after every local update, and every restart sweeps until a
     sweep in which none gains the tolerance (a NaN gain counts for none).
     The Pauli slices, the conversions, the jump and the updates are this
@@ -206,9 +221,9 @@ def reference_seesaw(proj, dims, seed, restarts):
             axes = [n + j for j in others] + [k, n + k] + others
             ops.append(p_tensor.transpose(axes).reshape(int(np.prod(dims)) // dims[k], -1))
         update = reference_eigh_update
-    objective = np.full(restarts, -np.inf)
+    objective, gain = np.full(restarts, -np.inf), np.full(restarts, np.inf)
     for sweep in range(upb.SEESAW_MAX_SWEEPS):
-        value, before = objective, list(locs)
+        value, before, prev_gain = objective, list(locs), gain
         for k in range(n):
             w, *rest = locs[:k] + locs[k + 1:]
             for v in rest:
@@ -216,12 +231,13 @@ def reference_seesaw(proj, dims, seed, restarts):
             vals, locs[k] = update(ops[k], w, locs[k])
             assert not (value - vals > upb.SEESAW_IMPROVEMENT_TOL).any()
             value = vals
-        gains = [g for g in value - objective if not np.isnan(g)]
-        objective = value
-        if not any(g >= upb.SEESAW_IMPROVEMENT_TOL for g in gains):
+        gain, objective = value - objective, value
+        if not any(g >= upb.SEESAW_IMPROVEMENT_TOL for g in gain if not np.isnan(g)):
             break
-        if bloch and sweep + 1 == upb.JUMP_SWEEP:
-            locs, objective = reference_jump(ops, locs, before, objective)
+        if bloch and (sweep + 1) % upb.JUMP_SWEEP == 0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = gain / prev_gain
+            locs, objective = reference_jump(ops, locs, before, objective, ratios)
     if bloch:
         for k, s in enumerate(locs):
             x, y, z = s[:, 1], s[:, 2], s[:, 3]
@@ -551,8 +567,9 @@ class TestSeesaw:
     def test_equals_the_one_update_at_a_time_reference(self, monkeypatch):
         # two, three and four parties on the Bloch path, and qudits, where with two
         # parties the other party's state is the matmul operand itself; a cap of two
-        # sweeps stops restarts that are still improving.  The parked family is last,
-        # and restarts of its calls take their jump
+        # sweeps stops restarts that are still improving.  The parked family is last;
+        # restarts of every Bloch call of three or more parties take jumps, the
+        # four-party call's at several multiples of JUMP_SWEEP
         inputs = [(2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3), (3, 2), (2, 3, 2)]
         cases = [(dims, random_projector(dims, int(np.prod(dims)) // 2, case), case) for case, dims in enumerate(inputs)]
         cases.append(((2, 2, 2), shifts_family(PARKED_ANGLES).complement_projector, PARKED_SEED))
@@ -567,7 +584,7 @@ class TestSeesaw:
                     assert np.array_equal(objective, ref_objective)
                     for v, ref in zip(locs, ref_locs, strict=True):
                         assert np.array_equal(v, ref)
-                assert any(t.size for t in taken) == (case == PARKED_SEED and sweeps > 2)
+                assert any(t.size for t in taken) == (dims in ((2, 2, 2), (2, 2, 2, 2)) and sweeps > 2)
 
     def test_bloch_update_keeps_the_rows_where_g_vanishes(self):
         # with op the identity g is w itself: restart 1's g has no Bloch part and restart 2's is NaN, so the
@@ -670,7 +687,7 @@ class TestSeesaw:
         calls = count_local_updates(monkeypatch)
         objective, _ = _seesaw(np.full((8, 8), np.nan), (2, 2, 2), 0, 3)
         assert np.isnan(objective).all() and len(calls) == 3
-        real, proj, ends = upb._bloch_update, random_projector((2, 2, 2), 4, 1), []
+        real, proj, ends = upb._bloch_update, random_projector((2, 2, 2), 4, 5), []
 
         def recorded(*args):
             real(*args)
@@ -718,7 +735,8 @@ class TestSeesaw:
         # no restart retires before the call stops: every local update, Bloch or eigensolver, is handed all R
         # rows, so restarts 0-3 of a 16-restart call run at least the sweeps of a 4-restart call and end at or
         # above their objectives there (within 1e-15: a converged restart's last digit moves with rounding).
-        # On the parked family restarts 2 and 3 take their jump in both calls, which keeps them monotone
+        # On the parked family restarts 0-3 take the first jump in both calls and 2 and 3 the second, which keeps
+        # them monotone
         rows = []
         for name in ("_bloch_update", "_eigh_update"):
             def recorded(op, w, state, out, *buffers, real=getattr(upb, name)):
@@ -736,32 +754,58 @@ class TestSeesaw:
                 objectives[restarts], _ = _seesaw(proj, dims, [5, 1], restarts)
                 assert len(rows) > len(dims) and all(r == {restarts} for r in rows)
             assert (objectives[16][:4] >= objectives[4] - 1e-15).all()
-        assert [t[t < 4].tolist() for t in taken[-2:]] == [[2, 3], [2, 3]]
+        assert [t[t < 4].tolist() for t in taken[-4:]] == [[0, 1, 2, 3], [2, 3]] * 2
 
     def test_parked_restarts_jump_off_their_ridge(self, monkeypatch):
-        # one jump along the drift takes the parked restarts off the ridge: at most 30 sweeps, and the certificate
-        # is the 256-restart one
+        # jumps along the drift take the parked restarts off the ridge: at most 27 sweeps, the first jump taken, and
+        # the certificate is the 256-restart one
         u = shifts_family(PARKED_ANGLES)
         calls, taken = count_local_updates(monkeypatch), jumps_taken(monkeypatch)
         cert = certify_unextendible(u, restarts=12, seed=PARKED_SEED)
-        assert len(calls) <= 3 * 30 and len(taken) == 1 and taken[0].size
+        assert len(calls) <= 3 * 27 and len(taken) == 2 and taken[0].size
+        ref = certify_unextendible(u, restarts=CERT_RESTARTS, seed=CERT_SEED)
+        assert abs(cert.max_overlap - ref.max_overlap) <= 1e-12
+
+    def test_linear_restarts_take_aitkens_step(self, monkeypatch):
+        # restarts whose gain shrinks by a constant ratio below JUMP_RATIO take Aitken's step at sweep 10, and the
+        # call stops within 11 sweeps (14, with no restart jumping, under one JUMP_FACTOR step); the certificate is
+        # the 256-restart one
+        u = shifts_family(LINEAR_ANGLES)
+        calls, ratios = count_local_updates(monkeypatch), []
+        real = upb._bloch_jump
+
+        def recorded(op, s, s_prev, objective, gain, prev_gain):
+            before = objective.copy()
+            real(op, s, s_prev, objective, gain, prev_gain)
+            ratios.append((gain / prev_gain)[objective > before])
+
+        monkeypatch.setattr(upb, "_bloch_jump", recorded)
+        cert = certify_unextendible(u, restarts=12, seed=LINEAR_SEED)
+        assert len(calls) <= 3 * 11 and len(ratios) == 1 and ratios[0].size
+        assert (ratios[0] < upb.JUMP_RATIO).all()
         ref = certify_unextendible(u, restarts=CERT_RESTARTS, seed=CERT_SEED)
         assert abs(cert.max_overlap - ref.max_overlap) <= 1e-12
 
     def test_zero_and_nan_candidates_are_never_taken(self, monkeypatch):
         # a factor of -1 makes the candidate the rows at the start of the jump's sweep; with their Bloch parts zeroed
-        # it is a zero candidate, which renormalizes to NaN without a warning, and with NaN rows a NaN one. Neither
-        # is taken, so the call ends as it does with no jump, though restarts 2 and 3 take a plain jump
+        # it is a zero candidate, which renormalizes to NaN without a warning, and with NaN rows a NaN one. A zero
+        # prev_gain makes every ratio infinite or NaN, so every restart takes that factor; a negative gain makes the
+        # ratio negative, below JUMP_RATIO, and Aitken's step NaN.  No candidate is taken, so the call ends as it
+        # does with no jump, 38 sweeps and jumps at sweeps 10, 20 and 30, though restarts 0-3 take the first real jump
         proj = shifts_family(PARKED_ANGLES).complement_projector
-        monkeypatch.setattr(upb, "JUMP_SWEEP", 0)
+        calls = count_local_updates(monkeypatch)
+        monkeypatch.setattr(upb, "JUMP_SWEEP", upb.SEESAW_MAX_SWEEPS + 1)
         plain_objective, plain_locs = _seesaw(proj, (2, 2, 2), [5, 1], 4)
         monkeypatch.undo()
+        assert (len(calls) // 3 - 1) // upb.JUMP_SWEEP == 3
         real = upb._bloch_jump
-        for part, spoiled in ((np.s_[..., 1:], 0.0), (np.s_[...], np.nan)):
-            def spoil(op, s, s_prev, objective, part=part, spoiled=spoiled):
+        # rows spoiled, then the gain and prev_gain every restart is handed (np.s_[:0] spoils no row)
+        for part, spoiled, gains in ((np.s_[..., 1:], 0.0, (1.0, 0.0)), (np.s_[...], np.nan, (0.0, 0.0)),
+                                     (np.s_[:0], 0.0, (-1.0, 1.0))):
+            def spoil(op, s, s_prev, objective, gain, prev_gain, part=part, spoiled=spoiled, gains=gains):
                 s_prev[part] = spoiled
                 kept = s.copy(), objective.copy()
-                real(op, s, s_prev, objective)
+                real(op, s, s_prev, objective, *(np.full_like(gain, g) for g in gains))
                 assert np.array_equal(s, kept[0]) and np.array_equal(objective, kept[1])
                 jumps.append(None)
 
@@ -769,7 +813,7 @@ class TestSeesaw:
             monkeypatch.setattr(upb, "JUMP_FACTOR", -1)
             monkeypatch.setattr(upb, "_bloch_jump", spoil)
             objective, locs = _seesaw(proj, (2, 2, 2), [5, 1], 4)
-            assert len(jumps) == 1 and np.array_equal(objective, plain_objective)
+            assert len(jumps) == 3 and np.array_equal(objective, plain_objective)
             for v, ref in zip(locs, plain_locs, strict=True):
                 assert np.array_equal(v, ref)
 
