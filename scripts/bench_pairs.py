@@ -20,9 +20,10 @@ between their quartiles over their median), the metric's bound and a verdict,
 then each side's ``correct``, ``failed`` and ``attempted``.  The verdict
 reads lower as better, as every end-to-end metric of ``BENCHMARK.json`` does:
 
-- ``gain``: the change read lower in at least 9/10 of the pairs, and its
-  median is lower than the parent's by more than the distance between the
-  parent's quartiles;
+- ``gain``: at least ten pairs ran, the change read lower in at least 9/10
+  of them, and its median is lower than the parent's by more than the
+  distance between the parent's quartiles.  Fewer pairs never read ``gain``:
+  four pairs of the same code on both sides can read lower in every pair;
 - ``regression``: the change's median is higher than the parent's by more
   than the metric's bound;
 - ``within``: anything else.
@@ -78,12 +79,13 @@ def run_once(tree: pathlib.Path, command: list, workload: str, seed: int, second
 
 
 GAIN_SHARE = 0.9  # a gain reads lower in at least this share of the pairs
+GAIN_MIN_PAIRS = 10  # and from at least this many pairs
 
 
 def verdict(change_lower: int, pairs: int, parent_median: float, change_median: float, parent_iqr: float,
             bound: float) -> str:
     """``gain``, ``regression`` or ``within`` by the rule of the module docstring; ``bound`` is relative."""
-    if change_lower >= GAIN_SHARE * pairs and parent_median - change_median > parent_iqr:
+    if pairs >= GAIN_MIN_PAIRS and change_lower >= GAIN_SHARE * pairs and parent_median - change_median > parent_iqr:
         return "gain"
     if change_median > parent_median * (1 + bound):
         return "regression"

@@ -60,8 +60,10 @@ that no config asks a command for unbounded work or memory: the largest
 (S, E, 8, 8) stack of mixtures perturb-scan forms, S noise states by E grid
 values, is (1024, 1024, 8, 8), 1 GiB of complex128.
 
-Numbers must be JSON numbers: a bool or a string is rejected wherever a number
-is expected, and integer fields and cut indices take integers only.
+A key appears once in each JSON object of a config file: ``main`` rejects a
+repeated key, whose last value ``json`` would keep, and a file nested too deeply
+to read.  Numbers must be JSON numbers: a bool or a string is rejected wherever
+a number is expected, and integer fields and cut indices take integers only.
 ``parse_config`` returns the validated config as JSON data, with defaults
 filled in and label keys in their canonical ``"0,phi1,1"`` spelling.  The
 report echoes it verbatim, and it parses back to itself.
@@ -77,6 +79,7 @@ error raises.  No command reaches the library's ``PositivityError``;
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
@@ -452,18 +455,9 @@ def cmd_subspace_hunt(config: dict[str, Any]) -> dict[str, Any]:
             projector = linalg.span_projector(vecs)
             results.append(subspace_product_hunt(projector, _THREE_QUBITS, config["restarts"], [config["seed"], s]))
 
-    sample_rows = []
-    histogram: dict[int, int] = {}
-    for index, result in enumerate(results):
-        histogram[result.distinct_count] = histogram.get(result.distinct_count, 0) + 1
-        sample_rows.append(
-            {
-                "index": index,
-                "distinct_count": result.distinct_count,
-                "rank": result.rank,
-                "overlaps": [float(x) for x in result.overlaps],
-            }
-        )
+    sample_rows = [{"index": index, "distinct_count": result.distinct_count, "rank": result.rank,
+                    "overlaps": list(result.overlaps)} for index, result in enumerate(results)]
+    histogram = collections.Counter(result.distinct_count for result in results)
     return {
         "kind": config["subspace_kind"],
         "dim": dim,
@@ -531,6 +525,16 @@ def run_command(config: dict[str, Any]) -> Report:
 # entry point
 # --------------------------------------------------------------------------
 
+def _json_object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object of the config file; ValueError on a repeated key, whose last value json would keep."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def _invalid_config(exc: Exception) -> int:
     print(f"invalid config: {exc}", file=sys.stderr)
     return 1
@@ -551,8 +555,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:  # json.load raises plain ValueErrors too
+            raw = json.load(fh, object_pairs_hook=_json_object)
+    except (OSError, RecursionError, ValueError) as exc:  # json.load raises plain ValueErrors too
         return _invalid_config(exc)
     try:
         text = run_command(parse_config(raw)).render()

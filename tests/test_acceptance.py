@@ -244,9 +244,13 @@ def test_11_cli_determinism(tmp_path):
         first = run_command(config)
         second = run_command(config)
         assert dumps_canonical(first.payload) == dumps_canonical(second.payload), name
-        validate_report(json.loads(first.render()))
+        # the rendered report reads back as its parts, and its config echo parses back to the config
+        report = json.loads(first.render())
+        assert report == {"config": first.config, "payload": first.payload, "meta": first.meta}, name
+        validate_report(report)
+        assert parse_config(report["config"]) == config, name
 
-    # end-to-end: two fresh processes produce byte-identical payloads
+    # end-to-end: two fresh processes print byte-identical payload text
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(ALL_COMMAND_CONFIGS["certify"]))
     runs = [
@@ -256,9 +260,13 @@ def test_11_cli_determinism(tmp_path):
         )
         for _ in range(2)
     ]
+    for r in runs:
+        validate_report(json.loads(r.stdout))
     payloads = [
         dumps_canonical(json.loads(r.stdout)["payload"]).encode() for r in runs
     ]
     assert payloads[0] == payloads[1]
+    texts = [r.stdout.split('"payload"')[1].rsplit('"meta"')[0] for r in runs]
+    assert texts[0] == texts[1]
     print("ACCEPTANCE 11 PASS: all six commands re-run byte-identically "
-          "(in-process and across fresh processes)")
+          "(in-process and across fresh processes); reports read back and config echoes parse back")

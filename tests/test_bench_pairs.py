@@ -55,9 +55,12 @@ def test_summary_of_fixed_rows(bench_pairs):
     # the median higher by 30% against the bound's 25%, and by 20%
     ([0.3] * 10, "regression"),
     ([0.2] * 10, "within"),
-], ids=["gain", "within-quartiles", "within-pairs", "regression", "within-bound"])
+    # lower in each of four pairs by far more than the quartile distance, but from fewer than ten pairs
+    ([-0.5] * 4, "within"),
+], ids=["gain", "within-quartiles", "within-pairs", "regression", "within-bound", "within-four-pairs"])
 def test_verdicts_follow_the_claim_rule(bench_pairs, offsets, expected):
-    parent = [0.9, 0.9, 0.95, 0.95, 1.0, 1.0, 1.05, 1.05, 1.1, 1.1]  # median 1.0, quartiles 0.95 and 1.05
+    # the first len(offsets) of ten values of median 1.0 and quartiles 0.95 and 1.05
+    parent = [0.9, 0.9, 0.95, 0.95, 1.0, 1.0, 1.05, 1.05, 1.1, 1.1][:len(offsets)]
     rows = [row("parent", k + 1, v) for k, v in enumerate(parent)]
     rows += [row("change", k + 1, v + d) for k, (v, d) in enumerate(zip(parent, offsets))]
     summary = bench_pairs.summarize(rows, END_TO_END)
