@@ -3,15 +3,18 @@
 
     python scripts/bench_pairs.py [--parent HEAD] [--pairs 10] [--workload noise ...] [--out pairs.jsonl]
 
-The parent side is ``git archive`` of ``--parent`` in a temporary directory;
-the change side is this working tree.  Both run ``BENCHMARK.json``'s
+Both sides run from fresh temporary directories, prepared the same way: the
+parent side is ``git archive`` of ``--parent``, and the change side a copy of
+this working tree's files as they are on disk, those ``git ls-files --cached
+--others --exclude-standard`` lists that exist.  So neither side carries
+what running leaves behind (``.hypothesis/``, ``.pytest_cache/``,
+``perfbench/out/``, ``__pycache__``).  Both run ``BENCHMARK.json``'s
 ``command`` as written (its ``env`` thread variables included) with
 ``--seconds`` set to its ``run_seconds``, one process at a time.  Pair ``i``
 (from 1) runs seed ``i`` on both sides, and the side that runs first
-alternates from pair to pair.  Every ``__pycache__`` under both trees is
-deleted first, and the runs get ``PYTHONDONTWRITEBYTECODE=1``: warm bytecode
-lowers ``setup_s`` and moves ``peak_rss_mb``, so both sides compile their
-sources on every run.
+alternates from pair to pair.  The runs get ``PYTHONDONTWRITEBYTECODE=1``:
+warm bytecode lowers ``setup_s`` and moves ``peak_rss_mb``, so both sides
+compile their sources on every run.
 
 For each workload and end-to-end metric it prints the parent's and the
 change's median, the change in percent, in how many pairs the change read
@@ -29,7 +32,7 @@ reads lower as better, as every end-to-end metric of ``BENCHMARK.json`` does:
 - ``within``: anything else.
 
 Every run's result is written to ``--out`` as one JSON line.  The script
-changes no file of either tree but the benchmark's own ``perfbench/out/``.
+changes no file of the checkout but ``--out``.
 """
 
 import argparse
@@ -61,9 +64,14 @@ def export(commit: str, into: pathlib.Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
 
 
-def drop_bytecode(tree: pathlib.Path) -> None:
-    for cache in tree.rglob("__pycache__"):
-        shutil.rmtree(cache)
+def copy_worktree(into: pathlib.Path) -> None:
+    """Copy the working tree's tracked and untracked files that are not ignored, those that exist, as on disk."""
+    listed = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            capture_output=True, check=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        if (ROOT / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
 
 
 def run_once(tree: pathlib.Path, command: list, workload: str, seed: int, seconds: float) -> dict:
@@ -157,10 +165,11 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     rows = []
     with tempfile.TemporaryDirectory() as tmp, args.out.open("w") as out:
-        trees = {"parent": pathlib.Path(tmp), "change": ROOT}
-        export(args.parent, trees["parent"])
+        trees = {side: pathlib.Path(tmp, side) for side in SIDES}
         for tree in trees.values():
-            drop_bytecode(tree)
+            tree.mkdir()
+        export(args.parent, trees["parent"])
+        copy_worktree(trees["change"])
         for pair in range(1, args.pairs + 1):
             order = SIDES if pair % 2 else SIDES[::-1]
             for workload in workloads:

@@ -86,7 +86,9 @@ def perturb_local(
 
 
 def perturb_mix(rho: DensityMatrix, rho1: DensityMatrix, epsilon: float) -> DensityMatrix:
-    """Convex combination (rho + eps * rho1) / (1 + eps) for a finite eps > 0; positivity is automatic."""
+    """Convex combination (rho + eps * rho1) / (1 + eps) for a finite eps > 0, never a bool; positivity is automatic."""
+    if isinstance(epsilon, (bool, np.bool_)):
+        raise TypeError(f"epsilon must be a number, got the bool {epsilon}")
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     if rho1.local_dims != rho.local_dims:
@@ -152,10 +154,11 @@ def mixing_scan(
     """Classify every noise state and compare the prediction with the exact spectrum on a grid.
 
     Here rho = u.complement_projector / (D - m), rho1_s is noise state s
-    (at least one) and ``cut`` lists the side-a parties.  The kernel basis is
-    built once; the S compressions are symmetrized together and diagonalized
-    in one stacked solve.  A verdict is DEGENERATE when |lam_min| <=
-    ``linalg.DEFAULT_TOL``; the exact column decides those.
+    (at least one), ``epsilons`` holds at least one eps and ``cut`` lists
+    the side-a parties.  The kernel basis is built once; the S compressions
+    are symmetrized together and diagonalized in one stacked solve.  A
+    verdict is DEGENERATE when |lam_min| <= ``linalg.DEFAULT_TOL``; the exact
+    column decides those.
 
     Every partial transpose is taken once, rho's and the S noise states' in
     one stacked call.  The partial transpose is an index permutation, so
@@ -168,6 +171,8 @@ def mixing_scan(
     eps = np.asarray(epsilons, dtype=float)
     if eps.ndim != 1 or not all(0.0 < e <= EPSILON_GUARD for e in eps.tolist()):
         raise ValueError(f"epsilon must lie in (0, {EPSILON_GUARD}]")
+    if not eps.size:
+        raise ValueError("mixing_scan needs at least one epsilon")
     if not noises:
         raise ValueError("mixing_scan needs at least one noise state")
     if any(noise.local_dims != u.local_dims for noise in noises):

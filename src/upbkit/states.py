@@ -66,7 +66,9 @@ def bipartitions(n_parties: int) -> list[tuple[int, ...]]:
 
     Each cut is the sorted tuple of its side-a parties, the side containing
     party 0; cuts are listed by binary counting over the remaining parties.
+    ``n_parties`` is read by ``linalg.as_index``.
     """
+    n_parties = linalg.as_index(n_parties, "n_parties")
     if n_parties < 2:
         raise ValueError("need at least two parties to bipartition")
     rest = list(range(1, n_parties))
@@ -127,8 +129,8 @@ def validate_labels(labels: Sequence[str]) -> tuple[str, ...]:
 
 
 def basis_labels(n_qubits: int) -> list[tuple[str, ...]]:
-    """The 4^n label tuples in lexicographic order over ``LABELS``."""
-    if n_qubits < 1:
+    """The 4^n label tuples in lexicographic order over ``LABELS``; ``n_qubits`` is read by ``linalg.as_index``."""
+    if linalg.as_index(n_qubits, "n_qubits") < 1:
         raise ValueError("need at least one qubit")
     return list(itertools.product(LABELS, repeat=n_qubits))
 

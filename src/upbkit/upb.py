@@ -166,11 +166,13 @@ class UPB:
 
 
 def shifts_angles(angles: Sequence[float]) -> tuple[float, ...]:
-    """``tuple(angles)``; ValueError unless there are three, each strictly inside (0, pi/2)."""
+    """``tuple(angles)``; ValueError unless there are three, each strictly inside (0, pi/2), and TypeError for a bool."""
     angles = tuple(angles)
     if len(angles) != 3:
         raise ValueError(f"the family takes three angles, one per party, got {len(angles)}")
     for name, val in zip("abc", angles):
+        if isinstance(val, (bool, np.bool_)):
+            raise TypeError(f"angle {name} must be a number, got the bool {val}")
         if not 0.0 < val < np.pi / 2:  # written so that a NaN angle fails too
             raise ValueError(f"angle {name}={val} is at or outside (0, pi/2); "
                              "the family degenerates there and the complement acquires product vectors")

@@ -1,3 +1,9 @@
+"""Unit tests of ``perturbation``: local and mixing noise, the kernel product basis and the mixing scan.
+
+Its guards are tested here, each message matched whole, but for the rows of ``tests/test_rejections.py``
+added since: a bool epsilon and an empty or nested epsilon grid.
+"""
+
 import numpy as np
 import pytest
 
@@ -25,6 +31,8 @@ from upbkit.states import expand_locals
 from conftest import kernel_vectors
 
 CUT0 = (0,)
+LABELS = r"\('0', '1', 'phi1', 'phi2'\)"
+NOT_PSD = "perturbed operator is not positive semidefinite: min eigenvalue"
 ALL_CUTS = [(0,), (0, 1), (0, 2)]
 
 
@@ -64,20 +72,16 @@ class TestPerturbLocal:
 
     def test_negative_coefficient_can_violate_positivity(self, pi4_state):
         coefficients = {("phi1", "phi1", "phi1"): -1e-3}
-        with pytest.raises(PositivityError):
+        with pytest.raises(PositivityError, match=rf"^{NOT_PSD} -6\.266e-04$"):
             perturb_local(pi4_state, coefficients)
 
     def test_positivity_bound_is_the_state_bound(self):
         # an eigenvalue DensityMatrix would reject is rejected here too, and one it accepts passes
         rho = upb_state(shifts_family((0.3, 0.7, 1.1)))
-        with pytest.raises(PositivityError, match="eigenvalue -5.0"):
+        with pytest.raises(PositivityError, match=rf"^{NOT_PSD} -5\.000e-10$"):
             perturb_local(rho, {("0", "0", "0"): -5e-10})
         out = perturb_local(rho, {("0", "0", "0"): -5e-11})
         DensityMatrix(out.matrix, out.local_dims)
-
-    def test_nonpositive_total_weight_rejected(self, pi4_state):
-        with pytest.raises(PositivityError, match="trace nonpositive"):
-            perturb_local(pi4_state, {("0", "0", "0"): 0.5, ("1", "1", "1"): -1.5})
 
     def test_weight_above_one_is_admissible(self, pi4_state):
         # renormalizing by 1 + total keeps any nonnegative map a state
@@ -85,17 +89,21 @@ class TestPerturbLocal:
         assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-12
 
+    def test_nonpositive_total_weight_rejected(self, pi4_state):
+        with pytest.raises(PositivityError, match="^total noise weight drives the trace nonpositive$"):
+            perturb_local(pi4_state, {("0", "0", "0"): 0.5, ("1", "1", "1"): -1.5})
+
     def test_label_map_must_match_the_state(self, pi4_state):
-        with pytest.raises(ValueError, match="party structure"):
+        with pytest.raises(ValueError, match="^local noise does not match the state's party structure$"):
             perturb_local(pi4_state, {("0", "1"): 1e-3})
-        with pytest.raises(ValueError, match="one width"):
+        with pytest.raises(ValueError, match=r"^need labels of one width, got widths \[2, 3\]$"):
             perturb_local(pi4_state, {("0", "1"): 1e-3, ("0", "1", "0"): 1e-3})
-        with pytest.raises(ValueError, match="unknown label"):
+        with pytest.raises(ValueError, match=rf"^unknown label '2'; expected one of {LABELS}$"):
             perturb_local(pi4_state, {("0", "1", "2"): 1e-3})
-        with pytest.raises(ValueError, match="one width"):
+        with pytest.raises(ValueError, match=r"^need labels of one width, got widths \[\]$"):
             perturb_local(pi4_state, {})
         qutrits = DensityMatrix(np.eye(9) / 9, (3, 3), validate=False)
-        with pytest.raises(ValueError, match="qubit parties"):
+        with pytest.raises(ValueError, match="^local noise needs qubit parties$"):
             perturb_local(qutrits, {("0", "1"): 1e-3})
 
 
@@ -117,13 +125,13 @@ class TestPerturbMix:
 
     def test_epsilon_guard(self, pi4_state):
         # any finite eps > 0 is a point on the ray; only the first-order scan keeps (0, 0.1]
-        for eps in (0.0, -0.5, np.inf, np.nan):
-            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        for eps, shown in ((0.0, r"0\.0"), (-0.5, r"-0\.5"), (np.inf, "inf"), (np.nan, "nan")):
+            with pytest.raises(ValueError, match=f"^epsilon must be finite and positive, got {shown}$"):
                 perturb_mix(pi4_state, maximally_mixed(), eps)
 
     def test_rejects_noise_of_other_parties(self, pi4_state):
         two_qubit = DensityMatrix(np.eye(4) / 4, (2, 2), validate=False)
-        with pytest.raises(ValueError, match="party structure"):
+        with pytest.raises(ValueError, match="^noise state does not match the party structure$"):
             perturb_mix(pi4_state, two_qubit, 0.01)
 
     def test_large_epsilon_is_the_convex_combination(self, pi4_state):
@@ -298,18 +306,18 @@ class TestMixingScan:
 
     def test_epsilon_guard(self, pi4_upb):
         for grid in ([0.0], [0.01, 0.2], [-1e-3]):
-            with pytest.raises(ValueError, match="epsilon"):
+            with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 0\.1\]$"):
                 mixing_scan(pi4_upb, [maximally_mixed()], CUT0, grid)
 
     def test_rejects_mismatched_noise(self, pi4_upb):
         two_qubit = DensityMatrix(np.eye(4) / 4, (2, 2), validate=False)
-        with pytest.raises(ValueError, match="party structure"):
+        with pytest.raises(ValueError, match="^noise state does not match the UPB's party structure$"):
             mixing_scan(pi4_upb, [maximally_mixed(), two_qubit], CUT0, [0.01])
 
     def test_rejects_an_empty_noise_list(self, pi4_upb):
-        with pytest.raises(ValueError, match="needs at least one noise state"):
+        with pytest.raises(ValueError, match="^mixing_scan needs at least one noise state$"):
             mixing_scan(pi4_upb, [], CUT0, [0.01])
 
     def test_rejects_bad_cut(self, pi4_upb):
-        with pytest.raises(ValueError, match="proper subset"):
+        with pytest.raises(ValueError, match=r"^cut parties \[0, 1, 2\] must be a nonempty proper subset of 0\.\.2$"):
             mixing_scan(pi4_upb, [maximally_mixed()], (0, 1, 2), [0.01])

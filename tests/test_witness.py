@@ -1,3 +1,8 @@
+"""Unit tests of ``witness``: construction, evaluation and the detection radius along a noise ray.
+
+Its guards are tested here, each message matched whole.
+"""
+
 import math
 
 import numpy as np
@@ -26,6 +31,8 @@ from upbkit.states import expand_locals
 from upbkit.witness import SAFETY_MARGIN
 
 from test_upb import degenerate_family_members
+
+FLOOR_VANISHED = "the product-state floor vanished after the safety margin"
 
 
 def scaled(direction, factor):
@@ -69,27 +76,28 @@ class TestConstruction:
     def test_failed_certificate_rejected(self):
         u = UPB(degenerate_family_members())
         cert = certify_unextendible(u, restarts=32, seed=4)
-        with pytest.raises(CertificationError, match="floor vanished after the safety margin"):
+        with pytest.raises(CertificationError, match=rf"^seesaw overlap [0-9.]+: {FLOOR_VANISHED}$"):
             build_upb_witness(u, cert)
 
     def test_floor_must_survive_the_safety_margin(self, pi4_upb, pi4_cert):
         # a proven UPB whose seesaw floor 1 - overlap is under the margin gets no witness
         assert partition_margin(pi4_upb) > DEFAULT_TOL
         cert = UnextendibilityCertificate(1.0 - SAFETY_MARGIN / 2, pi4_cert.best_product_vector)
-        with pytest.raises(CertificationError, match="floor vanished after the safety margin"):
+        with pytest.raises(CertificationError, match=rf"^seesaw overlap 0\.9999995: {FLOOR_VANISHED}$"):
             build_upb_witness(pi4_upb, cert)
 
     def test_floor_too_large_for_the_family_rejected(self, pi4_upb, pi4_cert):
         # overlap 0.1 puts the floor c near 0.9, and m - c D = 4 - 0.9 * 8 < 0
         cert = UnextendibilityCertificate(0.1, pi4_cert.best_product_vector)
         assert 1.0 - cert.max_overlap - SAFETY_MARGIN > 0.0  # the floor guard passes
-        with pytest.raises(CertificationError, match="trace normalization is nonpositive"):
+        with pytest.raises(CertificationError,
+                           match="^trace normalization is nonpositive; the seesaw floor is too large for this family$"):
             build_upb_witness(pi4_upb, cert)
 
     def test_witness_type_validations(self):
-        with pytest.raises(ValueError, match=r"^witness trace is 4.0, expected 1$"):
+        with pytest.raises(ValueError, match=r"^witness trace is 4\.0, expected 1$"):
             Witness(matrix=np.eye(4), detected_value=-1.0)
-        with pytest.raises(ValueError, match="detect"):
+        with pytest.raises(ValueError, match="^a witness must detect the state it was built against$"):
             Witness(matrix=np.eye(4) / 4, detected_value=0.5)
 
     def test_matrix_is_read_only(self, pi4_witness):
@@ -113,7 +121,7 @@ class TestEvaluate:
 
     def test_dimension_mismatch(self, pi4_witness):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2), validate=False)
-        with pytest.raises(ValueError, match="dimensions"):
+        with pytest.raises(ValueError, match="^witness and state dimensions do not match$"):
             evaluate(pi4_witness, rho)
 
 
